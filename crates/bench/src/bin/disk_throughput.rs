@@ -93,13 +93,12 @@ impl Mode {
     }
 
     fn pct(&self, p: f64) -> f64 {
-        let mut us: Vec<f64> = self
+        let us: Vec<f64> = self
             .latencies
             .iter()
             .map(|d| d.as_secs_f64() * 1e6)
             .collect();
-        us.sort_by(f64::total_cmp);
-        us[((us.len() - 1) as f64 * p) as usize]
+        knmatch_bench::percentile(&us, p)
     }
 
     fn hit_ratio(&self) -> f64 {

@@ -14,7 +14,7 @@
 //!
 //! 1. **direct writes** — `VersionWriter::insert` in-process, no
 //!    sockets: the ceiling for the wire write path.
-//! 2. **static reads** — a loopback [`Server`] over the mutable engine
+//! 2. **static reads** — a loopback [`EventServer`] over the mutable engine
 //!    with no writer running: the read-latency baseline.
 //! 3. **concurrent** — the same read workload while a writer connection
 //!    streams inserts (a delete every 16th write) through the same
@@ -29,14 +29,18 @@
 //!
 //! Wall-clock timing only (`std::time::Instant`), no external bench
 //! framework, so the workspace builds offline.
+#![cfg_attr(not(unix), allow(dead_code, unused_imports))]
 
 use std::fmt::Write as _;
 use std::thread;
 use std::time::Instant;
 
+use knmatch_bench::percentile;
 use knmatch_core::{BatchEngine, BatchQuery};
 use knmatch_data::rng::seeded;
-use knmatch_server::{Client, EngineConfig, Server, ServerConfig};
+#[cfg(unix)]
+use knmatch_server::EventServer;
+use knmatch_server::{Client, EngineConfig, ServerConfig};
 
 struct Config {
     cardinality: usize,
@@ -87,12 +91,8 @@ impl Config {
     }
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    sorted[((sorted.len() - 1) as f64 * p) as usize]
-}
-
 /// Runs the read workload `rounds` times through `client`, returning
-/// (per-batch wall ms sorted ascending, total queries, total seconds).
+/// (per-batch wall ms, total queries, total seconds).
 fn read_rounds(
     client: &mut Client,
     batch: &[BatchQuery],
@@ -112,10 +112,10 @@ fn read_rounds(
         );
     }
     let secs = wall.elapsed().as_secs_f64();
-    per_batch.sort_by(f64::total_cmp);
     (per_batch, rounds * batch.len(), secs)
 }
 
+#[cfg(unix)]
 fn main() {
     let cfg = Config::parse();
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -184,7 +184,7 @@ fn main() {
         .build()
         .expect("valid config")
         .build_in_memory(&ds);
-    let server = Server::bind(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let server = EventServer::bind(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind");
     let addr = server.local_addr();
     let handle = server.handle();
 
@@ -241,7 +241,6 @@ fn main() {
             reads += n;
         }
         let secs = wall.elapsed().as_secs_f64();
-        per_batch.sort_by(f64::total_cmp);
         concurrent_row = (per_batch, reads, secs);
         writer_ops = writer_thread.join().expect("writer thread");
         eprintln!(
@@ -302,4 +301,9 @@ fn main() {
     std::fs::write(&cfg.out, &json).expect("write output file");
     print!("{json}");
     eprintln!("wrote {}", cfg.out);
+}
+
+#[cfg(not(unix))]
+fn main() {
+    eprintln!("ingest_throughput needs a unix host (the server runs on poll(2)/epoll(7))");
 }

@@ -13,7 +13,7 @@
 //!
 //! 1. **direct** — `BatchEngine::run` in-process, no sockets. This is
 //!    the ceiling the wire path is measured against.
-//! 2. **served** — a loopback [`Server`] with `--clients` concurrent
+//! 2. **served** — a loopback [`EventServer`] with `--clients` concurrent
 //!    [`Client`]s, each submitting the whole workload as `BATCH` frames.
 //!    Every served answer is asserted bit-identical to the direct run
 //!    (the text protocol round-trips `f64` exactly) before any number
@@ -25,6 +25,7 @@
 //!
 //! Wall-clock timing only (`std::time::Instant`), no external bench
 //! framework, so the workspace builds offline.
+#![cfg_attr(not(unix), allow(dead_code, unused_imports))]
 
 use std::fmt::Write as _;
 use std::thread;
@@ -32,7 +33,9 @@ use std::time::Instant;
 
 use knmatch_core::{BatchAnswer, BatchEngine, BatchOutcome, BatchQuery};
 use knmatch_data::rng::seeded;
-use knmatch_server::{Backend, Client, EngineConfig, Server, ServerConfig};
+#[cfg(unix)]
+use knmatch_server::EventServer;
+use knmatch_server::{Backend, Client, EngineConfig, ServerConfig};
 
 struct Config {
     cardinality: usize,
@@ -110,6 +113,7 @@ struct Row {
     bytes_out: u64,
 }
 
+#[cfg(unix)]
 fn main() {
     let cfg = Config::parse();
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -165,7 +169,8 @@ fn main() {
 
         // Served: one loopback server, `clients` concurrent connections,
         // each pushing the full workload `passes` times.
-        let server = Server::bind(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let server =
+            EventServer::bind(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind");
         let addr = server.local_addr();
         let handle = server.handle();
         let mut served_wall = 0.0;
@@ -297,4 +302,9 @@ fn main() {
     std::fs::write(&cfg.out, &json).expect("write output file");
     print!("{json}");
     eprintln!("wrote {}", cfg.out);
+}
+
+#[cfg(not(unix))]
+fn main() {
+    eprintln!("server_throughput needs a unix host (the server runs on poll(2)/epoll(7))");
 }

@@ -26,6 +26,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
+use knmatch_bench::percentile;
 use knmatch_core::{
     execute_batch_query, AdStats, BatchAnswer, BatchEngine, BatchQuery, Scratch, ShardedColumns,
     ShardedQueryEngine, SortedAccessSource, SortedColumns, SortedEntry,
@@ -110,12 +111,6 @@ impl SortedAccessSource for AosColumns {
     fn entry(&mut self, dim: usize, rank: usize) -> SortedEntry {
         self.cols[dim][rank]
     }
-}
-
-fn percentile(latencies: &[f64], p: f64) -> f64 {
-    let mut us = latencies.to_vec();
-    us.sort_by(f64::total_cmp);
-    us[((us.len() - 1) as f64 * p) as usize]
 }
 
 fn mean(latencies: &[f64]) -> f64 {

@@ -9,6 +9,19 @@
 
 use knmatch_eval::experiments as exp;
 
+/// The `p`-quantile (`0.0..=1.0`, nearest-rank, rounding down) of
+/// `samples`, in any order — the one percentile every bench binary
+/// reports.
+///
+/// # Panics
+///
+/// When `samples` is empty.
+pub fn percentile(samples: &[f64], p: f64) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[((sorted.len() - 1) as f64 * p) as usize]
+}
+
 /// Scale of a reproduction run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -261,6 +274,15 @@ mod tests {
         let f3 = fig3_report();
         assert!(f3.contains("[3, 2]"), "{f3}");
         assert!(f3.contains("eps = 1.5"));
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank_over_unsorted_input() {
+        let v = [5.0, 1.0, 4.0, 2.0, 3.0];
+        assert_eq!(percentile(&v, 0.0), 1.0);
+        assert_eq!(percentile(&v, 0.5), 3.0);
+        assert_eq!(percentile(&v, 0.95), 4.0);
+        assert_eq!(percentile(&v, 1.0), 5.0);
     }
 
     #[test]

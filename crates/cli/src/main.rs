@@ -18,11 +18,14 @@
 //! ```
 
 use std::fmt::Write as _;
+#[cfg(unix)]
 use std::io::Write as _;
 use std::process::ExitCode;
 
 use knmatch_core::{BatchAnswer, BatchEngine, BatchOptions, BatchOutcome, BatchQuery};
-use knmatch_server::{AnyEngine, Client, EngineConfig, Server};
+#[cfg(unix)]
+use knmatch_server::EventServer;
+use knmatch_server::{AnyEngine, Client, EngineConfig};
 use knmatch_storage::{CostModel, DiskDatabase};
 
 fn main() -> ExitCode {
@@ -64,8 +67,8 @@ fn usage() -> &'static str {
      knmatch serve <data.csv|db.knm> [--addr IP:PORT] [--workers W] \
      [--planner MODE | --shards <S|auto> | --disk [--pool-pages P] [--verify MODE] | \
      --mutable [--merge-threshold R]] \
-     [--max-conns N] [--event-loop [--executors E] [--reactor poll|epoll|auto] \
-     [--idle-timeout-ms MS] [--max-inflight N]]\n  \
+     [--max-conns N] [--executors E] [--reactor poll|epoll|auto] \
+     [--idle-timeout-ms MS] [--max-inflight N]\n  \
      knmatch client <host:port> (--queries <queries.csv> \
      (-k <K> -n <N> | -k <K> --frequent <N0> <N1> | --eps <E> -n <N>) \
      [--planner MODE] [--deadline-ms MS] [--fail-fast] [--binary] \
@@ -371,37 +374,20 @@ fn shown_ids(answer: &BatchAnswer) -> String {
 /// (or the process is killed). Prints the bound address eagerly — tests
 /// and scripts bind `--addr 127.0.0.1:0` and read the resolved port from
 /// that line — and returns the final counter summary.
+#[cfg(unix)]
 fn serve(args: &[String]) -> Result<String, String> {
     let data = args.first().ok_or("serve needs <data.csv|db.knm>")?;
     let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:0");
     let cfg = EngineConfig::from_args(args)?;
-    let (server_cfg, event_loop) = knmatch_server::server_config_from_args(args)?;
+    let server_cfg = knmatch_server::server_config_from_args(args)?;
     let engine = cfg.open(data)?;
-    if event_loop {
-        #[cfg(unix)]
-        {
-            let reactor = server_cfg.reactor;
-            let server = knmatch_server::EventServer::bind(engine, addr, server_cfg)
-                .map_err(|e| format!("bind {addr}: {e}"))?;
-            println!(
-                "listening on {} (event loop, reactor {}, {}, {} points x {} dims)",
-                server.local_addr(),
-                reactor,
-                cfg.describe(),
-                server.engine().cardinality(),
-                server.engine().dims(),
-            );
-            std::io::stdout().flush().ok();
-            server.serve().map_err(|e| e.to_string())?;
-            return Ok(serve_summary(server.stats(), server.engine().plan_counts()));
-        }
-        #[cfg(not(unix))]
-        return Err("--event-loop needs poll(2) (unix); omit it for the blocking server".into());
-    }
-    let server = Server::bind(engine, addr, server_cfg).map_err(|e| format!("bind {addr}: {e}"))?;
+    let reactor = server_cfg.reactor;
+    let server =
+        EventServer::bind(engine, addr, server_cfg).map_err(|e| format!("bind {addr}: {e}"))?;
     println!(
-        "listening on {} ({}, {} points x {} dims)",
+        "listening on {} (reactor {}, {}, {} points x {} dims)",
         server.local_addr(),
+        reactor,
         cfg.describe(),
         server.engine().cardinality(),
         server.engine().dims(),
@@ -411,7 +397,15 @@ fn serve(args: &[String]) -> Result<String, String> {
     Ok(serve_summary(server.stats(), server.engine().plan_counts()))
 }
 
-/// The post-drain one-liner both server front-ends print.
+/// The server's readiness loop is `poll(2)`/`epoll(7)`; hosts without
+/// them keep every other subcommand.
+#[cfg(not(unix))]
+fn serve(_args: &[String]) -> Result<String, String> {
+    Err("serve needs a unix host (poll(2) or epoll(7))".into())
+}
+
+/// The post-drain one-liner `serve` prints.
+#[cfg(unix)]
 fn serve_summary(
     t: knmatch_server::StatsSnapshot,
     plans: Option<knmatch_core::PlanTally>,
@@ -434,8 +428,7 @@ fn serve_summary(
 /// drains it, and `--queries` submits a batch (same query-spec flags as
 /// `batch`), printing the same per-query report. `--binary` speaks
 /// compact frames instead of text lines; `--pipeline DEPTH` sends the
-/// queries individually with up to DEPTH in flight (best against
-/// `serve --event-loop`).
+/// queries individually with up to DEPTH in flight.
 fn client(args: &[String]) -> Result<(String, bool), String> {
     let addr = args.first().ok_or("client needs <host:port>")?;
     let connect = || Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"));
@@ -1615,10 +1608,32 @@ mod ingest_tests {
     /// `--start-key`), `--seal` freezes the delta, and both `ingest
     /// --stats` and `client --stats` print the version counter line.
     /// `serve` itself blocks until shutdown, so the server side binds
-    /// through the same [`EngineConfig`] grammar the command uses.
+    /// through the same [`EngineConfig`] grammar the command uses, once
+    /// per reactor backend the host offers.
+    #[cfg(unix)]
     #[test]
     fn ingest_streams_points_into_a_mutable_server() {
-        let dir = std::env::temp_dir().join(format!("knmatch-cli-ingest-{}", std::process::id()));
+        for reactor in [
+            knmatch_server::ReactorChoice::Poll,
+            #[cfg(target_os = "linux")]
+            knmatch_server::ReactorChoice::Epoll,
+        ] {
+            ingest_round_trip(knmatch_server::ServerConfig {
+                reactor,
+                ..Default::default()
+            });
+        }
+        assert!(run(&s(&["ingest"])).is_err());
+        assert!(run(&s(&["ingest", "127.0.0.1:1"])).is_err());
+    }
+
+    #[cfg(unix)]
+    fn ingest_round_trip(server_cfg: knmatch_server::ServerConfig) {
+        let dir = std::env::temp_dir().join(format!(
+            "knmatch-cli-ingest-{}-{}",
+            std::process::id(),
+            server_cfg.reactor
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("data.csv");
         let extra = dir.join("extra.csv");
@@ -1646,12 +1661,8 @@ mod ingest_tests {
         let ds = knmatch_data::load_dataset(&data).unwrap();
 
         let cfg = EngineConfig::from_args(&s(&["--mutable", "--merge-threshold", "8"])).unwrap();
-        let server = Server::bind(
-            cfg.build_in_memory(&ds),
-            "127.0.0.1:0",
-            knmatch_server::ServerConfig::default(),
-        )
-        .unwrap();
+        let server =
+            EventServer::bind(cfg.build_in_memory(&ds), "127.0.0.1:0", server_cfg.clone()).unwrap();
         let addr = server.local_addr().to_string();
         let handle = server.handle();
         std::thread::scope(|sc| {
@@ -1693,10 +1704,10 @@ mod ingest_tests {
 
         // Against a read-only server every insert fails, the failures
         // are itemised, and the all-ok flag clears for the exit code.
-        let server = Server::bind(
+        let server = EventServer::bind(
             EngineConfig::default().build_in_memory(&ds),
             "127.0.0.1:0",
-            knmatch_server::ServerConfig::default(),
+            server_cfg,
         )
         .unwrap();
         let addr = server.local_addr().to_string();
@@ -1712,8 +1723,6 @@ mod ingest_tests {
             serving.join().unwrap();
         });
 
-        assert!(run(&s(&["ingest"])).is_err());
-        assert!(run(&s(&["ingest", "127.0.0.1:1"])).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -21,7 +21,10 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::ad::{eps_n_match_ad_with, frequent_k_n_match_ad_with, k_n_match_ad_with, AdStats};
+use crate::ad::{
+    eps_n_match_ad_with, frequent_k_n_match_ad_with, k_n_match_ad_with, validate_eps,
+    validate_params, AdStats,
+};
 use crate::columns::SortedColumns;
 use crate::error::{panic_message, KnMatchError, Result};
 use crate::result::{FrequentResult, KnMatchResult};
@@ -63,6 +66,30 @@ pub enum BatchQuery {
         /// Number of matching dimensions.
         n: usize,
     },
+}
+
+impl BatchQuery {
+    /// Validates this query against a `cardinality × dims` source,
+    /// mirroring the AD entry points exactly — the same errors with the
+    /// same precedence, whichever backend ends up running it.
+    ///
+    /// # Errors
+    ///
+    /// See [`validate_params`] and [`validate_eps`].
+    pub fn validate(&self, dims: usize, cardinality: usize) -> Result<()> {
+        match self {
+            BatchQuery::KnMatch { query, k, n } => {
+                validate_params(query, dims, cardinality, *k, *n, *n)
+            }
+            BatchQuery::Frequent { query, k, n0, n1 } => {
+                validate_params(query, dims, cardinality, *k, *n0, *n1)
+            }
+            BatchQuery::EpsMatch { query, eps, n } => {
+                validate_params(query, dims, cardinality, 1, *n, *n)?;
+                validate_eps(*eps)
+            }
+        }
+    }
 }
 
 /// The answer to one [`BatchQuery`], mirroring its variant.

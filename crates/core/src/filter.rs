@@ -28,7 +28,7 @@
 
 use std::sync::Arc;
 
-use crate::ad::{validate_eps, validate_params, AdStats};
+use crate::ad::AdStats;
 use crate::engine::{
     isolate_panic, note_outcome, run_batch, BatchAnswer, BatchEngine, BatchOptions, BatchQuery,
 };
@@ -200,19 +200,6 @@ fn eps_over<I: Iterator<Item = PointId>>(
     Ok((KnMatchResult { n, entries }, refined))
 }
 
-/// Validates one batch query against a `c × d` source, mirroring the AD
-/// entry points exactly (same errors for the same inputs).
-fn validate_query(query: &BatchQuery, d: usize, c: usize) -> Result<()> {
-    match query {
-        BatchQuery::KnMatch { query, k, n } => validate_params(query, d, c, *k, *n, *n),
-        BatchQuery::Frequent { query, k, n0, n1 } => validate_params(query, d, c, *k, *n0, *n1),
-        BatchQuery::EpsMatch { query, eps, n } => {
-            validate_params(query, d, c, 1, *n, *n)?;
-            validate_eps(*eps)
-        }
-    }
-}
-
 /// Stats attributed to a refine pass that touched `refined` points of a
 /// `d`-dimensional dataset, after sampling `sampled` points for the
 /// threshold: `attributes_retrieved` counts the refined attributes (the
@@ -267,7 +254,7 @@ impl ScanEngine {
     ) -> Result<(BatchAnswer, AdStats)> {
         let ds = &*self.data;
         let (d, c) = (ds.dims(), ds.len());
-        validate_query(query, d, c)?;
+        query.validate(d, c)?;
         scratch.control.precheck()?;
         let control = scratch.control.clone();
         let answer = match query {
@@ -485,7 +472,7 @@ impl BandEngine {
     ) -> Result<(BatchAnswer, AdStats)> {
         let ds = &*self.data;
         let (d, c) = (ds.dims(), ds.len());
-        validate_query(query, d, c)?;
+        query.validate(d, c)?;
         scratch.control.precheck()?;
         let control = scratch.control.clone();
         // Threshold and hit floor per kind: k-n-match prunes at the n-level

@@ -67,7 +67,6 @@
 //! - [`sharded`] / [`ShardedQueryEngine`] — intra-query parallelism over
 //!   point-id-sharded columns with an exact `(diff, pid)` merge;
 //! - [`stream`] — lazy ascending-difference answer iterator;
-//! - [`dynamic`] — insert/remove-capable index with stable keys;
 //! - [`versioned`] / [`VersionedIndex`] — epoch-versioned MVCC index:
 //!   delta + sealed runs + pinned snapshots, writers never block readers;
 //! - [`hybrid`] — mixed numeric/categorical/weighted schemas (footnote 1);
@@ -87,7 +86,6 @@
 
 pub mod ad;
 pub mod columns;
-pub mod dynamic;
 pub mod engine;
 pub mod error;
 pub mod fagin;
@@ -116,7 +114,6 @@ pub use ad::{
     frequent_k_n_match_ad_with, k_n_match_ad, k_n_match_ad_with, AdStats,
 };
 pub use columns::{ColumnView, SortedColumns};
-pub use dynamic::{DynamicColumns, KeyedMatch};
 pub use engine::{
     execute_batch_query, isolate_panic, note_outcome, run_batch, BatchAnswer, BatchEngine,
     BatchOptions, BatchOutcome, BatchQuery, PlanTally, PlannerMode, QueryEngine,

@@ -48,7 +48,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
 
-use crate::ad::{validate_eps, validate_params, AdStats};
+use crate::ad::AdStats;
 use crate::columns::{sort_dim_range, SortedColumns};
 use crate::engine::{
     execute_batch_query, isolate_panic, note_outcome, run_batch, BatchAnswer, BatchEngine,
@@ -247,20 +247,6 @@ impl ShardedQueryEngine {
             .expect("one result per query")
     }
 
-    /// Validates `query` against the global shape (`d`, total `c`).
-    fn validate(&self, query: &BatchQuery) -> Result<()> {
-        let d = self.cols.dims();
-        let c = self.cols.cardinality();
-        match query {
-            BatchQuery::KnMatch { query, k, n } => validate_params(query, d, c, *k, *n, *n),
-            BatchQuery::Frequent { query, k, n0, n1 } => validate_params(query, d, c, *k, *n0, *n1),
-            BatchQuery::EpsMatch { query, eps, n } => {
-                validate_params(query, d, c, 1, *n, *n)?;
-                validate_eps(*eps)
-            }
-        }
-    }
-
     /// Runs `query` against shard `s` with `k` clamped to the shard
     /// cardinality, rebasing answer pids to global. Validation passed
     /// globally and shard parameters only clamp `k`, so an `Err` here is a
@@ -300,51 +286,14 @@ impl BatchEngine for ShardedQueryEngine {
     /// completes. Every shard task of every query shares the batch's
     /// deadline clock and cancel flag.
     fn run_with(&self, queries: &[BatchQuery], opts: &BatchOptions) -> Vec<Result<ShardedOutcome>> {
-        let s_count = self.cols.shard_count();
-        let validity: Vec<Result<()>> = queries.iter().map(|q| self.validate(q)).collect();
-        let mut tasks = Vec::new();
-        for (qi, v) in validity.iter().enumerate() {
-            if v.is_ok() {
-                tasks.extend((0..s_count).map(|s| (qi, s)));
-            }
-        }
-        let control = opts.arm();
-        let outs = run_batch(
+        fan_out(
+            queries,
+            opts,
             self.workers,
-            tasks.len(),
-            || control.scratch(),
-            |scratch, t| {
-                let (qi, s) = tasks[t];
-                let out = self.run_shard(&queries[qi], s, scratch);
-                note_outcome(&control, &out);
-                out
-            },
-        );
-        // Tasks were pushed query-major, so each valid query owns the next
-        // `s_count` outputs in order.
-        let mut outs = outs.into_iter();
-        validity
-            .into_iter()
-            .enumerate()
-            .map(|(qi, v)| {
-                v.and_then(|()| {
-                    let mut parts = Vec::with_capacity(s_count);
-                    let mut first_err = None;
-                    for part in outs.by_ref().take(s_count) {
-                        match part {
-                            Ok(x) => parts.push(x),
-                            Err(e) => {
-                                first_err.get_or_insert(e);
-                            }
-                        }
-                    }
-                    match first_err {
-                        Some(e) => Err(e),
-                        None => Ok(merge_shards(&queries[qi], parts)),
-                    }
-                })
-            })
-            .collect()
+            (self.cols.dims(), self.cols.cardinality()),
+            self.cols.shard_count(),
+            |query, s, scratch| self.run_shard(query, s, scratch),
+        )
     }
 }
 
@@ -389,13 +338,78 @@ fn offset_answer(answer: BatchAnswer, off: PointId) -> BatchAnswer {
     }
 }
 
+/// The `(query × part)` fan-out shared by every engine whose answer is an
+/// exact merge over independent parts (pid-range shards here, the
+/// versioned index's runs): queries are validated against the global
+/// `(dims, cardinality)` shape, every valid query contributes `parts`
+/// tasks to one [`run_batch`] pool, and each query's per-part outcomes
+/// regroup — first failing part, in part order, wins — into one
+/// [`merge_shards`] call. Generic over the per-part closure, so each
+/// caller monomorphises to its own copy.
+pub(crate) fn fan_out<F>(
+    queries: &[BatchQuery],
+    opts: &BatchOptions,
+    workers: usize,
+    (dims, cardinality): (usize, usize),
+    parts: usize,
+    run_part: F,
+) -> Vec<Result<ShardedOutcome>>
+where
+    F: Fn(&BatchQuery, usize, &mut Scratch) -> Result<(BatchAnswer, AdStats)> + Sync,
+{
+    let validity: Vec<Result<()>> = queries
+        .iter()
+        .map(|q| q.validate(dims, cardinality))
+        .collect();
+    let mut tasks = Vec::new();
+    for (qi, v) in validity.iter().enumerate() {
+        if v.is_ok() {
+            tasks.extend((0..parts).map(|p| (qi, p)));
+        }
+    }
+    let control = opts.arm();
+    let outs = run_batch(
+        workers,
+        tasks.len(),
+        || control.scratch(),
+        |scratch, t| {
+            let (qi, p) = tasks[t];
+            let out = run_part(&queries[qi], p, scratch);
+            note_outcome(&control, &out);
+            out
+        },
+    );
+    // Tasks were pushed query-major, so each valid query owns the next
+    // `parts` outputs in order.
+    let mut outs = outs.into_iter();
+    validity
+        .into_iter()
+        .enumerate()
+        .map(|(qi, v)| {
+            v.and_then(|()| {
+                let mut answers = Vec::with_capacity(parts);
+                let mut first_err = None;
+                for part in outs.by_ref().take(parts) {
+                    match part {
+                        Ok(x) => answers.push(x),
+                        Err(e) => {
+                            first_err.get_or_insert(e);
+                        }
+                    }
+                }
+                match first_err {
+                    Some(e) => Err(e),
+                    None => Ok(merge_shards(&queries[qi], answers)),
+                }
+            })
+        })
+        .collect()
+}
+
 /// Merges the per-shard outcomes of one query into the global answer plus
-/// the cost split. Also used by the versioned index, whose sealed runs
-/// merge exactly like shards (keys play the role of global pids).
-pub(crate) fn merge_shards(
-    query: &BatchQuery,
-    parts: Vec<(BatchAnswer, AdStats)>,
-) -> ShardedOutcome {
+/// the cost split. The versioned index's sealed runs merge exactly like
+/// shards (keys play the role of global pids).
+fn merge_shards(query: &BatchQuery, parts: Vec<(BatchAnswer, AdStats)>) -> ShardedOutcome {
     let per_shard: Vec<AdStats> = parts.iter().map(|(_, s)| *s).collect();
     let mut stats = AdStats::default();
     for s in &per_shard {

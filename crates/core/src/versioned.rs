@@ -1,9 +1,7 @@
 //! Epoch-versioned MVCC index: live ingestion served concurrently with
 //! queries (DESIGN.md §16).
 //!
-//! [`DynamicColumns`](crate::DynamicColumns) proved the ordered-insert
-//! column maintenance; this module promotes the idea to a proper
-//! multi-version index built from three pieces:
+//! The one updatable index of this crate, built from three pieces:
 //!
 //! - an in-memory **delta** of keyed rows, sorted by key, that receives
 //!   every insert and delete;
@@ -57,17 +55,16 @@
 
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::ad::{validate_eps, validate_params, AdStats};
+use crate::ad::AdStats;
 use crate::columns::SortedColumns;
 use crate::engine::{
-    execute_batch_query, isolate_panic, note_outcome, run_batch, BatchAnswer, BatchEngine,
-    BatchOptions, BatchQuery,
+    execute_batch_query, isolate_panic, BatchAnswer, BatchEngine, BatchOptions, BatchQuery,
 };
 use crate::error::{KnMatchError, Result};
 use crate::point::{validate_finite, Dataset, PointId};
 use crate::result::KnMatchResult;
 use crate::scratch::Scratch;
-use crate::sharded::{merge_shards, ShardedOutcome};
+use crate::sharded::{fan_out, ShardedOutcome};
 
 /// Default number of delta rows that triggers an automatic seal.
 pub const DEFAULT_MERGE_THRESHOLD: usize = 1024;
@@ -269,19 +266,6 @@ impl EpochSnapshot {
         rows
     }
 
-    fn validate(&self, query: &BatchQuery) -> Result<()> {
-        let d = self.inner.dims;
-        let c = self.inner.live;
-        match query {
-            BatchQuery::KnMatch { query, k, n } => validate_params(query, d, c, *k, *n, *n),
-            BatchQuery::Frequent { query, k, n0, n1 } => validate_params(query, d, c, *k, *n0, *n1),
-            BatchQuery::EpsMatch { query, eps, n } => {
-                validate_params(query, d, c, 1, *n, *n)?;
-                validate_eps(*eps)
-            }
-        }
-    }
-
     /// Runs `query` against run `ri` with `k` inflated by the run's
     /// tombstone count, then remaps local pids to keys and filters the
     /// dead entries — the per-run half of the exactness argument above.
@@ -373,49 +357,14 @@ impl BatchEngine for EpochSnapshot {
     /// pair is an independent task on the claim-chunk pool, and per-run
     /// answers merge with the exact `(diff, key)` rule.
     fn run_with(&self, queries: &[BatchQuery], opts: &BatchOptions) -> Vec<Result<ShardedOutcome>> {
-        let r_count = self.inner.runs.len();
-        let validity: Vec<Result<()>> = queries.iter().map(|q| self.validate(q)).collect();
-        let mut tasks = Vec::new();
-        for (qi, v) in validity.iter().enumerate() {
-            if v.is_ok() {
-                tasks.extend((0..r_count).map(|r| (qi, r)));
-            }
-        }
-        let control = opts.arm();
-        let outs = run_batch(
+        fan_out(
+            queries,
+            opts,
             self.workers,
-            tasks.len(),
-            || control.scratch(),
-            |scratch, t| {
-                let (qi, r) = tasks[t];
-                let out = self.run_run(&queries[qi], r, scratch);
-                note_outcome(&control, &out);
-                out
-            },
-        );
-        let mut outs = outs.into_iter();
-        validity
-            .into_iter()
-            .enumerate()
-            .map(|(qi, v)| {
-                v.and_then(|()| {
-                    let mut parts = Vec::with_capacity(r_count);
-                    let mut first_err = None;
-                    for part in outs.by_ref().take(r_count) {
-                        match part {
-                            Ok(x) => parts.push(x),
-                            Err(e) => {
-                                first_err.get_or_insert(e);
-                            }
-                        }
-                    }
-                    match first_err {
-                        Some(e) => Err(e),
-                        None => Ok(merge_shards(&queries[qi], parts)),
-                    }
-                })
-            })
-            .collect()
+            (self.inner.dims, self.inner.live),
+            self.inner.runs.len(),
+            |query, r, scratch| self.run_run(query, r, scratch),
+        )
     }
 }
 

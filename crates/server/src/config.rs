@@ -155,43 +155,23 @@ impl EngineConfigBuilder {
     }
 }
 
-/// The host's available parallelism (≥ 1) — the default for `--workers`
-/// and `--shards auto`.
 /// Parses the serving-side flags of `knmatch serve` into a
-/// [`ServerConfig`](crate::ServerConfig) plus whether the event-loop
-/// front-end was requested: `--max-conns N` (default 64),
-/// `--event-loop` (the reactor front-end, unix only), `--executors E`
-/// (reactor worker threads, `0` = one per core), and
+/// [`ServerConfig`](crate::ServerConfig): `--max-conns N` (default 64),
+/// `--executors E` (reactor worker threads, `0` = one per core),
 /// `--reactor <poll|epoll|auto>` (readiness backend, default `auto`:
-/// epoll on Linux, `poll(2)` elsewhere), `--idle-timeout-ms N`
-/// (event loop only: evict connections idle for N ms, `0` = never, the
-/// default), and `--max-inflight N` (event loop only: shed queries with
-/// `ERR overloaded` once N are queued or running, `0` = auto).
+/// epoll on Linux, `poll(2)` elsewhere), `--idle-timeout-ms N` (evict
+/// connections idle for N ms, `0` = never, the default), and
+/// `--max-inflight N` (shed queries with `ERR overloaded` once N are
+/// queued or running, `0` = auto).
 ///
 /// # Errors
 ///
-/// Malformed numbers or backend names, or `--executors` / `--reactor` /
-/// `--idle-timeout-ms` / `--max-inflight` without `--event-loop` (the
-/// blocking server's concurrency is one thread per connection; it has
-/// no readiness backend and no shared queue to protect).
-pub fn server_config_from_args(args: &[String]) -> Result<(crate::ServerConfig, bool), String> {
+/// Malformed numbers or backend names.
+pub fn server_config_from_args(args: &[String]) -> Result<crate::ServerConfig, String> {
     let max_connections = parse_num(
         flag_value(args, "--max-conns").unwrap_or("64"),
         "--max-conns",
     )?;
-    let event_loop = args.iter().any(|a| a == "--event-loop");
-    if !event_loop {
-        for flag in [
-            "--executors",
-            "--reactor",
-            "--idle-timeout-ms",
-            "--max-inflight",
-        ] {
-            if args.iter().any(|a| a == flag) {
-                return Err(format!("{flag} only applies to --event-loop"));
-            }
-        }
-    }
     let executors = parse_num(
         flag_value(args, "--executors").unwrap_or("0"),
         "--executors",
@@ -208,19 +188,18 @@ pub fn server_config_from_args(args: &[String]) -> Result<(crate::ServerConfig, 
         flag_value(args, "--max-inflight").unwrap_or("0"),
         "--max-inflight",
     )?;
-    Ok((
-        crate::ServerConfig {
-            max_connections,
-            executors,
-            reactor,
-            idle_timeout: (idle_ms > 0).then(|| std::time::Duration::from_millis(idle_ms as u64)),
-            max_inflight,
-            ..crate::ServerConfig::default()
-        },
-        event_loop,
-    ))
+    Ok(crate::ServerConfig {
+        max_connections,
+        executors,
+        reactor,
+        idle_timeout: (idle_ms > 0).then(|| std::time::Duration::from_millis(idle_ms as u64)),
+        max_inflight,
+        ..crate::ServerConfig::default()
+    })
 }
 
+/// The host's available parallelism (≥ 1) — the default for `--workers`
+/// and `--shards auto`.
 fn available_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -750,25 +729,21 @@ mod tests {
     fn serve_flag_grammar() {
         use crate::server::ReactorChoice;
 
-        let (cfg, event_loop) = server_config_from_args(&argv("--max-conns 128")).unwrap();
+        let cfg = server_config_from_args(&argv("--max-conns 128")).unwrap();
         assert_eq!(cfg.max_connections, 128);
         assert_eq!(cfg.reactor, ReactorChoice::Auto);
-        assert!(!event_loop);
 
-        let (cfg, event_loop) =
-            server_config_from_args(&argv("--event-loop --reactor poll --executors 2")).unwrap();
+        let cfg = server_config_from_args(&argv("--reactor poll --executors 2")).unwrap();
         assert_eq!(cfg.reactor, ReactorChoice::Poll);
         assert_eq!(cfg.executors, 2);
-        assert!(event_loop);
 
-        let (cfg, _) = server_config_from_args(&argv("--event-loop --reactor epoll")).unwrap();
+        let cfg = server_config_from_args(&argv("--reactor epoll")).unwrap();
         assert_eq!(cfg.reactor, ReactorChoice::Epoll);
-        let (cfg, _) = server_config_from_args(&argv("--event-loop --reactor auto")).unwrap();
+        let cfg = server_config_from_args(&argv("--reactor auto")).unwrap();
         assert_eq!(cfg.reactor, ReactorChoice::Auto);
 
-        assert!(server_config_from_args(&argv("--reactor epoll")).is_err());
-        assert!(server_config_from_args(&argv("--executors 2")).is_err());
-        assert!(server_config_from_args(&argv("--event-loop --reactor kqueue")).is_err());
+        assert!(server_config_from_args(&argv("--reactor kqueue")).is_err());
+        assert!(server_config_from_args(&argv("--executors many")).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Per-connection plumbing for the event-loop server: an incremental
+//! Per-connection plumbing for the reactor: an incremental
 //! frame decoder over a growable read buffer, the ordered response
 //! slot queue that preserves request order under pipelining, and the
 //! server-wide buffer pool behind the zero-copy write path.
@@ -7,8 +7,7 @@
 //! yields complete frames: text lines, binary frames (sniffed per frame
 //! on [`FRAME_MAGIC`]), or oversized markers for input past
 //! [`MAX_LINE`] / [`MAX_FRAME`] — oversized input is drained, answered,
-//! and never desynchronises the stream, mirroring the blocking server's
-//! `LineReader`.
+//! and never desynchronises the stream.
 //!
 //! [`SlotQueue`] is the pipelining invariant in data-structure form:
 //! every request occupies one slot in arrival order; control requests

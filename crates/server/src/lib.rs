@@ -2,20 +2,21 @@
 //!
 //! A std-only TCP front-end for batch k-n-match queries (DESIGN.md
 //! §11, §13): a newline-delimited text [`protocol`] with a compact
-//! binary frame alternative, a thread-per-connection [`Server`] and a
-//! pipelined [`EventServer`] (unix only; readiness via `poll(2)` or
-//! Linux edge-triggered `epoll`) both written
+//! binary frame alternative, one pipelined [`EventServer`] (unix only;
+//! readiness via `poll(2)` or Linux edge-triggered `epoll`) written
 //! against the [`BatchEngine`](knmatch_core::BatchEngine) trait (so the
-//! in-memory, sharded and disk backends share one serving path), a
-//! blocking [`Client`] with a pipelined mode, and the [`EngineConfig`]
-//! flag grammar shared with the CLI.
+//! in-memory, sharded, planned, versioned and disk backends share one
+//! serving path), a blocking [`Client`] with a pipelined mode, and the
+//! [`EngineConfig`] flag grammar shared with the CLI. Non-unix hosts
+//! keep everything but the server itself.
 //!
 //! ```no_run
+//! # #[cfg(unix)] {
 //! use knmatch_core::BatchQuery;
-//! use knmatch_server::{Client, EngineConfig, Server, ServerConfig};
+//! use knmatch_server::{Client, EngineConfig, EventServer, ServerConfig};
 //!
 //! let engine = EngineConfig::default().open("data.csv").unwrap();
-//! let server = Server::bind(engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
+//! let server = EventServer::bind(engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
 //! let addr = server.local_addr();
 //! let handle = server.handle();
 //! std::thread::spawn(move || {
@@ -27,6 +28,7 @@
 //!     handle.shutdown();
 //! });
 //! server.serve().unwrap(); // returns after the drain completes
+//! # }
 //! ```
 
 #![warn(missing_docs)]
@@ -43,6 +45,8 @@ pub mod planner_engine;
 pub mod protocol;
 #[cfg(unix)]
 pub mod reactor;
+// Only the (unix) reactor constructs the shared state.
+#[cfg_attr(not(unix), allow(dead_code))]
 pub mod server;
 
 pub use client::{
@@ -61,4 +65,4 @@ pub use protocol::{
 };
 #[cfg(unix)]
 pub use reactor::{EventServer, MAX_PIPELINE};
-pub use server::{ReactorChoice, Server, ServerConfig, ShutdownHandle};
+pub use server::{ReactorChoice, ServerConfig, ShutdownHandle};

@@ -20,7 +20,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use knmatch_core::ad::{validate_eps, validate_params};
 use knmatch_core::{
     isolate_panic, note_outcome, run_batch, sample_threshold, AdStats, BatchAnswer, BatchEngine,
     BatchOptions, BatchQuery, Dataset, FilterScratch, PlanTally, PlannerMode, QueryEngine,
@@ -137,22 +136,17 @@ impl PlannedEngine {
     /// planned or dispatched directly.
     pub fn plan_for(&self, query: &BatchQuery) -> CoreResult<MemPlanChoice> {
         let (d, c) = (self.data.dims(), self.data.len());
+        query.validate(d, c)?;
         let (q, eps_hat, min_hits) = match query {
             BatchQuery::KnMatch { query, k, n } => {
-                validate_params(query, d, c, *k, *n, *n)?;
                 (query, sample_threshold(&self.data, query, *k, *n), *n)
             }
             BatchQuery::Frequent { query, k, n0, n1 } => {
-                validate_params(query, d, c, *k, *n0, *n1)?;
                 // τ at the loosest level covers every per-n answer set;
                 // the hit floor is the tightest level.
                 (query, sample_threshold(&self.data, query, *k, *n1), *n0)
             }
-            BatchQuery::EpsMatch { query, eps, n } => {
-                validate_params(query, d, c, 1, *n, *n)?;
-                validate_eps(*eps)?;
-                (query, *eps, *n)
-            }
+            BatchQuery::EpsMatch { query, eps, n } => (query, *eps, *n),
         };
         // AD touches, per dimension, the sorted entries within ε̂ of the
         // query before the n-th smallest difference crosses the answer
@@ -204,21 +198,6 @@ impl PlannedEngine {
         .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The backends' shared validation, applied before a routing decision
-    /// is tallied: invalid queries fail their slot without ever counting
-    /// as a plan, in every mode.
-    fn validate(&self, query: &BatchQuery) -> CoreResult<()> {
-        let (d, c) = (self.data.dims(), self.data.len());
-        match query {
-            BatchQuery::KnMatch { query, k, n } => validate_params(query, d, c, *k, *n, *n),
-            BatchQuery::Frequent { query, k, n0, n1 } => validate_params(query, d, c, *k, *n0, *n1),
-            BatchQuery::EpsMatch { query, eps, n } => {
-                validate_params(query, d, c, 1, *n, *n)?;
-                validate_eps(*eps)
-            }
-        }
-    }
-
     /// Executes one query under `mode` on the calling thread, tallying the
     /// routing decision. Forced modes tally too (the counters answer "what
     /// ran", not "what `auto` would have picked").
@@ -228,7 +207,9 @@ impl PlannedEngine {
         mode: PlannerMode,
         scratch: &mut PlanScratch,
     ) -> CoreResult<(BatchAnswer, AdStats)> {
-        self.validate(query)?;
+        // Before a routing decision is tallied: invalid queries fail
+        // their slot without ever counting as a plan, in every mode.
+        query.validate(self.data.dims(), self.data.len())?;
         let choice = match mode {
             PlannerMode::Auto => self.plan_for(query)?.backend,
             PlannerMode::Ad => BackendChoice::Ad,

@@ -271,7 +271,8 @@ impl StatsSnapshot {
 /// `STATS` so clients, tests and benches can label results per backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ReactorKind {
-    /// No reactor: the blocking thread-per-connection front-end.
+    /// No reactor running: what a bound server reports before `serve`
+    /// picks its backend (wire code 0).
     #[default]
     None,
     /// The portable `poll(2)` event loop.
@@ -326,9 +327,7 @@ impl std::str::FromStr for ReactorKind {
     }
 }
 
-/// The server-scope reactor counters appended to `STATS` by front-ends
-/// that track them (the event-loop server; the blocking fallback reports
-/// `conns_peak` and zeroes for the pipelining fields).
+/// The server-scope reactor counters appended to `STATS`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerExtras {
     /// Most connections simultaneously open over the server's lifetime.

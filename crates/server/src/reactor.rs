@@ -62,10 +62,10 @@
 //! connection's in-flight requests (one shared farewell frame per
 //! encoding — the refcounted pool's cheapest trick), flushes, and
 //! closes. Drain latency on idle connections is a handful of wakeups,
-//! not `poll_interval` multiples (the graceful-drain test budgets
-//! 10ms). While draining, every live connection is serviced each
-//! iteration — O(ready) would skip write-blocked peers whose
-//! flush-grace expiry must still be evaluated.
+//! not timeout rounds (the graceful-drain test budgets 10ms). While
+//! draining, every live connection is serviced each iteration —
+//! O(ready) would skip write-blocked peers whose flush-grace expiry
+//! must still be evaluated.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -103,7 +103,7 @@ const DRAIN_FLUSH_GRACE: Duration = Duration::from_secs(2);
 /// conversion comfortably in `poll`'s `i32` range. Every state change
 /// that matters arrives as an event — completions ring the waker,
 /// shutdown pokes the listener, peers make sockets readable — so an
-/// idle reactor genuinely sleeps instead of ticking `poll_interval`.
+/// idle reactor genuinely sleeps instead of ticking.
 const WAIT_FOREVER: Duration = Duration::from_secs(3600);
 
 /// The thinnest possible `poll(2)` / `writev(2)` binding. The workspace
@@ -732,8 +732,7 @@ fn executor_loop<E: BatchEngine + Sync>(
 
 /// Runs one job's parseable slots as a single engine batch and
 /// serializes one response per slot (slot order) into one pooled frame,
-/// plus the `DONE` trailer for batches — the executor-side mirror of
-/// the blocking server's `run_and_respond`. This is the only encode of
+/// plus the `DONE` trailer for batches. This is the only encode of
 /// these bytes; the reactor writes them straight from the frame.
 fn run_job<E: BatchEngine + Sync>(engine: &E, job: Job, pool: &BufferPool) -> Completion {
     if job.maintenance {
@@ -848,10 +847,9 @@ struct ConnState {
     gen: u64,
 }
 
-/// An event-loop server over one batch engine — the reactor sibling of
-/// [`Server`](crate::Server), speaking the same protocol (plus binary
-/// frames) with the same shutdown and counter semantics, multiplexed by
-/// `poll(2)` or Linux `epoll` per [`ServerConfig::reactor`].
+/// The TCP server over one batch engine: text lines and binary frames
+/// on one port, multiplexed by `poll(2)` or Linux `epoll` per
+/// [`ServerConfig::reactor`].
 pub struct EventServer<E> {
     engine: E,
     listener: TcpListener,
@@ -1161,8 +1159,7 @@ impl<'a, E: BatchEngine + Sync> Reactor<'a, E> {
     /// (write-blocked peers produce no events but their flush grace
     /// must be re-evaluated), an armed idle timeout wakes exactly at
     /// the earliest eviction deadline, and an idle reactor with none of
-    /// those sleeps until an event arrives instead of ticking
-    /// `poll_interval`.
+    /// those sleeps until an event arrives.
     fn wait_timeout(&self) -> Duration {
         if !self.fault_retry.is_empty() {
             return Duration::ZERO;
@@ -1499,8 +1496,8 @@ impl<'a, E: BatchEngine + Sync> Reactor<'a, E> {
             };
             match result {
                 Ok(0) => {
-                    // EOF: like the blocking server, a half-closed peer
-                    // ends the conversation (unwritten responses drop).
+                    // EOF: a half-closed peer ends the conversation
+                    // (unwritten responses drop).
                     self.close_conn(idx);
                     return;
                 }

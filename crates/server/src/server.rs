@@ -1,42 +1,21 @@
-//! The TCP front-end: a thread-per-connection accept loop serving the
-//! text protocol over any [`BatchEngine`].
-//!
-//! Design (DESIGN.md §11):
-//!
-//! - **Thread per connection** inside one `std::thread::scope`, so the
-//!   server borrows the engine instead of owning an `Arc` web, and
-//!   [`Server::serve`] returns only after every connection handler has
-//!   finished — graceful drain falls out of scope rules.
-//! - **Cooperative shutdown**: a [`ShutdownHandle`] flips an atomic flag
-//!   and pokes the listener with a loopback connect to unblock `accept`.
-//!   Connection handlers poll the flag between requests (reads carry a
-//!   short timeout), finish the request in flight, send `ERR shutdown`,
-//!   and close.
-//! - **Bounded everything**: request lines are capped at
-//!   [`MAX_LINE`](crate::protocol::MAX_LINE) (longer lines are drained
-//!   and answered with `ERR oversized`), batches at
-//!   [`MAX_BATCH`](crate::protocol::MAX_BATCH), and concurrent
-//!   connections at [`ServerConfig::max_connections`] (excess accepts get
-//!   `ERR busy` and an immediate close). Malformed input is answered, not
-//!   crashed on: the accept loop holds no lock and handlers isolate all
-//!   failures to their own connection.
+//! What the server is configured with and shares with its handles: the
+//! [`ServerConfig`] knobs, the [`ReactorChoice`] readiness backend
+//! selector, the server-lifetime counters behind `STATS`, and the
+//! cooperative [`ShutdownHandle`]. Platform-independent on purpose —
+//! the flag grammar in [`config`](crate::config) parses into these on
+//! every host, while the one server that consumes them,
+//! [`EventServer`](crate::EventServer), needs a unix readiness syscall
+//! (DESIGN.md §13).
 
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::thread;
 use std::time::Duration;
 
-use knmatch_core::{BatchEngine, BatchOptions, BatchOutcome, BatchQuery};
+use crate::protocol::{ReactorKind, ServerExtras, StatsSnapshot};
 
-use crate::protocol::{
-    error_response, format_response, immutable_engine_error, parse_query, parse_request, ErrorKind,
-    ReactorKind, Request, Response, ServerExtras, StatsSnapshot, MAX_BATCH, MAX_LINE,
-};
-
-/// Which readiness backend the event-loop server should run. The
-/// blocking server ignores it. Defined on every platform so `ServerConfig`
-/// keeps one shape; only Linux can actually satisfy `Epoll`.
+/// Which readiness backend the server should run. Defined on every
+/// platform so `ServerConfig` keeps one shape; only Linux can actually
+/// satisfy `Epoll`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ReactorChoice {
     /// `epoll` where the platform offers it, `poll(2)` everywhere else.
@@ -74,46 +53,36 @@ impl std::str::FromStr for ReactorChoice {
     }
 }
 
-/// Tuning knobs of [`Server::bind`] and
-/// [`EventServer::bind`](crate::EventServer::bind).
+/// Tuning knobs of [`EventServer::bind`](crate::EventServer::bind).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Concurrent connections served; the next accept is answered with
     /// `ERR busy` and closed.
     pub max_connections: usize,
-    /// How often an idle connection handler wakes up to check the
-    /// shutdown flag (the socket read timeout). Blocking server only —
-    /// it bounds that server's drain latency. The event loop never
-    /// ticks: it sleeps until the next readiness event or the earliest
-    /// pending deadline (idle eviction, drain grace), whichever comes
-    /// first.
-    pub poll_interval: Duration,
-    /// Executor threads the event-loop server runs queries on (0 = one
-    /// per available core). The blocking server ignores this — its
-    /// parallelism is the engine's worker count.
+    /// Executor threads queries run on (0 = one per available core).
     pub executors: usize,
-    /// Readiness backend for the event-loop server.
+    /// Readiness backend.
     pub reactor: ReactorChoice,
-    /// Per-connection idle timeout for the event-loop server: a
-    /// connection making no read or write progress for this long is
-    /// evicted (counted in `conns_evicted`). `None` (default) never
-    /// evicts — idle keepalive connections are legal.
+    /// Per-connection idle timeout: a connection making no read or
+    /// write progress for this long is evicted (counted in
+    /// `conns_evicted`). `None` (default) never evicts — idle keepalive
+    /// connections are legal.
     pub idle_timeout: Option<Duration>,
-    /// Global in-flight query budget across all connections of the
-    /// event-loop server; queries past it are answered `ERR overloaded`
-    /// before their payload is parsed. `0` (default) sizes the budget
-    /// automatically as `max_connections` times the per-connection
-    /// pipeline cap — the bound the per-connection backpressure already
-    /// implied, now enforced globally.
+    /// Global in-flight query budget across all connections; queries
+    /// past it are answered `ERR overloaded` before their payload is
+    /// parsed. `0` (default) sizes the budget automatically as
+    /// `max_connections` times the per-connection pipeline cap — the
+    /// bound the per-connection backpressure already implied, now
+    /// enforced globally.
     pub max_inflight: usize,
     /// The `retry-after-ms` hint attached to `ERR busy` and
     /// `ERR overloaded` replies — how long a well-behaved client should
     /// back off before retrying.
     pub retry_after: Duration,
-    /// Seeded network fault injection on the event-loop server's
-    /// connection I/O (chaos testing). `None` (default) disables every
-    /// hook; the steady-state cost of the disabled hooks is one branch
-    /// per read/flush.
+    /// Seeded network fault injection on the server's connection I/O
+    /// (chaos testing). `None` (default) disables every hook; the
+    /// steady-state cost of the disabled hooks is one branch per
+    /// read/flush.
     pub fault: Option<crate::fault::NetFaultConfig>,
 }
 
@@ -121,7 +90,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_connections: 64,
-            poll_interval: Duration::from_millis(50),
             executors: 0,
             reactor: ReactorChoice::Auto,
             idle_timeout: None,
@@ -187,9 +155,8 @@ impl Counters {
     }
 }
 
-/// State shared between the accept loop, connection handlers, and
-/// [`ShutdownHandle`]s. The event-loop server reuses it so both
-/// front-ends expose identical shutdown and counter semantics.
+/// State shared between the reactor, its executors, and
+/// [`ShutdownHandle`]s.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub(crate) shutdown: AtomicBool,
@@ -208,11 +175,10 @@ impl Shared {
         }
     }
 
-    /// Flips the shutdown flag and unblocks the accept path with a
-    /// loopback connect (ignored if the listener is already gone). For
-    /// the event loop the connect makes the listener readable, so `poll`
-    /// returns immediately — drain latency is wakeup-bound, not
-    /// timeout-bound.
+    /// Flips the shutdown flag and pokes the listener with a loopback
+    /// connect (ignored if the listener is already gone): the listener
+    /// turns readable, so the reactor's wait returns immediately —
+    /// drain latency is wakeup-bound, not timeout-bound.
     pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
@@ -223,14 +189,15 @@ impl Shared {
     }
 }
 
-/// A clonable handle that stops a running [`Server::serve`] loop — the
+/// A clonable handle that stops a running
+/// [`EventServer::serve`](crate::EventServer::serve) loop — the
 /// process's SIGTERM path calls this from any thread.
 #[derive(Debug, Clone)]
 pub struct ShutdownHandle(pub(crate) std::sync::Arc<Shared>);
 
 impl ShutdownHandle {
     /// Initiates drain: stop accepting, let in-flight requests finish,
-    /// close connections, return from [`Server::serve`].
+    /// close connections, return from `serve`.
     pub fn shutdown(&self) {
         self.0.request_shutdown();
     }
@@ -239,489 +206,4 @@ impl ShutdownHandle {
     pub fn is_shutdown(&self) -> bool {
         self.0.is_shutdown()
     }
-}
-
-/// A bound TCP server over one batch engine.
-pub struct Server<E> {
-    engine: E,
-    listener: TcpListener,
-    cfg: ServerConfig,
-    shared: std::sync::Arc<Shared>,
-}
-
-impl<E: BatchEngine + Sync> Server<E> {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// wraps `engine`. Serving starts with [`serve`](Server::serve).
-    ///
-    /// # Errors
-    ///
-    /// Socket errors from bind/local-addr resolution.
-    pub fn bind<A: ToSocketAddrs>(engine: E, addr: A, cfg: ServerConfig) -> io::Result<Server<E>> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        Ok(Server {
-            engine,
-            listener,
-            cfg,
-            shared: std::sync::Arc::new(Shared::new(addr)),
-        })
-    }
-
-    /// The bound address (with the ephemeral port resolved).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
-    }
-
-    /// A handle that stops this server from another thread.
-    pub fn handle(&self) -> ShutdownHandle {
-        ShutdownHandle(self.shared.clone())
-    }
-
-    /// Server-lifetime counters so far.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.shared.totals.snapshot()
-    }
-
-    /// The served engine.
-    pub fn engine(&self) -> &E {
-        &self.engine
-    }
-
-    /// Runs the accept loop until a `SHUTDOWN` request or a
-    /// [`ShutdownHandle`] stops it, then drains: in-flight requests
-    /// finish, every connection closes, and only then does `serve`
-    /// return.
-    ///
-    /// # Errors
-    ///
-    /// Fatal listener errors only; per-connection failures are contained
-    /// in their handler thread.
-    pub fn serve(&self) -> io::Result<()> {
-        let shared = &self.shared;
-        thread::scope(|scope| {
-            for stream in self.listener.incoming() {
-                if shared.is_shutdown() {
-                    break;
-                }
-                let stream = match stream {
-                    Ok(s) => s,
-                    // A single failed accept (client vanished between
-                    // SYN and accept) must not stop the server.
-                    Err(_) => continue,
-                };
-                if shared.active.load(Ordering::SeqCst) >= self.cfg.max_connections {
-                    reject_busy(stream, shared, &self.cfg);
-                    continue;
-                }
-                let now_active = shared.active.fetch_add(1, Ordering::SeqCst) as u64 + 1;
-                shared.totals.connections.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .totals
-                    .conns_peak
-                    .fetch_max(now_active, Ordering::Relaxed);
-                let engine = &self.engine;
-                let cfg = &self.cfg;
-                scope.spawn(move || {
-                    // Connection errors (reset, broken pipe) end this
-                    // handler, never the server.
-                    let _ = handle_connection(stream, engine, shared, cfg);
-                    shared.active.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-            Ok(())
-        })
-    }
-}
-
-/// Answers an over-limit accept with `ERR busy` (carrying the
-/// `retry-after-ms` backoff hint) and closes it.
-fn reject_busy(stream: TcpStream, shared: &Shared, cfg: &ServerConfig) {
-    let line = format_response(&Response::Error {
-        kind: ErrorKind::Busy,
-        message: crate::protocol::with_retry_after(
-            "connection limit reached",
-            cfg.retry_after.as_millis() as u64,
-        ),
-    });
-    let mut stream = stream;
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-    if writeln!(stream, "{line}").is_ok() {
-        shared
-            .totals
-            .bytes_out
-            .fetch_add(line.len() as u64 + 1, Ordering::Relaxed);
-    }
-    shared.totals.errors.fetch_add(1, Ordering::Relaxed);
-    shared
-        .totals
-        .retries_observed
-        .fetch_add(1, Ordering::Relaxed);
-}
-
-/// What one capped line read produced.
-enum LineEvent {
-    /// A complete line within [`MAX_LINE`] (newline stripped).
-    Line(String),
-    /// A complete line longer than [`MAX_LINE`]; its bytes were drained.
-    Oversized,
-    /// The read timeout expired without completing a line.
-    TimedOut,
-    /// The peer closed the connection.
-    Eof,
-}
-
-/// A bounded, timeout-tolerant line reader: lines over [`MAX_LINE`] are
-/// consumed (so the stream stays framed) but reported as
-/// [`LineEvent::Oversized`], and a read timeout surfaces as
-/// [`LineEvent::TimedOut`] with any partial line kept for the next call.
-struct LineReader<R> {
-    inner: BufReader<R>,
-    partial: Vec<u8>,
-    overflowed: bool,
-    bytes: u64,
-}
-
-impl<R: Read> LineReader<R> {
-    fn new(inner: R) -> Self {
-        LineReader {
-            inner: BufReader::new(inner),
-            partial: Vec::new(),
-            overflowed: false,
-            bytes: 0,
-        }
-    }
-
-    fn read_line(&mut self) -> io::Result<LineEvent> {
-        loop {
-            let available = match self.inner.fill_buf() {
-                Ok(b) => b,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(LineEvent::TimedOut)
-                }
-                Err(e) => return Err(e),
-            };
-            if available.is_empty() {
-                // A partial line at EOF is dropped: without its newline it
-                // was never a complete request.
-                return Ok(LineEvent::Eof);
-            }
-            match available.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    let overflow = self.overflowed || self.partial.len() + pos > MAX_LINE;
-                    if !overflow {
-                        self.partial.extend_from_slice(&available[..pos]);
-                    }
-                    self.inner.consume(pos + 1);
-                    self.bytes += pos as u64 + 1;
-                    self.overflowed = false;
-                    let line = String::from_utf8_lossy(&self.partial).into_owned();
-                    self.partial.clear();
-                    return Ok(if overflow {
-                        LineEvent::Oversized
-                    } else {
-                        LineEvent::Line(line)
-                    });
-                }
-                None => {
-                    let n = available.len();
-                    if !self.overflowed && self.partial.len() + n > MAX_LINE {
-                        self.overflowed = true;
-                        self.partial.clear();
-                    }
-                    if !self.overflowed {
-                        self.partial.extend_from_slice(available);
-                    }
-                    self.inner.consume(n);
-                    self.bytes += n as u64;
-                }
-            }
-        }
-    }
-}
-
-/// Per-connection handler state: the response writer plus live counter
-/// mirrors (connection-local and server totals updated together).
-struct Conn<'a, W: Write> {
-    writer: BufWriter<W>,
-    stats: StatsSnapshot,
-    totals: &'a Counters,
-}
-
-impl<'a, W: Write> Conn<'a, W> {
-    fn send(&mut self, response: &Response) -> io::Result<()> {
-        if let Response::Error { kind, .. } = response {
-            self.stats.errors += 1;
-            self.totals.errors.fetch_add(1, Ordering::Relaxed);
-            if *kind == ErrorKind::Timeout {
-                self.stats.timeouts += 1;
-                self.totals.timeouts.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let line = format_response(response);
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.stats.bytes_out += line.len() as u64 + 1;
-        self.totals
-            .bytes_out
-            .fetch_add(line.len() as u64 + 1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn note_query(&mut self) {
-        self.stats.queries += 1;
-        self.totals.queries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_read(&mut self, reader_total: u64) {
-        let new = reader_total - self.stats.bytes_in;
-        self.stats.bytes_in = reader_total;
-        self.totals.bytes_in.fetch_add(new, Ordering::Relaxed);
-    }
-}
-
-/// Serves one connection until `QUIT`, EOF, shutdown, or a socket error.
-fn handle_connection<E: BatchEngine + Sync>(
-    stream: TcpStream,
-    engine: &E,
-    shared: &Shared,
-    cfg: &ServerConfig,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(cfg.poll_interval))?;
-    stream.set_nodelay(true).ok();
-    let writer = stream.try_clone()?;
-    let mut reader = LineReader::new(stream);
-    let mut conn = Conn {
-        writer: BufWriter::new(writer),
-        stats: StatsSnapshot {
-            connections: 1,
-            ..StatsSnapshot::default()
-        },
-        totals: &shared.totals,
-    };
-    // Connection-scoped batch options, adjusted by DEADLINE / FAILFAST.
-    let mut opts = BatchOptions::default();
-
-    loop {
-        if shared.is_shutdown() {
-            let _ = conn.send(&Response::Error {
-                kind: ErrorKind::Shutdown,
-                message: "server draining".into(),
-            });
-            break;
-        }
-        let line = match reader.read_line()? {
-            LineEvent::TimedOut => continue,
-            LineEvent::Eof => break,
-            LineEvent::Oversized => {
-                conn.note_read(reader.bytes);
-                conn.send(&Response::Error {
-                    kind: ErrorKind::Oversized,
-                    message: format!("request line exceeds {MAX_LINE} bytes"),
-                })?;
-                conn.writer.flush()?;
-                continue;
-            }
-            LineEvent::Line(line) => line,
-        };
-        conn.note_read(reader.bytes);
-        match parse_request(&line) {
-            Err(e) => conn.send(&Response::Error {
-                kind: ErrorKind::Parse,
-                message: e.0,
-            })?,
-            Ok(Request::Query(q)) => {
-                run_and_respond(engine, &[Ok(q)], &opts, false, &mut conn)?;
-            }
-            Ok(Request::Batch(count)) => {
-                if count > MAX_BATCH {
-                    conn.send(&Response::Error {
-                        kind: ErrorKind::Proto,
-                        message: format!("BATCH count {count} exceeds {MAX_BATCH}"),
-                    })?;
-                } else if !read_batch(&mut reader, engine, count, &opts, shared, &mut conn)? {
-                    break;
-                }
-            }
-            Ok(Request::Deadline(ms)) => {
-                opts.deadline = (ms > 0).then(|| Duration::from_millis(ms));
-                conn.send(&Response::Deadline(ms))?;
-            }
-            Ok(Request::FailFast(on)) => {
-                opts.fail_fast = on;
-                conn.send(&Response::FailFast(on))?;
-            }
-            Ok(Request::Planner(mode)) => {
-                // Connection-scoped like DEADLINE/FAILFAST; only
-                // planner-capable engines read it (others ignore the
-                // option), but acknowledging either way keeps clients
-                // backend-agnostic.
-                opts.planner = Some(mode);
-                conn.send(&Response::Planner(mode))?;
-            }
-            Ok(Request::Stats) => {
-                let response = Response::Stats {
-                    conn: conn.stats,
-                    server: shared.totals.snapshot(),
-                    plans: engine.plan_counts(),
-                    // The blocking front-end neither pipelines nor speaks
-                    // binary; those extras stay 0 by construction.
-                    extras: Some(shared.totals.extras()),
-                    version: engine.writer().map(|w| w.version_stats().into()),
-                };
-                conn.send(&response)?;
-            }
-            Ok(Request::Ping) => conn.send(&Response::Pong)?,
-            Ok(Request::Quit) => {
-                conn.send(&Response::Bye)?;
-                break;
-            }
-            Ok(Request::Shutdown) => {
-                conn.send(&Response::ShuttingDown)?;
-                shared.request_shutdown();
-                break;
-            }
-            Ok(Request::Insert { key, point }) => match engine.writer() {
-                None => conn.send(&immutable_engine_error())?,
-                Some(w) => {
-                    let response = match w.insert(key, &point) {
-                        Ok(epoch) => Response::Inserted(epoch),
-                        Err(e) => error_response(&e),
-                    };
-                    conn.send(&response)?;
-                    // Opportunistic maintenance on the writing thread:
-                    // readers only ever see published views, so a merge
-                    // here costs this connection latency, nobody else.
-                    if w.needs_maintenance() {
-                        let _ = w.maintain();
-                    }
-                }
-            },
-            Ok(Request::Delete(key)) => match engine.writer() {
-                None => conn.send(&immutable_engine_error())?,
-                Some(w) => {
-                    let response = match w.remove(key) {
-                        Ok(epoch) => Response::Deleted(epoch),
-                        Err(e) => error_response(&e),
-                    };
-                    conn.send(&response)?;
-                    if w.needs_maintenance() {
-                        let _ = w.maintain();
-                    }
-                }
-            },
-            Ok(Request::Epoch) => match engine.writer() {
-                None => conn.send(&immutable_engine_error())?,
-                Some(w) => {
-                    let s = w.version_stats();
-                    conn.send(&Response::Epoch {
-                        epoch: s.epoch,
-                        live: s.live as u64,
-                        delta: s.delta_len as u64,
-                        runs: s.runs as u64,
-                    })?;
-                }
-            },
-            Ok(Request::Seal) => match engine.writer() {
-                None => conn.send(&immutable_engine_error())?,
-                Some(w) => {
-                    let response = match w.seal() {
-                        Ok(epoch) => Response::Sealed(epoch),
-                        Err(e) => error_response(&e),
-                    };
-                    conn.send(&response)?;
-                }
-            },
-        }
-        conn.writer.flush()?;
-    }
-    conn.writer.flush()
-}
-
-/// Reads the `count` query lines of a `BATCH`, answers them, and writes
-/// the `DONE` trailer. Returns `false` when the connection must close
-/// (EOF mid-batch, or shutdown arrived while reading).
-fn read_batch<R: Read, E: BatchEngine + Sync, W: Write>(
-    reader: &mut LineReader<R>,
-    engine: &E,
-    count: usize,
-    opts: &BatchOptions,
-    shared: &Shared,
-    conn: &mut Conn<'_, W>,
-) -> io::Result<bool> {
-    // Each slot is either a parsed query or the error response its line
-    // already earned; slot order is response order.
-    let mut slots: Vec<Result<BatchQuery, Response>> = Vec::with_capacity(count);
-    while slots.len() < count {
-        match reader.read_line()? {
-            LineEvent::TimedOut => {
-                // Mid-batch shutdown: abandon the half-read batch rather
-                // than waiting forever for its remaining lines.
-                if shared.is_shutdown() {
-                    conn.note_read(reader.bytes);
-                    return Ok(false);
-                }
-            }
-            LineEvent::Eof => {
-                conn.note_read(reader.bytes);
-                return Ok(false);
-            }
-            LineEvent::Oversized => slots.push(Err(Response::Error {
-                kind: ErrorKind::Oversized,
-                message: format!("query line exceeds {MAX_LINE} bytes"),
-            })),
-            LineEvent::Line(line) => slots.push(match parse_query(&line) {
-                Ok(q) => Ok(q),
-                Err(e) => Err(Response::Error {
-                    kind: ErrorKind::Parse,
-                    message: e.0,
-                }),
-            }),
-        }
-    }
-    conn.note_read(reader.bytes);
-    run_and_respond(engine, &slots, opts, true, conn)?;
-    Ok(true)
-}
-
-/// Runs the parseable slots as one engine batch and writes one response
-/// per slot, in slot order, followed by a `DONE` trailer for `BATCH`
-/// submissions (`trailer`).
-fn run_and_respond<E: BatchEngine + Sync, W: Write>(
-    engine: &E,
-    slots: &[Result<BatchQuery, Response>],
-    opts: &BatchOptions,
-    trailer: bool,
-    conn: &mut Conn<'_, W>,
-) -> io::Result<()> {
-    let queries: Vec<BatchQuery> = slots
-        .iter()
-        .filter_map(|s| s.as_ref().ok())
-        .cloned()
-        .collect();
-    let mut outcomes = engine.run_with(&queries, opts).into_iter();
-    let (mut ok, mut failed) = (0u64, 0u64);
-    for slot in slots {
-        conn.note_query();
-        let response = match slot {
-            Err(pre) => pre.clone(),
-            Ok(_) => match outcomes.next().expect("one outcome per parsed query") {
-                Ok(outcome) => Response::Answer(outcome.into_answer()),
-                Err(e) => error_response(&e),
-            },
-        };
-        if matches!(response, Response::Answer(_)) {
-            ok += 1;
-        } else {
-            failed += 1;
-        }
-        conn.send(&response)?;
-    }
-    if trailer {
-        conn.send(&Response::Done { ok, failed })?;
-    }
-    conn.writer.flush()
 }

@@ -7,58 +7,19 @@
 //! exactly when provoked.
 #![cfg(unix)]
 
-use std::net::SocketAddr;
+mod common;
+
 use std::thread;
 use std::time::Duration;
 
+use common::{backends, with_server};
 use knmatch_core::{BatchEngine, BatchOutcome, BatchQuery, KnMatchError};
 use knmatch_data::uniform;
 use knmatch_server::protocol::{format_query, retry_after_ms};
 use knmatch_server::{
-    Backend, Client, EngineConfig, ErrorKind, EventServer, NetFaultConfig, ReactorChoice, Response,
-    RetryPolicy, RetryingClient, ServerConfig, ServerExtras, StatsSnapshot,
+    Backend, Client, EngineConfig, ErrorKind, NetFaultConfig, Response, RetryPolicy,
+    RetryingClient, ServerConfig,
 };
-
-/// The readiness backends this host can run: `poll` everywhere, plus
-/// `epoll` on Linux.
-fn backends() -> Vec<ReactorChoice> {
-    if cfg!(target_os = "linux") {
-        vec![ReactorChoice::Poll, ReactorChoice::Epoll]
-    } else {
-        vec![ReactorChoice::Poll]
-    }
-}
-
-struct ShutdownGuard(knmatch_server::ShutdownHandle);
-
-impl Drop for ShutdownGuard {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
-/// Binds an ephemeral-port event server over `engine`, runs `f` against
-/// it, shuts down, and returns the final counters plus the event-loop
-/// extras. `serve` itself asserts the buffer-pool leak ledger balances
-/// after the drain, so every test here checks "zero leaks" for free.
-fn with_event_server<E, F>(engine: E, cfg: ServerConfig, f: F) -> (StatsSnapshot, ServerExtras)
-where
-    E: BatchEngine + Sync,
-    F: FnOnce(SocketAddr),
-{
-    let server = EventServer::bind(engine, "127.0.0.1:0", cfg).expect("bind");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    thread::scope(|s| {
-        let serving = s.spawn(|| server.serve().expect("serve"));
-        {
-            let _guard = ShutdownGuard(handle);
-            f(addr);
-        }
-        serving.join().expect("server thread");
-    });
-    (server.stats(), server.extras())
-}
 
 fn temp_csv(tag: &str) -> (TempDir, String) {
     let dir = std::env::temp_dir().join(format!("knmatch-chaos-{tag}-{}", std::process::id()));
@@ -156,7 +117,7 @@ fn chaos_matrix_bit_identical_under_faults() {
                     ..ServerConfig::default()
                 };
                 let label = format!("{backend:?} rate={rate} workers={workers}");
-                with_event_server(engine, scfg, |addr| {
+                with_server(engine, scfg, |addr| {
                     thread::scope(|s| {
                         for c in 0..3u64 {
                             let expected = &expected;
@@ -214,7 +175,7 @@ fn chaos_matrix_bit_identical_under_faults() {
 /// Satellite 1: with no work and no deadlines pending, the reactor
 /// parks in its wait call instead of ticking — an idle server with one
 /// parked connection burns a bounded handful of loop iterations, not
-/// one per `poll_interval`.
+/// one per timer tick.
 #[test]
 fn adaptive_wait_keeps_idle_reactor_quiet() {
     let (_dir, csv) = temp_csv("idlecpu");
@@ -225,7 +186,7 @@ fn adaptive_wait_keeps_idle_reactor_quiet() {
             executors: 1,
             ..ServerConfig::default()
         };
-        let (_stats, extras) = with_event_server(engine, scfg, |addr| {
+        let (_stats, extras) = with_server(engine, scfg, |addr| {
             let mut c = Client::connect(addr).expect("connect");
             c.ping().expect("ping");
             // Park: nothing in flight, no idle timeout armed, so the
@@ -258,7 +219,7 @@ fn idle_peers_are_evicted() {
             idle_timeout: Some(Duration::from_millis(50)),
             ..ServerConfig::default()
         };
-        let (_stats, extras) = with_event_server(engine, scfg, |addr| {
+        let (_stats, extras) = with_server(engine, scfg, |addr| {
             let mut c = Client::connect(addr).expect("connect");
             c.ping().expect("ping");
             thread::sleep(Duration::from_millis(300));
@@ -291,7 +252,7 @@ fn overload_sheds_with_retry_after_hint() {
             n: 2,
         };
         let burst: String = (0..8).map(|_| format_query(&q) + "\n").collect();
-        let (_stats, extras) = with_event_server(engine, scfg, |addr| {
+        let (_stats, extras) = with_server(engine, scfg, |addr| {
             let mut c = Client::connect(addr).expect("connect");
             // One write carrying 8 pipelined queries: the reactor admits
             // work until the budget (1) is full, then sheds the rest of
@@ -350,7 +311,7 @@ fn busy_reject_backs_off_and_wins_a_seat() {
             retry_after: Duration::from_millis(5),
             ..ServerConfig::default()
         };
-        with_event_server(engine, scfg, |addr| {
+        with_server(engine, scfg, |addr| {
             let mut seat = Client::connect(addr).expect("connect seat-holder");
             seat.ping().expect("seat-holder ping");
             thread::scope(|s| {
@@ -407,7 +368,7 @@ fn deadline_cancels_skip_doomed_queries() {
             n: 2,
         };
         let burst: String = (0..512).map(|_| format_query(&q) + "\n").collect();
-        let (_stats, extras) = with_event_server(engine, scfg, |addr| {
+        let (_stats, extras) = with_server(engine, scfg, |addr| {
             let mut c = Client::connect(addr).expect("connect");
             c.set_deadline_ms(1).expect("deadline");
             c.send_raw(burst.as_bytes()).expect("send burst");

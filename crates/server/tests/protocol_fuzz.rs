@@ -6,44 +6,22 @@
 //!
 //! Everything is seeded (`knmatch_data::rng::seeded`), so a passing run
 //! is reproducible, not lucky.
+#![cfg(unix)]
+
+mod common;
 
 use std::net::SocketAddr;
 use std::thread;
 use std::time::Duration;
 
+use common::{backends, on, with_server};
 use knmatch_core::{BatchAnswer, BatchEngine, BatchOutcome, BatchQuery};
 use knmatch_data::rng::{seeded, Rng64};
 use knmatch_data::uniform;
-#[cfg(unix)]
-use knmatch_server::ReactorChoice;
-use knmatch_server::{
-    Backend, Client, EngineConfig, ErrorKind, Response, Server, ServerConfig, MAX_LINE,
-};
+use knmatch_server::{Backend, Client, EngineConfig, ErrorKind, Response, ServerConfig, MAX_LINE};
 
 const SEED: u64 = 0x000F_0225_FA57;
 const ROUNDS: usize = 24;
-
-/// The readiness backends this host can run: `poll` everywhere, plus
-/// `epoll` on Linux.
-#[cfg(unix)]
-fn backends() -> Vec<ReactorChoice> {
-    if cfg!(target_os = "linux") {
-        vec![ReactorChoice::Poll, ReactorChoice::Epoll]
-    } else {
-        vec![ReactorChoice::Poll]
-    }
-}
-
-/// Fires shutdown when dropped, so an assertion failure inside the test
-/// body unblocks the scoped server thread instead of deadlocking the
-/// `thread::scope` join.
-struct ShutdownGuard(knmatch_server::ShutdownHandle);
-
-impl Drop for ShutdownGuard {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
 
 fn build_engine() -> knmatch_server::AnyEngine {
     let ds = uniform(120, 3, 0xDA7A);
@@ -157,42 +135,36 @@ fn assert_healthy(addr: SocketAddr, probe: &BatchQuery, expected: &BatchAnswer, 
     client.quit().expect("quit");
 }
 
-#[test]
-fn fuzzed_frames_never_take_the_server_down() {
+/// `ROUNDS` rounds of `bouts(rng, round)` — each payload sent on its own
+/// connection, which is then abandoned mid-stream: the server must
+/// survive EOF at any protocol state and still answer a well-formed
+/// query correctly after every round.
+fn fuzz_rounds(cfg: ServerConfig, seed: u64, bouts: impl Fn(&mut Rng64, usize) -> Vec<Vec<u8>>) {
+    let reactor = cfg.reactor;
     let engine = build_engine();
     let (probe, expected) = probe_and_expected(&engine);
-    let server = Server::bind(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let addr = server.local_addr();
-    let handle = server.handle();
-
-    thread::scope(|s| {
-        let serving = s.spawn(|| server.serve().expect("serve"));
-        {
-            let _guard = ShutdownGuard(handle);
-            let mut rng = seeded(SEED);
-
-            for round in 0..ROUNDS {
-                // Garbage on its own connection, then abandon it
-                // mid-stream: the server must survive EOF at any
-                // protocol state.
+    let (stats, _) = with_server(engine, cfg, |addr| {
+        let mut rng = seeded(seed);
+        for round in 0..ROUNDS {
+            for payload in bouts(&mut rng, round) {
                 let mut attacker = Client::connect(addr).expect("connect attacker");
-                attacker
-                    .send_raw(&garbage(&mut rng, round))
-                    .expect("send garbage");
+                attacker.send_raw(&payload).expect("send garbage");
                 drain(&mut attacker);
-                drop(attacker);
-
-                // The server still answers a well-formed query, correctly.
-                assert_healthy(addr, &probe, &expected, round);
             }
+            assert_healthy(addr, &probe, &expected, round);
         }
-        serving.join().expect("server thread");
     });
-    let stats = server.stats();
     assert!(
         stats.errors > 0,
-        "fuzz rounds should have drawn ERR responses"
+        "fuzz rounds should have drawn ERR responses under {reactor}"
     );
+}
+
+#[test]
+fn fuzzed_frames_never_take_the_server_down() {
+    for reactor in backends() {
+        fuzz_rounds(on(reactor), SEED, |rng, round| vec![garbage(rng, round)]);
+    }
 }
 
 /// Same-connection recovery: after an in-protocol error the connection
@@ -200,15 +172,15 @@ fn fuzzed_frames_never_take_the_server_down() {
 /// ERR, and the next line is processed normally.
 #[test]
 fn connection_recovers_after_in_protocol_errors() {
+    for reactor in backends() {
+        recovers_in_protocol_on(on(reactor));
+    }
+}
+
+fn recovers_in_protocol_on(cfg: ServerConfig) {
     let engine = build_engine();
     let (probe, expected) = probe_and_expected(&engine);
-    let server = Server::bind(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let addr = server.local_addr();
-    let handle = server.handle();
-
-    thread::scope(|s| {
-        let serving = s.spawn(|| server.serve().expect("serve"));
-        let _guard = ShutdownGuard(handle);
+    with_server(engine, cfg, |addr| {
         let mut client = Client::connect(addr).expect("connect");
         client.set_timeout(Some(Duration::from_secs(10))).ok();
 
@@ -257,15 +229,11 @@ fn connection_recovers_after_in_protocol_errors() {
         let got = client.query(&probe).expect("transport").expect("answer");
         assert_eq!(got, expected);
         client.quit().expect("quit");
-
-        drop(_guard);
-        serving.join().expect("server thread");
     });
 }
 
 /// One malformed binary payload per round: unknown kinds, truncated
 /// frames, forged lengths and counts, magic followed by junk.
-#[cfg(unix)]
 fn binary_garbage(rng: &mut Rng64, round: usize) -> Vec<u8> {
     use knmatch_server::protocol::encode_request_frame;
     use knmatch_server::{Request, FRAME_MAGIC, MAX_FRAME};
@@ -329,63 +297,22 @@ fn binary_garbage(rng: &mut Rng64, round: usize) -> Vec<u8> {
     }
 }
 
-/// The event-loop server under the same regime as the blocking one:
-/// seeded malformed *binary* frames (interleaved with text noise) never
-/// take it down, and correct answers keep flowing — under every
-/// readiness backend the host offers.
-#[cfg(unix)]
+/// Seeded malformed *binary* frames, each bout chased by a text one
+/// (encodings share the line path), never take the server down, and
+/// correct answers keep flowing — under every readiness backend the
+/// host offers.
 #[test]
 fn event_server_survives_binary_garbage() {
     for reactor in backends() {
-        let engine = build_engine();
-        let (probe, expected) = probe_and_expected(&engine);
-        let cfg = ServerConfig {
-            reactor,
-            ..ServerConfig::default()
-        };
-        let server = knmatch_server::EventServer::bind(engine, "127.0.0.1:0", cfg).expect("bind");
-        let addr = server.local_addr();
-        let handle = server.handle();
-
-        thread::scope(|s| {
-            let serving = s.spawn(|| server.serve().expect("serve"));
-            {
-                let _guard = ShutdownGuard(handle);
-                let mut rng = seeded(SEED ^ 0xB1AA);
-
-                for round in 0..ROUNDS {
-                    let mut attacker = Client::connect(addr).expect("connect attacker");
-                    attacker
-                        .send_raw(&binary_garbage(&mut rng, round))
-                        .expect("send garbage");
-                    drain(&mut attacker);
-                    drop(attacker);
-
-                    // Text garbage rounds hit the reactor's line path too.
-                    let mut attacker = Client::connect(addr).expect("connect attacker");
-                    attacker
-                        .send_raw(&garbage(&mut rng, round))
-                        .expect("send garbage");
-                    drain(&mut attacker);
-                    drop(attacker);
-
-                    assert_healthy(addr, &probe, &expected, round);
-                }
-            }
-            serving.join().expect("server thread");
+        fuzz_rounds(on(reactor), SEED ^ 0xB1AA, |rng, round| {
+            vec![binary_garbage(rng, round), garbage(rng, round)]
         });
-        let stats = server.stats();
-        assert!(
-            stats.errors > 0,
-            "fuzz rounds should have drawn ERR responses under {reactor}"
-        );
     }
 }
 
 /// Frames split at arbitrary syscall boundaries reassemble exactly: a
 /// mixed text/binary request stream delivered a few bytes at a time
 /// yields the same responses, in order, as one large write.
-#[cfg(unix)]
 #[test]
 fn split_writes_reassemble_across_syscall_boundaries() {
     use knmatch_server::protocol::{encode_batch_frame, encode_request_frame, format_query};
@@ -394,18 +321,7 @@ fn split_writes_reassemble_across_syscall_boundaries() {
     for reactor in backends() {
         let engine = build_engine();
         let (probe, expected) = probe_and_expected(&engine);
-        let cfg = ServerConfig {
-            reactor,
-            ..ServerConfig::default()
-        };
-        let server = knmatch_server::EventServer::bind(engine, "127.0.0.1:0", cfg).expect("bind");
-        let addr = server.local_addr();
-        let handle = server.handle();
-
-        thread::scope(|s| {
-            let serving = s.spawn(|| server.serve().expect("serve"));
-            let _guard = ShutdownGuard(handle);
-
+        with_server(engine, on(reactor), |addr| {
             // The whole conversation as one byte stream: binary PING, text
             // PING, a binary batch of two probes, a text probe.
             let mut stream = Vec::new();
@@ -456,9 +372,6 @@ fn split_writes_reassemble_across_syscall_boundaries() {
                 other => panic!("expected answer, got {other:?}"),
             }
             client.quit().expect("quit");
-
-            drop(_guard);
-            serving.join().expect("server thread");
         });
     }
 }
@@ -467,7 +380,6 @@ fn split_writes_reassemble_across_syscall_boundaries() {
 /// are sent while nothing is read, so the server's socket buffer fills
 /// and `writev` returns partial counts mid-iovec; the resumed flush must
 /// still deliver every response byte-exactly and in order.
-#[cfg(unix)]
 #[test]
 fn slow_reader_forces_partial_writev_resume() {
     const BATCHES: usize = 20;
@@ -492,17 +404,9 @@ fn slow_reader_forces_partial_writev_resume() {
             .collect();
         let cfg = ServerConfig {
             executors: 2,
-            reactor,
-            ..ServerConfig::default()
+            ..on(reactor)
         };
-        let server = knmatch_server::EventServer::bind(engine, "127.0.0.1:0", cfg).expect("bind");
-        let addr = server.local_addr();
-        let handle = server.handle();
-
-        thread::scope(|s| {
-            let serving = s.spawn(|| server.serve().expect("serve"));
-            let _guard = ShutdownGuard(handle);
-
+        with_server(engine, cfg, |addr| {
             let mut client = Client::connect(addr).expect("connect");
             client.set_binary(true);
             client.set_timeout(Some(Duration::from_secs(30))).ok();
@@ -534,9 +438,6 @@ fn slow_reader_forces_partial_writev_resume() {
                 "responses must flush through writev under {reactor}"
             );
             client.quit().expect("quit");
-
-            drop(_guard);
-            serving.join().expect("server thread");
         });
     }
 }

@@ -1,51 +1,22 @@
 //! Served answers are bit-identical to direct engine calls, for every
-//! backend, at every worker count, under concurrent clients.
+//! engine backend, on every readiness backend, at every worker count,
+//! under concurrent clients.
 //!
 //! The text protocol renders floats with Rust's shortest round-trip
 //! `Display`, so equality here is exact `BatchAnswer == BatchAnswer` —
 //! no tolerance.
 
-use std::net::SocketAddr;
+#![cfg(unix)]
+
+mod common;
+
 use std::thread;
 
+use common::{backends, on, with_server};
 use knmatch_core::{BatchEngine, BatchOutcome, BatchQuery, KnMatchError};
 use knmatch_data::uniform;
-use knmatch_server::{
-    Backend, Client, EngineConfig, ErrorKind, Server, ServerConfig, StatsSnapshot,
-};
+use knmatch_server::{Backend, Client, EngineConfig, ErrorKind, ServerConfig};
 use knmatch_storage::DiskDatabase;
-
-/// Fires shutdown when dropped, so an assertion failure inside a test
-/// closure unblocks the scoped server thread instead of deadlocking the
-/// `thread::scope` join.
-struct ShutdownGuard(knmatch_server::ShutdownHandle);
-
-impl Drop for ShutdownGuard {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
-/// Binds an ephemeral-port server over `engine`, runs `f` against it,
-/// shuts down, and returns the server's final counters.
-fn with_server<E, F>(engine: E, f: F) -> StatsSnapshot
-where
-    E: BatchEngine + Sync,
-    F: FnOnce(SocketAddr),
-{
-    let server = Server::bind(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    thread::scope(|s| {
-        let serving = s.spawn(|| server.serve().expect("serve"));
-        {
-            let _guard = ShutdownGuard(handle);
-            f(addr);
-        }
-        serving.join().expect("server thread");
-    });
-    server.stats()
-}
 
 /// A mixed workload: all three query kinds plus two invalid slots (a
 /// dimension mismatch and a negative epsilon).
@@ -98,7 +69,10 @@ fn expected_wire<O: BatchOutcome>(
 
 fn check_backend(backend: Backend, path: &str) {
     let queries = workload(4);
-    for workers in [1, 2, 4] {
+    let grid = backends()
+        .into_iter()
+        .flat_map(|r| [1, 2, 4].map(|w| (r, w)));
+    for (reactor, workers) in grid {
         let cfg = EngineConfig {
             workers,
             backend,
@@ -108,7 +82,7 @@ fn check_backend(backend: Backend, path: &str) {
         let engine = cfg.open(path).expect("open engine");
         let expected = expected_wire(engine.run(&queries));
 
-        let stats = with_server(engine, |addr| {
+        let (stats, _) = with_server(engine, on(reactor), |addr| {
             // Three concurrent clients, each submitting the whole batch
             // twice; all must see the direct-run answers bit-for-bit.
             thread::scope(|s| {
@@ -121,7 +95,7 @@ fn check_backend(backend: Backend, path: &str) {
                         for _ in 0..2 {
                             let reply = client.run_batch(queries).expect("batch");
                             assert_eq!(reply.answers.len(), expected.len());
-                            assert_eq!(reply.ok, 12, "backend {backend:?} x{workers}");
+                            assert_eq!(reply.ok, 12, "{backend:?} x{workers} on {reactor}");
                             assert_eq!(reply.failed, 2);
                             for (got, want) in reply.answers.iter().zip(expected) {
                                 match (got, want) {
@@ -161,7 +135,8 @@ fn sharded_backend_bit_identical_over_the_wire() {
 fn planned_backend_bit_identical_over_the_wire() {
     let (_dir, csv, _db) = temp_files("plan");
     let queries = workload(4);
-    for workers in [1, 2] {
+    let grid = backends().into_iter().flat_map(|r| [1, 2].map(|w| (r, w)));
+    for (reactor, workers) in grid {
         let cfg = EngineConfig {
             workers,
             backend: Backend::Memory,
@@ -170,7 +145,7 @@ fn planned_backend_bit_identical_over_the_wire() {
         };
         let engine = cfg.open(&csv).expect("open engine");
         let expected = expected_wire(engine.run(&queries));
-        with_server(engine, |addr| {
+        with_server(engine, on(reactor), |addr| {
             let mut client = Client::connect(addr).expect("connect");
             for mode in [
                 knmatch_core::PlannerMode::Auto,
@@ -183,7 +158,7 @@ fn planned_backend_bit_identical_over_the_wire() {
                 let reply = client.run_batch(&queries).expect("batch");
                 for (got, want) in reply.answers.iter().zip(&expected) {
                     match (got, want) {
-                        (Ok(a), Ok(b)) => assert_eq!(a, b, "mode {mode} diverged"),
+                        (Ok(a), Ok(b)) => assert_eq!(a, b, "mode {mode} on {reactor}"),
                         (Err(e), Err((kind, _))) => assert_eq!(e.kind, *kind),
                         other => panic!("slot shape diverged: {other:?}"),
                     }
@@ -202,18 +177,28 @@ fn planned_backend_bit_identical_over_the_wire() {
     }
 }
 
-#[test]
-fn planless_engines_report_no_plans_over_the_wire() {
-    let (_dir, csv, _db) = temp_files("noplan");
-    let engine = EngineConfig {
-        workers: 1,
+/// The plain in-memory engine over `csv`.
+fn memory_engine(csv: &str, workers: usize) -> knmatch_server::AnyEngine {
+    EngineConfig {
+        workers,
         backend: Backend::Memory,
         planner: None,
         ..EngineConfig::default()
     }
-    .open(&csv)
-    .expect("open engine");
-    with_server(engine, |addr| {
+    .open(csv)
+    .expect("open engine")
+}
+
+#[test]
+fn planless_engines_report_no_plans_over_the_wire() {
+    let (_dir, csv, _db) = temp_files("noplan");
+    for reactor in backends() {
+        planless_on(on(reactor), &csv);
+    }
+}
+
+fn planless_on(cfg: ServerConfig, csv: &str) {
+    with_server(memory_engine(csv, 1), cfg, |addr| {
         let mut client = Client::connect(addr).expect("connect");
         // The verb is accepted (connection-scoped option) even though the
         // engine ignores it, and STATS carries no plan counters.
@@ -269,17 +254,17 @@ impl Drop for TempDir {
 #[test]
 fn deadline_and_fail_fast_travel_the_wire() {
     let (_dir, csv, _db) = temp_files("opts");
-    let cfg = EngineConfig {
-        workers: 2,
-        backend: Backend::Memory,
-        planner: None,
-        ..EngineConfig::default()
-    };
-    let engine = cfg.open(&csv).expect("open engine");
+    for reactor in backends() {
+        deadline_and_fail_fast_on(on(reactor), &csv);
+    }
+}
+
+fn deadline_and_fail_fast_on(cfg: ServerConfig, csv: &str) {
+    let engine = memory_engine(csv, 2);
     let queries = workload(4);
     let healthy = expected_wire(engine.run(&queries));
 
-    with_server(engine, |addr| {
+    with_server(engine, cfg, |addr| {
         let mut client = Client::connect(addr).expect("connect");
         // A generous deadline changes nothing: bit-identical answers.
         client.set_deadline_ms(60_000).expect("deadline");
@@ -297,17 +282,7 @@ fn deadline_and_fail_fast_travel_the_wire() {
         // flag is invisible (bit-identical again).
         client.set_fail_fast(true).expect("fail fast");
         let valid: Vec<_> = queries[..6].to_vec();
-        let want = expected_wire(
-            EngineConfig {
-                workers: 2,
-                backend: Backend::Memory,
-                planner: None,
-                ..EngineConfig::default()
-            }
-            .open(&csv)
-            .expect("open")
-            .run(&valid),
-        );
+        let want = expected_wire(memory_engine(csv, 2).run(&valid));
         let reply = client.run_batch(&valid).expect("batch");
         assert_eq!(reply.failed, 0);
         for (got, want) in reply.answers.iter().zip(&want) {
@@ -323,16 +298,13 @@ fn deadline_and_fail_fast_travel_the_wire() {
 #[test]
 fn stats_verb_reports_both_scopes() {
     let (_dir, csv, _db) = temp_files("stats");
-    let engine = EngineConfig {
-        workers: 1,
-        backend: Backend::Memory,
-        planner: None,
-        ..EngineConfig::default()
+    for reactor in backends() {
+        stats_scopes_on(on(reactor), &csv);
     }
-    .open(&csv)
-    .expect("open engine");
+}
 
-    with_server(engine, |addr| {
+fn stats_scopes_on(cfg: ServerConfig, csv: &str) {
+    with_server(memory_engine(csv, 1), cfg, |addr| {
         let mut a = Client::connect(addr).expect("connect a");
         let mut b = Client::connect(addr).expect("connect b");
         let q = BatchQuery::KnMatch {
@@ -357,44 +329,28 @@ fn stats_verb_reports_both_scopes() {
 #[test]
 fn connection_limit_rejects_with_busy() {
     let (_dir, csv, _db) = temp_files("busy");
-    let engine = EngineConfig {
-        workers: 1,
-        backend: Backend::Memory,
-        planner: None,
-        ..EngineConfig::default()
-    }
-    .open(&csv)
-    .expect("open engine");
-    let server = Server::bind(
-        engine,
-        "127.0.0.1:0",
-        ServerConfig {
+    for reactor in backends() {
+        let cfg = ServerConfig {
             max_connections: 1,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    thread::scope(|s| {
-        let serving = s.spawn(|| server.serve().expect("serve"));
-        let _guard = ShutdownGuard(handle);
-        let mut first = Client::connect(addr).expect("connect");
-        first.ping().expect("ping");
-        // The second connection is over the limit: it gets ERR busy and
-        // an immediate close.
-        let mut second = Client::connect(addr).expect("connect");
-        match second.recv_response().expect("busy line") {
-            knmatch_server::Response::Error { kind, .. } => {
-                assert_eq!(kind, ErrorKind::Busy)
+            ..on(reactor)
+        };
+        let (stats, _) = with_server(memory_engine(&csv, 1), cfg, |addr| {
+            let mut first = Client::connect(addr).expect("connect");
+            first.ping().expect("ping");
+            // The second connection is over the limit: it gets ERR busy
+            // and an immediate close.
+            let mut second = Client::connect(addr).expect("connect");
+            match second.recv_response().expect("busy line") {
+                knmatch_server::Response::Error { kind, .. } => {
+                    assert_eq!(kind, ErrorKind::Busy, "under {reactor}")
+                }
+                other => panic!("expected ERR busy, got {other:?}"),
             }
-            other => panic!("expected ERR busy, got {other:?}"),
-        }
-        drop(second);
-        // The first connection is unaffected.
-        first.ping().expect("ping after reject");
-        first.quit().expect("quit");
-        drop(_guard);
-        serving.join().expect("server thread");
-    });
+            drop(second);
+            // The first connection is unaffected.
+            first.ping().expect("ping after reject");
+            first.quit().expect("quit");
+        });
+        assert_eq!(stats.connections, 1, "the rejected socket is not counted");
+    }
 }

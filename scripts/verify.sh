@@ -21,11 +21,11 @@
 #               suite in release (randomized interleaved writes vs a
 #               rebuild-from-scratch oracle; readers never block) +
 #               ingest_throughput --smoke
-#   7. server:  loopback serve/client smoke for both servers (ephemeral
-#               port, batch over the wire — binary+pipelined on the
-#               event loop, once per reactor backend — graceful
-#               shutdown), a serve --mutable + ingest round trip, and
-#               release-mode protocol fuzz
+#   7. server:  loopback serve/client smoke once per reactor backend
+#               (ephemeral port; text, binary+pipelined and retrying
+#               batches over the wire; graceful shutdown), a
+#               serve --mutable + ingest round trip, and release-mode
+#               protocol fuzz
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -59,7 +59,8 @@ cargo test --release -q -p knmatch-server --test planner_crosscheck
 
 echo "==> event-server pipelined cross-check (release)"
 # Pipelined ordering and the <10ms drain race are timing-sensitive;
-# release mode is where they are tightest.
+# release mode is where they are tightest (the drain bound is ignored in
+# debug, so this is the step that enforces it).
 cargo test --release -q -p knmatch-server --test event_server
 
 echo "==> chaos harness (release, fixed seeds, both reactors)"
@@ -74,7 +75,7 @@ echo "==> versioned-index oracle crosscheck (release)"
 # rebuild-from-scratch oracle; release mode covers far more steps.
 cargo test --release -q -p knmatch-core --test versioned_crosscheck
 
-echo "==> mutable serve suite (release, both front-ends)"
+echo "==> mutable serve suite (release, both reactors, both encodings)"
 cargo test --release -q -p knmatch-server --test mutable_serve
 
 echo "==> connection_scaling --smoke (256 connections)"
@@ -86,7 +87,6 @@ echo "==> fault_overhead --smoke"
 echo "==> ingest_throughput --smoke"
 ./target/release/ingest_throughput --smoke --out /tmp/BENCH_ingest_smoke.json >/dev/null
 
-echo "==> server smoke (serve + client over loopback)"
 SMOKE_DIR=$(mktemp -d)
 SERVE_PID=""
 cleanup() {
@@ -100,75 +100,47 @@ KNM=./target/release/knmatch
 "$KNM" generate --kind uniform --out "$SMOKE_DIR/queries.csv" \
   --cardinality 4 --dims 4 --seed 8 >/dev/null
 "$KNM" build "$SMOKE_DIR/data.csv" "$SMOKE_DIR/data.knm" >/dev/null
-"$KNM" serve "$SMOKE_DIR/data.knm" --addr 127.0.0.1:0 --workers 2 \
-  >"$SMOKE_DIR/serve.log" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^listening on \([0-9.:]*\) .*/\1/p' "$SMOKE_DIR/serve.log")
-  [ -n "$ADDR" ] && break
-  kill -0 "$SERVE_PID" 2>/dev/null || { cat "$SMOKE_DIR/serve.log"; echo "server died during startup"; exit 1; }
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { cat "$SMOKE_DIR/serve.log"; echo "server never reported its address"; exit 1; }
-"$KNM" client "$ADDR" --ping >/dev/null
-"$KNM" client "$ADDR" --queries "$SMOKE_DIR/queries.csv" -k 3 -n 2 --stats \
-  | grep -q "4 ok / 0 failed" \
-  || { echo "client batch did not return 4 ok / 0 failed"; exit 1; }
-"$KNM" client "$ADDR" --shutdown >/dev/null
-wait "$SERVE_PID"
-SERVE_PID=""
-grep -q "shutdown complete" "$SMOKE_DIR/serve.log" \
-  || { cat "$SMOKE_DIR/serve.log"; echo "server did not drain cleanly"; exit 1; }
 
-echo "==> mutable serve + ingest smoke (serve --mutable over loopback)"
-"$KNM" generate --kind uniform --out "$SMOKE_DIR/extra.csv" \
-  --cardinality 20 --dims 4 --seed 9 >/dev/null
-"$KNM" serve "$SMOKE_DIR/data.csv" --addr 127.0.0.1:0 --workers 2 \
-  --mutable --merge-threshold 64 >"$SMOKE_DIR/mutable.log" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^listening on \([0-9.:]*\) .*/\1/p' "$SMOKE_DIR/mutable.log")
-  [ -n "$ADDR" ] && break
-  kill -0 "$SERVE_PID" 2>/dev/null || { cat "$SMOKE_DIR/mutable.log"; echo "mutable server died during startup"; exit 1; }
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { cat "$SMOKE_DIR/mutable.log"; echo "mutable server never reported its address"; exit 1; }
-grep -q "mutable versioned" "$SMOKE_DIR/mutable.log" \
-  || { cat "$SMOKE_DIR/mutable.log"; echo "mutable server did not describe its engine"; exit 1; }
-"$KNM" ingest "$ADDR" --points "$SMOKE_DIR/extra.csv" --start-key 10000 --seal --stats \
-  | grep -q "20 inserted / 0 failed" \
-  || { echo "ingest did not report 20 inserted / 0 failed"; exit 1; }
-"$KNM" client "$ADDR" --queries "$SMOKE_DIR/queries.csv" -k 3 -n 2 --stats \
-  | grep -q "version: epoch" \
-  || { echo "client --stats did not print the version counter group"; exit 1; }
-"$KNM" client "$ADDR" --shutdown >/dev/null
-wait "$SERVE_PID"
-SERVE_PID=""
-grep -q "shutdown complete" "$SMOKE_DIR/mutable.log" \
-  || { cat "$SMOKE_DIR/mutable.log"; echo "mutable server did not drain cleanly"; exit 1; }
+# serve_bg <log> <serve args…>: starts `knmatch serve` on an ephemeral
+# port in the background and sets SERVE_PID and ADDR once it listens.
+serve_bg() {
+  local log=$1
+  shift
+  "$KNM" serve "$@" --addr 127.0.0.1:0 --workers 2 >"$log" 2>&1 &
+  SERVE_PID=$!
+  ADDR=""
+  for _ in $(seq 1 100); do
+    ADDR=$(sed -n 's/^listening on \([0-9.:]*\) .*/\1/p' "$log")
+    [ -n "$ADDR" ] && return 0
+    kill -0 "$SERVE_PID" 2>/dev/null || { cat "$log"; echo "server died during startup"; exit 1; }
+    sleep 0.1
+  done
+  cat "$log"; echo "server never reported its address"; exit 1
+}
+
+# drain <log>: SHUTDOWN over the wire, wait for the process, and require
+# the post-drain summary line.
+drain() {
+  "$KNM" client "$ADDR" --shutdown >/dev/null
+  wait "$SERVE_PID"
+  SERVE_PID=""
+  grep -q "shutdown complete" "$1" \
+    || { cat "$1"; echo "server did not drain cleanly"; exit 1; }
+}
 
 # Both readiness backends where the host offers them: poll everywhere,
 # edge-triggered epoll on Linux (elsewhere `--reactor epoll` refuses).
 REACTORS="poll"
 [ "$(uname)" = Linux ] && REACTORS="poll epoll"
 for REACTOR in $REACTORS; do
-  echo "==> event-loop smoke (serve --event-loop --reactor $REACTOR + binary pipelined client)"
-  "$KNM" serve "$SMOKE_DIR/data.knm" --addr 127.0.0.1:0 --workers 2 \
-    --event-loop --executors 2 --reactor "$REACTOR" >"$SMOKE_DIR/event.log" 2>&1 &
-  SERVE_PID=$!
-  ADDR=""
-  for _ in $(seq 1 100); do
-    ADDR=$(sed -n 's/^listening on \([0-9.:]*\) .*/\1/p' "$SMOKE_DIR/event.log")
-    [ -n "$ADDR" ] && break
-    kill -0 "$SERVE_PID" 2>/dev/null || { cat "$SMOKE_DIR/event.log"; echo "event server died during startup"; exit 1; }
-    sleep 0.1
-  done
-  [ -n "$ADDR" ] || { cat "$SMOKE_DIR/event.log"; echo "event server never reported its address"; exit 1; }
-  grep -q "reactor $REACTOR" "$SMOKE_DIR/event.log" \
-    || { cat "$SMOKE_DIR/event.log"; echo "event server did not report reactor $REACTOR"; exit 1; }
+  echo "==> server smoke (serve --reactor $REACTOR + text, binary pipelined and retrying clients)"
+  serve_bg "$SMOKE_DIR/serve.log" "$SMOKE_DIR/data.knm" --executors 2 --reactor "$REACTOR"
+  grep -q "reactor $REACTOR" "$SMOKE_DIR/serve.log" \
+    || { cat "$SMOKE_DIR/serve.log"; echo "server did not report reactor $REACTOR"; exit 1; }
   "$KNM" client "$ADDR" --ping >/dev/null
+  "$KNM" client "$ADDR" --queries "$SMOKE_DIR/queries.csv" -k 3 -n 2 --stats \
+    | grep -q "4 ok / 0 failed" \
+    || { echo "text batch did not return 4 ok / 0 failed"; exit 1; }
   "$KNM" client "$ADDR" --queries "$SMOKE_DIR/queries.csv" -k 3 -n 2 \
     --binary --pipeline 4 --stats \
     | grep -q "4 ok / 0 failed" \
@@ -179,12 +151,22 @@ for REACTOR in $REACTORS; do
     --retries 3 --backoff-ms 5 --timeout-ms 2000 \
     | grep -q "4 ok / 0 failed" \
     || { echo "retrying client batch did not return 4 ok / 0 failed"; exit 1; }
-  "$KNM" client "$ADDR" --shutdown >/dev/null
-  wait "$SERVE_PID"
-  SERVE_PID=""
-  grep -q "shutdown complete" "$SMOKE_DIR/event.log" \
-    || { cat "$SMOKE_DIR/event.log"; echo "event server did not drain cleanly"; exit 1; }
+  drain "$SMOKE_DIR/serve.log"
 done
+
+echo "==> mutable serve + ingest smoke (serve --mutable over loopback)"
+"$KNM" generate --kind uniform --out "$SMOKE_DIR/extra.csv" \
+  --cardinality 20 --dims 4 --seed 9 >/dev/null
+serve_bg "$SMOKE_DIR/mutable.log" "$SMOKE_DIR/data.csv" --mutable --merge-threshold 64
+grep -q "mutable versioned" "$SMOKE_DIR/mutable.log" \
+  || { cat "$SMOKE_DIR/mutable.log"; echo "mutable server did not describe its engine"; exit 1; }
+"$KNM" ingest "$ADDR" --points "$SMOKE_DIR/extra.csv" --start-key 10000 --seal --stats \
+  | grep -q "20 inserted / 0 failed" \
+  || { echo "ingest did not report 20 inserted / 0 failed"; exit 1; }
+"$KNM" client "$ADDR" --queries "$SMOKE_DIR/queries.csv" -k 3 -n 2 --stats \
+  | grep -q "version: epoch" \
+  || { echo "client --stats did not print the version counter group"; exit 1; }
+drain "$SMOKE_DIR/mutable.log"
 
 echo "==> protocol fuzz under both reactors (release)"
 cargo test --release -q -p knmatch-server --test protocol_fuzz

@@ -1,34 +1,13 @@
-//! Cross-crate integration for the beyond-the-paper features: the dynamic
-//! index, the hybrid schema, MEDRANK, FA/TA, the streaming iterator and
-//! the parallel scan all interoperating on shared workloads.
+//! Cross-crate integration for the beyond-the-paper features: the hybrid
+//! schema, MEDRANK, FA/TA, the streaming iterator and the parallel scan
+//! all interoperating on shared workloads.
 
 use knmatch::core::{
-    eps_n_match_ad, k_n_match_scan_parallel, medrank, DimKind, DynamicColumns, GradedLists,
-    HybridColumns, HybridSchema, MinAggregate, NMatchStream,
+    eps_n_match_ad, k_n_match_scan_parallel, medrank, DimKind, GradedLists, HybridColumns,
+    HybridSchema, MinAggregate, NMatchStream,
 };
 use knmatch::data::{labelled_clusters, uniform, ClusterSpec};
 use knmatch::prelude::*;
-
-#[test]
-fn dynamic_index_tracks_a_changing_fleet() {
-    let base = uniform(400, 6, 3);
-    let mut idx = DynamicColumns::new(6).unwrap();
-    for (pid, p) in base.iter() {
-        idx.insert(1000 + pid as u64, p).unwrap();
-    }
-    let q = base.point(7).to_vec();
-    // Agrees with the static oracle.
-    let (got, _) = idx.k_n_match(&q, 10, 3).unwrap();
-    let oracle = k_n_match_scan(&base, &q, 10, 3).unwrap();
-    let keys: Vec<u64> = got.iter().map(|m| m.key).collect();
-    let want: Vec<u64> = oracle.ids().iter().map(|&p| 1000 + p as u64).collect();
-    assert_eq!(keys, want);
-    // Remove the top answer; the rest shift up.
-    idx.remove(keys[0]).unwrap();
-    let (after, _) = idx.k_n_match(&q, 9, 3).unwrap();
-    let after_keys: Vec<u64> = after.iter().map(|m| m.key).collect();
-    assert_eq!(after_keys, want[1..].to_vec());
-}
 
 #[test]
 fn hybrid_and_plain_agree_on_numeric_data() {
