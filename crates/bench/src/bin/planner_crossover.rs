@@ -1,5 +1,5 @@
 //! Figure 12 crossover benchmark for the per-query planner and the
-//! unrolled filter/scan kernels. Emits `BENCH_planner.json`.
+//! unrolled filter kernel. Emits `BENCH_planner.json`.
 //!
 //! ```text
 //! cargo run -p knmatch-bench --release --bin planner_crossover
@@ -10,9 +10,8 @@
 //! Two sections:
 //!
 //! 1. **Kernels** — throughput of [`knmatch_core::kernels::accumulate_band_hits`]
-//!    and [`knmatch_core::kernels::abs_diffs`] against their `_scalar`
-//!    twins (the loops they replaced). The acceptance bar is the band
-//!    filter kernel at ≥ 1.3× scalar.
+//!    against its `_scalar` twin (the loop it replaced). The acceptance
+//!    bar is the band filter kernel at ≥ 1.3× scalar.
 //! 2. **Crossover** — qps of the [`PlannedEngine`] under forced
 //!    `ad` / `vafile` / `scan` and under `auto`, swept over
 //!    dimensionality × n-level (n = 1, d/2, d — the extremes where the
@@ -28,9 +27,7 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-use knmatch_core::kernels::{
-    abs_diffs, abs_diffs_scalar, accumulate_band_hits, accumulate_band_hits_scalar,
-};
+use knmatch_core::kernels::{accumulate_band_hits, accumulate_band_hits_scalar};
 use knmatch_core::{BatchAnswer, BatchEngine, BatchOptions, BatchQuery, PlanTally, PlannerMode};
 use knmatch_data::rng::seeded;
 use knmatch_server::PlannedEngine;
@@ -98,10 +95,9 @@ impl KernelRow {
     }
 }
 
-/// Section 1: the unrolled kernels against the scalar loops they replaced.
+/// Section 1: the unrolled kernel against the scalar loop it replaced.
 fn bench_kernels(seed: u64) -> Vec<KernelRow> {
     let mut rng = seeded(seed ^ 0x6b65_726e);
-    let mut rows = Vec::new();
 
     // Band filter: one dim-major column of quantised cells, the exact shape
     // the VA-file filter streams. Random cells keep the scalar loop's
@@ -134,44 +130,11 @@ fn bench_kernels(seed: u64) -> Vec<KernelRow> {
             black_box(&counts);
         }
     }) / 1e6;
-    rows.push(KernelRow {
+    vec![KernelRow {
         name: "band_filter",
         kernel_meps,
         scalar_meps,
-    });
-
-    // Refine/scan differences: row-at-a-time |p - q|, the refine loop's
-    // shape (short rows, called once per candidate point).
-    let dims = 30usize;
-    let points = 8_192usize;
-    let data: Vec<f64> = (0..points * dims).map(|_| rng.next_f64()).collect();
-    let query: Vec<f64> = (0..dims).map(|_| rng.next_f64()).collect();
-    let mut out = vec![0.0f64; dims];
-    let iters = 60u64;
-    let work = iters * (points * dims) as u64;
-    let kernel_meps = throughput(3, work, || {
-        for _ in 0..iters {
-            for row in data.chunks_exact(dims) {
-                abs_diffs(&mut out, row, &query);
-                black_box(&out);
-            }
-        }
-    }) / 1e6;
-    let scalar_meps = throughput(3, work, || {
-        for _ in 0..iters {
-            for row in data.chunks_exact(dims) {
-                abs_diffs_scalar(&mut out, row, &query);
-                black_box(&out);
-            }
-        }
-    }) / 1e6;
-    rows.push(KernelRow {
-        name: "abs_diffs",
-        kernel_meps,
-        scalar_meps,
-    });
-
-    rows
+    }]
 }
 
 struct Cell {
@@ -325,8 +288,9 @@ fn bench_crossover(cfg: &Config) -> Vec<Cell> {
 
 fn main() {
     let cfg = Config::parse();
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!(
-        "planner_crossover: c={} queries={} k={} seed={}",
+        "planner_crossover: c={} queries={} k={} seed={} ({cpus} cpu(s))",
         cfg.cardinality, cfg.queries, cfg.k, cfg.seed
     );
 
@@ -376,7 +340,8 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
-        "  \"config\": {{\"cardinality\": {}, \"queries\": {}, \"k\": {}, \"seed\": {}}},",
+        "  \"config\": {{\"cardinality\": {}, \"queries\": {}, \"k\": {}, \"seed\": {}, \
+         \"cpus\": {cpus}}},",
         cfg.cardinality, cfg.queries, cfg.k, cfg.seed
     );
     let _ = writeln!(json, "  \"kernels\": [");

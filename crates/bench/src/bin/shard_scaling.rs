@@ -1,5 +1,6 @@
-//! Std-only intra-query scaling benchmark for the sharded engine and the
-//! structure-of-arrays column layout. Emits `BENCH_shard_scaling.json`.
+//! Std-only intra-query scaling benchmark for the run-list engine
+//! (`--shards`) and the structure-of-arrays column layout. Emits
+//! `BENCH_shard_scaling.json`.
 //!
 //! ```text
 //! cargo run -p knmatch-bench --release --bin shard_scaling
@@ -15,23 +16,24 @@
 //!    source holding `Vec<SortedEntry>` per dimension. Answers and
 //!    `AdStats` are asserted bit-identical before any number is reported;
 //!    the SoA layout must not regress single-shard latency.
-//! 2. **Shard scaling** — single-query latency through
-//!    [`ShardedQueryEngine`] at 1, 2, and 4 shards, answers asserted
-//!    bit-identical to the unsharded engine.
+//! 2. **Shard scaling** — single-query latency through the engine
+//!    [`EngineConfig`] builds for [`Backend::Sharded`] at 1, 2, and 4
+//!    shards (a `VersionedIndex` with that many initial runs), answers
+//!    asserted bit-identical to the unsharded engine.
 //!
 //! Wall-clock timing only (`std::time::Instant`), no external bench
 //! framework, so the workspace builds offline.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 use knmatch_bench::percentile;
 use knmatch_core::{
-    execute_batch_query, AdStats, BatchAnswer, BatchEngine, BatchQuery, Scratch, ShardedColumns,
-    ShardedQueryEngine, SortedAccessSource, SortedColumns, SortedEntry,
+    execute_batch_query, AdStats, BatchAnswer, BatchEngine, BatchOutcome, BatchQuery, Scratch,
+    SortedAccessSource, SortedColumns, SortedEntry,
 };
 use knmatch_data::rng::seeded;
+use knmatch_server::{Backend, EngineConfig};
 
 struct Config {
     cardinality: usize,
@@ -66,8 +68,6 @@ impl Config {
             std::process::exit(0);
         }
         let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        // Defaults mirror the `throughput` bench's canonical workload so
-        // the two reports describe the same database.
         Config {
             cardinality: num("--cardinality", 100_000),
             dims: num("--dims", 30),
@@ -192,21 +192,31 @@ fn main() {
     let soa_mean = mean(&soa_lat);
     let aos_mean = mean(&aos_lat);
 
-    // --- Experiment 2: shard scaling through the sharded engine. --------
+    // --- Experiment 2: shard scaling through the run-list engine. -------
     let mut shard_rows = Vec::new();
     let mut one_shard_mean = 0.0;
     for shards in [1usize, 2, 4] {
-        let cols = Arc::new(ShardedColumns::build_with_workers(&ds, shards, cfg.workers));
-        let engine = ShardedQueryEngine::with_workers(cols, cfg.workers);
+        let engine = EngineConfig::builder()
+            .workers(cfg.workers)
+            .backend(Backend::Sharded(shards))
+            .build()
+            .expect("shards alone never conflict")
+            .build_in_memory(&ds);
+        assert_eq!(engine.run_count(), Some(shards));
         // Warm-up: spin the pool once.
         let _ = engine.run(&batch[..batch.len().min(8)]);
         let mut latencies = Vec::with_capacity(batch.len());
         for (q, want) in batch.iter().zip(&soa_out) {
             let t = Instant::now();
-            let outcome = engine.execute(q).expect("valid workload");
+            let outcome = engine
+                .run(std::slice::from_ref(q))
+                .pop()
+                .expect("one result per query")
+                .expect("valid workload");
             latencies.push(t.elapsed().as_secs_f64() * 1e6);
             assert_eq!(
-                outcome.answer, want.0,
+                outcome.answer(),
+                &want.0,
                 "sharded answer diverged at shards={shards}"
             );
         }

@@ -65,8 +65,8 @@ fn usage() -> &'static str {
      --disk [--pool-pages P] [--verify never|first-read|always]] \
      [--deadline-ms MS] [--fail-fast]\n  \
      knmatch serve <data.csv|db.knm> [--addr IP:PORT] [--workers W] \
-     [--planner MODE | --shards <S|auto> | --disk [--pool-pages P] [--verify MODE] | \
-     --mutable [--merge-threshold R]] \
+     [--planner MODE | --disk [--pool-pages P] [--verify MODE] | \
+     [--shards <S|auto>] [--mutable [--merge-threshold R]]] \
      [--max-conns N] [--executors E] [--reactor poll|epoll|auto] \
      [--idle-timeout-ms MS] [--max-inflight N]\n  \
      knmatch client <host:port> (--queries <queries.csv> \
@@ -76,6 +76,11 @@ fn usage() -> &'static str {
      [--stats] | --ping | --shutdown)\n  \
      knmatch ingest <host:port> --points <file.csv> [--start-key N] [--seal] \
      [--binary] [--stats]\n\
+     \n\
+     --shards and --mutable configure one engine, a snapshot of sorted runs: \
+     --shards S lays the data out as S initial runs searched in parallel, \
+     --mutable makes it accept INSERT/DELETE/SEAL (compaction treats the \
+     initial runs like any others).\n\
      \n\
      exit codes: 0 success; 1 usage or I/O error; 2 command ran but some \
      queries failed"
@@ -267,20 +272,13 @@ fn batch(args: &[String]) -> Result<(String, bool), String> {
             engine.workers(),
             opts.planner.unwrap_or_else(|| e.default_mode()),
         ),
-        AnyEngine::Sharded(_) => format!(
-            "{} queries ({header}) over {} points x {} dims, {} shard(s), {} worker(s)\n",
+        AnyEngine::Runs { mutable, .. } => format!(
+            "{} queries ({header}) over {} points x {} dims{}, {} shard(s), {} worker(s)\n",
             queries.len(),
             engine.cardinality(),
             engine.dims(),
-            engine.shard_count().unwrap_or(1),
-            engine.workers()
-        ),
-        AnyEngine::Versioned(_) => format!(
-            "{} queries ({header}) over {} points x {} dims (mutable versioned), \
-             {} worker(s)\n",
-            queries.len(),
-            engine.cardinality(),
-            engine.dims(),
+            if *mutable { " (mutable versioned)" } else { "" },
+            engine.run_count().unwrap_or(1),
             engine.workers()
         ),
         AnyEngine::Disk(_) => format!(
@@ -908,10 +906,10 @@ fn query(args: &[String]) -> Result<String, String> {
 }
 
 /// The `--shards` arm of `query`: [`EngineConfig`] loads the database's
-/// points into memory and shards them by point id, and the single query
-/// runs with intra-query parallelism — reporting per-shard AD cost
-/// instead of the disk I/O model (the sharded engine is an in-memory
-/// path).
+/// points into memory as that many contiguous point-id runs, and the
+/// single query runs with intra-query parallelism — reporting per-shard
+/// AD cost instead of the disk I/O model (the run-list engine is an
+/// in-memory path).
 fn query_sharded(args: &[String], path: &str, point: &[f64], k: usize) -> Result<String, String> {
     if args.iter().any(|a| a == "--auto") {
         return Err("--auto plans disk I/O; it cannot be combined with --shards".into());
@@ -954,7 +952,7 @@ fn query_sharded(args: &[String], path: &str, point: &[f64], k: usize) -> Result
 
     let mut out = format!(
         "{header} over {} shard(s), {} worker(s), in-memory:\n",
-        engine.shard_count().unwrap_or(1),
+        engine.run_count().unwrap_or(1),
         engine.workers()
     );
     match outcome.answer() {

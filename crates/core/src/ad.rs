@@ -243,7 +243,7 @@ fn frequent_core<S: SortedAccessSource, F: Frontier>(
     // boundary, and selecting each set's k smallest by the canonical
     // (diff, pid) key makes the answer a pure function of the data — which
     // is what lets a sharded run merged by (diff, pid) be bit-identical
-    // (see `ShardedQueryEngine`). On tie-free boundaries the drain pops
+    // (see `sharded`). On tie-free boundaries the drain pops
     // nothing and the result is unchanged.
     let bound = sets[last_set][k - 1].diff;
     while walker.peek_diff().is_some_and(|d| d <= bound) {

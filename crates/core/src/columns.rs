@@ -182,9 +182,10 @@ impl SortedColumns {
     }
 
     /// Builds the columns of the contiguous pid range `[lo, hi)` of `ds`,
-    /// with entry pids rebased to `lo` (so shard-local pids start at 0 and
-    /// preserve global pid order); see
-    /// [`ShardedColumns`](crate::ShardedColumns).
+    /// with entry pids rebased to `lo` (so local pids start at 0 and
+    /// preserve global pid order) — the reference a run of
+    /// [`VersionedIndex::from_dataset`](crate::VersionedIndex::from_dataset)'s
+    /// split is checked against.
     #[cfg(test)]
     pub(crate) fn build_range(ds: &Dataset, lo: usize, hi: usize, workers: usize) -> Self {
         let dims = ds.dims();

@@ -104,8 +104,8 @@ pub enum BatchAnswer {
 }
 
 /// Batch-wide fault-handling options (DESIGN.md §10), accepted by the
-/// `run_with` methods of every batch engine: [`QueryEngine`], the sharded
-/// engine, and the disk engine in `knmatch-storage`.
+/// `run_with` methods of every batch engine: [`QueryEngine`], the
+/// versioned run-list engine, and the disk engine in `knmatch-storage`.
 ///
 /// The default imposes nothing and `run(batch)` is exactly
 /// `run_with(batch, &BatchOptions::default())` — healthy-path answers and
@@ -151,7 +151,7 @@ pub enum PlannerMode {
     Ad,
     /// Always the VA-file two-phase filter-and-refine backend.
     VaFile,
-    /// Always the kernel-unrolled naive full scan.
+    /// Always the kernel-loop naive full scan.
     Scan,
     /// Always the IGrid (equi-depth) filter-and-refine backend. Never
     /// chosen by `Auto` — an explicit override for experiments.
@@ -243,9 +243,9 @@ impl BatchOptions {
 /// abstraction.
 ///
 /// Every engine returns its own outcome type — the in-memory
-/// [`QueryEngine`] a plain `(BatchAnswer, AdStats)` pair, the sharded
-/// engine a [`ShardedOutcome`](crate::ShardedOutcome) with its per-shard
-/// cost split, the disk engine a `DiskBatchOutcome` carrying modelled page
+/// [`QueryEngine`] a plain `(BatchAnswer, AdStats)` pair, the versioned
+/// run-list engine a [`ShardedOutcome`](crate::ShardedOutcome) with its
+/// per-run cost split, the disk engine a `DiskBatchOutcome` carrying modelled page
 /// I/O. This trait is the common projection: the answer itself plus the
 /// attribute-level AD counters, which every backend produces. Code that
 /// serves or prints batch results (the network front-end, the CLI) works
@@ -279,10 +279,10 @@ impl BatchOutcome for (BatchAnswer, AdStats) {
 ///
 /// Three engines implement it — [`QueryEngine`] (shared in-memory
 /// columns, inter-query parallelism),
-/// [`ShardedQueryEngine`](crate::ShardedQueryEngine) (point-id shards,
-/// intra-query parallelism), and the disk engine in `knmatch-storage`
-/// (shared buffer pool over a database file). All three promise the same
-/// contract:
+/// [`VersionedIndex`](crate::VersionedIndex) (a snapshot of runs:
+/// intra-query parallelism and live writes), and the disk engine in
+/// `knmatch-storage` (shared buffer pool over a database file). All three
+/// promise the same contract:
 ///
 /// - one result per query, **in input order**, regardless of worker count
 ///   or scheduling;

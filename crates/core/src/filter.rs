@@ -4,7 +4,7 @@
 //! kinds bit-identically to the sequential oracle:
 //!
 //! - [`ScanEngine`] — the naive full scan as a serving backend: every
-//!   point's differences through the unrolled [`kernels::abs_diffs`]
+//!   point's differences through the [`kernels::abs_diffs`]
 //!   kernel, selection of the n-th smallest, canonical top-k. This is the
 //!   paper's "scan" competitor promoted from a benchmark loop to a
 //!   first-class backend (it wins near `n1 = d`, Figure 12).
@@ -213,7 +213,7 @@ fn refine_stats(refined: usize, d: usize, sampled: usize) -> AdStats {
     }
 }
 
-/// The naive full scan as a [`BatchEngine`]: kernel-unrolled differences,
+/// The naive full scan as a [`BatchEngine`]: kernel differences,
 /// O(d) selection, canonical top-k. Bit-identical to the sequential scan
 /// oracle (and therefore to the AD algorithm) on every query kind.
 #[derive(Debug, Clone)]

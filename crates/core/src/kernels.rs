@@ -1,34 +1,28 @@
-//! Unrolled inner-loop kernels for the filter and scan hot paths.
+//! Inner-loop kernels for the filter and scan hot paths.
 //!
-//! Almost everything here is plain safe `std` Rust written so LLVM's
-//! autovectorizer reliably emits SIMD: fixed-width chunks
-//! ([`slice::chunks_exact`]) whose bodies are branch-free straight-line
-//! code over lanes the compiler can prove in-bounds. The lane width is the
-//! only thing that varies per target — a `#[cfg(target_feature)]` constant
-//! widens the unroll when AVX2 (32 bytes per vector) is compiled in, so a
-//! `-C target-cpu=native` build gets wider stripes from the same source.
-//!
-//! The one exception is [`abs_diffs`] on x86-64, which also carries an
-//! explicit AVX2 intrinsic path selected by *runtime* feature detection
-//! (the ROADMAP notes the autovectorised loop only tied the unrolled one
-//! on default builds, because without `-C target-cpu` the compiler may
-//! not assume AVX2). `|x|` is computed by clearing the sign bit
-//! (`andnot` with `-0.0`), which is bit-identical to [`f64::abs`] for
-//! every input including NaN payloads and signed zeros, so the
-//! `_scalar` oracle still applies verbatim.
+//! Everything here is plain safe `std` Rust written so LLVM's
+//! autovectorizer reliably emits SIMD: branch-free straight-line bodies
+//! over lanes the compiler can prove in-bounds. Where an explicit unroll
+//! pays, the lane width is the only thing that varies per target — a
+//! `#[cfg(target_feature)]` constant widens it when AVX2 (32 bytes per
+//! vector) is compiled in, so a `-C target-cpu=native` build gets wider
+//! stripes from the same source.
 //!
 //! Two kernel families live here:
 //!
 //! - [`abs_diffs`]: per-dimension absolute differences `|p_i − q_i|` of one
-//!   row against the query — the refine/scan inner loop;
+//!   row against the query — the refine/scan inner loop. It is the plain
+//!   indexed loop: an 8-lane unroll and a runtime-dispatched AVX2
+//!   intrinsic path were both measured against it and deleted (DESIGN.md
+//!   §12 has the numbers);
 //! - [`accumulate_band_hits`]: branchless per-point counting of dimensions
 //!   whose quantised cell falls inside a query band — the rewritten VA-file
 //!   approximation filter (see `knmatch-vafile`), which replaces the
 //!   per-point float bound sort with one byte compare per attribute.
 //!
-//! The `_scalar` twins are the straightforward loops the kernels replaced;
-//! they stay as correctness oracles for the unit tests and as the baseline
-//! the `planner_crossover` bench measures speedups against.
+//! [`accumulate_band_hits_scalar`] is the straightforward loop that kernel
+//! replaced; it stays as the correctness oracle for the unit tests and as
+//! the baseline the `planner_crossover` bench measures the speedup against.
 
 use crate::topk::TopK;
 use crate::{MatchEntry, PointId};
@@ -42,103 +36,13 @@ const BYTE_LANES: usize = 16;
 #[cfg(not(target_feature = "avx2"))]
 const BYTE_LANES: usize = 8;
 
-/// Unroll width (in `f64` values) of the difference kernels.
-const F64_LANES: usize = 8;
-
-/// Writes `out[i] = |row[i] - query[i]|`: an explicit AVX2 kernel where
-/// the CPU has it (checked once per call via
-/// [`is_x86_feature_detected!`]), the 8-lane-unrolled portable loop
-/// otherwise. Both produce bits identical to [`abs_diffs_scalar`].
+/// Writes `out[i] = |row[i] - query[i]|`. The length asserts up front let
+/// the compiler drop the per-element bounds checks and vectorise the loop.
 ///
 /// # Panics
 ///
 /// Panics when the three slices differ in length.
 pub fn abs_diffs(out: &mut [f64], row: &[f64], query: &[f64]) {
-    assert_eq!(row.len(), query.len(), "row/query length mismatch");
-    assert_eq!(out.len(), row.len(), "out/row length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY-adjacent gate: the detection above proves the target
-        // feature the callee was compiled with is present.
-        x86::abs_diffs_avx2(out, row, query);
-        return;
-    }
-    abs_diffs_unrolled(out, row, query);
-}
-
-/// The portable unrolled path of [`abs_diffs`] (and its non-x86 whole).
-fn abs_diffs_unrolled(out: &mut [f64], row: &[f64], query: &[f64]) {
-    let mut o = out.chunks_exact_mut(F64_LANES);
-    let mut r = row.chunks_exact(F64_LANES);
-    let mut q = query.chunks_exact(F64_LANES);
-    for ((o, r), q) in (&mut o).zip(&mut r).zip(&mut q) {
-        for j in 0..F64_LANES {
-            o[j] = (r[j] - q[j]).abs();
-        }
-    }
-    for ((o, r), q) in o
-        .into_remainder()
-        .iter_mut()
-        .zip(r.remainder())
-        .zip(q.remainder())
-    {
-        *o = (r - q).abs();
-    }
-}
-
-/// The explicit AVX2 path of [`abs_diffs`]: 4 `f64` per vector,
-/// unaligned loads (rows come from arbitrary slice offsets), absolute
-/// value as a sign-bit clear. Intrinsics are inherently `unsafe` to
-/// call, so this is the one `#[allow(unsafe_code)]` module in the
-/// crate; the safe entry point encapsulates the feature-gate contract.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod x86 {
-    #[allow(clippy::wildcard_imports)]
-    use std::arch::x86_64::*;
-
-    /// Safe wrapper: the caller must only reach this behind a true
-    /// `is_x86_feature_detected!("avx2")` (checked in [`super::abs_diffs`]).
-    pub(super) fn abs_diffs_avx2(out: &mut [f64], row: &[f64], query: &[f64]) {
-        debug_assert_eq!(row.len(), query.len());
-        debug_assert_eq!(out.len(), row.len());
-        // SAFETY: lengths are asserted equal by the public caller, and
-        // the dispatch site verified AVX2 is present at runtime.
-        unsafe { abs_diffs_avx2_inner(out, row, query) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 at runtime and `out`, `row`, `query` of equal
-    /// length.
-    #[target_feature(enable = "avx2")]
-    unsafe fn abs_diffs_avx2_inner(out: &mut [f64], row: &[f64], query: &[f64]) {
-        let n = out.len();
-        // |x| = clear the sign bit: andnot with -0.0 keeps NaN payloads
-        // and maps -0.0 to +0.0, exactly like `f64::abs`.
-        let sign = _mm256_set1_pd(-0.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            let r = _mm256_loadu_pd(row.as_ptr().add(i));
-            let q = _mm256_loadu_pd(query.as_ptr().add(i));
-            let d = _mm256_sub_pd(r, q);
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_andnot_pd(sign, d));
-            i += 4;
-        }
-        while i < n {
-            *out.get_unchecked_mut(i) = (*row.get_unchecked(i) - *query.get_unchecked(i)).abs();
-            i += 1;
-        }
-    }
-}
-
-/// The plain indexed loop [`abs_diffs`] replaced (test oracle and bench
-/// baseline).
-///
-/// # Panics
-///
-/// Panics when the three slices differ in length.
-pub fn abs_diffs_scalar(out: &mut [f64], row: &[f64], query: &[f64]) {
     assert_eq!(row.len(), query.len(), "row/query length mismatch");
     assert_eq!(out.len(), row.len(), "out/row length mismatch");
     for i in 0..row.len() {
@@ -242,19 +146,18 @@ mod tests {
         for len in [0usize, 1, 5, 8, 9, 16, 31, 64, 100] {
             let row = pseudo(3, len);
             let q = pseudo(7, len);
-            let mut a = vec![0.0; len];
-            let mut b = vec![0.0; len];
-            abs_diffs(&mut a, &row, &q);
-            abs_diffs_scalar(&mut b, &row, &q);
-            assert_eq!(a, b, "len={len}");
+            let mut got = vec![0.0; len];
+            abs_diffs(&mut got, &row, &q);
+            let want: Vec<f64> = row.iter().zip(&q).map(|(r, q)| (r - q).abs()).collect();
+            assert_eq!(got, want, "len={len}");
         }
     }
 
     #[test]
     fn abs_diffs_bit_identical_on_special_values() {
-        // The AVX2 path computes |x| as a sign-bit clear; it must agree
-        // with `f64::abs` bit-for-bit on every special value, padded out
-        // so the vector body (not just the remainder loop) sees them.
+        // Whatever vector code the loop compiles to must agree with
+        // `f64::abs` bit-for-bit on every special value, padded out so a
+        // vector body (not just a remainder loop) sees them.
         let specials = [
             0.0,
             -0.0,
@@ -277,35 +180,16 @@ mod tests {
                 q.push(b);
             }
         }
-        let mut fast = vec![0.0; row.len()];
-        let mut oracle = vec![0.0; row.len()];
-        abs_diffs(&mut fast, &row, &q);
-        abs_diffs_scalar(&mut oracle, &row, &q);
+        let mut got = vec![0.0; row.len()];
+        abs_diffs(&mut got, &row, &q);
         for i in 0..row.len() {
             assert_eq!(
-                fast[i].to_bits(),
-                oracle[i].to_bits(),
+                got[i].to_bits(),
+                (row[i] - q[i]).abs().to_bits(),
                 "slot {i}: |{} - {}|",
                 row[i],
                 q[i]
             );
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_and_unrolled_paths_agree_when_detected() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
-        for len in [0usize, 1, 3, 4, 5, 8, 31, 100] {
-            let row = pseudo(11, len);
-            let q = pseudo(23, len);
-            let mut a = vec![0.0; len];
-            let mut b = vec![0.0; len];
-            super::x86::abs_diffs_avx2(&mut a, &row, &q);
-            abs_diffs_unrolled(&mut b, &row, &q);
-            assert_eq!(a, b, "len={len}");
         }
     }
 

@@ -59,16 +59,17 @@
 //! - [`scratch`] / [`Scratch`] — reusable epoch-stamped query working memory;
 //! - [`engine`] / [`QueryEngine`] — parallel batch execution over shared
 //!   columns, and the [`BatchEngine`] trait every batch backend implements;
-//! - [`kernels`] — unrolled, autovectorization-friendly inner-loop kernels
-//!   for the filter and scan hot paths;
+//! - [`kernels`] — autovectorization-friendly inner-loop kernels for the
+//!   filter and scan hot paths;
 //! - [`filter`] / [`ScanEngine`] / [`BandEngine`] — exact filter-and-refine
 //!   batch backends over quantised cells (VA-file / IGrid adapters build on
 //!   these);
-//! - [`sharded`] / [`ShardedQueryEngine`] — intra-query parallelism over
-//!   point-id-sharded columns with an exact `(diff, pid)` merge;
+//! - [`sharded`] — the exact `(diff, pid)` merge over independent parts
+//!   of the points (a snapshot's runs): intra-query parallelism;
 //! - [`stream`] — lazy ascending-difference answer iterator;
 //! - [`versioned`] / [`VersionedIndex`] — epoch-versioned MVCC index:
 //!   delta + sealed runs + pinned snapshots, writers never block readers;
+//!   seeded with more than one run it is the sharded engine;
 //! - [`hybrid`] — mixed numeric/categorical/weighted schemas (footnote 1);
 //! - [`naive`] — full-scan reference algorithms;
 //! - [`knn`] / [`metrics`] — kNN baselines (L_p, Chebyshev, DPF);
@@ -79,10 +80,7 @@
 //! - [`paper`] — the paper's worked examples as datasets.
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the explicit AVX2 kernel in
-// `kernels::x86` is the one narrowly-scoped `#[allow(unsafe_code)]`
-// module in the crate.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod ad;
 pub mod columns;
@@ -140,13 +138,12 @@ pub use nmatch::{
 pub use point::{Dataset, PointId};
 pub use result::{FrequentEntry, FrequentResult, KnMatchResult, MatchEntry};
 pub use scratch::{QueryControl, Scratch};
-pub use sharded::{ShardedColumns, ShardedOutcome, ShardedQueryEngine};
+pub use sharded::ShardedOutcome;
 pub use skyline::skyline_wrt;
 pub use source::{SortedAccessSource, SortedEntry};
 pub use stream::NMatchStream;
 pub use versioned::{
-    EpochSnapshot, VersionStats, VersionWriter, VersionedEngine, VersionedIndex,
-    DEFAULT_MERGE_THRESHOLD,
+    EpochSnapshot, VersionStats, VersionWriter, VersionedIndex, DEFAULT_MERGE_THRESHOLD,
 };
 
 impl FrequentResult {

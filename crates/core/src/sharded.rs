@@ -1,18 +1,20 @@
-//! Intra-query parallelism: point-id-sharded columns and the engine that
-//! fans one AD query out over them.
+//! The exact `(diff, pid)` merge behind intra-query parallelism: the
+//! `(query × part)` fan-out and the per-kind merge functions that
+//! [`EpochSnapshot`](crate::EpochSnapshot) runs over its runs.
 //!
 //! The batch [`QueryEngine`](crate::QueryEngine) parallelises *across*
-//! queries; one giant query still walks its frontier on a single core.
-//! [`ShardedColumns`] partitions the point-id space into `S` contiguous
-//! ranges and builds an independent [`SortedColumns`] per range, so
-//! [`ShardedQueryEngine`] can run the unmodified AD core on every shard
-//! concurrently (one [`run_batch`] work item per shard, per-worker
-//! [`Scratch`] reuse) and merge the per-shard streams.
+//! queries; one giant query still walks its frontier on a single core. A
+//! [`VersionedIndex`](crate::VersionedIndex) holding more than one run —
+//! seeded that way by [`from_dataset`](crate::VersionedIndex::from_dataset)
+//! or grown by sealing — runs the unmodified AD core on every run
+//! concurrently (one [`run_batch`] work item per run, per-worker
+//! [`Scratch`] reuse) and merges the per-run streams here. Each run is a
+//! shard of the key space; this module keeps the word.
 //!
 //! # Why the merge is exact
 //!
 //! The n-match difference of a point depends only on that point's own
-//! attributes (Definition 1), so partitioning by point id partitions the
+//! attributes (Definition 1), so partitioning the points partitions the
 //! *candidates*, not the computation: shard `s`'s k-n-match answer is the
 //! `k` best `(diff, pid)` keys among its own points, which is a superset
 //! of the global answer's members that live in shard `s`. Concatenating
@@ -23,7 +25,7 @@
 //! order — see `frequent_core`), so the merged answers are bit-identical
 //! to the unsharded engine for all three query kinds:
 //!
-//! - **k-n-match**: concatenate per-shard entry lists (pids rebased to
+//! - **k-n-match**: concatenate per-shard entry lists (pids already
 //!   global), sort by `(diff, pid)`, keep `k`.
 //! - **ε-n-match**: concatenate and sort; thresholds are per-point, no
 //!   truncation.
@@ -31,140 +33,32 @@
 //!   recount frequencies over the merged `k`-sized sets (Definition 4) and
 //!   rank with the shared [`rank_frequent`].
 //!
-//! Per-shard `k` is clamped to the shard cardinality (a shard holding
-//! fewer than `k` points ranks everything it has), and query validation
-//! runs once against the *global* dimensions and cardinality.
+//! Per-shard `k` is clamped to the shard cardinality by the caller (a
+//! shard holding fewer than `k` points ranks everything it has), and
+//! query validation runs once against the *global* dimensions and
+//! cardinality.
 //!
 //! # Cost accounting
 //!
-//! Each shard's [`AdStats`] is bit-identical to running the sequential AD
-//! core on that shard's columns alone — the engine reports them per shard
-//! plus their total. The total exceeds an unsharded run's stats (every
-//! shard seeds `2d` cursors and walks to its own stop condition); with
-//! `shards = 1` answers *and* stats are bit-identical to
+//! Each shard's [`AdStats`] is whatever its part closure reports — for a
+//! run without tombstones, bit-identical to running the sequential AD
+//! core on that run's columns alone. [`ShardedOutcome`] carries them per
+//! shard plus their total. The total exceeds an unsharded run's stats
+//! (every shard seeds `2d` cursors and walks to its own stop condition);
+//! with one shard answers *and* stats are bit-identical to
 //! [`QueryEngine`](crate::QueryEngine).
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::thread;
 
 use crate::ad::AdStats;
-use crate::columns::{sort_dim_range, SortedColumns};
-use crate::engine::{
-    execute_batch_query, isolate_panic, note_outcome, run_batch, BatchAnswer, BatchEngine,
-    BatchOptions, BatchOutcome, BatchQuery,
-};
+use crate::engine::{note_outcome, run_batch, BatchAnswer, BatchOptions, BatchOutcome, BatchQuery};
 use crate::error::Result;
-use crate::point::{Dataset, PointId};
+use crate::point::PointId;
 use crate::result::{rank_frequent, FrequentResult, KnMatchResult, MatchEntry};
 use crate::scratch::Scratch;
 
-/// A dataset partitioned into `S` contiguous point-id ranges, each
-/// organised as its own [`SortedColumns`].
-///
-/// Shard boundaries are as even as possible (the first `c mod S` shards
-/// hold one extra point); entry pids inside a shard are shard-local
-/// (starting at 0) so each shard is a self-contained
-/// [`SortedAccessSource`](crate::SortedAccessSource) — contiguity makes
-/// the local → global mapping a single offset add that preserves pid
-/// order, which the exact merge relies on.
-///
-/// # Examples
-///
-/// ```
-/// use knmatch_core::ShardedColumns;
-///
-/// let ds = knmatch_core::paper::fig3_dataset();
-/// let cols = ShardedColumns::build(&ds, 2);
-/// assert_eq!(cols.shard_count(), 2);
-/// assert_eq!(cols.shard(0).cardinality(), 3); // 5 points → 3 + 2
-/// assert_eq!(cols.shard_start(1), 3);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ShardedColumns {
-    dims: usize,
-    cardinality: usize,
-    /// `starts[s]..starts[s + 1]` is the global pid range of shard `s`.
-    starts: Vec<usize>,
-    shards: Vec<SortedColumns>,
-}
-
-impl ShardedColumns {
-    /// Partitions `ds` into `shards` ranges (clamped to `1..=c`) and sorts
-    /// every shard × dimension column, one [`run_batch`] work item each,
-    /// with one worker per available CPU.
-    pub fn build(ds: &Dataset, shards: usize) -> Self {
-        let workers = thread::available_parallelism().map_or(1, |n| n.get());
-        Self::build_with_workers(ds, shards, workers)
-    }
-
-    /// [`build`](Self::build) with an explicit worker count. The result is
-    /// identical at any worker count.
-    pub fn build_with_workers(ds: &Dataset, shards: usize, workers: usize) -> Self {
-        let dims = ds.dims();
-        let c = ds.len();
-        let s = shards.clamp(1, c.max(1));
-        let (base, rem) = (c / s, c % s);
-        let mut starts = Vec::with_capacity(s + 1);
-        starts.push(0usize);
-        for i in 0..s {
-            starts.push(starts[i] + base + usize::from(i < rem));
-        }
-        // One sort task per shard × dimension over a single pool, so a
-        // build saturates the workers even when shards ≫ dims or dims ≫
-        // shards.
-        let parts = run_batch(workers.max(1), s * dims, Vec::new, |pairs, t| {
-            let (sh, dim) = (t / dims, t % dims);
-            sort_dim_range(ds, dim, starts[sh], starts[sh + 1], pairs)
-        });
-        let mut parts = parts.into_iter();
-        let shards = (0..s)
-            .map(|sh| {
-                let cols: Vec<_> = parts.by_ref().take(dims).collect();
-                SortedColumns::from_sorted_parts(starts[sh + 1] - starts[sh], cols)
-            })
-            .collect();
-        ShardedColumns {
-            dims,
-            cardinality: c,
-            starts,
-            shards,
-        }
-    }
-
-    /// Number of shards `S`.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The columns of shard `s` (entry pids are shard-local).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `s >= shard_count()`.
-    pub fn shard(&self, s: usize) -> &SortedColumns {
-        &self.shards[s]
-    }
-
-    /// First global pid of shard `s` — add it to a shard-local pid to get
-    /// the global one.
-    pub fn shard_start(&self, s: usize) -> usize {
-        self.starts[s]
-    }
-
-    /// Dimensionality `d`.
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
-    /// Total cardinality `c` across all shards.
-    pub fn cardinality(&self) -> usize {
-        self.cardinality
-    }
-}
-
-/// The answer of one sharded query: the merged [`BatchAnswer`]
-/// (bit-identical to the unsharded engine's) plus the run's cost split.
+/// The answer of one query merged over shards: the merged [`BatchAnswer`]
+/// (bit-identical to the unsharded engine's) plus the cost split.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedOutcome {
     /// The merged answer, bit-identical to [`QueryEngine`](crate::QueryEngine).
@@ -190,162 +84,17 @@ impl BatchOutcome for ShardedOutcome {
     }
 }
 
-/// Executes matching queries with intra-query parallelism over
-/// [`ShardedColumns`]: every query fans out into one work item per shard,
-/// and a batch of `q` queries schedules `q × S` items on the pool.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use knmatch_core::{BatchAnswer, BatchQuery, ShardedColumns, ShardedQueryEngine};
-///
-/// let ds = knmatch_core::paper::fig3_dataset();
-/// let engine = ShardedQueryEngine::new(Arc::new(ShardedColumns::build(&ds, 2)));
-/// let out = engine
-///     .execute(&BatchQuery::KnMatch { query: vec![3.0, 7.0, 4.0], k: 2, n: 2 })
-///     .unwrap();
-/// let BatchAnswer::KnMatch(res) = &out.answer else { unreachable!() };
-/// assert_eq!(res.ids(), vec![2, 1]); // same answer as the unsharded engine
-/// assert_eq!(out.per_shard.len(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ShardedQueryEngine {
-    cols: Arc<ShardedColumns>,
-    workers: usize,
-}
-
-impl ShardedQueryEngine {
-    /// An engine over `cols` with one worker per available CPU.
-    pub fn new(cols: Arc<ShardedColumns>) -> Self {
-        let workers = thread::available_parallelism().map_or(1, |n| n.get());
-        Self::with_workers(cols, workers)
-    }
-
-    /// An engine with an explicit worker count (clamped to ≥ 1).
-    pub fn with_workers(cols: Arc<ShardedColumns>, workers: usize) -> Self {
-        ShardedQueryEngine {
-            cols,
-            workers: workers.max(1),
-        }
-    }
-
-    /// The shared sharded organisation.
-    pub fn columns(&self) -> &Arc<ShardedColumns> {
-        &self.cols
-    }
-
-    /// Executes one query across all shards on the pool.
-    ///
-    /// # Errors
-    ///
-    /// Per-query parameter validation against the global dimensions and
-    /// cardinality; see [`KnMatchError`](crate::KnMatchError).
-    pub fn execute(&self, query: &BatchQuery) -> Result<ShardedOutcome> {
-        self.run(std::slice::from_ref(query))
-            .pop()
-            .expect("one result per query")
-    }
-
-    /// Runs `query` against shard `s` with `k` clamped to the shard
-    /// cardinality, rebasing answer pids to global. Validation passed
-    /// globally and shard parameters only clamp `k`, so an `Err` here is a
-    /// runtime failure (deadline, cancellation, a panic caught at the
-    /// shard-task boundary) — it fails this query's slot, not the batch.
-    fn run_shard(
-        &self,
-        query: &BatchQuery,
-        s: usize,
-        scratch: &mut Scratch,
-    ) -> Result<(BatchAnswer, AdStats)> {
-        let shard = self.cols.shard(s);
-        let local = clamp_k(query, shard.cardinality());
-        isolate_panic(|| {
-            let mut view: &SortedColumns = shard;
-            let (answer, stats) = execute_batch_query(&mut view, &local, scratch)?;
-            Ok((
-                offset_answer(answer, self.cols.shard_start(s) as PointId),
-                stats,
-            ))
-        })
-    }
-}
-
-impl BatchEngine for ShardedQueryEngine {
-    type Outcome = ShardedOutcome;
-
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// All `q × S` shard-tasks share one pool, so a single query and a
-    /// large batch both keep every worker busy. Invalid queries yield
-    /// their validation error without spawning shard work; a shard task
-    /// that fails or panics fails only its own query (first failing
-    /// shard, in shard order, wins) while the rest of the batch
-    /// completes. Every shard task of every query shares the batch's
-    /// deadline clock and cancel flag.
-    fn run_with(&self, queries: &[BatchQuery], opts: &BatchOptions) -> Vec<Result<ShardedOutcome>> {
-        fan_out(
-            queries,
-            opts,
-            self.workers,
-            (self.cols.dims(), self.cols.cardinality()),
-            self.cols.shard_count(),
-            |query, s, scratch| self.run_shard(query, s, scratch),
-        )
-    }
-}
-
-/// `query` with its answer-set size clamped to the shard cardinality `c_s`
-/// (a shard smaller than `k` ranks all of its points).
-fn clamp_k(query: &BatchQuery, c_s: usize) -> BatchQuery {
-    let mut q = query.clone();
-    match &mut q {
-        BatchQuery::KnMatch { k, .. } | BatchQuery::Frequent { k, .. } => *k = (*k).min(c_s),
-        BatchQuery::EpsMatch { .. } => {}
-    }
-    q
-}
-
-/// Rebases every pid in `answer` from shard-local to global by adding the
-/// shard's first global pid. Adding a constant preserves `(diff, pid)`
-/// order, so rebased per-shard lists stay sorted.
-fn offset_answer(answer: BatchAnswer, off: PointId) -> BatchAnswer {
-    fn shift(r: &mut KnMatchResult, off: PointId) {
-        for e in &mut r.entries {
-            e.pid += off;
-        }
-    }
-    match answer {
-        BatchAnswer::KnMatch(mut r) => {
-            shift(&mut r, off);
-            BatchAnswer::KnMatch(r)
-        }
-        BatchAnswer::EpsMatch(mut r) => {
-            shift(&mut r, off);
-            BatchAnswer::EpsMatch(r)
-        }
-        BatchAnswer::Frequent(mut f) => {
-            for lvl in &mut f.per_n {
-                shift(lvl, off);
-            }
-            for e in &mut f.entries {
-                e.pid += off;
-            }
-            BatchAnswer::Frequent(f)
-        }
-    }
-}
-
-/// The `(query × part)` fan-out shared by every engine whose answer is an
-/// exact merge over independent parts (pid-range shards here, the
-/// versioned index's runs): queries are validated against the global
-/// `(dims, cardinality)` shape, every valid query contributes `parts`
-/// tasks to one [`run_batch`] pool, and each query's per-part outcomes
-/// regroup — first failing part, in part order, wins — into one
-/// [`merge_shards`] call. Generic over the per-part closure, so each
-/// caller monomorphises to its own copy.
+/// The `(query × part)` fan-out of an engine whose answer is an exact
+/// merge over independent parts (the versioned index's runs): queries
+/// are validated against the global `(dims, cardinality)` shape, every
+/// valid query contributes `parts` tasks to one [`run_batch`] pool — so a
+/// single query and a large batch both keep every worker busy, all
+/// sharing the batch's deadline clock and cancel flag — and each query's
+/// per-part outcomes regroup into one [`merge_shards`] call. Invalid
+/// queries yield their validation error without spawning part work; a
+/// part that fails (deadline, cancellation, a panic caught at the task
+/// boundary) fails only its own query — first failing part, in part
+/// order, wins — while the rest of the batch completes.
 pub(crate) fn fan_out<F>(
     queries: &[BatchQuery],
     opts: &BatchOptions,
@@ -407,8 +156,7 @@ where
 }
 
 /// Merges the per-shard outcomes of one query into the global answer plus
-/// the cost split. The versioned index's sealed runs merge exactly like
-/// shards (keys play the role of global pids).
+/// the cost split.
 fn merge_shards(query: &BatchQuery, parts: Vec<(BatchAnswer, AdStats)>) -> ShardedOutcome {
     let per_shard: Vec<AdStats> = parts.iter().map(|(_, s)| *s).collect();
     let mut stats = AdStats::default();
@@ -502,12 +250,16 @@ fn merge_frequent(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::QueryEngine;
+    use crate::columns::SortedColumns;
+    use crate::engine::{BatchEngine, QueryEngine};
     use crate::error::KnMatchError;
+    use crate::versioned::{VersionedIndex, DEFAULT_MERGE_THRESHOLD};
+    use std::sync::Arc;
 
-    fn fig3_sharded(shards: usize) -> ShardedQueryEngine {
+    /// Figure 3's five points laid out as `shards` runs, two workers.
+    fn fig3_sharded(shards: usize) -> VersionedIndex {
         let ds = crate::paper::fig3_dataset();
-        ShardedQueryEngine::with_workers(Arc::new(ShardedColumns::build(&ds, shards)), 2)
+        VersionedIndex::from_dataset(&ds, shards, 2, DEFAULT_MERGE_THRESHOLD).unwrap()
     }
 
     fn fig3_batch() -> Vec<BatchQuery> {
@@ -533,43 +285,43 @@ mod tests {
 
     #[test]
     fn partition_is_contiguous_and_even() {
-        let ds = crate::paper::fig3_dataset();
         for s in 1..=5 {
-            let cols = ShardedColumns::build_with_workers(&ds, s, 1);
-            assert_eq!(cols.shard_count(), s);
-            assert_eq!(cols.shard_start(0), 0);
-            let mut total = 0;
+            let snap = fig3_sharded(s).snapshot();
+            assert_eq!(snap.run_count(), s);
+            let mut next_key = 0;
             for i in 0..s {
-                assert_eq!(cols.shard_start(i), total);
-                total += cols.shard(i).cardinality();
+                let (keys, cols) = snap.run_parts(i);
+                // Contiguous: each run continues where the last ended.
+                let want: Vec<PointId> = (next_key..next_key + keys.len() as PointId).collect();
+                assert_eq!(keys, want);
+                next_key += keys.len() as PointId;
+                assert_eq!(cols.cardinality(), keys.len());
                 // Even split: sizes differ by at most one.
-                assert!(cols.shard(i).cardinality() >= 5 / s);
-                assert!(cols.shard(i).cardinality() <= 5 / s + 1);
+                assert!(keys.len() >= 5 / s);
+                assert!(keys.len() <= 5 / s + 1);
             }
-            assert_eq!(total, cols.cardinality());
+            assert_eq!(next_key as usize, snap.live());
         }
     }
 
     #[test]
     fn shard_count_clamps_to_cardinality() {
-        let ds = crate::paper::fig3_dataset();
-        assert_eq!(ShardedColumns::build(&ds, 0).shard_count(), 1);
-        assert_eq!(ShardedColumns::build(&ds, 99).shard_count(), 5);
+        assert_eq!(fig3_sharded(0).snapshot().run_count(), 1);
+        assert_eq!(fig3_sharded(99).snapshot().run_count(), 5);
     }
 
     #[test]
     fn shard_columns_match_direct_range_builds() {
         let ds = crate::paper::fig3_dataset();
-        let cols = ShardedColumns::build_with_workers(&ds, 2, 3);
+        let snap = VersionedIndex::from_dataset(&ds, 2, 3, DEFAULT_MERGE_THRESHOLD)
+            .unwrap()
+            .snapshot();
         for s in 0..2 {
-            let lo = cols.shard_start(s);
-            let hi = lo + cols.shard(s).cardinality();
+            let (keys, cols) = snap.run_parts(s);
+            let (lo, hi) = (keys[0] as usize, keys[keys.len() - 1] as usize + 1);
             let direct = SortedColumns::build_range(&ds, lo, hi, 1);
             for dim in 0..ds.dims() {
-                assert_eq!(
-                    cols.shard(s).column(dim).to_vec(),
-                    direct.column(dim).to_vec()
-                );
+                assert_eq!(cols.column(dim).to_vec(), direct.column(dim).to_vec());
             }
         }
     }
@@ -649,13 +401,13 @@ mod tests {
         // 5 points over 3 shards → shard sizes 2, 2, 1; k = 4 exceeds every
         // shard but must still merge to the global top 4.
         let ds = crate::paper::fig3_dataset();
-        let engine = ShardedQueryEngine::with_workers(Arc::new(ShardedColumns::build(&ds, 3)), 1);
+        let engine = VersionedIndex::from_dataset(&ds, 3, 1, DEFAULT_MERGE_THRESHOLD).unwrap();
         let q = BatchQuery::KnMatch {
             query: vec![3.0, 7.0, 4.0],
             k: 4,
             n: 2,
         };
-        let got = engine.execute(&q).unwrap();
+        let got = engine.run(std::slice::from_ref(&q)).remove(0).unwrap();
         let mut plain = SortedColumns::build(&ds);
         let (want, _) = crate::ad::k_n_match_ad(&mut plain, &[3.0, 7.0, 4.0], 4, 2).unwrap();
         assert_eq!(got.answer, BatchAnswer::KnMatch(want));
@@ -666,11 +418,13 @@ mod tests {
         let engine = fig3_sharded(2);
         assert!(engine.run(&[]).is_empty());
         assert_eq!(engine.workers(), 2);
-        assert_eq!(engine.columns().cardinality(), 5);
-        assert_eq!(engine.columns().dims(), 3);
-        assert!(ShardedQueryEngine::new(engine.columns().clone()).workers() >= 1);
+        assert_eq!(engine.live(), 5);
+        assert_eq!(engine.dims(), 3);
+        let ds = crate::paper::fig3_dataset();
         assert_eq!(
-            ShardedQueryEngine::with_workers(engine.columns().clone(), 0).workers(),
+            VersionedIndex::from_dataset(&ds, 2, 0, DEFAULT_MERGE_THRESHOLD)
+                .unwrap()
+                .workers(),
             1
         );
     }
@@ -698,13 +452,7 @@ mod tests {
     #[test]
     fn totals_sum_per_shard_stats() {
         let engine = fig3_sharded(3);
-        let out = engine
-            .execute(&BatchQuery::KnMatch {
-                query: vec![3.0, 7.0, 4.0],
-                k: 2,
-                n: 2,
-            })
-            .unwrap();
+        let out = engine.run(&fig3_batch()[..1]).remove(0).unwrap();
         let mut sum = AdStats::default();
         for s in &out.per_shard {
             sum.accumulate(s);

@@ -21,9 +21,11 @@
 //!
 //! ## Exactness across runs
 //!
-//! A query runs independently against every run and the results merge
-//! with the same exact `(diff, pid)` rule the sharded engine uses
-//! (DESIGN.md §9), with two twists:
+//! The n-match difference of a point depends only on that point's own
+//! attributes (Definition 1), so splitting the points over runs splits
+//! the *candidates*, not the computation: a query runs independently
+//! against every run and the per-run answers merge exactly by
+//! `(diff, pid)` (see [`crate::sharded`]), given two things:
 //!
 //! 1. **Keys are the global pids.** Every run is built with slot order =
 //!    ascending key order, so a run's local pid order is monotone in key
@@ -37,6 +39,13 @@
 //!    *live* points, so filtering tombstones after the per-run walk
 //!    loses nothing. Frequent queries inflate each per-n level the same
 //!    way; ε queries never truncate, so they only filter.
+//!
+//! This is also the crate's intra-query parallelism (DESIGN.md §9): an
+//! index seeded with [`VersionedIndex::from_dataset`] over `S` initial
+//! runs fans every query out into `S` tasks on the worker pool. With no
+//! tombstones `k' = min(run cardinality, k)` and each run's [`AdStats`]
+//! are bit-identical to sequential AD over that run's columns alone;
+//! with one run they equal [`QueryEngine`](crate::QueryEngine)'s.
 //!
 //! ## Lifecycle
 //!
@@ -141,19 +150,6 @@ pub trait VersionWriter: Sync {
 
     /// Counters describing the index right now.
     fn version_stats(&self) -> VersionStats;
-}
-
-/// A versioned engine: the mutation surface plus typed snapshot access.
-/// This is the API split the live-ingestion design rests on — queries
-/// run only against a [`Self::Snapshot`] (a frozen [`BatchEngine`]),
-/// never against the mutable index state itself.
-pub trait VersionedEngine: VersionWriter {
-    /// The frozen view queries run against.
-    type Snapshot: BatchEngine;
-
-    /// Pins the current epoch. The returned snapshot stays valid and
-    /// unchanged no matter how many writes land afterwards.
-    fn snapshot(&self) -> Self::Snapshot;
 }
 
 /// One immutable sealed run: rows in ascending key order, their sorted
@@ -264,6 +260,14 @@ impl EpochSnapshot {
         }
         rows.sort_unstable_by_key(|&(key, _)| key);
         rows
+    }
+
+    /// Run `ri`'s ascending keys and sorted columns, for the unit tests
+    /// that pin the initial split's boundaries.
+    #[cfg(test)]
+    pub(crate) fn run_parts(&self, ri: usize) -> (&[PointId], &SortedColumns) {
+        let run = &self.inner.runs[ri].run;
+        (&run.keys, &run.cols)
     }
 
     /// Runs `query` against run `ri` with `k` inflated by the run's
@@ -422,9 +426,7 @@ impl WriterState {
 /// # Examples
 ///
 /// ```
-/// use knmatch_core::{
-///     BatchEngine, BatchOutcome, BatchQuery, VersionWriter, VersionedEngine, VersionedIndex,
-/// };
+/// use knmatch_core::{BatchEngine, BatchOutcome, BatchQuery, VersionWriter, VersionedIndex};
 ///
 /// let idx = VersionedIndex::new(2, 1, 4).unwrap();
 /// for (key, row) in [(10, [0.1, 0.9]), (20, [0.5, 0.4]), (30, [0.9, 0.2])] {
@@ -487,27 +489,41 @@ impl VersionedIndex {
         })
     }
 
-    /// Seeds an index from a dataset as one sealed run, with keys equal
-    /// to the dataset's pids — a served static file becomes epoch 0 of a
-    /// live index.
+    /// Seeds an index from a dataset as `runs` sealed runs (clamped to
+    /// `1..=c`) over contiguous, as-even-as-possible key ranges (the first
+    /// `c mod runs` hold one extra point), with keys equal to the
+    /// dataset's pids — a served static file becomes epoch 0 of a live
+    /// index, and more than one run is intra-query parallelism. The
+    /// initial runs are sealed runs like any others: later compaction
+    /// may merge them.
     ///
     /// # Errors
     ///
     /// Propagates [`VersionedIndex::new`] validation; the dataset may be
     /// empty (the index simply starts with no runs).
-    pub fn from_dataset(ds: &Dataset, workers: usize, merge_threshold: usize) -> Result<Self> {
+    pub fn from_dataset(
+        ds: &Dataset,
+        runs: usize,
+        workers: usize,
+        merge_threshold: usize,
+    ) -> Result<Self> {
         let idx = Self::new(ds.dims(), workers, merge_threshold)?;
         if !ds.is_empty() {
-            let keys: Vec<PointId> = (0..ds.len() as PointId).collect();
-            let run = SealedRun::build(keys, ds.as_flat().to_vec(), ds.dims(), idx.workers)?;
-            {
-                let mut w = idx.lock_writer();
+            let (c, d) = (ds.len(), ds.dims());
+            let s = runs.clamp(1, c);
+            let mut w = idx.lock_writer();
+            let mut lo = 0;
+            for i in 0..s {
+                let hi = lo + c / s + usize::from(i < c % s);
+                let keys: Vec<PointId> = (lo as PointId..hi as PointId).collect();
+                let coords = ds.as_flat()[lo * d..hi * d].to_vec();
                 w.runs.push(SnapRun {
-                    run,
+                    run: SealedRun::build(keys, coords, d, idx.workers)?,
                     tombs: Arc::new(Vec::new()),
                 });
-                idx.publish(&w);
+                lo = hi;
             }
+            idx.publish(&w);
         }
         Ok(idx)
     }
@@ -525,6 +541,22 @@ impl VersionedIndex {
     /// The delta size that triggers an automatic seal.
     pub fn merge_threshold(&self) -> usize {
         self.merge_threshold
+    }
+
+    /// Pins the current epoch. Queries run only against such a frozen
+    /// view, never against the mutable index state itself; the returned
+    /// snapshot stays valid and unchanged no matter how many writes land
+    /// afterwards.
+    pub fn snapshot(&self) -> EpochSnapshot {
+        let inner = self
+            .published
+            .read()
+            .expect("published lock poisoned")
+            .clone();
+        EpochSnapshot {
+            inner,
+            workers: self.workers,
+        }
     }
 
     fn lock_writer(&self) -> std::sync::MutexGuard<'_, WriterState> {
@@ -756,22 +788,6 @@ impl VersionWriter for VersionedIndex {
     }
 }
 
-impl VersionedEngine for VersionedIndex {
-    type Snapshot = EpochSnapshot;
-
-    fn snapshot(&self) -> EpochSnapshot {
-        let inner = self
-            .published
-            .read()
-            .expect("published lock poisoned")
-            .clone();
-        EpochSnapshot {
-            inner,
-            workers: self.workers,
-        }
-    }
-}
-
 impl BatchEngine for VersionedIndex {
     type Outcome = ShardedOutcome;
 
@@ -991,7 +1007,7 @@ mod tests {
     #[test]
     fn from_dataset_seeds_identity_keys() {
         let ds = crate::paper::fig3_dataset();
-        let idx = VersionedIndex::from_dataset(&ds, 2, 4).unwrap();
+        let idx = VersionedIndex::from_dataset(&ds, 1, 2, 4).unwrap();
         assert_eq!(idx.live(), 5);
         assert_eq!(idx.epoch(), 0);
         let snap = idx.snapshot();

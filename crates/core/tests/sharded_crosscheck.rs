@@ -1,16 +1,20 @@
-//! Cross-check: the sharded engine's merged answers must be bit-identical
-//! to the unsharded `QueryEngine` for every query kind, shard count, and
-//! worker count — including on datasets stuffed with duplicate values,
-//! where answer-set boundaries are decided purely by the canonical
-//! `(diff, pid)` tie-break. Per-shard `AdStats` must be bit-identical to
-//! sequential AD runs over that shard's points alone, and `shards = 1`
-//! must reproduce the unsharded stats exactly.
+//! Cross-check: a `VersionedIndex` seeded with S runs (the sharded
+//! engine) must merge to answers bit-identical to the unsharded
+//! `QueryEngine` for every query kind, shard count, and worker count —
+//! including on datasets stuffed with duplicate values, where answer-set
+//! boundaries are decided purely by the canonical `(diff, pid)`
+//! tie-break. Per-shard `AdStats` must be bit-identical to sequential AD
+//! runs over that shard's points alone, `shards = 1` must reproduce the
+//! unsharded stats exactly, and an index that *reached* the same key
+//! ranges through inserts and seals must be indistinguishable from one
+//! *built* with them.
 
 use std::sync::Arc;
 
 use knmatch_core::{
-    execute_batch_query, AdStats, BatchAnswer, BatchEngine, BatchQuery, KnMatchError, QueryEngine,
-    Scratch, ShardedColumns, ShardedQueryEngine, SortedColumns,
+    execute_batch_query, AdStats, BatchAnswer, BatchEngine, BatchQuery, Dataset, KnMatchError,
+    PointId, QueryEngine, Scratch, SortedColumns, VersionWriter, VersionedIndex,
+    DEFAULT_MERGE_THRESHOLD,
 };
 
 /// SplitMix64, kept local (knmatch-core has no dev-dependencies).
@@ -94,6 +98,24 @@ fn workload(rng: &mut TestRng, c: usize, d: usize, duplicate_heavy: bool) -> Vec
     out
 }
 
+/// The engine under test: `ds` laid out as `shards` initial runs.
+fn sharded(ds: &Dataset, shards: usize, workers: usize) -> VersionedIndex {
+    VersionedIndex::from_dataset(ds, shards, workers, DEFAULT_MERGE_THRESHOLD).unwrap()
+}
+
+/// The `[lo, hi)` key ranges of the even split of `c` points over
+/// `shards` runs (clamped to `1..=c`): the first `c mod S` hold one extra.
+fn even_split(c: usize, shards: usize) -> Vec<(usize, usize)> {
+    let s = shards.clamp(1, c);
+    let mut lo = 0;
+    (0..s)
+        .map(|i| {
+            let hi = lo + c / s + usize::from(i < c % s);
+            (std::mem::replace(&mut lo, hi), hi)
+        })
+        .collect()
+}
+
 /// `query` with its answer-set size clamped to `c_s` — the shard-local
 /// query the engine is specified to run.
 fn clamp_k(query: &BatchQuery, c_s: usize) -> BatchQuery {
@@ -119,11 +141,11 @@ fn sharded_answers_match_unsharded_for_all_shards_workers_and_kinds() {
                 .into_iter()
                 .map(|r| r.unwrap())
                 .collect();
-            let ds = knmatch_core::Dataset::from_rows(&data).unwrap();
-            for shards in [1, 2, 3, 7] {
-                let cols = Arc::new(ShardedColumns::build_with_workers(&ds, shards, 1));
-                for workers in [1, 4] {
-                    let engine = ShardedQueryEngine::with_workers(cols.clone(), workers);
+            let ds = Dataset::from_rows(&data).unwrap();
+            for shards in [1, 2, 3, 4, 7] {
+                for workers in [1, 2, 4] {
+                    let engine = sharded(&ds, shards, workers);
+                    assert_eq!(engine.snapshot().run_count(), shards.min(c));
                     let got = engine.run(&queries);
                     assert_eq!(got.len(), want.len());
                     for (i, (g, (want_answer, want_stats))) in got.iter().zip(&want).enumerate() {
@@ -134,7 +156,7 @@ fn sharded_answers_match_unsharded_for_all_shards_workers_and_kinds() {
                              workers={workers} query #{i}: {:?}",
                             queries[i]
                         );
-                        if cols.shard_count() == 1 {
+                        if shards.min(c) == 1 {
                             // One shard is the unsharded engine, stats and
                             // all.
                             assert_eq!(&g.stats, want_stats);
@@ -154,22 +176,19 @@ fn per_shard_stats_match_sequential_runs_on_each_shard() {
         let (c, d) = (23, 3);
         let data = rows(&mut rng, c, d, duplicate_heavy);
         let queries = workload(&mut rng, c, d, duplicate_heavy);
-        let ds = knmatch_core::Dataset::from_rows(&data).unwrap();
+        let ds = Dataset::from_rows(&data).unwrap();
         for shards in [2, 3, 7] {
-            let cols = Arc::new(ShardedColumns::build_with_workers(&ds, shards, 1));
-            let engine = ShardedQueryEngine::with_workers(cols.clone(), 4);
-            let got = engine.run(&queries);
+            let got = sharded(&ds, shards, 4).run(&queries);
+            let ranges = even_split(c, shards);
             for (qi, g) in got.iter().enumerate() {
                 let g = g.as_ref().unwrap();
+                assert_eq!(g.per_shard.len(), ranges.len());
                 let mut total = AdStats::default();
-                for s in 0..cols.shard_count() {
+                for (s, &(lo, hi)) in ranges.iter().enumerate() {
                     // The reference: a fresh sequential run over columns
                     // built directly from the shard's rows.
-                    let start = cols.shard_start(s);
-                    let c_s = cols.shard(s).cardinality();
-                    let mut shard_cols =
-                        SortedColumns::from_rows(&data[start..start + c_s]).unwrap();
-                    let local = clamp_k(&queries[qi], c_s);
+                    let mut shard_cols = SortedColumns::from_rows(&data[lo..hi]).unwrap();
+                    let local = clamp_k(&queries[qi], hi - lo);
                     let (_, want_stats) =
                         execute_batch_query(&mut shard_cols, &local, &mut Scratch::new()).unwrap();
                     assert_eq!(
@@ -192,15 +211,14 @@ fn merged_eps_answers_enumerate_every_shard_hit() {
     let mut rng = TestRng(0x5AAD_0003);
     let (c, d) = (31, 3);
     let data = rows(&mut rng, c, d, true);
-    let ds = knmatch_core::Dataset::from_rows(&data).unwrap();
+    let ds = Dataset::from_rows(&data).unwrap();
     let query: Vec<f64> = (0..d).map(|_| rng.gridval()).collect();
     let q = BatchQuery::EpsMatch {
         query: query.clone(),
         eps: 0.5,
         n: 2,
     };
-    let engine = ShardedQueryEngine::with_workers(Arc::new(ShardedColumns::build(&ds, 3)), 2);
-    let out = engine.execute(&q).unwrap();
+    let out = sharded(&ds, 3, 2).run(&[q]).remove(0).unwrap();
     let BatchAnswer::EpsMatch(res) = &out.answer else {
         panic!("wrong variant")
     };
@@ -230,8 +248,7 @@ fn merged_eps_answers_enumerate_every_shard_hit() {
 fn sharded_errors_match_unsharded_validation() {
     let mut rng = TestRng(0x5AAD_0004);
     let data = rows(&mut rng, 10, 3, false);
-    let ds = knmatch_core::Dataset::from_rows(&data).unwrap();
-    let engine = ShardedQueryEngine::with_workers(Arc::new(ShardedColumns::build(&ds, 4)), 2);
+    let engine = sharded(&Dataset::from_rows(&data).unwrap(), 4, 2);
     let bad = vec![
         BatchQuery::KnMatch {
             query: vec![0.5; 2],
@@ -266,4 +283,36 @@ fn sharded_errors_match_unsharded_validation() {
         results[3],
         Err(KnMatchError::InvalidEpsilon { .. })
     ));
+}
+
+#[test]
+fn built_runs_equal_runs_reached_by_insert_and_seal() {
+    // One engine: laying the dataset out as S runs up front and arriving
+    // at the same S key ranges through the write path are the same
+    // snapshot — identical answers *and* identical per-run AdStats.
+    let mut rng = TestRng(0x5AAD_0005);
+    for duplicate_heavy in [false, true] {
+        let (c, d) = (29, 3);
+        let data = rows(&mut rng, c, d, duplicate_heavy);
+        let queries = workload(&mut rng, c, d, duplicate_heavy);
+        let ds = Dataset::from_rows(&data).unwrap();
+        for shards in [1, 2, 3, 4, 7] {
+            let built = sharded(&ds, shards, 2);
+            // A threshold above c keeps every range in the delta until
+            // its explicit seal.
+            let grown = VersionedIndex::new(d, 2, c + 1).unwrap();
+            for (lo, hi) in even_split(c, shards) {
+                for (key, row) in (lo..hi).zip(&data[lo..hi]) {
+                    grown.insert(key as PointId, row).unwrap();
+                }
+                grown.seal().unwrap();
+            }
+            assert_eq!(grown.version_stats().runs, shards);
+            assert_eq!(
+                built.run(&queries),
+                grown.run(&queries),
+                "dup={duplicate_heavy} shards={shards}"
+            );
+        }
+    }
 }

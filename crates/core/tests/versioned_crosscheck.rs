@@ -2,8 +2,8 @@
 //! bit-identically to a from-scratch [`SortedColumns`] rebuild over the
 //! snapshot's live rows at that epoch — across random interleavings of
 //! inserts, removes, updates, seals and compactions, for every worker
-//! count and merge timing, and while a writer thread is mutating the
-//! index concurrently. Also asserts the MVCC liveness property: readers
+//! count, merge timing and initial run count, and while a writer thread
+//! is mutating the index concurrently. Also asserts the MVCC liveness property: readers
 //! make progress while a writer is continuously publishing new epochs
 //! (readers never block on writers).
 
@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use knmatch_core::{
     eps_n_match_ad, frequent_k_n_match_ad, k_n_match_ad, BatchAnswer, BatchEngine, BatchQuery,
-    EpochSnapshot, PointId, SortedColumns, VersionWriter, VersionedEngine, VersionedIndex,
+    Dataset, EpochSnapshot, PointId, SortedColumns, VersionWriter, VersionedIndex,
 };
 
 /// SplitMix64, kept local (knmatch-core has no dev-dependencies).
@@ -179,36 +179,47 @@ fn interleaved_ops_match_rebuild_oracle_at_every_pinned_epoch() {
         // Merge timings: seal on every insert, mid-size runs, delta-only.
         for threshold in [1usize, 8, 10_000] {
             for workers in [1usize, 2, 4] {
-                let mut rng = TestRng(seed ^ (threshold as u64) ^ ((workers as u64) << 32));
-                let d = 3;
-                let idx = VersionedIndex::new(d, workers, threshold).unwrap();
-                let mut model = Model::new();
-                let mut pinned: Vec<(EpochSnapshot, Model, Vec<BatchQuery>)> = Vec::new();
-                for step in 0..120 {
-                    mutate(&mut rng, &idx, &mut model, d);
-                    let ctx = format!(
-                        "seed={seed:#x} threshold={threshold} workers={workers} step={step}"
-                    );
-                    if step % 15 == 7 && !model.is_empty() {
-                        // Check the *current* epoch right away…
-                        let snap = idx.snapshot();
-                        let queries = workload(&mut rng, model.len(), d);
-                        assert_snapshot_matches_oracle(&snap, &model, &queries, &ctx);
-                        // …and pin it for re-checking after more writes.
-                        pinned.push((snap, model.clone(), queries));
+                // The index starts as a seed dataset laid out in one run or
+                // split over three; the writes then land on top of either.
+                for initial_runs in [1usize, 3] {
+                    let mut rng = TestRng(seed ^ (threshold as u64) ^ ((workers as u64) << 32));
+                    let d = 3;
+                    let seed_rows: Vec<Vec<f64>> =
+                        (0..10).map(|_| random_point(&mut rng, d)).collect();
+                    let ds = Dataset::from_rows(&seed_rows).unwrap();
+                    let idx = VersionedIndex::from_dataset(&ds, initial_runs, workers, threshold)
+                        .unwrap();
+                    assert_eq!(idx.version_stats().runs, initial_runs);
+                    let mut model: Model = (0..).zip(seed_rows).collect();
+                    let mut pinned: Vec<(EpochSnapshot, Model, Vec<BatchQuery>)> = Vec::new();
+                    for step in 0..120 {
+                        mutate(&mut rng, &idx, &mut model, d);
+                        let ctx = format!(
+                            "seed={seed:#x} threshold={threshold} workers={workers} \
+                             initial_runs={initial_runs} step={step}"
+                        );
+                        if step % 15 == 7 && !model.is_empty() {
+                            // Check the *current* epoch right away…
+                            let snap = idx.snapshot();
+                            let queries = workload(&mut rng, model.len(), d);
+                            assert_snapshot_matches_oracle(&snap, &model, &queries, &ctx);
+                            // …and pin it for re-checking after more writes.
+                            pinned.push((snap, model.clone(), queries));
+                        }
                     }
-                }
-                // Every pinned epoch must still answer exactly as it did
-                // when pinned, no matter what happened afterwards.
-                idx.seal().unwrap();
-                while idx.needs_maintenance() {
-                    idx.maintain().unwrap();
-                }
-                for (i, (snap, at_pin, queries)) in pinned.iter().enumerate() {
-                    let ctx = format!(
-                        "seed={seed:#x} threshold={threshold} workers={workers} pinned #{i}"
-                    );
-                    assert_snapshot_matches_oracle(snap, at_pin, queries, &ctx);
+                    // Every pinned epoch must still answer exactly as it did
+                    // when pinned, no matter what happened afterwards.
+                    idx.seal().unwrap();
+                    while idx.needs_maintenance() {
+                        idx.maintain().unwrap();
+                    }
+                    for (i, (snap, at_pin, queries)) in pinned.iter().enumerate() {
+                        let ctx = format!(
+                            "seed={seed:#x} threshold={threshold} workers={workers} \
+                             initial_runs={initial_runs} pinned #{i}"
+                        );
+                        assert_snapshot_matches_oracle(snap, at_pin, queries, &ctx);
+                    }
                 }
             }
         }

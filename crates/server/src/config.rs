@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use knmatch_core::{
     AdStats, BatchAnswer, BatchEngine, BatchOptions, BatchOutcome, BatchQuery, Dataset, PlanTally,
-    PlannerMode, QueryEngine, Result as CoreResult, ShardedColumns, ShardedOutcome,
-    ShardedQueryEngine, SortedColumns, VersionedIndex, DEFAULT_MERGE_THRESHOLD,
+    PlannerMode, QueryEngine, Result as CoreResult, ShardedOutcome, SortedColumns, VersionedIndex,
+    DEFAULT_MERGE_THRESHOLD,
 };
 use knmatch_storage::{
     DiskBatchOutcome, DiskDatabase, DiskQueryEngine, FileStore, IoStats, VerifyMode, MAGIC,
@@ -26,8 +26,8 @@ pub enum Backend {
     /// In-memory [`QueryEngine`]: one shared sorted-column organisation,
     /// inter-query parallelism.
     Memory,
-    /// In-memory [`ShardedQueryEngine`] over this many point-id shards:
-    /// intra-query parallelism.
+    /// In-memory [`VersionedIndex`] laid out as this many initial runs
+    /// (contiguous point-id shards): intra-query parallelism.
     Sharded(usize),
     /// Disk-backed [`DiskQueryEngine`] over a `.knm` database file.
     Disk {
@@ -52,9 +52,10 @@ pub struct EngineConfig {
     /// only) with `mode` as the default route; `None` keeps the plain
     /// single-backend engines.
     pub planner: Option<PlannerMode>,
-    /// Builds the epoch-versioned [`VersionedIndex`] instead of a
-    /// read-only engine, enabling the `INSERT`/`DELETE`/`EPOCH`/`SEAL`
-    /// verbs (in-memory only).
+    /// Builds the epoch-versioned [`VersionedIndex`] and exposes its
+    /// writer, enabling the `INSERT`/`DELETE`/`EPOCH`/`SEAL` verbs
+    /// (in-memory only). With [`Backend::Sharded`] the shard count is the
+    /// *initial* run count — compaction treats those runs like any others.
     pub mutable: bool,
     /// Delta rows before the versioned index auto-seals (mutable only).
     pub merge_threshold: usize,
@@ -122,9 +123,9 @@ impl EngineConfigBuilder {
     /// # Errors
     ///
     /// The backend conflicts [`EngineConfig::from_args`] documents:
-    /// planner with disk/sharded backends, mutable with
-    /// disk/sharded/planner (the versioned index is its own in-memory
-    /// organisation), or a merge threshold without mutable.
+    /// planner with disk/sharded backends, mutable with disk/planner (the
+    /// versioned index is its own in-memory organisation), or a merge
+    /// threshold without mutable.
     pub fn build(self) -> Result<EngineConfig, String> {
         let backend = self.backend.unwrap_or(Backend::Memory);
         if self.planner.is_some() && backend != Backend::Memory {
@@ -132,9 +133,9 @@ impl EngineConfigBuilder {
                         it cannot be combined with --disk or --shards"
                 .into());
         }
-        if self.mutable && backend != Backend::Memory {
+        if self.mutable && matches!(backend, Backend::Disk { .. }) {
             return Err("--mutable builds the in-memory versioned index; \
-                        it cannot be combined with --disk or --shards"
+                        it cannot be combined with --disk"
                 .into());
         }
         if self.mutable && self.planner.is_some() {
@@ -239,10 +240,11 @@ impl EngineConfig {
     ///
     /// Malformed numbers or modes, `--shards` combined with `--disk`,
     /// `--pool-pages` / `--verify` without `--disk`,
-    /// `--merge-threshold` without `--mutable`, or `--planner` /
-    /// `--mutable` combined with `--disk` / `--shards` (both are
-    /// in-memory organisations; see
-    /// [`build`](EngineConfigBuilder::build)).
+    /// `--merge-threshold` without `--mutable`, `--planner` combined with
+    /// `--disk` / `--shards` / `--mutable`, or `--mutable` combined with
+    /// `--disk` (see [`build`](EngineConfigBuilder::build)). `--mutable`
+    /// and `--shards` configure the same engine: `--shards` is its initial
+    /// run count, `--mutable` makes it accept writes.
     pub fn from_args(args: &[String]) -> Result<EngineConfig, String> {
         let mut builder = EngineConfig::builder();
         if let Some(w) = flag_value(args, "--workers") {
@@ -305,19 +307,18 @@ impl EngineConfig {
     ///
     /// See also [`server_config_from_args`] for the serving-side flags.
     pub fn describe(&self) -> String {
-        let backend = if self.mutable {
-            format!(
-                "mutable versioned (seal at {} rows), in-memory",
-                self.merge_threshold
-            )
-        } else {
-            match (self.backend, self.planner) {
-                (Backend::Memory, Some(mode)) => format!("planned ({mode}), in-memory"),
-                (Backend::Memory, None) => "in-memory".to_string(),
-                (Backend::Sharded(s), _) => format!("{s} shard(s), in-memory"),
-                (Backend::Disk { pool_pages, .. }, _) => format!("disk ({pool_pages} pool pages)"),
-            }
+        let mut backend = match (self.backend, self.planner) {
+            (Backend::Memory, Some(mode)) => format!("planned ({mode}), in-memory"),
+            (Backend::Memory, None) => "in-memory".to_string(),
+            (Backend::Sharded(s), _) => format!("{s} shard(s), in-memory"),
+            (Backend::Disk { pool_pages, .. }, _) => format!("disk ({pool_pages} pool pages)"),
         };
+        if self.mutable {
+            backend = format!(
+                "mutable versioned (seal at {} rows), {backend}",
+                self.merge_threshold
+            );
+        }
         format!("{backend}, {} worker(s)", self.workers)
     }
 
@@ -374,26 +375,26 @@ impl EngineConfig {
     /// (workload generators, tests). A `Disk` backend falls back to the
     /// plain in-memory engine — there is no file to read.
     pub fn build_in_memory(&self, ds: &Dataset) -> AnyEngine {
-        if self.mutable {
-            // The builder rejects mutable+disk/shards/planner, and every
-            // dataset that reaches here was validated non-empty with
-            // ≥ 1 dimension — `from_dataset` cannot fail on it.
-            return AnyEngine::Versioned(
-                VersionedIndex::from_dataset(ds, self.workers, self.merge_threshold)
+        let runs = match self.backend {
+            Backend::Sharded(s) => Some(s),
+            _ => self.mutable.then_some(1),
+        };
+        match (runs, self.planner) {
+            // The builder rejects mutable+disk/planner, and every dataset
+            // that reaches here was validated non-empty with ≥ 1
+            // dimension — `from_dataset` cannot fail on it.
+            (Some(runs), _) => AnyEngine::Runs {
+                index: VersionedIndex::from_dataset(ds, runs, self.workers, self.merge_threshold)
                     .expect("validated dataset"),
-            );
-        }
-        match (self.backend, self.planner) {
-            (Backend::Sharded(s), _) => AnyEngine::Sharded(ShardedQueryEngine::with_workers(
-                Arc::new(ShardedColumns::build_with_workers(ds, s, self.workers)),
-                self.workers,
-            )),
-            (Backend::Memory | Backend::Disk { .. }, Some(mode)) => {
+                mutable: self.mutable,
+            },
+            (None, Some(mode)) => {
                 AnyEngine::Planned(PlannedEngine::with_workers(ds, self.workers, mode))
             }
-            (Backend::Memory | Backend::Disk { .. }, None) => AnyEngine::Memory(
-                QueryEngine::with_workers(Arc::new(SortedColumns::build(ds)), self.workers),
-            ),
+            (None, None) => AnyEngine::Memory(QueryEngine::with_workers(
+                Arc::new(SortedColumns::build(ds)),
+                self.workers,
+            )),
         }
     }
 }
@@ -409,24 +410,28 @@ pub enum AnyEngine {
     Memory(QueryEngine),
     /// The cost-based per-query planner over the in-memory backends.
     Planned(PlannedEngine),
-    /// The sharded in-memory engine.
-    Sharded(ShardedQueryEngine),
     /// The disk engine over a database file.
     Disk(DiskQueryEngine<FileStore>),
-    /// The mutable epoch-versioned in-memory engine.
-    Versioned(VersionedIndex),
+    /// The in-memory run-list engine: `--shards` sets how many runs it
+    /// starts with, `--mutable` whether it accepts writes.
+    Runs {
+        /// The epoch-versioned index queries pin snapshots of.
+        index: VersionedIndex,
+        /// Whether [`BatchEngine::writer`] is exposed; read-only servers
+        /// answer every write verb with `ERR query … immutable`.
+        mutable: bool,
+    },
 }
 
 impl AnyEngine {
-    /// Points served by this engine (for the versioned engine: live
+    /// Points served by this engine (for the run-list engine: live
     /// points at the current epoch).
     pub fn cardinality(&self) -> usize {
         match self {
             AnyEngine::Memory(e) => e.columns().cardinality(),
             AnyEngine::Planned(e) => e.columns().cardinality(),
-            AnyEngine::Sharded(e) => e.columns().cardinality(),
             AnyEngine::Disk(e) => e.columns().cardinality(),
-            AnyEngine::Versioned(e) => e.live(),
+            AnyEngine::Runs { index, .. } => index.live(),
         }
     }
 
@@ -435,9 +440,8 @@ impl AnyEngine {
         match self {
             AnyEngine::Memory(e) => e.columns().dims(),
             AnyEngine::Planned(e) => e.columns().dims(),
-            AnyEngine::Sharded(e) => e.columns().dims(),
             AnyEngine::Disk(e) => e.columns().dims(),
-            AnyEngine::Versioned(e) => e.dims(),
+            AnyEngine::Runs { index, .. } => index.dims(),
         }
     }
 
@@ -457,10 +461,11 @@ impl AnyEngine {
         }
     }
 
-    /// Shard count (sharded backend only).
-    pub fn shard_count(&self) -> Option<usize> {
+    /// Runs the current snapshot reads — the shard count of a `--shards`
+    /// engine (run-list backend only).
+    pub fn run_count(&self) -> Option<usize> {
         match self {
-            AnyEngine::Sharded(e) => Some(e.columns().shard_count()),
+            AnyEngine::Runs { index, .. } => Some(index.snapshot().run_count()),
             _ => None,
         }
     }
@@ -472,7 +477,7 @@ impl AnyEngine {
 pub enum AnyOutcome {
     /// From the in-memory engine (plain or planned).
     Memory((BatchAnswer, AdStats)),
-    /// From the sharded engine.
+    /// From the run-list engine.
     Sharded(ShardedOutcome),
     /// From the disk engine.
     Disk(DiskBatchOutcome),
@@ -487,7 +492,7 @@ impl AnyOutcome {
         }
     }
 
-    /// Per-shard AD counters (sharded backend only).
+    /// Per-run AD counters (run-list backend only).
     pub fn per_shard(&self) -> Option<&[AdStats]> {
         match self {
             AnyOutcome::Sharded(o) => Some(&o.per_shard),
@@ -529,9 +534,8 @@ impl BatchEngine for AnyEngine {
         match self {
             AnyEngine::Memory(e) => e.workers(),
             AnyEngine::Planned(e) => e.workers(),
-            AnyEngine::Sharded(e) => e.workers(),
             AnyEngine::Disk(e) => e.workers(),
-            AnyEngine::Versioned(e) => e.workers(),
+            AnyEngine::Runs { index, .. } => index.workers(),
         }
     }
 
@@ -547,20 +551,12 @@ impl BatchEngine for AnyEngine {
                 .into_iter()
                 .map(|r| r.map(AnyOutcome::Memory))
                 .collect(),
-            AnyEngine::Sharded(e) => e
-                .run_with(queries, opts)
-                .into_iter()
-                .map(|r| r.map(AnyOutcome::Sharded))
-                .collect(),
             AnyEngine::Disk(e) => e
                 .run_with(queries, opts)
                 .into_iter()
                 .map(|r| r.map(AnyOutcome::Disk))
                 .collect(),
-            // Versioned runs merge per-run partials with the sharded
-            // merge (runs play the role of shards), so the outcome type
-            // is shared too.
-            AnyEngine::Versioned(e) => e
+            AnyEngine::Runs { index, .. } => index
                 .run_with(queries, opts)
                 .into_iter()
                 .map(|r| r.map(AnyOutcome::Sharded))
@@ -577,7 +573,10 @@ impl BatchEngine for AnyEngine {
 
     fn writer(&self) -> Option<&dyn knmatch_core::VersionWriter> {
         match self {
-            AnyEngine::Versioned(e) => Some(e),
+            AnyEngine::Runs {
+                index,
+                mutable: true,
+            } => Some(index),
             _ => None,
         }
     }
@@ -619,7 +618,19 @@ mod tests {
             }
         );
 
+        // `--shards` and `--mutable` configure one engine: the initial run
+        // count, and whether it takes writes.
+        let c = EngineConfig::from_args(&argv("--mutable --shards 3")).unwrap();
+        let want_runs = if available_cpus() == 1 { 1 } else { 3 };
+        assert!(c.mutable);
+        assert_eq!(c.backend, Backend::Sharded(want_runs));
+        let e = c.build_in_memory(&knmatch_core::paper::fig3_dataset());
+        // What the `EPOCH` verb reports.
+        let epoch = e.writer().expect("mutable").version_stats();
+        assert_eq!((epoch.runs, epoch.live), (want_runs, 5));
+
         assert!(EngineConfig::from_args(&argv("--disk --shards 2")).is_err());
+        assert!(EngineConfig::from_args(&argv("--mutable --disk")).is_err());
         assert!(EngineConfig::from_args(&argv("--pool-pages 9")).is_err());
         assert!(EngineConfig::from_args(&argv("--verify always")).is_err());
         assert!(EngineConfig::from_args(&argv("--disk --verify sometimes")).is_err());
@@ -668,6 +679,12 @@ mod tests {
                 mutable: true,
                 ..EngineConfig::default()
             },
+            EngineConfig {
+                workers: 2,
+                backend: Backend::Sharded(3),
+                mutable: true,
+                ..EngineConfig::default()
+            },
         ] {
             let e = cfg.build_in_memory(&ds);
             let got: Vec<_> = e
@@ -709,6 +726,11 @@ mod tests {
             ..EngineConfig::default()
         };
         assert!(c.describe().contains("mutable") && c.describe().contains("77"));
+        let c = EngineConfig {
+            backend: Backend::Sharded(3),
+            ..c
+        };
+        assert!(c.describe().contains("mutable") && c.describe().contains("3 shard(s)"));
     }
 
     #[test]
@@ -763,12 +785,15 @@ mod tests {
         let c = EngineConfig::builder().build().unwrap();
         assert_eq!(c, EngineConfig::default());
 
-        // Mutable is its own in-memory organisation.
-        assert!(EngineConfig::builder()
+        // Shards are the mutable index's initial runs…
+        let c = EngineConfig::builder()
             .mutable(true)
             .backend(Backend::Sharded(2))
             .build()
-            .is_err());
+            .unwrap();
+        assert!(c.mutable);
+        assert_eq!(c.backend, Backend::Sharded(2));
+        // …but it stays an in-memory organisation of its own.
         assert!(EngineConfig::builder()
             .mutable(true)
             .backend(Backend::Disk {
@@ -797,7 +822,6 @@ mod tests {
 
         assert!(EngineConfig::from_args(&argv("--merge-threshold 32")).is_err());
         assert!(EngineConfig::from_args(&argv("--mutable --disk")).is_err());
-        assert!(EngineConfig::from_args(&argv("--mutable --shards 2")).is_err());
         assert!(EngineConfig::from_args(&argv("--mutable --planner auto")).is_err());
         assert!(EngineConfig::from_args(&argv("--mutable --merge-threshold many")).is_err());
     }
@@ -818,11 +842,15 @@ mod tests {
         assert!(epoch > 0);
         assert_eq!(e.cardinality(), ds.len() + 1);
 
-        // Read-only engines expose none.
-        assert!(EngineConfig::default()
-            .build_in_memory(&ds)
-            .writer()
-            .is_none());
+        // Read-only engines expose none — the same run-list engine
+        // without `mutable` included.
+        for backend in [Backend::Memory, Backend::Sharded(2)] {
+            let cfg = EngineConfig {
+                backend,
+                ..EngineConfig::default()
+            };
+            assert!(cfg.build_in_memory(&ds).writer().is_none());
+        }
     }
 
     #[test]

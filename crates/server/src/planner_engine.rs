@@ -2,7 +2,7 @@
 //!
 //! [`PlannedEngine`] holds every exact in-memory backend at once — the AD
 //! algorithm over sorted columns, the VA-file filter-and-refine engine,
-//! the kernel-unrolled scan, and the IGrid (equi-depth) filter — and
+//! the kernel-loop scan, and the IGrid (equi-depth) filter — and
 //! routes **each query of a batch** to one of them. With
 //! [`PlannerMode::Auto`] the route comes from the in-memory cost model
 //! ([`plan_in_memory`]), which reproduces the paper's Figure 12 crossover

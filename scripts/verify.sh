@@ -26,6 +26,9 @@
 #               batches over the wire; graceful shutdown), a
 #               serve --mutable + ingest round trip, and release-mode
 #               protocol fuzz
+#   8. benchmark: `benchmark -- run --seed 1 --smoke` — the served-query
+#               measurement system's four workloads at 2 s each, every
+#               answer oracle-checked, exit 1 on a wrong one
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -170,5 +173,9 @@ drain "$SMOKE_DIR/mutable.log"
 
 echo "==> protocol fuzz under both reactors (release)"
 cargo test --release -q -p knmatch-server --test protocol_fuzz
+
+echo "==> benchmark --smoke (four served workloads, every answer oracle-checked)"
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+  run --seed 1 --smoke --out "$SMOKE_DIR/bench.json" >/dev/null
 
 echo "verify: OK"
