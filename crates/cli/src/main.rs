@@ -25,7 +25,7 @@ use std::process::ExitCode;
 use knmatch_core::{BatchAnswer, BatchEngine, BatchOptions, BatchOutcome, BatchQuery};
 #[cfg(unix)]
 use knmatch_server::EventServer;
-use knmatch_server::{AnyEngine, Client, EngineConfig};
+use knmatch_server::{AnyEngine, Backend, Client, EngineConfig};
 use knmatch_storage::{CostModel, DiskDatabase};
 
 fn main() -> ExitCode {
@@ -77,10 +77,11 @@ fn usage() -> &'static str {
      knmatch ingest <host:port> --points <file.csv> [--start-key N] [--seal] \
      [--binary] [--stats]\n\
      \n\
-     --shards and --mutable configure one engine, a snapshot of sorted runs: \
-     --shards S lays the data out as S initial runs searched in parallel, \
-     --mutable makes it accept INSERT/DELETE/SEAL (compaction treats the \
-     initial runs like any others).\n\
+     the in-memory engine (no --disk, no --planner) is one engine, a snapshot \
+     of sorted runs: one run by default (plain AD), --shards S lays the data \
+     out as S initial runs searched in parallel, --mutable makes it accept \
+     INSERT/DELETE/SEAL (compaction treats the initial runs like any \
+     others).\n\
      \n\
      exit codes: 0 success; 1 usage or I/O error; 2 command ran but some \
      queries failed"
@@ -256,13 +257,6 @@ fn batch(args: &[String]) -> Result<(String, bool), String> {
     let model = CostModel::default();
 
     let mut out = match &engine {
-        AnyEngine::Memory(_) => format!(
-            "{} queries ({header}) over {} points x {} dims, {} worker(s)\n",
-            queries.len(),
-            engine.cardinality(),
-            engine.dims(),
-            engine.workers()
-        ),
         AnyEngine::Planned(e) => format!(
             "{} queries ({header}) over {} points x {} dims, {} worker(s), \
              planner {}\n",
@@ -273,12 +267,18 @@ fn batch(args: &[String]) -> Result<(String, bool), String> {
             opts.planner.unwrap_or_else(|| e.default_mode()),
         ),
         AnyEngine::Runs { mutable, .. } => format!(
-            "{} queries ({header}) over {} points x {} dims{}, {} shard(s), {} worker(s)\n",
+            "{} queries ({header}) over {} points x {} dims{}{}, {} worker(s)\n",
             queries.len(),
             engine.cardinality(),
             engine.dims(),
             if *mutable { " (mutable versioned)" } else { "" },
-            engine.run_count().unwrap_or(1),
+            // The default engine is one run; the count is shown when a
+            // flag made the run list visible.
+            if *mutable || cfg.backend != Backend::Memory {
+                format!(", {} shard(s)", engine.run_count().unwrap_or(1))
+            } else {
+                String::new()
+            },
             engine.workers()
         ),
         AnyEngine::Disk(_) => format!(

@@ -115,21 +115,22 @@ pub struct SortedColumns {
     pids: Vec<PointId>,
 }
 
-/// Sorts one dimension of `ds` restricted to global pids `[lo, hi)` into
-/// `pairs` (a reusable buffer), returning the split `(values, pids)` with
-/// pids rebased to `lo`. Tie order between equal values is the explicit
-/// `(value, pid)` key ([`SortedEntry::cmp_value_pid`]) — never the layout.
-pub(crate) fn sort_dim_range(
-    ds: &Dataset,
+/// Sorts dimension `dim` of the row-major block `rows` (`dims` values per
+/// row) into `pairs` (a reusable buffer), returning the split
+/// `(values, pids)` with pid = row index within the block. Tie order
+/// between equal values is the explicit `(value, pid)` key
+/// ([`SortedEntry::cmp_value_pid`]) — never the layout.
+fn sort_dim(
+    rows: &[f64],
+    dims: usize,
     dim: usize,
-    lo: usize,
-    hi: usize,
     pairs: &mut Vec<SortedEntry>,
 ) -> (Vec<f64>, Vec<PointId>) {
     pairs.clear();
-    pairs.extend((lo..hi).map(|i| SortedEntry {
-        pid: (i - lo) as PointId,
-        value: ds.coord(i as PointId, dim),
+    let block = rows.chunks_exact(dims).enumerate();
+    pairs.extend(block.map(|(pid, row)| SortedEntry {
+        pid: pid as PointId,
+        value: row[dim],
     }));
     pairs.sort_unstable_by(SortedEntry::cmp_value_pid);
     (
@@ -150,26 +151,24 @@ impl SortedColumns {
     /// ≥ 1). The result is identical at any worker count: each dimension
     /// sorts independently with the explicit `(value, pid)` key.
     pub fn build_with_workers(ds: &Dataset, workers: usize) -> Self {
-        let dims = ds.dims();
-        let cardinality = ds.len();
-        let cols = run_batch(workers.max(1), dims, Vec::new, |pairs, dim| {
-            sort_dim_range(ds, dim, 0, cardinality, pairs)
-        });
-        Self::from_sorted_parts(cardinality, cols)
+        Self::build_rows(ds.as_flat(), ds.dims(), workers)
     }
 
-    /// Assembles per-dimension sorted `(values, pids)` parts into the flat
-    /// dimension-major arrays.
-    pub(crate) fn from_sorted_parts(
-        cardinality: usize,
-        cols: Vec<(Vec<f64>, Vec<PointId>)>,
-    ) -> Self {
-        let dims = cols.len();
+    /// Builds the columns of a borrowed row-major block of `dims`-wide
+    /// rows, entry pids = row indices within the block (a block cut out of
+    /// a larger dataset gets local pids from 0 in its row order) — how a
+    /// [`VersionedIndex`](crate::VersionedIndex) builds every run, with no
+    /// copy of the caller's rows. Values must be finite: rows of a
+    /// validated [`Dataset`], or validated on insert.
+    pub(crate) fn build_rows(rows: &[f64], dims: usize, workers: usize) -> Self {
+        debug_assert_eq!(rows.len() % dims, 0);
+        let cardinality = rows.len() / dims;
+        let cols = run_batch(workers.max(1), dims, Vec::new, |pairs, dim| {
+            sort_dim(rows, dims, dim, pairs)
+        });
         let mut values = Vec::with_capacity(dims * cardinality);
         let mut pids = Vec::with_capacity(dims * cardinality);
         for (v, p) in cols {
-            debug_assert_eq!(v.len(), cardinality);
-            debug_assert_eq!(p.len(), cardinality);
             values.extend_from_slice(&v);
             pids.extend_from_slice(&p);
         }
@@ -179,20 +178,6 @@ impl SortedColumns {
             values,
             pids,
         }
-    }
-
-    /// Builds the columns of the contiguous pid range `[lo, hi)` of `ds`,
-    /// with entry pids rebased to `lo` (so local pids start at 0 and
-    /// preserve global pid order) — the reference a run of
-    /// [`VersionedIndex::from_dataset`](crate::VersionedIndex::from_dataset)'s
-    /// split is checked against.
-    #[cfg(test)]
-    pub(crate) fn build_range(ds: &Dataset, lo: usize, hi: usize, workers: usize) -> Self {
-        let dims = ds.dims();
-        let cols = run_batch(workers.max(1), dims, Vec::new, |pairs, dim| {
-            sort_dim_range(ds, dim, lo, hi, pairs)
-        });
-        Self::from_sorted_parts(hi - lo, cols)
     }
 
     /// Builds directly from row slices (validates like [`Dataset::from_rows`]).
@@ -377,7 +362,7 @@ mod tests {
             vec![3.5, 1.5],
         ];
         let ds = Dataset::from_rows(&rows).unwrap();
-        let shard = SortedColumns::build_range(&ds, 2, 5, 1);
+        let shard = SortedColumns::build_rows(&ds.as_flat()[2 * 2..5 * 2], 2, 1);
         let direct = SortedColumns::from_rows(&rows[2..5]).unwrap();
         assert_eq!(shard.values, direct.values);
         assert_eq!(shard.pids, direct.pids);

@@ -277,10 +277,11 @@ impl BatchOutcome for (BatchAnswer, AdStats) {
 /// A batch executor for [`BatchQuery`] workloads: the one API every
 /// backend implements and every front-end consumes.
 ///
-/// Three engines implement it — [`QueryEngine`] (shared in-memory
-/// columns, inter-query parallelism),
-/// [`VersionedIndex`](crate::VersionedIndex) (a snapshot of runs:
-/// intra-query parallelism and live writes), and the disk engine in
+/// Three AD engines implement it — [`QueryEngine`] (shared in-memory
+/// columns, inter-query parallelism; the reference),
+/// [`VersionedIndex`](crate::VersionedIndex) (a snapshot of runs: plain
+/// AD at one run, intra-query parallelism at more, live writes; what the
+/// front-ends serve from memory), and the disk engine in
 /// `knmatch-storage` (shared buffer pool over a database file). All three
 /// promise the same contract:
 ///
@@ -295,7 +296,7 @@ impl BatchOutcome for (BatchAnswer, AdStats) {
 ///   [`run`](BatchEngine::run).
 ///
 /// The trait keeps generic callers honest: the network front-end in
-/// `knmatch-server` serves all three backends through one code path, and
+/// `knmatch-server` serves every backend through one code path, and
 /// cross-check tests compare a served batch against a direct
 /// [`run`](BatchEngine::run) call on the same engine value.
 pub trait BatchEngine {
@@ -358,9 +359,10 @@ pub fn isolate_panic<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
 /// caller-provided working memory.
 ///
 /// This is the single dispatch point every batch executor funnels through:
-/// the in-memory [`QueryEngine`], the disk-backed engine in
-/// `knmatch-storage`, and sequential cross-check loops all call it, so
-/// answers and [`AdStats`] cannot drift between them.
+/// the in-memory [`QueryEngine`], every run of a versioned snapshot, the
+/// planner's AD route, the disk-backed engine in `knmatch-storage`, and
+/// sequential cross-check loops all call it, so answers and [`AdStats`]
+/// cannot drift between them.
 ///
 /// # Errors
 ///
@@ -456,6 +458,10 @@ where
 
 /// Executes batches of matching queries in parallel over one shared
 /// [`SortedColumns`].
+///
+/// This is the reference batch engine: the front-ends serve a static
+/// dataset as a one-run [`VersionedIndex`](crate::VersionedIndex), whose
+/// answers and [`AdStats`] the cross-checks hold equal to this engine's.
 ///
 /// # Examples
 ///

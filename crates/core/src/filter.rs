@@ -394,6 +394,11 @@ impl BandEngine {
         self.workers
     }
 
+    /// Cells dimension `dim` is quantised into.
+    pub fn cells(&self, dim: usize) -> usize {
+        self.boundaries[dim].len() - 1
+    }
+
     /// The inclusive cell band of `dim` intersecting the value interval
     /// `[lo, hi]`, or `None` when no cell does. A cell intersects exactly
     /// when the per-dimension difference lower bound it implies is ≤ the

@@ -58,7 +58,9 @@
 //!   plus the ε-threshold variant and the paper-literal linear `g[]` ablation;
 //! - [`scratch`] / [`Scratch`] — reusable epoch-stamped query working memory;
 //! - [`engine`] / [`QueryEngine`] — parallel batch execution over shared
-//!   columns, and the [`BatchEngine`] trait every batch backend implements;
+//!   columns (the reference the run-list engine is cross-checked against;
+//!   front-ends serve a one-run [`VersionedIndex`] instead), and the
+//!   [`BatchEngine`] trait every batch backend implements;
 //! - [`kernels`] — autovectorization-friendly inner-loop kernels for the
 //!   filter and scan hot paths;
 //! - [`filter`] / [`ScanEngine`] / [`BandEngine`] — exact filter-and-refine
@@ -68,8 +70,9 @@
 //!   of the points (a snapshot's runs): intra-query parallelism;
 //! - [`stream`] — lazy ascending-difference answer iterator;
 //! - [`versioned`] / [`VersionedIndex`] — epoch-versioned MVCC index:
-//!   delta + sealed runs + pinned snapshots, writers never block readers;
-//!   seeded with more than one run it is the sharded engine;
+//!   delta + sealed runs (keys + columns each) + pinned snapshots, writers
+//!   never block readers; seeded with one run it is plain AD, with more
+//!   it is the sharded engine;
 //! - [`hybrid`] — mixed numeric/categorical/weighted schemas (footnote 1);
 //! - [`naive`] — full-scan reference algorithms;
 //! - [`knn`] / [`metrics`] — kNN baselines (L_p, Chebyshev, DPF);

@@ -1,14 +1,14 @@
 //! The exact `(diff, pid)` merge behind intra-query parallelism: the
-//! `(query × part)` fan-out and the per-kind merge functions that
-//! [`EpochSnapshot`](crate::EpochSnapshot) runs over its runs.
+//! per-kind merge functions that [`EpochSnapshot`](crate::EpochSnapshot)
+//! regroups its `(query × run)` fan-out with.
 //!
 //! The batch [`QueryEngine`](crate::QueryEngine) parallelises *across*
 //! queries; one giant query still walks its frontier on a single core. A
 //! [`VersionedIndex`](crate::VersionedIndex) holding more than one run —
 //! seeded that way by [`from_dataset`](crate::VersionedIndex::from_dataset)
 //! or grown by sealing — runs the unmodified AD core on every run
-//! concurrently (one [`run_batch`] work item per run, per-worker
-//! [`Scratch`] reuse) and merges the per-run streams here. Each run is a
+//! concurrently (one `run_batch` work item per run, per-worker
+//! `Scratch` reuse) and merges the per-run streams here. Each run is a
 //! shard of the key space; this module keeps the word.
 //!
 //! # Why the merge is exact
@@ -51,11 +51,9 @@
 use std::collections::HashMap;
 
 use crate::ad::AdStats;
-use crate::engine::{note_outcome, run_batch, BatchAnswer, BatchOptions, BatchOutcome, BatchQuery};
-use crate::error::Result;
+use crate::engine::{BatchAnswer, BatchOutcome, BatchQuery};
 use crate::point::PointId;
 use crate::result::{rank_frequent, FrequentResult, KnMatchResult, MatchEntry};
-use crate::scratch::Scratch;
 
 /// The answer of one query merged over shards: the merged [`BatchAnswer`]
 /// (bit-identical to the unsharded engine's) plus the cost split.
@@ -84,80 +82,12 @@ impl BatchOutcome for ShardedOutcome {
     }
 }
 
-/// The `(query × part)` fan-out of an engine whose answer is an exact
-/// merge over independent parts (the versioned index's runs): queries
-/// are validated against the global `(dims, cardinality)` shape, every
-/// valid query contributes `parts` tasks to one [`run_batch`] pool — so a
-/// single query and a large batch both keep every worker busy, all
-/// sharing the batch's deadline clock and cancel flag — and each query's
-/// per-part outcomes regroup into one [`merge_shards`] call. Invalid
-/// queries yield their validation error without spawning part work; a
-/// part that fails (deadline, cancellation, a panic caught at the task
-/// boundary) fails only its own query — first failing part, in part
-/// order, wins — while the rest of the batch completes.
-pub(crate) fn fan_out<F>(
-    queries: &[BatchQuery],
-    opts: &BatchOptions,
-    workers: usize,
-    (dims, cardinality): (usize, usize),
-    parts: usize,
-    run_part: F,
-) -> Vec<Result<ShardedOutcome>>
-where
-    F: Fn(&BatchQuery, usize, &mut Scratch) -> Result<(BatchAnswer, AdStats)> + Sync,
-{
-    let validity: Vec<Result<()>> = queries
-        .iter()
-        .map(|q| q.validate(dims, cardinality))
-        .collect();
-    let mut tasks = Vec::new();
-    for (qi, v) in validity.iter().enumerate() {
-        if v.is_ok() {
-            tasks.extend((0..parts).map(|p| (qi, p)));
-        }
-    }
-    let control = opts.arm();
-    let outs = run_batch(
-        workers,
-        tasks.len(),
-        || control.scratch(),
-        |scratch, t| {
-            let (qi, p) = tasks[t];
-            let out = run_part(&queries[qi], p, scratch);
-            note_outcome(&control, &out);
-            out
-        },
-    );
-    // Tasks were pushed query-major, so each valid query owns the next
-    // `parts` outputs in order.
-    let mut outs = outs.into_iter();
-    validity
-        .into_iter()
-        .enumerate()
-        .map(|(qi, v)| {
-            v.and_then(|()| {
-                let mut answers = Vec::with_capacity(parts);
-                let mut first_err = None;
-                for part in outs.by_ref().take(parts) {
-                    match part {
-                        Ok(x) => answers.push(x),
-                        Err(e) => {
-                            first_err.get_or_insert(e);
-                        }
-                    }
-                }
-                match first_err {
-                    Some(e) => Err(e),
-                    None => Ok(merge_shards(&queries[qi], answers)),
-                }
-            })
-        })
-        .collect()
-}
-
 /// Merges the per-shard outcomes of one query into the global answer plus
 /// the cost split.
-fn merge_shards(query: &BatchQuery, parts: Vec<(BatchAnswer, AdStats)>) -> ShardedOutcome {
+pub(crate) fn merge_shards(
+    query: &BatchQuery,
+    parts: Vec<(BatchAnswer, AdStats)>,
+) -> ShardedOutcome {
     let per_shard: Vec<AdStats> = parts.iter().map(|(_, s)| *s).collect();
     let mut stats = AdStats::default();
     for s in &per_shard {
@@ -251,8 +181,9 @@ fn merge_frequent(
 mod tests {
     use super::*;
     use crate::columns::SortedColumns;
-    use crate::engine::{BatchEngine, QueryEngine};
+    use crate::engine::{BatchEngine, BatchOptions, QueryEngine};
     use crate::error::KnMatchError;
+    use crate::point::Dataset;
     use crate::versioned::{VersionedIndex, DEFAULT_MERGE_THRESHOLD};
     use std::sync::Arc;
 
@@ -319,7 +250,8 @@ mod tests {
         for s in 0..2 {
             let (keys, cols) = snap.run_parts(s);
             let (lo, hi) = (keys[0] as usize, keys[keys.len() - 1] as usize + 1);
-            let direct = SortedColumns::build_range(&ds, lo, hi, 1);
+            let sub_rows: Vec<&[f64]> = (lo..hi).map(|pid| ds.point(pid as PointId)).collect();
+            let direct = SortedColumns::build(&Dataset::from_rows(&sub_rows).unwrap());
             for dim in 0..ds.dims() {
                 assert_eq!(cols.column(dim).to_vec(), direct.column(dim).to_vec());
             }
@@ -447,6 +379,34 @@ mod tests {
             engine.run_with(&fig3_batch(), &opts),
             engine.run(&fig3_batch())
         );
+    }
+
+    #[test]
+    fn fail_fast_sees_an_invalid_query_like_any_other_failure() {
+        // One worker runs tasks in input order, so everything after the
+        // invalid query is cancelled — at one run what `QueryEngine` does
+        // (`engine::tests::fail_fast_cancels_queries_after_a_failure`).
+        let mut queries = fig3_batch();
+        let query = vec![1.0];
+        queries.insert(1, BatchQuery::KnMatch { query, k: 1, n: 1 });
+        let opts = BatchOptions {
+            fail_fast: true,
+            ..BatchOptions::default()
+        };
+        let ds = crate::paper::fig3_dataset();
+        for shards in [1, 3] {
+            let engine = VersionedIndex::from_dataset(&ds, shards, 1, 4).unwrap();
+            let got = engine.run_with(&queries, &opts);
+            assert!(got[0].is_ok(), "shards={shards}");
+            assert!(matches!(
+                got[1],
+                Err(KnMatchError::DimensionMismatch { .. })
+            ));
+            assert_eq!(
+                got[2..],
+                [Err(KnMatchError::Cancelled), Err(KnMatchError::Cancelled)]
+            );
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //!
 //! - an in-memory **delta** of keyed rows, sorted by key, that receives
 //!   every insert and delete;
-//! - immutable **sealed runs** — each a [`SortedColumns`] built over a
-//!   key-sorted row block, plus a per-run tombstone list for points
-//!   deleted after sealing;
+//! - immutable **sealed runs** — each the ascending key list of a row
+//!   block and the [`SortedColumns`] built over it (nothing else: the
+//!   columns hold every coordinate once), plus a per-run tombstone list
+//!   for points deleted after sealing;
 //! - a monotonically increasing **epoch**, bumped by every logical
 //!   mutation.
 //!
@@ -45,18 +46,23 @@
 //! runs fans every query out into `S` tasks on the worker pool. With no
 //! tombstones `k' = min(run cardinality, k)` and each run's [`AdStats`]
 //! are bit-identical to sequential AD over that run's columns alone;
-//! with one run they equal [`QueryEngine`](crate::QueryEngine)'s.
+//! with one run they equal [`QueryEngine`](crate::QueryEngine)'s — which
+//! is why a static dataset is served as a one-run index and
+//! `QueryEngine` is the reference the cross-checks compare against.
 //!
 //! ## Lifecycle
 //!
 //! The delta is rebuilt into a one-run [`SortedColumns`] on every
 //! mutation (cost `O(|delta| · d · log |delta|)`, bounded because the
 //! delta **auto-seals** into a run at `merge_threshold` rows). Sealing
-//! is O(1) — the freshly built delta run simply becomes immutable.
-//! [`VersionWriter::maintain`] compacts the run list (merging runs and
-//! dropping tombstoned rows) once it grows past the fanout or turns
+//! costs one more such build: the writer keeps the delta as raw rows, so
+//! the run it seals is built from them, not taken from the published
+//! view. [`VersionWriter::maintain`] compacts the run list (merging runs
+//! and dropping tombstoned rows) once it grows past the fanout or turns
 //! mostly dead; servers schedule it on their executor pools after
-//! writes. Compaction builds the merged run **outside** both locks and
+//! writes. A run keeps no row-major copy, so compaction scatters the live
+//! rows back out of the captured runs' columns (`live_rows_of`) — the
+//! f64 bits that went in. It builds the merged run **outside** both locks and
 //! installs it only if the captured runs are still in place, folding in
 //! any tombstones that arrived mid-build — concurrent writers are never
 //! stalled by a merge, and a compacted view answers bit-identically to
@@ -67,13 +73,14 @@ use std::sync::{Arc, Mutex, RwLock};
 use crate::ad::AdStats;
 use crate::columns::SortedColumns;
 use crate::engine::{
-    execute_batch_query, isolate_panic, BatchAnswer, BatchEngine, BatchOptions, BatchQuery,
+    execute_batch_query, isolate_panic, note_outcome, run_batch, BatchAnswer, BatchEngine,
+    BatchOptions, BatchQuery,
 };
 use crate::error::{KnMatchError, Result};
 use crate::point::{validate_finite, Dataset, PointId};
 use crate::result::KnMatchResult;
 use crate::scratch::Scratch;
-use crate::sharded::{fan_out, ShardedOutcome};
+use crate::sharded::{merge_shards, ShardedOutcome};
 
 /// Default number of delta rows that triggers an automatic seal.
 pub const DEFAULT_MERGE_THRESHOLD: usize = 1024;
@@ -141,8 +148,7 @@ pub trait VersionWriter: Sync {
     ///
     /// # Errors
     ///
-    /// Propagates row-validation failures from the rebuild (unreachable
-    /// for rows that were accepted by [`VersionWriter::insert`]).
+    /// Infallible today; the `Result` keeps the wire surface uniform.
     fn maintain(&self) -> Result<bool>;
 
     /// The current epoch.
@@ -152,36 +158,26 @@ pub trait VersionWriter: Sync {
     fn version_stats(&self) -> VersionStats;
 }
 
-/// One immutable sealed run: rows in ascending key order, their sorted
-/// per-dimension columns, and the key list mapping local pids back to
-/// keys.
+/// One immutable sealed run: the key list mapping local pids back to
+/// keys, and the sorted per-dimension columns of its rows — the only
+/// copy of the coordinates ([`live_rows_of`] scatters rows back out).
 #[derive(Debug)]
 struct SealedRun {
     /// Keys in ascending order; index = the run-local pid.
     keys: Vec<PointId>,
-    /// Row-major coordinates in the same order (kept for compaction and
-    /// oracle extraction).
-    coords: Vec<f64>,
     /// The sorted-dimension organisation the AD core walks.
     cols: SortedColumns,
 }
 
 impl SealedRun {
-    /// Builds a run from key-ascending rows. `keys` must be strictly
-    /// ascending and `coords.len() == keys.len() * dims`.
-    fn build(
-        keys: Vec<PointId>,
-        coords: Vec<f64>,
-        dims: usize,
-        workers: usize,
-    ) -> Result<Arc<Self>> {
+    /// Builds a run over the borrowed row-major `rows`, which hold the
+    /// points of `keys` in the same (strictly ascending) order — finite
+    /// values, `rows.len() == keys.len() * dims`.
+    fn build(keys: Vec<PointId>, rows: &[f64], dims: usize, workers: usize) -> Arc<Self> {
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        let mut ds = Dataset::with_capacity(dims, keys.len())?;
-        for row in coords.chunks_exact(dims) {
-            ds.push(row)?;
-        }
-        let cols = SortedColumns::build_with_workers(&ds, workers);
-        Ok(Arc::new(SealedRun { keys, coords, cols }))
+        debug_assert_eq!(rows.len(), keys.len() * dims);
+        let cols = SortedColumns::build_rows(rows, dims, workers);
+        Arc::new(SealedRun { keys, cols })
     }
 
     fn len(&self) -> usize {
@@ -249,17 +245,9 @@ impl EpochSnapshot {
     /// these rows and mapping its dense pids through the key list must
     /// reproduce this snapshot's answers bit-identically.
     pub fn live_rows(&self) -> Vec<(PointId, Vec<f64>)> {
-        let dims = self.inner.dims;
-        let mut rows: Vec<(PointId, Vec<f64>)> = Vec::with_capacity(self.inner.live);
-        for sr in &self.inner.runs {
-            for (i, &key) in sr.run.keys.iter().enumerate() {
-                if sr.tombs.binary_search(&key).is_err() {
-                    rows.push((key, sr.run.coords[i * dims..(i + 1) * dims].to_vec()));
-                }
-            }
-        }
-        rows.sort_unstable_by_key(|&(key, _)| key);
-        rows
+        let (keys, rows) = live_rows_of(&self.inner.runs, self.inner.dims);
+        let rows = rows.chunks_exact(self.inner.dims).map(<[f64]>::to_vec);
+        keys.into_iter().zip(rows).collect()
     }
 
     /// Run `ri`'s ascending keys and sorted columns, for the unit tests
@@ -350,6 +338,39 @@ fn globalise(answer: BatchAnswer, sr: &SnapRun, query: &BatchQuery) -> BatchAnsw
     }
 }
 
+/// Every live row of `runs` in ascending key order: the keys, and their
+/// row-major coordinates scattered back out of the runs' columns — entry
+/// `(value, pid)` of dimension `j` lands at `rows[slot(pid) · d + j]`, the
+/// f64 bits the run was built from, so a rebuild over these rows is
+/// bit-identical to one over the originals.
+fn live_rows_of(runs: &[SnapRun], dims: usize) -> (Vec<PointId>, Vec<f64>) {
+    let live = |sr: &SnapRun, key: &PointId| sr.tombs.binary_search(key).is_err();
+    let mut keys: Vec<PointId> = Vec::new();
+    for sr in runs {
+        keys.extend(sr.run.keys.iter().filter(|key| live(sr, key)));
+    }
+    keys.sort_unstable();
+    let mut rows = vec![0.0; keys.len() * dims];
+    for sr in runs {
+        // Where each local pid's row lands; `None` for a tombstoned one.
+        let slot: Vec<Option<usize>> = sr
+            .run
+            .keys
+            .iter()
+            .map(|key| keys.binary_search(key).ok().filter(|_| live(sr, key)))
+            .collect();
+        for j in 0..dims {
+            let col = sr.run.cols.column(j);
+            for (&value, &pid) in col.values().iter().zip(col.pids()) {
+                if let Some(s) = slot[pid as usize] {
+                    rows[s * dims + j] = value;
+                }
+            }
+        }
+    }
+    (keys, rows)
+}
+
 impl BatchEngine for EpochSnapshot {
     type Outcome = ShardedOutcome;
 
@@ -357,18 +378,47 @@ impl BatchEngine for EpochSnapshot {
         self.workers
     }
 
-    /// Runs the batch against this frozen view: every `(query, run)`
-    /// pair is an independent task on the claim-chunk pool, and per-run
-    /// answers merge with the exact `(diff, key)` rule.
+    /// Runs the batch against this frozen view. Queries are validated
+    /// against the snapshot's `(dims, live)` shape and every `(query, run)`
+    /// pair is one task on the [`run_batch`] pool — so a single query and a
+    /// large batch both keep every worker busy, all sharing the batch's
+    /// deadline clock and cancel flag — then each query's per-run answers
+    /// merge with the exact `(diff, key)` rule. An invalid query's tasks
+    /// do no run work: they report its validation error in their turn, so
+    /// a fail-fast batch sees it as it sees any other failure. A run that
+    /// fails (deadline, cancellation, a panic caught at the task boundary)
+    /// fails only its own query — first failing run, in run order, wins.
     fn run_with(&self, queries: &[BatchQuery], opts: &BatchOptions) -> Vec<Result<ShardedOutcome>> {
-        fan_out(
-            queries,
-            opts,
+        let (inner, runs) = (&*self.inner, self.inner.runs.len());
+        let validity: Vec<Result<()>> = queries
+            .iter()
+            .map(|q| q.validate(inner.dims, inner.live))
+            .collect();
+        let control = opts.arm();
+        // Query-major: query `qi` owns tasks `qi·runs .. (qi + 1)·runs`.
+        let outs = run_batch(
             self.workers,
-            (self.inner.dims, self.inner.live),
-            self.inner.runs.len(),
-            |query, r, scratch| self.run_run(query, r, scratch),
-        )
+            queries.len() * runs,
+            || control.scratch(),
+            |scratch, t| {
+                let (qi, ri) = (t / runs, t % runs);
+                let out = validity[qi]
+                    .clone()
+                    .and_then(|()| self.run_run(&queries[qi], ri, scratch));
+                note_outcome(&control, &out);
+                out
+            },
+        );
+        let mut outs = outs.into_iter();
+        let regroup = |(query, v): (&BatchQuery, Result<()>)| {
+            let mut parts = outs.by_ref().take(runs);
+            let answers = parts.by_ref().collect::<Result<Vec<_>>>();
+            parts.for_each(drop); // a failed run ends the collect early
+                                  // `v` first: with no runs (an empty index) no task carries
+                                  // the validation error.
+            v.and(answers).map(|answers| merge_shards(query, answers))
+        };
+        queries.iter().zip(validity).map(regroup).collect()
     }
 }
 
@@ -516,9 +566,9 @@ impl VersionedIndex {
             for i in 0..s {
                 let hi = lo + c / s + usize::from(i < c % s);
                 let keys: Vec<PointId> = (lo as PointId..hi as PointId).collect();
-                let coords = ds.as_flat()[lo * d..hi * d].to_vec();
+                let rows = &ds.as_flat()[lo * d..hi * d];
                 w.runs.push(SnapRun {
-                    run: SealedRun::build(keys, coords, d, idx.workers)?,
+                    run: SealedRun::build(keys, rows, d, idx.workers),
                     tombs: Arc::new(Vec::new()),
                 });
                 lo = hi;
@@ -568,15 +618,13 @@ impl VersionedIndex {
     fn publish(&self, w: &WriterState) {
         let mut runs: Vec<SnapRun> = w.runs.clone();
         if !w.delta_keys.is_empty() {
-            let run = SealedRun::build(
-                w.delta_keys.clone(),
-                w.delta_coords.clone(),
-                self.dims,
-                self.workers,
-            )
-            .expect("delta rows were validated on insert");
             runs.push(SnapRun {
-                run,
+                run: SealedRun::build(
+                    w.delta_keys.clone(),
+                    &w.delta_coords,
+                    self.dims,
+                    self.workers,
+                ),
                 tombs: Arc::new(Vec::new()),
             });
         }
@@ -590,23 +638,21 @@ impl VersionedIndex {
         *self.published.write().expect("published lock poisoned") = view;
     }
 
-    /// Moves the delta into a sealed run. O(1): the published view has
-    /// already built the delta's columns; this rebuilds them once more
-    /// only because the writer keeps raw rows (cheap relative to the
-    /// mutation that filled the delta).
-    fn seal_locked(&self, w: &mut WriterState) -> Result<()> {
+    /// Moves the delta into a sealed run, building its columns from the
+    /// writer's raw rows (one more build of the size every mutation
+    /// already pays in [`publish`](Self::publish)).
+    fn seal_locked(&self, w: &mut WriterState) {
         if w.delta_keys.is_empty() {
-            return Ok(());
+            return;
         }
         let keys = std::mem::take(&mut w.delta_keys);
-        let coords = std::mem::take(&mut w.delta_coords);
-        let run = SealedRun::build(keys, coords, self.dims, self.workers)?;
+        let run = SealedRun::build(keys, &w.delta_coords, self.dims, self.workers);
+        w.delta_coords.clear();
         w.runs.push(SnapRun {
             run,
             tombs: Arc::new(Vec::new()),
         });
         w.seals += 1;
-        Ok(())
     }
 
     /// One compaction pass: merge every sealed run into a single run,
@@ -622,26 +668,9 @@ impl VersionedIndex {
             }
             w.runs.clone()
         };
-        let dims = self.dims;
-        let mut rows: Vec<(PointId, usize, usize)> = Vec::new(); // (key, run, slot)
-        for (ri, sr) in captured.iter().enumerate() {
-            for (i, &key) in sr.run.keys.iter().enumerate() {
-                if sr.tombs.binary_search(&key).is_err() {
-                    rows.push((key, ri, i));
-                }
-            }
-        }
-        rows.sort_unstable_by_key(|&(key, _, _)| key);
-        let mut keys = Vec::with_capacity(rows.len());
-        let mut coords = Vec::with_capacity(rows.len() * dims);
-        for (key, ri, i) in rows {
-            keys.push(key);
-            coords.extend_from_slice(&captured[ri].run.coords[i * dims..(i + 1) * dims]);
-        }
-        let merged = if keys.is_empty() {
-            None
-        } else {
-            Some(SealedRun::build(keys, coords, dims, self.workers)?)
+        let merged = {
+            let (keys, rows) = live_rows_of(&captured, self.dims);
+            (!keys.is_empty()).then(|| SealedRun::build(keys, &rows, self.dims, self.workers))
         };
 
         let mut w = self.lock_writer();
@@ -731,7 +760,7 @@ impl VersionWriter for VersionedIndex {
         w.epoch += 1;
         w.inserts += 1;
         if w.delta_len() >= self.merge_threshold {
-            self.seal_locked(&mut w)?;
+            self.seal_locked(&mut w);
         }
         self.publish(&w);
         Ok(w.epoch)
@@ -757,7 +786,7 @@ impl VersionWriter for VersionedIndex {
     fn seal(&self) -> Result<u64> {
         let mut w = self.lock_writer();
         let had_delta = !w.delta_keys.is_empty();
-        self.seal_locked(&mut w)?;
+        self.seal_locked(&mut w);
         if had_delta {
             self.publish(&w);
         }
@@ -767,9 +796,7 @@ impl VersionWriter for VersionedIndex {
     fn needs_maintenance(&self) -> bool {
         let w = self.lock_writer();
         let sealed: usize = w.runs.iter().map(|r| r.run.len()).sum();
-        w.runs.len() > MAX_RUNS
-            || (w.runs.len() > 1 && w.tombstones() * 2 > sealed)
-            || (w.runs.len() == 1 && w.tombstones() * 2 > sealed && sealed > 0)
+        w.runs.len() > MAX_RUNS || w.tombstones() * 2 > sealed
     }
 
     fn maintain(&self) -> Result<bool> {
@@ -1016,6 +1043,62 @@ mod tests {
         idx.insert(5, &[1.0, 1.0, 1.0]).unwrap();
         idx.remove(0).unwrap();
         assert_matches_oracle(&idx.snapshot(), &sample_queries());
+    }
+
+    /// A run keeps no rows, only columns: what `live_rows` (and with it
+    /// compaction) scatters back out must be the rows that went in, bit
+    /// for bit — `-0.0` beside `0.0`, subnormals, a whole column of
+    /// duplicates, and a single-point index included.
+    #[test]
+    fn rows_scattered_out_of_columns_are_the_rows_put_in() {
+        let tricky: Vec<Vec<f64>> = vec![
+            vec![-0.0, f64::MIN_POSITIVE / 2.0, 7.0],
+            vec![0.0, -f64::MIN_POSITIVE / 4.0, 7.0],
+            vec![-0.0, 5e-324, 7.0],
+            vec![1.5, 0.0, 7.0],
+            vec![0.0, -0.0, 7.0],
+            vec![-1.5, f64::MAX, 7.0],
+            vec![f64::MIN, 1.5, 7.0],
+        ];
+        // (key, bits of the row), keys = positions in `tricky`.
+        let want = |keys: &[usize]| -> Vec<(PointId, Vec<u64>)> {
+            let bits = |i: &usize| tricky[*i].iter().map(|v| v.to_bits()).collect();
+            keys.iter().map(|i| (*i as PointId, bits(i))).collect()
+        };
+        let got = |idx: &VersionedIndex| -> Vec<(PointId, Vec<u64>)> {
+            let rows = idx.snapshot().live_rows().into_iter();
+            rows.map(|(key, row)| (key, row.iter().map(|v| v.to_bits()).collect()))
+                .collect()
+        };
+        for c in [7, 1] {
+            let ds = Dataset::from_rows(&tricky[..c]).unwrap();
+            for runs in [1, 3] {
+                let idx = VersionedIndex::from_dataset(&ds, runs, 2, 4).unwrap();
+                assert_eq!(got(&idx), want(&(0..c).collect::<Vec<_>>()), "runs={runs}");
+            }
+        }
+        // Inserted in descending key order; read back from the delta run,
+        // then from the sealed run.
+        let idx = VersionedIndex::new(3, 1, 100).unwrap();
+        for (key, row) in tricky.iter().enumerate().rev() {
+            idx.insert(key as PointId, row).unwrap();
+        }
+        assert_eq!(got(&idx), want(&[0, 1, 2, 3, 4, 5, 6]));
+        idx.seal().unwrap();
+        assert_eq!(idx.version_stats().delta_len, 0);
+        assert_eq!(got(&idx), want(&[0, 1, 2, 3, 4, 5, 6]));
+        // Three runs of two, most rows deleted: the compacted run is built
+        // from scattered rows and must hand the survivors back unchanged.
+        let idx = VersionedIndex::new(3, 2, 2).unwrap();
+        for (key, row) in tricky.iter().enumerate() {
+            idx.insert(key as PointId, row).unwrap();
+        }
+        for key in [0, 1, 3, 5] {
+            idx.remove(key).unwrap();
+        }
+        assert!(idx.maintain().unwrap());
+        assert_eq!(idx.version_stats().tombstones, 0);
+        assert_eq!(got(&idx), want(&[2, 4, 6]));
     }
 
     #[test]

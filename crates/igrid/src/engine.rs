@@ -1,10 +1,10 @@
 //! The IGrid partitioning as a first-class *exact* serving backend.
 //!
 //! [`IGridIndex`](crate::IGridIndex) answers approximate
-//! proximity-weighted queries; [`IGridEngine`] reuses the same equi-depth
+//! proximity-weighted queries; [`igrid_engine`] reuses the same equi-depth
 //! per-dimension partitioning ([`EquiDepthPartition`]) but as a
-//! quantisation for the core band-count filter, so it serves the exact
-//! query kinds through the [`BatchEngine`] surface with answers
+//! quantisation for the core band-count filter ([`BandEngine`]), so it
+//! serves the exact query kinds through the `BatchEngine` surface with answers
 //! bit-identical to the sequential oracle. Against the VA-file's
 //! equi-width cells, equi-depth ranges adapt to skewed value
 //! distributions (each cell prunes a similar number of points); the
@@ -13,94 +13,29 @@
 
 use std::sync::Arc;
 
-use knmatch_core::ad::AdStats;
-use knmatch_core::{
-    BandEngine, BatchAnswer, BatchEngine, BatchOptions, BatchQuery, Dataset, FilterScratch, Result,
-};
+use knmatch_core::{BandEngine, Dataset};
 
 use crate::partition::EquiDepthPartition;
 
 /// Most ranges per dimension the byte-cell filter can hold.
 pub const MAX_BINS: usize = 256;
 
-/// Equi-depth filter-and-refine batch backend (see the module docs).
-#[derive(Debug, Clone)]
-pub struct IGridEngine {
-    inner: BandEngine,
-    bins: usize,
-}
-
-impl IGridEngine {
-    /// Builds the equi-depth quantisation of `data` with the IGrid default
-    /// range count (`kd = d/2`, at least 2) and one worker per available
-    /// CPU.
-    pub fn new(data: Arc<Dataset>) -> Self {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let bins = crate::partition::default_bins(data.dims());
-        Self::with_bins(data, bins, workers)
-    }
-
-    /// Builds with an explicit range count (clamped to `2..=256`) and
-    /// worker count (clamped to ≥ 1).
-    pub fn with_bins(data: Arc<Dataset>, bins: usize, workers: usize) -> Self {
-        let bins = bins.clamp(2, MAX_BINS);
-        let part = EquiDepthPartition::fit(&data, bins);
-        let boundaries: Vec<Vec<f64>> = (0..data.dims()).map(|j| part.edges(j).to_vec()).collect();
-        IGridEngine {
-            inner: BandEngine::from_boundaries(data, boundaries, workers),
-            bins,
-        }
-    }
-
-    /// Ranges per dimension actually fitted.
-    pub fn bins(&self) -> usize {
-        self.bins
-    }
-
-    /// The indexed dataset.
-    pub fn dataset(&self) -> &Arc<Dataset> {
-        self.inner.dataset()
-    }
-
-    /// The underlying band filter.
-    pub fn band(&self) -> &BandEngine {
-        &self.inner
-    }
-
-    /// Executes one query on the calling thread against caller scratch.
-    ///
-    /// # Errors
-    ///
-    /// Per-query parameter validation, deadline, cancellation.
-    pub fn execute(
-        &self,
-        query: &BatchQuery,
-        scratch: &mut FilterScratch,
-    ) -> Result<(BatchAnswer, AdStats)> {
-        self.inner.execute(query, scratch)
-    }
-}
-
-impl BatchEngine for IGridEngine {
-    type Outcome = (BatchAnswer, AdStats);
-
-    fn workers(&self) -> usize {
-        self.inner.workers()
-    }
-
-    fn run_with(
-        &self,
-        queries: &[BatchQuery],
-        opts: &BatchOptions,
-    ) -> Vec<Result<(BatchAnswer, AdStats)>> {
-        self.inner.run_with(queries, opts)
-    }
+/// Builds the equi-depth filter-and-refine batch backend (see the module
+/// docs): `bins` ranges per dimension (clamped to `2..=256`;
+/// [`default_bins`](crate::default_bins) is the IGrid default `kd = d/2`)
+/// and `workers` batch workers (clamped to ≥ 1).
+pub fn igrid_engine(data: Arc<Dataset>, bins: usize, workers: usize) -> BandEngine {
+    let part = EquiDepthPartition::fit(&data, bins.clamp(2, MAX_BINS));
+    let boundaries = (0..data.dims()).map(|j| part.edges(j).to_vec()).collect();
+    BandEngine::from_boundaries(data, boundaries, workers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use knmatch_core::{frequent_k_n_match_scan, k_n_match_scan};
+    use knmatch_core::{
+        frequent_k_n_match_scan, k_n_match_scan, BatchAnswer, BatchEngine, BatchQuery,
+    };
 
     fn skewed_dataset(c: usize, d: usize, seed: u64) -> Dataset {
         let mut s = seed | 1;
@@ -123,7 +58,7 @@ mod tests {
         let ds = skewed_dataset(500, 8, 19);
         let q: Vec<f64> = (0..8).map(|j| 0.02 + 0.04 * j as f64).collect();
         for workers in [1usize, 3] {
-            let e = IGridEngine::with_bins(Arc::new(ds.clone()), 16, workers);
+            let e = igrid_engine(Arc::new(ds.clone()), 16, workers);
             let batch = vec![
                 BatchQuery::KnMatch {
                     query: q.clone(),
@@ -163,7 +98,7 @@ mod tests {
             })
             .collect();
         let ds = Dataset::from_rows(&rows).unwrap();
-        let e = IGridEngine::with_bins(Arc::new(ds.clone()), 8, 2);
+        let e = igrid_engine(Arc::new(ds.clone()), 8, 2);
         let q = vec![1.0, 5.0, 50.0, 150.0];
         for n in 1..=4usize {
             let got = e
@@ -187,7 +122,7 @@ mod tests {
     #[test]
     fn default_bins_follow_dimensionality() {
         let ds = skewed_dataset(100, 12, 7);
-        let e = IGridEngine::new(Arc::new(ds));
-        assert_eq!(e.bins(), 6);
+        let e = igrid_engine(Arc::new(ds), crate::default_bins(12), 1);
+        assert!((0..12).all(|dim| e.cells(dim) == 6));
     }
 }

@@ -21,6 +21,6 @@ pub mod index;
 pub mod partition;
 
 pub use disk::{DiskIGrid, BLOCKS_PER_PAGE, BLOCK_BYTES, BLOCK_ENTRIES};
-pub use engine::{IGridEngine, MAX_BINS};
+pub use engine::{igrid_engine, MAX_BINS};
 pub use index::{IGridAnswer, IGridIndex};
 pub use partition::{default_bins, EquiDepthPartition};

@@ -6,13 +6,15 @@
 //! place and turns it into an [`AnyEngine`] — a [`BatchEngine`] enum over
 //! the backends, so the server loop and the CLI printing code are written
 //! once against the trait instead of once per concrete type.
-
-use std::sync::Arc;
+//!
+//! The in-memory engine is the run list ([`AnyEngine::Runs`]): one run is
+//! plain AD, `--shards` asks for more runs, `--mutable` for a writer.
+//! `knmatch-core`'s parallel batch engine is not served; it is the
+//! reference the cross-checks hold this engine against.
 
 use knmatch_core::{
     AdStats, BatchAnswer, BatchEngine, BatchOptions, BatchOutcome, BatchQuery, Dataset, PlanTally,
-    PlannerMode, QueryEngine, Result as CoreResult, ShardedOutcome, SortedColumns, VersionedIndex,
-    DEFAULT_MERGE_THRESHOLD,
+    PlannerMode, Result as CoreResult, ShardedOutcome, VersionedIndex, DEFAULT_MERGE_THRESHOLD,
 };
 use knmatch_storage::{
     DiskBatchOutcome, DiskDatabase, DiskQueryEngine, FileStore, IoStats, VerifyMode, MAGIC,
@@ -23,11 +25,11 @@ use crate::planner_engine::PlannedEngine;
 /// Which backend answers the queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// In-memory [`QueryEngine`]: one shared sorted-column organisation,
-    /// inter-query parallelism.
+    /// In-memory [`VersionedIndex`] holding the dataset as one run — plain
+    /// AD over one sorted-column organisation, inter-query parallelism.
     Memory,
-    /// In-memory [`VersionedIndex`] laid out as this many initial runs
-    /// (contiguous point-id shards): intra-query parallelism.
+    /// The same engine laid out as this many initial runs (contiguous
+    /// point-id shards): intra-query parallelism on top.
     Sharded(usize),
     /// Disk-backed [`DiskQueryEngine`] over a `.knm` database file.
     Disk {
@@ -52,10 +54,10 @@ pub struct EngineConfig {
     /// only) with `mode` as the default route; `None` keeps the plain
     /// single-backend engines.
     pub planner: Option<PlannerMode>,
-    /// Builds the epoch-versioned [`VersionedIndex`] and exposes its
-    /// writer, enabling the `INSERT`/`DELETE`/`EPOCH`/`SEAL` verbs
-    /// (in-memory only). With [`Backend::Sharded`] the shard count is the
-    /// *initial* run count — compaction treats those runs like any others.
+    /// Exposes the in-memory engine's writer, enabling the
+    /// `INSERT`/`DELETE`/`EPOCH`/`SEAL` verbs (in-memory only). With
+    /// [`Backend::Sharded`] the shard count is the *initial* run count —
+    /// compaction treats those runs like any others.
     pub mutable: bool,
     /// Delta rows before the versioned index auto-seals (mutable only).
     pub merge_threshold: usize,
@@ -73,86 +75,53 @@ impl Default for EngineConfig {
     }
 }
 
-/// Step-by-step construction of an [`EngineConfig`] with the conflict
-/// rules checked once, in [`build`](EngineConfigBuilder::build) — the
-/// same validation whether the knobs came from CLI flags
-/// ([`EngineConfig::from_args`] is a thin parse over this) or from code.
+/// Step-by-step construction of an [`EngineConfig`] from its defaults;
+/// [`build`](EngineConfigBuilder::build) returns it through
+/// [`EngineConfig::check`] — the same validation whether the knobs came
+/// from CLI flags ([`EngineConfig::from_args`] is a thin parse over
+/// this), from a builder in code, or from a struct literal.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct EngineConfigBuilder {
-    workers: Option<usize>,
-    backend: Option<Backend>,
-    planner: Option<PlannerMode>,
-    mutable: bool,
-    merge_threshold: Option<usize>,
-}
+pub struct EngineConfigBuilder(EngineConfig);
 
 impl EngineConfigBuilder {
     /// Sets the batch worker count (clamped to ≥ 1).
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
+        self.0.workers = workers.max(1);
         self
     }
 
     /// Sets the backend (default [`Backend::Memory`]).
     pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = Some(backend);
+        self.0.backend = backend;
         self
     }
 
     /// Routes queries through the cost-based planner.
     pub fn planner(mut self, mode: PlannerMode) -> Self {
-        self.planner = Some(mode);
+        self.0.planner = Some(mode);
         self
     }
 
-    /// Builds the mutable, epoch-versioned index.
+    /// Makes the in-memory engine accept writes.
     pub fn mutable(mut self, on: bool) -> Self {
-        self.mutable = on;
+        self.0.mutable = on;
         self
     }
 
     /// Sets the versioned index's auto-seal threshold (clamped to ≥ 1;
     /// implies nothing on its own — only read when `mutable` is set).
     pub fn merge_threshold(mut self, rows: usize) -> Self {
-        self.merge_threshold = Some(rows.max(1));
+        self.0.merge_threshold = rows.max(1);
         self
     }
 
-    /// Validates the combination and produces the config.
+    /// Produces the config, validated by [`EngineConfig::check`].
     ///
     /// # Errors
     ///
-    /// The backend conflicts [`EngineConfig::from_args`] documents:
-    /// planner with disk/sharded backends, mutable with disk/planner (the
-    /// versioned index is its own in-memory organisation), or a merge
-    /// threshold without mutable.
+    /// The conflicts [`EngineConfig::check`] lists.
     pub fn build(self) -> Result<EngineConfig, String> {
-        let backend = self.backend.unwrap_or(Backend::Memory);
-        if self.planner.is_some() && backend != Backend::Memory {
-            return Err("--planner routes between the in-memory backends; \
-                        it cannot be combined with --disk or --shards"
-                .into());
-        }
-        if self.mutable && matches!(backend, Backend::Disk { .. }) {
-            return Err("--mutable builds the in-memory versioned index; \
-                        it cannot be combined with --disk"
-                .into());
-        }
-        if self.mutable && self.planner.is_some() {
-            return Err("--mutable serves the versioned index directly; \
-                        it cannot be combined with --planner"
-                .into());
-        }
-        if self.merge_threshold.is_some() && !self.mutable {
-            return Err("--merge-threshold only applies to --mutable".into());
-        }
-        Ok(EngineConfig {
-            workers: self.workers.unwrap_or_else(available_cpus),
-            backend,
-            planner: self.planner,
-            mutable: self.mutable,
-            merge_threshold: self.merge_threshold.unwrap_or(DEFAULT_MERGE_THRESHOLD),
-        })
+        self.0.check()
     }
 }
 
@@ -224,6 +193,38 @@ impl EngineConfig {
         EngineConfigBuilder::default()
     }
 
+    /// The four conflict rules between the fields. The builder returns
+    /// its config through here and [`open`](Self::open) /
+    /// [`build_in_memory`](Self::build_in_memory) call it again, so a
+    /// struct literal (the fields are public) meets the same rules
+    /// instead of having a field silently ignored.
+    ///
+    /// # Errors
+    ///
+    /// Planner with a disk or sharded backend, mutable with disk or with
+    /// planner, or a non-default merge threshold without mutable.
+    pub fn check(self) -> Result<EngineConfig, String> {
+        if self.planner.is_some() && self.backend != Backend::Memory {
+            return Err("--planner routes between the in-memory backends; \
+                        it cannot be combined with --disk or --shards"
+                .into());
+        }
+        if self.mutable && matches!(self.backend, Backend::Disk { .. }) {
+            return Err("--mutable builds the in-memory versioned index; \
+                        it cannot be combined with --disk"
+                .into());
+        }
+        if self.mutable && self.planner.is_some() {
+            return Err("--mutable serves the versioned index directly; \
+                        it cannot be combined with --planner"
+                .into());
+        }
+        if self.merge_threshold != DEFAULT_MERGE_THRESHOLD && !self.mutable {
+            return Err("--merge-threshold only applies to --mutable".into());
+        }
+        Ok(self)
+    }
+
     /// Parses the shared backend flags out of a CLI argument list:
     /// `--workers W`, `--shards <S|auto>`, `--disk`, `--pool-pages P`,
     /// `--verify <never|first-read|always>`,
@@ -242,7 +243,7 @@ impl EngineConfig {
     /// `--pool-pages` / `--verify` without `--disk`,
     /// `--merge-threshold` without `--mutable`, `--planner` combined with
     /// `--disk` / `--shards` / `--mutable`, or `--mutable` combined with
-    /// `--disk` (see [`build`](EngineConfigBuilder::build)). `--mutable`
+    /// `--disk` (see [`check`](Self::check)). `--mutable`
     /// and `--shards` configure the same engine: `--shards` is its initial
     /// run count, `--mutable` makes it accept writes.
     pub fn from_args(args: &[String]) -> Result<EngineConfig, String> {
@@ -329,8 +330,10 @@ impl EngineConfig {
     ///
     /// # Errors
     ///
-    /// Unreadable or unparseable input, or a CSV given to `--disk`.
+    /// A field combination [`check`](Self::check) rejects, unreadable or
+    /// unparseable input, or a CSV given to `--disk`.
     pub fn open(&self, path: &str) -> Result<AnyEngine, String> {
+        self.check()?;
         let is_db = std::fs::File::open(path)
             .and_then(|mut f| {
                 use std::io::Read as _;
@@ -359,10 +362,7 @@ impl EngineConfig {
                 let ds = if is_db {
                     let mut db = DiskDatabase::open_file(path, DEFAULT_POOL_PAGES)
                         .map_err(|e| e.to_string())?;
-                    let rows: Vec<Vec<f64>> = (0..db.len())
-                        .map(|pid| db.fetch_point(pid as knmatch_core::PointId))
-                        .collect();
-                    Dataset::from_rows(&rows).map_err(|e| e.to_string())?
+                    db.heap().to_dataset(db.pool_mut())
                 } else {
                     knmatch_data::load_dataset(path).map_err(|e| format!("{path}: {e}"))?
                 };
@@ -374,27 +374,26 @@ impl EngineConfig {
     /// Builds an in-memory engine over an already-loaded dataset
     /// (workload generators, tests). A `Disk` backend falls back to the
     /// plain in-memory engine — there is no file to read.
+    ///
+    /// # Panics
+    ///
+    /// With the rule's own message when [`check`](Self::check) rejects
+    /// the field combination — a struct literal that skipped the builder.
     pub fn build_in_memory(&self, ds: &Dataset) -> AnyEngine {
+        if let Err(rule) = self.check() {
+            panic!("{rule}");
+        }
+        if let Some(mode) = self.planner {
+            return AnyEngine::Planned(PlannedEngine::with_workers(ds, self.workers, mode));
+        }
         let runs = match self.backend {
-            Backend::Sharded(s) => Some(s),
-            _ => self.mutable.then_some(1),
+            Backend::Sharded(s) => s,
+            _ => 1,
         };
-        match (runs, self.planner) {
-            // The builder rejects mutable+disk/planner, and every dataset
-            // that reaches here was validated non-empty with ≥ 1
-            // dimension — `from_dataset` cannot fail on it.
-            (Some(runs), _) => AnyEngine::Runs {
-                index: VersionedIndex::from_dataset(ds, runs, self.workers, self.merge_threshold)
-                    .expect("validated dataset"),
-                mutable: self.mutable,
-            },
-            (None, Some(mode)) => {
-                AnyEngine::Planned(PlannedEngine::with_workers(ds, self.workers, mode))
-            }
-            (None, None) => AnyEngine::Memory(QueryEngine::with_workers(
-                Arc::new(SortedColumns::build(ds)),
-                self.workers,
-            )),
+        AnyEngine::Runs {
+            index: VersionedIndex::from_dataset(ds, runs, self.workers, self.merge_threshold)
+                .expect("a dataset has at least one dimension"),
+            mutable: self.mutable,
         }
     }
 }
@@ -406,14 +405,12 @@ impl EngineConfig {
 /// when the backend is chosen at runtime by flags.
 #[derive(Debug)]
 pub enum AnyEngine {
-    /// The in-memory engine.
-    Memory(QueryEngine),
     /// The cost-based per-query planner over the in-memory backends.
     Planned(PlannedEngine),
     /// The disk engine over a database file.
     Disk(DiskQueryEngine<FileStore>),
-    /// The in-memory run-list engine: `--shards` sets how many runs it
-    /// starts with, `--mutable` whether it accepts writes.
+    /// The in-memory engine, a snapshot of sorted runs: one run unless
+    /// `--shards` asks for more, read-only unless `--mutable`.
     Runs {
         /// The epoch-versioned index queries pin snapshots of.
         index: VersionedIndex,
@@ -428,7 +425,6 @@ impl AnyEngine {
     /// points at the current epoch).
     pub fn cardinality(&self) -> usize {
         match self {
-            AnyEngine::Memory(e) => e.columns().cardinality(),
             AnyEngine::Planned(e) => e.columns().cardinality(),
             AnyEngine::Disk(e) => e.columns().cardinality(),
             AnyEngine::Runs { index, .. } => index.live(),
@@ -438,7 +434,6 @@ impl AnyEngine {
     /// Dimensionality of the served dataset.
     pub fn dims(&self) -> usize {
         match self {
-            AnyEngine::Memory(e) => e.columns().dims(),
             AnyEngine::Planned(e) => e.columns().dims(),
             AnyEngine::Disk(e) => e.columns().dims(),
             AnyEngine::Runs { index, .. } => index.dims(),
@@ -461,8 +456,8 @@ impl AnyEngine {
         }
     }
 
-    /// Runs the current snapshot reads — the shard count of a `--shards`
-    /// engine (run-list backend only).
+    /// Runs the current snapshot reads — 1 for the default engine, the
+    /// shard count of a `--shards` engine (run-list backend only).
     pub fn run_count(&self) -> Option<usize> {
         match self {
             AnyEngine::Runs { index, .. } => Some(index.snapshot().run_count()),
@@ -475,7 +470,7 @@ impl AnyEngine {
 /// extra cost detail behind the common [`BatchOutcome`] projection.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnyOutcome {
-    /// From the in-memory engine (plain or planned).
+    /// From the planned engine.
     Memory((BatchAnswer, AdStats)),
     /// From the run-list engine.
     Sharded(ShardedOutcome),
@@ -532,7 +527,6 @@ impl BatchEngine for AnyEngine {
 
     fn workers(&self) -> usize {
         match self {
-            AnyEngine::Memory(e) => e.workers(),
             AnyEngine::Planned(e) => e.workers(),
             AnyEngine::Disk(e) => e.workers(),
             AnyEngine::Runs { index, .. } => index.workers(),
@@ -541,11 +535,6 @@ impl BatchEngine for AnyEngine {
 
     fn run_with(&self, queries: &[BatchQuery], opts: &BatchOptions) -> Vec<CoreResult<AnyOutcome>> {
         match self {
-            AnyEngine::Memory(e) => e
-                .run_with(queries, opts)
-                .into_iter()
-                .map(|r| r.map(AnyOutcome::Memory))
-                .collect(),
             AnyEngine::Planned(e) => e
                 .run_with(queries, opts)
                 .into_iter()
@@ -585,6 +574,8 @@ impl BatchEngine for AnyEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use knmatch_core::{QueryEngine, SortedColumns};
+    use std::sync::Arc;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -653,11 +644,12 @@ mod tests {
             },
         ];
         let direct = QueryEngine::with_workers(Arc::new(SortedColumns::build(&ds)), 2);
-        let want: Vec<_> = direct
+        let (want, want_stats): (Vec<_>, Vec<_>) = direct
             .run(&batch)
             .into_iter()
-            .map(|r| r.map(|o| o.into_answer()))
-            .collect();
+            .map(|r| r.unwrap())
+            .map(|o| (Ok(o.answer().clone()), o.ad_stats()))
+            .unzip();
 
         for cfg in [
             EngineConfig {
@@ -687,8 +679,20 @@ mod tests {
             },
         ] {
             let e = cfg.build_in_memory(&ds);
-            let got: Vec<_> = e
-                .run(&batch)
+            // Read-only engines expose no writer, the default included.
+            assert_eq!(e.writer().is_some(), cfg.mutable, "{cfg:?}");
+            let outs = e.run(&batch);
+            // The default engine (and its mutable twin) is one run, which
+            // is plain AD: the reference's cost counters, not just answers.
+            if cfg.backend == Backend::Memory && cfg.planner.is_none() {
+                assert_eq!(e.run_count(), Some(1));
+                let stats: Vec<_> = outs
+                    .iter()
+                    .map(|r| r.as_ref().unwrap().ad_stats())
+                    .collect();
+                assert_eq!(stats, want_stats, "mutable {}", cfg.mutable);
+            }
+            let got: Vec<_> = outs
                 .into_iter()
                 .map(|r| r.map(|o| o.into_answer()))
                 .collect();
@@ -811,6 +815,64 @@ mod tests {
         assert!(EngineConfig::builder().merge_threshold(8).build().is_err());
     }
 
+    /// The fields are public, so a config can skip the builder; each of
+    /// the four rules must still stop it — `Err` from `check` and `open`,
+    /// a panic carrying the same message from `build_in_memory`.
+    #[test]
+    fn literal_configs_meet_the_conflict_rules() {
+        let base = EngineConfig::default();
+        let (planner, mutable) = (Some(PlannerMode::Auto), true);
+        let backend = Backend::Disk {
+            pool_pages: 8,
+            verify: VerifyMode::Never,
+        };
+        let sharded = Backend::Sharded(2);
+        let cases = [
+            (
+                EngineConfig {
+                    planner,
+                    backend: sharded,
+                    ..base
+                },
+                "--planner routes between the in-memory backends",
+            ),
+            (
+                EngineConfig {
+                    mutable,
+                    backend,
+                    ..base
+                },
+                "--mutable builds the in-memory versioned index",
+            ),
+            (
+                EngineConfig {
+                    mutable,
+                    planner,
+                    ..base
+                },
+                "--mutable serves the versioned index directly",
+            ),
+            (
+                EngineConfig {
+                    merge_threshold: 8,
+                    ..base
+                },
+                "--merge-threshold only applies to --mutable",
+            ),
+        ];
+        let ds = knmatch_core::paper::fig3_dataset();
+        for (cfg, rule) in cases {
+            assert!(cfg.check().unwrap_err().starts_with(rule), "{rule}");
+            // The rules come before the file is even looked at.
+            let err = cfg.open("/nonexistent/data.csv").unwrap_err();
+            assert!(err.starts_with(rule), "{err}");
+            let panic = std::panic::catch_unwind(|| cfg.build_in_memory(&ds)).unwrap_err();
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(message.starts_with(rule), "{message}");
+        }
+        assert_eq!(base.check(), Ok(base));
+    }
+
     #[test]
     fn mutable_flag_grammar() {
         let c = EngineConfig::from_args(&argv("--mutable --merge-threshold 32")).unwrap();
@@ -841,16 +903,6 @@ mod tests {
         let epoch = w.insert(100, &vec![1.0; ds.dims()]).unwrap();
         assert!(epoch > 0);
         assert_eq!(e.cardinality(), ds.len() + 1);
-
-        // Read-only engines expose none — the same run-list engine
-        // without `mutable` included.
-        for backend in [Backend::Memory, Backend::Sharded(2)] {
-            let cfg = EngineConfig {
-                backend,
-                ..EngineConfig::default()
-            };
-            assert!(cfg.build_in_memory(&ds).writer().is_none());
-        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! binary frame alternative, one pipelined [`EventServer`] (unix only;
 //! readiness via `poll(2)` or Linux edge-triggered `epoll`) written
 //! against the [`BatchEngine`](knmatch_core::BatchEngine) trait (so the
-//! in-memory, sharded, planned, versioned and disk backends share one
-//! serving path), a blocking [`Client`] with a pipelined mode, and the
+//! run-list — default, sharded or mutable — planned and disk backends
+//! share one serving path), a blocking [`Client`] with a pipelined mode, and the
 //! [`EngineConfig`] flag grammar shared with the CLI. Non-unix hosts
 //! keep everything but the server itself.
 //!

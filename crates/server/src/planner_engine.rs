@@ -21,13 +21,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use knmatch_core::{
-    isolate_panic, note_outcome, run_batch, sample_threshold, AdStats, BatchAnswer, BatchEngine,
-    BatchOptions, BatchQuery, Dataset, FilterScratch, PlanTally, PlannerMode, QueryEngine,
-    Result as CoreResult, ScanEngine, Scratch, SortedColumns,
+    execute_batch_query, isolate_panic, note_outcome, run_batch, sample_threshold, AdStats,
+    BandEngine, BatchAnswer, BatchEngine, BatchOptions, BatchQuery, Dataset, FilterScratch,
+    PlanTally, PlannerMode, Result as CoreResult, ScanEngine, Scratch, SortedColumns,
 };
-use knmatch_igrid::IGridEngine;
+use knmatch_igrid::{default_bins, igrid_engine};
 use knmatch_storage::{plan_in_memory, BackendChoice, MemCostModel, MemPlanChoice, MemPlanInputs};
-use knmatch_vafile::VaEngine;
+use knmatch_vafile::va_engine;
 
 /// Points sampled by the planner's candidate-fraction probe (a strided
 /// dry-run of the VA filter; cheap relative to any backend's full pass).
@@ -50,10 +50,11 @@ struct PlanScratch {
 pub struct PlannedEngine {
     data: Arc<Dataset>,
     cols: Arc<SortedColumns>,
-    ad: QueryEngine,
-    va: VaEngine,
+    /// The VA-file: equi-width byte cells.
+    va: BandEngine,
     scan: ScanEngine,
-    igrid: IGridEngine,
+    /// The IGrid quantisation: equi-depth ranges.
+    igrid: BandEngine,
     workers: usize,
     default_mode: PlannerMode,
     model: MemCostModel,
@@ -73,18 +74,15 @@ impl PlannedEngine {
 
     /// A planner with an explicit worker count (clamped to ≥ 1) and
     /// default mode. The inner backends run single-threaded on the batch
-    /// workers' threads — parallelism lives in the batch loop, exactly as
-    /// in the plain in-memory engine.
+    /// workers' threads — parallelism lives in the batch loop.
     pub fn with_workers(ds: &Dataset, workers: usize, default_mode: PlannerMode) -> Self {
         let data = Arc::new(ds.clone());
-        let cols = Arc::new(SortedColumns::build(ds));
         PlannedEngine {
-            ad: QueryEngine::with_workers(Arc::clone(&cols), 1),
-            va: VaEngine::with_workers(Arc::clone(&data), 1),
+            cols: Arc::new(SortedColumns::build(ds)),
+            va: va_engine(Arc::clone(&data), 1),
             scan: ScanEngine::with_workers(Arc::clone(&data), 1),
-            igrid: IGridEngine::new(Arc::clone(&data)),
+            igrid: igrid_engine(Arc::clone(&data), default_bins(ds.dims()), 1),
             data,
-            cols,
             workers: workers.max(1),
             default_mode,
             model: MemCostModel::default(),
@@ -178,7 +176,6 @@ impl PlannedEngine {
         }
         let candidate_fraction =
             self.va
-                .band()
                 .estimate_candidate_fraction(q, eps_hat, min_hits, PLAN_FRACTION_SAMPLE);
         let inputs = MemPlanInputs {
             cardinality: c,
@@ -222,7 +219,8 @@ impl PlannedEngine {
         };
         self.bump(choice);
         match choice {
-            BackendChoice::Ad => self.ad.execute(query, &mut scratch.ad),
+            // `&SortedColumns` is itself a sorted-access source.
+            BackendChoice::Ad => execute_batch_query(&mut &*self.cols, query, &mut scratch.ad),
             BackendChoice::VaFile => self.va.execute(query, &mut scratch.filter),
             BackendChoice::Scan => self.scan.execute(query, &mut scratch.filter),
         }

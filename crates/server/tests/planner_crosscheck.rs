@@ -13,9 +13,9 @@ use knmatch_core::{
     BatchAnswer, BatchEngine, BatchOptions, BatchQuery, Dataset, PlannerMode, ScanEngine,
 };
 use knmatch_data::rng::Rng64;
-use knmatch_igrid::IGridEngine;
+use knmatch_igrid::{default_bins, igrid_engine};
 use knmatch_server::PlannedEngine;
-use knmatch_vafile::VaEngine;
+use knmatch_vafile::va_engine;
 
 fn random_dataset(rng: &mut Rng64, c: usize, d: usize) -> Dataset {
     let rows: Vec<Vec<f64>> = (0..c)
@@ -90,8 +90,8 @@ fn backends_match_oracle_across_the_grid() {
         let want = oracle(&ds, &batch);
         let data = Arc::new(ds.clone());
         for workers in [1usize, 3] {
-            let va = VaEngine::with_workers(Arc::clone(&data), workers);
-            let ig = IGridEngine::new(Arc::clone(&data));
+            let va = va_engine(Arc::clone(&data), workers);
+            let ig = igrid_engine(Arc::clone(&data), default_bins(d), workers);
             let scan = ScanEngine::with_workers(Arc::clone(&data), workers);
             for (name, got) in [
                 ("vafile", va.run(&batch)),
@@ -155,11 +155,11 @@ fn tie_heavy_data_resolves_canonically_everywhere() {
     let want = oracle(&ds, &batch);
     let data = Arc::new(ds.clone());
     let engines: Vec<(&str, Vec<_>)> = vec![
+        ("vafile", va_engine(Arc::clone(&data), 2).run(&batch)),
         (
-            "vafile",
-            VaEngine::with_workers(Arc::clone(&data), 2).run(&batch),
+            "igrid",
+            igrid_engine(Arc::clone(&data), default_bins(6), 2).run(&batch),
         ),
-        ("igrid", IGridEngine::new(Arc::clone(&data)).run(&batch)),
         (
             "planner",
             PlannedEngine::with_workers(&ds, 2, PlannerMode::Auto).run(&batch),

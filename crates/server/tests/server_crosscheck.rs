@@ -67,8 +67,14 @@ fn expected_wire<O: BatchOutcome>(
         .collect()
 }
 
-fn check_backend(backend: Backend, path: &str) {
+/// Serves `path` on `backend` over the reactor × worker grid and returns
+/// what a direct run answers (the same in every cell of the grid).
+fn check_backend(
+    backend: Backend,
+    path: &str,
+) -> Vec<Result<knmatch_core::BatchAnswer, (ErrorKind, String)>> {
     let queries = workload(4);
+    let mut direct = Vec::new();
     let grid = backends()
         .into_iter()
         .flat_map(|r| [1, 2, 4].map(|w| (r, w)));
@@ -116,13 +122,20 @@ fn check_backend(backend: Backend, path: &str) {
         assert_eq!(stats.connections, 3);
         assert_eq!(stats.queries, 3 * 2 * queries.len() as u64);
         assert_eq!(stats.errors, 3 * 2 * 2, "two invalid slots per batch");
+        direct = expected;
     }
+    direct
 }
 
 #[test]
 fn memory_backend_bit_identical_over_the_wire() {
-    let (_dir, csv, _db) = temp_files("mem");
-    check_backend(Backend::Memory, &csv);
+    let (_dir, csv, db) = temp_files("mem");
+    // The in-memory engine loads a CSV or the `.knm` built from the same
+    // points (heap pages streamed into a dataset) to the same answers.
+    assert_eq!(
+        check_backend(Backend::Memory, &csv),
+        check_backend(Backend::Memory, &db)
+    );
 }
 
 #[test]

@@ -134,7 +134,8 @@ impl HeapFile {
         debug_assert_eq!(pid, self.len);
     }
 
-    /// Reconstructs the whole dataset (test / debugging aid).
+    /// Streams the heap pages back into a [`Dataset`], one sequential
+    /// pass — how the in-memory backends load a database file.
     pub fn to_dataset<S: PageStore>(&self, pool: &mut BufferPool<S>) -> Dataset {
         let mut ds = Dataset::with_capacity(self.dims, self.len).expect("dims >= 1");
         self.for_each(pool, |_, row| {

@@ -1,7 +1,7 @@
 //! The VA-file as a first-class serving backend.
 //!
-//! [`VaEngine`] is the in-memory promotion of this crate's two-phase
-//! algorithm to the [`BatchEngine`] surface: the per-dimension equi-width
+//! [`va_engine`] is the in-memory promotion of this crate's two-phase
+//! algorithm to the `BatchEngine` surface: the per-dimension equi-width
 //! quantisation of [`VaFile`](crate::VaFile) (256 cells, one byte per
 //! attribute), but with the approximation filter rewritten on the core
 //! band-count kernels ([`knmatch_core::kernels`]) over dim-major cell
@@ -9,87 +9,31 @@
 //! Phase two refines the surviving candidates exactly through the shared
 //! canonical `(diff, pid)` collectors, so answers are bit-identical to the
 //! sequential oracle on every exact query kind — a pure function of the
-//! data, independent of worker count, batch order, and quantisation.
+//! data, independent of worker count, batch order, and quantisation. This
+//! crate decides only the boundary vector; the filter is the core
+//! [`BandEngine`].
 
 use std::sync::Arc;
 
-use knmatch_core::ad::AdStats;
-use knmatch_core::{
-    equi_width_boundaries, BandEngine, BatchAnswer, BatchEngine, BatchOptions, BatchQuery, Dataset,
-    FilterScratch, Result,
-};
+use knmatch_core::{equi_width_boundaries, BandEngine, Dataset};
 
 /// Cells per dimension: the full range of one approximation byte.
 pub const VA_CELLS: usize = 256;
 
-/// In-memory VA-file batch backend (see the module docs).
-#[derive(Debug, Clone)]
-pub struct VaEngine {
-    inner: BandEngine,
-}
-
-impl VaEngine {
-    /// Builds the byte approximations of `data` with one worker per
-    /// available CPU.
-    pub fn new(data: Arc<Dataset>) -> Self {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::with_workers(data, workers)
-    }
-
-    /// Builds the byte approximations of `data` with an explicit worker
-    /// count (clamped to ≥ 1).
-    pub fn with_workers(data: Arc<Dataset>, workers: usize) -> Self {
-        let boundaries = equi_width_boundaries(&data, VA_CELLS);
-        VaEngine {
-            inner: BandEngine::from_boundaries(data, boundaries, workers),
-        }
-    }
-
-    /// The indexed dataset.
-    pub fn dataset(&self) -> &Arc<Dataset> {
-        self.inner.dataset()
-    }
-
-    /// The underlying band filter (for the request-time planner, which
-    /// prices the refine phase via its candidate estimator).
-    pub fn band(&self) -> &BandEngine {
-        &self.inner
-    }
-
-    /// Executes one query on the calling thread against caller scratch.
-    ///
-    /// # Errors
-    ///
-    /// Per-query parameter validation, deadline, cancellation.
-    pub fn execute(
-        &self,
-        query: &BatchQuery,
-        scratch: &mut FilterScratch,
-    ) -> Result<(BatchAnswer, AdStats)> {
-        self.inner.execute(query, scratch)
-    }
-}
-
-impl BatchEngine for VaEngine {
-    type Outcome = (BatchAnswer, AdStats);
-
-    fn workers(&self) -> usize {
-        self.inner.workers()
-    }
-
-    fn run_with(
-        &self,
-        queries: &[BatchQuery],
-        opts: &BatchOptions,
-    ) -> Vec<Result<(BatchAnswer, AdStats)>> {
-        self.inner.run_with(queries, opts)
-    }
+/// Builds the in-memory VA-file batch backend (see the module docs): the
+/// byte approximations of `data` over [`VA_CELLS`] equi-width cells per
+/// dimension, with `workers` batch workers (clamped to ≥ 1).
+pub fn va_engine(data: Arc<Dataset>, workers: usize) -> BandEngine {
+    let boundaries = equi_width_boundaries(&data, VA_CELLS);
+    BandEngine::from_boundaries(data, boundaries, workers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use knmatch_core::{frequent_k_n_match_scan, k_n_match_scan, MatchEntry};
+    use knmatch_core::{
+        frequent_k_n_match_scan, k_n_match_scan, BatchAnswer, BatchEngine, BatchQuery, MatchEntry,
+    };
 
     fn pseudo_dataset(c: usize, d: usize, seed: u64) -> Dataset {
         let mut s = seed | 1;
@@ -127,7 +71,7 @@ mod tests {
         ];
         let mut answers: Vec<Vec<BatchAnswer>> = Vec::new();
         for workers in [1usize, 4] {
-            let e = VaEngine::with_workers(Arc::new(ds.clone()), workers);
+            let e = va_engine(Arc::new(ds.clone()), workers);
             answers.push(
                 e.run(&batch)
                     .into_iter()
@@ -156,7 +100,7 @@ mod tests {
             })
             .collect();
         let ds = Dataset::from_rows(&rows).unwrap();
-        let e = VaEngine::with_workers(Arc::new(ds.clone()), 3);
+        let e = va_engine(Arc::new(ds.clone()), 3);
         let q = vec![0.25; 6];
         for (k, n) in [(1usize, 1usize), (13, 3), (25, 6)] {
             let got = e
@@ -200,7 +144,7 @@ mod tests {
     #[test]
     fn prunes_on_selective_queries() {
         let ds = pseudo_dataset(3000, 8, 3);
-        let e = VaEngine::with_workers(Arc::new(ds.clone()), 1);
+        let e = va_engine(Arc::new(ds.clone()), 1);
         let q = ds.point(42).to_vec();
         let (_, stats) = e
             .run(&[BatchQuery::KnMatch {

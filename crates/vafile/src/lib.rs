@@ -25,6 +25,6 @@ pub mod knn;
 pub mod match_query;
 
 pub use approx::VaFile;
-pub use engine::{VaEngine, VA_CELLS};
+pub use engine::{va_engine, VA_CELLS};
 pub use knn::k_nearest_va;
 pub use match_query::{frequent_k_n_match_va, k_n_match_va, VaOutcome};

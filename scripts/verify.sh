@@ -17,18 +17,21 @@
 #               retrying clients vs torn/stalled/reset I/O at 1/10/30%
 #               fault rates on both reactors, plus shedding, idle
 #               eviction and deadline-cancel coverage
-#   6c. mvcc:   versioned-index oracle crosscheck + mutable-serve
-#               suite in release (randomized interleaved writes vs a
-#               rebuild-from-scratch oracle; readers never block) +
-#               ingest_throughput --smoke
+#   6c. mvcc:   run-list crosscheck (the path every default server
+#               runs: S runs × workers vs QueryEngine) + versioned-index
+#               oracle crosscheck + mutable-serve suite in release
+#               (randomized interleaved writes vs a rebuild-from-scratch
+#               oracle; readers never block) + ingest_throughput --smoke
 #   7. server:  loopback serve/client smoke once per reactor backend
 #               (ephemeral port; text, binary+pipelined and retrying
 #               batches over the wire; graceful shutdown), a
 #               serve --mutable + ingest round trip, and release-mode
 #               protocol fuzz
-#   8. benchmark: `benchmark -- run --seed 1 --smoke` — the served-query
-#               measurement system's four workloads at 2 s each, every
-#               answer oracle-checked, exit 1 on a wrong one
+#   8. benchmark: the benchmark package's own unit tests (incl. its
+#               manifest == BENCHMARK.json) and `benchmark -- run --seed 1
+#               --smoke` — the served-query measurement system's four
+#               workloads at 2 s each, every answer oracle-checked, exit
+#               1 on a wrong one
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -72,6 +75,11 @@ echo "==> chaos harness (release, fixed seeds, both reactors)"
 # to direct engine runs; the server must drain with zero leaked pooled
 # buffers. Shedding, idle eviction and deadline cancellation ride along.
 cargo test --release -q -p knmatch-server --test chaos
+
+echo "==> run-list crosscheck (release)"
+# The engine every default server runs: answers and per-run AdStats at
+# S runs x W workers against QueryEngine and solo sequential AD.
+cargo test --release -q -p knmatch-core --test sharded_crosscheck
 
 echo "==> versioned-index oracle crosscheck (release)"
 # Randomized interleaved insert/delete/seal/maintain against a
@@ -173,6 +181,9 @@ drain "$SMOKE_DIR/mutable.log"
 
 echo "==> protocol fuzz under both reactors (release)"
 cargo test --release -q -p knmatch-server --test protocol_fuzz
+
+echo "==> benchmark unit tests (manifest == BENCHMARK.json, stats, workloads)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> benchmark --smoke (four served workloads, every answer oracle-checked)"
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
