@@ -35,7 +35,7 @@ use std::fmt::Write as _;
 use std::thread;
 use std::time::Instant;
 
-use knmatch_bench::percentile;
+use knmatch_bench::{git_rev, percentile};
 use knmatch_core::{BatchEngine, BatchQuery};
 use knmatch_data::rng::seeded;
 #[cfg(unix)]
@@ -263,7 +263,7 @@ fn main() {
         json,
         "  \"config\": {{\"cardinality\": {}, \"dims\": {}, \"k\": {}, \"n\": {}, \
          \"queries\": {}, \"writes\": {}, \"merge_threshold\": {}, \"seed\": {}, \
-         \"cpus\": {cpus}}},",
+         \"cpus\": {cpus}, \"rev\": \"{}\"}},",
         cfg.cardinality,
         cfg.dims,
         cfg.k,
@@ -271,23 +271,28 @@ fn main() {
         cfg.queries,
         cfg.writes,
         cfg.merge_threshold,
-        cfg.seed
+        cfg.seed,
+        git_rev()
     );
     let _ = writeln!(json, "  \"direct_write_ops_s\": {direct_write_ops:.0},");
     let _ = writeln!(
         json,
-        "  \"static_reads\": {{\"qps\": {static_qps:.0}, \"batch_p50_ms\": {:.2}, \
-         \"batch_p95_ms\": {:.2}}},",
+        "  \"static_reads\": {{\"qps\": {static_qps:.0}, \"batch_min_ms\": {:.2}, \
+         \"batch_p50_ms\": {:.2}, \"batch_p95_ms\": {:.2}, \"batch_max_ms\": {:.2}}},",
+        percentile(&static_row.0, 0.0),
         percentile(&static_row.0, 0.5),
-        percentile(&static_row.0, 0.95)
+        percentile(&static_row.0, 0.95),
+        percentile(&static_row.0, 1.0)
     );
     let _ = writeln!(
         json,
-        "  \"concurrent\": {{\"reader_qps\": {concurrent_qps:.0}, \"batch_p50_ms\": {:.2}, \
-         \"batch_p95_ms\": {:.2}, \"writer_ops_s\": {writer_ops:.0}, \
-         \"reader_slowdown\": {:.3}}},",
+        "  \"concurrent\": {{\"reader_qps\": {concurrent_qps:.0}, \"batch_min_ms\": {:.2}, \
+         \"batch_p50_ms\": {:.2}, \"batch_p95_ms\": {:.2}, \"batch_max_ms\": {:.2}, \
+         \"writer_ops_s\": {writer_ops:.0}, \"reader_slowdown\": {:.3}}},",
+        percentile(&concurrent_row.0, 0.0),
         percentile(&concurrent_row.0, 0.5),
         percentile(&concurrent_row.0, 0.95),
+        percentile(&concurrent_row.0, 1.0),
         static_qps / concurrent_qps.max(f64::MIN_POSITIVE)
     );
     let _ = writeln!(

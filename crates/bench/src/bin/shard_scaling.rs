@@ -1,4 +1,4 @@
-//! Std-only intra-query scaling benchmark for the run-list engine
+//! Std-only run-count scaling benchmark for the run-list engine
 //! (`--shards`) and the structure-of-arrays column layout. Emits
 //! `BENCH_shard_scaling.json`.
 //!
@@ -7,6 +7,7 @@
 //! cargo run -p knmatch-bench --release --bin shard_scaling -- \
 //!     --cardinality 100000 --dims 30 -k 10 -n 2 --queries 64 \
 //!     --out BENCH_shard_scaling.json
+//! cargo run -p knmatch-bench --release --bin shard_scaling -- --smoke
 //! ```
 //!
 //! Two experiments over the identical query workload:
@@ -16,10 +17,14 @@
 //!    source holding `Vec<SortedEntry>` per dimension. Answers and
 //!    `AdStats` are asserted bit-identical before any number is reported;
 //!    the SoA layout must not regress single-shard latency.
-//! 2. **Shard scaling** — single-query latency through the engine
+//! 2. **Run-count scaling** — single-query latency through the engine
 //!    [`EngineConfig`] builds for [`Backend::Sharded`] at 1, 2, and 4
-//!    shards (a `VersionedIndex` with that many initial runs), answers
-//!    asserted bit-identical to the unsharded engine.
+//!    shards (a `VersionedIndex` with that many initial runs) over
+//!    `PASSES` alternating passes: per row the min / median / max of the
+//!    per-pass mean beside the pruning work (`attributes_retrieved`,
+//!    `heap_pops` per query). Answers are asserted bit-identical to the
+//!    one-run engine and `heap_pops` equal across run counts — the gate
+//!    `--smoke` (c = 20 000, one pass) runs in release mode.
 //!
 //! Wall-clock timing only (`std::time::Instant`), no external bench
 //! framework, so the workspace builds offline.
@@ -27,7 +32,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use knmatch_bench::percentile;
+use knmatch_bench::{git_rev, percentile};
 use knmatch_core::{
     execute_batch_query, AdStats, BatchAnswer, BatchEngine, BatchOutcome, BatchQuery, Scratch,
     SortedAccessSource, SortedColumns, SortedEntry,
@@ -43,8 +48,12 @@ struct Config {
     queries: usize,
     seed: u64,
     workers: usize,
+    passes: usize,
     out: String,
 }
+
+/// Alternating passes over the run counts in a full run.
+const PASSES: usize = 5;
 
 impl Config {
     fn parse() -> Config {
@@ -63,19 +72,21 @@ impl Config {
         if args.iter().any(|a| a == "--help" || a == "-h") {
             println!(
                 "usage: shard_scaling [--cardinality C] [--dims D] [-k K] [-n N] \
-                 [--queries Q] [--seed S] [--workers W] [--out FILE]"
+                 [--queries Q] [--seed S] [--workers W] [--smoke] [--out FILE]"
             );
             std::process::exit(0);
         }
         let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let smoke = args.iter().any(|a| a == "--smoke");
         Config {
-            cardinality: num("--cardinality", 100_000),
+            cardinality: num("--cardinality", if smoke { 20_000 } else { 100_000 }),
             dims: num("--dims", 30),
             k: num("-k", 10),
             n: num("-n", 2),
-            queries: num("--queries", 64),
+            queries: num("--queries", if smoke { 16 } else { 64 }),
             seed: get("--seed").map_or(42, |v| v.parse().expect("bad --seed")),
             workers: num("--workers", cpus),
+            passes: if smoke { 1 } else { PASSES },
             out: get("--out").unwrap_or_else(|| "BENCH_shard_scaling.json".into()),
         }
     }
@@ -192,10 +203,9 @@ fn main() {
     let soa_mean = mean(&soa_lat);
     let aos_mean = mean(&aos_lat);
 
-    // --- Experiment 2: shard scaling through the run-list engine. -------
-    let mut shard_rows = Vec::new();
-    let mut one_shard_mean = 0.0;
-    for shards in [1usize, 2, 4] {
+    // --- Experiment 2: run-count scaling through the run-list engine. ---
+    const SHARDS: [usize; 3] = [1, 2, 4];
+    let engines = SHARDS.map(|shards| {
         let engine = EngineConfig::builder()
             .workers(cfg.workers)
             .backend(Backend::Sharded(shards))
@@ -203,36 +213,61 @@ fn main() {
             .expect("shards alone never conflict")
             .build_in_memory(&ds);
         assert_eq!(engine.run_count(), Some(shards));
-        // Warm-up: spin the pool once.
-        let _ = engine.run(&batch[..batch.len().min(8)]);
-        let mut latencies = Vec::with_capacity(batch.len());
-        for (q, want) in batch.iter().zip(&soa_out) {
-            let t = Instant::now();
-            let outcome = engine
-                .run(std::slice::from_ref(q))
-                .pop()
-                .expect("one result per query")
-                .expect("valid workload");
-            latencies.push(t.elapsed().as_secs_f64() * 1e6);
-            assert_eq!(
-                outcome.answer(),
-                &want.0,
-                "sharded answer diverged at shards={shards}"
-            );
+        engine
+    });
+    // Per run count: the mean latency of each pass, and the per-query
+    // AdStats (a function of the data: taken on the first pass).
+    let mut pass_means: [Vec<f64>; 3] = Default::default();
+    let mut work: [Vec<AdStats>; 3] = Default::default();
+    for pass in 0..cfg.passes {
+        for (si, engine) in engines.iter().enumerate() {
+            let mut total_us = 0.0;
+            for (q, want) in batch.iter().zip(&soa_out) {
+                let t = Instant::now();
+                let outcome = engine
+                    .run(std::slice::from_ref(q))
+                    .pop()
+                    .expect("one result per query")
+                    .expect("valid workload");
+                total_us += t.elapsed().as_secs_f64() * 1e6;
+                assert_eq!(
+                    outcome.answer(),
+                    &want.0,
+                    "answer diverged at shards={}",
+                    SHARDS[si]
+                );
+                if pass == 0 {
+                    work[si].push(outcome.ad_stats());
+                }
+            }
+            pass_means[si].push(total_us / batch.len() as f64);
         }
-        let m = mean(&latencies);
-        if shards == 1 {
-            one_shard_mean = m;
-        }
-        shard_rows.push((shards, m, percentile(&latencies, 0.50), one_shard_mean / m));
     }
+    assert_eq!(work[0], soa_out.iter().map(|o| o.1).collect::<Vec<_>>());
+    for (stats, shards) in work.iter().zip(SHARDS) {
+        let same = |(a, b): (&AdStats, &AdStats)| a.heap_pops == b.heap_pops;
+        assert!(
+            stats.iter().zip(&work[0]).all(same),
+            "the global stop must pop the same attributes at shards={shards}"
+        );
+    }
+    let one_shard_mean = percentile(&pass_means[0], 0.50);
 
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
         "  \"config\": {{\"cardinality\": {}, \"dims\": {}, \"k\": {}, \"n\": {}, \
-         \"queries\": {}, \"seed\": {}, \"workers\": {}, \"cpus\": {cpus}}},",
-        cfg.cardinality, cfg.dims, cfg.k, cfg.n, cfg.queries, cfg.seed, cfg.workers
+         \"queries\": {}, \"seed\": {}, \"workers\": {}, \"passes\": {}, \"cpus\": {cpus}, \
+         \"rev\": \"{}\"}},",
+        cfg.cardinality,
+        cfg.dims,
+        cfg.k,
+        cfg.n,
+        cfg.queries,
+        cfg.seed,
+        cfg.workers,
+        cfg.passes,
+        git_rev()
     );
     let _ = writeln!(
         json,
@@ -244,12 +279,22 @@ fn main() {
         aos_mean / soa_mean
     );
     let _ = writeln!(json, "  \"shards\": [");
-    for (i, (shards, m, p50, speedup)) in shard_rows.iter().enumerate() {
-        let comma = if i + 1 < shard_rows.len() { "," } else { "" };
+    for (si, shards) in SHARDS.iter().enumerate() {
+        let comma = if si + 1 < SHARDS.len() { "," } else { "" };
+        let median = percentile(&pass_means[si], 0.50);
+        let per_query = |f: fn(&AdStats) -> u64| {
+            work[si].iter().map(f).sum::<u64>() as f64 / work[si].len() as f64
+        };
         let _ = writeln!(
             json,
-            "    {{\"shards\": {shards}, \"mean_us\": {m:.1}, \"p50_us\": {p50:.1}, \
-             \"speedup_vs_1shard\": {speedup:.3}}}{comma}"
+            "    {{\"shards\": {shards}, \"mean_us\": {{\"min\": {:.1}, \"median\": {median:.1}, \
+             \"max\": {:.1}}}, \"speedup_vs_1shard\": {:.3}, \"attrs_per_query\": {:.1}, \
+             \"pops_per_query\": {:.1}}}{comma}",
+            percentile(&pass_means[si], 0.0),
+            percentile(&pass_means[si], 1.0),
+            one_shard_mean / median,
+            per_query(|s| s.attributes_retrieved),
+            per_query(|s| s.heap_pops),
         );
     }
     let _ = writeln!(json, "  ]");

@@ -22,6 +22,19 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
     sorted[((sorted.len() - 1) as f64 * p) as usize]
 }
 
+/// `git describe --always --dirty` of the working directory — the revision
+/// a committed `BENCH_*.json` was measured at — or `"unknown"` outside a
+/// checkout.
+pub fn git_rev() -> String {
+    let git = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output();
+    match git {
+        Ok(out) if out.status.success() => String::from_utf8_lossy(&out.stdout).trim().into(),
+        _ => "unknown".into(),
+    }
+}
+
 /// Scale of a reproduction run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {

@@ -78,10 +78,11 @@ fn usage() -> &'static str {
      [--binary] [--stats]\n\
      \n\
      the in-memory engine (no --disk, no --planner) is one engine, a snapshot \
-     of sorted runs: one run by default (plain AD), --shards S lays the data \
-     out as S initial runs searched in parallel, --mutable makes it accept \
-     INSERT/DELETE/SEAL (compaction treats the initial runs like any \
-     others).\n\
+     of sorted runs that every query walks with one AD frontier: one run \
+     by default, --shards S lays the data out as S initial runs (a layout, \
+     not a speed-up: queries run one per worker either way), --mutable makes \
+     it accept INSERT/DELETE/SEAL (compaction treats the initial runs like \
+     any others).\n\
      \n\
      exit codes: 0 success; 1 usage or I/O error; 2 command ran but some \
      queries failed"
@@ -907,9 +908,9 @@ fn query(args: &[String]) -> Result<String, String> {
 
 /// The `--shards` arm of `query`: [`EngineConfig`] loads the database's
 /// points into memory as that many contiguous point-id runs, and the
-/// single query runs with intra-query parallelism — reporting per-shard
-/// AD cost instead of the disk I/O model (the run-list engine is an
-/// in-memory path).
+/// single query is one AD walk over all of them — reporting its AD cost
+/// (attributes retrieved, frontier pops) instead of the disk I/O model
+/// (the run-list engine is an in-memory path).
 fn query_sharded(args: &[String], path: &str, point: &[f64], k: usize) -> Result<String, String> {
     if args.iter().any(|a| a == "--auto") {
         return Err("--auto plans disk I/O; it cannot be combined with --shards".into());
@@ -969,17 +970,13 @@ fn query_sharded(args: &[String], path: &str, point: &[f64], k: usize) -> Result
             }
         }
     }
-    let shard_stats = outcome.per_shard().unwrap_or(&[]);
-    let per_shard: Vec<String> = shard_stats
-        .iter()
-        .map(|s| s.attributes_retrieved.to_string())
-        .collect();
+    let stats = outcome.ad_stats();
     writeln!(
         out,
-        "cost: {} attributes across {} shard(s) ({})",
-        outcome.ad_stats().attributes_retrieved,
-        shard_stats.len(),
-        per_shard.join(" + ")
+        "cost: {} attributes, {} pops over {} run(s)",
+        stats.attributes_retrieved,
+        stats.heap_pops,
+        engine.run_count().unwrap_or(1)
     )
     .expect("write to String");
     Ok(out)
@@ -1897,9 +1894,13 @@ mod sharded_cli_tests {
         for line in &plain_ids {
             assert!(out.contains(line.trim()), "missing {line:?} in {out}");
         }
-        // Cost line sums the per-shard breakdown.
+        // One walk, one cost line: attributes, pops, and the run count.
         let cost = out.lines().find(|l| l.starts_with("cost:")).unwrap();
-        assert!(cost.contains(&format!("across {shown} shard(s)")), "{cost}");
+        assert!(cost.contains(" attributes, "), "{cost}");
+        assert!(
+            cost.ends_with(&format!(" pops over {shown} run(s)")),
+            "{cost}"
+        );
 
         let out = run(&s(&[
             "query",

@@ -13,8 +13,8 @@
 //! attributes retrieved** (Theorems 3.2 / 3.3).
 
 use crate::error::{KnMatchError, Result};
-use crate::frontier::{AdWalker, Frontier, LinearFrontier};
-use crate::point::validate_finite;
+use crate::frontier::{AdWalker, Frontier, LinearFrontier, SortedLists};
+use crate::point::{validate_finite, PointId};
 use crate::result::{rank_frequent, FrequentResult, KnMatchResult, MatchEntry};
 use crate::scratch::{EpochMarks, QueryControl, Scratch};
 use crate::source::SortedAccessSource;
@@ -25,24 +25,15 @@ pub struct AdStats {
     /// Individual attributes retrieved by sorted access (the paper's cost
     /// measure; Theorem 3.2 proves AD minimises this).
     pub attributes_retrieved: u64,
-    /// Binary-search probes issued to seed the cursors (one per dimension).
+    /// Binary-search probes issued to seed the cursors (one per sorted
+    /// list: `d` over plain columns, `S · d` over an `S`-run snapshot).
     pub locate_probes: u64,
-    /// Triples popped from `g[]`. Popped ≤ retrieved: up to `2d` retrieved
-    /// attributes may still sit in `g[]` at termination.
+    /// Triples popped from `g[]`. Popped ≤ retrieved: up to two retrieved
+    /// attributes per sorted list may still sit in `g[]` at termination.
     pub heap_pops: u64,
 }
 
 impl AdStats {
-    /// Adds `other`'s counters into `self` — used to total the per-shard
-    /// stats of one sharded query. Note that the total of a sharded run
-    /// exceeds the unsharded run's stats: every shard seeds its own `2d`
-    /// cursors and walks until its local stop condition.
-    pub fn accumulate(&mut self, other: &AdStats) {
-        self.attributes_retrieved += other.attributes_retrieved;
-        self.locate_probes += other.locate_probes;
-        self.heap_pops += other.heap_pops;
-    }
-
     /// Retrieved attributes as a fraction of the `c · d` total — the y-axis
     /// of the paper's Figures 9(a) and 15(b).
     pub fn retrieved_fraction(&self, cardinality: usize, dims: usize) -> f64 {
@@ -150,6 +141,19 @@ pub fn frequent_k_n_match_ad_with<S: SortedAccessSource>(
     n1: usize,
     scratch: &mut Scratch,
 ) -> Result<(FrequentResult, AdStats)> {
+    frequent_lists(src, query, k, n0, n1, scratch)
+}
+
+/// [`frequent_k_n_match_ad_with`] over any [`SortedLists`] — plain
+/// columns or the run list of a versioned snapshot.
+pub(crate) fn frequent_lists<L: SortedLists>(
+    src: &mut L,
+    query: &[f64],
+    k: usize,
+    n0: usize,
+    n1: usize,
+    scratch: &mut Scratch,
+) -> Result<(FrequentResult, AdStats)> {
     let Scratch {
         marks,
         walker,
@@ -174,7 +178,7 @@ pub fn frequent_k_n_match_ad_linear<S: SortedAccessSource>(
     n1: usize,
 ) -> Result<(FrequentResult, AdStats)> {
     let mut walker: AdWalker<LinearFrontier> = AdWalker::new_empty();
-    let mut marks = EpochMarks::new();
+    let mut marks = EpochMarks::default();
     frequent_core(
         src,
         query,
@@ -188,19 +192,26 @@ pub fn frequent_k_n_match_ad_linear<S: SortedAccessSource>(
 }
 
 /// The FKNMatchAD loop against borrowed working memory. Every public
-/// entry point funnels here, so the sequential, scratch-reusing, and
-/// parallel paths are the same code and produce bit-identical answers
-/// and [`AdStats`].
+/// entry point and every batch engine funnels here, so the sequential,
+/// scratch-reusing, parallel and run-list paths are the same code and
+/// produce bit-identical answers and [`AdStats`].
+///
+/// The walk is one frontier over *all* the lists of `src` and its stop
+/// condition is global: `k` **live** points seen `n1` times. A point is
+/// resolved ([`SortedLists::resolve`]) only when it completes a level in
+/// `[n0, n1]`; a dead one is skipped and never counts as an answer, so
+/// Theorem 3.2's argument holds per live point and no list is walked past
+/// the global ε.
 ///
 /// Tie-breaking is **canonical**: when several points share the boundary
 /// difference ε of an answer set, the set keeps the ones with the smallest
 /// (diff, pid) keys — a pure function of the data, independent of cursor
-/// interleaving. This costs a short extra drain of boundary-tied pops
-/// (zero when the boundary difference is unique) and is what makes the
-/// point-id-sharded engine's merged answers bit-identical to this loop.
+/// interleaving and of how the points are split over parts. This costs a
+/// short extra drain of boundary-tied pops (zero when the boundary
+/// difference is unique).
 #[allow(clippy::too_many_arguments)]
-fn frequent_core<S: SortedAccessSource, F: Frontier>(
-    src: &mut S,
+fn frequent_core<L: SortedLists, F: Frontier>(
+    src: &mut L,
     query: &[f64],
     k: usize,
     n0: usize,
@@ -209,28 +220,31 @@ fn frequent_core<S: SortedAccessSource, F: Frontier>(
     marks: &mut EpochMarks,
     control: &QueryControl,
 ) -> Result<(FrequentResult, AdStats)> {
-    let d = src.dims();
-    let c = src.cardinality();
-    validate_params(query, d, c, k, n0, n1)?;
+    validate_params(query, src.dims(), src.live(), k, n0, n1)?;
     control.precheck()?;
 
-    marks.begin(c);
+    marks.begin(src.slots());
     walker.reseed(src, query);
     // S_{n0} … S_{n1}, filled in order of appearance (= ascending n-match
     // difference, Theorem 3.1).
     let mut sets: Vec<Vec<MatchEntry>> = vec![Vec::new(); n1 - n0 + 1];
+    let mut visit = |src: &L, sets: &mut [Vec<MatchEntry>], (slot, diff): (PointId, f64)| {
+        let a = marks.bump_appear(slot) as usize;
+        if a >= n0 && a <= n1 {
+            if let Some(pid) = src.resolve(slot) {
+                sets[a - n0].push(MatchEntry { pid, diff });
+            }
+        }
+    };
 
     let last_set = n1 - n0;
     let mut tick = 0u32;
     while sets[last_set].len() < k {
         control.check(&mut tick)?;
-        let (pid, diff) = walker
-            .next_pop(src)
-            .expect("g[] exhausted: all c·d attributes read, so every point appeared d ≥ n1 times");
-        let a = marks.bump_appear(pid) as usize;
-        if a >= n0 && a <= n1 {
-            sets[a - n0].push(MatchEntry { pid, diff });
-        }
+        let pop = walker.next_pop(src).expect(
+            "g[] exhausted: every attribute read, so each of the ≥ k live points appeared d ≥ n1 times",
+        );
+        visit(src, &mut sets, pop);
     }
 
     // Canonical tie drain. The loop above stops the instant S_{n1} holds k
@@ -242,16 +256,13 @@ fn frequent_core<S: SortedAccessSource, F: Frontier>(
     // the drain every set holds *all* candidates with diff ≤ its own
     // boundary, and selecting each set's k smallest by the canonical
     // (diff, pid) key makes the answer a pure function of the data — which
-    // is what lets a sharded run merged by (diff, pid) be bit-identical
-    // (see `sharded`). On tie-free boundaries the drain pops
-    // nothing and the result is unchanged.
+    // is what makes an S-run snapshot bit-identical to one run over the
+    // same points. On tie-free boundaries the drain pops nothing and the
+    // result is unchanged.
     let bound = sets[last_set][k - 1].diff;
     while walker.peek_diff().is_some_and(|d| d <= bound) {
-        let (pid, diff) = walker.next_pop(src).expect("peeked non-empty frontier");
-        let a = marks.bump_appear(pid) as usize;
-        if a >= n0 && a <= n1 {
-            sets[a - n0].push(MatchEntry { pid, diff });
-        }
+        let pop = walker.next_pop(src).expect("peeked non-empty frontier");
+        visit(src, &mut sets, pop);
     }
 
     // Each S_n lists its candidates in ascending pop order; the k-n-match
@@ -260,15 +271,24 @@ fn frequent_core<S: SortedAccessSource, F: Frontier>(
     for (i, mut set) in sets.into_iter().enumerate() {
         set.sort_unstable_by(|a, b| a.diff.total_cmp(&b.diff).then(a.pid.cmp(&b.pid)));
         set.truncate(k);
-        for e in &set {
-            marks.bump_count(e.pid);
-        }
         per_n.push(KnMatchResult {
             n: n0 + i,
             entries: set,
         });
     }
-    let entries = rank_frequent(&marks.count_pairs(), k);
+    // Definition 4's frequencies: one `(pid, 1)` per member of the k-sized
+    // sets, sorted and folded into `(pid, count)` in place (answer ids
+    // need not be dense, so no array is indexed by them) — ascending by
+    // pid, as `rank_frequent` expects.
+    let members = per_n.iter().flat_map(|level| &level.entries);
+    let mut counts: Vec<(PointId, u32)> = members.map(|e| (e.pid, 1)).collect();
+    counts.sort_unstable();
+    counts.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        kept.1 += u32::from(same);
+        same
+    });
+    let entries = rank_frequent(&counts, k);
 
     Ok((
         FrequentResult {
@@ -317,9 +337,20 @@ pub fn eps_n_match_ad_with<S: SortedAccessSource>(
     n: usize,
     scratch: &mut Scratch,
 ) -> Result<(KnMatchResult, AdStats)> {
-    let d = src.dims();
-    let c = src.cardinality();
-    validate_params(query, d, c, 1, n, n)?;
+    eps_lists(src, query, eps, n, scratch)
+}
+
+/// [`eps_n_match_ad_with`] over any [`SortedLists`]; like
+/// `frequent_core`, a point is resolved when it completes and a dead one
+/// is skipped.
+pub(crate) fn eps_lists<L: SortedLists>(
+    src: &mut L,
+    query: &[f64],
+    eps: f64,
+    n: usize,
+    scratch: &mut Scratch,
+) -> Result<(KnMatchResult, AdStats)> {
+    validate_params(query, src.dims(), src.live(), 1, n, n)?;
     validate_eps(eps)?;
     let Scratch {
         marks,
@@ -327,17 +358,19 @@ pub fn eps_n_match_ad_with<S: SortedAccessSource>(
         control,
     } = scratch;
     control.precheck()?;
-    marks.begin(c);
+    marks.begin(src.slots());
     walker.reseed(src, query);
     let mut entries = Vec::new();
     let mut tick = 0u32;
-    while let Some((pid, diff)) = walker.next_pop(src) {
+    while let Some((slot, diff)) = walker.next_pop(src) {
         control.check(&mut tick)?;
         if diff > eps {
             break;
         }
-        if marks.bump_appear(pid) as usize == n {
-            entries.push(MatchEntry { pid, diff });
+        if marks.bump_appear(slot) as usize == n {
+            if let Some(pid) = src.resolve(slot) {
+                entries.push(MatchEntry { pid, diff });
+            }
         }
     }
     let mut res = KnMatchResult { n, entries };

@@ -21,12 +21,10 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::ad::{
-    eps_n_match_ad_with, frequent_k_n_match_ad_with, k_n_match_ad_with, validate_eps,
-    validate_params, AdStats,
-};
+use crate::ad::{eps_lists, frequent_lists, validate_eps, validate_params, AdStats};
 use crate::columns::SortedColumns;
 use crate::error::{panic_message, KnMatchError, Result};
+use crate::frontier::SortedLists;
 use crate::result::{FrequentResult, KnMatchResult};
 use crate::scratch::{QueryControl, Scratch};
 use crate::source::SortedAccessSource;
@@ -242,19 +240,18 @@ impl BatchOptions {
 /// One successful slot of a batch run, as seen through the [`BatchEngine`]
 /// abstraction.
 ///
-/// Every engine returns its own outcome type — the in-memory
-/// [`QueryEngine`] a plain `(BatchAnswer, AdStats)` pair, the versioned
-/// run-list engine a [`ShardedOutcome`](crate::ShardedOutcome) with its
-/// per-run cost split, the disk engine a `DiskBatchOutcome` carrying modelled page
-/// I/O. This trait is the common projection: the answer itself plus the
-/// attribute-level AD counters, which every backend produces. Code that
-/// serves or prints batch results (the network front-end, the CLI) works
-/// against this projection and stays backend-agnostic.
+/// Every engine returns its own outcome type — the in-memory engines
+/// ([`QueryEngine`], the versioned run list, the planner) a plain
+/// `(BatchAnswer, AdStats)` pair, the disk engine a `DiskBatchOutcome`
+/// carrying modelled page I/O. This trait is the common projection: the
+/// answer itself plus the attribute-level AD counters, which every
+/// backend produces. Code that serves or prints batch results (the
+/// network front-end, the CLI) works against this projection and stays
+/// backend-agnostic.
 pub trait BatchOutcome: Send {
     /// The query answer, mirroring the [`BatchQuery`] variant.
     fn answer(&self) -> &BatchAnswer;
-    /// The attribute-level AD counters of this query (for sharded runs,
-    /// the per-shard total).
+    /// The attribute-level AD counters of this query.
     fn ad_stats(&self) -> AdStats;
     /// Consumes the outcome, keeping only the answer.
     fn into_answer(self) -> BatchAnswer;
@@ -279,9 +276,9 @@ impl BatchOutcome for (BatchAnswer, AdStats) {
 ///
 /// Three AD engines implement it — [`QueryEngine`] (shared in-memory
 /// columns, inter-query parallelism; the reference),
-/// [`VersionedIndex`](crate::VersionedIndex) (a snapshot of runs: plain
-/// AD at one run, intra-query parallelism at more, live writes; what the
-/// front-ends serve from memory), and the disk engine in
+/// [`VersionedIndex`](crate::VersionedIndex) (a snapshot of runs walked
+/// by one AD frontier, the same inter-query parallelism, live writes;
+/// what the front-ends serve from memory), and the disk engine in
 /// `knmatch-storage` (shared buffer pool over a database file). All three
 /// promise the same contract:
 ///
@@ -359,10 +356,10 @@ pub fn isolate_panic<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
 /// caller-provided working memory.
 ///
 /// This is the single dispatch point every batch executor funnels through:
-/// the in-memory [`QueryEngine`], every run of a versioned snapshot, the
-/// planner's AD route, the disk-backed engine in `knmatch-storage`, and
-/// sequential cross-check loops all call it, so answers and [`AdStats`]
-/// cannot drift between them.
+/// the in-memory [`QueryEngine`], the planner's AD route, the disk-backed
+/// engine in `knmatch-storage`, and sequential cross-check loops all call
+/// it — and a versioned snapshot calls the same dispatch over its run
+/// list — so answers and [`AdStats`] cannot drift between them.
 ///
 /// # Errors
 ///
@@ -372,18 +369,55 @@ pub fn execute_batch_query<Src: SortedAccessSource>(
     query: &BatchQuery,
     scratch: &mut Scratch,
 ) -> Result<(BatchAnswer, AdStats)> {
+    execute_lists(src, query, scratch)
+}
+
+/// [`execute_batch_query`] over any [`SortedLists`].
+pub(crate) fn execute_lists<L: SortedLists>(
+    src: &mut L,
+    query: &BatchQuery,
+    scratch: &mut Scratch,
+) -> Result<(BatchAnswer, AdStats)> {
     match query {
-        BatchQuery::KnMatch { query, k, n } => k_n_match_ad_with(src, query, *k, *n, scratch)
-            .map(|(r, s)| (BatchAnswer::KnMatch(r), s)),
+        BatchQuery::KnMatch { query, k, n } => {
+            frequent_lists(src, query, *k, *n, *n, scratch).map(|(mut r, s)| {
+                let level = r.per_n.pop().expect("single-n run yields one answer set");
+                (BatchAnswer::KnMatch(level), s)
+            })
+        }
         BatchQuery::Frequent { query, k, n0, n1 } => {
-            frequent_k_n_match_ad_with(src, query, *k, *n0, *n1, scratch)
+            frequent_lists(src, query, *k, *n0, *n1, scratch)
                 .map(|(r, s)| (BatchAnswer::Frequent(r), s))
         }
         BatchQuery::EpsMatch { query, eps, n } => {
-            eps_n_match_ad_with(src, query, *eps, *n, scratch)
-                .map(|(r, s)| (BatchAnswer::EpsMatch(r), s))
+            eps_lists(src, query, *eps, *n, scratch).map(|(r, s)| (BatchAnswer::EpsMatch(r), s))
         }
     }
+}
+
+/// The batch loop of the in-memory AD engines: one query per
+/// [`run_batch`] work item against `lists` (a shared, `Copy` view — plain
+/// columns for [`QueryEngine`], the run list for a versioned snapshot),
+/// per-worker [`Scratch`], panics isolated and failures noted for
+/// fail-fast per query.
+pub(crate) fn run_queries<L: SortedLists + Copy + Sync>(
+    workers: usize,
+    queries: &[BatchQuery],
+    opts: &BatchOptions,
+    lists: L,
+) -> Vec<Result<(BatchAnswer, AdStats)>> {
+    let control = opts.arm();
+    run_batch(
+        workers,
+        queries.len(),
+        || control.scratch(),
+        |scratch, i| {
+            let mut view = lists;
+            let out = isolate_panic(|| execute_lists(&mut view, &queries[i], scratch));
+            note_outcome(&control, &out);
+            out
+        },
+    )
 }
 
 /// Runs `count` independent work items over a pool of `workers` threads,
@@ -541,17 +575,7 @@ impl BatchEngine for QueryEngine {
         queries: &[BatchQuery],
         opts: &BatchOptions,
     ) -> Vec<Result<(BatchAnswer, AdStats)>> {
-        let control = opts.arm();
-        run_batch(
-            self.workers,
-            queries.len(),
-            || control.scratch(),
-            |scratch, i| {
-                let out = isolate_panic(|| self.execute(&queries[i], scratch));
-                note_outcome(&control, &out);
-                out
-            },
-        )
+        run_queries(self.workers, queries, opts, &*self.cols)
     }
 }
 

@@ -12,10 +12,83 @@ use std::collections::BinaryHeap;
 
 use crate::ad::AdStats;
 use crate::point::PointId;
-use crate::source::SortedAccessSource;
+use crate::source::{SortedAccessSource, SortedEntry};
+
+/// What one AD walk runs over: the `d` sorted lists of each of `S`
+/// disjoint *parts* of the points — `S · d` lists, one frontier.
+///
+/// A plain [`SortedAccessSource`] is the `S = 1` case (blanket impl
+/// below): one part, slot = pid, every point live. A versioned snapshot
+/// is the general one: a part per run, a run's points numbered from the
+/// run's base slot, and a slot resolved to its key — or to nothing, when
+/// the key is tombstoned — only once the point completes. The walk is
+/// generic over this trait and monomorphised per source, so the one-part
+/// loop carries no trace of the run list.
+pub(crate) trait SortedLists {
+    /// Dimensionality `d`.
+    fn dims(&self) -> usize;
+
+    /// Number of parts `S`.
+    fn parts(&self) -> usize;
+
+    /// Length of each of `part`'s `d` lists.
+    fn part_len(&self, part: usize) -> usize;
+
+    /// Total list length over the parts; [`entry`](Self::entry) reports
+    /// ids in `0..slots()`.
+    fn slots(&self) -> usize {
+        (0..self.parts()).map(|part| self.part_len(part)).sum()
+    }
+
+    /// Points that can be answers — the cardinality queries validate
+    /// against.
+    fn live(&self) -> usize;
+
+    /// [`SortedAccessSource::locate`] in `part`'s list for `dim`.
+    fn locate(&mut self, part: usize, dim: usize, q: f64) -> usize;
+
+    /// [`SortedAccessSource::entry`] in `part`'s list for `dim`; `pid`
+    /// is the point's slot.
+    fn entry(&mut self, part: usize, dim: usize, rank: usize) -> SortedEntry;
+
+    /// The id answers report for `slot`, or `None` when the point is
+    /// dead and must never count as an answer.
+    fn resolve(&self, slot: PointId) -> Option<PointId>;
+}
+
+impl<S: SortedAccessSource> SortedLists for S {
+    fn dims(&self) -> usize {
+        SortedAccessSource::dims(self)
+    }
+
+    fn parts(&self) -> usize {
+        1
+    }
+
+    fn part_len(&self, _part: usize) -> usize {
+        self.cardinality()
+    }
+
+    fn live(&self) -> usize {
+        self.cardinality()
+    }
+
+    fn locate(&mut self, _part: usize, dim: usize, q: f64) -> usize {
+        SortedAccessSource::locate(self, dim, q)
+    }
+
+    fn entry(&mut self, _part: usize, dim: usize, rank: usize) -> SortedEntry {
+        SortedAccessSource::entry(self, dim, rank)
+    }
+
+    fn resolve(&self, slot: PointId) -> Option<PointId> {
+        Some(slot)
+    }
+}
 
 /// A frontier item: the paper's `(pid, pd, dif)` triple. `cid` identifies
-/// the cursor (dimension × direction) that produced it.
+/// the cursor (list × direction) that produced it; `pid` is the point's
+/// slot (see [`SortedLists`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Triple {
     pub diff: f64,
@@ -163,22 +236,28 @@ impl Frontier for LinearFrontier {
     }
 }
 
-/// One directional cursor: the rank it last read in its dimension.
+/// One directional cursor over one sorted list: the list it walks
+/// (dimension `dim` of part `part`, `len` entries) and the rank it last
+/// read there.
 #[derive(Debug, Clone, Copy)]
 struct Cursor {
     last: usize,
+    len: usize,
+    part: u32,
+    dim: u32,
 }
 
-/// The cursor-walking core of the AD algorithm: seeds `2d` cursors around
-/// the query and serves `(pid, diff)` pops in ascending difference order,
-/// refilling the popped cursor from the source. Generic over the frontier
-/// representation and the sorted-access source.
+/// The cursor-walking core of the AD algorithm: seeds two cursors per
+/// sorted list (`2 · S · d`) around the query and serves `(slot, diff)`
+/// pops in ascending difference order, refilling the popped cursor from
+/// the source. Cursor ids run part-major (`2 · (part · d + dim)` down,
+/// `+ 1` up), so one part numbers its cursors `2 · dim`, `2 · dim + 1`.
+/// Generic over the frontier representation and the lists.
 #[derive(Debug)]
 pub(crate) struct AdWalker<F: Frontier> {
     query: Vec<f64>,
     frontier: F,
     cursors: Vec<Cursor>,
-    cardinality: usize,
     pub(crate) stats: AdStats,
 }
 
@@ -196,71 +275,68 @@ impl<F: Frontier> AdWalker<F> {
             query: Vec::new(),
             frontier: F::with_cursors(0),
             cursors: Vec::new(),
-            cardinality: 0,
             stats: AdStats::default(),
         }
     }
 
     /// Re-points the walker at a new (source, query) pair, reusing every
-    /// buffer: binary-search each dimension, push the closest attribute in
+    /// buffer: binary-search each list, push the closest attribute in
     /// each direction. Stats restart from zero.
-    pub(crate) fn reseed<S: SortedAccessSource>(&mut self, src: &mut S, query: &[f64]) {
-        let d = src.dims();
-        let c = src.cardinality();
+    pub(crate) fn reseed<L: SortedLists>(&mut self, src: &mut L, query: &[f64]) {
+        let parts = src.parts();
         self.query.clear();
         self.query.extend_from_slice(query);
-        self.frontier.reset(2 * d);
+        self.frontier.reset(2 * parts * query.len());
         self.cursors.clear();
-        self.cursors.resize(2 * d, Cursor { last: 0 });
-        self.cardinality = c;
         self.stats = AdStats::default();
-        for (dim, &qv) in query.iter().enumerate() {
-            let pos = src.locate(dim, qv);
-            self.stats.locate_probes += 1;
-            if pos > 0 {
-                self.read_into_frontier(src, dim, pos - 1, (2 * dim) as u32);
-            }
-            if pos < c {
-                self.read_into_frontier(src, dim, pos, (2 * dim + 1) as u32);
+        for part in 0..parts {
+            let len = src.part_len(part);
+            for (dim, &qv) in query.iter().enumerate() {
+                let pos = src.locate(part, dim, qv);
+                self.stats.locate_probes += 1;
+                let down = self.cursors.len();
+                let cursor = Cursor {
+                    last: pos,
+                    len,
+                    part: part as u32,
+                    dim: dim as u32,
+                };
+                self.cursors.extend([cursor, cursor]);
+                if pos > 0 {
+                    self.read_into_frontier(src, down, pos - 1);
+                }
+                if pos < len {
+                    self.read_into_frontier(src, down + 1, pos);
+                }
             }
         }
     }
 
-    /// Seeds a fresh walker: binary-search each dimension, push the closest
+    /// Seeds a fresh walker: binary-search each list, push the closest
     /// attribute in each direction.
-    pub(crate) fn seed<S: SortedAccessSource>(src: &mut S, query: &[f64]) -> Self {
+    pub(crate) fn seed<L: SortedLists>(src: &mut L, query: &[f64]) -> Self {
         let mut walker = Self::new_empty();
         walker.reseed(src, query);
         walker
     }
 
-    /// Retrieves `(dim, rank)` for cursor `cid`, counting the sorted
+    /// Retrieves `rank` of cursor `cid`'s list, counting the sorted
     /// access and advancing the cursor.
-    fn retrieve<S: SortedAccessSource>(
-        &mut self,
-        src: &mut S,
-        dim: usize,
-        rank: usize,
-        cid: u32,
-    ) -> Triple {
-        let e = src.entry(dim, rank);
+    fn retrieve<L: SortedLists>(&mut self, src: &mut L, cid: usize, rank: usize) -> Triple {
+        let cursor = &mut self.cursors[cid];
+        cursor.last = rank;
+        let (part, dim) = (cursor.part as usize, cursor.dim as usize);
+        let e = src.entry(part, dim, rank);
         self.stats.attributes_retrieved += 1;
-        self.cursors[cid as usize].last = rank;
         Triple {
             diff: (e.value - self.query[dim]).abs(),
-            cid,
+            cid: cid as u32,
             pid: e.pid,
         }
     }
 
-    fn read_into_frontier<S: SortedAccessSource>(
-        &mut self,
-        src: &mut S,
-        dim: usize,
-        rank: usize,
-        cid: u32,
-    ) {
-        let t = self.retrieve(src, dim, rank, cid);
+    fn read_into_frontier<L: SortedLists>(&mut self, src: &mut L, cid: usize, rank: usize) {
+        let t = self.retrieve(src, cid, rank);
         self.frontier.push(t);
     }
 
@@ -272,30 +348,26 @@ impl<F: Frontier> AdWalker<F> {
         self.frontier.peek().map(|t| t.diff)
     }
 
-    /// Pops the next `(pid, diff)` in ascending difference order and
-    /// refills the popped cursor. `None` once all `c·d` attributes have
-    /// been consumed. Pop and refill are fused into one
+    /// Pops the next `(slot, diff)` in ascending difference order and
+    /// refills the popped cursor. `None` once every attribute of every
+    /// list has been consumed. Pop and refill are fused into one
     /// [`Frontier::replace`] when the cursor has attributes left.
-    pub(crate) fn next_pop<S: SortedAccessSource>(
-        &mut self,
-        src: &mut S,
-    ) -> Option<(PointId, f64)> {
+    pub(crate) fn next_pop<L: SortedLists>(&mut self, src: &mut L) -> Option<(PointId, f64)> {
         let item = self.frontier.peek()?;
         self.stats.heap_pops += 1;
         let cid = item.cid as usize;
-        let dim = cid / 2;
-        let last = self.cursors[cid].last;
+        let Cursor { last, len, .. } = self.cursors[cid];
         let refill = if cid % 2 == 0 {
             // Towards smaller values.
             last.checked_sub(1)
-        } else if last + 1 < self.cardinality {
+        } else if last + 1 < len {
             // Towards larger values.
             Some(last + 1)
         } else {
             None
         };
         if let Some(rank) = refill {
-            let t = self.retrieve(src, dim, rank, item.cid);
+            let t = self.retrieve(src, cid, rank);
             self.frontier.replace(t);
         } else {
             self.frontier.pop();

@@ -66,13 +66,11 @@
 //! - [`filter`] / [`ScanEngine`] / [`BandEngine`] — exact filter-and-refine
 //!   batch backends over quantised cells (VA-file / IGrid adapters build on
 //!   these);
-//! - [`sharded`] — the exact `(diff, pid)` merge over independent parts
-//!   of the points (a snapshot's runs): intra-query parallelism;
 //! - [`stream`] — lazy ascending-difference answer iterator;
 //! - [`versioned`] / [`VersionedIndex`] — epoch-versioned MVCC index:
 //!   delta + sealed runs (keys + columns each) + pinned snapshots, writers
-//!   never block readers; seeded with one run it is plain AD, with more
-//!   it is the sharded engine;
+//!   never block readers; a query is one AD walk over every run's sorted
+//!   lists, so one run is plain AD and more runs are only a layout;
 //! - [`hybrid`] — mixed numeric/categorical/weighted schemas (footnote 1);
 //! - [`naive`] — full-scan reference algorithms;
 //! - [`knn`] / [`metrics`] — kNN baselines (L_p, Chebyshev, DPF);
@@ -103,7 +101,8 @@ pub mod paper;
 pub mod point;
 pub mod result;
 pub mod scratch;
-pub mod sharded;
+#[cfg(test)]
+mod sharded;
 pub mod skyline;
 pub mod source;
 pub mod stream;
@@ -141,7 +140,6 @@ pub use nmatch::{
 pub use point::{Dataset, PointId};
 pub use result::{FrequentEntry, FrequentResult, KnMatchResult, MatchEntry};
 pub use scratch::{QueryControl, Scratch};
-pub use sharded::ShardedOutcome;
 pub use skyline::skyline_wrt;
 pub use source::{SortedAccessSource, SortedEntry};
 pub use stream::NMatchStream;

@@ -1,14 +1,14 @@
 //! Reusable per-query working memory for the AD algorithm.
 //!
-//! Every AD run needs two arrays indexed by point id — how often each point
-//! has appeared (`appear`) and how often it entered a per-n answer set
-//! (`counts`) — plus the frontier and cursor state of the walk itself.
-//! Allocating and zeroing those arrays per query costs O(c) before the
-//! first attribute is read, which dominates at high cardinality and small
-//! answers. A [`Scratch`] keeps them alive across queries and clears them
-//! in O(1) with an epoch stamp: each slot carries the epoch of the query
-//! that last wrote it, and a slot whose stamp differs from the current
-//! epoch reads as zero. Starting a query is a single integer increment.
+//! Every AD run needs an array indexed by point slot — how often each
+//! point has appeared (`appear`) — plus the frontier and cursor state of
+//! the walk itself. Allocating and zeroing that array per query costs O(c)
+//! before the first attribute is read, which dominates at high cardinality
+//! and small answers. A [`Scratch`] keeps it alive across queries and
+//! clears it in O(1) with an epoch stamp: each slot carries the epoch of
+//! the query that last wrote it, and a slot whose stamp differs from the
+//! current epoch reads as zero. Starting a query is a single integer
+//! increment.
 //!
 //! Reuse also works *across* engine calls: a dropped `Scratch` parks its
 //! buffers in a per-thread pool that [`QueryControl::scratch`] draws
@@ -125,7 +125,8 @@ impl QueryControl {
     }
 }
 
-/// Epoch-stamped `appear`/`counts` arrays: logically zeroed per query by
+/// Epoch-stamped `appear` array, indexed by slot (a plain source's pid; a
+/// snapshot's run base + local pid): logically zeroed per query by
 /// bumping a generation counter instead of an O(c) memset.
 #[derive(Debug, Default)]
 pub(crate) struct EpochMarks {
@@ -134,23 +135,15 @@ pub(crate) struct EpochMarks {
     epoch: u32,
     stamps: Vec<u32>,
     appear: Vec<u16>,
-    counts: Vec<u32>,
-    /// Pids whose `counts` went positive this query, so the frequency
-    /// ranking never scans all `c` slots.
-    touched: Vec<PointId>,
 }
 
 impl EpochMarks {
-    pub(crate) fn new() -> Self {
-        EpochMarks::default()
-    }
-
     /// Whether the marks carry grown buffers worth recycling.
     fn is_warm(&self) -> bool {
         !self.stamps.is_empty()
     }
 
-    /// Starts a query over a cardinality-`c` source: grows the arrays if
+    /// Starts a query over a source of `c` slots: grows the arrays if
     /// this source is larger than any seen before, then invalidates every
     /// slot by bumping the epoch. On the (once per 2³² queries) epoch wrap
     /// the stamps are hard-reset so stale slots cannot alias the new epoch.
@@ -160,9 +153,7 @@ impl EpochMarks {
             // rest and lazily zeroed on first touch.
             self.stamps.resize(c, self.epoch);
             self.appear.resize(c, 0);
-            self.counts.resize(c, 0);
         }
-        self.touched.clear();
         if self.epoch == u32::MAX {
             self.stamps.fill(0);
             self.epoch = 1;
@@ -171,41 +162,16 @@ impl EpochMarks {
         }
     }
 
-    /// Lazily zeroes a stale slot.
-    fn fresh(&mut self, i: usize) {
+    /// Increments and returns the appearance count of `slot`, lazily
+    /// zeroing a stale one first.
+    pub(crate) fn bump_appear(&mut self, slot: PointId) -> u16 {
+        let i = slot as usize;
         if self.stamps[i] != self.epoch {
             self.stamps[i] = self.epoch;
             self.appear[i] = 0;
-            self.counts[i] = 0;
         }
-    }
-
-    /// Increments and returns the appearance count of `pid`.
-    pub(crate) fn bump_appear(&mut self, pid: PointId) -> u16 {
-        let i = pid as usize;
-        self.fresh(i);
         self.appear[i] += 1;
         self.appear[i]
-    }
-
-    /// Increments the answer-set frequency of `pid`.
-    pub(crate) fn bump_count(&mut self, pid: PointId) {
-        let i = pid as usize;
-        self.fresh(i);
-        if self.counts[i] == 0 {
-            self.touched.push(pid);
-        }
-        self.counts[i] += 1;
-    }
-
-    /// The `(pid, count)` pairs with positive count, in ascending pid order
-    /// (the order the former full-array scan produced).
-    pub(crate) fn count_pairs(&mut self) -> Vec<(PointId, u32)> {
-        self.touched.sort_unstable();
-        self.touched
-            .iter()
-            .map(|&pid| (pid, self.counts[pid as usize]))
-            .collect()
     }
 }
 
@@ -254,7 +220,7 @@ impl Scratch {
     }
 }
 
-/// Scratches a thread keeps warm at most; each holds roughly 10 bytes per
+/// Scratches a thread keeps warm at most; each holds roughly 6 bytes per
 /// point of the largest source it has served, so the pool is a bounded
 /// per-thread cache, not a leak.
 const SCRATCH_POOL_CAP: usize = 4;
@@ -295,36 +261,30 @@ mod tests {
 
     #[test]
     fn epoch_bump_invalidates_previous_query() {
-        let mut m = EpochMarks::new();
+        let mut m = EpochMarks::default();
         m.begin(4);
         assert_eq!(m.bump_appear(2), 1);
         assert_eq!(m.bump_appear(2), 2);
-        m.bump_count(2);
-        m.bump_count(2);
-        m.bump_count(3);
-        assert_eq!(m.count_pairs(), vec![(2, 2), (3, 1)]);
         // Next query: all slots logically zero again, no memset.
         m.begin(4);
         assert_eq!(m.bump_appear(2), 1);
-        assert_eq!(m.count_pairs(), vec![]);
     }
 
     #[test]
     fn grows_to_larger_sources_and_keeps_working() {
-        let mut m = EpochMarks::new();
+        let mut m = EpochMarks::default();
         m.begin(2);
-        m.bump_count(1);
+        assert_eq!(m.bump_appear(1), 1);
         m.begin(10);
         assert_eq!(m.bump_appear(9), 1);
-        m.bump_count(9);
-        assert_eq!(m.count_pairs(), vec![(9, 1)]);
+        assert_eq!(m.bump_appear(1), 1);
     }
 
     #[test]
     fn epoch_wrap_resets_stamps() {
-        let mut m = EpochMarks::new();
+        let mut m = EpochMarks::default();
         m.begin(3);
-        m.bump_count(0);
+        m.bump_appear(0);
         // Force the wrap path.
         m.epoch = u32::MAX;
         m.stamps.fill(u32::MAX - 1);
@@ -332,15 +292,5 @@ mod tests {
         assert_eq!(m.epoch, 1);
         assert!(m.stamps.iter().all(|&s| s == 0));
         assert_eq!(m.bump_appear(0), 1);
-    }
-
-    #[test]
-    fn touched_list_dedupes() {
-        let mut m = EpochMarks::new();
-        m.begin(5);
-        for _ in 0..3 {
-            m.bump_count(4);
-        }
-        assert_eq!(m.count_pairs(), vec![(4, 3)]);
     }
 }

@@ -24,40 +24,47 @@
 //!
 //! The n-match difference of a point depends only on that point's own
 //! attributes (Definition 1), so splitting the points over runs splits
-//! the *candidates*, not the computation: a query runs independently
-//! against every run and the per-run answers merge exactly by
-//! `(diff, pid)` (see [`crate::sharded`]), given two things:
+//! the *sorted lists*, not the computation: a snapshot of `S` runs is a
+//! database of `S · d` sorted lists, and a query is **one** AD walk over
+//! all of them — `2 · S · d` cursors in one frontier, appearances counted
+//! per *slot* (run base + run-local pid) in one `Scratch`, one global
+//! stop. Its answer is the canonical `(diff, key)` answer over the live
+//! points, bit-identical to one run rebuilt from them, because:
 //!
-//! 1. **Keys are the global pids.** Every run is built with slot order =
-//!    ascending key order, so a run's local pid order is monotone in key
-//!    order and the per-run `(diff, local pid)` top-k equals the
-//!    `(diff, key)` top-k. Remapping local pids to keys therefore
-//!    preserves the canonical order and the cross-run merge stays exact
-//!    over the global key space.
-//! 2. **Tombstones inflate k.** A run with `t` tombstones answers a
-//!    k-n-match with `k' = min(run cardinality, k + t)`: the top-`k'`
-//!    entries minus at most `t` dead ones still contain the run's top-k
-//!    *live* points, so filtering tombstones after the per-run walk
-//!    loses nothing. Frequent queries inflate each per-n level the same
-//!    way; ε queries never truncate, so they only filter.
+//! 1. **The frontier pops in ascending difference across every list**, so
+//!    points complete their n-th appearance in the order of their n-match
+//!    differences whichever run holds them (Theorem 3.1 never asks the
+//!    lists to belong to one array).
+//! 2. **A slot is resolved to its key only when it completes** a level
+//!    in `[n0, n1]`: `key = run.keys[local]`, and a key in the run's
+//!    tombstone list is skipped — never pushed, never counted towards
+//!    `k`. The walk stops at `k` *live* answers, so Theorem 3.2's
+//!    optimality argument holds per live point; a dead point costs at
+//!    most those of its own `d` attributes that lie inside the live ε.
+//! 3. **Slot order need not follow key order.** Ties are settled after
+//!    the walk, by the plateau drain and the final `(diff, key)` sort
+//!    over resolved keys; slots only index the appearance counters. Runs
+//!    whose key ranges interleave are as exact as contiguous ones.
 //!
-//! This is also the crate's intra-query parallelism (DESIGN.md §9): an
-//! index seeded with [`VersionedIndex::from_dataset`] over `S` initial
-//! runs fans every query out into `S` tasks on the worker pool. With no
-//! tombstones `k' = min(run cardinality, k)` and each run's [`AdStats`]
-//! are bit-identical to sequential AD over that run's columns alone;
-//! with one run they equal [`QueryEngine`](crate::QueryEngine)'s — which
-//! is why a static dataset is served as a one-run index and
-//! `QueryEngine` is the reference the cross-checks compare against.
+//! With no tombstones an `S`-run walk pops what the one-run walk pops
+//! (after the drain: every attribute within ε) and pays `S · d` locate
+//! probes plus up to two retrieved-but-unpopped attributes per list. With
+//! one run it *is* [`QueryEngine`](crate::QueryEngine)'s loop, answers
+//! and [`AdStats`] — which is why a static dataset is served as a one-run
+//! index and `QueryEngine` is the reference the cross-checks compare
+//! against. More initial runs ([`VersionedIndex::from_dataset`]) are a
+//! layout, not intra-query parallelism: queries run one per worker
+//! whatever the run count (DESIGN.md §9).
 //!
 //! ## Lifecycle
 //!
 //! The delta is rebuilt into a one-run [`SortedColumns`] on every
 //! mutation (cost `O(|delta| · d · log |delta|)`, bounded because the
 //! delta **auto-seals** into a run at `merge_threshold` rows). Sealing
-//! costs one more such build: the writer keeps the delta as raw rows, so
-//! the run it seals is built from them, not taken from the published
-//! view. [`VersionWriter::maintain`] compacts the run list (merging runs
+//! costs no second build: an auto-seal builds the run from the writer's
+//! raw rows instead of publishing them as a delta, and an explicit seal
+//! takes the delta run the published view already holds.
+//! [`VersionWriter::maintain`] compacts the run list (merging runs
 //! and dropping tombstoned rows) once it grows past the fanout or turns
 //! mostly dead; servers schedule it on their executor pools after
 //! writes. A run keeps no row-major copy, so compaction scatters the live
@@ -72,15 +79,11 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use crate::ad::AdStats;
 use crate::columns::SortedColumns;
-use crate::engine::{
-    execute_batch_query, isolate_panic, note_outcome, run_batch, BatchAnswer, BatchEngine,
-    BatchOptions, BatchQuery,
-};
+use crate::engine::{run_queries, BatchAnswer, BatchEngine, BatchOptions, BatchQuery};
 use crate::error::{KnMatchError, Result};
+use crate::frontier::SortedLists;
 use crate::point::{validate_finite, Dataset, PointId};
-use crate::result::KnMatchResult;
-use crate::scratch::Scratch;
-use crate::sharded::{merge_shards, ShardedOutcome};
+use crate::source::{SortedAccessSource, SortedEntry};
 
 /// Default number of delta rows that triggers an automatic seal.
 pub const DEFAULT_MERGE_THRESHOLD: usize = 1024;
@@ -206,13 +209,76 @@ struct ViewInner {
     epoch: u64,
     live: usize,
     runs: Vec<SnapRun>,
+    /// `bases[i]` is the slot of run `i`'s local pid 0: the prefix sums
+    /// of the run lengths.
+    bases: Vec<PointId>,
+}
+
+impl ViewInner {
+    fn new(dims: usize, epoch: u64, runs: Vec<SnapRun>) -> Self {
+        let mut end = 0;
+        let bases = runs.iter().map(|sr| {
+            let base = PointId::try_from(end).expect("slots of one view fit a point id");
+            end += sr.run.len();
+            base
+        });
+        ViewInner {
+            dims,
+            epoch,
+            live: runs.iter().map(SnapRun::live).sum(),
+            bases: bases.collect(),
+            runs,
+        }
+    }
+}
+
+/// A view is the `S · d` sorted lists of its runs: the AD walk reads run
+/// `part`'s columns, numbers its points from the run's base slot, and
+/// resolves a completed slot to its key unless the key is tombstoned.
+impl SortedLists for &ViewInner {
+    fn dims(&self) -> usize {
+        self.dims
+    }
+
+    fn parts(&self) -> usize {
+        self.runs.len()
+    }
+
+    fn part_len(&self, part: usize) -> usize {
+        self.runs[part].run.len()
+    }
+
+    fn live(&self) -> usize {
+        self.live
+    }
+
+    fn locate(&mut self, part: usize, dim: usize, q: f64) -> usize {
+        SortedAccessSource::locate(&mut &self.runs[part].run.cols, dim, q)
+    }
+
+    fn entry(&mut self, part: usize, dim: usize, rank: usize) -> SortedEntry {
+        let e = SortedAccessSource::entry(&mut &self.runs[part].run.cols, dim, rank);
+        SortedEntry {
+            pid: self.bases[part] + e.pid,
+            value: e.value,
+        }
+    }
+
+    fn resolve(&self, slot: PointId) -> Option<PointId> {
+        // `bases[0] = 0`, so some base is ≤ slot; the last such is the
+        // run holding it.
+        let part = self.bases.partition_point(|&base| base <= slot) - 1;
+        let sr = &self.runs[part];
+        let key = sr.run.keys[(slot - self.bases[part]) as usize];
+        sr.tombs.binary_search(&key).is_err().then_some(key)
+    }
 }
 
 /// A frozen, queryable view of a [`VersionedIndex`] at one epoch.
 ///
 /// Cloning is an `Arc` clone; every clone pins the same version. The
-/// snapshot implements [`BatchEngine`] with the sharded outcome type —
-/// each run behaves like a shard and per-run [`AdStats`] ride along.
+/// snapshot implements [`BatchEngine`] with the plain
+/// `(BatchAnswer, AdStats)` outcome: one AD walk over all its runs.
 #[derive(Debug, Clone)]
 pub struct EpochSnapshot {
     inner: Arc<ViewInner>,
@@ -257,85 +323,6 @@ impl EpochSnapshot {
         let run = &self.inner.runs[ri].run;
         (&run.keys, &run.cols)
     }
-
-    /// Runs `query` against run `ri` with `k` inflated by the run's
-    /// tombstone count, then remaps local pids to keys and filters the
-    /// dead entries — the per-run half of the exactness argument above.
-    fn run_run(
-        &self,
-        query: &BatchQuery,
-        ri: usize,
-        scratch: &mut Scratch,
-    ) -> Result<(BatchAnswer, AdStats)> {
-        let sr = &self.inner.runs[ri];
-        let card = sr.run.len();
-        let t = sr.tombs.len();
-        let local = match query {
-            BatchQuery::KnMatch { query, k, n } => BatchQuery::KnMatch {
-                query: query.clone(),
-                k: (k + t).min(card),
-                n: *n,
-            },
-            BatchQuery::Frequent { query, k, n0, n1 } => BatchQuery::Frequent {
-                query: query.clone(),
-                k: (k + t).min(card),
-                n0: *n0,
-                n1: *n1,
-            },
-            BatchQuery::EpsMatch { .. } => query.clone(),
-        };
-        isolate_panic(|| {
-            let mut view: &SortedColumns = &sr.run.cols;
-            let (answer, stats) = execute_batch_query(&mut view, &local, scratch)?;
-            Ok((globalise(answer, sr, query), stats))
-        })
-    }
-}
-
-/// Remaps a per-run answer's local pids to keys, drops tombstoned
-/// entries and re-truncates k-bounded lists to the caller's `k`.
-/// Key remapping is monotone (keys ascend with local pid), so the
-/// canonical `(diff, pid)` order survives untouched.
-fn globalise(answer: BatchAnswer, sr: &SnapRun, query: &BatchQuery) -> BatchAnswer {
-    let remap = |r: &mut KnMatchResult, truncate: Option<usize>| {
-        for e in &mut r.entries {
-            e.pid = sr.run.keys[e.pid as usize];
-        }
-        if !sr.tombs.is_empty() {
-            r.entries
-                .retain(|e| sr.tombs.binary_search(&e.pid).is_err());
-        }
-        if let Some(k) = truncate {
-            r.entries.truncate(k);
-        }
-    };
-    match answer {
-        BatchAnswer::KnMatch(mut r) => {
-            let k = match query {
-                BatchQuery::KnMatch { k, .. } => Some(*k),
-                _ => None,
-            };
-            remap(&mut r, k);
-            BatchAnswer::KnMatch(r)
-        }
-        BatchAnswer::EpsMatch(mut r) => {
-            remap(&mut r, None);
-            BatchAnswer::EpsMatch(r)
-        }
-        BatchAnswer::Frequent(mut f) => {
-            let k = match query {
-                BatchQuery::Frequent { k, .. } => Some(*k),
-                _ => None,
-            };
-            for lvl in &mut f.per_n {
-                remap(lvl, k);
-            }
-            // The ranked entries are recomputed by the cross-run merge
-            // from the per-n sets; a per-run ranking is meaningless.
-            f.entries.clear();
-            BatchAnswer::Frequent(f)
-        }
-    }
 }
 
 /// Every live row of `runs` in ascending key order: the keys, and their
@@ -372,53 +359,24 @@ fn live_rows_of(runs: &[SnapRun], dims: usize) -> (Vec<PointId>, Vec<f64>) {
 }
 
 impl BatchEngine for EpochSnapshot {
-    type Outcome = ShardedOutcome;
+    type Outcome = (BatchAnswer, AdStats);
 
     fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Runs the batch against this frozen view. Queries are validated
-    /// against the snapshot's `(dims, live)` shape and every `(query, run)`
-    /// pair is one task on the [`run_batch`] pool — so a single query and a
-    /// large batch both keep every worker busy, all sharing the batch's
-    /// deadline clock and cancel flag — then each query's per-run answers
-    /// merge with the exact `(diff, key)` rule. An invalid query's tasks
-    /// do no run work: they report its validation error in their turn, so
-    /// a fail-fast batch sees it as it sees any other failure. A run that
-    /// fails (deadline, cancellation, a panic caught at the task boundary)
-    /// fails only its own query — first failing run, in run order, wins.
-    fn run_with(&self, queries: &[BatchQuery], opts: &BatchOptions) -> Vec<Result<ShardedOutcome>> {
-        let (inner, runs) = (&*self.inner, self.inner.runs.len());
-        let validity: Vec<Result<()>> = queries
-            .iter()
-            .map(|q| q.validate(inner.dims, inner.live))
-            .collect();
-        let control = opts.arm();
-        // Query-major: query `qi` owns tasks `qi·runs .. (qi + 1)·runs`.
-        let outs = run_batch(
-            self.workers,
-            queries.len() * runs,
-            || control.scratch(),
-            |scratch, t| {
-                let (qi, ri) = (t / runs, t % runs);
-                let out = validity[qi]
-                    .clone()
-                    .and_then(|()| self.run_run(&queries[qi], ri, scratch));
-                note_outcome(&control, &out);
-                out
-            },
-        );
-        let mut outs = outs.into_iter();
-        let regroup = |(query, v): (&BatchQuery, Result<()>)| {
-            let mut parts = outs.by_ref().take(runs);
-            let answers = parts.by_ref().collect::<Result<Vec<_>>>();
-            parts.for_each(drop); // a failed run ends the collect early
-                                  // `v` first: with no runs (an empty index) no task carries
-                                  // the validation error.
-            v.and(answers).map(|answers| merge_shards(query, answers))
-        };
-        queries.iter().zip(validity).map(regroup).collect()
+    /// Runs the batch against this frozen view: each query a single AD
+    /// walk over every run's sorted lists (see the module docs),
+    /// validated once against the snapshot's `(dims, live)` shape —
+    /// [`QueryEngine`](crate::QueryEngine)'s loop over a different set of
+    /// sorted lists, so deadlines, fail-fast and panic isolation are
+    /// per query, as there.
+    fn run_with(
+        &self,
+        queries: &[BatchQuery],
+        opts: &BatchOptions,
+    ) -> Vec<Result<(BatchAnswer, AdStats)>> {
+        run_queries(self.workers, queries, opts, &*self.inner)
     }
 }
 
@@ -524,12 +482,7 @@ impl VersionedIndex {
             seals: 0,
             merges: 0,
         };
-        let view = Arc::new(ViewInner {
-            dims,
-            epoch: 0,
-            live: 0,
-            runs: Vec::new(),
-        });
+        let view = Arc::new(ViewInner::new(dims, 0, Vec::new()));
         Ok(VersionedIndex {
             dims,
             workers: workers.max(1),
@@ -543,7 +496,8 @@ impl VersionedIndex {
     /// `1..=c`) over contiguous, as-even-as-possible key ranges (the first
     /// `c mod runs` hold one extra point), with keys equal to the
     /// dataset's pids — a served static file becomes epoch 0 of a live
-    /// index, and more than one run is intra-query parallelism. The
+    /// index. More than one run is a layout choice (`S` smaller sorts at
+    /// build time); queries walk all runs in one frontier either way. The
     /// initial runs are sealed runs like any others: later compaction
     /// may merge them.
     ///
@@ -628,25 +582,19 @@ impl VersionedIndex {
                 tombs: Arc::new(Vec::new()),
             });
         }
-        let live = runs.iter().map(SnapRun::live).sum();
-        let view = Arc::new(ViewInner {
-            dims: self.dims,
-            epoch: w.epoch,
-            live,
-            runs,
-        });
+        let view = Arc::new(ViewInner::new(self.dims, w.epoch, runs));
         *self.published.write().expect("published lock poisoned") = view;
     }
 
-    /// Moves the delta into a sealed run, building its columns from the
-    /// writer's raw rows (one more build of the size every mutation
-    /// already pays in [`publish`](Self::publish)).
-    fn seal_locked(&self, w: &mut WriterState) {
+    /// Moves the delta into a sealed run: `built` when the caller holds
+    /// the delta's run already, else one built from the writer's raw rows.
+    fn seal_locked(&self, w: &mut WriterState, built: Option<Arc<SealedRun>>) {
         if w.delta_keys.is_empty() {
             return;
         }
         let keys = std::mem::take(&mut w.delta_keys);
-        let run = SealedRun::build(keys, &w.delta_coords, self.dims, self.workers);
+        let run = built
+            .unwrap_or_else(|| SealedRun::build(keys, &w.delta_coords, self.dims, self.workers));
         w.delta_coords.clear();
         w.runs.push(SnapRun {
             run,
@@ -760,7 +708,7 @@ impl VersionWriter for VersionedIndex {
         w.epoch += 1;
         w.inserts += 1;
         if w.delta_len() >= self.merge_threshold {
-            self.seal_locked(&mut w);
+            self.seal_locked(&mut w, None);
         }
         self.publish(&w);
         Ok(w.epoch)
@@ -785,9 +733,13 @@ impl VersionWriter for VersionedIndex {
 
     fn seal(&self) -> Result<u64> {
         let mut w = self.lock_writer();
-        let had_delta = !w.delta_keys.is_empty();
-        self.seal_locked(&mut w);
-        if had_delta {
+        if !w.delta_keys.is_empty() {
+            // Every mutation publishes under this lock, so the published
+            // view's last run is this delta, already built.
+            let view = self.snapshot().inner;
+            let built = view.runs.last().map(|sr| &sr.run);
+            let built = built.filter(|run| run.keys == w.delta_keys).cloned();
+            self.seal_locked(&mut w, built);
             self.publish(&w);
         }
         Ok(w.epoch)
@@ -796,6 +748,7 @@ impl VersionWriter for VersionedIndex {
     fn needs_maintenance(&self) -> bool {
         let w = self.lock_writer();
         let sealed: usize = w.runs.iter().map(|r| r.run.len()).sum();
+        // Skipped by queries, a dead row still costs memory and in-bound pops.
         w.runs.len() > MAX_RUNS || w.tombstones() * 2 > sealed
     }
 
@@ -816,7 +769,7 @@ impl VersionWriter for VersionedIndex {
 }
 
 impl BatchEngine for VersionedIndex {
-    type Outcome = ShardedOutcome;
+    type Outcome = (BatchAnswer, AdStats);
 
     fn workers(&self) -> usize {
         self.workers
@@ -824,7 +777,11 @@ impl BatchEngine for VersionedIndex {
 
     /// Pins the current epoch and runs the whole batch against it — one
     /// batch never observes a torn mix of versions.
-    fn run_with(&self, queries: &[BatchQuery], opts: &BatchOptions) -> Vec<Result<ShardedOutcome>> {
+    fn run_with(
+        &self,
+        queries: &[BatchQuery],
+        opts: &BatchOptions,
+    ) -> Vec<Result<(BatchAnswer, AdStats)>> {
         self.snapshot().run_with(queries, opts)
     }
 
@@ -838,6 +795,7 @@ mod tests {
     use super::*;
     use crate::ad::{eps_n_match_ad, frequent_k_n_match_ad, k_n_match_ad};
     use crate::engine::BatchOutcome;
+    use crate::result::KnMatchResult;
 
     fn rows4() -> Vec<(PointId, Vec<f64>)> {
         vec![

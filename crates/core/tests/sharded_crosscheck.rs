@@ -1,20 +1,21 @@
-//! Cross-check: a `VersionedIndex` seeded with S runs (the sharded
-//! engine) must merge to answers bit-identical to the unsharded
-//! `QueryEngine` for every query kind, shard count, and worker count —
-//! including on datasets stuffed with duplicate values, where answer-set
-//! boundaries are decided purely by the canonical `(diff, pid)`
-//! tie-break. Per-shard `AdStats` must be bit-identical to sequential AD
-//! runs over that shard's points alone, `shards = 1` must reproduce the
-//! unsharded stats exactly, and an index that *reached* the same key
-//! ranges through inserts and seals must be indistinguishable from one
-//! *built* with them.
+//! Cross-check: a `VersionedIndex` seeded with S runs must answer
+//! bit-identically to the one-run `QueryEngine` for every query kind, run
+//! count, and worker count — including on datasets stuffed with duplicate
+//! values, where answer-set boundaries are decided purely by the
+//! canonical `(diff, pid)` tie-break. The walk is one AD frontier over
+//! all S·d sorted lists with a global stop, so on tombstone-free
+//! snapshots it pops exactly the attributes the one-run walk pops
+//! (`heap_pops` equal, `S·d` locate probes, at most two retrieved but
+//! unpopped attributes per list); `S = 1` must reproduce the reference's
+//! `AdStats` exactly, and an index that *reached* the same key ranges
+//! through inserts and seals must be indistinguishable from one *built*
+//! with them.
 
 use std::sync::Arc;
 
 use knmatch_core::{
-    execute_batch_query, AdStats, BatchAnswer, BatchEngine, BatchQuery, Dataset, KnMatchError,
-    PointId, QueryEngine, Scratch, SortedColumns, VersionWriter, VersionedIndex,
-    DEFAULT_MERGE_THRESHOLD,
+    BatchAnswer, BatchEngine, BatchQuery, Dataset, KnMatchError, PointId, QueryEngine,
+    SortedColumns, VersionWriter, VersionedIndex, DEFAULT_MERGE_THRESHOLD,
 };
 
 /// SplitMix64, kept local (knmatch-core has no dev-dependencies).
@@ -116,17 +117,6 @@ fn even_split(c: usize, shards: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// `query` with its answer-set size clamped to `c_s` — the shard-local
-/// query the engine is specified to run.
-fn clamp_k(query: &BatchQuery, c_s: usize) -> BatchQuery {
-    let mut q = query.clone();
-    match &mut q {
-        BatchQuery::KnMatch { k, .. } | BatchQuery::Frequent { k, .. } => *k = (*k).min(c_s),
-        BatchQuery::EpsMatch { .. } => {}
-    }
-    q
-}
-
 #[test]
 fn sharded_answers_match_unsharded_for_all_shards_workers_and_kinds() {
     let mut rng = TestRng(0x5AAD_0001);
@@ -149,18 +139,16 @@ fn sharded_answers_match_unsharded_for_all_shards_workers_and_kinds() {
                     let got = engine.run(&queries);
                     assert_eq!(got.len(), want.len());
                     for (i, (g, (want_answer, want_stats))) in got.iter().zip(&want).enumerate() {
-                        let g = g.as_ref().unwrap();
+                        let (answer, stats) = g.as_ref().unwrap();
                         assert_eq!(
-                            &g.answer, want_answer,
+                            answer, want_answer,
                             "dup={duplicate_heavy} c={c} d={d} shards={shards} \
                              workers={workers} query #{i}: {:?}",
                             queries[i]
                         );
                         if shards.min(c) == 1 {
-                            // One shard is the unsharded engine, stats and
-                            // all.
-                            assert_eq!(&g.stats, want_stats);
-                            assert_eq!(g.per_shard, vec![*want_stats]);
+                            // One run is the reference engine, stats and all.
+                            assert_eq!(stats, want_stats);
                         }
                     }
                 }
@@ -170,34 +158,37 @@ fn sharded_answers_match_unsharded_for_all_shards_workers_and_kinds() {
 }
 
 #[test]
-fn per_shard_stats_match_sequential_runs_on_each_shard() {
+fn tombstone_free_runs_pop_exactly_what_one_run_pops() {
+    // After the plateau drain a walk has popped every attribute whose
+    // difference is within the answer's ε — a function of the data, not of
+    // how the points are split over runs. The split costs only seeding:
+    // one locate probe per list, and the up-to-two attributes per list
+    // that sit retrieved in the frontier when the walk stops.
     let mut rng = TestRng(0x5AAD_0002);
     for duplicate_heavy in [false, true] {
         let (c, d) = (23, 3);
         let data = rows(&mut rng, c, d, duplicate_heavy);
         let queries = workload(&mut rng, c, d, duplicate_heavy);
         let ds = Dataset::from_rows(&data).unwrap();
-        for shards in [2, 3, 7] {
+        let plain =
+            QueryEngine::with_workers(Arc::new(SortedColumns::from_rows(&data).unwrap()), 1);
+        let want = plain.run(&queries);
+        for shards in [1, 2, 3, 5] {
             let got = sharded(&ds, shards, 4).run(&queries);
-            let ranges = even_split(c, shards);
-            for (qi, g) in got.iter().enumerate() {
-                let g = g.as_ref().unwrap();
-                assert_eq!(g.per_shard.len(), ranges.len());
-                let mut total = AdStats::default();
-                for (s, &(lo, hi)) in ranges.iter().enumerate() {
-                    // The reference: a fresh sequential run over columns
-                    // built directly from the shard's rows.
-                    let mut shard_cols = SortedColumns::from_rows(&data[lo..hi]).unwrap();
-                    let local = clamp_k(&queries[qi], hi - lo);
-                    let (_, want_stats) =
-                        execute_batch_query(&mut shard_cols, &local, &mut Scratch::new()).unwrap();
-                    assert_eq!(
-                        g.per_shard[s], want_stats,
-                        "dup={duplicate_heavy} shards={shards} query #{qi} shard {s}"
-                    );
-                    total.accumulate(&want_stats);
+            for (qi, (g, w)) in got.iter().zip(&want).enumerate() {
+                let ctx = format!("dup={duplicate_heavy} shards={shards} query #{qi}");
+                let ((answer, stats), (want_answer, one_run)) =
+                    (g.as_ref().unwrap(), w.as_ref().unwrap());
+                assert_eq!(answer, want_answer, "{ctx}");
+                if shards == 1 {
+                    assert_eq!(stats, one_run, "{ctx}");
                 }
-                assert_eq!(g.stats, total);
+                assert_eq!(stats.heap_pops, one_run.heap_pops, "{ctx}");
+                assert_eq!(stats.locate_probes, (shards * d) as u64, "{ctx}");
+                assert!(
+                    stats.attributes_retrieved - stats.heap_pops <= (2 * d * shards) as u64,
+                    "{ctx}: {stats:?}"
+                );
             }
         }
     }
@@ -205,9 +196,9 @@ fn per_shard_stats_match_sequential_runs_on_each_shard() {
 
 #[test]
 fn merged_eps_answers_enumerate_every_shard_hit() {
-    // ε-n-match has no k truncation: the merged answer must be the exact
-    // union of the shard answers, sorted by (diff, pid) — checked against
-    // a brute-force filter.
+    // ε-n-match has no k truncation: the answer must be the exact union
+    // of every run's hits, sorted by (diff, pid) — checked against a
+    // brute-force filter.
     let mut rng = TestRng(0x5AAD_0003);
     let (c, d) = (31, 3);
     let data = rows(&mut rng, c, d, true);
@@ -219,7 +210,7 @@ fn merged_eps_answers_enumerate_every_shard_hit() {
         n: 2,
     };
     let out = sharded(&ds, 3, 2).run(&[q]).remove(0).unwrap();
-    let BatchAnswer::EpsMatch(res) = &out.answer else {
+    let BatchAnswer::EpsMatch(res) = &out.0 else {
         panic!("wrong variant")
     };
     let mut want: Vec<u32> = (0..c as u32)
@@ -289,7 +280,7 @@ fn sharded_errors_match_unsharded_validation() {
 fn built_runs_equal_runs_reached_by_insert_and_seal() {
     // One engine: laying the dataset out as S runs up front and arriving
     // at the same S key ranges through the write path are the same
-    // snapshot — identical answers *and* identical per-run AdStats.
+    // snapshot — identical answers *and* identical AdStats.
     let mut rng = TestRng(0x5AAD_0005);
     for duplicate_heavy in [false, true] {
         let (c, d) = (29, 3);

@@ -3,9 +3,11 @@
 //! snapshot's live rows at that epoch — across random interleavings of
 //! inserts, removes, updates, seals and compactions, for every worker
 //! count, merge timing and initial run count, and while a writer thread
-//! is mutating the index concurrently. Also asserts the MVCC liveness property: readers
-//! make progress while a writer is continuously publishing new epochs
-//! (readers never block on writers).
+//! is mutating the index concurrently — and on the layouts only the write
+//! path produces: interleaved key ranges, mostly and fully dead runs.
+//! Also asserts the MVCC liveness property (readers make progress while a
+//! writer is continuously publishing new epochs) and, by count, that
+//! tombstones cost a query their own pops and nothing more.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -105,7 +107,7 @@ fn assert_snapshot_matches_oracle(
                 BatchAnswer::EpsMatch(eps_n_match_ad(&mut cols, query, *eps, *n).unwrap().0)
             }
         };
-        assert_eq!(got.answer, remap(want, &keys), "{ctx} query #{qi}: {q:?}");
+        assert_eq!(got.0, remap(want, &keys), "{ctx} query #{qi}: {q:?}");
     }
 }
 
@@ -256,6 +258,115 @@ fn compaction_layout_does_not_change_answers_at_an_epoch() {
     let compacted = idx.snapshot();
     assert_eq!(compacted.epoch(), before.epoch());
     assert_snapshot_matches_oracle(&compacted, &model, &queries, "post-compaction");
+}
+
+#[test]
+fn interleaved_and_dead_runs_match_rebuild_oracle_at_every_pinned_epoch() {
+    // Layouts the split of a static dataset never produces: three runs
+    // whose key ranges interleave (slot order ≠ key order), one of them
+    // then mostly tombstoned and one fully dead — by updates, so its keys
+    // live on in a fourth run — over grid values whose boundary ties
+    // straddle the runs. `workload` asks every kind at k ∈ {1, live/2,
+    // live}.
+    for workers in [1usize, 2, 4] {
+        let mut rng = TestRng(0xE90C_0040 ^ workers as u64);
+        let d = 3;
+        // A threshold above every delta: only the explicit seals cut runs.
+        let idx = VersionedIndex::new(d, workers, 10_000).unwrap();
+        let mut model = Model::new();
+        let mut pinned: Vec<(EpochSnapshot, Model, Vec<BatchQuery>, String)> = Vec::new();
+        let mut pin = |idx: &VersionedIndex, model: &Model, rng: &mut TestRng, stage: &str| {
+            let ctx = format!("workers={workers} {stage}");
+            let snap = idx.snapshot();
+            let queries = workload(rng, model.len(), d);
+            assert_snapshot_matches_oracle(&snap, model, &queries, &ctx);
+            pinned.push((snap, model.clone(), queries, ctx));
+        };
+        for residue in 0..3u32 {
+            for key in (residue..60).step_by(3) {
+                let row = random_point(&mut rng, d);
+                idx.insert(key, &row).unwrap();
+                model.insert(key, row);
+            }
+            pin(&idx, &model, &mut rng, "delta");
+            idx.seal().unwrap();
+        }
+        assert_eq!(idx.version_stats().runs, 3);
+        pin(&idx, &model, &mut rng, "three interleaved runs");
+        // 14 of run 0's 20 keys die.
+        for key in (0..60).step_by(3).take(14) {
+            idx.remove(key).unwrap();
+            model.remove(&key);
+        }
+        pin(&idx, &model, &mut rng, "run 0 mostly dead");
+        // Every key of run 2 moves: the run is fully dead, its keys live
+        // in the delta (then in a later run) under new values.
+        for key in (2..60).step_by(3) {
+            let row = random_point(&mut rng, d);
+            idx.insert(key, &row).unwrap();
+            model.insert(key, row);
+        }
+        pin(&idx, &model, &mut rng, "run 2 fully dead, delta");
+        idx.seal().unwrap();
+        let stats = idx.version_stats();
+        assert_eq!((stats.runs, stats.tombstones, stats.live), (4, 34, 46));
+        pin(&idx, &model, &mut rng, "run 2 fully dead, sealed");
+        // The pinned layouts must keep answering as they did while the
+        // index compacts underneath them.
+        while idx.needs_maintenance() {
+            assert!(idx.maintain().unwrap());
+        }
+        pin(&idx, &model, &mut rng, "compacted");
+        for (snap, at_pin, queries, ctx) in &pinned {
+            assert_snapshot_matches_oracle(snap, at_pin, queries, &format!("{ctx}, re-checked"));
+        }
+    }
+}
+
+#[test]
+fn tombstones_cost_their_own_pops_and_nothing_more() {
+    // A count, not a timing: a dead row is skipped when it completes, so
+    // it adds to the walk only those of its own d attributes that lie
+    // within the live answer's ε — `heap_pops ≤ fresh_pops + t·d`, and
+    // exactly so below. (Inflating k by the tombstone count instead walks
+    // to the (k + t)-th answer: about 10× the pops here.)
+    let (c, d, t) = (20_000usize, 8usize, 1_000usize);
+    let mut rng = TestRng(0xE90C_0050);
+    let mut unit = || (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+    let rows: Vec<Vec<f64>> = (0..c).map(|_| (0..d).map(|_| unit()).collect()).collect();
+    let query: Vec<f64> = (0..d).map(|_| unit()).collect();
+    let one_run = |rows: &[Vec<f64>]| {
+        VersionedIndex::from_dataset(&Dataset::from_rows(rows).unwrap(), 1, 1, 1 << 20).unwrap()
+    };
+    let idx = one_run(&rows);
+    for pid in 0..t {
+        idx.remove(pid as PointId).unwrap();
+    }
+    let q = [BatchQuery::KnMatch {
+        query: query.clone(),
+        k: 10,
+        n: 2,
+    }];
+    let (answer, stats) = idx.run(&q).remove(0).unwrap();
+    // The same query on an index rebuilt from the live rows.
+    let (fresh_answer, fresh_stats) = one_run(&rows[t..]).run(&q).remove(0).unwrap();
+    let (BatchAnswer::KnMatch(got), BatchAnswer::KnMatch(want)) = (answer, fresh_answer) else {
+        panic!("wrong variant")
+    };
+    assert_eq!(got.diffs(), want.diffs());
+    // The drained walk pops every attribute within the live ε; the dead
+    // rows own `dead_within` of those.
+    let dead_within = rows[..t]
+        .iter()
+        .flat_map(|row| row.iter().zip(&query))
+        .filter(|(v, q)| (*v - *q).abs() <= got.epsilon())
+        .count();
+    assert!(dead_within > 0 && dead_within <= t * d);
+    assert_eq!(
+        stats.heap_pops,
+        fresh_stats.heap_pops + dead_within as u64,
+        "{stats:?} vs fresh {fresh_stats:?}"
+    );
 }
 
 /// The liveness half of the acceptance criterion: while one thread

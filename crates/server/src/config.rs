@@ -7,14 +7,15 @@
 //! the backends, so the server loop and the CLI printing code are written
 //! once against the trait instead of once per concrete type.
 //!
-//! The in-memory engine is the run list ([`AnyEngine::Runs`]): one run is
-//! plain AD, `--shards` asks for more runs, `--mutable` for a writer.
+//! The in-memory engine is the run list ([`AnyEngine::Runs`]): one AD walk
+//! over however many runs the snapshot holds — `--shards` lays the
+//! dataset out as more initial runs, `--mutable` adds a writer.
 //! `knmatch-core`'s parallel batch engine is not served; it is the
 //! reference the cross-checks hold this engine against.
 
 use knmatch_core::{
     AdStats, BatchAnswer, BatchEngine, BatchOptions, BatchOutcome, BatchQuery, Dataset, PlanTally,
-    PlannerMode, Result as CoreResult, ShardedOutcome, VersionedIndex, DEFAULT_MERGE_THRESHOLD,
+    PlannerMode, Result as CoreResult, VersionedIndex, DEFAULT_MERGE_THRESHOLD,
 };
 use knmatch_storage::{
     DiskBatchOutcome, DiskDatabase, DiskQueryEngine, FileStore, IoStats, VerifyMode, MAGIC,
@@ -29,7 +30,8 @@ pub enum Backend {
     /// AD over one sorted-column organisation, inter-query parallelism.
     Memory,
     /// The same engine laid out as this many initial runs (contiguous
-    /// point-id shards): intra-query parallelism on top.
+    /// point-id shards). A layout choice only: every query is one AD
+    /// walk over all runs, on one worker.
     Sharded(usize),
     /// Disk-backed [`DiskQueryEngine`] over a `.knm` database file.
     Disk {
@@ -234,8 +236,8 @@ impl EngineConfig {
     /// [`EngineConfigBuilder`], which owns the conflict rules.
     ///
     /// `--shards auto` means one shard per available CPU, and any shard
-    /// count collapses to 1 on a single-CPU host (intra-query parallelism
-    /// cannot help there).
+    /// count collapses to 1 on a single-CPU host (more runs only split
+    /// the build's sorts, which one CPU runs back to back anyway).
     ///
     /// # Errors
     ///
@@ -258,10 +260,10 @@ impl EngineConfig {
                 _ => parse_num(s, "--shards"),
             })
             .transpose()?
-            // On one CPU a sharded scan is pure overhead; collapse it.
+            // On one CPU a split layout buys nothing; collapse it.
             .map(|s| if available_cpus() == 1 { 1 } else { s });
         if disk && shards.is_some() {
-            return Err("--shards is in-memory intra-query parallelism; \
+            return Err("--shards lays out the in-memory run list; \
                         it cannot be combined with --disk"
                 .into());
         }
@@ -470,10 +472,8 @@ impl AnyEngine {
 /// extra cost detail behind the common [`BatchOutcome`] projection.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnyOutcome {
-    /// From the planned engine.
+    /// From the in-memory engines (run list, planner).
     Memory((BatchAnswer, AdStats)),
-    /// From the run-list engine.
-    Sharded(ShardedOutcome),
     /// From the disk engine.
     Disk(DiskBatchOutcome),
 }
@@ -483,15 +483,7 @@ impl AnyOutcome {
     pub fn io(&self) -> Option<&IoStats> {
         match self {
             AnyOutcome::Disk(o) => Some(&o.io),
-            _ => None,
-        }
-    }
-
-    /// Per-run AD counters (run-list backend only).
-    pub fn per_shard(&self) -> Option<&[AdStats]> {
-        match self {
-            AnyOutcome::Sharded(o) => Some(&o.per_shard),
-            _ => None,
+            AnyOutcome::Memory(_) => None,
         }
     }
 }
@@ -500,7 +492,6 @@ impl BatchOutcome for AnyOutcome {
     fn answer(&self) -> &BatchAnswer {
         match self {
             AnyOutcome::Memory(o) => o.answer(),
-            AnyOutcome::Sharded(o) => o.answer(),
             AnyOutcome::Disk(o) => o.answer(),
         }
     }
@@ -508,7 +499,6 @@ impl BatchOutcome for AnyOutcome {
     fn ad_stats(&self) -> AdStats {
         match self {
             AnyOutcome::Memory(o) => o.ad_stats(),
-            AnyOutcome::Sharded(o) => o.ad_stats(),
             AnyOutcome::Disk(o) => o.ad_stats(),
         }
     }
@@ -516,7 +506,6 @@ impl BatchOutcome for AnyOutcome {
     fn into_answer(self) -> BatchAnswer {
         match self {
             AnyOutcome::Memory(o) => o.into_answer(),
-            AnyOutcome::Sharded(o) => o.into_answer(),
             AnyOutcome::Disk(o) => o.into_answer(),
         }
     }
@@ -548,7 +537,7 @@ impl BatchEngine for AnyEngine {
             AnyEngine::Runs { index, .. } => index
                 .run_with(queries, opts)
                 .into_iter()
-                .map(|r| r.map(AnyOutcome::Sharded))
+                .map(|r| r.map(AnyOutcome::Memory))
                 .collect(),
         }
     }

@@ -18,10 +18,13 @@
 #               fault rates on both reactors, plus shedding, idle
 #               eviction and deadline-cancel coverage
 #   6c. mvcc:   run-list crosscheck (the path every default server
-#               runs: S runs × workers vs QueryEngine) + versioned-index
-#               oracle crosscheck + mutable-serve suite in release
-#               (randomized interleaved writes vs a rebuild-from-scratch
-#               oracle; readers never block) + ingest_throughput --smoke
+#               runs: one AD walk over S runs × workers vs QueryEngine —
+#               answers bit-identical, heap_pops equal to the one-run
+#               walk, S·d locate probes) + versioned-index oracle
+#               crosscheck + mutable-serve suite in release (randomized
+#               interleaved writes vs a rebuild-from-scratch oracle;
+#               readers never block) + shard_scaling --smoke +
+#               ingest_throughput --smoke
 #   7. server:  loopback serve/client smoke once per reactor backend
 #               (ephemeral port; text, binary+pipelined and retrying
 #               batches over the wire; graceful shutdown), a
@@ -77,8 +80,9 @@ echo "==> chaos harness (release, fixed seeds, both reactors)"
 cargo test --release -q -p knmatch-server --test chaos
 
 echo "==> run-list crosscheck (release)"
-# The engine every default server runs: answers and per-run AdStats at
-# S runs x W workers against QueryEngine and solo sequential AD.
+# The engine every default server runs: at S runs x W workers, answers
+# bit-identical to QueryEngine and the walk's AdStats held to the
+# one-run walk's (equal heap_pops, S*d locate probes; S = 1 identical).
 cargo test --release -q -p knmatch-core --test sharded_crosscheck
 
 echo "==> versioned-index oracle crosscheck (release)"
@@ -94,6 +98,9 @@ echo "==> connection_scaling --smoke (256 connections)"
 
 echo "==> fault_overhead --smoke"
 ./target/release/fault_overhead --smoke --out /tmp/BENCH_fault_overhead_smoke.json >/dev/null
+
+echo "==> shard_scaling --smoke (S = 1, 2, 4 runs vs the one-run engine)"
+./target/release/shard_scaling --smoke --out /tmp/BENCH_shard_scaling_smoke.json >/dev/null
 
 echo "==> ingest_throughput --smoke"
 ./target/release/ingest_throughput --smoke --out /tmp/BENCH_ingest_smoke.json >/dev/null
