@@ -1,42 +1,75 @@
-//! Figure 12 crossover benchmark for the per-query planner and the
-//! unrolled filter kernel. Emits `BENCH_planner.json`.
+//! Figure 12 crossover benchmark for the per-query planner, the filter and
+//! refine kernels, and the source of the planner's cost constants. Emits
+//! `BENCH_planner.json`.
 //!
 //! ```text
 //! cargo run -p knmatch-bench --release --bin planner_crossover
 //! cargo run -p knmatch-bench --release --bin planner_crossover -- \
 //!     --cardinality 20000 --queries 48 --out BENCH_planner.json
+//! cargo run -p knmatch-bench --release --bin planner_crossover -- --smoke
 //! ```
 //!
-//! Two sections:
+//! Three sections:
 //!
-//! 1. **Kernels** — throughput of [`knmatch_core::kernels::accumulate_band_hits`]
-//!    against its `_scalar` twin (the loop it replaced). The acceptance
-//!    bar is the band filter kernel at ≥ 1.3× scalar.
-//! 2. **Crossover** — qps of the [`PlannedEngine`] under forced
-//!    `ad` / `vafile` / `scan` and under `auto`, swept over
-//!    dimensionality × n-level (n = 1, d/2, d — the extremes where the
-//!    paper's Figure 12 crossover flips backends). `auto` must never be
-//!    slower than the worst forced backend and must land within 10% of
-//!    the best; the emitted JSON records both checks per cell.
+//! 1. **Kernels** — per-element cost of
+//!    [`knmatch_core::kernels::accumulate_band_hits`] against its `_scalar`
+//!    twin (the loop it replaced), and of the refine loop at d = 16:
+//!    count-then-select ([`count_within`] before [`nth_smallest`], what
+//!    every scan and filter refine runs) against selecting on every point.
+//! 2. **Crossover** — per-query µs of the [`PlannedEngine`] under forced
+//!    `ad` / `vafile` / `scan` and under `auto`, over dimensionality ×
+//!    n-level (n = 1, d/2, d) × query kind: k-n-match at n, frequent
+//!    k-n-match over `[⌈n/2⌉, n]`, and ε-n-match at n with ε the query's
+//!    own k-th n-match difference (an answer of about k points). Each pass
+//!    runs every query once under every mode, the mode order rotating per
+//!    pass; a cell reports the min / median / max of its per-pass means.
+//!    Every answer is asserted equal to the naive oracle first.
+//! 3. **Fitted model** — the [`MemCostModel`] constants, each a relative
+//!    least-squares fit of the per-query best-of-passes time against the
+//!    work that backend reported for the query (AD: attributes retrieved;
+//!    scan: `c·d`; VA-file: `c·d` cells plus the attributes refined), so
+//!    a constant is the price of a unit of work, not of an estimate.
+//!    `MemCostModel::default()` carries these numbers (`auto` above runs
+//!    with the default); how well the planner *estimates* the work is
+//!    reported beside each cell as `ad_attrs_est_over_actual`, the median
+//!    of the AD attributes [`PlannedEngine::plan_for`] priced over the
+//!    real ones.
 //!
-//! Every mode answers the identical workload and the run asserts the
-//! answers agree bit-for-bit with the forced scan before reporting
-//! numbers. Std-only wall-clock timing, same as the other benches.
+//! Gates: `auto` is never below the worst forced backend in any cell, and
+//! is ≥ 0.85× the best one in every n > 1 cell whose best takes at least
+//! 0.1 ms per query (the n = 1 cells are µs-scale AD queries where planning
+//! itself is the cost; they are reported, not gated). A full run exits 1
+//! when either fails, after writing the JSON. `--smoke` (c = 2 000,
+//! 4 queries, one pass, too small for timing gates) checks every answer
+//! against the oracle, which it asserts in every run.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-use knmatch_core::kernels::{accumulate_band_hits, accumulate_band_hits_scalar};
-use knmatch_core::{BatchAnswer, BatchEngine, BatchOptions, BatchQuery, PlanTally, PlannerMode};
+use knmatch_bench::{git_rev, percentile};
+use knmatch_core::kernels::{
+    abs_diffs, accumulate_band_hits, accumulate_band_hits_scalar, count_within, nth_smallest,
+};
+use knmatch_core::naive::{frequent_k_n_match_scan, k_n_match_scan};
+use knmatch_core::topk::TopK;
+use knmatch_core::{
+    BatchAnswer, BatchEngine, BatchOptions, BatchQuery, Dataset, KnMatchResult, PlannerMode,
+};
 use knmatch_data::rng::seeded;
 use knmatch_server::PlannedEngine;
+use knmatch_storage::{BackendChoice, MemCostModel};
+
+/// Passes over the grid in a full run (`--smoke` runs one).
+const PASSES: usize = 5;
 
 struct Config {
     cardinality: usize,
     queries: usize,
     k: usize,
     seed: u64,
+    passes: usize,
+    smoke: bool,
     out: String,
 }
 
@@ -57,47 +90,46 @@ impl Config {
         if args.iter().any(|a| a == "--help" || a == "-h") {
             println!(
                 "usage: planner_crossover [--cardinality C] [--queries Q] [-k K] \
-                 [--seed S] [--out FILE]"
+                 [--seed S] [--smoke] [--out FILE]"
             );
             std::process::exit(0);
         }
+        let smoke = args.iter().any(|a| a == "--smoke");
         Config {
-            cardinality: num("--cardinality", 20_000),
-            queries: num("--queries", 48),
+            cardinality: num("--cardinality", if smoke { 2_000 } else { 20_000 }),
+            queries: num("--queries", if smoke { 4 } else { 48 }),
             k: num("-k", 10),
             seed: get("--seed").map_or(42, |v| v.parse().expect("bad --seed")),
+            passes: if smoke { 1 } else { PASSES },
+            smoke,
             out: get("--out").unwrap_or_else(|| "BENCH_planner.json".into()),
         }
     }
 }
 
-/// Best-of-`reps` wall time of `body` (the usual defence against a noisy
-/// shared host), as elements-per-second over `work` elements.
-fn throughput(reps: usize, work: u64, mut body: impl FnMut()) -> f64 {
+/// Best-of-`reps` wall time of `body`, in ns per element over `work`
+/// elements (the usual defence against a noisy shared host).
+fn ns_per_elem(reps: usize, work: u64, mut body: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let t = Instant::now();
         body();
         best = best.min(t.elapsed().as_secs_f64());
     }
-    work as f64 / best
+    best * 1e9 / work as f64
 }
 
 struct KernelRow {
     name: &'static str,
-    kernel_meps: f64,
-    scalar_meps: f64,
+    unit: &'static str,
+    kernel_ns: f64,
+    baseline_ns: f64,
 }
 
-impl KernelRow {
-    fn speedup(&self) -> f64 {
-        self.kernel_meps / self.scalar_meps
-    }
-}
-
-/// Section 1: the unrolled kernel against the scalar loop it replaced.
-fn bench_kernels(seed: u64) -> Vec<KernelRow> {
+/// Section 1: each kernel against the loop it replaced.
+fn bench_kernels(seed: u64, smoke: bool) -> Vec<KernelRow> {
     let mut rng = seeded(seed ^ 0x6b65_726e);
+    let reps = if smoke { 1 } else { 3 };
 
     // Band filter: one dim-major column of quantised cells, the exact shape
     // the VA-file filter streams. Random cells keep the scalar loop's
@@ -109,304 +141,509 @@ fn bench_kernels(seed: u64) -> Vec<KernelRow> {
             (lo, lo + rng.range_usize(5..56) as u8)
         })
         .collect();
-    let iters = 40u64;
+    let iters = if smoke { 2u64 } else { 40 };
     let work = iters * bands.len() as u64 * cells.len() as u64;
     let mut counts = vec![0u16; cells.len()];
-    let kernel_meps = throughput(3, work, || {
-        for _ in 0..iters {
-            counts.iter_mut().for_each(|c| *c = 0);
-            for &(lo, hi) in &bands {
-                accumulate_band_hits(&mut counts, &cells, lo, hi);
+    let mut band_pass = |kernel: fn(&mut [u16], &[u8], u8, u8)| {
+        ns_per_elem(reps, work, || {
+            for _ in 0..iters {
+                counts.iter_mut().for_each(|c| *c = 0);
+                for &(lo, hi) in &bands {
+                    kernel(&mut counts, &cells, lo, hi);
+                }
+                black_box(&counts);
             }
-            black_box(&counts);
-        }
-    }) / 1e6;
-    let scalar_meps = throughput(3, work, || {
-        for _ in 0..iters {
-            counts.iter_mut().for_each(|c| *c = 0);
-            for &(lo, hi) in &bands {
-                accumulate_band_hits_scalar(&mut counts, &cells, lo, hi);
+        })
+    };
+    let band_kernel = band_pass(accumulate_band_hits);
+    let band_scalar = band_pass(accumulate_band_hits_scalar);
+
+    // Refine: the k-n-match loop every scan and filter refine runs, over
+    // rows shaped like a served dataset's (d = 16, k = 10, n = d/2), with
+    // and without the counting test in front of the selection.
+    const D: usize = 16;
+    let rows = if smoke { 4_096 } else { 65_536 };
+    let data: Vec<f64> = (0..rows * D).map(|_| rng.next_f64()).collect();
+    let query: Vec<f64> = (0..D).map(|_| rng.next_f64()).collect();
+    let (k, n) = (10, D / 2);
+    let mut diffs = vec![0.0f64; D];
+    let mut refine_pass = |count_first: bool| {
+        ns_per_elem(reps, rows as u64, || {
+            let mut top = TopK::new(k);
+            let mut bound = f64::INFINITY;
+            for (pid, row) in data.chunks_exact(D).enumerate() {
+                abs_diffs(&mut diffs, row, &query);
+                if !count_first || count_within(&diffs, bound) >= n {
+                    top.offer(pid as u32, nth_smallest(&mut diffs, n));
+                    bound = top.threshold().unwrap_or(f64::INFINITY);
+                }
             }
-            black_box(&counts);
+            black_box(top.into_sorted());
+        })
+    };
+    let refine_count = refine_pass(true);
+    let refine_every = refine_pass(false);
+
+    vec![
+        KernelRow {
+            name: "band_filter",
+            unit: "ns/cell",
+            kernel_ns: band_kernel,
+            baseline_ns: band_scalar,
+        },
+        KernelRow {
+            name: "refine_d16",
+            unit: "ns/point",
+            kernel_ns: refine_count,
+            baseline_ns: refine_every,
+        },
+    ]
+}
+
+/// The forced backends, in `BackendChoice` order, then `auto`.
+const MODES: [(&str, PlannerMode); 4] = [
+    ("ad", PlannerMode::Ad),
+    ("vafile", PlannerMode::VaFile),
+    ("scan", PlannerMode::Scan),
+    ("auto", PlannerMode::Auto),
+];
+
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    Knm,
+    Freq,
+    Eps,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Knm => "knm",
+            Kind::Freq => "freq",
+            Kind::Eps => "eps",
         }
-    }) / 1e6;
-    vec![KernelRow {
-        name: "band_filter",
-        kernel_meps,
-        scalar_meps,
-    }]
+    }
 }
 
 struct Cell {
     dims: usize,
-    n: usize,
-    /// (mode name, qps) for ad / vafile / scan / auto, in that order.
-    modes: Vec<(&'static str, f64)>,
-    auto_routes: PlanTally,
+    kind: Kind,
+    n0: usize,
+    n1: usize,
+    /// Per mode (`MODES` order), the mean µs per query of every pass.
+    pass_us: [Vec<f64>; 4],
+    auto_routes: [usize; 3],
+    /// Median over the cell's queries of the planner's AD attribute
+    /// estimate (at `ε_q`) over the attributes AD then retrieved.
+    ad_est_over_actual: f64,
 }
 
 impl Cell {
-    fn qps(&self, name: &str) -> f64 {
-        self.modes
-            .iter()
-            .find(|(m, _)| *m == name)
-            .map(|(_, q)| *q)
-            .expect("mode present")
+    fn median_us(&self, mode: usize) -> f64 {
+        percentile(&self.pass_us[mode], 0.5)
     }
 
-    fn best_forced(&self) -> f64 {
-        self.modes
-            .iter()
-            .filter(|(m, _)| *m != "auto")
-            .map(|(_, q)| *q)
-            .fold(0.0, f64::max)
-    }
-
-    fn worst_forced(&self) -> f64 {
-        self.modes
-            .iter()
-            .filter(|(m, _)| *m != "auto")
-            .map(|(_, q)| *q)
+    fn best_forced_us(&self) -> f64 {
+        (0..3)
+            .map(|m| self.median_us(m))
             .fold(f64::INFINITY, f64::min)
     }
+
+    fn worst_forced_us(&self) -> f64 {
+        (0..3).map(|m| self.median_us(m)).fold(0.0, f64::max)
+    }
+
+    /// Whether the 0.85×-of-best gate applies: n > 1 and a best backend
+    /// slow enough (≥ 0.1 ms) that planning is not the query's cost.
+    fn gated(&self) -> bool {
+        self.n1 > 1 && self.best_forced_us() >= 100.0
+    }
+
+    /// `auto`'s speed relative to `us` (higher is better for `auto`).
+    fn auto_vs(&self, us: f64) -> f64 {
+        us / self.median_us(3)
+    }
 }
 
-fn digest(answers: &[BatchAnswer]) -> u64 {
-    let mut sum = 0u64;
-    for a in answers {
-        let ids = match a {
-            BatchAnswer::KnMatch(r) | BatchAnswer::EpsMatch(r) => r.ids(),
-            BatchAnswer::Frequent(r) => r.ids(),
-        };
-        for (rank, pid) in ids.iter().enumerate() {
-            sum = sum
-                .wrapping_mul(0x100_0000_01B3)
-                .wrapping_add(u64::from(*pid) ^ ((rank as u64) << 32));
+/// One query's fitting record: the work each forced backend reported and
+/// its best-of-passes µs under each.
+struct Sample {
+    /// Points × dimensions of the dataset the query ran over.
+    attrs: f64,
+    /// `AdStats::attributes_retrieved` under `ad`, `vafile`, `scan`.
+    work: [u64; 3],
+    best_us: [f64; 3],
+}
+
+fn oracle(ds: &Dataset, q: &BatchQuery) -> BatchAnswer {
+    match q {
+        BatchQuery::KnMatch { query, k, n } => {
+            BatchAnswer::KnMatch(k_n_match_scan(ds, query, *k, *n).expect("valid workload"))
+        }
+        BatchQuery::Frequent { query, k, n0, n1 } => BatchAnswer::Frequent(
+            frequent_k_n_match_scan(ds, query, *k, *n0, *n1).expect("valid workload"),
+        ),
+        BatchQuery::EpsMatch { query, eps, n } => {
+            let all = k_n_match_scan(ds, query, ds.len(), *n).expect("valid workload");
+            BatchAnswer::EpsMatch(KnMatchResult {
+                n: *n,
+                entries: all.entries.into_iter().filter(|e| e.diff <= *eps).collect(),
+            })
         }
     }
-    sum
 }
 
-/// Runs `batch` under `mode`, asserting the answers match `want` (when
-/// given) and returning the best-of-2 qps.
-fn run_mode(
-    engine: &PlannedEngine,
-    batch: &[BatchQuery],
-    mode: PlannerMode,
-    want: Option<u64>,
-) -> (f64, u64) {
-    let opts = BatchOptions {
-        planner: Some(mode),
-        ..BatchOptions::default()
-    };
-    let mut best = f64::INFINITY;
-    let mut dig = 0;
-    for _ in 0..2 {
-        let t = Instant::now();
-        let results = engine.run_with(batch, &opts);
-        best = best.min(t.elapsed().as_secs_f64());
-        let answers: Vec<BatchAnswer> = results
-            .into_iter()
-            .map(|r| r.expect("valid workload").0)
-            .collect();
-        dig = digest(&answers);
-        if let Some(want) = want {
-            assert_eq!(dig, want, "{mode}: answers diverged from forced scan");
-        }
-    }
-    (batch.len() as f64 / best, dig)
-}
-
-/// Section 2: the planner crossover sweep.
-fn bench_crossover(cfg: &Config) -> Vec<Cell> {
+/// Section 2: the crossover grid, timed query by query.
+fn bench_crossover(cfg: &Config, samples: &mut Vec<Sample>) -> Vec<Cell> {
     let mut cells = Vec::new();
     for dims in [4usize, 8, 16] {
         let ds = knmatch_data::uniform(cfg.cardinality, dims, cfg.seed);
         let engine = PlannedEngine::with_workers(&ds, 1, PlannerMode::Auto);
         let mut rng = seeded(cfg.seed ^ (dims as u64) << 8);
         for n in [1usize, dims / 2, dims] {
-            let batch: Vec<BatchQuery> = (0..cfg.queries)
+            let points: Vec<Vec<f64>> = (0..cfg.queries)
                 .map(|_| {
                     let pid = rng.range_usize(0..ds.len()) as u32;
-                    let query = ds
-                        .point(pid)
+                    ds.point(pid)
                         .iter()
                         .map(|&v| (v + rng.range_f64(-0.01, 0.01)).clamp(0.0, 1.0))
-                        .collect();
-                    BatchQuery::KnMatch { query, k: cfg.k, n }
+                        .collect()
                 })
                 .collect();
-
-            // Warm-up, and the reference digest every mode must reproduce.
-            let (_, want) = run_mode(&engine, &batch, PlannerMode::Scan, None);
-
-            let mut modes = Vec::new();
-            for (name, mode) in [
-                ("ad", PlannerMode::Ad),
-                ("vafile", PlannerMode::VaFile),
-                ("scan", PlannerMode::Scan),
-            ] {
-                let (qps, _) = run_mode(&engine, &batch, mode, Some(want));
-                modes.push((name, qps));
+            for kind in [Kind::Knm, Kind::Freq, Kind::Eps] {
+                let k = cfg.k;
+                let batch: Vec<BatchQuery> = points
+                    .iter()
+                    .map(|p| {
+                        let query = p.clone();
+                        match kind {
+                            Kind::Knm => BatchQuery::KnMatch { query, k, n },
+                            Kind::Freq => BatchQuery::Frequent {
+                                query,
+                                k,
+                                n0: n.div_ceil(2),
+                                n1: n,
+                            },
+                            Kind::Eps => {
+                                let eps = k_n_match_scan(&ds, p, k, n)
+                                    .expect("valid workload")
+                                    .epsilon();
+                                BatchQuery::EpsMatch { query, eps, n }
+                            }
+                        }
+                    })
+                    .collect();
+                let cell = time_cell(cfg, &ds, &engine, &batch, dims, kind, n, samples);
+                eprintln!(
+                    "d={dims:2} {:4} n={:2}..{:2}: ad {:9.1} vafile {:8.1} scan {:8.1} \
+                     auto {:8.1} us/query (routes {} ad / {} vafile / {} scan) auto/best {:.2} \
+                     ad est/actual {:.2}",
+                    kind.name(),
+                    cell.n0,
+                    cell.n1,
+                    cell.median_us(0),
+                    cell.median_us(1),
+                    cell.median_us(2),
+                    cell.median_us(3),
+                    cell.auto_routes[0],
+                    cell.auto_routes[1],
+                    cell.auto_routes[2],
+                    cell.auto_vs(cell.best_forced_us()),
+                    cell.ad_est_over_actual,
+                );
+                cells.push(cell);
             }
-            let before = engine.plan_counts().expect("planned engine tallies");
-            let (auto_qps, _) = run_mode(&engine, &batch, PlannerMode::Auto, Some(want));
-            let after = engine.plan_counts().expect("planned engine tallies");
-            modes.push(("auto", auto_qps));
-            let auto_routes = PlanTally {
-                ad: after.ad - before.ad,
-                vafile: after.vafile - before.vafile,
-                scan: after.scan - before.scan,
-                igrid: after.igrid - before.igrid,
-            };
-            let probe = engine.plan_for(&batch[0]).expect("valid workload");
-            eprintln!(
-                "    model costs q0: ad {:.0} vafile {:.0} scan {:.0} -> {:?}",
-                probe.ad_cost, probe.vafile_cost, probe.scan_cost, probe.backend
-            );
-            eprintln!(
-                "d={dims} n={n}: ad {:.0} qps, vafile {:.0}, scan {:.0}, auto {:.0} \
-                 (routes {} ad / {} vafile / {} scan)",
-                modes[0].1,
-                modes[1].1,
-                modes[2].1,
-                auto_qps,
-                auto_routes.ad / 2,
-                auto_routes.vafile / 2,
-                auto_routes.scan / 2,
-            );
-            cells.push(Cell {
-                dims,
-                n,
-                modes,
-                auto_routes,
-            });
         }
     }
     cells
+}
+
+/// Times `batch` under every mode, query by query (a served request is
+/// one query), asserting each answer against the oracle.
+#[allow(clippy::too_many_arguments)]
+fn time_cell(
+    cfg: &Config,
+    ds: &Dataset,
+    engine: &PlannedEngine,
+    batch: &[BatchQuery],
+    dims: usize,
+    kind: Kind,
+    n: usize,
+    samples: &mut Vec<Sample>,
+) -> Cell {
+    let want: Vec<BatchAnswer> = batch.iter().map(|q| oracle(ds, q)).collect();
+    let opts = MODES.map(|(_, mode)| BatchOptions {
+        planner: Some(mode),
+        ..BatchOptions::default()
+    });
+    let mut best_us = vec![[f64::INFINITY; 3]; batch.len()];
+    let mut work = vec![[0u64; 3]; batch.len()];
+    let mut pass_us: [Vec<f64>; 4] = Default::default();
+    for pass in 0..cfg.passes {
+        let mut total_us = [0.0f64; 4];
+        for (qi, q) in batch.iter().enumerate() {
+            for step in 0..MODES.len() {
+                let m = (step + pass) % MODES.len();
+                let t = Instant::now();
+                let out = engine
+                    .run_with(std::slice::from_ref(q), &opts[m])
+                    .pop()
+                    .expect("one outcome per query");
+                let us = t.elapsed().as_secs_f64() * 1e6;
+                let (answer, stats) = out.expect("valid workload");
+                assert_eq!(
+                    answer,
+                    want[qi],
+                    "{} diverged from the oracle: d={dims} {} n={n} query #{qi}",
+                    MODES[m].0,
+                    kind.name()
+                );
+                total_us[m] += us;
+                if m < 3 {
+                    work[qi][m] = stats.attributes_retrieved;
+                    best_us[qi][m] = best_us[qi][m].min(us);
+                }
+            }
+        }
+        for (m, total) in total_us.iter().enumerate() {
+            pass_us[m].push(total / batch.len() as f64);
+        }
+    }
+    let mut auto_routes = [0usize; 3];
+    let mut est_ratios = Vec::with_capacity(batch.len());
+    let ad_ns_per_attr = engine.cost_model().ad_ns_per_attr;
+    for ((q, &best_us), work) in batch.iter().zip(&best_us).zip(work) {
+        let plan = engine.plan_for(q).expect("valid workload");
+        auto_routes[plan.backend as usize] += 1;
+        // The planner prices AD as its attribute estimate times one
+        // constant, so the estimate is the cost over that constant.
+        est_ratios.push(plan.ad_cost / ad_ns_per_attr / work[0].max(1) as f64);
+        samples.push(Sample {
+            attrs: (ds.len() * dims) as f64,
+            work,
+            best_us,
+        });
+    }
+    let (n0, n1) = match kind {
+        Kind::Freq => (n.div_ceil(2), n),
+        _ => (n, n),
+    };
+    Cell {
+        dims,
+        kind,
+        n0,
+        n1,
+        pass_us,
+        auto_routes,
+        ad_est_over_actual: percentile(&est_ratios, 0.5),
+    }
+}
+
+/// The `a ≥ 0` minimising `Σ ((a·x − t) / t)²` — relative error, so a
+/// 5 µs query weighs as much as a 5 ms one.
+fn fit1(rows: impl Iterator<Item = (f64, f64)>) -> f64 {
+    let (mut sxy, mut sxx) = (0.0, 0.0);
+    for (x, t) in rows {
+        let x = x / t;
+        sxy += x;
+        sxx += x * x;
+    }
+    (sxy / sxx).max(0.0)
+}
+
+/// The `(a, b) ≥ 0` minimising `Σ ((a·x1 + b·x2 − t) / t)²`.
+fn fit2(rows: &[(f64, f64, f64)]) -> (f64, f64) {
+    let (mut s11, mut s12, mut s22, mut s1, mut s2) = (0.0, 0.0, 0.0, 0.0, 0.0);
+    for &(x1, x2, t) in rows {
+        let (u, v) = (x1 / t, x2 / t);
+        s11 += u * u;
+        s12 += u * v;
+        s22 += v * v;
+        s1 += u;
+        s2 += v;
+    }
+    let det = s11 * s22 - s12 * s12;
+    let (a, b) = ((s1 * s22 - s2 * s12) / det, (s2 * s11 - s1 * s12) / det);
+    if a >= 0.0 && b >= 0.0 && det.is_finite() && det > 0.0 {
+        (a, b)
+    } else if a < 0.0 {
+        (0.0, fit1(rows.iter().map(|&(_, x2, t)| (x2, t))))
+    } else {
+        (fit1(rows.iter().map(|&(x1, _, t)| (x1, t))), 0.0)
+    }
+}
+
+/// Section 3: the four ns constants, each fitted against the work the
+/// backend itself reported for every timed query.
+fn fit_model(samples: &[Sample]) -> MemCostModel {
+    let ns = |us: f64| us * 1e3;
+    let ad_ns_per_attr = fit1(samples.iter().map(|s| (s.work[0] as f64, ns(s.best_us[0]))));
+    let scan_ns_per_attr = fit1(samples.iter().map(|s| (s.attrs, ns(s.best_us[2]))));
+    let va_rows: Vec<(f64, f64, f64)> = samples
+        .iter()
+        .map(|s| (s.attrs, s.work[1] as f64, ns(s.best_us[1])))
+        .collect();
+    let (filter_ns_per_cell, refine_ns_per_attr) = fit2(&va_rows);
+    MemCostModel {
+        ad_ns_per_attr,
+        scan_ns_per_attr,
+        filter_ns_per_cell,
+        refine_ns_per_attr,
+    }
+}
+
+fn model_json(m: &MemCostModel) -> String {
+    format!(
+        "{{\"ad_ns_per_attr\": {:.3}, \"scan_ns_per_attr\": {:.3}, \
+         \"filter_ns_per_cell\": {:.3}, \"refine_ns_per_attr\": {:.3}}}",
+        m.ad_ns_per_attr, m.scan_ns_per_attr, m.filter_ns_per_cell, m.refine_ns_per_attr
+    )
 }
 
 fn main() {
     let cfg = Config::parse();
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!(
-        "planner_crossover: c={} queries={} k={} seed={} ({cpus} cpu(s))",
-        cfg.cardinality, cfg.queries, cfg.k, cfg.seed
+        "planner_crossover: c={} queries={} k={} seed={} passes={} ({cpus} cpu(s))",
+        cfg.cardinality, cfg.queries, cfg.k, cfg.seed, cfg.passes
     );
 
-    let kernels = bench_kernels(cfg.seed);
+    let kernels = bench_kernels(cfg.seed, cfg.smoke);
     for k in &kernels {
         eprintln!(
-            "kernel {}: {:.1} Melem/s vs scalar {:.1} Melem/s ({:.2}x)",
+            "kernel {}: {:.3} {} vs {:.3} before ({:.2}x)",
             k.name,
-            k.kernel_meps,
-            k.scalar_meps,
-            k.speedup()
+            k.kernel_ns,
+            k.unit,
+            k.baseline_ns,
+            k.baseline_ns / k.kernel_ns
         );
     }
 
-    let cells = bench_crossover(&cfg);
+    let mut samples = Vec::new();
+    let cells = bench_crossover(&cfg, &mut samples);
+    let fitted = fit_model(&samples);
+    let default = MemCostModel::default();
+    eprintln!("fitted model:  {}", model_json(&fitted));
+    eprintln!("default model: {}", model_json(&default));
 
-    let filter_speedup = kernels
+    let auto_never_below_worst = cells.iter().all(|c| c.median_us(3) <= c.worst_forced_us());
+    let auto_near_best_where_gated = cells
         .iter()
-        .find(|k| k.name == "band_filter")
-        .expect("band filter row")
-        .speedup();
-    let auto_never_below_worst = cells.iter().all(|c| c.qps("auto") >= c.worst_forced());
-
-    // Sweep-level totals: the planner's claim is about the whole n × d
-    // grid — no single backend is good everywhere, `auto` must be. (Per
-    // cell the ratios above tell the fine-grained story; at n = 1 the
-    // µs-scale AD queries make the planning probe itself the dominant
-    // cost, which the sweep totals price honestly.)
-    let sweep_time =
-        |name: &str| -> f64 { cells.iter().map(|c| cfg.queries as f64 / c.qps(name)).sum() };
-    let (ad_s, vafile_s, scan_s, auto_s) = (
-        sweep_time("ad"),
-        sweep_time("vafile"),
-        sweep_time("scan"),
-        sweep_time("auto"),
-    );
-    let best_single_s = ad_s.min(vafile_s).min(scan_s);
-    let worst_single_s = ad_s.max(vafile_s).max(scan_s);
-    let auto_sweep_within_10pct_of_best = auto_s <= 1.1 * best_single_s;
-    let auto_sweep_never_below_worst = auto_s <= worst_single_s;
+        .filter(|c| c.gated())
+        .all(|c| c.auto_vs(c.best_forced_us()) >= 0.85);
+    // Sweep-level totals: no single backend is good everywhere, `auto`
+    // must be.
+    let sweep_s = |m: usize| -> f64 {
+        cells
+            .iter()
+            .map(|c| c.median_us(m) * cfg.queries as f64 / 1e6)
+            .sum()
+    };
+    let totals = [0, 1, 2, 3].map(sweep_s);
+    let best_single_s = totals[..3].iter().copied().fold(f64::INFINITY, f64::min);
     eprintln!(
-        "sweep totals: ad {ad_s:.3}s, vafile {vafile_s:.3}s, scan {scan_s:.3}s, \
-         auto {auto_s:.3}s ({:.2}x best single backend)",
-        best_single_s / auto_s
+        "sweep totals: ad {:.3}s, vafile {:.3}s, scan {:.3}s, auto {:.3}s \
+         ({:.2}x best single backend); gates: never below worst {auto_never_below_worst}, \
+         >= 0.85x best where gated {auto_near_best_where_gated}",
+        totals[0],
+        totals[1],
+        totals[2],
+        totals[3],
+        best_single_s / totals[3]
     );
 
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
         "  \"config\": {{\"cardinality\": {}, \"queries\": {}, \"k\": {}, \"seed\": {}, \
-         \"cpus\": {cpus}}},",
-        cfg.cardinality, cfg.queries, cfg.k, cfg.seed
+         \"passes\": {}, \"cpus\": {cpus}, \"rev\": \"{}\"}},",
+        cfg.cardinality,
+        cfg.queries,
+        cfg.k,
+        cfg.seed,
+        cfg.passes,
+        git_rev()
     );
     let _ = writeln!(json, "  \"kernels\": [");
     for (i, k) in kernels.iter().enumerate() {
         let comma = if i + 1 < kernels.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"kernel_melems_per_s\": {:.1}, \
-             \"scalar_melems_per_s\": {:.1}, \"speedup\": {:.2}}}{comma}",
+            "    {{\"name\": \"{}\", \"unit\": \"{}\", \"kernel\": {:.3}, \
+             \"replaced\": {:.3}, \"speedup\": {:.2}}}{comma}",
             k.name,
-            k.kernel_meps,
-            k.scalar_meps,
-            k.speedup()
+            k.unit,
+            k.kernel_ns,
+            k.baseline_ns,
+            k.baseline_ns / k.kernel_ns
         );
     }
     let _ = writeln!(json, "  ],");
+    let _ = writeln!(json, "  \"fitted_model\": {},", model_json(&fitted));
+    let _ = writeln!(json, "  \"default_model\": {},", model_json(&default));
     let _ = writeln!(json, "  \"crossover\": [");
     for (i, c) in cells.iter().enumerate() {
         let comma = if i + 1 < cells.len() { "," } else { "" };
+        let mut us = String::new();
+        for (m, (name, _)) in MODES.iter().enumerate() {
+            let sep = if m + 1 < MODES.len() { ", " } else { "" };
+            let _ = write!(
+                us,
+                "\"{name}\": {{\"min\": {:.1}, \"median\": {:.1}, \"max\": {:.1}}}{sep}",
+                percentile(&c.pass_us[m], 0.0),
+                c.median_us(m),
+                percentile(&c.pass_us[m], 1.0)
+            );
+        }
         let _ = writeln!(
             json,
-            "    {{\"dims\": {}, \"n\": {}, \"ad_qps\": {:.1}, \"vafile_qps\": {:.1}, \
-             \"scan_qps\": {:.1}, \"auto_qps\": {:.1}, \
+            "    {{\"dims\": {}, \"kind\": \"{}\", \"n0\": {}, \"n1\": {}, \
+             \"us_per_query\": {{{us}}}, \
              \"auto_routes\": {{\"ad\": {}, \"vafile\": {}, \"scan\": {}}}, \
-             \"auto_vs_best\": {:.3}, \"auto_vs_worst\": {:.3}}}{comma}",
+             \"ad_attrs_est_over_actual\": {:.2}, \"auto_vs_best\": {:.3}, \
+             \"auto_vs_worst\": {:.3}, \"gated\": {}}}{comma}",
             c.dims,
-            c.n,
-            c.qps("ad"),
-            c.qps("vafile"),
-            c.qps("scan"),
-            c.qps("auto"),
-            c.auto_routes.ad / 2,
-            c.auto_routes.vafile / 2,
-            c.auto_routes.scan / 2,
-            c.qps("auto") / c.best_forced(),
-            c.qps("auto") / c.worst_forced(),
+            c.kind.name(),
+            c.n0,
+            c.n1,
+            c.auto_routes[BackendChoice::Ad as usize],
+            c.auto_routes[BackendChoice::VaFile as usize],
+            c.auto_routes[BackendChoice::Scan as usize],
+            c.ad_est_over_actual,
+            c.auto_vs(c.best_forced_us()),
+            c.auto_vs(c.worst_forced_us()),
+            c.gated(),
         );
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
-        "  \"sweep_totals_s\": {{\"ad\": {ad_s:.4}, \"vafile\": {vafile_s:.4}, \
-         \"scan\": {scan_s:.4}, \"auto\": {auto_s:.4}}},"
+        "  \"sweep_totals_s\": {{\"ad\": {:.4}, \"vafile\": {:.4}, \"scan\": {:.4}, \
+         \"auto\": {:.4}}},",
+        totals[0], totals[1], totals[2], totals[3]
     );
-    let _ = writeln!(json, "  \"filter_kernel_speedup\": {filter_speedup:.2},");
     let _ = writeln!(
         json,
         "  \"auto_sweep_speedup_vs_best_single\": {:.2},",
-        best_single_s / auto_s
+        best_single_s / totals[3]
     );
     let _ = writeln!(
         json,
-        "  \"auto_sweep_within_10pct_of_best\": {auto_sweep_within_10pct_of_best},"
+        "  \"auto_never_below_worst_per_cell\": {auto_never_below_worst},"
     );
     let _ = writeln!(
         json,
-        "  \"auto_sweep_never_below_worst\": {auto_sweep_never_below_worst},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"auto_never_below_worst_per_cell\": {auto_never_below_worst}"
+        "  \"auto_within_085_of_best_where_gated\": {auto_near_best_where_gated}"
     );
     json.push_str("}\n");
 
     std::fs::write(&cfg.out, &json).expect("write output file");
     print!("{json}");
     eprintln!("wrote {}", cfg.out);
+    let gates_hold = auto_never_below_worst && auto_near_best_where_gated;
+    if !cfg.smoke && !gates_hold {
+        eprintln!("planner_crossover: a crossover gate failed (see the JSON above)");
+        std::process::exit(1);
+    }
 }

@@ -15,7 +15,7 @@
 use crate::error::{KnMatchError, Result};
 use crate::frontier::{AdWalker, Frontier, LinearFrontier, SortedLists};
 use crate::point::{validate_finite, PointId};
-use crate::result::{rank_frequent, FrequentResult, KnMatchResult, MatchEntry};
+use crate::result::{FrequentResult, KnMatchResult, MatchEntry};
 use crate::scratch::{EpochMarks, QueryControl, Scratch};
 use crate::source::SortedAccessSource;
 
@@ -276,26 +276,8 @@ fn frequent_core<L: SortedLists, F: Frontier>(
             entries: set,
         });
     }
-    // Definition 4's frequencies: one `(pid, 1)` per member of the k-sized
-    // sets, sorted and folded into `(pid, count)` in place (answer ids
-    // need not be dense, so no array is indexed by them) — ascending by
-    // pid, as `rank_frequent` expects.
-    let members = per_n.iter().flat_map(|level| &level.entries);
-    let mut counts: Vec<(PointId, u32)> = members.map(|e| (e.pid, 1)).collect();
-    counts.sort_unstable();
-    counts.dedup_by(|next, kept| {
-        let same = next.0 == kept.0;
-        kept.1 += u32::from(same);
-        same
-    });
-    let entries = rank_frequent(&counts, k);
-
     Ok((
-        FrequentResult {
-            range: (n0, n1),
-            entries,
-            per_n,
-        },
+        FrequentResult::from_levels((n0, n1), per_n, k),
         walker.stats,
     ))
 }

@@ -22,9 +22,21 @@
 //!   refined answers are a pure function of the data.
 //!
 //! The pruning threshold `τ` is derived by refining a small evenly-spaced
-//! sample exactly ([`sample_threshold`]): the k-th smallest sampled
+//! sample exactly ([`sample_thresholds`]): the k-th smallest sampled
 //! n-match difference (under the canonical `(diff, pid)` order) is a valid
 //! upper bound of the true k-th smallest, which is all the filter needs.
+//!
+//! Both backends share one exact refine loop per query kind, and each
+//! **counts before it selects**: after a point's differences are taken,
+//! [`count_within`] the current threshold — the running k-th n-match
+//! difference, `ε`, or each frequent level's k-th — decides whether the
+//! point can rank at all, and only the few that can pay for the selection
+//! or sort and the top-k offer. The n-th smallest difference is within a
+//! threshold iff at least n differences are, a skipped point ranks strictly
+//! after the k-th under `(diff, pid)` (a tie with the threshold is kept, so
+//! the pid tie-break still decides), and the answers and the work
+//! accounting (`refined` = points differenced) are those of the loop that
+//! selects on every point.
 
 use std::sync::Arc;
 
@@ -33,15 +45,23 @@ use crate::engine::{
     isolate_panic, note_outcome, run_batch, BatchAnswer, BatchEngine, BatchOptions, BatchQuery,
 };
 use crate::error::Result;
-use crate::kernels::{abs_diffs, accumulate_band_hits, nth_smallest, sort_canonical};
+use crate::kernels::{abs_diffs, accumulate_band_hits, count_within, nth_smallest, sort_canonical};
 use crate::point::{Dataset, PointId};
-use crate::result::{rank_frequent, FrequentResult, KnMatchResult, MatchEntry};
+use crate::result::{FrequentResult, KnMatchResult, MatchEntry};
 use crate::scratch::QueryControl;
 use crate::topk::TopK;
 
 /// Points sampled (evenly spaced by pid) to derive the pruning threshold —
 /// the same budget the disk planner uses.
 pub const FILTER_SAMPLE: usize = 64;
+
+/// Consecutive pids per run of [`BandEngine::estimate_candidate_fraction`]'s
+/// sample: 16 one-byte cells are one cache line of a dimension's column.
+const PROBE_RUN: usize = 16;
+
+/// The sampled order statistic [`sample_thresholds`] extrapolates `ε_q`
+/// from when `k/c` is finer than the sample resolves.
+const TAIL_RANK: usize = 4;
 
 /// Reusable per-worker working memory for the filter backends.
 #[derive(Debug, Default)]
@@ -68,28 +88,83 @@ impl FilterScratch {
     }
 }
 
-/// The canonical k-th smallest n-match difference among an evenly-spaced
-/// sample of at most [`FILTER_SAMPLE`] points — an upper bound of the true
-/// k-th smallest over the whole dataset whenever the sample holds at least
-/// `k` points, and `+∞` (no pruning) otherwise.
+/// The two answer-threshold estimates one evenly-spaced sample yields
+/// ([`sample_thresholds`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SampledThresholds {
+    /// `ε̂` — the canonical k-th smallest sampled n-match difference: an
+    /// upper bound of the true k-th smallest whenever the sample holds at
+    /// least `k` points, `+∞` (no pruning) otherwise. The band filter's
+    /// `τ`, because its correctness needs a bound.
+    pub bound: f64,
+    /// `ε_q` — the `k/c`-quantile of the sampled n-match differences: an
+    /// *estimate* of the true k-th smallest (the disk planner's), never
+    /// above `bound`. Where `k/c` is finer than the sample resolves, one of
+    /// the sample's smallest values is scaled down the lower tail
+    /// `F(x) ∝ xⁿ` rather than clamped to (the disk planner clamps: on the
+    /// `planner_crossover` grid that overstated AD's work 2–20× at n ≤ 4,
+    /// where this reads 0.99–1.25× of it at n ≥ 2). At `k = 10` of
+    /// `c = 50 000` the answer lives at the 0.02 % quantile while `ε̂` sits
+    /// near the 16th percentile of the sample, so pricing AD's frontier at
+    /// `ε̂` would overstate it by orders of magnitude.
+    pub quantile: f64,
+}
+
+/// `ε̂` and `ε_q` ([`SampledThresholds`]) of a k-n-match query, from one
+/// pass over an evenly-spaced sample of at most [`FILTER_SAMPLE`] points.
 ///
 /// Deterministic: the sample pids depend only on the cardinality, and the
-/// k-th smallest is selected under the canonical `(diff, pid)` order.
-pub fn sample_threshold(ds: &Dataset, query: &[f64], k: usize, n: usize) -> f64 {
+/// order statistics are taken under the canonical `(diff, pid)` order. An
+/// empty dataset yields `+∞` for both (nothing to sample, nothing to prune).
+pub fn sample_thresholds(ds: &Dataset, query: &[f64], k: usize, n: usize) -> SampledThresholds {
     let c = ds.len();
     let sample_n = FILTER_SAMPLE.min(c);
-    if sample_n < k {
-        return f64::INFINITY;
+    if sample_n == 0 {
+        return SampledThresholds {
+            bound: f64::INFINITY,
+            quantile: f64::INFINITY,
+        };
     }
     let step = (c / sample_n).max(1);
-    let mut top = TopK::new(k);
+    // ε_q's rank in the sorted sample (the disk planner's rule). It is
+    // below k whenever the sample holds k points, so one collector of the
+    // smallest few holds every order statistic used below.
+    let rank = k as f64 / c as f64 * sample_n as f64;
+    let q_idx = (rank.ceil() as usize).clamp(1, sample_n) - 1;
+    let tail = TAIL_RANK.min(sample_n);
+    let has_bound = sample_n >= k;
+    let mut top = TopK::new(tail.max(if has_bound { k } else { q_idx + 1 }));
     let mut buf = vec![0.0f64; ds.dims()];
+    let mut kept_bound = f64::INFINITY;
     for i in 0..sample_n {
         let pid = ((i * step) % c) as PointId;
         abs_diffs(&mut buf, ds.point(pid), query);
-        top.offer(pid, nth_smallest(&mut buf, n));
+        if count_within(&buf, kept_bound) >= n {
+            top.offer(pid, nth_smallest(&mut buf, n));
+            kept_bound = top.threshold().unwrap_or(f64::INFINITY);
+        }
     }
-    top.threshold().expect("sample_n >= k")
+    let kept = top.into_sorted();
+    // Below the sample's resolution the k/c-quantile lies under its
+    // smallest few values. The n-match difference's lower tail is
+    // F(x) ∝ xⁿ — n of the d per-dimension differences must each fall
+    // within x — so scale the tail-th smallest down by (rank/tail)^(1/n).
+    // Not the smallest itself: a query drawn near one sampled point (a
+    // duplicate, or the row it was perturbed from) would collapse it.
+    let quantile = if rank >= tail as f64 {
+        kept[q_idx].1
+    } else {
+        kept[tail - 1].1 * (rank / tail as f64).powf(1.0 / n as f64)
+    };
+    let bound = if has_bound {
+        kept[k - 1].1
+    } else {
+        f64::INFINITY
+    };
+    SampledThresholds {
+        bound,
+        quantile: quantile.min(bound),
+    }
 }
 
 /// Exact k-n-match over an explicit candidate id list (ascending pids),
@@ -105,22 +180,51 @@ fn knmatch_over<I: Iterator<Item = PointId>>(
 ) -> Result<(KnMatchResult, usize)> {
     diffs.resize(ds.dims(), 0.0);
     let mut top = TopK::new(k);
+    // The current k-th n-match difference, +∞ until k are held.
+    let mut bound = f64::INFINITY;
     let mut refined = 0usize;
     let mut tick = 0u32;
     for pid in pids {
         control.check(&mut tick)?;
         abs_diffs(diffs, ds.point(pid), query);
-        top.offer(pid, nth_smallest(diffs, n));
         refined += 1;
+        if count_within(diffs, bound) >= n {
+            top.offer(pid, nth_smallest(diffs, n));
+            bound = top.threshold().unwrap_or(f64::INFINITY);
+        }
     }
     Ok((top.into_result(n), refined))
 }
 
+/// Whether a point with differences `diffs` can enter the answer set of
+/// some level `n ∈ [n0, n0 + bounds.len())`, where `bounds[n − n0]` is
+/// level n's current k-th difference.
+///
+/// The bounds are nondecreasing in n (every level has been offered the
+/// same points, and each point's n-match difference is nondecreasing in
+/// n), so when level n admits only `w < n` differences, every level in
+/// `(w, n)` admits at most `w` too and fails: the search jumps straight to
+/// level `w`. A far point is usually rejected after one or two counts.
+fn enters_some_level(diffs: &[f64], bounds: &[f64], n0: usize) -> bool {
+    let mut n = n0 + bounds.len() - 1;
+    loop {
+        let within = count_within(diffs, bounds[n - n0]);
+        if within >= n {
+            return true;
+        }
+        if within < n0 {
+            return false;
+        }
+        n = within;
+    }
+}
+
 /// Exact frequent k-n-match over a candidate id list that is a superset of
-/// every per-n answer set: per-n canonical top-k collectors over one
-/// sorted-difference pass per candidate, then the standard frequency
-/// ranking — the same aggregation as the naive oracle, so the answers are
-/// identical whenever the candidate list covers the true answers.
+/// every per-n answer set: per-n canonical top-k collectors, fed one
+/// sorted-difference pass per point that can enter at least one of them,
+/// then the standard frequency ranking — the same aggregation as the
+/// naive oracle, so the answers are identical whenever the candidate list
+/// covers the true answers.
 #[allow(clippy::too_many_arguments)]
 fn frequent_over<I: Iterator<Item = PointId>>(
     ds: &Dataset,
@@ -134,41 +238,28 @@ fn frequent_over<I: Iterator<Item = PointId>>(
 ) -> Result<(FrequentResult, usize)> {
     diffs.resize(ds.dims(), 0.0);
     let mut tops: Vec<TopK> = (n0..=n1).map(|_| TopK::new(k)).collect();
+    let mut bounds = vec![f64::INFINITY; tops.len()];
     let mut refined = 0usize;
     let mut tick = 0u32;
     for pid in pids {
         control.check(&mut tick)?;
         abs_diffs(diffs, ds.point(pid), query);
-        diffs.sort_unstable_by(f64::total_cmp);
-        for (i, top) in tops.iter_mut().enumerate() {
-            top.offer(pid, diffs[n0 + i - 1]);
-        }
         refined += 1;
+        if !enters_some_level(diffs, &bounds, n0) {
+            continue;
+        }
+        diffs.sort_unstable_by(f64::total_cmp);
+        for (i, (top, bound)) in tops.iter_mut().zip(&mut bounds).enumerate() {
+            top.offer(pid, diffs[n0 + i - 1]);
+            *bound = top.threshold().unwrap_or(f64::INFINITY);
+        }
     }
     let per_n: Vec<KnMatchResult> = tops
         .into_iter()
         .enumerate()
         .map(|(i, t)| t.into_result(n0 + i))
         .collect();
-    let mut counts: Vec<(PointId, u32)> = Vec::new();
-    for res in &per_n {
-        for e in &res.entries {
-            match counts.iter_mut().find(|(p, _)| *p == e.pid) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((e.pid, 1)),
-            }
-        }
-    }
-    counts.sort_unstable_by_key(|&(p, _)| p);
-    let entries = rank_frequent(&counts, k);
-    Ok((
-        FrequentResult {
-            range: (n0, n1),
-            entries,
-            per_n,
-        },
-        refined,
-    ))
+    Ok((FrequentResult::from_levels((n0, n1), per_n, k), refined))
 }
 
 /// Exact ε-n-match over a candidate id list covering every true answer:
@@ -190,11 +281,13 @@ fn eps_over<I: Iterator<Item = PointId>>(
     for pid in pids {
         control.check(&mut tick)?;
         abs_diffs(diffs, ds.point(pid), query);
-        let diff = nth_smallest(diffs, n);
-        if diff <= eps {
-            entries.push(MatchEntry { pid, diff });
-        }
         refined += 1;
+        if count_within(diffs, eps) >= n {
+            entries.push(MatchEntry {
+                pid,
+                diff: nth_smallest(diffs, n),
+            });
+        }
     }
     sort_canonical(&mut entries);
     Ok((KnMatchResult { n, entries }, refined))
@@ -431,9 +524,13 @@ impl BandEngine {
 
     /// Estimates the fraction of points phase one would keep for a filter
     /// at threshold `tau` requiring `min_hits` band hits, by running the
-    /// filter over at most `sample` evenly-strided points. Used by the
-    /// request-time planner to price the refine phase without paying for
-    /// a full filter pass.
+    /// filter over about `sample` points: evenly spaced runs of 16
+    /// consecutive pids. Used by the request-time planner to
+    /// price the refine phase without paying for a full filter pass.
+    ///
+    /// A run's cells share a cache line in every dimension's column, so
+    /// the probe reads `d · sample / 16` lines through the
+    /// vectorised band kernel instead of `d · sample` scattered bytes.
     pub fn estimate_candidate_fraction(
         &self,
         query: &[f64],
@@ -443,25 +540,23 @@ impl BandEngine {
     ) -> f64 {
         let c = self.data.len();
         let sample_n = sample.clamp(1, c);
-        let step = (c / sample_n).max(1);
-        let mut kept = 0usize;
-        let bands: Vec<Option<(u8, u8)>> = query
-            .iter()
-            .enumerate()
-            .map(|(j, &qv)| self.band(j, qv - tau, qv + tau))
-            .collect();
-        for i in 0..sample_n {
-            let pid = (i * step) % c;
-            let mut hits = 0usize;
-            for (j, band) in bands.iter().enumerate() {
-                if let Some((lo, hi)) = band {
-                    let cell = self.cells[j * c + pid];
-                    hits += usize::from(cell >= *lo && cell <= *hi);
-                }
+        let runs = (sample_n / PROBE_RUN).max(1);
+        // run_len ≤ stride, so the runs are disjoint and in bounds.
+        let (run_len, stride) = (sample_n / runs, c / runs);
+        let mut counts = vec![0u16; runs * run_len];
+        for (j, &qv) in query.iter().enumerate() {
+            let Some((lo, hi)) = self.band(j, qv - tau, qv + tau) else {
+                continue;
+            };
+            let col = &self.cells[j * c..(j + 1) * c];
+            for (r, hits) in counts.chunks_exact_mut(run_len).enumerate() {
+                let start = r * stride;
+                accumulate_band_hits(hits, &col[start..start + run_len], lo, hi);
             }
-            kept += usize::from(hits >= min_hits);
         }
-        kept as f64 / sample_n as f64
+        let min16 = min_hits.min(u16::MAX as usize) as u16;
+        let kept = counts.iter().filter(|&&h| h >= min16).count();
+        kept as f64 / counts.len() as f64
     }
 
     /// Executes one query on the calling thread against caller scratch:
@@ -487,13 +582,13 @@ impl BandEngine {
         let (q, tau, min_hits, sampled) = match query {
             BatchQuery::KnMatch { query, k, n } => (
                 query,
-                sample_threshold(ds, query, *k, *n),
+                sample_thresholds(ds, query, *k, *n).bound,
                 *n,
                 FILTER_SAMPLE.min(c),
             ),
             BatchQuery::Frequent { query, k, n1, n0 } => (
                 query,
-                sample_threshold(ds, query, *k, *n1),
+                sample_thresholds(ds, query, *k, *n1).bound,
                 *n0,
                 FILTER_SAMPLE.min(c),
             ),
@@ -783,12 +878,38 @@ mod tests {
         let ds = pseudo_dataset(800, 6, 31);
         let q = vec![0.3; 6];
         for (k, n) in [(1usize, 1usize), (10, 3), (25, 6)] {
-            let tau = sample_threshold(&ds, &q, k, n);
+            let est = sample_thresholds(&ds, &q, k, n);
             let exact = k_n_match_scan(&ds, &q, k, n).unwrap();
             assert!(
-                exact.epsilon() <= tau,
+                exact.epsilon() <= est.bound,
                 "sampled bound below true threshold: k={k} n={n}"
             );
+            assert!(est.quantile <= est.bound, "k={k} n={n}: {est:?}");
         }
+        // Past the sample size there is no bound, but still a quantile:
+        // the ⌈k/c · 64⌉-th smallest sampled difference.
+        let est = sample_thresholds(&ds, &q, 100, 3);
+        assert_eq!(est.bound, f64::INFINITY);
+        let mut sampled: Vec<f64> = (0..FILTER_SAMPLE)
+            .map(|i| {
+                let p = ds.point((i * (800 / FILTER_SAMPLE)) as PointId);
+                crate::nmatch::nmatch_difference_with_buf(p, &q, 3, &mut Vec::new())
+            })
+            .collect();
+        sampled.sort_unstable_by(f64::total_cmp);
+        assert_eq!(est.quantile, sampled[8 - 1]);
+        // Finer than the sample resolves (k/c · 64 = 0.08 of a rank): the
+        // 4th smallest sampled difference, scaled down the xⁿ tail.
+        let est = sample_thresholds(&ds, &q, 1, 3);
+        let rank = 1.0 / 800.0 * 64.0f64;
+        assert_eq!(est.quantile, sampled[3] * (rank / 4.0).powf(1.0 / 3.0));
+    }
+
+    #[test]
+    fn sample_thresholds_of_an_empty_dataset_prune_nothing() {
+        let ds = Dataset::new(3).unwrap();
+        let est = sample_thresholds(&ds, &[0.5; 3], 5, 2);
+        assert_eq!(est.bound, f64::INFINITY);
+        assert_eq!(est.quantile, f64::INFINITY);
     }
 }

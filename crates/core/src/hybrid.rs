@@ -22,7 +22,7 @@ use std::collections::BinaryHeap;
 use crate::ad::AdStats;
 use crate::error::{KnMatchError, Result};
 use crate::point::{Dataset, PointId};
-use crate::result::{rank_frequent, FrequentResult, KnMatchResult, MatchEntry};
+use crate::result::{FrequentResult, KnMatchResult, MatchEntry};
 use crate::source::SortedEntry;
 use crate::topk::TopK;
 
@@ -381,12 +381,8 @@ pub fn frequent_k_n_match_hybrid(
     }
 
     let mut per_n = Vec::with_capacity(sets.len());
-    let mut counts: Vec<u32> = vec![0; c];
     for (i, mut set) in sets.into_iter().enumerate() {
         set.truncate(k);
-        for e in &set {
-            counts[e.pid as usize] += 1;
-        }
         let mut res = KnMatchResult {
             n: n0 + i,
             entries: set,
@@ -394,21 +390,7 @@ pub fn frequent_k_n_match_hybrid(
         res.normalise();
         per_n.push(res);
     }
-    let pairs: Vec<(PointId, u32)> = counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &cnt)| cnt > 0)
-        .map(|(pid, &cnt)| (pid as PointId, cnt))
-        .collect();
-    let entries = rank_frequent(&pairs, k);
-    Ok((
-        FrequentResult {
-            range: (n0, n1),
-            entries,
-            per_n,
-        },
-        stats,
-    ))
+    Ok((FrequentResult::from_levels((n0, n1), per_n, k), stats))
 }
 
 /// Answers a k-n-match query under a hybrid schema.

@@ -8,13 +8,16 @@
 //! vector) is compiled in, so a `-C target-cpu=native` build gets wider
 //! stripes from the same source.
 //!
-//! Two kernel families live here:
+//! Three kernel families live here:
 //!
 //! - [`abs_diffs`]: per-dimension absolute differences `|p_i − q_i|` of one
 //!   row against the query — the refine/scan inner loop. It is the plain
 //!   indexed loop: an 8-lane unroll and a runtime-dispatched AVX2
 //!   intrinsic path were both measured against it and deleted (DESIGN.md
 //!   §12 has the numbers);
+//! - [`count_within`]: how many of those differences are within a
+//!   threshold — the refine loop's pruning test, which lets a point that
+//!   cannot rank skip the selection ([`nth_smallest`]) entirely;
 //! - [`accumulate_band_hits`]: branchless per-point counting of dimensions
 //!   whose quantised cell falls inside a query band — the rewritten VA-file
 //!   approximation filter (see `knmatch-vafile`), which replaces the
@@ -48,6 +51,24 @@ pub fn abs_diffs(out: &mut [f64], row: &[f64], query: &[f64]) {
     for i in 0..row.len() {
         out[i] = (row[i] - query[i]).abs();
     }
+}
+
+/// `Σ [diffs_j ≤ t]`: how many values of `diffs` are at most `t`. The
+/// body is a branch-free compare-and-add, so the loop vectorises like
+/// [`abs_diffs`].
+///
+/// For NaN-free `diffs` and `t`, `count_within(diffs, t) >= n` holds
+/// exactly when [`nth_smallest`]`(diffs, n) <= t`: the values `≤ t` are a
+/// prefix of the sorted order. That is the refine loops' pruning test — a
+/// point with fewer than `n` differences within the current k-th
+/// n-match difference ranks strictly after it, so selecting its n-th
+/// smallest would be wasted work.
+pub fn count_within(diffs: &[f64], t: f64) -> usize {
+    let mut within = 0usize;
+    for &x in diffs {
+        within += usize::from(x <= t);
+    }
+    within
 }
 
 /// For every point `i`, adds 1 to `counts[i]` when `cells[i]` lies in the
@@ -225,6 +246,45 @@ mod tests {
             let mut b = vals.clone();
             b.sort_unstable_by(f64::total_cmp);
             assert_eq!(got, b[n - 1], "n={n}");
+        }
+    }
+
+    #[test]
+    fn count_within_agrees_with_nth_smallest() {
+        // `count_within(b, t) >= n` must be exactly `nth_smallest(b, n) <=
+        // t` — the pruning test stands in for the selection it skips.
+        let tiny = f64::MIN_POSITIVE;
+        let buffers: Vec<Vec<f64>> = vec![
+            pseudo(5, 16),
+            pseudo(9, 7),
+            // Tie-heavy: four distinct values.
+            (0..16).map(|i| (i % 4) as f64 * 0.25).collect(),
+            // Signed zeros beside small positives.
+            vec![0.0, -0.0, 0.0, 1e-300, -0.0, 0.5, 0.0, -0.0],
+            // Subnormals straddling the smallest normal.
+            vec![
+                tiny / 2.0,
+                tiny,
+                tiny / 4.0,
+                0.0,
+                tiny * 2.0,
+                tiny / 2.0,
+                5e-324,
+            ],
+        ];
+        for b in &buffers {
+            let mut thresholds: Vec<f64> = b.clone();
+            thresholds.extend([-1.0, -0.0, 0.0, f64::INFINITY, 0.3, tiny / 3.0]);
+            for &t in &thresholds {
+                for n in 1..=b.len() {
+                    let mut sel = b.clone();
+                    assert_eq!(
+                        count_within(b, t) >= n,
+                        nth_smallest(&mut sel, n) <= t,
+                        "b={b:?} t={t:e} n={n}"
+                    );
+                }
+            }
         }
     }
 

@@ -85,6 +85,30 @@ pub struct FrequentResult {
 }
 
 impl FrequentResult {
+    /// Ranks the per-n answer sets `per_n` (`S_{n0} … S_{n1}` for
+    /// `range = (n0, n1)`) into the frequent answer: Definition 4's
+    /// appearance counts, top `k` in [`rank_frequent`]'s order.
+    ///
+    /// The count is one `(pid, 1)` per member, sorted and folded in place
+    /// into `(pid, count)` — O(m log m) in the m ≤ `(n1 − n0 + 1)·k`
+    /// members, and no array indexed by point id (answer ids need not be
+    /// dense: run-list keys are not).
+    pub fn from_levels(range: (usize, usize), per_n: Vec<KnMatchResult>, k: usize) -> Self {
+        let members = per_n.iter().flat_map(|level| &level.entries);
+        let mut counts: Vec<(PointId, u32)> = members.map(|e| (e.pid, 1)).collect();
+        counts.sort_unstable();
+        counts.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            kept.1 += u32::from(same);
+            same
+        });
+        FrequentResult {
+            range,
+            entries: rank_frequent(&counts, k),
+            per_n,
+        }
+    }
+
     /// The answered point ids in rank order.
     pub fn ids(&self) -> Vec<PointId> {
         self.entries.iter().map(|e| e.pid).collect()
@@ -153,6 +177,28 @@ mod tests {
             vec![
                 FrequentEntry { pid: 1, count: 5 },
                 FrequentEntry { pid: 2, count: 5 },
+            ]
+        );
+    }
+
+    #[test]
+    fn from_levels_counts_sparse_ids_across_levels() {
+        let levels = vec![
+            res(&[(900_000, 0.1), (7, 0.2)]),
+            res(&[(7, 0.3), (900_000, 0.4)]),
+            res(&[(7, 0.5), (3, 0.6)]),
+        ];
+        let fr = FrequentResult::from_levels((2, 4), levels.clone(), 2);
+        assert_eq!(fr.range, (2, 4));
+        assert_eq!(fr.per_n, levels);
+        assert_eq!(
+            fr.entries,
+            vec![
+                FrequentEntry { pid: 7, count: 3 },
+                FrequentEntry {
+                    pid: 900_000,
+                    count: 2
+                },
             ]
         );
     }

@@ -379,18 +379,12 @@ pub fn ext_stride(seed: u64, queries: usize, strides: &[usize]) -> ExtStride {
         ) -> knmatch_core::Result<Vec<knmatch_core::PointId>> {
             let d = ds.dims();
             let full = knmatch_core::frequent_k_n_match_scan(ds, query, k, 1, d)?;
-            let mut counts: std::collections::HashMap<knmatch_core::PointId, u32> =
-                std::collections::HashMap::new();
-            for res in full.per_n.iter().filter(|r| (r.n - 1) % self.stride == 0) {
-                for e in &res.entries {
-                    *counts.entry(e.pid).or_insert(0) += 1;
-                }
-            }
-            let pairs: Vec<(knmatch_core::PointId, u32)> = counts.into_iter().collect();
-            Ok(knmatch_core::result::rank_frequent(&pairs, k)
+            let levels = full
+                .per_n
                 .into_iter()
-                .map(|e| e.pid)
-                .collect())
+                .filter(|r| (r.n - 1) % self.stride == 0)
+                .collect();
+            Ok(knmatch_core::FrequentResult::from_levels((1, d), levels, k).ids())
         }
     }
 

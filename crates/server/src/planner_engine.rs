@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use knmatch_core::{
-    execute_batch_query, isolate_panic, note_outcome, run_batch, sample_threshold, AdStats,
+    execute_batch_query, isolate_panic, note_outcome, run_batch, sample_thresholds, AdStats,
     BandEngine, BatchAnswer, BatchEngine, BatchOptions, BatchQuery, Dataset, FilterScratch,
     PlanTally, PlannerMode, Result as CoreResult, ScanEngine, Scratch, SortedColumns,
 };
@@ -115,12 +115,14 @@ impl PlannedEngine {
     }
 
     /// Prices one query against the cost model without running it:
-    /// validates the parameters, derives the pruning threshold `ε̂` from
-    /// the evenly-spaced sample ([`sample_threshold`]), counts the sorted-
-    /// column entries within `±ε̂` of the query per dimension (the AD
-    /// algorithm's frontier work), probes the VA filter's candidate
-    /// fraction on a stride of points, and feeds all of it to
-    /// [`plan_in_memory`].
+    /// validates the parameters, then plans it as [`PlannedEngine`]'s
+    /// `auto` mode does. What is measured: from one pass over the
+    /// evenly-spaced sample ([`sample_thresholds`]) the VA filter's bound
+    /// `ε̂` and the answer-threshold estimate `ε_q` (both `ε` for an
+    /// ε-n-match query); the sorted-column entries within `±ε_q` of the
+    /// query per dimension (the AD frontier's work); and, unless AD has
+    /// already won regardless, the VA filter's candidate fraction at `ε̂`
+    /// on a sample of points.
     ///
     /// Deterministic: every estimate is a pure function of the data and
     /// the query, so the same query always gets the same plan — which is
@@ -133,57 +135,60 @@ impl PlannedEngine {
     /// precedence, so an invalid query fails the same way whether it is
     /// planned or dispatched directly.
     pub fn plan_for(&self, query: &BatchQuery) -> CoreResult<MemPlanChoice> {
-        let (d, c) = (self.data.dims(), self.data.len());
-        query.validate(d, c)?;
-        let (q, eps_hat, min_hits) = match query {
+        query.validate(self.data.dims(), self.data.len())?;
+        Ok(self.plan_valid(query))
+    }
+
+    /// [`Self::plan_for`] for a query that has passed validation.
+    fn plan_valid(&self, query: &BatchQuery) -> MemPlanChoice {
+        plan_in_memory(&self.inputs_valid(query), &self.model)
+    }
+
+    /// The quantities [`plan_in_memory`] prices for a query that has
+    /// passed validation (see [`Self::plan_for`]). The candidate fraction
+    /// is left at 0 — the VA filter's floor, its cell pass alone — whenever
+    /// AD already beats the scan and that floor: no fraction could change
+    /// the choice, and AD's cheapest queries (small n) then skip the
+    /// probe's cold cell reads.
+    fn inputs_valid(&self, query: &BatchQuery) -> MemPlanInputs {
+        let (q, eps_hat, eps_q, min_hits) = match query {
             BatchQuery::KnMatch { query, k, n } => {
-                (query, sample_threshold(&self.data, query, *k, *n), *n)
+                let s = sample_thresholds(&self.data, query, *k, *n);
+                (query, s.bound, s.quantile, *n)
             }
             BatchQuery::Frequent { query, k, n0, n1 } => {
-                // τ at the loosest level covers every per-n answer set;
-                // the hit floor is the tightest level.
-                (query, sample_threshold(&self.data, query, *k, *n1), *n0)
+                // τ at the loosest level covers every per-n answer set and
+                // AD stops on it; the hit floor is the tightest level.
+                let s = sample_thresholds(&self.data, query, *k, *n1);
+                (query, s.bound, s.quantile, *n0)
             }
-            BatchQuery::EpsMatch { query, eps, n } => (query, *eps, *n),
+            BatchQuery::EpsMatch { query, eps, n } => (query, *eps, *eps, *n),
         };
-        // AD touches, per dimension, the sorted entries within ε̂ of the
-        // query before the n-th smallest difference crosses the answer
-        // threshold; two binary searches per column price that exactly.
-        let mut ad_attrs = 0u64;
-        for (j, &qv) in q.iter().enumerate() {
-            let vals = self.cols.column(j).values();
-            let lo = vals.partition_point(|&v| v < qv - eps_hat);
-            let hi = vals.partition_point(|&v| v <= qv + eps_hat);
-            // Saturating: a negative or NaN ε̂ (an invalid eps the backend
-            // will reject) yields an empty, not underflowing, band.
-            ad_attrs += hi.saturating_sub(lo) as u64;
-        }
-        // When AD already beats the scan and the VA filter's *floor* (the
-        // cell pass alone, before any refine), no candidate fraction can
-        // change the outcome — skip the probe. This keeps planning cheap
-        // exactly where AD queries are cheapest (small n), and stays
-        // deterministic: the probe is only skipped when its value cannot
-        // affect the choice.
-        let floor = MemPlanInputs {
-            cardinality: c,
-            dims: d,
+        // AD's frontier pops, per dimension, the sorted entries within the
+        // answer threshold of the query; two binary searches per column
+        // count them at the estimate ε_q.
+        let ad_attrs = q
+            .iter()
+            .enumerate()
+            .map(|(j, &qv)| {
+                let vals = self.cols.column(j).values();
+                let lo = vals.partition_point(|&v| v < qv - eps_q);
+                let hi = vals.partition_point(|&v| v <= qv + eps_q);
+                (hi - lo) as u64
+            })
+            .sum();
+        let mut inputs = MemPlanInputs {
+            cardinality: self.data.len(),
+            dims: self.data.dims(),
             ad_attrs,
             candidate_fraction: 0.0,
         };
-        let at_floor = plan_in_memory(&floor, &self.model);
-        if at_floor.backend == BackendChoice::Ad {
-            return Ok(at_floor);
+        if plan_in_memory(&inputs, &self.model).backend != BackendChoice::Ad {
+            inputs.candidate_fraction =
+                self.va
+                    .estimate_candidate_fraction(q, eps_hat, min_hits, PLAN_FRACTION_SAMPLE);
         }
-        let candidate_fraction =
-            self.va
-                .estimate_candidate_fraction(q, eps_hat, min_hits, PLAN_FRACTION_SAMPLE);
-        let inputs = MemPlanInputs {
-            cardinality: c,
-            dims: d,
-            ad_attrs,
-            candidate_fraction,
-        };
-        Ok(plan_in_memory(&inputs, &self.model))
+        inputs
     }
 
     fn bump(&self, choice: BackendChoice) {
@@ -208,7 +213,7 @@ impl PlannedEngine {
         // their slot without ever counting as a plan, in every mode.
         query.validate(self.data.dims(), self.data.len())?;
         let choice = match mode {
-            PlannerMode::Auto => self.plan_for(query)?.backend,
+            PlannerMode::Auto => self.plan_valid(query).backend,
             PlannerMode::Ad => BackendChoice::Ad,
             PlannerMode::VaFile => BackendChoice::VaFile,
             PlannerMode::Scan => BackendChoice::Scan,

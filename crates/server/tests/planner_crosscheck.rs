@@ -10,7 +10,8 @@
 use std::sync::Arc;
 
 use knmatch_core::{
-    BatchAnswer, BatchEngine, BatchOptions, BatchQuery, Dataset, PlannerMode, ScanEngine,
+    frequent_k_n_match_scan, k_n_match_scan, nmatch_difference_with_buf, BatchAnswer, BatchEngine,
+    BatchOptions, BatchQuery, Dataset, KnMatchResult, MatchEntry, PlannerMode, ScanEngine,
 };
 use knmatch_data::rng::Rng64;
 use knmatch_igrid::{default_bins, igrid_engine};
@@ -71,13 +72,34 @@ fn random_batch(rng: &mut Rng64, d: usize, queries: usize) -> Vec<BatchQuery> {
         .collect()
 }
 
-/// The oracle: the kernel scan with one worker, itself pinned bitwise to
-/// the naive per-algorithm scans by the core test suite.
+/// The oracle: the naive per-algorithm scans, which share no loop with
+/// any backend under test (the refine loops those backends run are what
+/// this suite checks) — ε-n-match through `nmatch_difference_with_buf`, as
+/// `filter.rs`'s own test oracle does.
 fn oracle(ds: &Dataset, batch: &[BatchQuery]) -> Vec<BatchAnswer> {
-    ScanEngine::with_workers(Arc::new(ds.clone()), 1)
-        .run(batch)
-        .into_iter()
-        .map(|r| r.unwrap().0)
+    batch
+        .iter()
+        .map(|q| match q {
+            BatchQuery::KnMatch { query, k, n } => {
+                BatchAnswer::KnMatch(k_n_match_scan(ds, query, *k, *n).unwrap())
+            }
+            BatchQuery::Frequent { query, k, n0, n1 } => {
+                BatchAnswer::Frequent(frequent_k_n_match_scan(ds, query, *k, *n0, *n1).unwrap())
+            }
+            BatchQuery::EpsMatch { query, eps, n } => {
+                let mut buf = Vec::new();
+                let mut entries: Vec<MatchEntry> = ds
+                    .iter()
+                    .map(|(pid, p)| MatchEntry {
+                        pid,
+                        diff: nmatch_difference_with_buf(p, query, *n, &mut buf),
+                    })
+                    .filter(|e| e.diff <= *eps)
+                    .collect();
+                entries.sort_by(|a, b| a.diff.total_cmp(&b.diff).then(a.pid.cmp(&b.pid)));
+                BatchAnswer::EpsMatch(KnMatchResult { n: *n, entries })
+            }
+        })
         .collect()
 }
 
@@ -168,6 +190,73 @@ fn tie_heavy_data_resolves_canonically_everywhere() {
     for (name, got) in engines {
         for (i, (r, w)) in got.into_iter().zip(&want).enumerate() {
             assert_eq!(&r.unwrap().0, w, "{name} diverged on ties at query #{i}");
+        }
+    }
+}
+
+#[test]
+fn grid_ties_at_every_threshold_resolve_identically_everywhere() {
+    // On the 0.25-step grid every difference is a multiple of the step,
+    // so the running k-th difference, ε and each frequent level's k-th
+    // are tied by many points at once: the counting refine must keep
+    // exactly the ties `TopK`'s pid tie-break then decides.
+    let mut rng = Rng64::new(0x7135);
+    let (c, d) = (300usize, 6usize);
+    let ds = quantised_dataset(&mut rng, c, d);
+    let mut batch = Vec::new();
+    for _ in 0..4 {
+        let query: Vec<f64> = (0..d)
+            .map(|_| rng.range_usize(0..5) as f64 * 0.25)
+            .collect();
+        for k in [1, c / 2, c] {
+            for n in [1, d] {
+                batch.push(BatchQuery::KnMatch {
+                    query: query.clone(),
+                    k,
+                    n,
+                });
+            }
+            batch.push(BatchQuery::Frequent {
+                query: query.clone(),
+                k,
+                n0: 1,
+                n1: d,
+            });
+        }
+        for n in [1, d] {
+            batch.push(BatchQuery::EpsMatch {
+                query: query.clone(),
+                eps: 0.25,
+                n,
+            });
+        }
+    }
+    let want = oracle(&ds, &batch);
+    for workers in [1usize, 3] {
+        let engine = PlannedEngine::with_workers(&ds, workers, PlannerMode::Auto);
+        for mode in [
+            PlannerMode::Scan,
+            PlannerMode::VaFile,
+            PlannerMode::IGrid,
+            PlannerMode::Auto,
+        ] {
+            let opts = BatchOptions {
+                planner: Some(mode),
+                ..BatchOptions::default()
+            };
+            for (i, (r, w)) in engine
+                .run_with(&batch, &opts)
+                .into_iter()
+                .zip(&want)
+                .enumerate()
+            {
+                assert_eq!(
+                    &r.unwrap().0,
+                    w,
+                    "mode={mode} workers={workers} diverged on grid ties at query #{i}: {:?}",
+                    batch[i]
+                );
+            }
         }
     }
 }

@@ -240,25 +240,8 @@ impl<S: PageStore> DiskDatabase<S> {
             .enumerate()
             .map(|(i, t)| t.into_result(n0 + i))
             .collect();
-        let mut counts: Vec<u32> = vec![0; self.len()];
-        for res in &per_n {
-            for e in &res.entries {
-                counts[e.pid as usize] += 1;
-            }
-        }
-        let pairs: Vec<(knmatch_core::PointId, u32)> = counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(pid, &c)| (pid as knmatch_core::PointId, c))
-            .collect();
-        let entries = knmatch_core::result::rank_frequent(&pairs, k);
         Ok(DiskQueryOutcome {
-            result: FrequentResult {
-                range: (n0, n1),
-                entries,
-                per_n,
-            },
+            result: FrequentResult::from_levels((n0, n1), per_n, k),
             io: self.pool.stats(),
             ad: AdStats::default(),
         })

@@ -157,50 +157,55 @@ pub enum BackendChoice {
     Scan,
 }
 
-/// Tunable per-unit costs of the in-memory backends. Units are arbitrary
-/// (only ratios matter); the defaults were calibrated against the
-/// `planner_crossover` bench on the development host, with
-/// `scan_per_attr = 1` as the yardstick.
+/// Per-unit costs of the in-memory backends in **nanoseconds**, so a
+/// [`MemPlanChoice`] reads as predicted wall-clock per query.
+///
+/// Every backend is priced linearly in the work it does: AD per attribute
+/// its frontier retrieves, the scan per attribute it differences, the
+/// VA-file per quantised cell its filter compares plus per attribute it
+/// refines. The defaults are the constants `planner_crossover` fits over
+/// its d × n × kind grid (it writes them into `BENCH_planner.json` under
+/// `fitted_model`), measured on a 2-vCPU x86-64 (Xeon) cloud VM at
+/// c = 20 000 — the host every committed `BENCH_*.json` comes from. Only
+/// their ratios route, so a host that is uniformly faster or slower plans
+/// the same; rerun the bench where the ratios may differ.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemCostModel {
-    /// Cost per attribute the AD algorithm retrieves **at full width**
-    /// (`ad_attrs = cardinality × dims`). AD's measured cost is strongly
-    /// superlinear in the fraction of attributes its frontier touches —
-    /// wider bands mean deeper heaps, more duplicate-point bookkeeping,
-    /// and colder cache per pop — so [`plan_in_memory`] prices AD as
-    /// `ad_attrs × ad_per_attr × frac²` (a cubic law overall), which is
-    /// what the `planner_crossover` bench measures across n-levels.
-    pub ad_per_attr: f64,
-    /// Cost per attribute the full scan visits (the yardstick unit).
-    pub scan_per_attr: f64,
-    /// Cost per (point, dimension) byte compare of the band filter — the
-    /// vectorised kernel makes this a small fraction of a scan touch.
-    pub filter_per_cell: f64,
-    /// Cost per attribute refined after the filter (row gather plus
-    /// selection; slightly worse locality than the pure scan).
-    pub refine_per_attr: f64,
+    /// ns per attribute the AD frontier retrieves (one heap pop, the
+    /// cursor advance, the appearance bookkeeping).
+    pub ad_ns_per_attr: f64,
+    /// ns per attribute the full scan differences (the counting refine
+    /// loop over every point, `c × d` attributes).
+    pub scan_ns_per_attr: f64,
+    /// ns per (point, dimension) byte compare of the band filter, the
+    /// candidate extraction pass included.
+    pub filter_ns_per_cell: f64,
+    /// ns per attribute refined after the filter (a gather of candidate
+    /// rows into the same counting loop the scan runs).
+    pub refine_ns_per_attr: f64,
 }
 
 impl Default for MemCostModel {
     fn default() -> Self {
         MemCostModel {
-            ad_per_attr: 22.0,
-            scan_per_attr: 1.0,
-            filter_per_cell: 0.15,
-            refine_per_attr: 1.5,
+            ad_ns_per_attr: 49.0,
+            scan_ns_per_attr: 0.70,
+            filter_ns_per_cell: 0.20,
+            refine_ns_per_attr: 1.9,
         }
     }
 }
 
 /// Per-query quantities the in-memory model prices. The caller measures
-/// them cheaply at request time: `ad_attrs` from the sorted-column fences
-/// at `q ± ε̂` (two binary searches per dimension), `candidate_fraction`
-/// from the band filter over a small strided sample.
+/// them cheaply at request time: `ad_attrs` from the sorted columns at
+/// `q ± ε_q` (two binary searches per dimension), `candidate_fraction`
+/// from the band filter at `τ = ε̂` over a small sample.
 ///
-/// The per-point refine work of a frequent query (one sort plus one offer
-/// per n-level) hits the scan and VA-file paths identically and is already
-/// folded into `ad_attrs` for AD (ε̂ is estimated at `n1`), so the model
-/// needs no explicit n-range input.
+/// `ε̂` and `ε_q` are two order statistics of one sample of n-match
+/// differences (n1 for a frequent query): `ε̂`, the sample's k-th, bounds
+/// the true k-th from above and is what the VA filter must use; `ε_q`,
+/// the sample's `k/c`-quantile, *estimates* it, which is what AD's
+/// frontier actually reaches. For an ε-n-match query both are `ε`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemPlanInputs {
     /// Dataset cardinality.
@@ -215,8 +220,8 @@ pub struct MemPlanInputs {
     pub candidate_fraction: f64,
 }
 
-/// The in-memory planner's decision with the three cost estimates (model
-/// units).
+/// The in-memory planner's decision with the three cost estimates
+/// (nanoseconds under the [`MemCostModel`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemPlanChoice {
     /// The cheapest backend (ties break AD → VA-file → scan, the order in
@@ -234,14 +239,10 @@ pub struct MemPlanChoice {
 /// cheapest — the Figure 12 crossover, evaluated live per batch element.
 pub fn plan_in_memory(inputs: &MemPlanInputs, model: &MemCostModel) -> MemPlanChoice {
     let attrs = inputs.cardinality as f64 * inputs.dims as f64;
-    // Superlinear AD law (see [`MemCostModel::ad_per_attr`]): per-attr
-    // cost scales with the square of the touched fraction, so AD is
-    // near-free at small n and prohibitive as the band nears full width.
-    let frac = (inputs.ad_attrs as f64 / attrs.max(1.0)).clamp(0.0, 1.0);
-    let ad_cost = inputs.ad_attrs as f64 * model.ad_per_attr * frac * frac;
-    let scan_cost = attrs * model.scan_per_attr;
-    let vafile_cost = attrs * model.filter_per_cell
-        + inputs.candidate_fraction.clamp(0.0, 1.0) * attrs * model.refine_per_attr;
+    let ad_cost = inputs.ad_attrs as f64 * model.ad_ns_per_attr;
+    let scan_cost = attrs * model.scan_ns_per_attr;
+    let vafile_cost = attrs * model.filter_ns_per_cell
+        + inputs.candidate_fraction.clamp(0.0, 1.0) * attrs * model.refine_ns_per_attr;
     let backend = if ad_cost <= vafile_cost && ad_cost <= scan_cost {
         BackendChoice::Ad
     } else if vafile_cost <= scan_cost {
@@ -320,49 +321,51 @@ mod tests {
     #[test]
     fn in_memory_model_tracks_its_inputs() {
         let model = MemCostModel::default();
+        // 80 000 attributes: the scan's and the filter's work is fixed,
+        // AD's and the refine's follow the estimates.
         let base = MemPlanInputs {
             cardinality: 10_000,
             dims: 8,
-            ad_attrs: 2_000,
+            ad_attrs: 200,
             candidate_fraction: 0.05,
         };
-        // Few AD attributes → AD wins.
+        // A narrow frontier → AD wins.
         assert_eq!(plan_in_memory(&base, &model).backend, BackendChoice::Ad);
-        // AD forced to touch nearly everything, filter selective → VA-file.
+        // AD's frontier ten times wider, filter selective → VA-file.
         let va = MemPlanInputs {
-            ad_attrs: 60_000,
+            ad_attrs: 2_000,
             ..base
         };
         assert_eq!(plan_in_memory(&va, &model).backend, BackendChoice::VaFile);
         // Filter keeps everything too → the plain scan is cheapest.
         let scan = MemPlanInputs {
-            ad_attrs: 60_000,
             candidate_fraction: 1.0,
-            ..base
+            ..va
         };
         assert_eq!(plan_in_memory(&scan, &model).backend, BackendChoice::Scan);
-        // Costs are monotone in their drivers.
+        // Every cost is its units times its ns constant: linear in its
+        // own units, blind to the others.
         let c = plan_in_memory(&base, &model);
-        let c2 = plan_in_memory(
-            &MemPlanInputs {
-                ad_attrs: base.ad_attrs * 2,
-                ..base
-            },
-            &model,
+        assert_eq!(c.ad_cost, 200.0 * model.ad_ns_per_attr);
+        assert_eq!(c.scan_cost, 80_000.0 * model.scan_ns_per_attr);
+        assert_eq!(
+            c.vafile_cost,
+            80_000.0 * model.filter_ns_per_cell + 0.05 * 80_000.0 * model.refine_ns_per_attr
         );
-        assert!(c2.ad_cost > c.ad_cost);
-        assert_eq!(c2.scan_cost, c.scan_cost);
+        let c2 = plan_in_memory(&va, &model);
+        assert_eq!(c2.ad_cost, 10.0 * c.ad_cost);
+        assert_eq!((c2.scan_cost, c2.vafile_cost), (c.scan_cost, c.vafile_cost));
     }
 
     #[test]
     fn in_memory_model_breaks_ties_toward_ad() {
-        // A model where everything costs the same per attribute and inputs
-        // that make all three estimates equal.
+        // One ns per unit everywhere, and inputs that make all three
+        // estimates 1 µs.
         let model = MemCostModel {
-            ad_per_attr: 1.0,
-            scan_per_attr: 1.0,
-            filter_per_cell: 0.5,
-            refine_per_attr: 0.5,
+            ad_ns_per_attr: 1.0,
+            scan_ns_per_attr: 1.0,
+            filter_ns_per_cell: 0.5,
+            refine_ns_per_attr: 0.5,
         };
         let inputs = MemPlanInputs {
             cardinality: 100,
@@ -371,9 +374,16 @@ mod tests {
             candidate_fraction: 1.0,
         };
         let choice = plan_in_memory(&inputs, &model);
-        assert_eq!(choice.ad_cost, choice.scan_cost);
+        assert_eq!(choice.ad_cost, 1_000.0);
         assert_eq!(choice.vafile_cost, choice.scan_cost);
+        assert_eq!(choice.ad_cost, choice.scan_cost);
         assert_eq!(choice.backend, BackendChoice::Ad);
+        // With AD out of the race the VA-file wins its tie with the scan.
+        let wide = MemPlanInputs {
+            ad_attrs: 1_001,
+            ..inputs
+        };
+        assert_eq!(plan_in_memory(&wide, &model).backend, BackendChoice::VaFile);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! losing to a plain scan in Figure 10) and resolves them exactly.
 
 use knmatch_core::ad::validate_params;
-use knmatch_core::result::rank_frequent;
 use knmatch_core::topk::TopK;
 use knmatch_core::{FrequentResult, KnMatchResult, PointId, Result};
 use knmatch_storage::{BufferPool, HeapFile, IoStats, PageStore};
@@ -111,26 +110,8 @@ pub fn frequent_k_n_match_va<S: PageStore>(
         .enumerate()
         .map(|(i, t)| t.into_result(n0 + i))
         .collect();
-    let mut counts: Vec<u32> = vec![0; c];
-    for res in &per_n {
-        for e in &res.entries {
-            counts[e.pid as usize] += 1;
-        }
-    }
-    let pairs: Vec<(PointId, u32)> = counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &cnt)| cnt > 0)
-        .map(|(pid, &cnt)| (pid as PointId, cnt))
-        .collect();
-    let entries = rank_frequent(&pairs, k);
-
     Ok(VaOutcome {
-        result: FrequentResult {
-            range: (n0, n1),
-            entries,
-            per_n,
-        },
+        result: FrequentResult::from_levels((n0, n1), per_n, k),
         refined: candidates.len(),
         io: pool.stats(),
     })

@@ -7,6 +7,8 @@
 #   3. lints:   cargo clippy --workspace --all-targets -- -D warnings
 #   4. smoke:   disk_throughput --smoke (cross-checks the disk engine
 #               against the sequential path on a real file, seconds-long)
+#               + planner_crossover --smoke (every planner mode over the
+#               d x n x kind grid, each answer against the naive oracle)
 #   5. faults:  release-mode fault-injection stress (retry/panic paths
 #               under optimised timing) + fault_overhead --smoke
 #   6. pipeline: event-server pipelined cross-check in release (bit-
@@ -57,6 +59,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> disk_throughput --smoke"
 ./target/release/disk_throughput --smoke --out /tmp/BENCH_disk_throughput_smoke.json >/dev/null
+
+echo "==> planner_crossover --smoke (every planner mode vs the naive oracle)"
+./target/release/planner_crossover --smoke --out /tmp/BENCH_planner_smoke.json >/dev/null
 
 echo "==> fault injection stress (release)"
 cargo test --release -q -p knmatch-storage --test fault_injection
