@@ -4,11 +4,15 @@
 //! cargo run -p knmatch-bench --release --bin repro -- all
 //! cargo run -p knmatch-bench --release --bin repro -- table4 fig11
 //! cargo run -p knmatch-bench --release --bin repro -- --quick all
+//! cargo run -p knmatch-bench --release --bin repro -- --quick --no-timing all
 //! ```
 //!
 //! `--quick` runs every experiment at ~1/5 scale (minutes → seconds); the
 //! default matches the paper's dataset sizes. Output is deterministic for
-//! a given scale (seeded generators, counter-based cost model).
+//! a given scale (seeded generators, counter-based cost model) except for
+//! the `[name in X.Xs]` wall-clock lines, which `--no-timing` drops: that
+//! output is what `results/repro_quick.txt` and `results/repro_full.txt`
+//! hold, and `scripts/verify.sh` diffs the quick one against the tree.
 
 use std::time::Instant;
 
@@ -16,10 +20,12 @@ use knmatch_bench::{run, run_efficiency_block, Scale, EXPERIMENTS};
 
 fn main() {
     let mut scale = Scale::Full;
+    let mut timing = true;
     let mut wanted: Vec<String> = Vec::new();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--quick" | "-q" => scale = Scale::Quick,
+            "--no-timing" => timing = false,
             "--help" | "-h" => {
                 print_help();
                 return;
@@ -51,24 +57,30 @@ fn main() {
         if run_block_together && eff_block.contains(&name.as_str()) {
             continue;
         }
-        run_one(name, scale);
+        run_one(name, scale, timing);
     }
     if run_block_together {
         let t = Instant::now();
         print!("{}", run_efficiency_block(scale, None));
-        println!(
-            "[figures 10/11/12/15 in {:.1}s]\n",
-            t.elapsed().as_secs_f64()
-        );
+        footer("figures 10/11/12/15", t, timing);
     }
 }
 
-fn run_one(name: &str, scale: Scale) {
+/// Ends an experiment's report: its wall-clock line unless `timing` is
+/// off, then a blank line.
+fn footer(name: &str, started: Instant, timing: bool) {
+    if timing {
+        println!("[{name} in {:.1}s]", started.elapsed().as_secs_f64());
+    }
+    println!();
+}
+
+fn run_one(name: &str, scale: Scale, timing: bool) {
     let t = Instant::now();
     match run(name, scale) {
         Ok(report) => {
             print!("{report}");
-            println!("[{name} in {:.1}s]\n", t.elapsed().as_secs_f64());
+            footer(name, t, timing);
         }
         Err(e) => {
             eprintln!("error: {e}");
@@ -78,6 +90,6 @@ fn run_one(name: &str, scale: Scale) {
 }
 
 fn print_help() {
-    println!("usage: repro [--quick] <experiment>... | all");
+    println!("usage: repro [--quick] [--no-timing] <experiment>... | all");
     println!("experiments: {}", EXPERIMENTS.join(" "));
 }

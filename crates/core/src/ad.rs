@@ -4,19 +4,19 @@
 //! query `Q`, the algorithm locates `q_i` in each list by binary search and
 //! then retrieves individual attributes **in ascending order of their
 //! difference to the corresponding query attribute**, merging the `2d`
-//! directional cursors through a frontier (the paper's `g[]` array,
-//! defaulted here to a min-heap; the paper-literal linear array is kept
-//! as an ablation — see [`frequent_k_n_match_ad_linear`]).
+//! directional cursors through a frontier (the paper's `g[]` array, kept
+//! here as a tournament tree over the cursors; the paper-literal linear
+//! array is the test oracle [`frequent_k_n_match_ad_linear`]).
 //! When a point id has been seen `n` times, it is the next k-n-match answer
 //! (Theorem 3.1); the algorithm stops once `k` ids have been seen `n` times
 //! (`n1` times for the frequent variant) and is **optimal in the number of
 //! attributes retrieved** (Theorems 3.2 / 3.3).
 
 use crate::error::{KnMatchError, Result};
-use crate::frontier::{AdWalker, Frontier, LinearFrontier, SortedLists};
+use crate::frontier::SortedLists;
 use crate::point::{validate_finite, PointId};
 use crate::result::{FrequentResult, KnMatchResult, MatchEntry};
-use crate::scratch::{EpochMarks, QueryControl, Scratch};
+use crate::scratch::Scratch;
 use crate::source::SortedAccessSource;
 
 /// Cost counters for one AD run, in the paper's cost model.
@@ -145,56 +145,11 @@ pub fn frequent_k_n_match_ad_with<S: SortedAccessSource>(
 }
 
 /// [`frequent_k_n_match_ad_with`] over any [`SortedLists`] — plain
-/// columns or the run list of a versioned snapshot.
-pub(crate) fn frequent_lists<L: SortedLists>(
-    src: &mut L,
-    query: &[f64],
-    k: usize,
-    n0: usize,
-    n1: usize,
-    scratch: &mut Scratch,
-) -> Result<(FrequentResult, AdStats)> {
-    let Scratch {
-        marks,
-        walker,
-        control,
-    } = scratch;
-    frequent_core(src, query, k, n0, n1, walker, marks, control)
-}
-
-/// [`frequent_k_n_match_ad`] using the paper's literal `g[]` array (linear
-/// minimum scan per pop) instead of a heap. Identical answers and
-/// attribute counts; O(d) instead of O(log d) per pop. Exposed for the
-/// frontier ablation bench.
-///
-/// # Errors
-///
-/// Validates the query shape and parameters; see [`KnMatchError`].
-pub fn frequent_k_n_match_ad_linear<S: SortedAccessSource>(
-    src: &mut S,
-    query: &[f64],
-    k: usize,
-    n0: usize,
-    n1: usize,
-) -> Result<(FrequentResult, AdStats)> {
-    let mut walker: AdWalker<LinearFrontier> = AdWalker::new_empty();
-    let mut marks = EpochMarks::default();
-    frequent_core(
-        src,
-        query,
-        k,
-        n0,
-        n1,
-        &mut walker,
-        &mut marks,
-        &QueryControl::none(),
-    )
-}
-
-/// The FKNMatchAD loop against borrowed working memory. Every public
-/// entry point and every batch engine funnels here, so the sequential,
-/// scratch-reusing, parallel and run-list paths are the same code and
-/// produce bit-identical answers and [`AdStats`].
+/// columns or the run list of a versioned snapshot: the FKNMatchAD loop
+/// against borrowed working memory. Every public entry point and every
+/// batch engine funnels here, so the sequential, scratch-reusing,
+/// parallel and run-list paths are the same code and produce
+/// bit-identical answers and [`AdStats`].
 ///
 /// The walk is one frontier over *all* the lists of `src` and its stop
 /// condition is global: `k` **live** points seen `n1` times. A point is
@@ -209,17 +164,19 @@ pub fn frequent_k_n_match_ad_linear<S: SortedAccessSource>(
 /// interleaving and of how the points are split over parts. This costs a
 /// short extra drain of boundary-tied pops (zero when the boundary
 /// difference is unique).
-#[allow(clippy::too_many_arguments)]
-fn frequent_core<L: SortedLists, F: Frontier>(
+pub(crate) fn frequent_lists<L: SortedLists>(
     src: &mut L,
     query: &[f64],
     k: usize,
     n0: usize,
     n1: usize,
-    walker: &mut AdWalker<F>,
-    marks: &mut EpochMarks,
-    control: &QueryControl,
+    scratch: &mut Scratch,
 ) -> Result<(FrequentResult, AdStats)> {
+    let Scratch {
+        marks,
+        walker,
+        control,
+    } = scratch;
     validate_params(query, src.dims(), src.live(), k, n0, n1)?;
     control.precheck()?;
 
@@ -323,7 +280,7 @@ pub fn eps_n_match_ad_with<S: SortedAccessSource>(
 }
 
 /// [`eps_n_match_ad_with`] over any [`SortedLists`]; like
-/// `frequent_core`, a point is resolved when it completes and a dead one
+/// `frequent_lists`, a point is resolved when it completes and a dead one
 /// is skipped.
 pub(crate) fn eps_lists<L: SortedLists>(
     src: &mut L,
@@ -358,6 +315,130 @@ pub(crate) fn eps_lists<L: SortedLists>(
     let mut res = KnMatchResult { n, entries };
     res.normalise();
     Ok((res, walker.stats))
+}
+
+/// [`frequent_k_n_match_ad`] as the paper writes it (Figure 4): the `g[]`
+/// array scanned for its minimum on every pop, plain appearance counters,
+/// no scratch reuse. It shares no code with the served walk, so it is the
+/// oracle that walk is held to: answers and [`AdStats`] must be identical.
+/// O(d) per pop instead of O(log d).
+///
+/// # Errors
+///
+/// Validates the query shape and parameters; see [`KnMatchError`].
+pub fn frequent_k_n_match_ad_linear<S: SortedAccessSource>(
+    src: &mut S,
+    query: &[f64],
+    k: usize,
+    n0: usize,
+    n1: usize,
+) -> Result<(FrequentResult, AdStats)> {
+    let c = src.cardinality();
+    validate_params(query, SortedAccessSource::dims(src), c, k, n0, n1)?;
+    let mut g = PaperG::seed(src, query);
+    let mut appear = vec![0usize; c];
+    let mut sets: Vec<Vec<MatchEntry>> = vec![Vec::new(); n1 - n0 + 1];
+    let mut visit = |sets: &mut [Vec<MatchEntry>], (pid, diff): (PointId, f64)| {
+        appear[pid as usize] += 1;
+        let a = appear[pid as usize];
+        if (n0..=n1).contains(&a) {
+            sets[a - n0].push(MatchEntry { pid, diff });
+        }
+    };
+    while sets[n1 - n0].len() < k {
+        let pop = g.pop(src).expect("k ≤ c points each appear d ≥ n1 times");
+        visit(&mut sets, pop);
+    }
+    // The same canonical tie drain as the served walk: everything within
+    // ε_{n1}, then each set's k smallest by (diff, pid).
+    let bound = sets[n1 - n0][k - 1].diff;
+    while g.peek_diff().is_some_and(|d| d <= bound) {
+        let pop = g.pop(src).expect("peeked non-empty g[]");
+        visit(&mut sets, pop);
+    }
+    let per_n = sets
+        .into_iter()
+        .zip(n0..)
+        .map(|(mut entries, n)| {
+            entries.sort_by(|a, b| a.diff.total_cmp(&b.diff).then(a.pid.cmp(&b.pid)));
+            entries.truncate(k);
+            KnMatchResult { n, entries }
+        })
+        .collect();
+    Ok((FrequentResult::from_levels((n0, n1), per_n, k), g.stats))
+}
+
+/// The paper's `g[]`, literally: one `(pid, diff)` triple per directional
+/// cursor (`2 · dim` walks down from the query, `2 · dim + 1` up) and
+/// `smallest(g)` a linear scan that takes the first minimum, so ties go
+/// to the smaller cursor id.
+pub(crate) struct PaperG {
+    query: Vec<f64>,
+    g: Vec<Option<(PointId, f64)>>,
+    /// The rank each cursor last read.
+    rank: Vec<usize>,
+    len: usize,
+    stats: AdStats,
+}
+
+impl PaperG {
+    /// Locates the query in every list and reads one attribute each way.
+    pub(crate) fn seed<S: SortedAccessSource>(src: &mut S, query: &[f64]) -> Self {
+        let d = query.len();
+        let mut g = PaperG {
+            query: query.to_vec(),
+            g: vec![None; 2 * d],
+            rank: vec![0; 2 * d],
+            len: src.cardinality(),
+            stats: AdStats::default(),
+        };
+        for (dim, &q) in query.iter().enumerate() {
+            let pos = src.locate(dim, q);
+            g.stats.locate_probes += 1;
+            if pos > 0 {
+                g.read(src, 2 * dim, pos - 1);
+            }
+            if pos < g.len {
+                g.read(src, 2 * dim + 1, pos);
+            }
+        }
+        g
+    }
+
+    fn read<S: SortedAccessSource>(&mut self, src: &mut S, cid: usize, rank: usize) {
+        let dim = cid / 2;
+        let e = src.entry(dim, rank);
+        self.stats.attributes_retrieved += 1;
+        self.rank[cid] = rank;
+        self.g[cid] = Some((e.pid, (e.value - self.query[dim]).abs()));
+    }
+
+    fn smallest(&self) -> Option<usize> {
+        let live = self.g.iter().enumerate();
+        let live = live.filter_map(|(cid, t)| t.map(|(_, diff)| (cid, diff)));
+        live.min_by(|a, b| a.1.total_cmp(&b.1)).map(|(cid, _)| cid)
+    }
+
+    /// The difference [`pop`](Self::pop) would return next.
+    fn peek_diff(&self) -> Option<f64> {
+        self.smallest()
+            .and_then(|cid| self.g[cid])
+            .map(|(_, diff)| diff)
+    }
+
+    /// Takes the smallest triple and refills its cursor.
+    pub(crate) fn pop<S: SortedAccessSource>(&mut self, src: &mut S) -> Option<(PointId, f64)> {
+        let cid = self.smallest()?;
+        let triple = self.g[cid].take();
+        self.stats.heap_pops += 1;
+        let last = self.rank[cid];
+        if cid % 2 == 0 && last > 0 {
+            self.read(src, cid, last - 1);
+        } else if cid % 2 == 1 && last + 1 < self.len {
+            self.read(src, cid, last + 1);
+        }
+        triple
+    }
 }
 
 /// Validates an ε-n-match threshold: finite and non-negative. Shared (like

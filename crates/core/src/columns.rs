@@ -93,6 +93,28 @@ impl<'a> ColumnView<'a> {
     }
 }
 
+/// Dimensions whose seeding binary searches run in lock-step.
+const LANES: usize = 16;
+
+/// [`SortedAccessSource::locate_each`] over the columns `cols(this)`
+/// returns — how plain columns and every run of a versioned snapshot seed
+/// a query: the searches run [`LANES`] dimensions at a time, and each
+/// rank goes to `found(this, dim, rank)` in dimension order.
+pub(crate) fn locate_lockstep<T>(
+    this: &mut T,
+    cols: impl Fn(&T) -> &SortedColumns,
+    query: &[f64],
+    mut found: impl FnMut(&mut T, usize, usize),
+) {
+    for first in (0..query.len()).step_by(LANES) {
+        let qs = &query[first..query.len().min(first + LANES)];
+        let ranks = cols(this).locate_lanes(first, qs);
+        for (i, &rank) in ranks[..qs.len()].iter().enumerate() {
+            found(this, first + i, rank);
+        }
+    }
+}
+
 /// A dataset reorganised into `d` value-sorted columns.
 ///
 /// # Examples
@@ -208,6 +230,32 @@ impl SortedColumns {
         &self.values[dim * self.cardinality..(dim + 1) * self.cardinality]
     }
 
+    /// [`SortedAccessSource::locate`] of `qs[i]` in dimension
+    /// `first + i`, for up to [`LANES`] dimensions at once: the searches
+    /// run branch-free and level by level, so their cache misses overlap
+    /// instead of queueing one search behind the other.
+    fn locate_lanes(&self, first: usize, qs: &[f64]) -> [usize; LANES] {
+        let c = self.cardinality;
+        let lists = &self.values[first * c..];
+        let mut base = [0; LANES];
+        if c == 0 {
+            return base;
+        }
+        let mut size = c;
+        while size > 1 {
+            let half = size / 2;
+            for (i, (b, &q)) in base.iter_mut().zip(qs).enumerate() {
+                let mid = *b + half;
+                *b = if lists[i * c + mid] < q { mid } else { *b };
+            }
+            size -= half;
+        }
+        for (i, (b, &q)) in base.iter_mut().zip(qs).enumerate() {
+            *b += usize::from(lists[i * c + *b] < q);
+        }
+        base
+    }
+
     /// Dimensionality `d`.
     pub fn dims(&self) -> usize {
         self.dims
@@ -239,6 +287,10 @@ impl SortedAccessSource for SortedColumns {
             value: self.values[i],
         }
     }
+
+    fn locate_each<F: FnMut(&mut Self, usize, usize)>(&mut self, query: &[f64], found: F) {
+        locate_lockstep(self, |cols| cols, query, found);
+    }
 }
 
 /// Sorted access never mutates the columns, so a shared reference is a
@@ -265,6 +317,10 @@ impl SortedAccessSource for &SortedColumns {
             pid: self.pids[i],
             value: self.values[i],
         }
+    }
+
+    fn locate_each<F: FnMut(&mut Self, usize, usize)>(&mut self, query: &[f64], found: F) {
+        locate_lockstep(self, |cols| *cols, query, found);
     }
 }
 
@@ -317,6 +373,36 @@ mod tests {
         assert_eq!(cols.locate(0, 9.0), 4);
         assert_eq!(cols.locate(0, 10.0), 5);
         assert_eq!(cols.locate(0, 2.8), 1); // exact hit → its own rank
+    }
+
+    #[test]
+    fn lockstep_locate_equals_one_search_per_dimension() {
+        // 37 dimensions (three lane chunks) of grid values with long tie
+        // runs, queried on, between and beyond the grid.
+        for c in [1usize, 2, 7, 64] {
+            let rows: Vec<Vec<f64>> = (0..c)
+                .map(|i| {
+                    (0..37)
+                        .map(|j| ((i * 5 + j * 3) % 6) as f64 * 0.5)
+                        .collect()
+                })
+                .collect();
+            let mut cols = SortedColumns::from_rows(&rows).unwrap();
+            for q in [-1.0, 0.0, 0.25, 1.0, 2.5, 2.75, 9.0] {
+                let query: Vec<f64> = (0..37).map(|j| q + (j % 3) as f64 * 0.5).collect();
+                let want: Vec<(usize, usize)> = (0..37)
+                    .map(|j| {
+                        (
+                            j,
+                            cols.column(j).values().partition_point(|&v| v < query[j]),
+                        )
+                    })
+                    .collect();
+                let mut got = Vec::new();
+                cols.locate_each(&query, |_, dim, rank| got.push((dim, rank)));
+                assert_eq!(got, want, "c={c} q={q}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! queries parallelises trivially: `W` worker threads claim queries from a
 //! shared atomic counter and each walks the same `Arc<SortedColumns>`
 //! through its own [`Scratch`]. Because every query runs the exact same
-//! `frequent_core` loop as the sequential entry points — same frontier,
+//! `frequent_lists` loop as the sequential entry points — same frontier,
 //! same tie-breaking, same counters — the engine's answers and
 //! [`AdStats`] are bit-for-bit identical to a sequential loop, in the
 //! same order as the input batch, regardless of worker count or

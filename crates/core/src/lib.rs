@@ -55,7 +55,7 @@
 //! - [`columns`] / [`SortedColumns`] — the sorted-dimension organisation;
 //! - [`source`] — the sorted-access abstraction (multiple-system IR model);
 //! - [`ad`] — the AD algorithm (`KNMatchAD` / `FKNMatchAD`, Theorems 3.1–3.3),
-//!   plus the ε-threshold variant and the paper-literal linear `g[]` ablation;
+//!   plus the ε-threshold variant and the paper-literal linear `g[]` oracle;
 //! - [`scratch`] / [`Scratch`] — reusable epoch-stamped query working memory;
 //! - [`engine`] / [`QueryEngine`] — parallel batch execution over shared
 //!   columns (the reference the run-list engine is cross-checked against;

@@ -24,13 +24,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::{KnMatchError, Result};
-use crate::frontier::{AdWalker, HeapFrontier};
+use crate::frontier::AdWalker;
 use crate::point::PointId;
 
-/// How many AD heap pops elapse between cooperative deadline /
+/// How many AD pops elapse between cooperative deadline /
 /// cancellation checks. Checking costs an `Instant::now()` and an atomic
-/// load; every 64 pops that is noise (a pop does a heap operation plus
-/// an attribute read) while still bounding overshoot to well under a
+/// load; every 64 pops that is noise (a pop reads an attribute and
+/// replays the frontier tree) while still bounding overshoot to well under a
 /// millisecond of work.
 const CONTROL_CHECK_INTERVAL: u32 = 64;
 
@@ -125,37 +125,37 @@ impl QueryControl {
     }
 }
 
-/// Epoch-stamped `appear` array, indexed by slot (a plain source's pid; a
-/// snapshot's run base + local pid): logically zeroed per query by
-/// bumping a generation counter instead of an O(c) memset.
+/// Epoch-stamped appearance counters, indexed by slot (a plain source's
+/// pid; a snapshot's run base + local pid): logically zeroed per query by
+/// bumping a generation counter instead of an O(c) memset. Each slot is
+/// one word — the epoch that last wrote it in the high 16 bits, the count
+/// in the low 16 — so a pop touches one cache line, not two.
 #[derive(Debug, Default)]
 pub(crate) struct EpochMarks {
-    /// Generation of the current query. Slots whose stamp differs are stale
-    /// and read as zero.
+    /// Generation of the current query, in `1..=u16::MAX` once begun.
+    /// Slots stamped with another epoch are stale and read as zero.
     epoch: u32,
-    stamps: Vec<u32>,
-    appear: Vec<u16>,
+    marks: Vec<u32>,
 }
 
 impl EpochMarks {
     /// Whether the marks carry grown buffers worth recycling.
     fn is_warm(&self) -> bool {
-        !self.stamps.is_empty()
+        !self.marks.is_empty()
     }
 
-    /// Starts a query over a source of `c` slots: grows the arrays if
+    /// Starts a query over a source of `c` slots: grows the array if
     /// this source is larger than any seen before, then invalidates every
-    /// slot by bumping the epoch. On the (once per 2³² queries) epoch wrap
-    /// the stamps are hard-reset so stale slots cannot alias the new epoch.
+    /// slot by bumping the epoch. On the (once per 2¹⁶ queries) epoch wrap
+    /// the marks are hard-reset so stale slots cannot alias the new epoch.
     pub(crate) fn begin(&mut self, c: usize) {
-        if self.stamps.len() < c {
-            // New slots get the pre-bump epoch, so they are stale like the
+        if self.marks.len() < c {
+            // Epoch 0 is never current, so new slots are stale like the
             // rest and lazily zeroed on first touch.
-            self.stamps.resize(c, self.epoch);
-            self.appear.resize(c, 0);
+            self.marks.resize(c, 0);
         }
-        if self.epoch == u32::MAX {
-            self.stamps.fill(0);
+        if self.epoch == u32::from(u16::MAX) {
+            self.marks.fill(0);
             self.epoch = 1;
         } else {
             self.epoch += 1;
@@ -163,15 +163,20 @@ impl EpochMarks {
     }
 
     /// Increments and returns the appearance count of `slot`, lazily
-    /// zeroing a stale one first.
+    /// zeroing a stale one first. A count is at most `d`, the lists a
+    /// point appears in — below 2¹⁶, as the `u16` it returns assumes — so
+    /// it never carries into the epoch.
     pub(crate) fn bump_appear(&mut self, slot: PointId) -> u16 {
-        let i = slot as usize;
-        if self.stamps[i] != self.epoch {
-            self.stamps[i] = self.epoch;
-            self.appear[i] = 0;
-        }
-        self.appear[i] += 1;
-        self.appear[i]
+        let mark = &mut self.marks[slot as usize];
+        let stamp = self.epoch << 16;
+        let fresh = if *mark & !0xFFFF == stamp {
+            *mark
+        } else {
+            stamp
+        };
+        debug_assert_ne!(fresh & 0xFFFF, 0xFFFF, "appearance count overflow");
+        *mark = fresh + 1;
+        (*mark & 0xFFFF) as u16
     }
 }
 
@@ -181,8 +186,8 @@ impl EpochMarks {
 /// One `Scratch` serves any number of queries, of any kind, against
 /// sources of any size — it grows to the largest cardinality it has seen
 /// and never shrinks. It is cheap to create but worth reusing: with a
-/// fresh `Scratch` per query the per-query cost includes zeroing two
-/// arrays of length `c`; with a reused one it is a pointer bump.
+/// fresh `Scratch` per query the per-query cost includes zeroing an
+/// array of length `c`; with a reused one it is an integer increment.
 ///
 /// Not `Sync`/shareable: use one per thread (see
 /// [`QueryEngine`](crate::QueryEngine), which keeps one per worker).
@@ -202,7 +207,7 @@ impl EpochMarks {
 #[derive(Debug, Default)]
 pub struct Scratch {
     pub(crate) marks: EpochMarks,
-    pub(crate) walker: AdWalker<HeapFrontier>,
+    pub(crate) walker: AdWalker,
     /// Deadline/cancellation the next query run against this scratch
     /// must honour. Defaults to no control; engines stamp it per batch.
     pub control: QueryControl,
@@ -220,7 +225,7 @@ impl Scratch {
     }
 }
 
-/// Scratches a thread keeps warm at most; each holds roughly 6 bytes per
+/// Scratches a thread keeps warm at most; each holds roughly 4 bytes per
 /// point of the largest source it has served, so the pool is a bounded
 /// per-thread cache, not a leak.
 const SCRATCH_POOL_CAP: usize = 4;
@@ -285,12 +290,21 @@ mod tests {
         let mut m = EpochMarks::default();
         m.begin(3);
         m.bump_appear(0);
-        // Force the wrap path.
-        m.epoch = u32::MAX;
-        m.stamps.fill(u32::MAX - 1);
+        // Walk the epoch to its last value: a slot bumped then must not
+        // read as current after the wrap to epoch 1, nor a slot stamped
+        // with epoch 1 long ago.
+        m.marks[2] = (1 << 16) | 7;
+        for _ in 2..=u16::MAX {
+            m.begin(3);
+        }
+        assert_eq!(m.epoch, u32::from(u16::MAX));
+        assert_eq!(m.bump_appear(1), 1);
+        assert_eq!(m.bump_appear(1), 2);
         m.begin(3);
         assert_eq!(m.epoch, 1);
-        assert!(m.stamps.iter().all(|&s| s == 0));
+        assert!(m.marks.iter().all(|&s| s == 0));
         assert_eq!(m.bump_appear(0), 1);
+        assert_eq!(m.bump_appear(1), 1);
+        assert_eq!(m.bump_appear(2), 1);
     }
 }

@@ -62,6 +62,23 @@ pub trait SortedAccessSource {
     /// Implementations may panic when `rank >= cardinality` or
     /// `dim >= dims`.
     fn entry(&mut self, dim: usize, rank: usize) -> SortedEntry;
+
+    /// Seeds a query: [`locate`](Self::locate)s `query[dim]` in every
+    /// dimension and hands each rank to `found(self, dim, rank)`, in
+    /// dimension order. The default interleaves — one search, then its
+    /// callback — so a source that pages sees each search beside the
+    /// reads it seeds. In-memory columns override it to run the `d`
+    /// searches in lock-step, overlapping their cache misses, before the
+    /// callbacks; the ranks are the same either way.
+    fn locate_each<F: FnMut(&mut Self, usize, usize)>(&mut self, query: &[f64], mut found: F)
+    where
+        Self: Sized,
+    {
+        for (dim, &q) in query.iter().enumerate() {
+            let rank = self.locate(dim, q);
+            found(self, dim, rank);
+        }
+    }
 }
 
 impl<S: SortedAccessSource + ?Sized> SortedAccessSource for &mut S {

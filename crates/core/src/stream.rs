@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 
 use crate::ad::{validate_params, AdStats};
 use crate::error::Result;
-use crate::frontier::{AdWalker, HeapFrontier};
+use crate::frontier::AdWalker;
 use crate::result::MatchEntry;
 use crate::source::SortedAccessSource;
 
@@ -39,7 +39,7 @@ use crate::source::SortedAccessSource;
 #[derive(Debug)]
 pub struct NMatchStream<'a, S: SortedAccessSource> {
     src: &'a mut S,
-    walker: AdWalker<HeapFrontier>,
+    walker: AdWalker,
     appear: Vec<u16>,
     /// Answers from a drained equal-difference plateau, in canonical
     /// ascending-pid order, waiting to be emitted.

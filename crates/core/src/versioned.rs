@@ -78,7 +78,7 @@
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::ad::AdStats;
-use crate::columns::SortedColumns;
+use crate::columns::{locate_lockstep, SortedColumns};
 use crate::engine::{run_queries, BatchAnswer, BatchEngine, BatchOptions, BatchQuery};
 use crate::error::{KnMatchError, Result};
 use crate::frontier::SortedLists;
@@ -252,8 +252,13 @@ impl SortedLists for &ViewInner {
         self.live
     }
 
-    fn locate(&mut self, part: usize, dim: usize, q: f64) -> usize {
-        SortedAccessSource::locate(&mut &self.runs[part].run.cols, dim, q)
+    fn locate_part<F: FnMut(&mut Self, usize, usize)>(
+        &mut self,
+        part: usize,
+        query: &[f64],
+        found: F,
+    ) {
+        locate_lockstep(self, |view| &view.runs[part].run.cols, query, found);
     }
 
     fn entry(&mut self, part: usize, dim: usize, rank: usize) -> SortedEntry {
@@ -314,6 +319,13 @@ impl EpochSnapshot {
         let (keys, rows) = live_rows_of(&self.inner.runs, self.inner.dims);
         let rows = rows.chunks_exact(self.inner.dims).map(<[f64]>::to_vec);
         keys.into_iter().zip(rows).collect()
+    }
+
+    /// The `S · d` sorted lists a query walks, for the unit tests that
+    /// hold the walk to a reference.
+    #[cfg(test)]
+    pub(crate) fn lists(&self) -> impl SortedLists + Copy + '_ {
+        &*self.inner
     }
 
     /// Run `ri`'s ascending keys and sorted columns, for the unit tests

@@ -171,7 +171,7 @@ pub enum BackendChoice {
 /// the same; rerun the bench where the ratios may differ.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemCostModel {
-    /// ns per attribute the AD frontier retrieves (one heap pop, the
+    /// ns per attribute the AD frontier retrieves (one tree replay, the
     /// cursor advance, the appearance bookkeeping).
     pub ad_ns_per_attr: f64,
     /// ns per attribute the full scan differences (the counting refine
@@ -188,7 +188,7 @@ pub struct MemCostModel {
 impl Default for MemCostModel {
     fn default() -> Self {
         MemCostModel {
-            ad_ns_per_attr: 49.0,
+            ad_ns_per_attr: 23.3,
             scan_ns_per_attr: 0.70,
             filter_ns_per_cell: 0.20,
             refine_ns_per_attr: 1.9,
@@ -326,14 +326,14 @@ mod tests {
         let base = MemPlanInputs {
             cardinality: 10_000,
             dims: 8,
-            ad_attrs: 200,
+            ad_attrs: 400,
             candidate_fraction: 0.05,
         };
         // A narrow frontier → AD wins.
         assert_eq!(plan_in_memory(&base, &model).backend, BackendChoice::Ad);
         // AD's frontier ten times wider, filter selective → VA-file.
         let va = MemPlanInputs {
-            ad_attrs: 2_000,
+            ad_attrs: 4_000,
             ..base
         };
         assert_eq!(plan_in_memory(&va, &model).backend, BackendChoice::VaFile);
@@ -346,7 +346,7 @@ mod tests {
         // Every cost is its units times its ns constant: linear in its
         // own units, blind to the others.
         let c = plan_in_memory(&base, &model);
-        assert_eq!(c.ad_cost, 200.0 * model.ad_ns_per_attr);
+        assert_eq!(c.ad_cost, 400.0 * model.ad_ns_per_attr);
         assert_eq!(c.scan_cost, 80_000.0 * model.scan_ns_per_attr);
         assert_eq!(
             c.vafile_cost,

@@ -5,6 +5,11 @@
 #   1. tier-1:  cargo build --release && cargo test -q
 #   2. style:   cargo fmt --all -- --check
 #   3. lints:   cargo clippy --workspace --all-targets -- -D warnings
+#   3b. paper:  `repro --quick --no-timing all` diffed against the
+#               committed results/repro_quick.txt (the paper's attribute
+#               and page counts, deterministic), and the frontier held to
+#               a BinaryHeap reference walk in release
+#               (frontier_pops_in_reference_order)
 #   4. smoke:   disk_throughput --smoke (cross-checks the disk engine
 #               against the sequential path on a real file, seconds-long)
 #               + planner_crossover --smoke (every planner mode over the
@@ -56,6 +61,16 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> repro --quick --no-timing all vs results/repro_quick.txt"
+./target/release/repro --quick --no-timing all | diff -u results/repro_quick.txt - \
+  || { echo "repro output drifted from results/repro_quick.txt"; exit 1; }
+
+echo "==> frontier pops in reference order (release)"
+# The tournament tree's (slot, diff) pops, AdStats and sorted accesses
+# against a BinaryHeap<(diff, cid)> walk: ties, +0.0 beside subnormals,
+# +inf diffs, one-sided cursors, snapshots of 1/3/9 runs with tombstones.
+cargo test --release -q -p knmatch-core --lib frontier_pops_in_reference_order
 
 echo "==> disk_throughput --smoke"
 ./target/release/disk_throughput --smoke --out /tmp/BENCH_disk_throughput_smoke.json >/dev/null
