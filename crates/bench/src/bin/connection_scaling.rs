@@ -313,8 +313,10 @@ mod real {
                     );
                 }
             }
-            let (_, _, _, extras) = client.stats_full().expect("stats");
-            depth_max = extras
+            depth_max = client
+                .stats_report()
+                .expect("stats")
+                .extras
                 .expect("event server reports extras")
                 .pipeline_depth_max;
             client.quit().expect("quit");
@@ -433,8 +435,8 @@ mod real {
                 // frame tally, event/writev counts) travel only over
                 // the STATS verb.
                 let mut probe = connect_binary(addr);
-                let (_, _, _, x) = probe.stats_full().expect("stats");
-                extras = Some(x.expect("event server reports extras"));
+                let report = probe.stats_report().expect("stats");
+                extras = Some(report.extras.expect("event server reports extras"));
                 probe.quit().expect("quit");
                 handle.shutdown();
                 serving.join().expect("server thread");

@@ -14,13 +14,13 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::thread;
 use std::time::Duration;
 
-use knmatch_core::{BatchAnswer, BatchQuery, PlanTally, PlannerMode};
+use knmatch_core::{BatchAnswer, BatchQuery, PlannerMode};
 use knmatch_data::rng::Rng64;
 
 use crate::protocol::{
-    decode_response_frame, encode_batch_frame, encode_request_frame, format_query, parse_response,
-    render_coords, retry_after_ms, ErrorKind, ProtoError, Request, Response, ServerExtras,
-    StatsSnapshot, VersionCounters, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME,
+    decode_response_frame, encode_batch_frame, encode_query_frame, encode_query_line,
+    encode_request_frame, encode_request_line, parse_response, retry_after_ms, ErrorKind,
+    ProtoError, Request, Response, StatsReport, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME,
 };
 
 /// A failure reported by the server for one query (`ERR` line), as
@@ -87,23 +87,6 @@ pub struct BatchReply {
     pub ok: u64,
     /// The `DONE` trailer's failure count.
     pub failed: u64,
-}
-
-/// The complete `STATS` reply, one field per optional counter group.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatsReport {
-    /// This connection's counters.
-    pub conn: StatsSnapshot,
-    /// Server-lifetime counters.
-    pub server: StatsSnapshot,
-    /// Server-lifetime plan-choice counters, present when the served
-    /// engine has a cost-based planner.
-    pub plans: Option<PlanTally>,
-    /// Reactor and robustness counters, present on servers that track
-    /// them.
-    pub extras: Option<ServerExtras>,
-    /// Version counters, present when the served engine is mutable.
-    pub version: Option<VersionCounters>,
 }
 
 /// The `OK EPOCH` reply: a point-in-time view of a mutable engine's
@@ -231,41 +214,46 @@ impl Client {
         self.reader.get_ref().set_read_timeout(timeout)
     }
 
-    fn send_line(&mut self, line: &str) -> Result<(), ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        Ok(())
+    /// Sends `req` and reads its one response: `Ok(Err)` is a served
+    /// `ERR`; any other response goes through `expect`, which refuses a
+    /// wrong shape with [`unexpected`].
+    fn call<T>(
+        &mut self,
+        req: &Request,
+        expect: impl FnOnce(Response) -> Result<T, ClientError>,
+    ) -> Result<Result<T, ServedError>, ClientError> {
+        let mut bytes = Vec::new();
+        if self.binary {
+            encode_request_frame(req, &mut bytes)?;
+        } else {
+            encode_request_line(req, &mut bytes);
+        }
+        self.writer.write_all(&bytes)?;
+        self.reply(expect)
     }
 
-    /// Sends `req` in the encoding [`set_binary`](Client::set_binary)
-    /// selected.
-    fn send_request(&mut self, req: &Request) -> Result<(), ClientError> {
-        if self.binary {
-            let mut frame = Vec::new();
-            encode_request_frame(req, &mut frame)?;
-            self.writer.write_all(&frame)?;
-            return Ok(());
-        }
-        let line = match req {
-            Request::Query(q) => format_query(q),
-            Request::Batch(count) => format!("BATCH {count}"),
-            Request::Deadline(ms) => format!("DEADLINE {ms}"),
-            Request::FailFast(on) => format!("FAILFAST {}", u8::from(*on)),
-            Request::Planner(mode) => format!("PLANNER {mode}"),
-            Request::Stats => "STATS".into(),
-            Request::Ping => "PING".into(),
-            Request::Quit => "QUIT".into(),
-            Request::Shutdown => "SHUTDOWN".into(),
-            Request::Insert { key, point } => {
-                let mut line = format!("INSERT {key} ");
-                render_coords(&mut line, point);
-                line
+    /// [`call`](Client::call) for a control verb whose only good reply
+    /// is `want`; a served `ERR` is unexpected too.
+    fn control(&mut self, req: &Request, want: Response) -> Result<(), ClientError> {
+        let reply = self.call(req, |r| {
+            if r == want {
+                Ok(())
+            } else {
+                Err(unexpected(r))
             }
-            Request::Delete(key) => format!("DELETE {key}"),
-            Request::Epoch => "EPOCH".into(),
-            Request::Seal => "SEAL".into(),
-        };
-        self.send_line(&line)
+        })?;
+        reply.map_err(|e| ClientError::Unexpected(e.to_string()))
+    }
+
+    /// Reads one response the way [`call`](Client::call) does.
+    fn reply<T>(
+        &mut self,
+        expect: impl FnOnce(Response) -> Result<T, ClientError>,
+    ) -> Result<Result<T, ServedError>, ClientError> {
+        match self.recv()? {
+            Response::Error { kind, message } => Ok(Err(ServedError { kind, message })),
+            r => expect(r).map(Ok),
+        }
     }
 
     /// Reads one response, sniffing the first byte for the frame magic
@@ -319,11 +307,7 @@ impl Client {
     ///
     /// Transport failures or an unexpected response.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.send_request(&Request::Ping)?;
-        match self.recv()? {
-            Response::Pong => Ok(()),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        self.control(&Request::Ping, Response::Pong)
     }
 
     /// Sets the per-query deadline for this connection's later queries
@@ -333,11 +317,7 @@ impl Client {
     ///
     /// Transport failures or an unexpected response.
     pub fn set_deadline_ms(&mut self, ms: u64) -> Result<(), ClientError> {
-        self.send_request(&Request::Deadline(ms))?;
-        match self.recv()? {
-            Response::Deadline(got) if got == ms => Ok(()),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        self.control(&Request::Deadline(ms), Response::Deadline(ms))
     }
 
     /// Toggles fail-fast for this connection's later batches.
@@ -346,11 +326,7 @@ impl Client {
     ///
     /// Transport failures or an unexpected response.
     pub fn set_fail_fast(&mut self, on: bool) -> Result<(), ClientError> {
-        self.send_request(&Request::FailFast(on))?;
-        match self.recv()? {
-            Response::FailFast(got) if got == on => Ok(()),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        self.control(&Request::FailFast(on), Response::FailFast(on))
     }
 
     /// Sets the planner route for this connection's later queries
@@ -361,11 +337,7 @@ impl Client {
     ///
     /// Transport failures or an unexpected response.
     pub fn set_planner(&mut self, mode: PlannerMode) -> Result<(), ClientError> {
-        self.send_request(&Request::Planner(mode))?;
-        match self.recv()? {
-            Response::Planner(got) if got == mode => Ok(()),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        self.control(&Request::Planner(mode), Response::Planner(mode))
     }
 
     /// Runs one query, returning the answer or the server-reported
@@ -381,20 +353,15 @@ impl Client {
         let mut burst = Vec::new();
         self.push_query(q, &mut burst);
         self.writer.write_all(&burst)?;
-        match self.recv()? {
-            Response::Answer(a) => Ok(Ok(a)),
-            Response::Error { kind, message } => Ok(Err(ServedError { kind, message })),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        self.reply(answer)
     }
 
     /// Appends one query request to `burst` in the selected encoding.
     fn push_query(&self, q: &BatchQuery, burst: &mut Vec<u8>) {
         if self.binary {
-            crate::protocol::encode_query_frame(q, burst);
+            encode_query_frame(q, burst);
         } else {
-            burst.extend_from_slice(format_query(q).as_bytes());
-            burst.push(b'\n');
+            encode_query_line(q, burst);
         }
     }
 
@@ -419,18 +386,7 @@ impl Client {
         queries: &[BatchQuery],
         opts: &RequestOptions,
     ) -> Result<BatchReply, ClientError> {
-        if let Some(on) = opts.binary {
-            self.set_binary(on);
-        }
-        if let Some(ms) = opts.deadline_ms {
-            self.set_deadline_ms(ms)?;
-        }
-        if let Some(on) = opts.fail_fast {
-            self.set_fail_fast(on)?;
-        }
-        if let Some(mode) = opts.planner {
-            self.set_planner(mode)?;
-        }
+        self.apply(opts)?;
         let Some(depth) = opts.pipeline else {
             self.send_batch(queries)?;
             return self.recv_batch(queries.len());
@@ -448,13 +404,7 @@ impl Client {
             if !burst.is_empty() {
                 self.writer.write_all(&burst)?;
             }
-            match self.recv()? {
-                Response::Answer(a) => answers.push(Ok(a)),
-                Response::Error { kind, message } => {
-                    answers.push(Err(ServedError { kind, message }))
-                }
-                other => return Err(ClientError::Unexpected(format!("{other:?}"))),
-            }
+            answers.push(self.reply(answer)?);
         }
         let ok = answers.iter().filter(|a| a.is_ok()).count() as u64;
         let failed = answers.len() as u64 - ok;
@@ -463,6 +413,24 @@ impl Client {
             ok,
             failed,
         })
+    }
+
+    /// Applies the connection-scoped options `opts` carries (encoding,
+    /// deadline, fail-fast, planner — each only when `Some`).
+    fn apply(&mut self, opts: &RequestOptions) -> Result<(), ClientError> {
+        if let Some(on) = opts.binary {
+            self.set_binary(on);
+        }
+        if let Some(ms) = opts.deadline_ms {
+            self.set_deadline_ms(ms)?;
+        }
+        if let Some(on) = opts.fail_fast {
+            self.set_fail_fast(on)?;
+        }
+        if let Some(mode) = opts.planner {
+            self.set_planner(mode)?;
+        }
+        Ok(())
     }
 
     /// Runs `queries` as individually pipelined requests with at most
@@ -508,12 +476,12 @@ impl Client {
             self.writer.write_all(&frame)?;
             return Ok(());
         }
-        let mut frame = format!("BATCH {}\n", queries.len());
+        let mut frame = Vec::new();
+        encode_request_line(&Request::Batch(queries.len()), &mut frame);
         for q in queries {
-            frame.push_str(&format_query(q));
-            frame.push('\n');
+            encode_query_line(q, &mut frame);
         }
-        self.writer.write_all(frame.as_bytes())?;
+        self.writer.write_all(&frame)?;
         Ok(())
     }
 
@@ -526,13 +494,7 @@ impl Client {
     pub fn recv_batch(&mut self, count: usize) -> Result<BatchReply, ClientError> {
         let mut answers = Vec::with_capacity(count);
         for _ in 0..count {
-            match self.recv()? {
-                Response::Answer(a) => answers.push(Ok(a)),
-                Response::Error { kind, message } => {
-                    answers.push(Err(ServedError { kind, message }))
-                }
-                other => return Err(ClientError::Unexpected(format!("{other:?}"))),
-            }
+            answers.push(self.reply(answer)?);
         }
         match self.recv()? {
             Response::Done { ok, failed } => Ok(BatchReply {
@@ -546,53 +508,6 @@ impl Client {
         }
     }
 
-    /// Fetches this connection's and the server's counters.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures or an unexpected response.
-    pub fn stats(&mut self) -> Result<(StatsSnapshot, StatsSnapshot), ClientError> {
-        self.stats_with_plans()
-            .map(|(conn, server, _)| (conn, server))
-    }
-
-    /// Like [`stats`](Client::stats) but also returning the engine's plan
-    /// tally — `None` when the served engine has no planner (or the server
-    /// predates the counters).
-    ///
-    /// # Errors
-    ///
-    /// Transport failures or an unexpected response.
-    pub fn stats_with_plans(
-        &mut self,
-    ) -> Result<(StatsSnapshot, StatsSnapshot, Option<PlanTally>), ClientError> {
-        self.stats_full()
-            .map(|(conn, server, plans, _)| (conn, server, plans))
-    }
-
-    /// The full `STATS` response minus the version counters — a thin
-    /// wrapper over [`stats_report`](Client::stats_report) kept for the
-    /// tuple-shaped call sites.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures or an unexpected response.
-    #[allow(clippy::type_complexity)]
-    pub fn stats_full(
-        &mut self,
-    ) -> Result<
-        (
-            StatsSnapshot,
-            StatsSnapshot,
-            Option<PlanTally>,
-            Option<ServerExtras>,
-        ),
-        ClientError,
-    > {
-        self.stats_report()
-            .map(|r| (r.conn, r.server, r.plans, r.extras))
-    }
-
     /// The complete `STATS` response as one [`StatsReport`]: connection
     /// and server counters, the plan tally, the reactor extras, and the
     /// version counters (each optional group `None` when the server does
@@ -602,23 +517,11 @@ impl Client {
     ///
     /// Transport failures or an unexpected response.
     pub fn stats_report(&mut self) -> Result<StatsReport, ClientError> {
-        self.send_request(&Request::Stats)?;
-        match self.recv()? {
-            Response::Stats {
-                conn,
-                server,
-                plans,
-                extras,
-                version,
-            } => Ok(StatsReport {
-                conn,
-                server,
-                plans,
-                extras,
-                version,
-            }),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        let report = self.call(&Request::Stats, |r| match r {
+            Response::Stats(report) => Ok(report),
+            r => Err(unexpected(r)),
+        })?;
+        report.map_err(|e| ClientError::Unexpected(e.to_string()))
     }
 
     /// Upserts one point under `key` (`INSERT` — mutable servers only),
@@ -635,15 +538,14 @@ impl Client {
         key: u32,
         point: &[f64],
     ) -> Result<Result<u64, ServedError>, ClientError> {
-        self.send_request(&Request::Insert {
+        let req = Request::Insert {
             key,
             point: point.to_vec(),
-        })?;
-        match self.recv()? {
-            Response::Inserted(epoch) => Ok(Ok(epoch)),
-            Response::Error { kind, message } => Ok(Err(ServedError { kind, message })),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        };
+        self.call(&req, |r| match r {
+            Response::Inserted(epoch) => Ok(epoch),
+            r => Err(unexpected(r)),
+        })
     }
 
     /// Removes the point under `key` (`DELETE` — mutable servers only),
@@ -653,12 +555,10 @@ impl Client {
     ///
     /// Transport failures or an unexpected response.
     pub fn delete(&mut self, key: u32) -> Result<Result<u64, ServedError>, ClientError> {
-        self.send_request(&Request::Delete(key))?;
-        match self.recv()? {
-            Response::Deleted(epoch) => Ok(Ok(epoch)),
-            Response::Error { kind, message } => Ok(Err(ServedError { kind, message })),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        self.call(&Request::Delete(key), |r| match r {
+            Response::Deleted(epoch) => Ok(epoch),
+            r => Err(unexpected(r)),
+        })
     }
 
     /// Fetches the mutable engine's version state (`EPOCH`).
@@ -667,22 +567,20 @@ impl Client {
     ///
     /// Transport failures or an unexpected response.
     pub fn epoch(&mut self) -> Result<Result<EpochInfo, ServedError>, ClientError> {
-        self.send_request(&Request::Epoch)?;
-        match self.recv()? {
+        self.call(&Request::Epoch, |r| match r {
             Response::Epoch {
                 epoch,
                 live,
                 delta,
                 runs,
-            } => Ok(Ok(EpochInfo {
+            } => Ok(EpochInfo {
                 epoch,
                 live,
                 delta,
                 runs,
-            })),
-            Response::Error { kind, message } => Ok(Err(ServedError { kind, message })),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+            }),
+            r => Err(unexpected(r)),
+        })
     }
 
     /// Seals the mutable engine's write delta into an immutable run
@@ -692,12 +590,10 @@ impl Client {
     ///
     /// Transport failures or an unexpected response.
     pub fn seal(&mut self) -> Result<Result<u64, ServedError>, ClientError> {
-        self.send_request(&Request::Seal)?;
-        match self.recv()? {
-            Response::Sealed(epoch) => Ok(Ok(epoch)),
-            Response::Error { kind, message } => Ok(Err(ServedError { kind, message })),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        self.call(&Request::Seal, |r| match r {
+            Response::Sealed(epoch) => Ok(epoch),
+            r => Err(unexpected(r)),
+        })
     }
 
     /// Asks the server to drain and stop, consuming this connection.
@@ -706,11 +602,7 @@ impl Client {
     ///
     /// Transport failures or an unexpected response.
     pub fn shutdown_server(mut self) -> Result<(), ClientError> {
-        self.send_request(&Request::Shutdown)?;
-        match self.recv()? {
-            Response::ShuttingDown => Ok(()),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        self.control(&Request::Shutdown, Response::ShuttingDown)
     }
 
     /// Closes the connection politely (`QUIT` → `OK BYE`).
@@ -719,11 +611,7 @@ impl Client {
     ///
     /// Transport failures or an unexpected response.
     pub fn quit(mut self) -> Result<(), ClientError> {
-        self.send_request(&Request::Quit)?;
-        match self.recv()? {
-            Response::Bye => Ok(()),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        self.control(&Request::Quit, Response::Bye)
     }
 
     /// Sends raw bytes down the socket — the fuzz tests' hook for
@@ -744,6 +632,19 @@ impl Client {
     /// Socket errors, or `UnexpectedEof` when the server closed.
     pub fn recv_response(&mut self) -> Result<Response, ClientError> {
         self.recv()
+    }
+}
+
+/// A response of the wrong shape for what was asked.
+fn unexpected(r: Response) -> ClientError {
+    ClientError::Unexpected(format!("{r:?}"))
+}
+
+/// The `expect` of a query's [`Client::reply`]: an answer.
+fn answer(r: Response) -> Result<BatchAnswer, ClientError> {
+    match r {
+        Response::Answer(a) => Ok(a),
+        r => Err(unexpected(r)),
     }
 }
 
@@ -801,11 +702,8 @@ pub struct RetryingClient {
     rng: Rng64,
     prev_backoff: Duration,
     retries_used: u64,
-    // Options replayed after every reconnect.
-    binary: bool,
-    deadline_ms: Option<u64>,
-    fail_fast: Option<bool>,
-    planner: Option<PlannerMode>,
+    /// The connection-scoped options, replayed after every reconnect.
+    opts: RequestOptions,
 }
 
 impl RetryingClient {
@@ -827,10 +725,7 @@ impl RetryingClient {
             rng: Rng64::new(policy.seed),
             prev_backoff: Duration::ZERO,
             retries_used: 0,
-            binary: false,
-            deadline_ms: None,
-            fail_fast: None,
-            planner: None,
+            opts: RequestOptions::default(),
         })
     }
 
@@ -842,39 +737,34 @@ impl RetryingClient {
     /// Records the request encoding; applied immediately and replayed on
     /// reconnect.
     pub fn set_binary(&mut self, on: bool) {
-        self.binary = on;
-        if let Some(c) = self.conn.as_mut() {
-            c.set_binary(on);
-        }
+        self.opts.binary = Some(on);
+        self.replay();
     }
 
     /// Records the per-query deadline (0 clears); replayed on reconnect.
-    /// If a live connection refuses the roundtrip it is dropped and the
-    /// option takes effect on the next (replayed) connection.
     pub fn set_deadline_ms(&mut self, ms: u64) {
-        self.deadline_ms = if ms == 0 { None } else { Some(ms) };
-        if let Some(c) = self.conn.as_mut() {
-            if c.set_deadline_ms(ms).is_err() {
-                self.conn = None;
-            }
-        }
+        self.opts.deadline_ms = Some(ms);
+        self.replay();
     }
 
     /// Records fail-fast for later batches; replayed on reconnect.
     pub fn set_fail_fast(&mut self, on: bool) {
-        self.fail_fast = Some(on);
-        if let Some(c) = self.conn.as_mut() {
-            if c.set_fail_fast(on).is_err() {
-                self.conn = None;
-            }
-        }
+        self.opts.fail_fast = Some(on);
+        self.replay();
     }
 
     /// Records the planner mode; replayed on reconnect.
     pub fn set_planner(&mut self, mode: PlannerMode) {
-        self.planner = Some(mode);
+        self.opts.planner = Some(mode);
+        self.replay();
+    }
+
+    /// Applies the recorded options to a live connection. If it refuses
+    /// the round trip it is dropped, and the options take effect on the
+    /// next (replayed) connection.
+    fn replay(&mut self) {
         if let Some(c) = self.conn.as_mut() {
-            if c.set_planner(mode).is_err() {
+            if c.apply(&self.opts).is_err() {
                 self.conn = None;
             }
         }
@@ -884,16 +774,7 @@ impl RetryingClient {
         if self.conn.is_none() {
             let mut c = Client::connect(self.addr)?;
             c.set_timeout(self.policy.timeout)?;
-            c.set_binary(self.binary);
-            if let Some(ms) = self.deadline_ms {
-                c.set_deadline_ms(ms)?;
-            }
-            if let Some(on) = self.fail_fast {
-                c.set_fail_fast(on)?;
-            }
-            if let Some(mode) = self.planner {
-                c.set_planner(mode)?;
-            }
+            c.apply(&self.opts)?;
             self.conn = Some(c);
         }
         Ok(self.conn.as_mut().expect("just connected"))
@@ -1033,26 +914,6 @@ impl RetryingClient {
         }
     }
 
-    /// Fetches the server counters (no retry value in wrapping this, but
-    /// keeps harnesses on one client type).
-    ///
-    /// # Errors
-    ///
-    /// Transport failures or an unexpected response.
-    pub fn stats_full(
-        &mut self,
-    ) -> Result<
-        (
-            StatsSnapshot,
-            StatsSnapshot,
-            Option<PlanTally>,
-            Option<ServerExtras>,
-        ),
-        ClientError,
-    > {
-        self.ensure_conn().and_then(|c| c.stats_full())
-    }
-
     /// Fetches the full counter report, version group included (no
     /// retry value in wrapping this, but keeps harnesses on one client
     /// type).
@@ -1096,18 +957,7 @@ pub fn run_with_options<A: ToSocketAddrs>(
     match opts.retry {
         Some(policy) => {
             let mut c = RetryingClient::connect(addr, policy)?;
-            if let Some(on) = opts.binary {
-                c.set_binary(on);
-            }
-            if let Some(ms) = opts.deadline_ms {
-                c.set_deadline_ms(ms);
-            }
-            if let Some(on) = opts.fail_fast {
-                c.set_fail_fast(on);
-            }
-            if let Some(mode) = opts.planner {
-                c.set_planner(mode);
-            }
+            c.opts = *opts;
             let reply = c.run_batch(queries)?;
             c.close();
             Ok(reply)

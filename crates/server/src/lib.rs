@@ -51,7 +51,7 @@ pub mod server;
 
 pub use client::{
     run_with_options, BatchReply, Client, ClientError, EpochInfo, RequestOptions, RetryPolicy,
-    RetryingClient, ServedError, StatsReport,
+    RetryingClient, ServedError,
 };
 pub use config::{
     server_config_from_args, AnyEngine, AnyOutcome, Backend, EngineConfig, EngineConfigBuilder,
@@ -60,8 +60,8 @@ pub use config::{
 pub use fault::{FaultInjector, FaultTransport, NetFaultConfig};
 pub use planner_engine::{PlannedEngine, PLAN_FRACTION_SAMPLE};
 pub use protocol::{
-    BinRequest, ErrorKind, ProtoError, ReactorKind, Request, Response, ServerExtras, StatsSnapshot,
-    VersionCounters, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_BATCH, MAX_FRAME, MAX_LINE,
+    BinRequest, ErrorKind, ProtoError, ReactorKind, Request, Response, ServerExtras, StatsReport,
+    StatsSnapshot, VersionCounters, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_BATCH, MAX_FRAME, MAX_LINE,
 };
 #[cfg(unix)]
 pub use reactor::{EventServer, MAX_PIPELINE};

@@ -46,18 +46,22 @@
 //! ERR <kind> <message...>
 //! ```
 //!
-//! A `STATS` line is twelve mandatory labelled counters (the connection
-//! and server scopes) followed by optional labelled groups, each
-//! declared once in [`STATS_GROUPS`](self) and rendered/parsed/encoded
-//! from that single table: the four plan counters (`plans_ad= …`,
-//! cost-based planner routing), the reactor extras (`conns_peak= …`,
-//! split into the legacy three-counter group, the backend group and the
-//! robustness group so lines from older servers still parse), and the
-//! version counters of a mutable engine (`epoch= live= delta= runs=
-//! tombstones= writes= merges=`). Groups are self-describing through
-//! their leading label, so every historical field count
-//! (12/15/16/19/23/27) and the new version-bearing shapes parse with
-//! the same walk.
+//! Every verb whose request and reply carry at most a scalar or a fixed
+//! run of counters is one row of [`VERBS`](self): its tokens, its binary
+//! frame kinds and its argument shapes. The text parser and renderer and
+//! the binary encoder and decoder all walk that table; only the
+//! structured payloads (queries, batches, `INSERT`, answers, `ERR` and
+//! `STATS`) have hand-written codecs.
+//!
+//! A `STATS` line is labelled counters in groups, each declared once in
+//! [`STATS_GROUPS`](self) and rendered/parsed/encoded from that table:
+//! the two mandatory six-counter scopes (connection, then server),
+//! then the optional groups — the four plan counters (`plans_ad= …`,
+//! cost-based planner routing), the reactor extras (`conns_peak= …`)
+//! and the version counters of a mutable engine (`epoch= live= delta=
+//! runs= tombstones= writes= merges=`). An optional group announces
+//! itself on the text wire by its leading label and in binary by its
+//! flag bit.
 //!
 //! ## Binary frames
 //!
@@ -78,16 +82,19 @@
 //! formatting or parsing on the hot path. Binary requests get binary
 //! responses; the `ERR` taxonomy is shared with the text protocol. A
 //! frame whose `len` exceeds [`MAX_FRAME`] is drained and answered with
-//! `ERR oversized`, mirroring the [`MAX_LINE`] rule for text.
+//! `ERR oversized`, mirroring the [`MAX_LINE`] rule for text. Counts that
+//! a text line can spell past `u32::MAX` (`k`, `n`, `n0`, `n1`) saturate
+//! at `u32::MAX` in a frame, so both encodings fail the same validation.
 //!
 //! `ERR` kinds: `parse` (malformed request), `query` (validation or
 //! storage failure), `timeout` (deadline exceeded), `cancelled`
 //! (fail-fast), `oversized` (line longer than [`MAX_LINE`]), `busy`
 //! (connection limit), `proto` (valid verb, unusable arguments, e.g. a
-//! `BATCH` count over [`MAX_BATCH`]), `shutdown` (server is draining).
-//! Errors never close the connection except `busy` and `shutdown`.
+//! `BATCH` count over [`MAX_BATCH`], in either encoding), `shutdown`
+//! (server is draining). Errors never close the connection except
+//! `busy` and `shutdown`.
 
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 use knmatch_core::{
     BatchAnswer, BatchQuery, FrequentEntry, FrequentResult, KnMatchError, KnMatchResult,
@@ -119,6 +126,32 @@ fn err(msg: impl Into<String>) -> ProtoError {
     ProtoError(msg.into())
 }
 
+// ---------------------------------------------------------------------------
+// Enum tokens and codes
+// ---------------------------------------------------------------------------
+
+/// The binary code of `v`: its index in a `(value, token)` table.
+fn code_of<T: PartialEq>(table: &[(T, &str)], v: T) -> u8 {
+    let i = table.iter().position(|(t, _)| *t == v);
+    i.expect("every value has a table row") as u8
+}
+
+/// The text token of `v` in a `(value, token)` table.
+fn token_of<T: PartialEq>(table: &[(T, &'static str)], v: T) -> &'static str {
+    table[usize::from(code_of(table, v))].1
+}
+
+fn from_token<T: Copy>(table: &[(T, &str)], s: &str) -> Option<T> {
+    table.iter().find(|(_, tok)| *tok == s).map(|&(t, _)| t)
+}
+
+fn from_code<T: Copy>(table: &[(T, &str)], code: u8, what: &str) -> Result<T, ProtoError> {
+    let entry = table.get(usize::from(code));
+    entry
+        .map(|&(t, _)| t)
+        .ok_or_else(|| err(format!("unknown {what} code {code}")))
+}
+
 /// The error categories of an `ERR` response line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
@@ -144,36 +177,29 @@ pub enum ErrorKind {
     Overloaded,
 }
 
+/// Every `ERR` kind with its text token; a kind's binary code is its
+/// index.
+const ERROR_KINDS: &[(ErrorKind, &str)] = &[
+    (ErrorKind::Parse, "parse"),
+    (ErrorKind::Query, "query"),
+    (ErrorKind::Timeout, "timeout"),
+    (ErrorKind::Cancelled, "cancelled"),
+    (ErrorKind::Oversized, "oversized"),
+    (ErrorKind::Busy, "busy"),
+    (ErrorKind::Proto, "proto"),
+    (ErrorKind::Shutdown, "shutdown"),
+    (ErrorKind::Overloaded, "overloaded"),
+];
+
 impl ErrorKind {
     /// The wire token of this kind.
     pub fn token(self) -> &'static str {
-        match self {
-            ErrorKind::Parse => "parse",
-            ErrorKind::Query => "query",
-            ErrorKind::Timeout => "timeout",
-            ErrorKind::Cancelled => "cancelled",
-            ErrorKind::Oversized => "oversized",
-            ErrorKind::Busy => "busy",
-            ErrorKind::Proto => "proto",
-            ErrorKind::Shutdown => "shutdown",
-            ErrorKind::Overloaded => "overloaded",
-        }
+        token_of(ERROR_KINDS, self)
     }
 
     /// Parses a wire token back into a kind.
     pub fn from_token(s: &str) -> Option<ErrorKind> {
-        Some(match s {
-            "parse" => ErrorKind::Parse,
-            "query" => ErrorKind::Query,
-            "timeout" => ErrorKind::Timeout,
-            "cancelled" => ErrorKind::Cancelled,
-            "oversized" => ErrorKind::Oversized,
-            "busy" => ErrorKind::Busy,
-            "proto" => ErrorKind::Proto,
-            "shutdown" => ErrorKind::Shutdown,
-            "overloaded" => ErrorKind::Overloaded,
-            _ => return None,
-        })
+        from_token(ERROR_KINDS, s)
     }
 
     /// The category a failed query's [`KnMatchError`] maps to.
@@ -184,6 +210,74 @@ impl ErrorKind {
             _ => ErrorKind::Query,
         }
     }
+}
+
+/// Which readiness backend a server's front-end is built on, reported in
+/// `STATS` so clients, tests and benches can label results per backend.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum ReactorKind {
+    /// No reactor running: what a bound server reports before `serve`
+    /// picks its backend.
+    #[default]
+    None,
+    /// The portable `poll(2)` event loop.
+    Poll,
+    /// The Linux edge-triggered `epoll(7)` event loop.
+    Epoll,
+}
+
+/// Every backend with its text token; a backend's binary code (carried
+/// by the binary `STATS` frame and stored in the server's atomic counter
+/// block) is its index.
+const REACTOR_KINDS: &[(ReactorKind, &str)] = &[
+    (ReactorKind::None, "none"),
+    (ReactorKind::Poll, "poll"),
+    (ReactorKind::Epoll, "epoll"),
+];
+
+impl ReactorKind {
+    pub(crate) fn code(self) -> u8 {
+        code_of(REACTOR_KINDS, self)
+    }
+
+    pub(crate) fn from_code(code: u8) -> Result<ReactorKind, ProtoError> {
+        from_code(REACTOR_KINDS, code, "reactor")
+    }
+}
+
+impl std::fmt::Display for ReactorKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(token_of(REACTOR_KINDS, *self))
+    }
+}
+
+impl std::str::FromStr for ReactorKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> std::result::Result<Self, String> {
+        from_token(REACTOR_KINDS, s)
+            .ok_or_else(|| format!("unknown reactor backend {s:?} (expected none|poll|epoll)"))
+    }
+}
+
+/// The planner modes in binary-code order (a mode's code is its index);
+/// their text spelling is [`PlannerMode`]'s own `Display` / `FromStr`.
+const PLANNER_MODES: [PlannerMode; 5] = [
+    PlannerMode::Auto,
+    PlannerMode::Ad,
+    PlannerMode::VaFile,
+    PlannerMode::Scan,
+    PlannerMode::IGrid,
+];
+
+fn planner_code(mode: PlannerMode) -> u8 {
+    let i = PLANNER_MODES.iter().position(|&m| m == mode);
+    i.expect("every mode has a code") as u8
+}
+
+fn planner_from_code(code: u8) -> Result<PlannerMode, ProtoError> {
+    let mode = PLANNER_MODES.get(usize::from(code)).copied();
+    mode.ok_or_else(|| err(format!("unknown planner code {code}")))
 }
 
 /// Appends a machine-readable retry hint to an `ERR busy`/`ERR
@@ -220,111 +314,6 @@ pub struct StatsSnapshot {
     pub bytes_out: u64,
     /// Connections accepted.
     pub connections: u64,
-}
-
-impl StatsSnapshot {
-    fn render(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "queries={} errors={} timeouts={} bytes_in={} bytes_out={} connections={}",
-            self.queries,
-            self.errors,
-            self.timeouts,
-            self.bytes_in,
-            self.bytes_out,
-            self.connections
-        );
-    }
-
-    fn parse(fields: &[&str]) -> Result<StatsSnapshot, ProtoError> {
-        let labels = [
-            "queries",
-            "errors",
-            "timeouts",
-            "bytes_in",
-            "bytes_out",
-            "connections",
-        ];
-        if fields.len() != labels.len() {
-            return Err(err("STATS scope needs 6 counters"));
-        }
-        let mut vals = [0u64; 6];
-        for (i, (field, label)) in fields.iter().zip(labels).enumerate() {
-            let v = field
-                .strip_prefix(label)
-                .and_then(|rest| rest.strip_prefix('='))
-                .ok_or_else(|| err(format!("expected {label}=<u64>, got {field:?}")))?;
-            vals[i] = parse_u64(v, label)?;
-        }
-        Ok(StatsSnapshot {
-            queries: vals[0],
-            errors: vals[1],
-            timeouts: vals[2],
-            bytes_in: vals[3],
-            bytes_out: vals[4],
-            connections: vals[5],
-        })
-    }
-}
-
-/// Which readiness backend a server's front-end is built on, reported in
-/// `STATS` so clients, tests and benches can label results per backend.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ReactorKind {
-    /// No reactor running: what a bound server reports before `serve`
-    /// picks its backend (wire code 0).
-    #[default]
-    None,
-    /// The portable `poll(2)` event loop.
-    Poll,
-    /// The Linux edge-triggered `epoll(7)` event loop.
-    Epoll,
-}
-
-impl ReactorKind {
-    /// Wire code carried by the binary `STATS` frame (and stored in the
-    /// server's atomic counter block).
-    pub(crate) fn code(self) -> u8 {
-        match self {
-            ReactorKind::None => 0,
-            ReactorKind::Poll => 1,
-            ReactorKind::Epoll => 2,
-        }
-    }
-
-    fn from_code(code: u8) -> Result<ReactorKind, ProtoError> {
-        Ok(match code {
-            0 => ReactorKind::None,
-            1 => ReactorKind::Poll,
-            2 => ReactorKind::Epoll,
-            other => return Err(err(format!("unknown reactor code {other}"))),
-        })
-    }
-}
-
-impl std::fmt::Display for ReactorKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ReactorKind::None => "none",
-            ReactorKind::Poll => "poll",
-            ReactorKind::Epoll => "epoll",
-        })
-    }
-}
-
-impl std::str::FromStr for ReactorKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, String> {
-        match s {
-            "none" => Ok(ReactorKind::None),
-            "poll" => Ok(ReactorKind::Poll),
-            "epoll" => Ok(ReactorKind::Epoll),
-            other => Err(format!(
-                "unknown reactor backend {other:?} (expected none|poll|epoll)"
-            )),
-        }
-    }
 }
 
 /// The server-scope reactor counters appended to `STATS`.
@@ -399,41 +388,47 @@ impl From<knmatch_core::VersionStats> for VersionCounters {
     }
 }
 
+/// A `STATS` reply: the connection and server scopes, plus each optional
+/// counter group the server tracks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StatsReport {
+    /// This connection's counters.
+    pub conn: StatsSnapshot,
+    /// Server-lifetime counters.
+    pub server: StatsSnapshot,
+    /// Server-lifetime plan-choice counters, present when the served
+    /// engine has a cost-based planner.
+    pub plans: Option<PlanTally>,
+    /// Server-lifetime reactor and robustness counters, present on
+    /// servers that track them.
+    pub extras: Option<ServerExtras>,
+    /// Version counters, present when the served engine is mutable.
+    pub version: Option<VersionCounters>,
+}
+
 // ---------------------------------------------------------------------------
 // The STATS field table
 // ---------------------------------------------------------------------------
 //
-// Every *optional* group of a STATS response — its text labels, its
-// binary flag bit, its field order — is declared once here. The text
-// renderer, text parser, binary encoder and binary decoder all walk
-// this table, so a new group (like the version counters) is one table
-// entry plus its flag constant, and the four codecs cannot drift.
+// Every group of a STATS response — its text labels, its binary flag
+// bit, its field order — is declared once here. The text renderer, text
+// parser, binary encoder and binary decoder all walk this table, so a
+// new group is one table entry, and the four codecs cannot drift.
 
-/// The flattened payload of a `STATS` response while it is being
-/// rendered or parsed: every group's fields at rest, plus a presence
-/// bitmask using the binary flag bits.
-#[derive(Debug, Default)]
-struct StatsBody {
-    conn: StatsSnapshot,
-    server: StatsSnapshot,
-    present: u8,
-    plans: PlanTally,
-    extras: ServerExtras,
-    version: VersionCounters,
-}
-
-/// How one labelled field reads and writes its slot in [`StatsBody`].
+/// How one labelled field reads and writes its slot in a
+/// [`StatsReport`]; writing a field of an optional group makes the group
+/// present.
 enum FieldKind {
     /// A plain `u64` counter (`label=<u64>` in text, LE `u64` in binary).
     Counter {
-        get: fn(&StatsBody) -> u64,
-        set: fn(&mut StatsBody, u64),
+        get: fn(&StatsReport) -> u64,
+        set: fn(&mut StatsReport, u64),
     },
     /// The reactor-backend token (`label=<none|poll|epoll>` in text, one
     /// code byte in binary).
     Backend {
-        get: fn(&StatsBody) -> ReactorKind,
-        set: fn(&mut StatsBody, ReactorKind),
+        get: fn(&StatsReport) -> ReactorKind,
+        set: fn(&mut StatsReport, ReactorKind),
     },
 }
 
@@ -443,135 +438,115 @@ struct StatsField {
     kind: FieldKind,
 }
 
-/// One optional `STATS` group: its binary flag bit, the flags that must
-/// accompany it, and its fields in wire order. A group's presence on the
-/// text wire is announced by its first field's label.
+/// One `STATS` group: its binary flag bit (0 for the mandatory scopes),
+/// whether a report carries it, and its fields in wire order. An
+/// optional group's presence on the text wire is announced by its first
+/// field's label.
 struct StatsGroup {
     flag: u8,
-    requires: u8,
+    has: fn(&StatsReport) -> bool,
     fields: &'static [StatsField],
 }
 
-const fn counter(
-    label: &'static str,
-    get: fn(&StatsBody) -> u64,
-    set: fn(&mut StatsBody, u64),
-) -> StatsField {
-    StatsField {
-        label,
-        kind: FieldKind::Counter { get, set },
-    }
+/// A counter field: `scope.field` of a mandatory scope, or
+/// `group?.field` of an optional group, labelled with the field's name
+/// unless a label is given.
+macro_rules! counter {
+    ($scope:ident . $field:ident) => {
+        counter!(@ stringify!($field), |b| b.$scope.$field, |b, v| b.$scope.$field = v)
+    };
+    ($group:ident ? . $field:ident) => {
+        counter!(stringify!($field), $group?.$field)
+    };
+    ($label:expr, $group:ident ? . $field:ident) => {
+        counter!(
+            @ $label,
+            |b| b.$group.unwrap_or_default().$field,
+            |b, v| b.$group.get_or_insert_with(Default::default).$field = v
+        )
+    };
+    (@ $label:expr, $get:expr, $set:expr) => {
+        StatsField {
+            label: $label,
+            kind: FieldKind::Counter { get: $get, set: $set },
+        }
+    };
 }
 
-/// Every optional group, in wire order. The extras split into three
-/// groups (legacy counters, backend, robustness) purely so lines and
-/// frames from older servers — which omit the later groups — still
-/// parse; all three land in one [`ServerExtras`].
+/// Every group, in wire order.
 const STATS_GROUPS: &[StatsGroup] = &[
     StatsGroup {
-        flag: STATS_HAS_PLANS,
-        requires: 0,
+        flag: 0,
+        has: |_| true,
         fields: &[
-            counter("plans_ad", |b| b.plans.ad, |b, v| b.plans.ad = v),
-            counter(
-                "plans_vafile",
-                |b| b.plans.vafile,
-                |b, v| b.plans.vafile = v,
-            ),
-            counter("plans_scan", |b| b.plans.scan, |b, v| b.plans.scan = v),
-            counter("plans_igrid", |b| b.plans.igrid, |b, v| b.plans.igrid = v),
+            counter!(conn.queries),
+            counter!(conn.errors),
+            counter!(conn.timeouts),
+            counter!(conn.bytes_in),
+            counter!(conn.bytes_out),
+            counter!(conn.connections),
         ],
     },
     StatsGroup {
-        flag: STATS_HAS_EXTRAS,
-        requires: 0,
+        flag: 0,
+        has: |_| true,
         fields: &[
-            counter(
-                "conns_peak",
-                |b| b.extras.conns_peak,
-                |b, v| b.extras.conns_peak = v,
-            ),
-            counter(
-                "pipeline_depth_max",
-                |b| b.extras.pipeline_depth_max,
-                |b, v| b.extras.pipeline_depth_max = v,
-            ),
-            counter(
-                "frames_binary",
-                |b| b.extras.frames_binary,
-                |b, v| b.extras.frames_binary = v,
-            ),
+            counter!(server.queries),
+            counter!(server.errors),
+            counter!(server.timeouts),
+            counter!(server.bytes_in),
+            counter!(server.bytes_out),
+            counter!(server.connections),
         ],
     },
     StatsGroup {
-        flag: STATS_HAS_REACTOR,
-        requires: STATS_HAS_EXTRAS,
+        flag: 0x01,
+        has: |r| r.plans.is_some(),
         fields: &[
+            counter!("plans_ad", plans?.ad),
+            counter!("plans_vafile", plans?.vafile),
+            counter!("plans_scan", plans?.scan),
+            counter!("plans_igrid", plans?.igrid),
+        ],
+    },
+    StatsGroup {
+        flag: 0x02,
+        has: |r| r.extras.is_some(),
+        fields: &[
+            counter!(extras?.conns_peak),
+            counter!(extras?.pipeline_depth_max),
+            counter!(extras?.frames_binary),
             StatsField {
                 label: "reactor_backend",
                 kind: FieldKind::Backend {
-                    get: |b| b.extras.reactor_backend,
-                    set: |b, v| b.extras.reactor_backend = v,
+                    get: |b| b.extras.unwrap_or_default().reactor_backend,
+                    set: |b, v| {
+                        b.extras
+                            .get_or_insert_with(Default::default)
+                            .reactor_backend = v
+                    },
                 },
             },
-            counter(
-                "poll_iterations",
-                |b| b.extras.poll_iterations,
-                |b, v| b.extras.poll_iterations = v,
-            ),
-            counter(
-                "events_dispatched",
-                |b| b.extras.events_dispatched,
-                |b, v| b.extras.events_dispatched = v,
-            ),
-            counter(
-                "writev_calls",
-                |b| b.extras.writev_calls,
-                |b, v| b.extras.writev_calls = v,
-            ),
+            counter!(extras?.poll_iterations),
+            counter!(extras?.events_dispatched),
+            counter!(extras?.writev_calls),
+            counter!(extras?.conns_evicted),
+            counter!(extras?.queries_shed),
+            counter!(extras?.retries_observed),
+            counter!(extras?.deadline_cancels),
         ],
     },
     StatsGroup {
-        flag: STATS_HAS_ROBUST,
-        requires: STATS_HAS_EXTRAS,
+        flag: 0x10,
+        has: |r| r.version.is_some(),
         fields: &[
-            counter(
-                "conns_evicted",
-                |b| b.extras.conns_evicted,
-                |b, v| b.extras.conns_evicted = v,
-            ),
-            counter(
-                "queries_shed",
-                |b| b.extras.queries_shed,
-                |b, v| b.extras.queries_shed = v,
-            ),
-            counter(
-                "retries_observed",
-                |b| b.extras.retries_observed,
-                |b, v| b.extras.retries_observed = v,
-            ),
-            counter(
-                "deadline_cancels",
-                |b| b.extras.deadline_cancels,
-                |b, v| b.extras.deadline_cancels = v,
-            ),
-        ],
-    },
-    StatsGroup {
-        flag: STATS_HAS_VERSION,
-        requires: 0,
-        fields: &[
-            counter("epoch", |b| b.version.epoch, |b, v| b.version.epoch = v),
-            counter("live", |b| b.version.live, |b, v| b.version.live = v),
-            counter("delta", |b| b.version.delta, |b, v| b.version.delta = v),
-            counter("runs", |b| b.version.runs, |b, v| b.version.runs = v),
-            counter(
-                "tombstones",
-                |b| b.version.tombstones,
-                |b, v| b.version.tombstones = v,
-            ),
-            counter("writes", |b| b.version.writes, |b, v| b.version.writes = v),
-            counter("merges", |b| b.version.merges, |b, v| b.version.merges = v),
+            counter!(version?.epoch),
+            counter!(version?.live),
+            counter!(version?.delta),
+            counter!(version?.runs),
+            counter!(version?.tombstones),
+            counter!(version?.writes),
+            counter!(version?.merges),
         ],
     },
 ];
@@ -588,100 +563,44 @@ const STATS_KNOWN_FLAGS: u8 = {
     mask
 };
 
-impl StatsBody {
-    /// Flattens a [`Response::Stats`]'s fields. A present extras value
-    /// always announces all three extras groups — the renderers emit
-    /// every field they know; only *parsers* tolerate elision.
-    fn from_parts(
-        conn: &StatsSnapshot,
-        server: &StatsSnapshot,
-        plans: &Option<PlanTally>,
-        extras: &Option<ServerExtras>,
-        version: &Option<VersionCounters>,
-    ) -> StatsBody {
-        let mut body = StatsBody {
-            conn: *conn,
-            server: *server,
-            ..StatsBody::default()
+/// The binary flags of the optional groups `r` carries.
+fn stats_flags(r: &StatsReport) -> u8 {
+    let present = STATS_GROUPS.iter().filter(|g| (g.has)(r));
+    present.fold(0, |flags, g| flags | g.flag)
+}
+
+/// The fields of the groups a `flags` byte carries, in wire order.
+fn stats_fields(flags: u8) -> impl Iterator<Item = &'static StatsField> {
+    STATS_GROUPS
+        .iter()
+        .filter(move |g| g.flag == 0 || flags & g.flag != 0)
+        .flat_map(|g| g.fields)
+}
+
+/// Renders the whole `STATS` payload (after `OK STATS`) from the table.
+fn render_stats_text(out: &mut Vec<u8>, r: &StatsReport) {
+    for field in stats_fields(stats_flags(r)) {
+        let _ = match field.kind {
+            FieldKind::Counter { get, .. } => write!(out, " {}={}", field.label, get(r)),
+            FieldKind::Backend { get, .. } => write!(out, " {}={}", field.label, get(r)),
         };
-        if let Some(p) = plans {
-            body.present |= STATS_HAS_PLANS;
-            body.plans = *p;
-        }
-        if let Some(x) = extras {
-            body.present |= STATS_HAS_EXTRAS | STATS_HAS_REACTOR | STATS_HAS_ROBUST;
-            body.extras = *x;
-        }
-        if let Some(v) = version {
-            body.present |= STATS_HAS_VERSION;
-            body.version = *v;
-        }
-        body
-    }
-
-    /// Rebuilds the [`Response::Stats`] option fields. Partially present
-    /// extras groups (legacy senders) collapse into one [`ServerExtras`]
-    /// with the missing counters at their defaults.
-    fn into_response(self) -> Response {
-        Response::Stats {
-            conn: self.conn,
-            server: self.server,
-            plans: (self.present & STATS_HAS_PLANS != 0).then_some(self.plans),
-            extras: (self.present & STATS_HAS_EXTRAS != 0).then_some(self.extras),
-            version: (self.present & STATS_HAS_VERSION != 0).then_some(self.version),
-        }
     }
 }
 
-/// Renders the whole `STATS` payload (after `OK STATS `) from the table.
-fn render_stats_text(out: &mut String, body: &StatsBody) {
-    body.conn.render(out);
-    out.push(' ');
-    body.server.render(out);
-    for group in STATS_GROUPS {
-        if body.present & group.flag == 0 {
-            continue;
-        }
-        for field in group.fields {
-            match field.kind {
-                FieldKind::Counter { get, .. } => {
-                    let _ = write!(out, " {}={}", field.label, get(body));
-                }
-                FieldKind::Backend { get, .. } => {
-                    let _ = write!(out, " {}={}", field.label, get(body));
-                }
-            }
-        }
-    }
-}
-
-/// Parses the fields after `OK STATS`: twelve mandatory counters, then
-/// the optional groups in table order, each announced by its leading
-/// label. Leftover fields that announce no group are an error, as is a
-/// group whose prerequisites are absent.
-fn parse_stats_text(rest: &[&str]) -> Result<Response, ProtoError> {
-    if rest.len() < 12 {
-        return Err(err("STATS needs at least 12 counters"));
-    }
-    let mut body = StatsBody {
-        conn: StatsSnapshot::parse(&rest[..6])?,
-        server: StatsSnapshot::parse(&rest[6..12])?,
-        ..StatsBody::default()
-    };
-    let mut i = 12;
+/// Parses the fields after `OK STATS`: the mandatory scopes, then the
+/// optional groups in table order, each announced by its leading label.
+/// Leftover fields that announce no group are an error.
+fn parse_stats_text(rest: &[&str]) -> Result<StatsReport, ProtoError> {
+    let mut report = StatsReport::default();
+    let mut i = 0;
     for group in STATS_GROUPS {
         let lead = group.fields[0].label;
         let announced = rest
             .get(i)
             .and_then(|f| f.split_once('='))
             .is_some_and(|(label, _)| label == lead);
-        if !announced {
+        if group.flag != 0 && !announced {
             continue;
-        }
-        if body.present & group.requires != group.requires {
-            return Err(err(format!(
-                "STATS group led by {lead}= requires an absent earlier group"
-            )));
         }
         if rest.len() - i < group.fields.len() {
             return Err(err(format!(
@@ -700,17 +619,16 @@ fn parse_stats_text(rest: &[&str]) -> Result<Response, ProtoError> {
                     ))
                 })?;
             match field.kind {
-                FieldKind::Counter { set, .. } => set(&mut body, parse_u64(v, field.label)?),
-                FieldKind::Backend { set, .. } => set(&mut body, v.parse().map_err(err)?),
+                FieldKind::Counter { set, .. } => set(&mut report, parse_u64(v, field.label)?),
+                FieldKind::Backend { set, .. } => set(&mut report, v.parse().map_err(err)?),
             }
             i += 1;
         }
-        body.present |= group.flag;
     }
     if i != rest.len() {
         return Err(err(format!("unexpected STATS field {:?}", rest[i])));
     }
-    Ok(body.into_response())
+    Ok(report)
 }
 
 /// A parsed request line.
@@ -782,21 +700,8 @@ pub enum Response {
     FailFast(bool),
     /// `OK PLANNER <mode>`.
     Planner(PlannerMode),
-    /// `OK STATS <connection scope> <server scope> [plan counters]`.
-    Stats {
-        /// This connection's counters.
-        conn: StatsSnapshot,
-        /// Server-lifetime counters.
-        server: StatsSnapshot,
-        /// Server-lifetime plan-choice counters, present when the served
-        /// engine has a cost-based planner.
-        plans: Option<PlanTally>,
-        /// Server-lifetime reactor counters, present on servers that
-        /// track them (absent only on pre-reactor servers).
-        extras: Option<ServerExtras>,
-        /// Version counters, present when the served engine is mutable.
-        version: Option<VersionCounters>,
-    },
+    /// `OK STATS <connection scope> <server scope> [optional groups]`.
+    Stats(StatsReport),
     /// `OK PONG`.
     Pong,
     /// `OK BYE` (connection closing normally).
@@ -821,6 +726,262 @@ pub enum Response {
     /// `OK SEAL <epoch>`: the delta was sealed (current epoch echoed).
     Sealed(u64),
 }
+
+// ---------------------------------------------------------------------------
+// The verb table
+// ---------------------------------------------------------------------------
+
+/// The argument a table message carries after its token.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Nothing.
+    Unit,
+    /// One `u64`: decimal text, 8 LE bytes.
+    U64,
+    /// A flag: `0`/`1` in text, one byte in binary.
+    Bool,
+    /// A planner mode: its name in text, its code byte in binary.
+    Mode,
+    /// A point key: decimal text, 4 LE bytes.
+    Key,
+    /// A fixed run of up to [`MAX_RUN`] `u64`s, space-separated in text.
+    Run(usize),
+}
+
+/// The longest [`Shape::Run`] any verb carries.
+const MAX_RUN: usize = 4;
+
+/// A value of some [`Shape`]; a run keeps its length beside its words.
+#[derive(Debug, Clone, Copy)]
+enum Arg {
+    Unit,
+    U64(u64),
+    Bool(bool),
+    Mode(PlannerMode),
+    Key(u32),
+    Run(usize, [u64; MAX_RUN]),
+}
+
+impl Arg {
+    fn run(words: &[u64]) -> Arg {
+        let mut w = [0; MAX_RUN];
+        w[..words.len()].copy_from_slice(words);
+        Arg::Run(words.len(), w)
+    }
+}
+
+/// One request or reply of a [`Verb`]: its text token, its binary frame
+/// kind, its argument shape, and the enum variant it maps to (`build`
+/// from a parsed argument; `pick` the argument back out, `None` when the
+/// value is another variant).
+struct Msg<T> {
+    token: &'static str,
+    kind: u8,
+    shape: Shape,
+    build: fn(Arg) -> T,
+    pick: fn(&T) -> Option<Arg>,
+}
+
+/// One verb: its request and its reply. `None` marks a half with a
+/// hand-written codec.
+struct Verb {
+    request: Option<Msg<Request>>,
+    reply: Option<Msg<Response>>,
+}
+
+/// One half of a [`VERBS`] row: `custom`, or `(token kind Variant)`
+/// with an optional `(Shape)` argument or `{ fields }` run of `u64`s.
+macro_rules! msg {
+    ($T:ident custom) => {
+        None
+    };
+    ($T:ident ($token:literal $kind:literal $V:ident)) => {
+        Some(Msg {
+            token: $token,
+            kind: $kind,
+            shape: Shape::Unit,
+            build: |_| $T::$V,
+            pick: |m| matches!(m, $T::$V).then_some(Arg::Unit),
+        })
+    };
+    ($T:ident ($token:literal $kind:literal $V:ident($S:ident))) => {
+        Some(Msg {
+            token: $token,
+            kind: $kind,
+            shape: Shape::$S,
+            build: |a| match a {
+                Arg::$S(v) => $T::$V(v),
+                other => unreachable!("{other:?} is not a {}", stringify!($S)),
+            },
+            pick: |m| match m {
+                $T::$V(v) => Some(Arg::$S(*v)),
+                _ => None,
+            },
+        })
+    };
+    ($T:ident ($token:literal $kind:literal $V:ident { $($f:ident),+ })) => {
+        Some(Msg {
+            token: $token,
+            kind: $kind,
+            shape: Shape::Run([$(stringify!($f)),+].len()),
+            build: |a| {
+                let Arg::Run(_, w) = a else {
+                    unreachable!("{a:?} is not a run");
+                };
+                let mut w = w.into_iter();
+                $T::$V { $($f: w.next().unwrap_or_default()),+ }
+            },
+            pick: |m| match m {
+                $T::$V { $($f),+ } => Some(Arg::run(&[$(*$f),+])),
+                _ => None,
+            },
+        })
+    };
+}
+
+macro_rules! verbs {
+    ($($request:tt => $reply:tt,)*) => {
+        &[$(Verb { request: msg!(Request $request), reply: msg!(Response $reply) }),*]
+    };
+}
+
+/// Every verb, declared once. Text parse and render and binary encode
+/// and decode all walk this table; adding a verb whose arguments fit a
+/// [`Shape`] is one row here plus its `Request`/`Response` variants.
+const VERBS: &[Verb] = verbs! {
+    ("DEADLINE" 0x03 Deadline(U64)) => ("OK DEADLINE" 0x84 Deadline(U64)),
+    ("FAILFAST" 0x04 FailFast(Bool)) => ("OK FAILFAST" 0x85 FailFast(Bool)),
+    ("PLANNER" 0x05 Planner(Mode)) => ("OK PLANNER" 0x86 Planner(Mode)),
+    ("STATS" 0x06 Stats) => custom,
+    ("PING" 0x07 Ping) => ("OK PONG" 0x88 Pong),
+    ("QUIT" 0x08 Quit) => ("OK BYE" 0x89 Bye),
+    ("SHUTDOWN" 0x09 Shutdown) => ("OK SHUTDOWN" 0x8A ShuttingDown),
+    custom => ("OK INSERT" 0x8B Inserted(U64)),
+    ("DELETE" 0x0B Delete(Key)) => ("OK DELETE" 0x8C Deleted(U64)),
+    ("EPOCH" 0x0C Epoch) => ("OK EPOCH" 0x8D Epoch { epoch, live, delta, runs }),
+    ("SEAL" 0x0D Seal) => ("OK SEAL" 0x8E Sealed(U64)),
+    custom => ("DONE" 0x83 Done { ok, failed }),
+};
+
+fn requests() -> impl Iterator<Item = &'static Msg<Request>> {
+    VERBS.iter().filter_map(|v| v.request.as_ref())
+}
+
+fn replies() -> impl Iterator<Item = &'static Msg<Response>> {
+    VERBS.iter().filter_map(|v| v.reply.as_ref())
+}
+
+/// The table message `v` is, with its argument.
+fn find<T: 'static>(
+    mut msgs: impl Iterator<Item = &'static Msg<T>>,
+    v: &T,
+) -> (&'static Msg<T>, Arg) {
+    msgs.find_map(|m| Some((m, (m.pick)(v)?)))
+        .expect("every variant without a hand-written codec has a row in VERBS")
+}
+
+/// The table message whose token starts `line`, with the rest of the
+/// line after the token.
+fn find_token<T: 'static>(
+    mut msgs: impl Iterator<Item = &'static Msg<T>>,
+    line: &str,
+) -> Option<(&'static Msg<T>, &str)> {
+    msgs.find_map(|m| {
+        let rest = line.strip_prefix(m.token)?;
+        (rest.is_empty() || rest.starts_with(' ')).then_some((m, rest))
+    })
+}
+
+impl<T> Msg<T> {
+    /// Parses the text fields after the token.
+    fn parse(&self, rest: &str) -> Result<T, ProtoError> {
+        let mut fields = rest.split_whitespace();
+        let mut next = || {
+            fields
+                .next()
+                .ok_or_else(|| err(format!("{}: missing argument", self.token)))
+        };
+        let arg = match self.shape {
+            Shape::Unit => Arg::Unit,
+            Shape::U64 => Arg::U64(parse_u64(next()?, self.token)?),
+            Shape::Bool => Arg::Bool(match next()? {
+                "0" => false,
+                "1" => true,
+                other => return Err(err(format!("{} takes 0 or 1, got {other:?}", self.token))),
+            }),
+            Shape::Mode => Arg::Mode(next()?.parse().map_err(err)?),
+            Shape::Key => {
+                let key = next()?;
+                Arg::Key(key.parse().map_err(|_| err(format!("bad key {key:?}")))?)
+            }
+            Shape::Run(n) => {
+                let mut w = [0; MAX_RUN];
+                for v in &mut w[..n] {
+                    *v = parse_u64(next()?, self.token)?;
+                }
+                Arg::Run(n, w)
+            }
+        };
+        match fields.next() {
+            Some(extra) => Err(err(format!("{}: unexpected field {extra:?}", self.token))),
+            None => Ok((self.build)(arg)),
+        }
+    }
+
+    /// Renders the token and `arg` (no newline).
+    fn render(&self, arg: Arg, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.token.as_bytes());
+        let _ = match arg {
+            Arg::Unit => Ok(()),
+            Arg::U64(v) => write!(out, " {v}"),
+            Arg::Bool(on) => write!(out, " {}", u8::from(on)),
+            Arg::Mode(mode) => write!(out, " {mode}"),
+            Arg::Key(key) => write!(out, " {key}"),
+            Arg::Run(n, w) => w[..n].iter().try_for_each(|v| write!(out, " {v}")),
+        };
+    }
+
+    /// Decodes the frame payload.
+    fn decode(&self, c: &mut Cur<'_>) -> Result<T, ProtoError> {
+        let arg = match self.shape {
+            Shape::Unit => Arg::Unit,
+            Shape::U64 => Arg::U64(c.u64()?),
+            Shape::Bool => Arg::Bool(match c.u8()? {
+                0 => false,
+                1 => true,
+                other => return Err(err(format!("{} takes 0 or 1, got {other}", self.token))),
+            }),
+            Shape::Mode => Arg::Mode(planner_from_code(c.u8()?)?),
+            Shape::Key => Arg::Key(c.u32()?),
+            Shape::Run(n) => {
+                let mut w = [0; MAX_RUN];
+                for v in &mut w[..n] {
+                    *v = c.u64()?;
+                }
+                Arg::Run(n, w)
+            }
+        };
+        Ok((self.build)(arg))
+    }
+
+    /// Appends the whole frame carrying `arg`.
+    fn encode(&self, arg: Arg, out: &mut Vec<u8>) {
+        let body = begin_frame(out, self.kind);
+        match arg {
+            Arg::Unit => {}
+            Arg::U64(v) => put_u64(out, v),
+            Arg::Bool(on) => out.push(u8::from(on)),
+            Arg::Mode(mode) => out.push(planner_code(mode)),
+            Arg::Key(key) => put_u32(out, key),
+            Arg::Run(n, w) => w[..n].iter().for_each(|&v| put_u64(out, v)),
+        }
+        end_frame(out, body);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Text codec
+// ---------------------------------------------------------------------------
 
 fn parse_u64(s: &str, what: &str) -> Result<u64, ProtoError> {
     s.parse()
@@ -848,27 +1009,10 @@ fn parse_coords(s: &str) -> Result<Vec<f64>, ProtoError> {
 /// parsing.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     let line = line.trim_end_matches('\r');
-    let mut it = line.splitn(2, ' ');
-    let verb = it.next().unwrap_or("");
-    let rest = it.next().unwrap_or("");
+    let (verb, rest) = line.split_once(' ').unwrap_or((line, ""));
     match verb {
         "KNM" | "FREQ" | "EPS" => parse_query(line).map(Request::Query),
         "BATCH" => Ok(Request::Batch(parse_usize(rest.trim(), "BATCH count")?)),
-        "DEADLINE" => Ok(Request::Deadline(parse_u64(rest.trim(), "DEADLINE ms")?)),
-        "FAILFAST" => match rest.trim() {
-            "0" => Ok(Request::FailFast(false)),
-            "1" => Ok(Request::FailFast(true)),
-            other => Err(err(format!("FAILFAST takes 0 or 1, got {other:?}"))),
-        },
-        "PLANNER" => rest
-            .trim()
-            .parse::<PlannerMode>()
-            .map(Request::Planner)
-            .map_err(err),
-        "STATS" => Ok(Request::Stats),
-        "PING" => Ok(Request::Ping),
-        "QUIT" => Ok(Request::Quit),
-        "SHUTDOWN" => Ok(Request::Shutdown),
         "INSERT" => match rest.trim().split_once(' ') {
             Some((key, coords)) => Ok(Request::Insert {
                 key: key.parse().map_err(|_| err(format!("bad key {key:?}")))?,
@@ -876,15 +1020,11 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             }),
             None => Err(err("INSERT takes <key> <coords>")),
         },
-        "DELETE" => Ok(Request::Delete(
-            rest.trim()
-                .parse()
-                .map_err(|_| err(format!("bad key {:?}", rest.trim())))?,
-        )),
-        "EPOCH" => Ok(Request::Epoch),
-        "SEAL" => Ok(Request::Seal),
         "" => Err(err("empty request line")),
-        other => Err(err(format!("unknown verb {other:?}"))),
+        _ => match find_token(requests(), line) {
+            Some((msg, rest)) => msg.parse(rest),
+            None => Err(err(format!("unknown verb {verb:?}"))),
+        },
     }
 }
 
@@ -924,43 +1064,71 @@ pub fn parse_query(line: &str) -> Result<BatchQuery, ProtoError> {
     }
 }
 
-pub(crate) fn render_coords(out: &mut String, coords: &[f64]) {
+fn render_coords(out: &mut Vec<u8>, coords: &[f64]) {
     for (i, v) in coords.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
         let _ = write!(out, "{v}");
     }
 }
 
-/// Renders a [`BatchQuery`] as its request line (no newline).
-pub fn format_query(q: &BatchQuery) -> String {
-    let mut out = String::new();
-    match q {
+/// Appends a [`BatchQuery`]'s request line, newline included.
+pub fn encode_query_line(q: &BatchQuery, out: &mut Vec<u8>) {
+    let coords = match q {
         BatchQuery::KnMatch { query, k, n } => {
             let _ = write!(out, "KNM {k} {n} ");
-            render_coords(&mut out, query);
+            query
         }
         BatchQuery::Frequent { query, k, n0, n1 } => {
             let _ = write!(out, "FREQ {k} {n0} {n1} ");
-            render_coords(&mut out, query);
+            query
         }
         BatchQuery::EpsMatch { query, eps, n } => {
             let _ = write!(out, "EPS {eps} {n} ");
-            render_coords(&mut out, query);
+            query
         }
-    }
-    out
+    };
+    render_coords(out, coords);
+    out.push(b'\n');
 }
 
-fn render_entries(out: &mut String, entries: &[MatchEntry]) {
+/// Appends one request line, newline included — the text counterpart of
+/// [`encode_request_frame`].
+pub fn encode_request_line(req: &Request, out: &mut Vec<u8>) {
+    match req {
+        Request::Query(q) => return encode_query_line(q, out),
+        Request::Batch(count) => {
+            let _ = write!(out, "BATCH {count}");
+        }
+        Request::Insert { key, point } => {
+            let _ = write!(out, "INSERT {key} ");
+            render_coords(out, point);
+        }
+        _ => {
+            let (msg, arg) = find(requests(), req);
+            msg.render(arg, out);
+        }
+    }
+    out.push(b'\n');
+}
+
+/// Renders a [`BatchQuery`] as its request line (no newline).
+pub fn format_query(q: &BatchQuery) -> String {
+    let mut out = Vec::new();
+    encode_query_line(q, &mut out);
+    out.pop();
+    String::from_utf8(out).expect("query lines are ASCII")
+}
+
+fn render_entries(out: &mut Vec<u8>, entries: &[MatchEntry]) {
     if entries.is_empty() {
-        out.push('-');
+        out.push(b'-');
         return;
     }
     for (i, e) in entries.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
         let _ = write!(out, "{}:{}", e.pid, e.diff);
     }
@@ -983,93 +1151,66 @@ fn parse_entries(s: &str) -> Result<Vec<MatchEntry>, ProtoError> {
         .collect()
 }
 
-/// Renders a [`Response`] as its wire line (no newline).
-pub fn format_response(r: &Response) -> String {
-    let mut out = String::new();
+/// Appends one response line, newline included — the text counterpart
+/// of [`encode_response_frame`].
+pub fn encode_response_line(r: &Response, out: &mut Vec<u8>) {
     match r {
         Response::Answer(BatchAnswer::KnMatch(res)) => {
             let _ = write!(out, "OK KNM {} ", res.n);
-            render_entries(&mut out, &res.entries);
+            render_entries(out, &res.entries);
         }
         Response::Answer(BatchAnswer::EpsMatch(res)) => {
             let _ = write!(out, "OK EPS {} ", res.n);
-            render_entries(&mut out, &res.entries);
+            render_entries(out, &res.entries);
         }
         Response::Answer(BatchAnswer::Frequent(res)) => {
             let _ = write!(out, "OK FREQ {} {} ", res.range.0, res.range.1);
             if res.entries.is_empty() {
-                out.push('-');
-            } else {
-                for (i, e) in res.entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{}:{}", e.pid, e.count);
-                }
+                out.push(b'-');
             }
-            out.push(' ');
+            for (i, e) in res.entries.iter().enumerate() {
+                let sep = if i > 0 { "," } else { "" };
+                let _ = write!(out, "{sep}{}:{}", e.pid, e.count);
+            }
+            out.push(b' ');
             if res.per_n.is_empty() {
-                out.push('-');
-            } else {
-                for (i, level) in res.per_n.iter().enumerate() {
-                    if i > 0 {
-                        out.push(';');
-                    }
-                    let _ = write!(out, "{}=", level.n);
-                    render_entries(&mut out, &level.entries);
-                }
+                out.push(b'-');
+            }
+            for (i, level) in res.per_n.iter().enumerate() {
+                let sep = if i > 0 { ";" } else { "" };
+                let _ = write!(out, "{sep}{}=", level.n);
+                render_entries(out, &level.entries);
             }
         }
         Response::Error { kind, message } => {
+            let _ = write!(out, "ERR {} ", kind.token());
             // Newlines inside the message would desynchronise the stream.
-            let msg = message.replace(['\n', '\r'], " ");
-            let _ = write!(out, "ERR {} {msg}", kind.token());
+            let start = out.len();
+            out.extend_from_slice(message.as_bytes());
+            for b in &mut out[start..] {
+                if matches!(*b, b'\n' | b'\r') {
+                    *b = b' ';
+                }
+            }
         }
-        Response::Done { ok, failed } => {
-            let _ = write!(out, "DONE {ok} {failed}");
+        Response::Stats(report) => {
+            out.extend_from_slice(b"OK STATS");
+            render_stats_text(out, report);
         }
-        Response::Deadline(ms) => {
-            let _ = write!(out, "OK DEADLINE {ms}");
-        }
-        Response::FailFast(on) => {
-            let _ = write!(out, "OK FAILFAST {}", u8::from(*on));
-        }
-        Response::Planner(mode) => {
-            let _ = write!(out, "OK PLANNER {mode}");
-        }
-        Response::Stats {
-            conn,
-            server,
-            plans,
-            extras,
-            version,
-        } => {
-            out.push_str("OK STATS ");
-            let body = StatsBody::from_parts(conn, server, plans, extras, version);
-            render_stats_text(&mut out, &body);
-        }
-        Response::Pong => out.push_str("OK PONG"),
-        Response::Bye => out.push_str("OK BYE"),
-        Response::ShuttingDown => out.push_str("OK SHUTDOWN"),
-        Response::Inserted(epoch) => {
-            let _ = write!(out, "OK INSERT {epoch}");
-        }
-        Response::Deleted(epoch) => {
-            let _ = write!(out, "OK DELETE {epoch}");
-        }
-        Response::Epoch {
-            epoch,
-            live,
-            delta,
-            runs,
-        } => {
-            let _ = write!(out, "OK EPOCH {epoch} {live} {delta} {runs}");
-        }
-        Response::Sealed(epoch) => {
-            let _ = write!(out, "OK SEAL {epoch}");
+        _ => {
+            let (msg, arg) = find(replies(), r);
+            msg.render(arg, out);
         }
     }
-    out
+    out.push(b'\n');
+}
+
+/// Renders a [`Response`] as its wire line (no newline).
+pub fn format_response(r: &Response) -> String {
+    let mut out = Vec::new();
+    encode_response_line(r, &mut out);
+    out.pop();
+    String::from_utf8(out).expect("the line encoder writes UTF-8")
 }
 
 /// Parses one response line (no trailing newline) — the client half of
@@ -1132,34 +1273,11 @@ pub fn parse_response(line: &str) -> Result<Response, ProtoError> {
                 .ok_or_else(|| err(format!("unknown ERR kind {kind:?}")))?,
             message: message.join(" "),
         }),
-        ["DONE", ok, failed] => Ok(Response::Done {
-            ok: parse_u64(ok, "DONE ok")?,
-            failed: parse_u64(failed, "DONE failed")?,
-        }),
-        ["OK", "DEADLINE", ms] => Ok(Response::Deadline(parse_u64(ms, "ms")?)),
-        ["OK", "FAILFAST", v] => match *v {
-            "0" => Ok(Response::FailFast(false)),
-            "1" => Ok(Response::FailFast(true)),
-            other => Err(err(format!("OK FAILFAST takes 0 or 1, got {other:?}"))),
+        ["OK", "STATS", rest @ ..] => parse_stats_text(rest).map(Response::Stats),
+        _ => match find_token(replies(), line) {
+            Some((msg, rest)) => msg.parse(rest),
+            None => Err(err(format!("unparseable response line {line:?}"))),
         },
-        ["OK", "PLANNER", mode] => mode
-            .parse::<PlannerMode>()
-            .map(Response::Planner)
-            .map_err(err),
-        ["OK", "STATS", rest @ ..] if rest.len() >= 12 => parse_stats_text(rest),
-        ["OK", "PONG"] => Ok(Response::Pong),
-        ["OK", "BYE"] => Ok(Response::Bye),
-        ["OK", "SHUTDOWN"] => Ok(Response::ShuttingDown),
-        ["OK", "INSERT", epoch] => Ok(Response::Inserted(parse_u64(epoch, "epoch")?)),
-        ["OK", "DELETE", epoch] => Ok(Response::Deleted(parse_u64(epoch, "epoch")?)),
-        ["OK", "EPOCH", epoch, live, delta, runs] => Ok(Response::Epoch {
-            epoch: parse_u64(epoch, "epoch")?,
-            live: parse_u64(live, "live")?,
-            delta: parse_u64(delta, "delta")?,
-            runs: parse_u64(runs, "runs")?,
-        }),
-        ["OK", "SEAL", epoch] => Ok(Response::Sealed(parse_u64(epoch, "epoch")?)),
-        _ => Err(err(format!("unparseable response line {line:?}"))),
     }
 }
 
@@ -1181,6 +1299,12 @@ pub fn immutable_engine_error() -> Response {
     }
 }
 
+/// The `ERR proto` message for a `BATCH` announcing more than
+/// [`MAX_BATCH`] members, in either encoding.
+pub(crate) fn batch_limit_message(count: usize) -> String {
+    format!("BATCH count {count} exceeds {MAX_BATCH}")
+}
+
 // ---------------------------------------------------------------------------
 // Binary frame codec
 // ---------------------------------------------------------------------------
@@ -1198,53 +1322,21 @@ pub const FRAME_HEADER_LEN: usize = 6;
 /// answered with `ERR oversized`, like over-[`MAX_LINE`] text lines.
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 
-/// Request frame kinds. `REQ_QUERY` / `REQ_BATCH` are crate-visible so
-/// the reactor's admission control can shed on the kind byte without
+/// Frame kinds of the hand-written codecs; every other kind is declared
+/// in [`VERBS`]. The query and batch kinds are crate-visible so the
+/// reactor's admission control can shed on the kind byte without
 /// decoding the payload.
-pub(crate) const REQ_QUERY: u8 = 0x01;
-pub(crate) const REQ_BATCH: u8 = 0x02;
-const REQ_DEADLINE: u8 = 0x03;
-const REQ_FAILFAST: u8 = 0x04;
-const REQ_PLANNER: u8 = 0x05;
-const REQ_STATS: u8 = 0x06;
-const REQ_PING: u8 = 0x07;
-const REQ_QUIT: u8 = 0x08;
-const REQ_SHUTDOWN: u8 = 0x09;
-const REQ_INSERT: u8 = 0x0A;
-const REQ_DELETE: u8 = 0x0B;
-const REQ_EPOCH: u8 = 0x0C;
-const REQ_SEAL: u8 = 0x0D;
-
-/// Response frame kinds (high bit set).
-const RESP_ANSWER: u8 = 0x81;
-const RESP_ERR: u8 = 0x82;
-const RESP_DONE: u8 = 0x83;
-const RESP_DEADLINE: u8 = 0x84;
-const RESP_FAILFAST: u8 = 0x85;
-const RESP_PLANNER: u8 = 0x86;
-const RESP_STATS: u8 = 0x87;
-const RESP_PONG: u8 = 0x88;
-const RESP_BYE: u8 = 0x89;
-const RESP_SHUTDOWN: u8 = 0x8A;
-const RESP_INSERT: u8 = 0x8B;
-const RESP_DELETE: u8 = 0x8C;
-const RESP_EPOCH: u8 = 0x8D;
-const RESP_SEAL: u8 = 0x8E;
+pub(crate) const QUERY_FRAME: u8 = 0x01;
+pub(crate) const BATCH_FRAME: u8 = 0x02;
+const INSERT_FRAME: u8 = 0x0A;
+const ANSWER_FRAME: u8 = 0x81;
+const ERR_FRAME: u8 = 0x82;
+const STATS_FRAME: u8 = 0x87;
 
 /// Tags inside query and answer payloads.
 const TAG_KNM: u8 = 0x01;
 const TAG_FREQ: u8 = 0x02;
 const TAG_EPS: u8 = 0x03;
-
-/// `STATS` payload flag bits. `STATS_HAS_REACTOR` extends the extras
-/// group with the backend kind and its event counters, and
-/// `STATS_HAS_ROBUST` with the overload/eviction counters; neither
-/// appears without `STATS_HAS_EXTRAS`.
-const STATS_HAS_PLANS: u8 = 0x01;
-const STATS_HAS_EXTRAS: u8 = 0x02;
-const STATS_HAS_REACTOR: u8 = 0x04;
-const STATS_HAS_ROBUST: u8 = 0x08;
-const STATS_HAS_VERSION: u8 = 0x10;
 
 /// A decoded binary request. Binary `BATCH` frames are self-contained
 /// (the queries travel inside the frame), unlike the text protocol where
@@ -1258,56 +1350,6 @@ pub enum BinRequest {
     Batch(Vec<BatchQuery>),
 }
 
-fn planner_code(mode: PlannerMode) -> u8 {
-    match mode {
-        PlannerMode::Auto => 0,
-        PlannerMode::Ad => 1,
-        PlannerMode::VaFile => 2,
-        PlannerMode::Scan => 3,
-        PlannerMode::IGrid => 4,
-    }
-}
-
-fn planner_from_code(code: u8) -> Result<PlannerMode, ProtoError> {
-    Ok(match code {
-        0 => PlannerMode::Auto,
-        1 => PlannerMode::Ad,
-        2 => PlannerMode::VaFile,
-        3 => PlannerMode::Scan,
-        4 => PlannerMode::IGrid,
-        other => return Err(err(format!("unknown planner code {other}"))),
-    })
-}
-
-fn error_code(kind: ErrorKind) -> u8 {
-    match kind {
-        ErrorKind::Parse => 0,
-        ErrorKind::Query => 1,
-        ErrorKind::Timeout => 2,
-        ErrorKind::Cancelled => 3,
-        ErrorKind::Oversized => 4,
-        ErrorKind::Busy => 5,
-        ErrorKind::Proto => 6,
-        ErrorKind::Shutdown => 7,
-        ErrorKind::Overloaded => 8,
-    }
-}
-
-fn error_from_code(code: u8) -> Result<ErrorKind, ProtoError> {
-    Ok(match code {
-        0 => ErrorKind::Parse,
-        1 => ErrorKind::Query,
-        2 => ErrorKind::Timeout,
-        3 => ErrorKind::Cancelled,
-        4 => ErrorKind::Oversized,
-        5 => ErrorKind::Busy,
-        6 => ErrorKind::Proto,
-        7 => ErrorKind::Shutdown,
-        8 => ErrorKind::Overloaded,
-        other => return Err(err(format!("unknown error code {other}"))),
-    })
-}
-
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -1318,6 +1360,13 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
+}
+
+/// A `usize` count (`k`, `n`, …) as a `u32` field, saturating: a count
+/// past `u32::MAX` stays out of range instead of wrapping to a small,
+/// valid one.
+fn put_count(out: &mut Vec<u8>, v: usize) {
+    put_u32(out, u32::try_from(v).unwrap_or(u32::MAX));
 }
 
 fn put_coords(out: &mut Vec<u8>, coords: &[f64]) {
@@ -1340,38 +1389,25 @@ fn put_entries(out: &mut Vec<u8>, entries: &[MatchEntry]) {
     }
 }
 
-fn put_snapshot(out: &mut Vec<u8>, s: &StatsSnapshot) {
-    for v in [
-        s.queries,
-        s.errors,
-        s.timeouts,
-        s.bytes_in,
-        s.bytes_out,
-        s.connections,
-    ] {
-        put_u64(out, v);
-    }
-}
-
 fn put_query(out: &mut Vec<u8>, q: &BatchQuery) {
     match q {
         BatchQuery::KnMatch { query, k, n } => {
             out.push(TAG_KNM);
-            put_u32(out, *k as u32);
-            put_u32(out, *n as u32);
+            put_count(out, *k);
+            put_count(out, *n);
             put_coords(out, query);
         }
         BatchQuery::Frequent { query, k, n0, n1 } => {
             out.push(TAG_FREQ);
-            put_u32(out, *k as u32);
-            put_u32(out, *n0 as u32);
-            put_u32(out, *n1 as u32);
+            put_count(out, *k);
+            put_count(out, *n0);
+            put_count(out, *n1);
             put_coords(out, query);
         }
         BatchQuery::EpsMatch { query, eps, n } => {
             out.push(TAG_EPS);
             put_f64(out, *eps);
-            put_u32(out, *n as u32);
+            put_count(out, *n);
             put_coords(out, query);
         }
     }
@@ -1448,17 +1484,6 @@ impl<'a> Cur<'a> {
             .collect()
     }
 
-    fn snapshot(&mut self) -> Result<StatsSnapshot, ProtoError> {
-        Ok(StatsSnapshot {
-            queries: self.u64()?,
-            errors: self.u64()?,
-            timeouts: self.u64()?,
-            bytes_in: self.u64()?,
-            bytes_out: self.u64()?,
-            connections: self.u64()?,
-        })
-    }
-
     fn query(&mut self) -> Result<BatchQuery, ProtoError> {
         match self.u8()? {
             TAG_KNM => Ok(BatchQuery::KnMatch {
@@ -1504,19 +1529,25 @@ fn end_frame(out: &mut [u8], body: usize) {
 
 /// Appends one single-query request frame (the binary `KNM`/`FREQ`/`EPS`).
 pub fn encode_query_frame(q: &BatchQuery, out: &mut Vec<u8>) {
-    let body = begin_frame(out, REQ_QUERY);
+    let body = begin_frame(out, QUERY_FRAME);
     put_query(out, q);
     end_frame(out, body);
 }
 
 /// Appends one self-contained binary `BATCH` frame carrying `queries`.
 pub fn encode_batch_frame(queries: &[BatchQuery], out: &mut Vec<u8>) {
-    let body = begin_frame(out, REQ_BATCH);
+    let body = begin_frame(out, BATCH_FRAME);
     put_u32(out, queries.len() as u32);
     for q in queries {
         put_query(out, q);
     }
     end_frame(out, body);
+}
+
+/// The member count a binary `BATCH` payload announces, read without
+/// decoding the members (admission control and the batch limit).
+pub(crate) fn batch_frame_count(payload: &[u8]) -> Option<usize> {
+    Some(Cur::new(payload).u32().ok()? as usize)
 }
 
 /// Appends one request frame for any non-`BATCH` request.
@@ -1533,55 +1564,15 @@ pub fn encode_request_frame(req: &Request, out: &mut Vec<u8>) -> Result<(), Prot
                 "text BATCH header has no binary frame; use encode_batch_frame",
             ))
         }
-        Request::Deadline(ms) => {
-            let body = begin_frame(out, REQ_DEADLINE);
-            put_u64(out, *ms);
-            end_frame(out, body);
-        }
-        Request::FailFast(on) => {
-            let body = begin_frame(out, REQ_FAILFAST);
-            out.push(u8::from(*on));
-            end_frame(out, body);
-        }
-        Request::Planner(mode) => {
-            let body = begin_frame(out, REQ_PLANNER);
-            out.push(planner_code(*mode));
-            end_frame(out, body);
-        }
-        Request::Stats => {
-            let body = begin_frame(out, REQ_STATS);
-            end_frame(out, body);
-        }
-        Request::Ping => {
-            let body = begin_frame(out, REQ_PING);
-            end_frame(out, body);
-        }
-        Request::Quit => {
-            let body = begin_frame(out, REQ_QUIT);
-            end_frame(out, body);
-        }
-        Request::Shutdown => {
-            let body = begin_frame(out, REQ_SHUTDOWN);
-            end_frame(out, body);
-        }
         Request::Insert { key, point } => {
-            let body = begin_frame(out, REQ_INSERT);
+            let body = begin_frame(out, INSERT_FRAME);
             put_u32(out, *key);
             put_coords(out, point);
             end_frame(out, body);
         }
-        Request::Delete(key) => {
-            let body = begin_frame(out, REQ_DELETE);
-            put_u32(out, *key);
-            end_frame(out, body);
-        }
-        Request::Epoch => {
-            let body = begin_frame(out, REQ_EPOCH);
-            end_frame(out, body);
-        }
-        Request::Seal => {
-            let body = begin_frame(out, REQ_SEAL);
-            end_frame(out, body);
+        _ => {
+            let (msg, arg) = find(requests(), req);
+            msg.encode(arg, out);
         }
     }
     Ok(())
@@ -1597,11 +1588,11 @@ pub fn encode_request_frame(req: &Request, out: &mut Vec<u8>) -> Result<(), Prot
 pub fn decode_request_frame(kind: u8, payload: &[u8]) -> Result<BinRequest, ProtoError> {
     let mut c = Cur::new(payload);
     let req = match kind {
-        REQ_QUERY => BinRequest::One(Request::Query(c.query()?)),
-        REQ_BATCH => {
+        QUERY_FRAME => BinRequest::One(Request::Query(c.query()?)),
+        BATCH_FRAME => {
             let count = c.u32()? as usize;
             if count > MAX_BATCH {
-                return Err(err(format!("batch of {count} exceeds limit {MAX_BATCH}")));
+                return Err(err(batch_limit_message(count)));
             }
             // Each query costs at least its tag byte; reject forged counts
             // before reserving anything.
@@ -1614,25 +1605,14 @@ pub fn decode_request_frame(kind: u8, payload: &[u8]) -> Result<BinRequest, Prot
             }
             BinRequest::Batch(queries)
         }
-        REQ_DEADLINE => BinRequest::One(Request::Deadline(c.u64()?)),
-        REQ_FAILFAST => BinRequest::One(Request::FailFast(match c.u8()? {
-            0 => false,
-            1 => true,
-            other => return Err(err(format!("FAILFAST takes 0 or 1, got {other}"))),
-        })),
-        REQ_PLANNER => BinRequest::One(Request::Planner(planner_from_code(c.u8()?)?)),
-        REQ_STATS => BinRequest::One(Request::Stats),
-        REQ_PING => BinRequest::One(Request::Ping),
-        REQ_QUIT => BinRequest::One(Request::Quit),
-        REQ_SHUTDOWN => BinRequest::One(Request::Shutdown),
-        REQ_INSERT => BinRequest::One(Request::Insert {
+        INSERT_FRAME => BinRequest::One(Request::Insert {
             key: c.u32()?,
             point: c.coords()?,
         }),
-        REQ_DELETE => BinRequest::One(Request::Delete(c.u32()?)),
-        REQ_EPOCH => BinRequest::One(Request::Epoch),
-        REQ_SEAL => BinRequest::One(Request::Seal),
-        other => return Err(err(format!("unknown request frame kind {other:#04x}"))),
+        _ => match requests().find(|m| m.kind == kind) {
+            Some(msg) => BinRequest::One(msg.decode(&mut c)?),
+            None => return Err(err(format!("unknown request frame kind {kind:#04x}"))),
+        },
     };
     c.done()?;
     Ok(req)
@@ -1642,22 +1622,22 @@ pub fn decode_request_frame(kind: u8, payload: &[u8]) -> Result<BinRequest, Prot
 pub fn encode_response_frame(r: &Response, out: &mut Vec<u8>) {
     match r {
         Response::Answer(answer) => {
-            let body = begin_frame(out, RESP_ANSWER);
+            let body = begin_frame(out, ANSWER_FRAME);
             match answer {
                 BatchAnswer::KnMatch(res) => {
                     out.push(TAG_KNM);
-                    put_u32(out, res.n as u32);
+                    put_count(out, res.n);
                     put_entries(out, &res.entries);
                 }
                 BatchAnswer::EpsMatch(res) => {
                     out.push(TAG_EPS);
-                    put_u32(out, res.n as u32);
+                    put_count(out, res.n);
                     put_entries(out, &res.entries);
                 }
                 BatchAnswer::Frequent(res) => {
                     out.push(TAG_FREQ);
-                    put_u32(out, res.range.0 as u32);
-                    put_u32(out, res.range.1 as u32);
+                    put_count(out, res.range.0);
+                    put_count(out, res.range.1);
                     put_u32(out, res.entries.len() as u32);
                     for e in &res.entries {
                         put_u32(out, e.pid);
@@ -1665,7 +1645,7 @@ pub fn encode_response_frame(r: &Response, out: &mut Vec<u8>) {
                     }
                     put_u32(out, res.per_n.len() as u32);
                     for level in &res.per_n {
-                        put_u32(out, level.n as u32);
+                        put_count(out, level.n);
                         put_entries(out, &level.entries);
                     }
                 }
@@ -1673,95 +1653,26 @@ pub fn encode_response_frame(r: &Response, out: &mut Vec<u8>) {
             end_frame(out, body);
         }
         Response::Error { kind, message } => {
-            let body = begin_frame(out, RESP_ERR);
-            out.push(error_code(*kind));
+            let body = begin_frame(out, ERR_FRAME);
+            out.push(code_of(ERROR_KINDS, *kind));
             put_str(out, message);
             end_frame(out, body);
         }
-        Response::Done { ok, failed } => {
-            let body = begin_frame(out, RESP_DONE);
-            put_u64(out, *ok);
-            put_u64(out, *failed);
-            end_frame(out, body);
-        }
-        Response::Deadline(ms) => {
-            let body = begin_frame(out, RESP_DEADLINE);
-            put_u64(out, *ms);
-            end_frame(out, body);
-        }
-        Response::FailFast(on) => {
-            let body = begin_frame(out, RESP_FAILFAST);
-            out.push(u8::from(*on));
-            end_frame(out, body);
-        }
-        Response::Planner(mode) => {
-            let body = begin_frame(out, RESP_PLANNER);
-            out.push(planner_code(*mode));
-            end_frame(out, body);
-        }
-        Response::Stats {
-            conn,
-            server,
-            plans,
-            extras,
-            version,
-        } => {
-            let body = begin_frame(out, RESP_STATS);
-            let sb = StatsBody::from_parts(conn, server, plans, extras, version);
-            out.push(sb.present);
-            put_snapshot(out, &sb.conn);
-            put_snapshot(out, &sb.server);
-            for group in STATS_GROUPS {
-                if sb.present & group.flag == 0 {
-                    continue;
-                }
-                for field in group.fields {
-                    match field.kind {
-                        FieldKind::Counter { get, .. } => put_u64(out, get(&sb)),
-                        FieldKind::Backend { get, .. } => out.push(get(&sb).code()),
-                    }
+        Response::Stats(report) => {
+            let body = begin_frame(out, STATS_FRAME);
+            let flags = stats_flags(report);
+            out.push(flags);
+            for field in stats_fields(flags) {
+                match field.kind {
+                    FieldKind::Counter { get, .. } => put_u64(out, get(report)),
+                    FieldKind::Backend { get, .. } => out.push(get(report).code()),
                 }
             }
             end_frame(out, body);
         }
-        Response::Pong => {
-            let body = begin_frame(out, RESP_PONG);
-            end_frame(out, body);
-        }
-        Response::Bye => {
-            let body = begin_frame(out, RESP_BYE);
-            end_frame(out, body);
-        }
-        Response::ShuttingDown => {
-            let body = begin_frame(out, RESP_SHUTDOWN);
-            end_frame(out, body);
-        }
-        Response::Inserted(epoch) => {
-            let body = begin_frame(out, RESP_INSERT);
-            put_u64(out, *epoch);
-            end_frame(out, body);
-        }
-        Response::Deleted(epoch) => {
-            let body = begin_frame(out, RESP_DELETE);
-            put_u64(out, *epoch);
-            end_frame(out, body);
-        }
-        Response::Epoch {
-            epoch,
-            live,
-            delta,
-            runs,
-        } => {
-            let body = begin_frame(out, RESP_EPOCH);
-            for v in [*epoch, *live, *delta, *runs] {
-                put_u64(out, v);
-            }
-            end_frame(out, body);
-        }
-        Response::Sealed(epoch) => {
-            let body = begin_frame(out, RESP_SEAL);
-            put_u64(out, *epoch);
-            end_frame(out, body);
+        _ => {
+            let (msg, arg) = find(replies(), r);
+            msg.encode(arg, out);
         }
     }
 }
@@ -1774,7 +1685,7 @@ pub fn encode_response_frame(r: &Response, out: &mut Vec<u8>) {
 pub fn decode_response_frame(kind: u8, payload: &[u8]) -> Result<Response, ProtoError> {
     let mut c = Cur::new(payload);
     let resp = match kind {
-        RESP_ANSWER => Response::Answer(match c.u8()? {
+        ANSWER_FRAME => Response::Answer(match c.u8()? {
             TAG_KNM => BatchAnswer::KnMatch(KnMatchResult {
                 n: c.u32()? as usize,
                 entries: c.entries()?,
@@ -1817,65 +1728,30 @@ pub fn decode_response_frame(kind: u8, payload: &[u8]) -> Result<Response, Proto
             }
             other => return Err(err(format!("unknown answer tag {other}"))),
         }),
-        RESP_ERR => Response::Error {
-            kind: error_from_code(c.u8()?)?,
+        ERR_FRAME => Response::Error {
+            kind: from_code(ERROR_KINDS, c.u8()?, "error")?,
             message: c.string()?,
         },
-        RESP_DONE => Response::Done {
-            ok: c.u64()?,
-            failed: c.u64()?,
-        },
-        RESP_DEADLINE => Response::Deadline(c.u64()?),
-        RESP_FAILFAST => Response::FailFast(match c.u8()? {
-            0 => false,
-            1 => true,
-            other => return Err(err(format!("OK FAILFAST takes 0 or 1, got {other}"))),
-        }),
-        RESP_PLANNER => Response::Planner(planner_from_code(c.u8()?)?),
-        RESP_STATS => {
+        STATS_FRAME => {
             let flags = c.u8()?;
             if flags & !STATS_KNOWN_FLAGS != 0 {
                 return Err(err(format!("unknown STATS flags {flags:#04x}")));
             }
-            for group in STATS_GROUPS {
-                if flags & group.flag != 0 && flags & group.requires != group.requires {
-                    return Err(err("STATS group present without its required group"));
-                }
-            }
-            let mut sb = StatsBody {
-                present: flags,
-                conn: c.snapshot()?,
-                server: c.snapshot()?,
-                ..StatsBody::default()
-            };
-            for group in STATS_GROUPS {
-                if flags & group.flag == 0 {
-                    continue;
-                }
-                for field in group.fields {
-                    match field.kind {
-                        FieldKind::Counter { set, .. } => set(&mut sb, c.u64()?),
-                        FieldKind::Backend { set, .. } => {
-                            set(&mut sb, ReactorKind::from_code(c.u8()?)?)
-                        }
+            let mut report = StatsReport::default();
+            for field in stats_fields(flags) {
+                match field.kind {
+                    FieldKind::Counter { set, .. } => set(&mut report, c.u64()?),
+                    FieldKind::Backend { set, .. } => {
+                        set(&mut report, ReactorKind::from_code(c.u8()?)?)
                     }
                 }
             }
-            sb.into_response()
+            Response::Stats(report)
         }
-        RESP_PONG => Response::Pong,
-        RESP_BYE => Response::Bye,
-        RESP_SHUTDOWN => Response::ShuttingDown,
-        RESP_INSERT => Response::Inserted(c.u64()?),
-        RESP_DELETE => Response::Deleted(c.u64()?),
-        RESP_EPOCH => Response::Epoch {
-            epoch: c.u64()?,
-            live: c.u64()?,
-            delta: c.u64()?,
-            runs: c.u64()?,
+        _ => match replies().find(|m| m.kind == kind) {
+            Some(msg) => msg.decode(&mut c)?,
+            None => return Err(err(format!("unknown response frame kind {kind:#04x}"))),
         },
-        RESP_SEAL => Response::Sealed(c.u64()?),
-        other => return Err(err(format!("unknown response frame kind {other:#04x}"))),
     };
     c.done()?;
     Ok(resp)
@@ -1883,6 +1759,8 @@ pub fn decode_response_frame(kind: u8, payload: &[u8]) -> Result<Response, Proto
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     fn roundtrip_query(q: BatchQuery) {
@@ -1911,60 +1789,125 @@ mod tests {
         });
     }
 
-    #[test]
-    fn responses_roundtrip() {
-        let answers = [
-            Response::Answer(BatchAnswer::KnMatch(KnMatchResult {
-                n: 2,
-                entries: vec![
-                    MatchEntry { pid: 3, diff: 0.5 },
-                    MatchEntry {
-                        pid: 7,
-                        diff: 1.0 / 3.0,
-                    },
-                ],
-            })),
-            Response::Answer(BatchAnswer::EpsMatch(KnMatchResult {
-                n: 1,
-                entries: Vec::new(),
-            })),
-            Response::Answer(BatchAnswer::Frequent(FrequentResult {
-                range: (1, 2),
-                entries: vec![FrequentEntry { pid: 4, count: 2 }],
-                per_n: vec![
-                    KnMatchResult {
-                        n: 1,
-                        entries: vec![MatchEntry { pid: 4, diff: 0.25 }],
-                    },
-                    KnMatchResult {
-                        n: 2,
-                        entries: Vec::new(),
-                    },
-                ],
-            })),
-            Response::Error {
-                kind: ErrorKind::Timeout,
-                message: "query deadline exceeded".into(),
-            },
-            Response::Done { ok: 3, failed: 1 },
-            Response::Deadline(250),
-            Response::FailFast(true),
-            Response::Planner(PlannerMode::VaFile),
-            Response::Stats {
-                conn: StatsSnapshot {
-                    queries: 1,
-                    errors: 2,
-                    timeouts: 3,
-                    bytes_in: 4,
-                    bytes_out: 5,
-                    connections: 1,
-                },
-                server: StatsSnapshot::default(),
-                plans: None,
-                extras: None,
-                version: None,
-            },
-            Response::Stats {
+    /// One request line of every variant, with the binary frame the
+    /// codecs wrote before the verb table existed (empty: the variant has
+    /// no binary form).
+    const REQUEST_PINS: &[(&str, &str)] = &[
+        (
+            "KNM 3 2 0.5,-1.25,0.3333333333333333",
+            "a7012500000001030000000200000003000000000000000000e03f\
+             000000000000f4bf555555555555d53f",
+        ),
+        (
+            "FREQ 2 1 2 0.25,1.5",
+            "a701210000000202000000010000000200000002000000000000000000d03f\
+             000000000000f83f",
+        ),
+        (
+            "EPS 0.125 1 -0,0.75",
+            "a7012100000003000000000000c03f010000000200000000000000000000\
+             80000000000000e83f",
+        ),
+        ("BATCH 3", ""),
+        ("DEADLINE 250", "a70308000000fa00000000000000"),
+        ("FAILFAST 1", "a7040100000001"),
+        ("PLANNER vafile", "a7050100000002"),
+        ("STATS", "a70600000000"),
+        ("PING", "a70700000000"),
+        ("QUIT", "a70800000000"),
+        ("SHUTDOWN", "a70900000000"),
+        (
+            "INSERT 41 0.5,-1.5",
+            "a70a180000002900000002000000000000000000e03f000000000000f8bf",
+        ),
+        ("DELETE 42", "a70b040000002a000000"),
+        ("EPOCH", "a70c00000000"),
+        ("SEAL", "a70d00000000"),
+    ];
+
+    /// One response line of every variant, pinned the same way. The one
+    /// change since: the binary `STATS` flags byte folds the three extras
+    /// bits `0x0E` into `0x02` (`1f` → `13` in the second `STATS` frame).
+    const RESPONSE_PINS: &[(&str, &str)] = &[
+        (
+            "OK KNM 2 3:0.5,7:0.3333333333333333",
+            "a7812100000001020000000200000003000000000000000000e03f07000000\
+             555555555555d53f",
+        ),
+        ("OK EPS 1 -", "a78109000000030100000000000000"),
+        (
+            "OK FREQ 1 2 4:2 1=4:0.25;2=-",
+            "a7813500000002010000000200000001000000040000000200000002000000\
+             010000000100000004000000000000000000d03f0200000000000000",
+        ),
+        (
+            "ERR overloaded server overloaded; retry-after-ms=25",
+            "a782290000000824000000736572766572206f7665726c6f616465643b20\
+             72657472792d61667465722d6d733d3235",
+        ),
+        ("DONE 3 1", "a7831000000003000000000000000100000000000000"),
+        ("OK DEADLINE 250", "a78408000000fa00000000000000"),
+        ("OK FAILFAST 0", "a7850100000000"),
+        ("OK PLANNER igrid", "a7860100000004"),
+        (
+            "OK STATS queries=1 errors=2 timeouts=3 bytes_in=4 bytes_out=5 connections=1 \
+             queries=6 errors=7 timeouts=8 bytes_in=9 bytes_out=10 connections=11",
+            "a78761000000000100000000000000020000000000000003000000000000\
+             000400000000000000050000000000000001000000000000000600000000\
+             000000070000000000000008000000000000000900000000000000\
+             0a000000000000000b00000000000000",
+        ),
+        (
+            "OK STATS queries=0 errors=0 timeouts=0 bytes_in=0 bytes_out=0 connections=0 \
+             queries=0 errors=0 timeouts=0 bytes_in=0 bytes_out=0 connections=0 \
+             plans_ad=1 plans_vafile=2 plans_scan=3 plans_igrid=4 \
+             conns_peak=5 pipeline_depth_max=6 frames_binary=7 reactor_backend=epoll \
+             poll_iterations=8 events_dispatched=9 writev_calls=10 \
+             conns_evicted=11 queries_shed=12 retries_observed=13 deadline_cancels=14 \
+             epoch=15 live=16 delta=17 runs=18 tombstones=19 writes=20 merges=21",
+            "a7870a01000013\
+             000000000000000000000000000000000000000000000000\
+             000000000000000000000000000000000000000000000000\
+             000000000000000000000000000000000000000000000000\
+             000000000000000000000000000000000000000000000000\
+             0100000000000000020000000000000003000000000000000400000000000000\
+             05000000000000000600000000000000070000000000000002\
+             08000000000000000900000000000000\
+             0a000000000000000b000000000000000c000000000000000d00000000000000\
+             0e00000000000000\
+             0f00000000000000100000000000000011000000000000001200000000000000\
+             130000000000000014000000000000001500000000000000",
+        ),
+        ("OK PONG", "a78800000000"),
+        ("OK BYE", "a78900000000"),
+        ("OK SHUTDOWN", "a78a00000000"),
+        ("OK INSERT 17", "a78b080000001100000000000000"),
+        ("OK DELETE 18", "a78c080000001200000000000000"),
+        (
+            "OK EPOCH 19 20 21 22",
+            "a78d20000000130000000000000014000000000000001500000000000000\
+             1600000000000000",
+        ),
+        ("OK SEAL 23", "a78e080000001700000000000000"),
+    ];
+
+    fn pinned_requests() -> impl Iterator<Item = Request> {
+        REQUEST_PINS
+            .iter()
+            .map(|(line, _)| parse_request(line).unwrap())
+    }
+
+    fn pinned_responses() -> impl Iterator<Item = Response> {
+        RESPONSE_PINS
+            .iter()
+            .map(|(line, _)| parse_response(line).unwrap())
+    }
+
+    /// `STATS` with its optional groups alone and combined, the extras
+    /// partly defaulted.
+    fn stats_shapes() -> Vec<Response> {
+        vec![
+            Response::Stats(StatsReport {
                 conn: StatsSnapshot::default(),
                 server: StatsSnapshot::default(),
                 plans: Some(PlanTally {
@@ -1975,27 +1918,8 @@ mod tests {
                 }),
                 extras: None,
                 version: None,
-            },
-            Response::Stats {
-                conn: StatsSnapshot::default(),
-                server: StatsSnapshot::default(),
-                plans: None,
-                extras: Some(ServerExtras {
-                    conns_peak: 4096,
-                    pipeline_depth_max: 32,
-                    frames_binary: 900,
-                    reactor_backend: ReactorKind::Epoll,
-                    poll_iterations: 120_000,
-                    events_dispatched: 480_000,
-                    writev_calls: 33_000,
-                    conns_evicted: 3,
-                    queries_shed: 41,
-                    retries_observed: 44,
-                    deadline_cancels: 5,
-                }),
-                version: None,
-            },
-            Response::Stats {
+            }),
+            Response::Stats(StatsReport {
                 conn: StatsSnapshot::default(),
                 server: StatsSnapshot::default(),
                 plans: Some(PlanTally {
@@ -2015,8 +1939,8 @@ mod tests {
                     ..ServerExtras::default()
                 }),
                 version: None,
-            },
-            Response::Stats {
+            }),
+            Response::Stats(StatsReport {
                 conn: StatsSnapshot::default(),
                 server: StatsSnapshot::default(),
                 plans: None,
@@ -2030,8 +1954,8 @@ mod tests {
                     writes: 40,
                     merges: 2,
                 }),
-            },
-            Response::Stats {
+            }),
+            Response::Stats(StatsReport {
                 conn: StatsSnapshot::default(),
                 server: StatsSnapshot::default(),
                 plans: Some(PlanTally {
@@ -2045,21 +1969,13 @@ mod tests {
                     epoch: 5,
                     ..VersionCounters::default()
                 }),
-            },
-            Response::Pong,
-            Response::Bye,
-            Response::ShuttingDown,
-            Response::Inserted(17),
-            Response::Deleted(18),
-            Response::Epoch {
-                epoch: 19,
-                live: 20,
-                delta: 21,
-                runs: 22,
-            },
-            Response::Sealed(23),
-        ];
-        for r in answers {
+            }),
+        ]
+    }
+
+    #[test]
+    fn responses_roundtrip() {
+        for r in pinned_responses().chain(stats_shapes()) {
             let line = format_response(&r);
             assert_eq!(parse_response(&line).unwrap(), r, "line {line:?}");
         }
@@ -2138,7 +2054,10 @@ mod tests {
             ErrorKind::Overloaded,
         ] {
             assert_eq!(ErrorKind::from_token(kind.token()), Some(kind));
-            assert_eq!(error_from_code(error_code(kind)).unwrap(), kind);
+            assert_eq!(
+                from_code(ERROR_KINDS, code_of(ERROR_KINDS, kind), "error").unwrap(),
+                kind
+            );
         }
     }
 
@@ -2174,7 +2093,7 @@ mod tests {
 
     #[test]
     fn binary_requests_roundtrip() {
-        let requests = [
+        let special = [
             Request::Query(BatchQuery::KnMatch {
                 query: vec![1.5, -0.0, f64::MIN_POSITIVE, 1.0 / 3.0],
                 k: 2,
@@ -2186,27 +2105,9 @@ mod tests {
                 n0: 1,
                 n1: 2,
             }),
-            Request::Query(BatchQuery::EpsMatch {
-                query: vec![0.25],
-                eps: 0.125,
-                n: 1,
-            }),
-            Request::Deadline(250),
-            Request::FailFast(true),
-            Request::Planner(PlannerMode::IGrid),
-            Request::Stats,
-            Request::Ping,
-            Request::Quit,
-            Request::Shutdown,
-            Request::Insert {
-                key: 41,
-                point: vec![0.5, -1.5, 1.0 / 3.0],
-            },
-            Request::Delete(42),
-            Request::Epoch,
-            Request::Seal,
         ];
-        for req in requests {
+        let pinned = pinned_requests().filter(|r| !matches!(r, Request::Batch(_)));
+        for req in pinned.chain(special) {
             let mut bytes = Vec::new();
             encode_request_frame(&req, &mut bytes).unwrap();
             let (kind, payload) = split_frame(&bytes);
@@ -2250,96 +2151,7 @@ mod tests {
 
     #[test]
     fn binary_responses_roundtrip() {
-        let responses = [
-            Response::Answer(BatchAnswer::KnMatch(KnMatchResult {
-                n: 2,
-                entries: vec![
-                    MatchEntry { pid: 3, diff: 0.5 },
-                    MatchEntry {
-                        pid: 7,
-                        diff: 1.0 / 3.0,
-                    },
-                ],
-            })),
-            Response::Answer(BatchAnswer::EpsMatch(KnMatchResult {
-                n: 1,
-                entries: Vec::new(),
-            })),
-            Response::Answer(BatchAnswer::Frequent(FrequentResult {
-                range: (1, 2),
-                entries: vec![FrequentEntry { pid: 4, count: 2 }],
-                per_n: vec![
-                    KnMatchResult {
-                        n: 1,
-                        entries: vec![MatchEntry { pid: 4, diff: 0.25 }],
-                    },
-                    KnMatchResult {
-                        n: 2,
-                        entries: Vec::new(),
-                    },
-                ],
-            })),
-            Response::Error {
-                kind: ErrorKind::Oversized,
-                message: "frame too large".into(),
-            },
-            Response::Done { ok: 3, failed: 1 },
-            Response::Deadline(0),
-            Response::FailFast(false),
-            Response::Planner(PlannerMode::Auto),
-            Response::Stats {
-                conn: StatsSnapshot {
-                    queries: 1,
-                    errors: 2,
-                    timeouts: 3,
-                    bytes_in: 4,
-                    bytes_out: 5,
-                    connections: 1,
-                },
-                server: StatsSnapshot::default(),
-                plans: Some(PlanTally {
-                    ad: 9,
-                    vafile: 8,
-                    scan: 7,
-                    igrid: 6,
-                }),
-                extras: Some(ServerExtras {
-                    conns_peak: 11,
-                    pipeline_depth_max: 12,
-                    frames_binary: 13,
-                    reactor_backend: ReactorKind::Epoll,
-                    poll_iterations: 14,
-                    events_dispatched: 15,
-                    writev_calls: 16,
-                    conns_evicted: 17,
-                    queries_shed: 18,
-                    retries_observed: 19,
-                    deadline_cancels: 20,
-                }),
-                version: Some(VersionCounters {
-                    epoch: 21,
-                    live: 22,
-                    delta: 23,
-                    runs: 24,
-                    tombstones: 25,
-                    writes: 26,
-                    merges: 27,
-                }),
-            },
-            Response::Pong,
-            Response::Bye,
-            Response::ShuttingDown,
-            Response::Inserted(31),
-            Response::Deleted(32),
-            Response::Epoch {
-                epoch: 33,
-                live: 34,
-                delta: 35,
-                runs: 36,
-            },
-            Response::Sealed(37),
-        ];
-        for r in responses {
+        for r in pinned_responses().chain(stats_shapes()) {
             let mut bytes = Vec::new();
             encode_response_frame(&r, &mut bytes);
             let (kind, payload) = split_frame(&bytes);
@@ -2355,13 +2167,13 @@ mod tests {
         // Batch count claiming more queries than bytes.
         let mut forged = Vec::new();
         put_u32(&mut forged, 1_000_000);
-        assert!(decode_request_frame(REQ_BATCH, &forged).is_err());
+        assert!(decode_request_frame(BATCH_FRAME, &forged).is_err());
         // Coordinate count claiming more floats than bytes.
         let mut coords = vec![TAG_KNM];
         put_u32(&mut coords, 1);
         put_u32(&mut coords, 1);
         put_u32(&mut coords, u32::MAX);
-        assert!(decode_request_frame(REQ_QUERY, &coords).is_err());
+        assert!(decode_request_frame(QUERY_FRAME, &coords).is_err());
         // Trailing garbage after a well-formed payload.
         let mut ping = Vec::new();
         encode_request_frame(&Request::Ping, &mut ping).unwrap();
@@ -2387,92 +2199,25 @@ mod tests {
 
     #[test]
     fn stats_parse_accepts_every_field_shape() {
-        // 12, 15, 16, 19, 23 and 27 fields all parse; label prefixes
-        // disambiguate the 15-, 16-, 19- and 23-field shapes.
-        let base = Response::Stats {
+        // The mandatory twelve alone, and each optional group announced
+        // by its leading label, alone or together.
+        let base = Response::Stats(StatsReport {
             conn: StatsSnapshot::default(),
             server: StatsSnapshot::default(),
             plans: None,
             extras: None,
             version: None,
-        };
+        });
         let line = format_response(&base);
         assert_eq!(parse_response(&line).unwrap(), base);
-        // A 15-field line whose 13th field claims to be plans is rejected
-        // rather than misread.
+        // A group cut short is rejected rather than misread.
         let bad = format!("{line} plans_ad=1 plans_vafile=2 plans_scan=3");
         assert!(parse_response(&bad).is_err());
-        // A legacy 15-field line (three-counter extras from a pre-backend
-        // server) still parses; the backend fields default.
-        let legacy = format!("{line} conns_peak=4 pipeline_depth_max=2 frames_binary=1");
-        match parse_response(&legacy).unwrap() {
-            Response::Stats { extras, .. } => assert_eq!(
-                extras,
-                Some(ServerExtras {
-                    conns_peak: 4,
-                    pipeline_depth_max: 2,
-                    frames_binary: 1,
-                    ..ServerExtras::default()
-                })
-            ),
-            other => panic!("expected STATS, got {other:?}"),
-        }
-        // The 19-field shape stays ambiguous on count alone: plans plus
-        // legacy extras, or no plans plus full extras. Labels decide.
-        let plans_form = format!(
-            "{line} plans_ad=1 plans_vafile=2 plans_scan=3 plans_igrid=4 \
-             conns_peak=4 pipeline_depth_max=2 frames_binary=1"
-        );
-        match parse_response(&plans_form).unwrap() {
-            Response::Stats { plans, extras, .. } => {
-                assert!(plans.is_some());
-                assert_eq!(extras.unwrap().reactor_backend, ReactorKind::None);
-            }
-            other => panic!("expected STATS, got {other:?}"),
-        }
-        let backend_form = format!(
-            "{line} conns_peak=4 pipeline_depth_max=2 frames_binary=1 \
-             reactor_backend=epoll poll_iterations=5 events_dispatched=6 writev_calls=7"
-        );
-        match parse_response(&backend_form).unwrap() {
-            Response::Stats { plans, extras, .. } => {
-                assert!(plans.is_none());
-                assert_eq!(extras.unwrap().reactor_backend, ReactorKind::Epoll);
-            }
-            other => panic!("expected STATS, got {other:?}"),
-        }
-        // An unknown backend token is rejected, not defaulted.
-        let unknown = format!(
-            "{line} conns_peak=4 pipeline_depth_max=2 frames_binary=1 \
-             reactor_backend=kqueue poll_iterations=5 events_dispatched=6 writev_calls=7"
-        );
-        assert!(parse_response(&unknown).is_err());
-        // A pre-robustness 23-field line (plans plus 7-field extras)
-        // still parses; the robustness counters default to zero.
-        let legacy_23 = format!(
-            "{line} plans_ad=1 plans_vafile=2 plans_scan=3 plans_igrid=4 \
-             conns_peak=4 pipeline_depth_max=2 frames_binary=1 \
-             reactor_backend=poll poll_iterations=5 events_dispatched=6 writev_calls=7"
-        );
-        match parse_response(&legacy_23).unwrap() {
-            Response::Stats { plans, extras, .. } => {
-                assert!(plans.is_some());
-                let x = extras.unwrap();
-                assert_eq!(x.writev_calls, 7);
-                assert_eq!((x.conns_evicted, x.queries_shed), (0, 0));
-                assert_eq!((x.retries_observed, x.deadline_cancels), (0, 0));
-            }
-            other => panic!("expected STATS, got {other:?}"),
-        }
-        // 23 fields without plans is the no-plans robustness shape — the
-        // same count as the legacy plans form, split by the labels.
-        let robust_23 = format!(
-            "{line} conns_peak=4 pipeline_depth_max=2 frames_binary=1 \
+        let extras = "conns_peak=4 pipeline_depth_max=2 frames_binary=1 \
              reactor_backend=epoll poll_iterations=5 events_dispatched=6 writev_calls=7 \
-             conns_evicted=8 queries_shed=9 retries_observed=10 deadline_cancels=11"
-        );
-        match parse_response(&robust_23).unwrap() {
-            Response::Stats { plans, extras, .. } => {
+             conns_evicted=8 queries_shed=9 retries_observed=10 deadline_cancels=11";
+        match parse_response(&format!("{line} {extras}")).unwrap() {
+            Response::Stats(StatsReport { plans, extras, .. }) => {
                 assert!(plans.is_none());
                 let x = extras.unwrap();
                 assert_eq!(x.reactor_backend, ReactorKind::Epoll);
@@ -2481,8 +2226,11 @@ mod tests {
             }
             other => panic!("expected STATS, got {other:?}"),
         }
+        // An unknown backend token is rejected, not defaulted.
+        let unknown = format!("{line} {}", extras.replace("epoll", "kqueue"));
+        assert!(parse_response(&unknown).is_err());
         // The full 27-field shape must carry plans.
-        let full = Response::Stats {
+        let full = Response::Stats(StatsReport {
             conn: StatsSnapshot::default(),
             server: StatsSnapshot::default(),
             plans: Some(PlanTally {
@@ -2499,7 +2247,7 @@ mod tests {
                 ..ServerExtras::default()
             }),
             version: None,
-        };
+        });
         let full_line = format_response(&full);
         assert_eq!(parse_response(&full_line).unwrap(), full);
         // The version group composes with every earlier group and also
@@ -2507,7 +2255,7 @@ mod tests {
         let versioned =
             format!("{full_line} epoch=3 live=40 delta=5 runs=2 tombstones=1 writes=9 merges=1");
         match parse_response(&versioned).unwrap() {
-            Response::Stats { version, plans, .. } => {
+            Response::Stats(StatsReport { version, plans, .. }) => {
                 assert!(plans.is_some());
                 assert_eq!(
                     version,
@@ -2526,68 +2274,194 @@ mod tests {
         }
         let lone = format!("{line} epoch=1 live=2 delta=3 runs=4 tombstones=0 writes=5 merges=0");
         match parse_response(&lone).unwrap() {
-            Response::Stats {
+            Response::Stats(StatsReport {
                 plans,
                 extras,
                 version,
                 ..
-            } => {
+            }) => {
                 assert!(plans.is_none() && extras.is_none());
                 assert_eq!(version.unwrap().live, 2);
             }
             other => panic!("expected STATS, got {other:?}"),
         }
         // A truncated version group is rejected, as is a trailing field
-        // that announces no group.
+        // that announces no group, and a short or mislabelled scope.
         assert!(parse_response(&format!("{line} epoch=1 live=2")).is_err());
         assert!(parse_response(&format!("{line} bogus=1")).is_err());
+        assert!(parse_response("OK STATS queries=1 errors=2").is_err());
+        assert!(parse_response(&line.replacen("errors=", "errs=", 1)).is_err());
     }
 
-    /// Binary STATS frames from pre-robustness servers (extras group
-    /// without the `STATS_HAS_ROBUST` flag, or without the reactor
-    /// group) still decode; the missing counters default to zero.
+    /// Binary STATS frames with flag bits outside the declared groups
+    /// are rejected, including the bits the pre-table extras split used
+    /// (0x04 backend, 0x08 robustness).
     #[test]
     fn binary_stats_accepts_legacy_flag_combos() {
-        let conn = StatsSnapshot {
-            queries: 5,
-            ..StatsSnapshot::default()
-        };
-        let server = StatsSnapshot::default();
-        for reactor in [false, true] {
-            let mut payload = Vec::new();
-            let mut flags = STATS_HAS_EXTRAS;
-            if reactor {
-                flags |= STATS_HAS_REACTOR;
-            }
-            payload.push(flags);
-            put_snapshot(&mut payload, &conn);
-            put_snapshot(&mut payload, &server);
-            for v in [11u64, 12, 13] {
-                put_u64(&mut payload, v);
-            }
-            if reactor {
-                payload.push(ReactorKind::Poll.code());
-                for v in [14u64, 15, 16] {
-                    put_u64(&mut payload, v);
-                }
-            }
-            match decode_response_frame(RESP_STATS, &payload).unwrap() {
-                Response::Stats { extras, .. } => {
-                    let x = extras.unwrap();
-                    assert_eq!(x.conns_peak, 11);
-                    assert_eq!(x.writev_calls, if reactor { 16 } else { 0 });
-                    assert_eq!((x.conns_evicted, x.queries_shed), (0, 0));
-                    assert_eq!((x.retries_observed, x.deadline_cancels), (0, 0));
-                }
-                other => panic!("expected STATS, got {other:?}"),
-            }
+        let mut payload = Vec::new();
+        encode_response_frame(
+            &Response::Stats(StatsReport {
+                conn: StatsSnapshot {
+                    queries: 5,
+                    ..StatsSnapshot::default()
+                },
+                server: StatsSnapshot::default(),
+                plans: None,
+                extras: Some(ServerExtras::default()),
+                version: None,
+            }),
+            &mut payload,
+        );
+        let (kind, body) = split_frame(&payload);
+        assert_eq!(body[0], 0x02);
+        assert!(decode_response_frame(kind, body).is_ok());
+        for flags in [0x04, 0x08, 0x02 | 0x04, 0x02 | 0x08] {
+            let mut bad = body.to_vec();
+            bad[0] = flags;
+            assert!(decode_response_frame(kind, &bad).is_err(), "{flags:#04x}");
         }
-        // The robust group without the extras group stays rejected.
-        let mut bad = Vec::new();
-        bad.push(STATS_HAS_ROBUST);
-        put_snapshot(&mut bad, &conn);
-        put_snapshot(&mut bad, &server);
-        assert!(decode_response_frame(RESP_STATS, &bad).is_err());
+        // An extras flag without the extras counters is truncated.
+        let mut bare = body[..1 + 96].to_vec();
+        bare[0] = 0x02;
+        assert!(decode_response_frame(kind, &bare).is_err());
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Every pinned line parses to a value that encodes back to the same
+    /// line and to the pinned frame, which decodes to the same value; the
+    /// pins cover every variant.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let mut variants = HashSet::new();
+        for (line, frame) in REQUEST_PINS {
+            let req = parse_request(line).unwrap();
+            variants.insert(std::mem::discriminant(&req));
+            let mut text = Vec::new();
+            encode_request_line(&req, &mut text);
+            assert_eq!(text, format!("{line}\n").into_bytes());
+            let mut bytes = Vec::new();
+            if frame.is_empty() {
+                assert!(encode_request_frame(&req, &mut bytes).is_err());
+                continue;
+            }
+            encode_request_frame(&req, &mut bytes).unwrap();
+            assert_eq!(hex(&bytes), *frame, "{line}");
+            let (kind, payload) = split_frame(&bytes);
+            assert_eq!(
+                decode_request_frame(kind, payload).unwrap(),
+                BinRequest::One(req)
+            );
+        }
+        assert_eq!(variants.len(), 13, "one pin per Request variant");
+        let mut batch = Vec::new();
+        encode_batch_frame(
+            &[BatchQuery::KnMatch {
+                query: vec![0.5],
+                k: 1,
+                n: 1,
+            }],
+            &mut batch,
+        );
+        assert_eq!(
+            hex(&batch),
+            "a702190000000100000001010000000100000001000000000000000000e03f"
+        );
+
+        let mut variants = HashSet::new();
+        for (line, frame) in RESPONSE_PINS {
+            let resp = parse_response(line).unwrap();
+            variants.insert(std::mem::discriminant(&resp));
+            assert_eq!(format_response(&resp), *line);
+            let mut bytes = Vec::new();
+            encode_response_frame(&resp, &mut bytes);
+            assert_eq!(hex(&bytes), *frame, "{line}");
+            let (kind, payload) = split_frame(&bytes);
+            assert_eq!(decode_response_frame(kind, payload).unwrap(), resp);
+        }
+        assert_eq!(variants.len(), 14, "one pin per Response variant");
+    }
+
+    /// A count past `u32::MAX` saturates in a binary frame instead of
+    /// wrapping to a small valid one, so it fails validation exactly as
+    /// its text spelling does.
+    #[test]
+    fn binary_counts_saturate_past_u32() {
+        let huge = u32::MAX as usize + 2;
+        let max = u32::MAX as usize;
+        for (q, want) in [
+            (
+                BatchQuery::KnMatch {
+                    query: vec![0.5],
+                    k: huge,
+                    n: huge,
+                },
+                BatchQuery::KnMatch {
+                    query: vec![0.5],
+                    k: max,
+                    n: max,
+                },
+            ),
+            (
+                BatchQuery::Frequent {
+                    query: vec![0.5],
+                    k: huge,
+                    n0: huge,
+                    n1: huge,
+                },
+                BatchQuery::Frequent {
+                    query: vec![0.5],
+                    k: max,
+                    n0: max,
+                    n1: max,
+                },
+            ),
+            (
+                BatchQuery::EpsMatch {
+                    query: vec![0.5],
+                    eps: 0.5,
+                    n: huge,
+                },
+                BatchQuery::EpsMatch {
+                    query: vec![0.5],
+                    eps: 0.5,
+                    n: max,
+                },
+            ),
+        ] {
+            let mut bytes = Vec::new();
+            encode_query_frame(&q, &mut bytes);
+            let (kind, payload) = split_frame(&bytes);
+            assert_eq!(
+                decode_request_frame(kind, payload).unwrap(),
+                BinRequest::One(Request::Query(want))
+            );
+        }
+    }
+
+    /// Every frame kind and text token names one message.
+    #[test]
+    fn verb_table_declares_each_kind_and_token_once() {
+        let mut kinds: Vec<u8> = requests().map(|m| m.kind).collect();
+        kinds.extend(replies().map(|m| m.kind));
+        kinds.extend([
+            QUERY_FRAME,
+            BATCH_FRAME,
+            INSERT_FRAME,
+            ANSWER_FRAME,
+            ERR_FRAME,
+            STATS_FRAME,
+        ]);
+        let mut tokens: Vec<&str> = requests().map(|m| m.token).collect();
+        tokens.extend(replies().map(|m| m.token));
+        let (nk, nt) = (kinds.len(), tokens.len());
+        kinds.sort_unstable();
+        kinds.dedup();
+        tokens.sort_unstable();
+        tokens.dedup();
+        assert_eq!((kinds.len(), tokens.len()), (nk, nt));
     }
 
     #[test]

@@ -76,15 +76,17 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use knmatch_core::{BatchEngine, BatchOptions, BatchOutcome, BatchQuery, KnMatchError};
+use knmatch_core::{
+    BatchEngine, BatchOptions, BatchOutcome, BatchQuery, KnMatchError, VersionWriter,
+};
 
 use crate::conn::{advance_written, BufferPool, FrameBuf, FrameRc, InFrame, SlotQueue, Wire};
 use crate::fault::{FaultInjector, FaultTransport, WriteFault};
 use crate::protocol::{
-    decode_request_frame, encode_response_frame, error_response, format_response,
-    immutable_engine_error, parse_query, parse_request, with_retry_after, BinRequest, ErrorKind,
-    ReactorKind, Request, Response, ServerExtras, StatsSnapshot, MAX_BATCH, MAX_FRAME, MAX_LINE,
-    REQ_BATCH, REQ_QUERY,
+    batch_frame_count, batch_limit_message, decode_request_frame, encode_response_frame,
+    encode_response_line, error_response, immutable_engine_error, parse_query, parse_request,
+    with_retry_after, BinRequest, ErrorKind, ReactorKind, Request, Response, ServerExtras,
+    StatsReport, StatsSnapshot, BATCH_FRAME, MAX_BATCH, MAX_FRAME, MAX_LINE, QUERY_FRAME,
 };
 use crate::server::{ReactorChoice, ServerConfig, Shared, ShutdownHandle};
 
@@ -707,10 +709,7 @@ fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
 /// Serializes `resp` in the request's encoding.
 fn emit(resp: &Response, wire: Wire, out: &mut Vec<u8>) {
     match wire {
-        Wire::Text => {
-            out.extend_from_slice(format_response(resp).as_bytes());
-            out.push(b'\n');
-        }
+        Wire::Text => encode_response_line(resp, out),
         Wire::Binary => encode_response_frame(resp, out),
     }
 }
@@ -1583,30 +1582,32 @@ impl<'a, E: BatchEngine + Sync> Reactor<'a, E> {
                     return;
                 }
                 c.last_wire = Wire::Binary;
-                // Admission control on the kind byte, before the payload
-                // is decoded: queries past the budget are shed; a binary
-                // batch reads only its count prefix and sheds whole.
+                // A binary batch is checked and admitted on its count
+                // prefix alone, before the payload is decoded.
+                let batch = if kind == BATCH_FRAME {
+                    batch_frame_count(&payload)
+                } else {
+                    None
+                };
+                if let Some(count) = batch {
+                    if !self.batch_within_limit(idx, count, Wire::Binary) {
+                        return;
+                    }
+                }
+                // Admission control on the kind byte: queries past the
+                // budget are shed; a binary batch sheds whole.
                 if self.overloaded() {
-                    match kind {
-                        REQ_QUERY => {
-                            self.note_shed(1);
-                            let resp = self.overloaded_response();
-                            self.ready_response(idx, Wire::Binary, &resp);
-                            return;
-                        }
-                        REQ_BATCH if payload.len() >= 4 => {
-                            let count =
-                                u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
-                            if count <= MAX_BATCH {
-                                self.note_shed(count as u64);
-                                let resp = self.overloaded_response();
-                                self.submit_job(idx, vec![Err(resp); count], true, Wire::Binary);
-                                return;
-                            }
-                            // Bogus count: fall through for the normal
-                            // decode error.
-                        }
-                        _ => {}
+                    if kind == QUERY_FRAME {
+                        self.note_shed(1);
+                        let resp = self.overloaded_response();
+                        self.ready_response(idx, Wire::Binary, &resp);
+                        return;
+                    }
+                    if let Some(count) = batch {
+                        self.note_shed(count as u64);
+                        let resp = self.overloaded_response();
+                        self.submit_job(idx, vec![Err(resp); count], true, Wire::Binary);
+                        return;
                     }
                 }
                 match decode_request_frame(kind, &payload) {
@@ -1681,14 +1682,10 @@ impl<'a, E: BatchEngine + Sync> Reactor<'a, E> {
         match req {
             Request::Query(q) => self.submit_job(idx, vec![Ok(q)], false, wire),
             Request::Batch(count) => {
-                if count > MAX_BATCH {
-                    self.ready_error(
-                        idx,
-                        wire,
-                        ErrorKind::Proto,
-                        format!("BATCH count {count} exceeds {MAX_BATCH}"),
-                    );
-                } else if count == 0 {
+                if !self.batch_within_limit(idx, count, wire) {
+                    return;
+                }
+                if count == 0 {
                     self.submit_job(idx, Vec::new(), true, wire);
                 } else {
                     // Admission is decided at the header: a batch opened
@@ -1715,13 +1712,13 @@ impl<'a, E: BatchEngine + Sync> Reactor<'a, E> {
                 self.ready_response(idx, wire, &Response::Planner(mode));
             }
             Request::Stats => {
-                let response = Response::Stats {
+                let response = Response::Stats(StatsReport {
                     conn: self.conn_mut(idx).stats,
                     server: self.shared.totals.snapshot(),
                     plans: self.engine.plan_counts(),
                     extras: Some(self.shared.totals.extras()),
                     version: self.engine.writer().map(|w| w.version_stats().into()),
-                };
+                });
                 self.ready_response(idx, wire, &response);
             }
             Request::Ping => self.ready_response(idx, wire, &Response::Pong),
@@ -1743,36 +1740,10 @@ impl<'a, E: BatchEngine + Sync> Reactor<'a, E> {
             // pinned epoch. Only run *compaction* is pushed to the
             // executor pool (see `submit_maintenance`).
             Request::Insert { key, point } => {
-                let engine = self.engine;
-                match engine.writer() {
-                    None => self.ready_response(idx, wire, &immutable_engine_error()),
-                    Some(w) => {
-                        let response = match w.insert(key, &point) {
-                            Ok(epoch) => Response::Inserted(epoch),
-                            Err(e) => error_response(&e),
-                        };
-                        self.ready_response(idx, wire, &response);
-                        if w.needs_maintenance() {
-                            self.submit_maintenance(idx, wire);
-                        }
-                    }
-                }
+                self.write_verb(idx, wire, |w| w.insert(key, &point).map(Response::Inserted))
             }
             Request::Delete(key) => {
-                let engine = self.engine;
-                match engine.writer() {
-                    None => self.ready_response(idx, wire, &immutable_engine_error()),
-                    Some(w) => {
-                        let response = match w.remove(key) {
-                            Ok(epoch) => Response::Deleted(epoch),
-                            Err(e) => error_response(&e),
-                        };
-                        self.ready_response(idx, wire, &response);
-                        if w.needs_maintenance() {
-                            self.submit_maintenance(idx, wire);
-                        }
-                    }
-                }
+                self.write_verb(idx, wire, |w| w.remove(key).map(Response::Deleted))
             }
             Request::Epoch => {
                 let response = match self.engine.writer() {
@@ -1799,6 +1770,26 @@ impl<'a, E: BatchEngine + Sync> Reactor<'a, E> {
                 };
                 self.ready_response(idx, wire, &response);
             }
+        }
+    }
+
+    /// Answers an `INSERT` or `DELETE` with `op` run on the engine's
+    /// writer (`ERR query` on a read-only engine), then schedules run
+    /// compaction when the write left the index due for it.
+    fn write_verb(
+        &mut self,
+        idx: usize,
+        wire: Wire,
+        op: impl FnOnce(&dyn VersionWriter) -> Result<Response, KnMatchError>,
+    ) {
+        let engine = self.engine;
+        let Some(w) = engine.writer() else {
+            return self.ready_response(idx, wire, &immutable_engine_error());
+        };
+        let response = op(w).unwrap_or_else(|e| error_response(&e));
+        self.ready_response(idx, wire, &response);
+        if w.needs_maintenance() {
+            self.submit_maintenance(idx, wire);
         }
     }
 
@@ -1893,6 +1884,16 @@ impl<'a, E: BatchEngine + Sync> Reactor<'a, E> {
 
     fn ready_error(&mut self, idx: usize, wire: Wire, kind: ErrorKind, message: String) {
         self.ready_response(idx, wire, &Response::Error { kind, message });
+    }
+
+    /// Answers `ERR proto` to a `BATCH` announcing more than [`MAX_BATCH`]
+    /// members, in either encoding; `true` when `count` is within it.
+    fn batch_within_limit(&mut self, idx: usize, count: usize, wire: Wire) -> bool {
+        if count <= MAX_BATCH {
+            return true;
+        }
+        self.ready_error(idx, wire, ErrorKind::Proto, batch_limit_message(count));
+        false
     }
 
     fn note_depth(&mut self, idx: usize) {

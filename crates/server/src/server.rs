@@ -140,9 +140,9 @@ impl Counters {
             conns_peak: self.conns_peak.load(Ordering::Relaxed),
             pipeline_depth_max: self.pipeline_depth_max.load(Ordering::Relaxed),
             frames_binary: self.frames_binary.load(Ordering::Relaxed),
-            reactor_backend: [ReactorKind::None, ReactorKind::Poll, ReactorKind::Epoll]
-                .into_iter()
-                .find(|k| k.code() as u64 == self.reactor_backend.load(Ordering::Relaxed))
+            reactor_backend: u8::try_from(self.reactor_backend.load(Ordering::Relaxed))
+                .ok()
+                .and_then(|code| ReactorKind::from_code(code).ok())
                 .unwrap_or_default(),
             poll_iterations: self.poll_iterations.load(Ordering::Relaxed),
             events_dispatched: self.events_dispatched.load(Ordering::Relaxed),

@@ -236,10 +236,10 @@ fn stats_extras_report_reactor_counters() {
         client.set_binary(true);
         let answers = client.run_pipelined(&queries, 8).expect("pipelined");
         assert_eq!(answers.len(), queries.len());
-        let (conn, server, _plans, extras) = client.stats_full().expect("stats");
-        assert_eq!(conn.queries, 16);
-        assert!(server.queries >= 16);
-        let extras = extras.expect("event server reports extras");
+        let report = client.stats_report().expect("stats");
+        assert_eq!(report.conn.queries, 16);
+        assert!(report.server.queries >= 16);
+        let extras = report.extras.expect("event server reports extras");
         assert!(extras.conns_peak >= 2, "two clients were connected");
         // The 16 queries went out in an 8-deep burst; the reactor parses
         // the whole burst before executors can drain it.
@@ -486,8 +486,8 @@ fn epoll_dispatch_tracks_active_set_not_connection_count() {
             })
             .collect();
         let mut probe = Client::connect(addr).expect("connect probe");
-        let (_, _, _, extras) = probe.stats_full().expect("stats before");
-        let before = extras.expect("event server reports extras");
+        let report = probe.stats_report().expect("stats before");
+        let before = report.extras.expect("event server reports extras");
         assert_eq!(before.reactor_backend, ReactorKind::Epoll);
 
         let queries: Vec<BatchQuery> = (0..64)
@@ -512,8 +512,8 @@ fn epoll_dispatch_tracks_active_set_not_connection_count() {
             }
         });
 
-        let (_, _, _, extras) = probe.stats_full().expect("stats after");
-        let after = extras.expect("event server reports extras");
+        let report = probe.stats_report().expect("stats after");
+        let after = report.extras.expect("event server reports extras");
         let iters = after.poll_iterations - before.poll_iterations;
         let events = after.events_dispatched - before.events_dispatched;
         assert!(iters > 0, "the active phase must spin the reactor");

@@ -431,8 +431,8 @@ fn slow_reader_forces_partial_writev_resume() {
                     );
                 }
             }
-            let (_, _, _, extras) = client.stats_full().expect("stats");
-            let extras = extras.expect("event server reports extras");
+            let report = client.stats_report().expect("stats");
+            let extras = report.extras.expect("event server reports extras");
             assert!(
                 extras.writev_calls > 0,
                 "responses must flush through writev under {reactor}"

@@ -15,7 +15,7 @@ use std::thread;
 use common::{backends, on, with_server};
 use knmatch_core::{BatchEngine, BatchOutcome, BatchQuery, KnMatchError};
 use knmatch_data::uniform;
-use knmatch_server::{Backend, Client, EngineConfig, ErrorKind, ServerConfig};
+use knmatch_server::{Backend, Client, EngineConfig, ErrorKind, ServerConfig, StatsReport};
 use knmatch_storage::DiskDatabase;
 
 /// A mixed workload: all three query kinds plus two invalid slots (a
@@ -180,8 +180,8 @@ fn planned_backend_bit_identical_over_the_wire() {
             // The tally travelled back through STATS: the direct baseline
             // run plus five served modes, 12 valid queries each (invalid
             // slots never reach a backend).
-            let (_, _, plans) = client.stats_with_plans().expect("stats");
-            let plans = plans.expect("planned engine reports plans");
+            let report = client.stats_report().expect("stats");
+            let plans = report.plans.expect("planned engine reports plans");
             assert_eq!(plans.total(), 6 * 12, "workers={workers}");
             assert!(plans.scan >= 12, "forced scan pass must be tallied");
             assert!(plans.igrid >= 12, "forced igrid pass must be tallied");
@@ -218,8 +218,8 @@ fn planless_on(cfg: ServerConfig, csv: &str) {
         client
             .set_planner(knmatch_core::PlannerMode::Scan)
             .expect("set planner");
-        let (_, _, plans) = client.stats_with_plans().expect("stats");
-        assert_eq!(plans, None);
+        let report = client.stats_report().expect("stats");
+        assert_eq!(report.plans, None);
         client.quit().expect("quit");
     });
 }
@@ -328,7 +328,7 @@ fn stats_scopes_on(cfg: ServerConfig, csv: &str) {
         a.query(&q).expect("query").expect("answer");
         b.query(&q).expect("query").expect("answer");
         b.query(&q).expect("query").expect("answer");
-        let (conn, server) = b.stats().expect("stats");
+        let StatsReport { conn, server, .. } = b.stats_report().expect("stats");
         assert_eq!(conn.queries, 2);
         assert_eq!(conn.connections, 1);
         assert_eq!(server.queries, 3);

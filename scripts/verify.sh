@@ -18,8 +18,11 @@
 #               under optimised timing) + fault_overhead --smoke
 #   6. pipeline: event-server pipelined cross-check in release (bit-
 #               identity at workers 1/2/4 and poll-vs-epoll byte
-#               identity on Linux) + connection_scaling --smoke
-#               (256 concurrent connections over both reactors)
+#               identity on Linux) + the text-vs-binary wire
+#               differential (one seeded script over every verb, run
+#               all-text and all-binary, identical decoded responses) +
+#               connection_scaling --smoke (256 concurrent connections
+#               over both reactors)
 #   6b. chaos:  network fault injection in release (fixed seeds):
 #               retrying clients vs torn/stalled/reset I/O at 1/10/30%
 #               fault rates on both reactors, plus shedding, idle
@@ -91,6 +94,12 @@ echo "==> event-server pipelined cross-check (release)"
 # release mode is where they are tightest (the drain bound is ignored in
 # debug, so this is the step that enforces it).
 cargo test --release -q -p knmatch-server --test event_server
+
+echo "==> text-vs-binary wire differential (release)"
+# One seeded script over every verb, run all-text and all-binary on fresh
+# servers (mutable and planned engines, every readiness backend), must
+# decode to the same responses.
+cargo test --release -q -p knmatch-server --test wire_differential
 
 echo "==> chaos harness (release, fixed seeds, both reactors)"
 # Retrying clients against fault-injected servers (torn frames, short
