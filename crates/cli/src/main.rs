@@ -624,14 +624,15 @@ fn client(args: &[String]) -> Result<(String, bool), String> {
             writeln!(
                 out,
                 "event loop: {} conns peak, depth {} max, {} binary frames, \
-                 reactor {} ({} iterations, {} events, {} writev calls)",
+                 reactor {} ({} iterations, {} events, {} writev calls, {} jobs inline)",
                 x.conns_peak,
                 x.pipeline_depth_max,
                 x.frames_binary,
                 x.reactor_backend,
                 x.poll_iterations,
                 x.events_dispatched,
-                x.writev_calls
+                x.writev_calls,
+                x.jobs_inline
             )
             .expect("write to String");
             writeln!(

@@ -352,6 +352,10 @@ pub struct ServerExtras {
     /// an executor picked them up: every query in the job is answered
     /// `ERR timeout` without touching the engine.
     pub deadline_cancels: u64,
+    /// Single-query jobs the reactor ran itself because their shape's
+    /// measured engine time was below the executor hand-off; the rest
+    /// of `queries` ran on the executors.
+    pub jobs_inline: u64,
 }
 
 /// The version counters of a mutable (epoch-versioned) engine, appended
@@ -534,6 +538,7 @@ const STATS_GROUPS: &[StatsGroup] = &[
             counter!(extras?.queries_shed),
             counter!(extras?.retries_observed),
             counter!(extras?.deadline_cancels),
+            counter!(extras?.jobs_inline),
         ],
     },
     StatsGroup {
@@ -1864,8 +1869,8 @@ mod tests {
              conns_peak=5 pipeline_depth_max=6 frames_binary=7 reactor_backend=epoll \
              poll_iterations=8 events_dispatched=9 writev_calls=10 \
              conns_evicted=11 queries_shed=12 retries_observed=13 deadline_cancels=14 \
-             epoch=15 live=16 delta=17 runs=18 tombstones=19 writes=20 merges=21",
-            "a7870a01000013\
+             jobs_inline=15 epoch=16 live=17 delta=18 runs=19 tombstones=20 writes=21 merges=22",
+            "a7871201000013\
              000000000000000000000000000000000000000000000000\
              000000000000000000000000000000000000000000000000\
              000000000000000000000000000000000000000000000000\
@@ -1874,9 +1879,9 @@ mod tests {
              05000000000000000600000000000000070000000000000002\
              08000000000000000900000000000000\
              0a000000000000000b000000000000000c000000000000000d00000000000000\
-             0e00000000000000\
-             0f00000000000000100000000000000011000000000000001200000000000000\
-             130000000000000014000000000000001500000000000000",
+             0e000000000000000f00000000000000\
+             1000000000000000110000000000000012000000000000001300000000000000\
+             140000000000000015000000000000001600000000000000",
         ),
         ("OK PONG", "a78800000000"),
         ("OK BYE", "a78900000000"),
@@ -2215,7 +2220,8 @@ mod tests {
         assert!(parse_response(&bad).is_err());
         let extras = "conns_peak=4 pipeline_depth_max=2 frames_binary=1 \
              reactor_backend=epoll poll_iterations=5 events_dispatched=6 writev_calls=7 \
-             conns_evicted=8 queries_shed=9 retries_observed=10 deadline_cancels=11";
+             conns_evicted=8 queries_shed=9 retries_observed=10 deadline_cancels=11 \
+             jobs_inline=12";
         match parse_response(&format!("{line} {extras}")).unwrap() {
             Response::Stats(StatsReport { plans, extras, .. }) => {
                 assert!(plans.is_none());
@@ -2223,13 +2229,14 @@ mod tests {
                 assert_eq!(x.reactor_backend, ReactorKind::Epoll);
                 assert_eq!((x.conns_evicted, x.queries_shed), (8, 9));
                 assert_eq!((x.retries_observed, x.deadline_cancels), (10, 11));
+                assert_eq!(x.jobs_inline, 12);
             }
             other => panic!("expected STATS, got {other:?}"),
         }
         // An unknown backend token is rejected, not defaulted.
         let unknown = format!("{line} {}", extras.replace("epoll", "kqueue"));
         assert!(parse_response(&unknown).is_err());
-        // The full 27-field shape must carry plans.
+        // The full 28-field shape must carry plans.
         let full = Response::Stats(StatsReport {
             conn: StatsSnapshot::default(),
             server: StatsSnapshot::default(),
@@ -2244,6 +2251,7 @@ mod tests {
                 queries_shed: 9,
                 retries_observed: 10,
                 deadline_cancels: 11,
+                jobs_inline: 12,
                 ..ServerExtras::default()
             }),
             version: None,

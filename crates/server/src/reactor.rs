@@ -13,9 +13,20 @@
 //! jobs on a [`Condvar`] queue drained by `executors` worker threads,
 //! each calling [`BatchEngine::run_with`] and serializing the responses
 //! off the reactor thread. Completions return through a mutex-guarded
-//! vector plus a loopback *wake* socket (std has no pipes, but a
-//! loopback pair is the same one-byte doorbell), so a sleeping wait
-//! learns of finished work immediately.
+//! vector plus a one-byte doorbell on a [`UnixStream::pair`], so a
+//! sleeping wait learns of finished work immediately.
+//!
+//! The exception is a cheap lone query. The hand-off above (a `Condvar`
+//! wake, the doorbell, two context switches) costs more than an n = 1
+//! k-n-match answer, so the reactor keeps a fixed table of each query
+//! *shape*'s measured engine time (kind, k, n or n0/n1, ε, `PLANNER`
+//! mode) and runs a single-query job itself when its shape's average is
+//! below [`INLINE_BELOW`], through the same `run_job` the executors
+//! call. `BATCH` and maintenance jobs, shapes never measured, and shapes
+//! measured at or above the line always hand off, and at most
+//! [`INLINE_PER_ITERATION`] of engine time runs inline per loop
+//! iteration, so expensive work keeps the executor pool's parallelism
+//! and a flood of cheap queries still reaches it.
 //!
 //! ## Backends
 //!
@@ -49,7 +60,8 @@
 //! Every request occupies one [`SlotQueue`] slot in arrival order, and
 //! bytes leave strictly from the head — a pipelined client gets its
 //! responses in exactly the order it sent requests, even when the
-//! executor pool finishes them out of order. `DEADLINE`/`FAILFAST`/
+//! executor pool finishes them out of order or the reactor answers a
+//! later one inline. `DEADLINE`/`FAILFAST`/
 //! `PLANNER` are applied at parse time, so each pipelined batch runs
 //! under the options that preceded it in the stream.
 //!
@@ -68,16 +80,18 @@
 //! must still be evaluated.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::io::{self, Read, Write};
-use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use knmatch_core::{
-    BatchEngine, BatchOptions, BatchOutcome, BatchQuery, KnMatchError, VersionWriter,
+    BatchEngine, BatchOptions, BatchOutcome, BatchQuery, KnMatchError, PlannerMode, VersionWriter,
 };
 
 use crate::conn::{advance_written, BufferPool, FrameBuf, FrameRc, InFrame, SlotQueue, Wire};
@@ -107,6 +121,25 @@ const DRAIN_FLUSH_GRACE: Duration = Duration::from_secs(2);
 /// shutdown pokes the listener, peers make sockets readable — so an
 /// idle reactor genuinely sleeps instead of ticking.
 const WAIT_FOREVER: Duration = Duration::from_secs(3600);
+
+/// A lone query whose shape's measured engine time averages below this
+/// runs on the reactor thread instead of paying the executor hand-off.
+/// Traced on a 2-vCPU VM: the benchmark's `lowcost` n = 1 query
+/// executes in 4.5–10.3 µs and the hand-off adds 12–15 µs to its round
+/// trip, while the workloads that should keep the executors execute in
+/// 34–55 µs (`ingest-mixed`), 84–103 µs (`disk-smallpool`) and 427–529
+/// µs mean (`plan-mixed`). DESIGN.md §13.
+const INLINE_BELOW: Duration = Duration::from_micros(20);
+
+/// Most engine time one reactor loop iteration spends on inline queries
+/// (at least a 32-deep window of 8 µs answers). Past it, cheap queries
+/// hand off for the rest of the iteration, so a flood over many
+/// connections still reaches the executors and other sockets keep being
+/// serviced.
+const INLINE_PER_ITERATION: Duration = Duration::from_millis(1);
+
+/// Slots of the reactor's shape-cost table.
+const SHAPE_SLOTS: usize = 64;
 
 /// The thinnest possible `poll(2)` / `writev(2)` binding. The workspace
 /// links no external crates, but std already links the platform C
@@ -590,6 +623,116 @@ impl Poller {
     }
 }
 
+/// A request's query slots, in request order: the parsed queries kept
+/// contiguous so the engine borrows them as one slice, and the slots
+/// answered before execution (parse errors, shed members) by position.
+#[derive(Default)]
+struct Slots {
+    queries: Vec<BatchQuery>,
+    /// `(position, response)`, positions ascending.
+    answered: Vec<(usize, Response)>,
+}
+
+impl Slots {
+    /// Parsed queries only.
+    fn parsed(queries: Vec<BatchQuery>) -> Slots {
+        Slots {
+            queries,
+            answered: Vec::new(),
+        }
+    }
+
+    /// A shed batch: every one of `count` slots answered `resp`.
+    fn shed(count: usize, resp: &Response) -> Slots {
+        Slots {
+            queries: Vec::new(),
+            answered: (0..count).map(|i| (i, resp.clone())).collect(),
+        }
+    }
+
+    /// Appends the next slot.
+    fn push(&mut self, slot: Result<BatchQuery, Response>) {
+        match slot {
+            Ok(query) => self.queries.push(query),
+            Err(resp) => self.answered.push((self.len(), resp)),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.queries.len() + self.answered.len()
+    }
+}
+
+/// What the inline rule keys a query's measured cost on: its kind, its
+/// size parameters and the connection's planner override — never its
+/// coordinates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Shape {
+    /// 0 `KNM`, 1 `FREQ`, 2 `EPS`.
+    kind: u8,
+    k: usize,
+    /// `n`, or `n0` for `FREQ`.
+    n: usize,
+    /// `n1` for `FREQ`, the ε bits for `EPS`.
+    extra: u64,
+    planner: Option<PlannerMode>,
+}
+
+impl Shape {
+    fn of(query: &BatchQuery, planner: Option<PlannerMode>) -> Shape {
+        let (kind, k, n, extra) = match *query {
+            BatchQuery::KnMatch { k, n, .. } => (0, k, n, 0),
+            BatchQuery::Frequent { k, n0, n1, .. } => (1, k, n0, n1 as u64),
+            BatchQuery::EpsMatch { eps, n, .. } => (2, 0, n, eps.to_bits()),
+        };
+        Shape {
+            kind,
+            k,
+            n,
+            extra,
+            planner,
+        }
+    }
+
+    fn slot(&self) -> usize {
+        let mut h = DefaultHasher::new();
+        self.hash(&mut h);
+        h.finish() as usize % SHAPE_SLOTS
+    }
+}
+
+/// The measured engine time of recently seen query shapes: a fixed
+/// direct-mapped table of `(shape, EWMA)`, α = ¼. A colliding shape
+/// overwrites the slot, so a shape is forgotten (and hands off again)
+/// rather than priced by another's samples. Fixed size, no allocation,
+/// owned by the reactor thread alone.
+struct ShapeCosts([Option<(Shape, Duration)>; SHAPE_SLOTS]);
+
+impl ShapeCosts {
+    fn new() -> ShapeCosts {
+        ShapeCosts([None; SHAPE_SLOTS])
+    }
+
+    /// The shape's average engine time, if it was measured.
+    fn get(&self, shape: Shape) -> Option<Duration> {
+        match self.0[shape.slot()] {
+            Some((s, avg)) if s == shape => Some(avg),
+            _ => None,
+        }
+    }
+
+    /// Folds one measured run into the shape's average (the first run
+    /// is the average).
+    fn record(&mut self, shape: Shape, took: Duration) {
+        let slot = &mut self.0[shape.slot()];
+        let avg = match *slot {
+            Some((s, avg)) if s == shape => (avg * 3 + took) / 4,
+            _ => took,
+        };
+        *slot = Some((shape, avg));
+    }
+}
+
 /// One executor work unit: a request's query slots, snapshotted options,
 /// and the routing needed to land the serialized responses back in the
 /// right connection's slot.
@@ -600,10 +743,13 @@ struct Job {
     wire: Wire,
     trailer: bool,
     opts: BatchOptions,
-    /// Parseable (`Ok`) slots — this job's weight against the global
-    /// in-flight budget, released when its completion lands.
+    /// Parseable slots — this job's weight against the global in-flight
+    /// budget, released when its completion lands.
     cost: u64,
-    slots: Vec<Result<BatchQuery, Response>>,
+    slots: Slots,
+    /// The shape of a lone query (not a `BATCH`), whose engine time the
+    /// completion reports to the reactor's cost table.
+    shape: Option<Shape>,
     /// Run the mutable engine's maintenance (run compaction) on the
     /// executor instead of any queries — `slots` is empty and the
     /// completion writes no bytes. Queued against the writing
@@ -627,6 +773,9 @@ struct Completion {
     /// Queries answered `deadline exceeded` without running because the
     /// propagated absolute deadline had already passed at pickup.
     cancels: u64,
+    /// A lone query's shape and its measured engine time; `None` when
+    /// the job was a batch, maintenance, or never reached the engine.
+    measured: Option<(Shape, Duration)>,
 }
 
 /// The executor pool's job queue (`Mutex<VecDeque>` + `Condvar`; closed
@@ -672,10 +821,10 @@ impl JobQueue {
 }
 
 /// The executors' doorbell into a sleeping wait: one byte down a
-/// loopback socket pair, deduplicated so a burst of completions costs
-/// one syscall.
+/// `UnixStream::pair` (the reactor polls the nonblocking other end),
+/// deduplicated so a burst of completions costs one syscall.
 struct Waker {
-    tx: TcpStream,
+    tx: UnixStream,
     pending: AtomicBool,
 }
 
@@ -685,25 +834,6 @@ impl Waker {
             let _ = (&self.tx).write(&[1u8]);
         }
     }
-}
-
-/// A connected loopback pair standing in for `pipe(2)`: `rx` is the
-/// nonblocking read end the reactor polls, `tx` the write end executors
-/// signal. The accept is checked against the connecting socket's local
-/// address so a stray connection cannot hijack the doorbell.
-fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
-    let tx = TcpStream::connect(listener.local_addr()?)?;
-    let want = tx.local_addr()?;
-    let rx = loop {
-        let (rx, peer) = listener.accept()?;
-        if peer == want {
-            break rx;
-        }
-    };
-    rx.set_nonblocking(true)?;
-    tx.set_nodelay(true).ok();
-    Ok((rx, tx))
 }
 
 /// Serializes `resp` in the request's encoding.
@@ -729,10 +859,11 @@ fn executor_loop<E: BatchEngine + Sync>(
     }
 }
 
-/// Runs one job's parseable slots as a single engine batch and
+/// Runs one job's parsed queries as a single engine batch and
 /// serializes one response per slot (slot order) into one pooled frame,
 /// plus the `DONE` trailer for batches. This is the only encode of
-/// these bytes; the reactor writes them straight from the frame.
+/// these bytes; the reactor writes them straight from the frame. The
+/// executors and the reactor's inline path both run jobs through here.
 fn run_job<E: BatchEngine + Sync>(engine: &E, job: Job, pool: &BufferPool) -> Completion {
     if job.maintenance {
         // Off-reactor run compaction for mutable engines. Failures are
@@ -750,26 +881,26 @@ fn run_job<E: BatchEngine + Sync>(engine: &E, job: Job, pool: &BufferPool) -> Co
     // divergence, since which error an expired batch sees is inherently
     // timing-dependent.)
     let expired = job.opts.deadline_at.is_some_and(|at| Instant::now() >= at);
-    let queries: Vec<BatchQuery> = if expired {
-        Vec::new()
+    let (outcomes, measured) = if expired {
+        (Vec::new(), None)
     } else {
-        job.slots
-            .iter()
-            .filter_map(|s| s.as_ref().ok())
-            .cloned()
-            .collect()
+        let started = Instant::now();
+        let outcomes = engine.run_with(&job.slots.queries, &job.opts);
+        (outcomes, job.shape.map(|s| (s, started.elapsed())))
     };
-    let mut outcomes = engine.run_with(&queries, &job.opts).into_iter();
+    let total = job.slots.len();
+    let mut outcomes = outcomes.into_iter();
+    let mut answered = job.slots.answered.into_iter().peekable();
     let (mut ok, mut failed, mut timeouts, mut cancels) = (0u64, 0u64, 0u64, 0u64);
     let bytes = pool.frame(|out| {
-        for slot in &job.slots {
-            let response = match slot {
-                Err(pre) => pre.clone(),
-                Ok(_) if expired => {
+        for pos in 0..total {
+            let response = match answered.next_if(|(at, _)| *at == pos) {
+                Some((_, pre)) => pre,
+                None if expired => {
                     cancels += 1;
                     error_response(&KnMatchError::DeadlineExceeded)
                 }
-                Ok(_) => match outcomes.next().expect("one outcome per parsed query") {
+                None => match outcomes.next().expect("one outcome per parsed query") {
                     Ok(outcome) => Response::Answer(outcome.into_answer()),
                     Err(e) => error_response(&e),
                 },
@@ -795,18 +926,19 @@ fn run_job<E: BatchEngine + Sync>(engine: &E, job: Job, pool: &BufferPool) -> Co
         gen: job.gen,
         seq: job.seq,
         bytes,
-        queries: job.slots.len() as u64,
+        queries: total as u64,
         errors: failed,
         timeouts,
         cost: job.cost,
         cancels,
+        measured,
     }
 }
 
 /// A text `BATCH <count>` whose query lines are still streaming in.
 struct TextBatch {
     remaining: usize,
-    slots: Vec<Result<BatchQuery, Response>>,
+    slots: Slots,
     /// The batch was admitted while the server was over its in-flight
     /// budget: every arriving line is answered `ERR overloaded` without
     /// being parsed (the cheap-reject path), keeping the stream in sync.
@@ -920,7 +1052,8 @@ impl<E: BatchEngine + Sync> EventServer<E> {
             .totals
             .reactor_backend
             .store(poller.kind().code() as u64, Ordering::Relaxed);
-        let (wake_rx, wake_tx) = wake_pair()?;
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
         let waker = Waker {
             tx: wake_tx,
             pending: AtomicBool::new(false),
@@ -961,6 +1094,8 @@ impl<E: BatchEngine + Sync> EventServer<E> {
                 fault_retry: Vec::new(),
                 inflight: 0,
                 max_inflight,
+                costs: ShapeCosts::new(),
+                inline_spent: Duration::ZERO,
             }
             .run(&wake_rx, &waker, &completions);
             queue.close();
@@ -1014,12 +1149,17 @@ struct Reactor<'a, E> {
     /// Admission ceiling on `inflight`; queries past it are shed with
     /// `ERR overloaded` before their payload is parsed.
     max_inflight: usize,
+    /// Measured engine time per query shape, from every completion.
+    costs: ShapeCosts,
+    /// Engine time spent on inline queries this loop iteration, against
+    /// [`INLINE_PER_ITERATION`].
+    inline_spent: Duration,
 }
 
 impl<'a, E: BatchEngine + Sync> Reactor<'a, E> {
     fn run(
         mut self,
-        wake_rx: &TcpStream,
+        wake_rx: &UnixStream,
         waker: &Waker,
         completions: &Mutex<Vec<Completion>>,
     ) -> io::Result<()> {
@@ -1039,6 +1179,7 @@ impl<'a, E: BatchEngine + Sync> Reactor<'a, E> {
 
             let timeout = self.wait_timeout();
             self.poller.wait(&mut events, timeout)?;
+            self.inline_spent = Duration::ZERO;
             self.shared
                 .totals
                 .poll_iterations
@@ -1369,13 +1510,17 @@ impl<'a, E: BatchEngine + Sync> Reactor<'a, E> {
         }
     }
 
-    /// Lands an executor completion in its connection's slot (discarded
+    /// Lands a completion in its connection's slot (discarded
     /// when the connection died first — `gen` guards slab reuse).
     /// Returns whether it landed, so the caller can service the conn.
     fn apply(&mut self, comp: Completion) -> bool {
         // The budget weight releases unconditionally — the executor work
-        // happened whether or not the connection survived it.
+        // happened whether or not the connection survived it — and so
+        // does the measurement.
         self.inflight = self.inflight.saturating_sub(comp.cost as usize);
+        if let Some((shape, took)) = comp.measured {
+            self.costs.record(shape, took);
+        }
         if comp.cancels > 0 {
             self.shared
                 .totals
@@ -1606,7 +1751,7 @@ impl<'a, E: BatchEngine + Sync> Reactor<'a, E> {
                     if let Some(count) = batch {
                         self.note_shed(count as u64);
                         let resp = self.overloaded_response();
-                        self.submit_job(idx, vec![Err(resp); count], true, Wire::Binary);
+                        self.submit_job(idx, Slots::shed(count, &resp), true, Wire::Binary);
                         return;
                     }
                 }
@@ -1614,8 +1759,7 @@ impl<'a, E: BatchEngine + Sync> Reactor<'a, E> {
                     Err(e) => self.ready_error(idx, Wire::Binary, ErrorKind::Parse, e.0),
                     Ok(BinRequest::One(req)) => self.handle_request(idx, req, Wire::Binary),
                     Ok(BinRequest::Batch(queries)) => {
-                        let slots = queries.into_iter().map(Ok).collect();
-                        self.submit_job(idx, slots, true, Wire::Binary);
+                        self.submit_job(idx, Slots::parsed(queries), true, Wire::Binary);
                     }
                 }
             }
@@ -1680,20 +1824,20 @@ impl<'a, E: BatchEngine + Sync> Reactor<'a, E> {
 
     fn handle_request(&mut self, idx: usize, req: Request, wire: Wire) {
         match req {
-            Request::Query(q) => self.submit_job(idx, vec![Ok(q)], false, wire),
+            Request::Query(q) => self.submit_job(idx, Slots::parsed(vec![q]), false, wire),
             Request::Batch(count) => {
                 if !self.batch_within_limit(idx, count, wire) {
                     return;
                 }
                 if count == 0 {
-                    self.submit_job(idx, Vec::new(), true, wire);
+                    self.submit_job(idx, Slots::default(), true, wire);
                 } else {
                     // Admission is decided at the header: a batch opened
                     // past the budget sheds every line it announces.
                     let shed = self.overloaded();
                     self.conn_mut(idx).batch = Some(TextBatch {
                         remaining: count,
-                        slots: Vec::with_capacity(count.min(1024)),
+                        slots: Slots::parsed(Vec::with_capacity(count.min(1024))),
                         shed,
                     });
                 }
@@ -1807,36 +1951,60 @@ impl<'a, E: BatchEngine + Sync> Reactor<'a, E> {
         }
     }
 
-    fn submit_job(
-        &mut self,
-        idx: usize,
-        slots: Vec<Result<BatchQuery, Response>>,
-        trailer: bool,
-        wire: Wire,
-    ) {
+    /// Sequences a job on the connection and hands it to the executors
+    /// — or, for a lone query whose shape measured cheap, runs it here
+    /// and lands the completion at once (module docs, "Shape").
+    fn submit_job(&mut self, idx: usize, slots: Slots, trailer: bool, wire: Wire) {
         let c = self.conns[idx].as_mut().expect("live connection");
-        let seq = c.queue.push_waiting();
+        let (seq, gen) = (c.queue.push_waiting(), c.gen);
         let mut opts = c.opts.clone();
         // Stamp arrival as the absolute deadline: executor queue wait
         // counts against the budget, so a doomed batch cancels at
         // pickup instead of burning an executor (`checked_add` — an
         // absurd duration means "no deadline", mirroring `arm`).
         opts.deadline_at = opts.deadline.and_then(|d| Instant::now().checked_add(d));
-        let cost = slots.iter().filter(|s| s.is_ok()).count() as u64;
+        let shape = match slots.queries.as_slice() {
+            [query] if !trailer => Some(Shape::of(query, opts.planner)),
+            _ => None,
+        };
+        let cost = slots.queries.len() as u64;
         self.inflight += cost as usize;
         self.note_depth(idx);
-        let c = self.conns[idx].as_ref().expect("live connection");
-        self.queue.push(Job {
+        let job = Job {
             conn: idx,
-            gen: c.gen,
+            gen,
             seq,
             wire,
             trailer,
             opts,
             cost,
             slots,
+            shape,
             maintenance: false,
-        });
+        };
+        if !self.runs_inline(shape) {
+            return self.queue.push(job);
+        }
+        let comp = run_job(self.engine, job, self.pool);
+        if let Some((_, took)) = comp.measured {
+            self.inline_spent += took;
+        }
+        self.shared
+            .totals
+            .jobs_inline
+            .fetch_add(1, Ordering::Relaxed);
+        // The caller is servicing this connection; its flush follows.
+        self.apply(comp);
+    }
+
+    /// Whether a job of `shape` runs on the reactor thread: a lone
+    /// query, its shape measured below [`INLINE_BELOW`], and this
+    /// iteration's inline time still under [`INLINE_PER_ITERATION`].
+    fn runs_inline(&self, shape: Option<Shape>) -> bool {
+        self.inline_spent < INLINE_PER_ITERATION
+            && shape
+                .and_then(|s| self.costs.get(s))
+                .is_some_and(|avg| avg < INLINE_BELOW)
     }
 
     /// Schedules one maintenance step of the mutable engine on the
@@ -1855,7 +2023,8 @@ impl<'a, E: BatchEngine + Sync> Reactor<'a, E> {
             trailer: false,
             opts: BatchOptions::default(),
             cost: 0,
-            slots: Vec::new(),
+            slots: Slots::default(),
+            shape: None,
             maintenance: true,
         });
     }

@@ -121,6 +121,7 @@ pub(crate) struct Counters {
     pub(crate) queries_shed: AtomicU64,
     pub(crate) retries_observed: AtomicU64,
     pub(crate) deadline_cancels: AtomicU64,
+    pub(crate) jobs_inline: AtomicU64,
 }
 
 impl Counters {
@@ -151,6 +152,7 @@ impl Counters {
             queries_shed: self.queries_shed.load(Ordering::Relaxed),
             retries_observed: self.retries_observed.load(Ordering::Relaxed),
             deadline_cancels: self.deadline_cancels.load(Ordering::Relaxed),
+            jobs_inline: self.jobs_inline.load(Ordering::Relaxed),
         }
     }
 }

@@ -532,3 +532,139 @@ fn epoll_dispatch_tracks_active_set_not_connection_count() {
         }
     });
 }
+
+/// The plain in-memory engine over `uniform(c, d)`.
+fn memory_engine(cardinality: usize, dims: usize) -> knmatch_server::AnyEngine {
+    EngineConfig {
+        workers: 1,
+        backend: Backend::Memory,
+        planner: None,
+        ..EngineConfig::default()
+    }
+    .build_in_memory(&uniform(cardinality, dims, 0x1A11E))
+}
+
+/// Asserts served answers equal the direct engine's, slot by slot.
+fn assert_same_answers(
+    got: &[Result<knmatch_core::BatchAnswer, knmatch_server::ServedError>],
+    want: &[Result<knmatch_core::BatchAnswer, (ErrorKind, String)>],
+    label: &str,
+) {
+    assert_eq!(got.len(), want.len(), "{label}: answer count");
+    for (i, (got, want)) in got.iter().zip(want).enumerate() {
+        match (got, want) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "{label}: answer {i} diverged"),
+            (Err(e), Err((kind, msg))) => {
+                assert_eq!((&e.kind, &e.message), (kind, msg), "{label}: error {i}");
+            }
+            other => panic!("{label}: slot {i} shape diverged: {other:?}"),
+        }
+    }
+}
+
+/// Cheap lone queries (n = 1 on c = 64, d = 4: microseconds even in a
+/// debug build) are answered on the reactor thread once their shape is
+/// measured, bit-identical to the direct engine, in both encodings and
+/// on both readiness backends. Which path each query took is asserted
+/// only in aggregate (`jobs_inline > 0`), so a slow host cannot flake.
+#[test]
+fn cheap_shapes_run_inline_bit_identically() {
+    let queries: Vec<BatchQuery> = (0..1000)
+        .map(|i| BatchQuery::KnMatch {
+            query: vec![(i % 97) as f64 / 97.0; 4],
+            k: 1 + i % 3,
+            n: 1,
+        })
+        .collect();
+    let expected = expected_wire(memory_engine(64, 4).run(&queries));
+    for reactor in backends() {
+        let (stats, extras) = with_server(memory_engine(64, 4), common::on(reactor), |addr| {
+            let mut client = Client::connect(addr).expect("connect");
+            let (head, tail) = queries.split_at(500);
+            let answers = client.run_pipelined(head, 8).expect("pipelined text");
+            assert_same_answers(&answers, &expected[..500], "text, depth 8");
+            client.set_binary(true);
+            let answers = client.run_pipelined(tail, 1).expect("binary, depth 1");
+            assert_same_answers(&answers, &expected[500..], "binary, depth 1");
+            client.quit().expect("quit");
+        });
+        assert_eq!(stats.queries, 1000, "{reactor:?}");
+        assert!(
+            extras.jobs_inline > 0,
+            "{reactor:?}: no cheap query ran inline"
+        );
+    }
+}
+
+/// Queries whose every run costs far more than the hand-off (n = d with
+/// a large k: AD walks most of all d sorted lists) always go to the
+/// executors, however often their shape repeats.
+#[test]
+fn expensive_shapes_never_run_inline() {
+    let queries: Vec<BatchQuery> = (0..12)
+        .map(|i| BatchQuery::KnMatch {
+            query: vec![0.05 + 0.075 * i as f64; 8],
+            k: 2000,
+            n: 8,
+        })
+        .collect();
+    let expected = expected_wire(memory_engine(5000, 8).run(&queries));
+    for reactor in backends() {
+        let (_, extras) = with_server(memory_engine(5000, 8), common::on(reactor), |addr| {
+            let mut client = Client::connect(addr).expect("connect");
+            let answers = client.run_pipelined(&queries, 1).expect("depth 1");
+            assert_same_answers(&answers, &expected, "depth 1");
+            let answers = client.run_pipelined(&queries, 4).expect("depth 4");
+            assert_same_answers(&answers, &expected, "depth 4");
+            client.quit().expect("quit");
+        });
+        assert_eq!(extras.jobs_inline, 0, "{reactor:?}");
+    }
+}
+
+/// An inline answer never overtakes an earlier request still on an
+/// executor: with a cheap shape already measured, one pipelined write
+/// of [handed-off query, cheap × 16] completes the cheap slots first
+/// (inline, in the same dispatch round), yet the responses leave in
+/// request order. The handed-off query's shape is new each round, and
+/// an unmeasured shape always hands off.
+#[test]
+fn inline_completion_waits_for_earlier_slot() {
+    let cheap = |i: usize| BatchQuery::KnMatch {
+        query: vec![i as f64 / 16.0; 4],
+        k: 2,
+        n: 1,
+    };
+    for reactor in backends() {
+        let engine = memory_engine(64, 4);
+        let mut rounds = Vec::new();
+        for round in 0..8 {
+            let mut requests = vec![BatchQuery::Frequent {
+                query: vec![0.5; 4],
+                k: 10 + round,
+                n0: 1,
+                n1: 4,
+            }];
+            requests.extend((0..16).map(cheap));
+            let expected = expected_wire(engine.run(&requests));
+            rounds.push((requests, expected));
+        }
+        let warmup: Vec<BatchQuery> = (0..8).map(cheap).collect();
+        let (_, extras) = with_server(engine, common::on(reactor), |addr| {
+            let mut client = Client::connect(addr).expect("connect");
+            client.set_binary(true);
+            client.run_pipelined(&warmup, 1).expect("warm-up");
+            for (requests, expected) in &rounds {
+                let answers = client
+                    .run_pipelined(requests, requests.len())
+                    .expect("one pipelined write");
+                assert_same_answers(&answers, expected, "handed-off then cheap");
+            }
+            client.quit().expect("quit");
+        });
+        assert!(
+            extras.jobs_inline > 0,
+            "{reactor:?}: the cheap slots never ran inline"
+        );
+    }
+}

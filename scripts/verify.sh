@@ -17,8 +17,11 @@
 #   5. faults:  release-mode fault-injection stress (retry/panic paths
 #               under optimised timing) + fault_overhead --smoke
 #   6. pipeline: event-server pipelined cross-check in release (bit-
-#               identity at workers 1/2/4 and poll-vs-epoll byte
-#               identity on Linux) + the text-vs-binary wire
+#               identity at workers 1/2/4, poll-vs-epoll byte
+#               identity on Linux, and the inline path: cheap shapes
+#               answered on the reactor bit-identically, expensive
+#               shapes never inline, an inline answer never overtaking
+#               an earlier handed-off slot) + the text-vs-binary wire
 #               differential (one seeded script over every verb, run
 #               all-text and all-binary, identical decoded responses) +
 #               connection_scaling --smoke (256 concurrent connections
