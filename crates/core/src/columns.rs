@@ -15,9 +15,8 @@
 //! the outward cursor walk only compare *values*; keeping values densely
 //! packed (8 bytes per entry instead of 16 with the pid and padding
 //! interleaved) halves the cache lines those hot loops touch. The
-//! [`ColumnView`] adapter re-materialises `SortedEntry` pairs on demand so
-//! callers that want the AoS view (`dynamic`, `hybrid`, the storage crate)
-//! keep working unchanged.
+//! [`ColumnView`] adapter re-materialises `SortedEntry` pairs on demand
+//! for callers that want the AoS view (the storage crate's column files).
 
 use crate::engine::run_batch;
 use crate::error::Result;

@@ -63,6 +63,15 @@ pub(crate) trait SortedLists {
     /// The id answers report for `slot`, or `None` when the point is
     /// dead and must never count as an answer.
     fn resolve(&self, slot: PointId) -> Option<PointId>;
+
+    /// The difference of attribute `value` in `dim` to the query's `q` —
+    /// the walk's key. It must be non-negative and non-decreasing in
+    /// `|value − q|`, so the two cursors seeded around `q` still emit
+    /// ascending keys; a hybrid schema weights or matches per dimension
+    /// (`crate::hybrid`).
+    fn diff(&self, _dim: usize, value: f64, q: f64) -> f64 {
+        (value - q).abs()
+    }
 }
 
 impl<S: SortedAccessSource> SortedLists for S {
@@ -100,10 +109,11 @@ impl<S: SortedAccessSource> SortedLists for S {
     }
 }
 
-/// The key of an exhausted cursor. A difference is an `abs()`, so its
-/// sign bit is clear and its bits order exactly like [`f64::total_cmp`]
-/// — `+0.0` and subnormals first, `+∞` (`0x7FF0…`) last — and every one
-/// of them sorts below this.
+/// The key of an exhausted cursor. A difference is an `abs()` (times a
+/// positive weight, or a categorical `+0.0` or weight, under a hybrid
+/// schema), so its sign bit is clear and its bits order exactly like
+/// [`f64::total_cmp`] — `+0.0` and subnormals first, `+∞` (`0x7FF0…`)
+/// last — and every one of them sorts below this.
 const EXHAUSTED: u64 = u64::MAX;
 
 /// The ordering key of a difference (see [`EXHAUSTED`]).
@@ -294,7 +304,8 @@ impl AdWalker {
         cursor.last = rank;
         cursor.pid = e.pid;
         self.stats.attributes_retrieved += 1;
-        key_of((e.value - self.query[cursor.dim as usize]).abs())
+        let dim = cursor.dim as usize;
+        key_of(src.diff(dim, e.value, self.query[dim]))
     }
 
     /// The difference the next [`next_pop`](Self::next_pop) would return,
@@ -459,6 +470,9 @@ mod tests {
         }
         fn resolve(&self, slot: PointId) -> Option<PointId> {
             self.lists.resolve(slot)
+        }
+        fn diff(&self, dim: usize, value: f64, q: f64) -> f64 {
+            self.lists.diff(dim, value, q)
         }
     }
 

@@ -10,20 +10,25 @@
 //! * **categorical** — difference `0` on equal codes, `w` otherwise (the
 //!   Hamming-style matching the paper's Section 2.1 compares against).
 //!
-//! The AD algorithm generalises too: each dimension only has to serve its
-//! attributes in **ascending difference** order. Numeric dimensions do so
-//! with the usual two directional cursors; a categorical dimension serves
-//! its equal-code block (difference 0) and then everything else
-//! (difference `w`). The merged walk, stopping rule and optimality
-//! argument are unchanged.
+//! The AD algorithm needs no second walker: both kinds are non-decreasing
+//! in `|p − q|`, so the plain value-sorted columns (codes sort like
+//! values) and the two cursors seeded around `q` already serve every
+//! dimension in ascending difference. A numeric cursor meets `w·|p − q|`
+//! in the plain order; a categorical down cursor meets only `w`, its up
+//! cursor the equal-code block at `0` and then `w`. [`HybridColumns`] is
+//! those columns plus the schema that keys each sorted access, and both
+//! queries run the one frontier walk of [`crate::ad`] — its stopping
+//! rule, optimality argument and canonical `(diff, pid)` tie rule
+//! included.
 
-use std::collections::BinaryHeap;
-
-use crate::ad::AdStats;
+use crate::ad::{frequent_lists, AdStats};
+use crate::columns::{locate_lockstep, SortedColumns};
 use crate::error::{KnMatchError, Result};
+use crate::frontier::SortedLists;
 use crate::point::{Dataset, PointId};
-use crate::result::{FrequentResult, KnMatchResult, MatchEntry};
-use crate::source::SortedEntry;
+use crate::result::{FrequentResult, KnMatchResult};
+use crate::scratch::Scratch;
+use crate::source::{SortedAccessSource, SortedEntry};
 use crate::topk::TopK;
 
 /// Kind and weight of one dimension.
@@ -146,31 +151,12 @@ impl HybridSchema {
     }
 }
 
-/// Per-dimension ascending-difference stream state.
-#[derive(Debug, Clone, Copy)]
-enum StreamState {
-    /// Two directional cursors over a value-sorted column. `down`/`up` are
-    /// the next ranks to read (None = exhausted).
-    Numeric {
-        down: Option<usize>,
-        up: Option<usize>,
-    },
-    /// Equal-code block first, then the rest. `next` walks `0..c` skipping
-    /// the block once the block has been exhausted.
-    Categorical {
-        block: (usize, usize),
-        in_block: usize,
-        outside: usize,
-    },
-}
-
-/// The sorted-dimension organisation for a hybrid schema: every dimension
-/// value-sorted (codes sort like values), plus the schema.
+/// The sorted-dimension organisation for a hybrid schema: the plain
+/// value-sorted columns (codes sort like values) plus the schema.
 #[derive(Debug, Clone)]
 pub struct HybridColumns {
     schema: HybridSchema,
-    columns: Vec<Vec<SortedEntry>>,
-    cardinality: usize,
+    columns: SortedColumns,
 }
 
 impl HybridColumns {
@@ -186,140 +172,56 @@ impl HybridColumns {
                 actual: ds.dims(),
             });
         }
-        let cols = crate::columns::SortedColumns::build(ds);
-        let columns = (0..ds.dims()).map(|d| cols.column(d).to_vec()).collect();
         Ok(HybridColumns {
             schema,
-            columns,
-            cardinality: ds.len(),
+            columns: SortedColumns::build(ds),
         })
     }
+}
 
-    /// The schema.
-    pub fn schema(&self) -> &HybridSchema {
-        &self.schema
+/// The plain columns' `d` lists, seeded in lock-step, keyed by the
+/// schema's per-dimension difference.
+impl SortedLists for &HybridColumns {
+    fn dims(&self) -> usize {
+        self.columns.dims()
     }
 
-    /// Cardinality.
-    pub fn cardinality(&self) -> usize {
-        self.cardinality
+    fn parts(&self) -> usize {
+        1
     }
 
-    /// Dimensionality.
-    pub fn dims(&self) -> usize {
-        self.schema.dims()
+    fn part_len(&self, _part: usize) -> usize {
+        self.columns.cardinality()
     }
 
-    /// Seeds the per-dimension stream for `q` in `dim`.
-    fn seed_stream(&self, dim: usize, q: f64) -> StreamState {
-        let col = &self.columns[dim];
-        match self.schema.kind(dim) {
-            DimKind::Numeric { .. } => {
-                let pos = col.partition_point(|e| e.value < q);
-                StreamState::Numeric {
-                    down: pos.checked_sub(1),
-                    up: (pos < col.len()).then_some(pos),
-                }
-            }
-            DimKind::Categorical { .. } => {
-                let lo = col.partition_point(|e| e.value < q);
-                let hi = col.partition_point(|e| e.value <= q);
-                StreamState::Categorical {
-                    block: (lo, hi),
-                    in_block: lo,
-                    outside: 0,
-                }
-            }
-        }
+    fn live(&self) -> usize {
+        self.columns.cardinality()
     }
 
-    /// Pops the next `(pid, diff)` of `dim`'s stream, if any.
-    fn stream_next(&self, dim: usize, q: f64, state: &mut StreamState) -> Option<(PointId, f64)> {
-        let col = &self.columns[dim];
-        let kind = self.schema.kind(dim);
-        match state {
-            StreamState::Numeric { down, up } => {
-                // Choose the closer of the two frontier attributes.
-                let d_diff = down.map(|r| (q - col[r].value).abs());
-                let u_diff = up.map(|r| (col[r].value - q).abs());
-                match (d_diff, u_diff) {
-                    (None, None) => None,
-                    (Some(_), None) => {
-                        let r = down.expect("checked");
-                        *down = r.checked_sub(1);
-                        Some((col[r].pid, kind.diff(col[r].value, q)))
-                    }
-                    (None, Some(_)) => {
-                        let r = up.expect("checked");
-                        *up = (r + 1 < col.len()).then_some(r + 1);
-                        Some((col[r].pid, kind.diff(col[r].value, q)))
-                    }
-                    (Some(dd), Some(ud)) => {
-                        if dd <= ud {
-                            let r = down.expect("checked");
-                            *down = r.checked_sub(1);
-                            Some((col[r].pid, kind.diff(col[r].value, q)))
-                        } else {
-                            let r = up.expect("checked");
-                            *up = (r + 1 < col.len()).then_some(r + 1);
-                            Some((col[r].pid, kind.diff(col[r].value, q)))
-                        }
-                    }
-                }
-            }
-            StreamState::Categorical {
-                block,
-                in_block,
-                outside,
-            } => {
-                if *in_block < block.1 {
-                    let r = *in_block;
-                    *in_block += 1;
-                    return Some((col[r].pid, 0.0));
-                }
-                // Outside the block: skip over it.
-                let mut r = *outside;
-                if r == block.0 {
-                    r = block.1;
-                }
-                if r >= col.len() {
-                    return None;
-                }
-                *outside = r + 1;
-                Some((col[r].pid, kind.diff(col[r].value, q)))
-            }
-        }
+    fn locate_part<F: FnMut(&mut Self, usize, usize)>(
+        &mut self,
+        _part: usize,
+        query: &[f64],
+        found: F,
+    ) {
+        locate_lockstep(self, |cols| &cols.columns, query, found);
+    }
+
+    fn entry(&mut self, _part: usize, dim: usize, rank: usize) -> SortedEntry {
+        SortedAccessSource::entry(&mut &self.columns, dim, rank)
+    }
+
+    fn resolve(&self, slot: PointId) -> Option<PointId> {
+        Some(slot)
+    }
+
+    fn diff(&self, dim: usize, value: f64, q: f64) -> f64 {
+        self.schema.kind(dim).diff(value, q)
     }
 }
 
-/// Frontier item for the hybrid walk (min-heap by difference).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Item {
-    diff: f64,
-    dim: u32,
-    pid: PointId,
-}
-
-impl Eq for Item {}
-
-impl PartialOrd for Item {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Item {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .diff
-            .total_cmp(&self.diff)
-            .then_with(|| other.dim.cmp(&self.dim))
-            .then_with(|| other.pid.cmp(&self.pid))
-    }
-}
-
-/// Answers a frequent k-n-match query under a hybrid schema with the
-/// generalised AD walk.
+/// Answers a frequent k-n-match query under a hybrid schema with the AD
+/// walk.
 ///
 /// # Errors
 ///
@@ -331,66 +233,8 @@ pub fn frequent_k_n_match_hybrid(
     n0: usize,
     n1: usize,
 ) -> Result<(FrequentResult, AdStats)> {
-    let d = cols.dims();
-    let c = cols.cardinality();
-    crate::ad::validate_params(query, d, c, k, n0, n1)?;
-
-    let mut stats = AdStats::default();
-    let mut states: Vec<StreamState> = Vec::with_capacity(d);
-    let mut heap: BinaryHeap<Item> = BinaryHeap::with_capacity(d);
-    for (dim, &qv) in query.iter().enumerate() {
-        let mut st = cols.seed_stream(dim, qv);
-        stats.locate_probes += 1;
-        if let Some((pid, diff)) = cols.stream_next(dim, qv, &mut st) {
-            stats.attributes_retrieved += 1;
-            heap.push(Item {
-                diff,
-                dim: dim as u32,
-                pid,
-            });
-        }
-        states.push(st);
-    }
-
-    let mut appear = vec![0u16; c];
-    let mut sets: Vec<Vec<MatchEntry>> = vec![Vec::new(); n1 - n0 + 1];
-    let last = n1 - n0;
-    while sets[last].len() < k {
-        let item = heap
-            .pop()
-            .expect("streams exhausted only after every point appeared d times");
-        stats.heap_pops += 1;
-        let dim = item.dim as usize;
-        if let Some((pid, diff)) = cols.stream_next(dim, query[dim], &mut states[dim]) {
-            stats.attributes_retrieved += 1;
-            heap.push(Item {
-                diff,
-                dim: item.dim,
-                pid,
-            });
-        }
-        let a = appear[item.pid as usize] + 1;
-        appear[item.pid as usize] = a;
-        let a = a as usize;
-        if a >= n0 && a <= n1 {
-            sets[a - n0].push(MatchEntry {
-                pid: item.pid,
-                diff: item.diff,
-            });
-        }
-    }
-
-    let mut per_n = Vec::with_capacity(sets.len());
-    for (i, mut set) in sets.into_iter().enumerate() {
-        set.truncate(k);
-        let mut res = KnMatchResult {
-            n: n0 + i,
-            entries: set,
-        };
-        res.normalise();
-        per_n.push(res);
-    }
-    Ok((FrequentResult::from_levels((n0, n1), per_n, k), stats))
+    let mut lists = cols;
+    frequent_lists(&mut lists, query, k, n0, n1, &mut Scratch::new())
 }
 
 /// Answers a k-n-match query under a hybrid schema.
@@ -511,12 +355,11 @@ mod tests {
         for n in 1..=3 {
             let (h, hs) = k_n_match_hybrid(&cols, &q, 2, n).unwrap();
             let (p, ps) = crate::k_n_match_ad(&mut plain, &q, 2, n).unwrap();
-            assert_eq!(h.ids(), p.ids(), "n={n}");
-            // The hybrid walk keeps one frontier item per dimension
-            // (directions merge inside the stream), so it emits at most as
-            // many attributes as the plain 2-cursor frontier.
-            assert!(hs.attributes_retrieved <= ps.attributes_retrieved);
-            assert_eq!(hs.heap_pops, ps.heap_pops);
+            // One walker over the same columns with the same keys (a unit
+            // weight multiplies exactly): the same answers, and the same
+            // pops, attributes and probes.
+            assert_eq!(h, p, "n={n}");
+            assert_eq!(hs, ps, "n={n}");
         }
     }
 

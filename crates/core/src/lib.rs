@@ -71,7 +71,8 @@
 //!   delta + sealed runs (keys + columns each) + pinned snapshots, writers
 //!   never block readers; a query is one AD walk over every run's sorted
 //!   lists, so one run is plain AD and more runs are only a layout;
-//! - [`hybrid`] — mixed numeric/categorical/weighted schemas (footnote 1);
+//! - [`hybrid`] — mixed numeric/categorical/weighted schemas (footnote 1):
+//!   a per-dimension difference on the one AD walk;
 //! - [`naive`] — full-scan reference algorithms;
 //! - [`knn`] / [`metrics`] — kNN baselines (L_p, Chebyshev, DPF);
 //! - [`medrank`](mod@crate::medrank) — Fagin's median-rank aggregation (related work \[12\]);

@@ -366,26 +366,121 @@ fn eps_match_equals_filter() {
 }
 
 /// An all-numeric hybrid schema reproduces the plain model, and a
-/// weighted schema equals the plain model on pre-scaled data.
+/// weighted schema equals the plain model on pre-scaled data — answers
+/// and `AdStats` both, since a hybrid schema runs the one AD walker. On
+/// tie-heavy mixed schemas (numeric, power-of-two-weighted numeric and
+/// weighted categorical dimensions over 0.25-grid values and three
+/// category codes, queried with codes that are sometimes absent), hybrid
+/// answers equal the scan oracle's id-for-id under the canonical
+/// `(diff, pid)` tie rule, and FREQ equals the fold of the per-n scans.
 #[test]
 fn hybrid_consistency() {
+    use knmatch_core::{
+        frequent_k_n_match_hybrid, k_n_match_hybrid, k_n_match_hybrid_scan, DimKind,
+        FrequentResult, HybridColumns, HybridSchema,
+    };
     let mut rng = TestRng(0xAD0B);
     for _ in 0..128 {
         let (rows, query) = rng.db_and_query();
-        if !all_diffs_distinct(&rows, &query) {
-            continue;
-        }
         let ds = Dataset::from_rows(&rows).unwrap();
         let d = query.len();
         let c = rows.len();
         let k = c.div_ceil(2).max(1);
-        let schema = knmatch_core::HybridSchema::all_numeric(d).unwrap();
-        let cols = knmatch_core::HybridColumns::build(&ds, schema).unwrap();
+        let schema = HybridSchema::all_numeric(d).unwrap();
+        let cols = HybridColumns::build(&ds, schema).unwrap();
         let mut plain = SortedColumns::build(&ds);
         for n in [1, d] {
-            let (h, _) = knmatch_core::k_n_match_hybrid(&cols, &query, k, n).unwrap();
-            let (p, _) = k_n_match_ad(&mut plain, &query, k, n).unwrap();
-            assert_eq!(h.ids(), p.ids(), "n={n}");
+            let hybrid = k_n_match_hybrid(&cols, &query, k, n).unwrap();
+            let ad = k_n_match_ad(&mut plain, &query, k, n).unwrap();
+            assert_eq!(hybrid, ad, "n={n}");
+        }
+    }
+
+    let mut rng = TestRng(0xAD0E);
+    for _ in 0..256 {
+        let d = 1 + rng.below(5);
+        let c = 1 + rng.below(20);
+        // A kind per dimension; every weight is a power of two.
+        let kinds: Vec<DimKind> = (0..d)
+            .map(|_| match rng.below(3) {
+                0 => DimKind::numeric(),
+                1 => DimKind::Numeric {
+                    weight: [0.25, 0.5, 2.0, 4.0][rng.below(4)],
+                },
+                _ => DimKind::Categorical {
+                    weight: [0.25, 0.5, 1.0][rng.below(3)],
+                },
+            })
+            .collect();
+        let categorical = |dim: usize| matches!(kinds[dim], DimKind::Categorical { .. });
+        let rows: Vec<Vec<f64>> = (0..c)
+            .map(|_| {
+                (0..d)
+                    .map(|dim| {
+                        if categorical(dim) {
+                            rng.below(3) as f64
+                        } else {
+                            rng.below(5) as f64 * 0.25
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        // Code 3 is in no row, and a small table misses some of 0..=2 too.
+        let query: Vec<f64> = (0..d)
+            .map(|dim| {
+                if categorical(dim) {
+                    rng.below(4) as f64
+                } else {
+                    rng.below(5) as f64 * 0.25
+                }
+            })
+            .collect();
+        let ds = Dataset::from_rows(&rows).unwrap();
+        let schema = HybridSchema::new(kinds.clone()).unwrap();
+        let cols = HybridColumns::build(&ds, schema.clone()).unwrap();
+        let what = format!("kinds={kinds:?} rows={rows:?} q={query:?}");
+        for k in [1, c.div_ceil(2), c] {
+            let scans: Vec<_> = (1..=d)
+                .map(|n| k_n_match_hybrid_scan(&ds, &schema, &query, k, n).unwrap())
+                .collect();
+            for (n, scan) in (1..=d).zip(&scans) {
+                let (hybrid, _) = k_n_match_hybrid(&cols, &query, k, n).unwrap();
+                assert_eq!(&hybrid, scan, "k={k} n={n} {what}");
+            }
+            let (freq, _) = frequent_k_n_match_hybrid(&cols, &query, k, 1, d).unwrap();
+            assert_eq!(
+                freq,
+                FrequentResult::from_levels((1, d), scans, k),
+                "FREQ k={k} {what}"
+            );
+        }
+
+        // The same weights on numeric dimensions equal the plain model on
+        // data and query pre-multiplied by them: scaling by a power of two
+        // is exact here, so the keys, pops and sorted accesses coincide.
+        let weights: Vec<f64> = kinds
+            .iter()
+            .map(|kind| match *kind {
+                DimKind::Numeric { weight } | DimKind::Categorical { weight } => weight,
+            })
+            .collect();
+        let numeric: Vec<DimKind> = weights
+            .iter()
+            .map(|&weight| DimKind::Numeric { weight })
+            .collect();
+        let cols = HybridColumns::build(&ds, HybridSchema::new(numeric).unwrap()).unwrap();
+        let scale =
+            |p: &[f64]| -> Vec<f64> { p.iter().zip(&weights).map(|(v, w)| v * w).collect() };
+        let scaled: Vec<Vec<f64>> = rows.iter().map(|p| scale(p)).collect();
+        let mut plain = SortedColumns::from_rows(&scaled).unwrap();
+        let scaled_query = scale(&query);
+        for k in [1, c.div_ceil(2), c] {
+            for n in 1..=d {
+                let hybrid = k_n_match_hybrid(&cols, &query, k, n).unwrap();
+                let ad = k_n_match_ad(&mut plain, &scaled_query, k, n).unwrap();
+                assert_eq!(hybrid, ad, "pre-scaled k={k} n={n} {what}");
+            }
         }
     }
 }

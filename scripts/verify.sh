@@ -10,6 +10,8 @@
 #               and page counts, deterministic), and the frontier held to
 #               a BinaryHeap reference walk in release
 #               (frontier_pops_in_reference_order)
+#   3c. examples: every examples/*.rs built and run in release; their
+#               assert!s hold or the step fails on the non-zero exit
 #   4. smoke:   disk_throughput --smoke (cross-checks the disk engine
 #               against the sequential path on a real file, seconds-long)
 #               + planner_crossover --smoke (every planner mode over the
@@ -77,6 +79,14 @@ echo "==> frontier pops in reference order (release)"
 # against a BinaryHeap<(diff, cid)> walk: ties, +0.0 beside subnormals,
 # +inf diffs, one-sided cursors, snapshots of 1/3/9 runs with tombstones.
 cargo test --release -q -p knmatch-core --lib frontier_pops_in_reference_order
+
+echo "==> examples (release, each must exit 0)"
+cargo build --release --examples
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  "./target/release/examples/$name" >/dev/null \
+    || { echo "example $name failed"; exit 1; }
+done
 
 echo "==> disk_throughput --smoke"
 ./target/release/disk_throughput --smoke --out /tmp/BENCH_disk_throughput_smoke.json >/dev/null
