@@ -9,7 +9,7 @@
 //! cargo run -p knmatch-bench --release --bin connection_scaling -- --smoke
 //! ```
 //!
-//! Two measurements against the [`EventServer`] (DESIGN.md §13–14),
+//! Two measurements against the [`knmatch_server::EventServer`] (DESIGN.md §13–14),
 //! repeated for every readiness backend the host offers (`poll`
 //! everywhere, plus edge-triggered `epoll` on Linux), both using the
 //! compact binary frame protocol:

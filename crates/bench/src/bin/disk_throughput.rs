@@ -1,9 +1,9 @@
 //! Std-only disk batch-throughput benchmark: the sequential
-//! `DiskDatabase` loop (one query at a time through the exclusive
-//! `BufferPool`) vs. the parallel `DiskQueryEngine` over a shared sharded
-//! pool, on one database *file* (real positioned-read I/O). Emits
-//! `BENCH_disk_throughput.json` with a worker sweep and per-mode shared-
-//! pool hit ratios.
+//! `DiskDatabase` loop (one query at a time on the calling thread) vs.
+//! the parallel `DiskQueryEngine`, both over the one sharded buffer pool,
+//! on one database *file* (real positioned-read I/O). Emits
+//! `BENCH_disk_throughput.json` with a worker sweep and per-mode pool hit
+//! ratios (the pool's actual counters, not the per-query model).
 //!
 //! ```text
 //! cargo run -p knmatch-bench --release --bin disk_throughput
@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use knmatch_core::{AdStats, BatchAnswer, BatchEngine, BatchQuery, Scratch};
 use knmatch_data::rng::seeded;
-use knmatch_storage::{DiskDatabase, DiskQueryEngine, FileStore, IoStats, SharedDiskColumns};
+use knmatch_storage::{DiskDatabase, IoStats, SharedDiskColumns};
 
 struct Config {
     cardinality: usize,
@@ -82,8 +82,7 @@ struct Mode {
     wall: Duration,
     latencies: Vec<Duration>,
     attributes: u64,
-    /// Actual traffic of the pool serving the mode (exclusive pool for the
-    /// sequential baseline, shared pool for the engine).
+    /// Actual traffic of the buffer pool serving the mode.
     pool: IoStats,
 }
 
@@ -131,32 +130,30 @@ fn digest(results: &[(BatchAnswer, AdStats)]) -> (u64, u64) {
     (attrs, sum)
 }
 
-/// A pre-engine product path: one query at a time through the exclusive
-/// `BufferPool`, a fresh `Scratch` allocated inside every `k_n_match`
-/// call. With `cold`, the pool is invalidated before every query — the
-/// path `knmatch bench` runs to get clean per-query `IoStats`, and the
-/// one the engine is contractually equivalent to (bit-identical answers,
-/// `AdStats`, and per-query stats); it re-fetches shared pages per query.
-/// Without, the pool stays warm across queries (stats bleed, no refetch).
+/// The single-query product path: one `DiskDatabase::k_n_match` at a
+/// time on the calling thread, a fresh `Scratch` and column view inside
+/// every call. With `cold`, the pool is invalidated before every query,
+/// so each one re-fetches the pages it shares with the others; without,
+/// the pool stays warm across queries. Per-query modelled `IoStats` are
+/// the same either way (they are always the cold private-pool model);
+/// the mode's `pool` counters are what the pool actually served.
 fn run_sequential(
     path: &std::path::Path,
     cfg: &Config,
     queries: &[Vec<f64>],
     cold: bool,
 ) -> (Mode, (u64, u64)) {
-    let mut db = DiskDatabase::open_file(path, cfg.pool_pages).expect("open database file");
+    let db = DiskDatabase::open_file(path, cfg.pool_pages).expect("open database file");
     let mut latencies = Vec::with_capacity(queries.len());
     let mut out = Vec::with_capacity(queries.len());
-    let mut pool = IoStats::default();
     let wall = Instant::now();
     for q in queries {
         if cold {
-            db.pool_mut().invalidate_all();
+            db.pool().invalidate_all();
         }
         let t = Instant::now();
         let r = db.k_n_match(q, cfg.k, cfg.n).expect("valid workload");
         latencies.push(t.elapsed());
-        pool.merge(r.io);
         out.push((BatchAnswer::KnMatch(r.result), r.ad));
     }
     let wall = wall.elapsed();
@@ -172,7 +169,7 @@ fn run_sequential(
             wall,
             latencies,
             attributes: dig.0,
-            pool,
+            pool: db.pool_stats(),
         },
         dig,
     )
@@ -187,15 +184,9 @@ fn run_engine(
     workers: usize,
     reference: (u64, u64),
 ) -> Mode {
-    let store = FileStore::open(path).expect("open database file");
-    let db = DiskDatabase::open_file(path, cfg.pool_pages).expect("open database file");
-    let engine: DiskQueryEngine<FileStore> = {
-        // Reuse the parsed layout but run on an independent FileStore so
-        // the sequential handle above stays untouched.
-        let (_, columns) = db.into_engine(1).into_parts();
-        DiskQueryEngine::with_workers(store, columns, cfg.pool_pages, workers)
-            .expect("pool_pages >= 1")
-    };
+    let engine = DiskDatabase::open_file(path, cfg.pool_pages)
+        .expect("open database file")
+        .into_engine(workers);
 
     // Product-path wall time: one engine.run() call on a cold pool.
     let wall = Instant::now();
@@ -293,16 +284,16 @@ fn main() {
     // Warm-up: page the file into the OS cache so the timed modes compare
     // pool behaviour, not first-touch filesystem effects.
     {
-        let mut db = DiskDatabase::open_file(&path, cfg.pool_pages).expect("open database file");
+        let db = DiskDatabase::open_file(&path, cfg.pool_pages).expect("open database file");
         for q in queries.iter().take(8) {
             let _ = db.k_n_match(q, cfg.k, cfg.n).expect("valid workload");
         }
     }
 
-    // The reference baseline is the cold-pool sequential path: it is the
-    // one whose answers AND per-query IoStats the engine reproduces
-    // bit-for-bit (the warm path's stats depend on query order). The warm
-    // path is reported too, as the best case for an exclusive pool.
+    // The reference baseline is the cold-pool sequential path: every
+    // query pays its own page fetches, as each one's modelled IoStats
+    // assume. The warm path is reported too: the same loop with the pool
+    // left warm between queries.
     let (baseline, reference) = run_sequential(&path, &cfg, &queries, true);
     let (warm, warm_dig) = run_sequential(&path, &cfg, &queries, false);
     assert_eq!(warm_dig, reference, "warm answers diverged from cold");

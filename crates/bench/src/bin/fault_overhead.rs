@@ -34,7 +34,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use knmatch_core::{BatchAnswer, BatchEngine, BatchQuery};
-use knmatch_storage::{DiskDatabase, DiskQueryEngine, FileStore, VerifyMode};
+use knmatch_storage::{DiskDatabase, VerifyMode};
 
 struct Config {
     cardinality: usize,
@@ -234,12 +234,9 @@ fn run_once(
     batch: &[BatchQuery],
     mode: VerifyMode,
 ) -> (Duration, Duration, u64, u64) {
-    let mut store = FileStore::open(path).expect("open database file");
-    store.set_verify_mode(mode);
-    let db = DiskDatabase::open_file(path, cfg.pool_pages).expect("open database file");
-    let (_, columns) = db.into_engine(1).into_parts();
-    let engine =
-        DiskQueryEngine::with_workers(store, columns, cfg.pool_pages, 1).expect("pool_pages >= 1");
+    let engine = DiskDatabase::open_file_with(path, cfg.pool_pages, mode)
+        .expect("open database file")
+        .into_engine(1);
 
     let t = Instant::now();
     let first = engine.run(batch);

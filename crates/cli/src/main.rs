@@ -114,8 +114,8 @@ fn verify(args: &[String]) -> Result<String, String> {
     let [path] = args else {
         return Err("verify needs <db.knm>".into());
     };
-    let mut db = DiskDatabase::open_file(path, 256).map_err(|e| e.to_string())?;
-    let problems = db.verify();
+    let db = DiskDatabase::open_file(path, 256).map_err(|e| e.to_string())?;
+    let problems = db.verify().map_err(|e| e.to_string())?;
     if problems.is_empty() {
         Ok(format!(
             "{path}: OK — {} points x {} dims, all columns sorted and consistent\n",
@@ -139,7 +139,7 @@ fn bench(args: &[String]) -> Result<String, String> {
     let k: usize = parse_num(flag_value(args, "-k").unwrap_or("20"), "-k")?;
     let queries: usize = parse_num(flag_value(args, "--queries").unwrap_or("20"), "--queries")?;
     let seed: u64 = parse_num(flag_value(args, "--seed").unwrap_or("42"), "--seed")?;
-    let mut db = DiskDatabase::open_file(path, 256).map_err(|e| e.to_string())?;
+    let db = DiskDatabase::open_file(path, 256).map_err(|e| e.to_string())?;
     let (n0, n1) = if let Some(i) = args.iter().position(|a| a == "--frequent") {
         (
             parse_num(args.get(i + 1).ok_or("--frequent needs N0 N1")?, "N0")?,
@@ -163,14 +163,12 @@ fn bench(args: &[String]) -> Result<String, String> {
     let model = CostModel::default();
     for _ in 0..queries {
         let pid = (next() % db.len() as u64) as u32;
-        let q = db.fetch_point(pid);
-        db.pool_mut().invalidate_all();
+        let q = db.fetch_point(pid).map_err(|e| e.to_string())?;
         let ad = db
             .frequent_k_n_match(&q, k, n0, n1)
             .map_err(|e| e.to_string())?;
         ad_ms.push(ad.io.response_time_ms(model));
         attrs += ad.ad.attributes_retrieved;
-        db.pool_mut().invalidate_all();
         let scan = db
             .scan_frequent_k_n_match(&q, k, n0, n1)
             .map_err(|e| e.to_string())?;
@@ -843,7 +841,7 @@ fn query(args: &[String]) -> Result<String, String> {
         return query_sharded(args, path, &point, k);
     }
 
-    let mut db = DiskDatabase::open_file(path, 256).map_err(|e| e.to_string())?;
+    let db = DiskDatabase::open_file(path, 256).map_err(|e| e.to_string())?;
     let mut out = String::new();
     let model = CostModel::default();
     if let Some(i) = args.iter().position(|a| a == "--frequent") {

@@ -363,7 +363,7 @@ pub fn isolate_panic<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
 ///
 /// # Errors
 ///
-/// Per-query parameter validation; see [`KnMatchError`](crate::KnMatchError).
+/// Per-query parameter validation; see [`crate::KnMatchError`].
 pub fn execute_batch_query<Src: SortedAccessSource>(
     src: &mut Src,
     query: &BatchQuery,
@@ -548,8 +548,7 @@ impl QueryEngine {
     ///
     /// # Errors
     ///
-    /// Per-query parameter validation; see
-    /// [`KnMatchError`](crate::KnMatchError).
+    /// Per-query parameter validation; see [`crate::KnMatchError`].
     pub fn execute(
         &self,
         query: &BatchQuery,

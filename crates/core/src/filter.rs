@@ -4,7 +4,7 @@
 //! kinds bit-identically to the sequential oracle:
 //!
 //! - [`ScanEngine`] — the naive full scan as a serving backend: every
-//!   point's differences through the [`kernels::abs_diffs`]
+//!   point's differences through the [`crate::kernels::abs_diffs`]
 //!   kernel, selection of the n-th smallest, canonical top-k. This is the
 //!   paper's "scan" competitor promoted from a benchmark loop to a
 //!   first-class backend (it wins near `n1 = d`, Figure 12).
@@ -13,7 +13,7 @@
 //!   (equi-width for the VA-file in `knmatch-vafile`, equi-depth for the
 //!   IGrid adapter in `knmatch-igrid`); phase one counts, per point, the
 //!   dimensions whose cell intersects the query band `[q_j − τ, q_j + τ]`
-//!   with the branchless [`kernels::accumulate_band_hits`] byte kernel;
+//!   with the branchless [`crate::kernels::accumulate_band_hits`] byte kernel;
 //!   phase two refines the survivors exactly. Because a point's
 //!   per-dimension lower bound is within `τ` **iff** its cell intersects
 //!   the band, "at least `n` band hits" is exactly "n-th smallest lower

@@ -6,7 +6,9 @@
 use knmatch_core::Dataset;
 use knmatch_data::rng::seeded;
 use knmatch_igrid::DiskIGrid;
-use knmatch_storage::{BufferPool, CostModel, DiskDatabase, HeapFile, IoStats, MemStore};
+use knmatch_storage::{
+    CostModel, DiskDatabase, HeapFile, IoStats, MemStore, ReadSession, SharedBufferPool,
+};
 use knmatch_vafile::VaFile;
 
 /// Averaged cost of one method over a query workload.
@@ -46,7 +48,7 @@ impl Cost {
 
 /// All disk structures for one dataset, each in its own store so page
 /// numbering (and hence sequentiality) is per-structure, as it would be in
-/// separate files.
+/// separate files. Every query's cost is its session's cold-pool model.
 #[derive(Debug)]
 pub struct DiskBench {
     dims: usize,
@@ -54,9 +56,11 @@ pub struct DiskBench {
     db: DiskDatabase<MemStore>,
     va: VaFile,
     va_heap: HeapFile,
-    va_pool: BufferPool<MemStore>,
+    va_pool: SharedBufferPool<MemStore>,
     igrid: DiskIGrid,
-    igrid_pool: BufferPool<MemStore>,
+    igrid_pool: SharedBufferPool<MemStore>,
+    /// One query's modelled I/O, restarted cold by every query.
+    session: ReadSession,
     model: CostModel,
 }
 
@@ -80,9 +84,10 @@ impl DiskBench {
             db,
             va,
             va_heap,
-            va_pool: BufferPool::new(va_store, POOL_PAGES),
+            va_pool: SharedBufferPool::new(va_store, POOL_PAGES),
             igrid,
-            igrid_pool: BufferPool::new(ig_store, POOL_PAGES),
+            igrid_pool: SharedBufferPool::new(ig_store, POOL_PAGES),
+            session: ReadSession::new(POOL_PAGES),
             model: CostModel::default(),
         }
     }
@@ -111,7 +116,6 @@ impl DiskBench {
     pub fn ad_frequent(&mut self, queries: &[Vec<f64>], k: usize, n0: usize, n1: usize) -> Cost {
         let mut cost = Cost::default();
         for q in queries {
-            self.db.pool_mut().invalidate_all();
             let out = self
                 .db
                 .frequent_k_n_match(q, k, n0, n1)
@@ -127,7 +131,6 @@ impl DiskBench {
     pub fn scan_frequent(&mut self, queries: &[Vec<f64>], k: usize, n0: usize, n1: usize) -> Cost {
         let mut cost = Cost::default();
         for q in queries {
-            self.db.pool_mut().invalidate_all();
             let out = self
                 .db
                 .scan_frequent_k_n_match(q, k, n0, n1)
@@ -143,11 +146,11 @@ impl DiskBench {
     pub fn va_frequent(&mut self, queries: &[Vec<f64>], k: usize, n0: usize, n1: usize) -> Cost {
         let mut cost = Cost::default();
         for q in queries {
-            self.va_pool.invalidate_all();
             let out = knmatch_vafile::frequent_k_n_match_va(
                 &self.va,
                 &self.va_heap,
-                &mut self.va_pool,
+                &self.va_pool,
+                &mut self.session,
                 q,
                 k,
                 n0,
@@ -165,10 +168,9 @@ impl DiskBench {
     pub fn igrid_query(&mut self, queries: &[Vec<f64>], k: usize) -> Cost {
         let mut cost = Cost::default();
         for q in queries {
-            self.igrid_pool.invalidate_all();
             let (_, io) = self
                 .igrid
-                .query(&mut self.igrid_pool, q, k)
+                .query(&self.igrid_pool, &mut self.session, q, k)
                 .expect("valid parameters");
             cost.add_io(io, self.model);
         }

@@ -18,7 +18,7 @@ use knmatch_core::k_nearest;
 use knmatch_core::Euclidean;
 use knmatch_data::uniform;
 use knmatch_rtree::{RTree, SsTree};
-use knmatch_storage::{BufferPool, CostModel, HeapFile, MemStore};
+use knmatch_storage::{CostModel, HeapFile, MemStore, ReadSession, SharedBufferPool};
 use knmatch_vafile::{k_nearest_va, VaFile};
 
 use crate::efficiency::{sample_query_points, DiskBench};
@@ -46,7 +46,8 @@ pub fn ext_curse(card: usize, dims: &[usize], queries: usize, seed: u64) -> ExtC
         let mut store = MemStore::new();
         let heap = HeapFile::build(&mut store, &ds);
         let va = VaFile::build(&mut store, &ds, 8);
-        let mut pool = BufferPool::new(store, 512);
+        let pool = SharedBufferPool::new(store, 512);
+        let mut session = ReadSession::new(512);
 
         let mut leaf_f = 0.0;
         let mut ss_leaf_f = 0.0;
@@ -56,7 +57,7 @@ pub fn ext_curse(card: usize, dims: &[usize], queries: usize, seed: u64) -> ExtC
             leaf_f += stats.leaf_fraction(tree.leaf_count());
             let (_, ss_stats) = stree.k_nearest(&ds, q, 10).expect("valid query");
             ss_leaf_f += ss_stats.leaf_fraction(stree.leaf_count());
-            let va_out = k_nearest_va(&va, &heap, &mut pool, q, 10).expect("valid query");
+            let va_out = k_nearest_va(&va, &heap, &pool, &mut session, q, 10).expect("valid query");
             refine_f += va_out.refined as f64 / card as f64;
             // All three must agree with the exact scan.
             let exact = k_nearest(&ds, q, 10, &Euclidean).expect("valid query");
@@ -178,11 +179,13 @@ pub fn ext_va_bits(card: usize, bits: &[u8], queries: usize, seed: u64) -> ExtVa
         let mut store = MemStore::new();
         let heap = HeapFile::build(&mut store, &ds);
         let va = VaFile::build(&mut store, &ds, b);
-        let mut pool = BufferPool::new(store, 512);
+        let pool = SharedBufferPool::new(store, 512);
+        let mut session = ReadSession::new(512);
         let mut total = 0usize;
         for q in &qs {
-            let out = knmatch_vafile::frequent_k_n_match_va(&va, &heap, &mut pool, q, 20, 4, 8)
-                .expect("valid query");
+            let out =
+                knmatch_vafile::frequent_k_n_match_va(&va, &heap, &pool, &mut session, q, 20, 4, 8)
+                    .expect("valid query");
             total += out.refined;
         }
         refined.push((b as f64, total as f64 / qs.len() as f64));

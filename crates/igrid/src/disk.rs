@@ -13,7 +13,10 @@
 //! query's per-dimension list walk hops across pages.
 
 use knmatch_core::{Dataset, KnMatchError, PointId, Result};
-use knmatch_storage::{BufferPool, IoStats, PageStore, PAGE_SIZE};
+use knmatch_storage::page::empty_page;
+use knmatch_storage::{
+    IoStats, PageStore, ReadSession, SharedBufferPool, SharedPageStore, PAGE_SIZE, POINT_LOOKUP,
+};
 
 use crate::index::IGridAnswer;
 use crate::partition::{default_bins, EquiDepthPartition};
@@ -168,14 +171,17 @@ impl DiskIGrid {
     }
 
     /// Returns the `k` most similar points to `query` with the I/O this
-    /// query cost (pool statistics are reset on entry).
+    /// query cost (`session` starts cold on entry). Every block read is a
+    /// point lookup: the fragmented chains never stream.
     ///
     /// # Errors
     ///
-    /// Rejects malformed queries and out-of-range `k`.
-    pub fn query<S: PageStore>(
+    /// Rejects malformed queries and out-of-range `k`;
+    /// [`KnMatchError::Storage`] when a page read fails.
+    pub fn query<S: SharedPageStore>(
         &self,
-        pool: &mut BufferPool<S>,
+        pool: &SharedBufferPool<S>,
+        session: &mut ReadSession,
         query: &[f64],
         k: usize,
     ) -> Result<(Vec<IGridAnswer>, IoStats)> {
@@ -191,14 +197,15 @@ impl DiskIGrid {
                 cardinality: self.cardinality,
             });
         }
-        pool.reset_stats();
+        session.begin_query();
         let bins = self.partition.bins();
         let mut scores: Vec<f64> = vec![0.0; self.cardinality];
+        let mut page = empty_page();
         for (dim, &q) in query.iter().enumerate() {
             let bin = self.partition.bin_of(dim, q);
             let m = self.partition.bin_width(dim, bin);
             for blk in &self.directory[dim * bins + bin] {
-                let page = pool.get(blk.page as usize);
+                pool.read_in(blk.page as usize, POINT_LOOKUP, session, &mut page)?;
                 let mut off = blk.slot as usize * BLOCK_BYTES;
                 for _ in 0..blk.len {
                     let pid = u32::from_le_bytes(page[off..off + 4].try_into().expect("4 bytes"));
@@ -224,7 +231,7 @@ impl DiskIGrid {
                 .then(a.pid.cmp(&b.pid))
         });
         ranked.truncate(k);
-        Ok((ranked, pool.stats()))
+        Ok((ranked, session.stats()))
     }
 }
 
@@ -251,10 +258,10 @@ mod tests {
         let mem = IGridIndex::build_with(&ds, 4, 2.0);
         let mut store = MemStore::new();
         let disk = DiskIGrid::build(&mut store, &ds, 4, 2.0);
-        let mut pool = BufferPool::new(store, 64);
+        let (pool, mut session) = (SharedBufferPool::new(store, 64), ReadSession::new(64));
         for pid in [0u32, 123, 999] {
             let q = ds.point(pid).to_vec();
-            let (got, _) = disk.query(&mut pool, &q, 10).unwrap();
+            let (got, _) = disk.query(&pool, &mut session, &q, 10).unwrap();
             let want = mem.query(&q, 10).unwrap();
             assert_eq!(got.len(), want.len());
             for (a, b) in got.iter().zip(&want) {
@@ -269,10 +276,10 @@ mod tests {
         let ds = sample(20_000, 8);
         let mut store = MemStore::new();
         let disk = DiskIGrid::build(&mut store, &ds, 4, 2.0);
-        let total_pages = store.page_count();
-        let mut pool = BufferPool::new(store, 4096);
+        let total_pages = PageStore::page_count(&store);
+        let (pool, mut session) = (SharedBufferPool::new(store, 4096), ReadSession::new(4096));
         let q = ds.point(7).to_vec();
-        let (_, io) = disk.query(&mut pool, &q, 10).unwrap();
+        let (_, io) = disk.query(&pool, &mut session, &q, 10).unwrap();
         // One of kd=4 lists per dimension → about 1/4 of the entry pages,
         // but fragmentation makes the reads mostly non-sequential.
         assert!(io.page_accesses() > 0);
@@ -305,8 +312,8 @@ mod tests {
         let ds = sample(500, 6);
         let mut store = MemStore::new();
         let disk = DiskIGrid::build_default(&mut store, &ds);
-        let mut pool = BufferPool::new(store, 64);
-        let (ans, _) = disk.query(&mut pool, ds.point(77), 1).unwrap();
+        let (pool, mut session) = (SharedBufferPool::new(store, 64), ReadSession::new(64));
+        let (ans, _) = disk.query(&pool, &mut session, ds.point(77), 1).unwrap();
         assert_eq!(ans[0].pid, 77);
     }
 
@@ -315,8 +322,10 @@ mod tests {
         let ds = sample(50, 3);
         let mut store = MemStore::new();
         let disk = DiskIGrid::build_default(&mut store, &ds);
-        let mut pool = BufferPool::new(store, 8);
-        assert!(disk.query(&mut pool, &[0.5], 1).is_err());
-        assert!(disk.query(&mut pool, &[0.5, 0.5, 0.5], 0).is_err());
+        let (pool, mut session) = (SharedBufferPool::new(store, 8), ReadSession::new(8));
+        assert!(disk.query(&pool, &mut session, &[0.5], 1).is_err());
+        assert!(disk
+            .query(&pool, &mut session, &[0.5, 0.5, 0.5], 0)
+            .is_err());
     }
 }

@@ -5,7 +5,7 @@
 use knmatch_core::Dataset;
 use knmatch_data::rng::{seeded, Rng64};
 use knmatch_igrid::{DiskIGrid, EquiDepthPartition, IGridIndex};
-use knmatch_storage::{BufferPool, MemStore};
+use knmatch_storage::{MemStore, ReadSession, SharedBufferPool};
 
 fn dataset(rng: &mut Rng64) -> (Vec<Vec<f64>>, usize) {
     let d = rng.range_usize(1..6);
@@ -58,11 +58,11 @@ fn disk_equals_memory() {
         let mem = IGridIndex::build_with(&ds, bins, 2.0);
         let mut store = MemStore::new();
         let disk = DiskIGrid::build(&mut store, &ds, bins, 2.0);
-        let mut pool = BufferPool::new(store, 64);
+        let (pool, mut session) = (SharedBufferPool::new(store, 64), ReadSession::new(64));
         let k = ds.len().div_ceil(2).max(1);
         let q = ds.point(0).to_vec();
         let want = mem.query(&q, k).unwrap();
-        let (got, _) = disk.query(&mut pool, &q, k).unwrap();
+        let (got, _) = disk.query(&pool, &mut session, &q, k).unwrap();
         assert_eq!(got.len(), want.len());
         for (a, b) in got.iter().zip(&want) {
             assert_eq!(a.pid, b.pid);

@@ -1,6 +1,6 @@
 //! A blocking client for the text protocol and its binary frame
-//! sibling — the other half of the conversation
-//! [`Server`](crate::Server) and [`EventServer`](crate::reactor) hold,
+//! sibling — the other half of the conversation the
+//! [`EventServer`](crate::EventServer) holds,
 //! used by `knmatch client`, the cross-check tests and the benches.
 //!
 //! The receive path sniffs each response's first byte, so one client

@@ -351,20 +351,16 @@ impl EngineConfig {
                         "{path}: --disk needs a .knm database file (see `knmatch build`)"
                     ));
                 }
-                let db = DiskDatabase::open_file(path, pool_pages).map_err(|e| e.to_string())?;
-                // Rebuild the engine around the store so the verification
-                // policy applies to every page read the queries do.
-                let (mut store, columns) = db.into_engine(self.workers).into_parts();
-                store.set_verify_mode(verify);
-                DiskQueryEngine::with_workers(store, columns, pool_pages, self.workers)
-                    .map(AnyEngine::Disk)
+                DiskDatabase::open_file_with(path, pool_pages, verify)
+                    .map(|db| AnyEngine::Disk(db.into_engine(self.workers)))
                     .map_err(|e| e.to_string())
             }
             Backend::Memory | Backend::Sharded(_) => {
                 let ds = if is_db {
-                    let mut db = DiskDatabase::open_file(path, DEFAULT_POOL_PAGES)
-                        .map_err(|e| e.to_string())?;
-                    db.heap().to_dataset(db.pool_mut())
+                    DiskDatabase::open_file(path, DEFAULT_POOL_PAGES)
+                        .map_err(|e| e.to_string())?
+                        .to_dataset()
+                        .map_err(|e| format!("{path}: {e}"))?
                 } else {
                     knmatch_data::load_dataset(path).map_err(|e| format!("{path}: {e}"))?
                 };

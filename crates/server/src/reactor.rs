@@ -8,7 +8,7 @@
 //!
 //! One reactor thread owns every socket. It accepts, reads, frames
 //! (text lines and binary frames interleave freely — see
-//! [`FrameBuf`]), and dispatches: control requests (`PING`, `STATS`,
+//! `FrameBuf`), and dispatches: control requests (`PING`, `STATS`,
 //! `DEADLINE`…) are answered inline; query and `BATCH` requests become
 //! jobs on a [`Condvar`] queue drained by `executors` worker threads,
 //! each calling [`BatchEngine::run_with`] and serializing the responses
@@ -21,16 +21,16 @@
 //! k-n-match answer, so the reactor keeps a fixed table of each query
 //! *shape*'s measured engine time (kind, k, n or n0/n1, ε, `PLANNER`
 //! mode) and runs a single-query job itself when its shape's average is
-//! below [`INLINE_BELOW`], through the same `run_job` the executors
+//! below `INLINE_BELOW`, through the same `run_job` the executors
 //! call. `BATCH` and maintenance jobs, shapes never measured, and shapes
 //! measured at or above the line always hand off, and at most
-//! [`INLINE_PER_ITERATION`] of engine time runs inline per loop
+//! `INLINE_PER_ITERATION` of engine time runs inline per loop
 //! iteration, so expensive work keeps the executor pool's parallelism
 //! and a flood of cheap queries still reaches it.
 //!
 //! ## Backends
 //!
-//! [`Poller`] hides the readiness mechanism behind one event-shaped
+//! `Poller` hides the readiness mechanism behind one event-shaped
 //! API. The `poll(2)` backend keeps its fd array **incrementally** —
 //! connections register once and only interest changes touch the set —
 //! and is the portable correctness oracle. The Linux `epoll` backend
@@ -41,23 +41,23 @@
 //! fails the generation check, so stale events never touch a new
 //! connection. Answers are bit-identical across backends by
 //! construction: the same encode path fills the same frames, and the
-//! [`SlotQueue`] releases them in the same order.
+//! `SlotQueue` releases them in the same order.
 //!
 //! ## Write path
 //!
 //! Responses are encoded **once**, by the executor (or inline for
 //! control responses), into pooled reference-counted frames
-//! ([`FrameRc`]). The reactor never copies response bytes again: ready
-//! frames move from the [`SlotQueue`] into the connection's outgoing
-//! frame queue and are flushed with `writev`, up to [`sys::MAX_IOV`]
+//! (`FrameRc`). The reactor never copies response bytes again: ready
+//! frames move from the `SlotQueue` into the connection's outgoing
+//! frame queue and are flushed with `writev`, up to `sys::MAX_IOV`
 //! frames per call, resuming mid-frame after partial writes
 //! (`advance_written`). Closed connections hand their frames and read
-//! buffers back to the server-wide [`BufferPool`], so steady-state
+//! buffers back to the server-wide `BufferPool`, so steady-state
 //! connection churn allocates nothing on this path.
 //!
 //! ## Ordering guarantee
 //!
-//! Every request occupies one [`SlotQueue`] slot in arrival order, and
+//! Every request occupies one `SlotQueue` slot in arrival order, and
 //! bytes leave strictly from the head — a pipelined client gets its
 //! responses in exactly the order it sent requests, even when the
 //! executor pool finishes them out of order or the reactor answers a

@@ -24,7 +24,7 @@ pub enum ReactorChoice {
     /// The portable `poll(2)` backend — the correctness oracle.
     Poll,
     /// The Linux edge-triggered `epoll(7)` backend; binding fails with
-    /// [`io::ErrorKind::Unsupported`] elsewhere.
+    /// [`std::io::ErrorKind::Unsupported`] elsewhere.
     Epoll,
 }
 

@@ -1,10 +1,13 @@
-//! An LRU buffer pool with sequential/random miss accounting.
+//! Page-read cost accounting: the counters every disk query reports and
+//! the model that prices them.
 //!
-//! All query-time page reads go through [`BufferPool::get`]. A miss fetches
-//! from the underlying [`PageStore`] and is classified *sequential* when it
-//! extends one of the caller's scan streams by one page — the pattern
-//! forward (or, with drive track caching, backward) scans produce, which
-//! disks serve at streaming bandwidth — and *random* otherwise (a seek).
+//! All page reads go through the one [`crate::SharedBufferPool`]. Its
+//! per-query view, a [`crate::ReadSession`], books each request against a
+//! private cold LRU of the pool's capacity and classifies each miss as
+//! *sequential* when it extends one of the caller's scan streams by one
+//! page, the pattern forward (or, with drive track caching, backward)
+//! scans produce and disks serve at streaming bandwidth, and *random*
+//! otherwise (a seek).
 //!
 //! Streams are scoped by a caller-supplied *group*, mirroring how real
 //! systems keep readahead state per open file / descriptor: the AD
@@ -12,14 +15,10 @@
 //! dimension; the paper credits its forward walks with sequential
 //! behaviour, Section 4.1), a heap scan is one stream, while IGrid's
 //! fragmented block chains (Section 5.2.3) hop pages inside their group
-//! and stay random.
+//! and stay random. The tests below pin those rules.
 
-use std::collections::HashMap;
-
-use crate::page::{empty_page, PageBuf};
-use crate::store::PageStore;
-
-/// Page-read counters accumulated by a [`BufferPool`].
+/// Page-read counters: one query's modelled I/O ([`crate::ReadSession`])
+/// or the shared pool's actual traffic ([`crate::SharedBufferPool::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
     /// Buffer-pool hits (no store read).
@@ -80,201 +79,15 @@ impl Default for CostModel {
     }
 }
 
-/// Doubly-linked-list node indices for the LRU chain.
-const NIL: usize = usize::MAX;
-
-/// Streams remembered per group: one group is one "open file", and the AD
-/// algorithm runs an up and a down cursor against each dimension file.
-const TAILS_PER_GROUP: usize = 2;
-
-#[derive(Debug)]
-struct Frame {
-    page_no: usize,
-    buf: Box<PageBuf>,
-    prev: usize,
-    next: usize,
-}
-
-/// A fixed-capacity LRU cache of pages over a [`PageStore`].
-#[derive(Debug)]
-pub struct BufferPool<S: PageStore> {
-    store: S,
-    capacity: usize,
-    frames: Vec<Frame>,
-    map: HashMap<usize, usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
-    stats: IoStats,
-    /// Per-group last-missed pages (front = most recent within the group).
-    streams: HashMap<u32, Vec<usize>>,
-}
-
-impl<S: PageStore> BufferPool<S> {
-    /// Wraps `store` with an LRU cache of `capacity` pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity == 0`.
-    pub fn new(store: S, capacity: usize) -> Self {
-        assert!(capacity >= 1, "buffer pool needs at least one frame");
-        BufferPool {
-            store,
-            capacity,
-            frames: Vec::with_capacity(capacity),
-            map: HashMap::with_capacity(capacity),
-            head: NIL,
-            tail: NIL,
-            stats: IoStats::default(),
-            streams: HashMap::new(),
-        }
-    }
-
-    /// Returns page `no` as a point lookup (group [`u32::MAX`]): a miss is
-    /// always a seek. Scans should use [`BufferPool::get_in`].
-    pub fn get(&mut self, no: usize) -> &PageBuf {
-        self.get_in(no, u32::MAX)
-    }
-
-    /// Returns page `no` on behalf of stream group `group`, reading through
-    /// on a miss. A miss adjacent (±1) to one of the group's stream tails
-    /// is sequential; otherwise it seeks and opens a new stream in the
-    /// group.
-    pub fn get_in(&mut self, no: usize, group: u32) -> &PageBuf {
-        if let Some(&idx) = self.map.get(&no) {
-            self.stats.hits += 1;
-            self.touch(idx);
-            return &self.frames[idx].buf;
-        }
-        if group == u32::MAX {
-            self.stats.random_reads += 1;
-        } else {
-            let tails = self.streams.entry(group).or_default();
-            let adjacent = tails
-                .iter()
-                .any(|&t| t == no.wrapping_sub(1) || t == no.wrapping_add(1));
-            if adjacent {
-                self.stats.sequential_reads += 1;
-            } else {
-                self.stats.random_reads += 1;
-            }
-            // The matched tail is kept: two cursors launched from adjacent
-            // seed pages (AD's up/down pair) must each keep their stream.
-            // Truncation ages stale tails out.
-            tails.insert(0, no);
-            tails.truncate(TAILS_PER_GROUP + 1);
-        }
-
-        let idx = if self.frames.len() < self.capacity {
-            let idx = self.frames.len();
-            self.frames.push(Frame {
-                page_no: no,
-                buf: Box::new(empty_page()),
-                prev: NIL,
-                next: NIL,
-            });
-            self.attach_front(idx);
-            idx
-        } else {
-            let idx = self.tail;
-            let old = self.frames[idx].page_no;
-            self.map.remove(&old);
-            self.frames[idx].page_no = no;
-            self.touch(idx);
-            idx
-        };
-        self.map.insert(no, idx);
-        let frame = &mut self.frames[idx];
-        self.store.read_page(no, &mut frame.buf);
-        &self.frames[idx].buf
-    }
-
-    /// Accumulated counters.
-    pub fn stats(&self) -> IoStats {
-        self.stats
-    }
-
-    /// Zeroes the counters (e.g. between queries) and forgets the scan
-    /// position, without dropping cached pages.
-    pub fn reset_stats(&mut self) {
-        self.stats = IoStats::default();
-        self.streams.clear();
-    }
-
-    /// Drops every cached page (required after mutating the store directly).
-    pub fn invalidate_all(&mut self) {
-        self.frames.clear();
-        self.map.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.streams.clear();
-    }
-
-    /// The wrapped store (for building structures; call
-    /// [`BufferPool::invalidate_all`] afterwards).
-    pub fn store_mut(&mut self) -> &mut S {
-        &mut self.store
-    }
-
-    /// Read access to the wrapped store.
-    pub fn store(&self) -> &S {
-        &self.store
-    }
-
-    /// Unwraps the pool.
-    pub fn into_store(self) -> S {
-        self.store
-    }
-
-    /// Number of frames currently cached.
-    pub fn cached_pages(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Configured frame capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn detach(&mut self, idx: usize) {
-        let (prev, next) = (self.frames[idx].prev, self.frames[idx].next);
-        if prev != NIL {
-            self.frames[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.frames[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn attach_front(&mut self, idx: usize) {
-        self.frames[idx].prev = NIL;
-        self.frames[idx].next = self.head;
-        if self.head != NIL {
-            self.frames[self.head].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
-    }
-
-    fn touch(&mut self, idx: usize) {
-        if self.head == idx {
-            return;
-        }
-        self.detach(idx);
-        self.attach_front(idx);
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
-    use crate::page::PAGE_SIZE;
-    use crate::store::{MemStore, PageStore};
+    use crate::error::StorageResult;
+    use crate::page::{empty_page, PageBuf, PAGE_SIZE};
+    use crate::shared_pool::{ReadSession, SharedBufferPool, POINT_LOOKUP};
+    use crate::store::{MemStore, PageStore, SharedPageStore};
 
     fn store_with(n: usize) -> MemStore {
         let mut s = MemStore::new();
@@ -286,19 +99,53 @@ mod tests {
         s
     }
 
+    /// One query's reads: a single-shard pool (so its actual counters
+    /// are one LRU too) and the session booking the modelled I/O.
+    struct Reader {
+        pool: SharedBufferPool<MemStore>,
+        session: ReadSession,
+    }
+
+    impl Reader {
+        fn new(pages: usize, capacity: usize) -> Self {
+            Reader {
+                pool: SharedBufferPool::with_shards(store_with(pages), capacity, 1),
+                session: ReadSession::new(capacity),
+            }
+        }
+
+        /// First byte of page `no`, read on behalf of stream `group`.
+        fn get_in(&mut self, no: usize, group: u32) -> u8 {
+            let mut out = empty_page();
+            self.pool
+                .read_in(no, group, &mut self.session, &mut out)
+                .unwrap();
+            out[0]
+        }
+
+        fn get(&mut self, no: usize) -> u8 {
+            self.get_in(no, POINT_LOOKUP)
+        }
+
+        fn stats(&self) -> IoStats {
+            self.session.stats()
+        }
+    }
+
     #[test]
     fn hit_after_miss() {
-        let mut pool = BufferPool::new(store_with(4), 2);
-        assert_eq!(pool.get(1)[0], 1);
-        assert_eq!(pool.get(1)[0], 1);
+        let mut pool = Reader::new(4, 2);
+        assert_eq!(pool.get(1), 1);
+        assert_eq!(pool.get(1), 1);
         let s = pool.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.page_accesses(), 1);
+        assert_eq!(pool.pool.stats(), s, "one cold query: both views agree");
     }
 
     #[test]
     fn sequential_vs_random_classification() {
-        let mut pool = BufferPool::new(store_with(10), 4);
+        let mut pool = Reader::new(10, 4);
         pool.get_in(0, 0); // random (first)
         pool.get_in(1, 0); // sequential
         pool.get_in(2, 0); // sequential
@@ -311,7 +158,7 @@ mod tests {
 
     #[test]
     fn hits_do_not_break_the_scan_run() {
-        let mut pool = BufferPool::new(store_with(10), 4);
+        let mut pool = Reader::new(10, 4);
         pool.get_in(0, 0);
         pool.get_in(1, 0);
         pool.get_in(0, 0); // hit — must not reset the miss position
@@ -326,7 +173,7 @@ mod tests {
     fn two_cursors_in_one_group_both_stream() {
         // The AD pattern: an up cursor and a down cursor on one dimension
         // file, interleaved.
-        let mut pool = BufferPool::new(store_with(10), 8);
+        let mut pool = Reader::new(10, 8);
         pool.get_in(5, 0); // random: down cursor start
         pool.get_in(6, 0); // sequential (adjacent to 5): up cursor start
         pool.get_in(4, 0); // sequential: down continues (5 → 4)
@@ -340,7 +187,7 @@ mod tests {
 
     #[test]
     fn groups_are_isolated() {
-        let mut pool = BufferPool::new(store_with(10), 8);
+        let mut pool = Reader::new(10, 8);
         pool.get_in(0, 0); // random
         pool.get_in(1, 1); // random: adjacency in ANOTHER group gives no credit
         pool.get_in(2, 1); // sequential within group 1
@@ -351,7 +198,7 @@ mod tests {
 
     #[test]
     fn point_lookups_are_always_random() {
-        let mut pool = BufferPool::new(store_with(10), 8);
+        let mut pool = Reader::new(10, 8);
         pool.get(0);
         pool.get(1); // adjacent, but point lookups carry no stream
         pool.get(2);
@@ -363,7 +210,7 @@ mod tests {
     #[test]
     fn strided_reads_stay_random() {
         // The IGrid chain pattern: pages with gaps ≥ 2 never stream.
-        let mut pool = BufferPool::new(store_with(10), 8);
+        let mut pool = Reader::new(10, 8);
         for no in [0usize, 2, 4, 6, 8] {
             pool.get_in(no, 3);
         }
@@ -374,38 +221,55 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut pool = BufferPool::new(store_with(5), 2);
+        let mut pool = Reader::new(5, 2);
         pool.get(0);
         pool.get(1);
         pool.get(0); // 0 is now MRU; LRU is 1
         pool.get(2); // evicts 1
-        assert_eq!(pool.cached_pages(), 2);
-        pool.reset_stats();
+        assert_eq!(pool.pool.cached_pages(), 2);
+        let before = pool.stats();
         pool.get(0); // hit
-        assert_eq!(pool.stats().hits, 1);
+        assert_eq!(pool.stats().hits, before.hits + 1);
         pool.get(1); // miss (was evicted)
-        assert_eq!(pool.stats().page_accesses(), 1);
+        assert_eq!(pool.stats().page_accesses(), before.page_accesses() + 1);
+        // The single-shard pool evicted exactly what the model did.
+        assert_eq!(pool.pool.stats(), pool.stats());
     }
 
     #[test]
     fn capacity_one_works() {
-        let mut pool = BufferPool::new(store_with(3), 1);
-        assert_eq!(pool.get(2)[0], 2);
-        assert_eq!(pool.get(0)[0], 0);
-        assert_eq!(pool.get(2)[0], 2);
+        let mut pool = Reader::new(3, 1);
+        assert_eq!(pool.get(2), 2);
+        assert_eq!(pool.get(0), 0);
+        assert_eq!(pool.get(2), 2);
         assert_eq!(pool.stats().hits, 0);
         assert_eq!(pool.stats().page_accesses(), 3);
     }
 
     #[test]
     fn invalidate_after_external_write() {
-        let mut pool = BufferPool::new(store_with(1), 2);
-        assert_eq!(pool.get(0)[0], 0);
+        /// A store another handle can write behind the pool's back.
+        struct Shared(Mutex<MemStore>);
+        impl SharedPageStore for Shared {
+            fn page_count(&self) -> usize {
+                PageStore::page_count(&*self.0.lock().unwrap())
+            }
+            fn read_page_at(&self, no: usize, buf: &mut PageBuf) -> StorageResult<()> {
+                self.0.lock().unwrap().try_read_page(no, buf)
+            }
+        }
+        let pool = SharedBufferPool::new(Shared(Mutex::new(store_with(1))), 2);
+        let mut out = empty_page();
+        pool.read(0, &mut out).unwrap();
+        assert_eq!(out[0], 0);
         let mut p = empty_page();
         p[0] = 99;
-        pool.store_mut().write_page(0, &p);
+        pool.store().0.lock().unwrap().write_page(0, &p);
+        pool.read(0, &mut out).unwrap();
+        assert_eq!(out[0], 0, "the pool serves its cached copy");
         pool.invalidate_all();
-        assert_eq!(pool.get(0)[0], 99);
+        pool.read(0, &mut out).unwrap();
+        assert_eq!(out[0], 99);
     }
 
     #[test]
@@ -425,13 +289,22 @@ mod tests {
 
     #[test]
     fn page_buffer_is_full_size() {
-        let mut pool = BufferPool::new(store_with(1), 1);
-        assert_eq!(pool.get(0).len(), PAGE_SIZE);
+        // The copy-out moves the whole page, hit or miss.
+        let mut store = MemStore::new();
+        let mut p = empty_page();
+        p[PAGE_SIZE - 1] = 0xAB;
+        store.append_page(&p);
+        let pool = SharedBufferPool::new(store, 1);
+        for _ in 0..2 {
+            let mut out = empty_page();
+            pool.read(0, &mut out).unwrap();
+            assert_eq!(out[PAGE_SIZE - 1], 0xAB);
+        }
     }
 
     #[test]
     #[should_panic(expected = "at least one frame")]
     fn zero_capacity_panics() {
-        let _ = BufferPool::new(MemStore::new(), 0);
+        let _ = SharedBufferPool::new(MemStore::new(), 0);
     }
 }

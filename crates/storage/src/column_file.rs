@@ -8,7 +8,6 @@
 
 use knmatch_core::{Dataset, SortedColumns, SortedEntry};
 
-use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
 use crate::page::{
     empty_page, pages_needed, read_column_entry, write_column_entry, PageBuf,
@@ -96,8 +95,8 @@ impl SortedColumnFile {
 
     /// Fallible [`SortedColumnFile::open`]: a missing page range or a
     /// failing fence-page read (I/O error, checksum mismatch) is returned
-    /// instead of panicking, so [`crate::persist::open_file`] can report
-    /// corruption cleanly.
+    /// instead of panicking, so [`crate::DiskDatabase::open_file`] can
+    /// report corruption cleanly.
     ///
     /// # Errors
     ///
@@ -194,23 +193,29 @@ impl SortedColumnFile {
         Some((self.base_page + dim * self.pages_per_dim + page, start, len))
     }
 
-    /// Reads the entry at `rank` of `dim` through `pool`.
+    /// Reads the entry at `rank` of `dim` through `pool`, booking the
+    /// read in `session` (one stream group per dimension file: the up and
+    /// down cursor walks both stream within it).
+    ///
+    /// # Errors
+    ///
+    /// A page read that fails after the pool's retries.
     ///
     /// # Panics
     ///
     /// Panics when `dim` or `rank` is out of range.
-    pub fn entry<S: PageStore>(
+    pub fn entry<S: SharedPageStore>(
         &self,
-        pool: &mut BufferPool<S>,
+        pool: &SharedBufferPool<S>,
+        session: &mut ReadSession,
         dim: usize,
         rank: usize,
-    ) -> SortedEntry {
+    ) -> StorageResult<SortedEntry> {
         let (page_no, slot) = self.page_slot(dim, rank);
-        // One stream group per dimension file: the up and down cursor walks
-        // both stream within it.
-        let page = pool.get_in(page_no, dim as u32);
-        let (pid, value) = read_column_entry(page, slot);
-        SortedEntry { pid, value }
+        let mut page = empty_page();
+        pool.read_in(page_no, dim as u32, session, &mut page)?;
+        let (pid, value) = read_column_entry(&page, slot);
+        Ok(SortedEntry { pid, value })
     }
 
     /// Page-granular estimate of the rank of the first entry in `dim` with
@@ -226,12 +231,23 @@ impl SortedColumnFile {
     /// fence keys narrow the search to one page, which is then scanned
     /// through the pool (at most one page read — and it is the page the AD
     /// cursors seed from next).
-    pub fn locate<S: PageStore>(&self, pool: &mut BufferPool<S>, dim: usize, q: f64) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// A page read that fails after the pool's retries.
+    pub fn locate<S: SharedPageStore>(
+        &self,
+        pool: &SharedBufferPool<S>,
+        session: &mut ReadSession,
+        dim: usize,
+        q: f64,
+    ) -> StorageResult<usize> {
         let Some((page_no, start, len)) = self.locate_page(dim, q) else {
-            return 0;
+            return Ok(0);
         };
-        let buf = pool.get_in(page_no, dim as u32);
-        start + search_page(buf, len, q)
+        let mut page = empty_page();
+        pool.read_in(page_no, dim as u32, session, &mut page)?;
+        Ok(start + search_page(&page, len, q))
     }
 }
 
@@ -251,57 +267,18 @@ fn search_page(buf: &PageBuf, len: usize, q: f64) -> usize {
     lo
 }
 
-/// A [`SortedColumnFile`] + [`BufferPool`] pair viewed as a
-/// [`knmatch_core::SortedAccessSource`], so the generic AD engine runs
-/// unchanged on disk (Section 4.1's disk-based AD).
-#[derive(Debug)]
-pub struct DiskColumns<'a, S: PageStore> {
-    file: &'a SortedColumnFile,
-    pool: &'a mut BufferPool<S>,
-}
-
-impl<'a, S: PageStore> DiskColumns<'a, S> {
-    /// Binds a column file to a pool.
-    pub fn new(file: &'a SortedColumnFile, pool: &'a mut BufferPool<S>) -> Self {
-        DiskColumns { file, pool }
-    }
-
-    /// The underlying pool (e.g. to read [`crate::buffer::IoStats`]).
-    pub fn pool(&self) -> &BufferPool<S> {
-        self.pool
-    }
-}
-
-impl<S: PageStore> knmatch_core::SortedAccessSource for DiskColumns<'_, S> {
-    fn dims(&self) -> usize {
-        self.file.dims()
-    }
-
-    fn cardinality(&self) -> usize {
-        self.file.cardinality()
-    }
-
-    fn locate(&mut self, dim: usize, q: f64) -> usize {
-        self.file.locate(self.pool, dim, q)
-    }
-
-    fn entry(&mut self, dim: usize, rank: usize) -> SortedEntry {
-        self.file.entry(self.pool, dim, rank)
-    }
-}
-
 /// Sentinel for "no page cached" in [`SharedDiskColumns`]' per-dimension
 /// copy-out slots (page numbers never reach `usize::MAX`).
 const NO_PAGE: usize = usize::MAX;
 
-/// A [`SortedColumnFile`] viewed through a *shared* buffer pool as a
-/// [`knmatch_core::SortedAccessSource`]: the concurrent counterpart of
-/// [`DiskColumns`], usable by many workers at once (each holds its own
-/// instance over the same `&SharedBufferPool`).
+/// A [`SortedColumnFile`] viewed through the buffer pool as a
+/// [`knmatch_core::SortedAccessSource`], so the generic AD engine runs
+/// unchanged on disk (Section 4.1's disk-based AD). Many workers can read
+/// at once: each holds its own instance over the same `&SharedBufferPool`.
 ///
-/// Every page request is booked in the worker's [`ReadSession`] first —
-/// keeping the modelled per-query [`crate::IoStats`] bit-identical to the
-/// sequential path — and then served from one of two per-dimension
+/// Every page request is booked in the view's [`ReadSession`] first —
+/// the modelled per-query [`crate::IoStats`] — and then served from one
+/// of two per-dimension
 /// copy-out slots, falling back to the shared pool on a local miss. Two
 /// slots, not one, because the AD walk runs an ascending and a descending
 /// cursor per dimension: once they straddle a page boundary a single slot
@@ -321,13 +298,13 @@ pub struct SharedDiskColumns<'a, S> {
 
 impl<'a, S: SharedPageStore> SharedDiskColumns<'a, S> {
     /// Binds a column file to a shared pool, modelling per-query I/O as a
-    /// private cold pool of `modelled_capacity` frames (use the capacity
-    /// the sequential [`crate::DiskDatabase`] would be configured with).
+    /// private cold pool of `modelled_capacity` frames (the engine passes
+    /// its pool's capacity).
     ///
     /// # Panics
     ///
     /// Panics when `modelled_capacity == 0`, matching
-    /// [`crate::BufferPool::new`].
+    /// [`SharedBufferPool::new`].
     pub fn new(
         file: &'a SortedColumnFile,
         pool: &'a SharedBufferPool<S>,
@@ -353,7 +330,7 @@ impl<'a, S: SharedPageStore> SharedDiskColumns<'a, S> {
     }
 
     /// Modelled I/O of the current query (see [`ReadSession::stats`]).
-    pub fn session_stats(&self) -> crate::buffer::IoStats {
+    pub fn session_stats(&self) -> crate::IoStats {
         self.session.stats()
     }
 
@@ -425,16 +402,16 @@ mod tests {
     use crate::store::MemStore;
     use knmatch_core::SortedAccessSource;
 
-    fn build_fig3() -> (SortedColumnFile, BufferPool<MemStore>) {
+    fn build_fig3() -> (SortedColumnFile, SharedBufferPool<MemStore>, ReadSession) {
         let ds = knmatch_core::paper::fig3_dataset();
         let mut store = MemStore::new();
         let file = SortedColumnFile::build(&mut store, &ds);
-        (file, BufferPool::new(store, 8))
+        (file, SharedBufferPool::new(store, 8), ReadSession::new(8))
     }
 
     #[test]
     fn layout_counts() {
-        let (file, pool) = build_fig3();
+        let (file, pool, _) = build_fig3();
         assert_eq!(file.dims(), 3);
         assert_eq!(file.cardinality(), 5);
         assert_eq!(file.pages_per_dim(), 1);
@@ -446,10 +423,13 @@ mod tests {
     fn entries_match_in_memory_columns() {
         let ds = knmatch_core::paper::fig3_dataset();
         let mem = SortedColumns::build(&ds);
-        let (file, mut pool) = build_fig3();
+        let (file, pool, mut session) = build_fig3();
         for dim in 0..3 {
             for rank in 0..5 {
-                assert_eq!(file.entry(&mut pool, dim, rank), mem.column(dim).get(rank));
+                assert_eq!(
+                    file.entry(&pool, &mut session, dim, rank).unwrap(),
+                    mem.column(dim).get(rank)
+                );
             }
         }
     }
@@ -458,11 +438,11 @@ mod tests {
     fn locate_matches_in_memory() {
         let ds = knmatch_core::paper::fig3_dataset();
         let mut mem = SortedColumns::build(&ds);
-        let (file, mut pool) = build_fig3();
+        let (file, pool, mut session) = build_fig3();
         for dim in 0..3 {
             for q in [-1.0, 0.4, 2.9, 5.5, 9.0, 42.0] {
                 assert_eq!(
-                    file.locate(&mut pool, dim, q),
+                    file.locate(&pool, &mut session, dim, q).unwrap(),
                     knmatch_core::SortedAccessSource::locate(&mut mem, dim, q),
                     "dim {dim} q {q}"
                 );
@@ -478,18 +458,19 @@ mod tests {
         let mut store = MemStore::new();
         let file = SortedColumnFile::build(&mut store, &ds);
         assert_eq!(file.pages_per_dim(), 3);
-        let mut pool = BufferPool::new(store, 4);
-        assert_eq!(file.entry(&mut pool, 0, 0).value, 0.0);
-        assert_eq!(file.entry(&mut pool, 0, 341).value, 341.0);
-        assert_eq!(file.entry(&mut pool, 0, 999).value, 999.0);
-        assert_eq!(file.locate(&mut pool, 0, 341.0), 341);
-        assert_eq!(file.locate(&mut pool, 0, 999.5), 1000);
+        let pool = SharedBufferPool::new(store, 4);
+        let mut s = ReadSession::new(4);
+        assert_eq!(file.entry(&pool, &mut s, 0, 0).unwrap().value, 0.0);
+        assert_eq!(file.entry(&pool, &mut s, 0, 341).unwrap().value, 341.0);
+        assert_eq!(file.entry(&pool, &mut s, 0, 999).unwrap().value, 999.0);
+        assert_eq!(file.locate(&pool, &mut s, 0, 341.0).unwrap(), 341);
+        assert_eq!(file.locate(&pool, &mut s, 0, 999.5).unwrap(), 1000);
     }
 
     #[test]
     fn disk_columns_run_generic_ad() {
-        let (file, mut pool) = build_fig3();
-        let mut src = DiskColumns::new(&file, &mut pool);
+        let (file, pool, _) = build_fig3();
+        let mut src = SharedDiskColumns::new(&file, &pool, 8);
         let (res, _) = knmatch_core::k_n_match_ad(&mut src, &[3.0, 7.0, 4.0], 2, 2).unwrap();
         assert_eq!(res.ids(), vec![2, 1]);
         assert_eq!(res.epsilon(), 1.5);
@@ -497,8 +478,8 @@ mod tests {
 
     #[test]
     fn trait_dims_and_cardinality() {
-        let (file, mut pool) = build_fig3();
-        let src = DiskColumns::new(&file, &mut pool);
+        let (file, pool, _) = build_fig3();
+        let src = SharedDiskColumns::new(&file, &pool, 8);
         assert_eq!(src.dims(), 3);
         assert_eq!(src.cardinality(), 5);
     }

@@ -2,16 +2,26 @@
 //! behind one buffer pool, with the paper's two disk algorithms —
 //! the disk-based AD algorithm (Section 4.1) and the sequential-scan
 //! baseline — exposed with per-query I/O statistics.
+//!
+//! A [`DiskDatabase`] is a [`DiskQueryEngine`] plus its [`HeapFile`]: the
+//! AD queries are the engine's [`execute`](DiskQueryEngine::execute) on
+//! the calling thread, and the scan, the point fetches and
+//! [`verify`](DiskDatabase::verify) read the heap through the same
+//! [`SharedBufferPool`]. Every query books its I/O in a fresh
+//! [`ReadSession`], so its [`IoStats`] are the cold private-pool model
+//! whatever earlier queries left cached; what the pool actually served
+//! is [`DiskDatabase::pool_stats`].
 
 use knmatch_core::{
-    eps_n_match_ad, frequent_k_n_match_ad, k_n_match_ad, AdStats, Dataset, FrequentResult,
-    KnMatchResult, Result,
+    AdStats, BatchAnswer, BatchQuery, Dataset, FrequentResult, KnMatchResult, Result, Scratch,
 };
 
-use crate::buffer::{BufferPool, IoStats};
-use crate::column_file::{DiskColumns, SortedColumnFile};
+use crate::buffer::IoStats;
+use crate::column_file::{SharedDiskColumns, SortedColumnFile};
 use crate::disk_engine::DiskQueryEngine;
+use crate::error::StorageResult;
 use crate::heap_file::HeapFile;
+use crate::shared_pool::{ReadSession, SharedBufferPool};
 use crate::store::{MemStore, PageStore, SharedPageStore};
 
 /// Outcome of one disk query: the answer plus what it cost.
@@ -19,18 +29,18 @@ use crate::store::{MemStore, PageStore, SharedPageStore};
 pub struct DiskQueryOutcome<R> {
     /// The query answer.
     pub result: R,
-    /// Page-level I/O incurred by this query.
+    /// Page-level I/O incurred by this query, modelled on a cold private
+    /// pool of the database's capacity.
     pub io: IoStats,
     /// Attribute-level AD counters (zeroed for scan-based queries' probes).
     pub ad: AdStats,
 }
 
-/// A dataset materialised on "disk" (any [`PageStore`]): a heap file in pid
-/// order plus a sorted-column file, sharing one LRU buffer pool.
+/// A dataset materialised on "disk" (any [`SharedPageStore`]): a heap file
+/// in pid order plus a sorted-column file, sharing one LRU buffer pool.
 #[derive(Debug)]
-pub struct DiskDatabase<S: PageStore> {
-    pool: BufferPool<S>,
-    columns: SortedColumnFile,
+pub struct DiskDatabase<S> {
+    engine: DiskQueryEngine<S>,
     heap: HeapFile,
 }
 
@@ -66,28 +76,20 @@ impl DiskLayout {
     /// # Errors
     ///
     /// Rejects `pool_pages == 0` as `InvalidInput` (a pool needs at least
-    /// one frame); validated here, up front, so no caller ever reaches the
-    /// panic inside [`BufferPool::new`].
-    pub fn attach<S: PageStore>(
+    /// one frame; see [`DiskQueryEngine::with_workers`]).
+    pub fn attach<S: SharedPageStore>(
         self,
         store: S,
         pool_pages: usize,
     ) -> std::io::Result<DiskDatabase<S>> {
-        if pool_pages == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "buffer pool needs at least one frame (pool_pages == 0)",
-            ));
-        }
         Ok(DiskDatabase {
-            pool: BufferPool::new(store, pool_pages),
-            columns: self.columns,
+            engine: DiskQueryEngine::with_workers(store, self.columns, pool_pages, 1)?,
             heap: self.heap,
         })
     }
 }
 
-impl<S: PageStore> DiskDatabase<S> {
+impl<S: SharedPageStore> DiskDatabase<S> {
     /// Writes the heap file then the column file into `store`.
     pub fn build(ds: &Dataset, store: &mut impl PageStore) -> DiskLayout {
         let heap = HeapFile::build(store, ds);
@@ -97,7 +99,7 @@ impl<S: PageStore> DiskDatabase<S> {
 
     /// The sorted-column file handle.
     pub fn columns(&self) -> &SortedColumnFile {
-        &self.columns
+        self.engine.columns()
     }
 
     /// The heap file handle.
@@ -105,9 +107,29 @@ impl<S: PageStore> DiskDatabase<S> {
         self.heap
     }
 
-    /// The shared buffer pool.
-    pub fn pool_mut(&mut self) -> &mut BufferPool<S> {
-        &mut self.pool
+    /// The buffer pool every read of this database goes through (e.g. to
+    /// [`invalidate_all`](SharedBufferPool::invalidate_all) between
+    /// queries for a cold cache).
+    pub fn pool(&self) -> &SharedBufferPool<S> {
+        self.engine.pool()
+    }
+
+    /// Traffic the pool actually served so far (merged shard counters):
+    /// unlike a query's modelled [`DiskQueryOutcome::io`], it shrinks when
+    /// earlier queries left pages cached.
+    pub fn pool_stats(&self) -> IoStats {
+        self.engine.pool_stats()
+    }
+
+    /// Pool capacity in pages (also each query's modelled capacity).
+    pub fn pool_pages(&self) -> usize {
+        self.engine.pool_pages()
+    }
+
+    /// A fresh session modelling one query on a cold pool of this
+    /// database's capacity.
+    pub(crate) fn session(&self) -> ReadSession {
+        ReadSession::new(self.pool_pages())
     }
 
     /// Cardinality `c`.
@@ -125,24 +147,38 @@ impl<S: PageStore> DiskDatabase<S> {
         self.heap.dims()
     }
 
+    /// Runs one query through the engine on the calling thread, taking
+    /// the answer out of its [`BatchAnswer`] with `answer`.
+    fn execute<R>(
+        &self,
+        query: BatchQuery,
+        answer: impl FnOnce(BatchAnswer) -> Option<R>,
+    ) -> Result<DiskQueryOutcome<R>> {
+        let mut src = SharedDiskColumns::new(self.columns(), self.pool(), self.pool_pages());
+        let out = self.engine.execute(&query, &mut src, &mut Scratch::new())?;
+        Ok(DiskQueryOutcome {
+            result: answer(out.answer).expect("an answer mirrors its query's kind"),
+            io: out.io,
+            ad: out.ad,
+        })
+    }
+
     /// Disk-based AD k-n-match (Section 4.1).
     ///
     /// # Errors
     ///
-    /// Propagates core parameter validation.
+    /// Core parameter validation, or [`knmatch_core::KnMatchError::Storage`]
+    /// when a page read fails.
     pub fn k_n_match(
-        &mut self,
+        &self,
         query: &[f64],
         k: usize,
         n: usize,
     ) -> Result<DiskQueryOutcome<KnMatchResult>> {
-        self.pool.reset_stats();
-        let mut src = DiskColumns::new(&self.columns, &mut self.pool);
-        let (result, ad) = k_n_match_ad(&mut src, query, k, n)?;
-        Ok(DiskQueryOutcome {
-            result,
-            io: self.pool.stats(),
-            ad,
+        let query = query.to_vec();
+        self.execute(BatchQuery::KnMatch { query, k, n }, |a| match a {
+            BatchAnswer::KnMatch(r) => Some(r),
+            _ => None,
         })
     }
 
@@ -150,21 +186,18 @@ impl<S: PageStore> DiskDatabase<S> {
     ///
     /// # Errors
     ///
-    /// Propagates core parameter validation.
+    /// As [`DiskDatabase::k_n_match`].
     pub fn frequent_k_n_match(
-        &mut self,
+        &self,
         query: &[f64],
         k: usize,
         n0: usize,
         n1: usize,
     ) -> Result<DiskQueryOutcome<FrequentResult>> {
-        self.pool.reset_stats();
-        let mut src = DiskColumns::new(&self.columns, &mut self.pool);
-        let (result, ad) = frequent_k_n_match_ad(&mut src, query, k, n0, n1)?;
-        Ok(DiskQueryOutcome {
-            result,
-            io: self.pool.stats(),
-            ad,
+        let query = query.to_vec();
+        self.execute(BatchQuery::Frequent { query, k, n0, n1 }, |a| match a {
+            BatchAnswer::Frequent(r) => Some(r),
+            _ => None,
         })
     }
 
@@ -173,20 +206,17 @@ impl<S: PageStore> DiskDatabase<S> {
     ///
     /// # Errors
     ///
-    /// Propagates core parameter validation.
+    /// As [`DiskDatabase::k_n_match`].
     pub fn eps_n_match(
-        &mut self,
+        &self,
         query: &[f64],
         eps: f64,
         n: usize,
     ) -> Result<DiskQueryOutcome<KnMatchResult>> {
-        self.pool.reset_stats();
-        let mut src = DiskColumns::new(&self.columns, &mut self.pool);
-        let (result, ad) = eps_n_match_ad(&mut src, query, eps, n)?;
-        Ok(DiskQueryOutcome {
-            result,
-            io: self.pool.stats(),
-            ad,
+        let query = query.to_vec();
+        self.execute(BatchQuery::EpsMatch { query, eps, n }, |a| match a {
+            BatchAnswer::EpsMatch(r) => Some(r),
+            _ => None,
         })
     }
 
@@ -195,9 +225,9 @@ impl<S: PageStore> DiskDatabase<S> {
     ///
     /// # Errors
     ///
-    /// Propagates core parameter validation.
+    /// As [`DiskDatabase::k_n_match`].
     pub fn scan_k_n_match(
-        &mut self,
+        &self,
         query: &[f64],
         k: usize,
         n: usize,
@@ -214,27 +244,26 @@ impl<S: PageStore> DiskDatabase<S> {
     ///
     /// # Errors
     ///
-    /// Propagates core parameter validation.
+    /// As [`DiskDatabase::k_n_match`].
     pub fn scan_frequent_k_n_match(
-        &mut self,
+        &self,
         query: &[f64],
         k: usize,
         n0: usize,
         n1: usize,
     ) -> Result<DiskQueryOutcome<FrequentResult>> {
         knmatch_core::ad::validate_params(query, self.dims(), self.len(), k, n0, n1)?;
-        self.pool.reset_stats();
         let mut tops: Vec<knmatch_core::topk::TopK> = (n0..=n1)
             .map(|_| knmatch_core::topk::TopK::new(k))
             .collect();
         let mut buf: Vec<f64> = Vec::with_capacity(self.dims());
-        let heap = self.heap;
-        heap.for_each(&mut self.pool, |pid, row| {
+        let mut session = self.session();
+        self.heap.for_each(self.pool(), &mut session, |pid, row| {
             knmatch_core::sorted_differences_with_buf(row, query, &mut buf);
             for (i, top) in tops.iter_mut().enumerate() {
                 top.offer(pid, buf[n0 + i - 1]);
             }
-        });
+        })?;
         let per_n: Vec<KnMatchResult> = tops
             .into_iter()
             .enumerate()
@@ -242,29 +271,39 @@ impl<S: PageStore> DiskDatabase<S> {
             .collect();
         Ok(DiskQueryOutcome {
             result: FrequentResult::from_levels((n0, n1), per_n, k),
-            io: self.pool.stats(),
+            io: session.stats(),
             ad: AdStats::default(),
         })
     }
 
     /// Fetches one point by id (through the pool; counts as I/O).
-    pub fn fetch_point(&mut self, pid: knmatch_core::PointId) -> Vec<f64> {
+    ///
+    /// # Errors
+    ///
+    /// A page read that fails after the pool's retries.
+    pub fn fetch_point(&self, pid: knmatch_core::PointId) -> StorageResult<Vec<f64>> {
         let mut out = vec![0.0; self.dims()];
-        let heap = self.heap;
-        heap.point(&mut self.pool, pid, &mut out);
-        out
+        self.heap
+            .point(self.pool(), &mut self.session(), pid, &mut out)?;
+        Ok(out)
     }
 
-    /// Converts this sequential database into a parallel
-    /// [`DiskQueryEngine`] with `workers` workers, carrying over the store
-    /// and the pool capacity (the engine's shared cache starts cold).
-    pub fn into_engine(self, workers: usize) -> DiskQueryEngine<S>
-    where
-        S: SharedPageStore,
-    {
-        let pool_pages = self.pool.capacity();
-        DiskQueryEngine::with_workers(self.pool.into_store(), self.columns, pool_pages, workers)
-            .expect("capacity was already validated")
+    /// Streams the heap file back into a [`Dataset`] (how the in-memory
+    /// backends load a database file).
+    ///
+    /// # Errors
+    ///
+    /// A page read that fails after the pool's retries.
+    pub fn to_dataset(&self) -> StorageResult<Dataset> {
+        self.heap.to_dataset(self.pool(), &mut self.session())
+    }
+
+    /// The batch engine over this database's column file, with `workers`
+    /// workers and this database's pool (warm as it is).
+    pub fn into_engine(self, workers: usize) -> DiskQueryEngine<S> {
+        let mut engine = self.engine;
+        engine.set_workers(workers);
+        engine
     }
 }
 
@@ -278,7 +317,7 @@ mod tests {
 
     #[test]
     fn disk_ad_matches_paper_running_example() {
-        let mut db = fig3_db();
+        let db = fig3_db();
         let out = db.k_n_match(&[3.0, 7.0, 4.0], 2, 2).unwrap();
         assert_eq!(out.result.ids(), vec![2, 1]);
         assert_eq!(out.result.epsilon(), 1.5);
@@ -288,7 +327,7 @@ mod tests {
 
     #[test]
     fn scan_and_ad_agree() {
-        let mut db = fig3_db();
+        let db = fig3_db();
         let q = [3.0, 7.0, 4.0];
         for n in 1..=3 {
             for k in [1, 3, 5] {
@@ -302,7 +341,7 @@ mod tests {
     #[test]
     fn frequent_disk_matches_in_memory() {
         let ds = knmatch_core::paper::fig3_dataset();
-        let mut db = DiskDatabase::build_in_memory(&ds, 16);
+        let db = DiskDatabase::build_in_memory(&ds, 16);
         let q = [3.0, 7.0, 4.0];
         let disk = db.frequent_k_n_match(&q, 2, 1, 3).unwrap();
         let mem = knmatch_core::frequent_k_n_match_scan(&ds, &q, 2, 1, 3).unwrap();
@@ -318,7 +357,7 @@ mod tests {
             .map(|i| vec![(i % 97) as f64, (i % 31) as f64])
             .collect();
         let ds = Dataset::from_rows(&rows).unwrap();
-        let mut db = DiskDatabase::build_in_memory(&ds, 4);
+        let db = DiskDatabase::build_in_memory(&ds, 4);
         let out = db.scan_k_n_match(&[3.0, 4.0], 10, 1).unwrap();
         assert_eq!(out.io.page_accesses() as usize, db.heap().total_pages());
         assert_eq!(out.io.random_reads, 1);
@@ -326,17 +365,24 @@ mod tests {
 
     #[test]
     fn fetch_point_roundtrip() {
-        let mut db = fig3_db();
-        assert_eq!(db.fetch_point(4), vec![3.5, 1.5, 8.0]);
+        let db = fig3_db();
+        assert_eq!(db.fetch_point(4).unwrap(), vec![3.5, 1.5, 8.0]);
     }
 
     #[test]
     fn io_stats_isolated_per_query() {
-        let mut db = fig3_db();
-        let first = db.k_n_match(&[3.0, 7.0, 4.0], 1, 1).unwrap();
-        let second = db.k_n_match(&[3.0, 7.0, 4.0], 1, 1).unwrap();
-        // Second run hits the warm pool: fewer or equal accesses.
-        assert!(second.io.page_accesses() <= first.io.page_accesses());
+        let db = fig3_db();
+        let q = [3.0, 7.0, 4.0];
+        let first = db.k_n_match(&q, 1, 1).unwrap();
+        let served = db.pool_stats();
+        let second = db.k_n_match(&q, 1, 1).unwrap();
+        // Each query's modelled I/O starts cold: the rerun books exactly
+        // the same reads ...
+        assert_eq!(second.io, first.io);
+        // ... while the pool really served it from cache.
+        let rerun = db.pool_stats();
+        assert_eq!(rerun.page_accesses(), served.page_accesses());
+        assert!(rerun.hits > served.hits);
     }
 }
 
@@ -383,25 +429,28 @@ impl std::fmt::Display for Corruption {
     }
 }
 
-impl<S: PageStore> DiskDatabase<S> {
+impl<S: SharedPageStore> DiskDatabase<S> {
     /// Full structural verification: every sorted column must be in
     /// ascending order, list every point exactly once, and agree value-
     /// for-value with the heap file. Returns all problems found (empty =
     /// healthy). Reads every page once.
-    pub fn verify(&mut self) -> Vec<Corruption> {
+    ///
+    /// # Errors
+    ///
+    /// A page read that fails after the pool's retries.
+    pub fn verify(&self) -> StorageResult<Vec<Corruption>> {
         let c = self.len();
         let d = self.dims();
         let mut problems = Vec::new();
         // Materialise the heap once for cross-checking.
-        let heap = self.heap;
-        let reference = heap.to_dataset(&mut self.pool);
-        let columns = self.columns.clone();
+        let reference = self.to_dataset()?;
+        let mut session = self.session();
         for dim in 0..d {
             let mut seen = vec![false; c];
             let mut prev = f64::NEG_INFINITY;
             let mut dup_or_missing = false;
             for rank in 0..c {
-                let e = columns.entry(&mut self.pool, dim, rank);
+                let e = self.columns().entry(self.pool(), &mut session, dim, rank)?;
                 if e.value < prev {
                     problems.push(Corruption::UnsortedColumn { dim, rank });
                     prev = e.value;
@@ -422,45 +471,60 @@ impl<S: PageStore> DiskDatabase<S> {
                 problems.push(Corruption::BadPidMultiset { dim });
             }
         }
-        problems
+        Ok(problems)
     }
 }
 
 #[cfg(test)]
 mod verify_tests {
     use super::*;
-    use crate::page::{write_column_entry, COLUMN_ENTRIES_PER_PAGE};
+    use crate::page::{empty_page, read_column_entry, write_column_entry};
 
-    fn sample_db() -> DiskDatabase<MemStore> {
+    fn sample_dataset() -> Dataset {
         let rows: Vec<Vec<f64>> = (0..700)
             .map(|i| vec![(i as f64 * 0.37) % 1.0, (i as f64 * 0.73) % 1.0])
             .collect();
-        let ds = Dataset::from_rows(&rows).unwrap();
-        DiskDatabase::build_in_memory(&ds, 64)
+        Dataset::from_rows(&rows).unwrap()
+    }
+
+    /// The sample database with `corrupt` applied to page `page_of(layout)`
+    /// of its store before the pool is attached, plus what `corrupt`
+    /// returned.
+    fn corrupted_db<T>(
+        page_of: impl FnOnce(&DiskLayout) -> usize,
+        corrupt: impl FnOnce(&mut crate::page::PageBuf) -> T,
+    ) -> (DiskDatabase<MemStore>, T) {
+        let mut store = MemStore::new();
+        let layout = DiskDatabase::<MemStore>::build(&sample_dataset(), &mut store);
+        let page_no = page_of(&layout);
+        let mut buf = empty_page();
+        store.try_read_page(page_no, &mut buf).unwrap();
+        let witness = corrupt(&mut buf);
+        store.write_page(page_no, &buf);
+        (layout.attach(store, 64).unwrap(), witness)
     }
 
     #[test]
     fn healthy_database_verifies_clean() {
-        let mut db = sample_db();
-        assert!(db.verify().is_empty());
+        let db = DiskDatabase::build_in_memory(&sample_dataset(), 64);
+        assert!(db.verify().unwrap().is_empty());
     }
 
     #[test]
     fn detects_unsorted_column() {
-        let mut db = sample_db();
         // Swap two distinct-valued entries of dimension 0's first column
         // page (adjacent slots can legitimately hold equal values).
-        let page_no = db.columns().base_page();
-        let mut buf = crate::page::empty_page();
-        db.pool_mut().store_mut().read_page(page_no, &mut buf);
-        let a = crate::page::read_column_entry(&buf, 10);
-        let b = crate::page::read_column_entry(&buf, 200);
-        assert_ne!(a.1, b.1, "test needs distinct values");
-        write_column_entry(&mut buf, 10, b.0, b.1);
-        write_column_entry(&mut buf, 200, a.0, a.1);
-        db.pool_mut().store_mut().write_page(page_no, &buf);
-        db.pool_mut().invalidate_all();
-        let problems = db.verify();
+        let (db, ()) = corrupted_db(
+            |l| l.columns.base_page(),
+            |buf| {
+                let a = read_column_entry(buf, 10);
+                let b = read_column_entry(buf, 200);
+                assert_ne!(a.1, b.1, "test needs distinct values");
+                write_column_entry(buf, 10, b.0, b.1);
+                write_column_entry(buf, 200, a.0, a.1);
+            },
+        );
+        let problems = db.verify().unwrap();
         assert!(
             problems
                 .iter()
@@ -471,16 +535,16 @@ mod verify_tests {
 
     #[test]
     fn detects_value_mismatch() {
-        let mut db = sample_db();
         // Corrupt one value in dimension 1's column region.
-        let page_no = db.columns().base_page() + db.columns().pages_per_dim();
-        let mut buf = crate::page::empty_page();
-        db.pool_mut().store_mut().read_page(page_no, &mut buf);
-        let (pid, v) = crate::page::read_column_entry(&buf, 5);
-        write_column_entry(&mut buf, 5, pid, v + 1e-6);
-        db.pool_mut().store_mut().write_page(page_no, &buf);
-        db.pool_mut().invalidate_all();
-        let problems = db.verify();
+        let (db, pid) = corrupted_db(
+            |l| l.columns.base_page() + l.columns.pages_per_dim(),
+            |buf| {
+                let (pid, v) = read_column_entry(buf, 5);
+                write_column_entry(buf, 5, pid, v + 1e-6);
+                pid
+            },
+        );
+        let problems = db.verify().unwrap();
         assert!(
             problems
                 .iter()
@@ -491,22 +555,20 @@ mod verify_tests {
 
     #[test]
     fn detects_duplicated_pid() {
-        let mut db = sample_db();
-        let page_no = db.columns().base_page();
-        let mut buf = crate::page::empty_page();
-        db.pool_mut().store_mut().read_page(page_no, &mut buf);
-        let (_, v) = crate::page::read_column_entry(&buf, 3);
-        let (other_pid, _) = crate::page::read_column_entry(&buf, 4);
-        write_column_entry(&mut buf, 3, other_pid, v); // pid 4's id now appears twice
-        db.pool_mut().store_mut().write_page(page_no, &buf);
-        db.pool_mut().invalidate_all();
-        let problems = db.verify();
+        let (db, ()) = corrupted_db(
+            |l| l.columns.base_page(),
+            |buf| {
+                let (_, v) = read_column_entry(buf, 3);
+                let (other_pid, _) = read_column_entry(buf, 4);
+                write_column_entry(buf, 3, other_pid, v); // pid 4's id now appears twice
+            },
+        );
+        let problems = db.verify().unwrap();
         assert!(
             problems
                 .iter()
                 .any(|p| matches!(p, Corruption::BadPidMultiset { dim: 0 })),
             "{problems:?}"
         );
-        let _ = COLUMN_ENTRIES_PER_PAGE;
     }
 }

@@ -1,24 +1,23 @@
 //! Parallel batch execution of matching queries over a disk-resident
 //! database.
 //!
-//! The in-memory `QueryEngine` (PR 1) parallelises trivially because
-//! `SortedColumns` is immutable. The disk path could not: [`crate::BufferPool`]
-//! takes `&mut self`, so the paper's headline I/O workloads (Section 4.1)
-//! ran one query at a time. [`DiskQueryEngine`] removes that wall: `W`
-//! workers claim queries from the shared claim-chunk executor
-//! ([`knmatch_core::run_batch`]) and every worker drives the generic AD
-//! engine over its own [`SharedDiskColumns`] view — a private
+//! [`DiskQueryEngine`] runs the paper's disk-based AD (Section 4.1) over
+//! a batch: `W` workers claim queries from the shared claim-chunk
+//! executor ([`knmatch_core::run_batch`]) and every worker drives the
+//! generic AD engine over its own [`SharedDiskColumns`] view — a private
 //! [`crate::ReadSession`] plus per-dimension copy-out slots — into one
 //! [`SharedBufferPool`], so hot fence and column pages are fetched once
-//! for the whole batch instead of once per worker.
+//! for the whole batch instead of once per worker. A
+//! [`crate::DiskDatabase`] is this engine plus its heap file; its
+//! single-query methods are [`DiskQueryEngine::execute`] on the calling
+//! thread.
 //!
 //! **Determinism contract.** Answers and `AdStats` come out of the exact
 //! same `execute_batch_query` loop as every other entry point, and the
-//! per-query [`IoStats`] are *modelled* against a private cold pool of the
-//! configured capacity (see [`crate::ReadSession`]) — so all three are
-//! bit-identical to the sequential [`DiskDatabase`] path (with
-//! `invalidate_all` + `reset_stats` between queries) at any worker count
-//! and any scheduling. The shared pool's *actual* I/O (what the batch
+//! per-query [`IoStats`] are *modelled* against a private cold pool of
+//! the configured capacity (see [`crate::ReadSession`]) — so all three
+//! are identical at any worker count, any scheduling and any state of
+//! the shared cache. The shared pool's *actual* I/O (what the batch
 //! really cost, with cross-query sharing) is reported separately via
 //! [`DiskQueryEngine::pool_stats`].
 
@@ -44,9 +43,7 @@ use crate::store::SharedPageStore;
 /// becomes [`KnMatchError::Panicked`].
 fn unwind_to_error(payload: Box<dyn std::any::Any + Send>) -> KnMatchError {
     match payload.downcast::<StorageError>() {
-        Ok(e) => KnMatchError::Storage {
-            message: e.to_string(),
-        },
+        Ok(e) => (*e).into(),
         Err(payload) => KnMatchError::Panicked {
             message: panic_message(payload.as_ref()),
         },
@@ -87,7 +84,7 @@ impl BatchOutcome for DiskBatchOutcome {
 ///
 /// ```
 /// use knmatch_core::{BatchEngine, BatchQuery};
-/// use knmatch_storage::{DiskDatabase, MemStore};
+/// use knmatch_storage::DiskDatabase;
 ///
 /// let ds = knmatch_core::paper::fig3_dataset();
 /// let engine = DiskDatabase::build_in_memory(&ds, 16).into_engine(4);
@@ -118,7 +115,9 @@ impl<S: SharedPageStore> DiskQueryEngine<S> {
         Self::with_workers(store, columns, pool_pages, workers)
     }
 
-    /// An engine with an explicit worker count (clamped to ≥ 1).
+    /// An engine with an explicit worker count (clamped to ≥ 1). Every
+    /// disk database is built here, so this is where a pool size is
+    /// validated.
     ///
     /// # Errors
     ///
@@ -129,12 +128,7 @@ impl<S: SharedPageStore> DiskQueryEngine<S> {
         pool_pages: usize,
         workers: usize,
     ) -> io::Result<Self> {
-        if pool_pages == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "buffer pool needs at least one frame (pool_pages == 0)",
-            ));
-        }
+        check_pool_pages(pool_pages)?;
         Ok(DiskQueryEngine {
             pool: SharedBufferPool::new(store, pool_pages),
             columns,
@@ -184,7 +178,7 @@ impl<S: SharedPageStore> DiskQueryEngine<S> {
     /// # Errors
     ///
     /// Per-query parameter validation; see
-    /// [`KnMatchError`](knmatch_core::KnMatchError).
+    /// [`KnMatchError`].
     pub fn execute(
         &self,
         query: &BatchQuery,
@@ -205,11 +199,20 @@ impl<S: SharedPageStore> DiskQueryEngine<S> {
             io: src.session_stats(),
         })
     }
+}
 
-    /// Unwraps the engine into its store and column handle.
-    pub fn into_parts(self) -> (S, SortedColumnFile) {
-        (self.pool.into_store(), self.columns)
+/// Rejects a zero-frame pool as `InvalidInput`: a pool needs at least one
+/// frame. [`DiskQueryEngine::with_workers`] checks every pool this way;
+/// [`crate::DiskDatabase::create_file`] checks first too, so a bad size
+/// never truncates an existing file.
+pub(crate) fn check_pool_pages(pool_pages: usize) -> io::Result<()> {
+    if pool_pages == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "buffer pool needs at least one frame (pool_pages == 0)",
+        ));
     }
+    Ok(())
 }
 
 impl<S: SharedPageStore> BatchEngine for DiskQueryEngine<S> {
@@ -301,8 +304,7 @@ mod tests {
             let engine = fig3_engine(workers);
             let results = engine.run(&batch());
 
-            let mut db = DiskDatabase::build_in_memory(&knmatch_core::paper::fig3_dataset(), 16);
-            db.pool_mut().invalidate_all();
+            let db = DiskDatabase::build_in_memory(&knmatch_core::paper::fig3_dataset(), 16);
             let want = db.k_n_match(&[3.0, 7.0, 4.0], 2, 2).unwrap();
             let got = results[0].as_ref().unwrap();
             let r = expect_kn(&got.answer);
@@ -310,7 +312,6 @@ mod tests {
             assert_eq!(got.ad, want.ad);
             assert_eq!(got.io, want.io, "workers {workers}");
 
-            db.pool_mut().invalidate_all();
             let want = db.frequent_k_n_match(&[3.0, 7.0, 4.0], 2, 1, 3).unwrap();
             let got = results[1].as_ref().unwrap();
             let r = expect_frequent(&got.answer);
@@ -382,10 +383,9 @@ mod tests {
         assert_eq!(engine.pool_pages(), 16);
         assert_eq!(engine.columns().dims(), 3);
         assert!(engine.run(&[]).is_empty());
-        let (store, columns) = engine.into_parts();
         assert_eq!(
-            crate::PageStore::page_count(&store),
-            columns.total_pages() + 1
+            crate::PageStore::page_count(engine.pool().store()),
+            engine.columns().total_pages() + 1
         );
     }
 }

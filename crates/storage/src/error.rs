@@ -140,6 +140,16 @@ impl From<StorageError> for io::Error {
     }
 }
 
+/// A page read that failed inside a query fails that query with
+/// [`KnMatchError::Storage`](knmatch_core::KnMatchError::Storage).
+impl From<StorageError> for knmatch_core::KnMatchError {
+    fn from(e: StorageError) -> Self {
+        knmatch_core::KnMatchError::Storage {
+            message: e.to_string(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

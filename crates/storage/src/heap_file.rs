@@ -6,9 +6,10 @@
 
 use knmatch_core::{Dataset, PointId};
 
-use crate::buffer::BufferPool;
+use crate::error::StorageResult;
 use crate::page::{empty_page, pages_needed, read_row, rows_per_page, write_row};
-use crate::store::PageStore;
+use crate::shared_pool::{ReadSession, SharedBufferPool, POINT_LOOKUP};
+use crate::store::{PageStore, SharedPageStore};
 
 /// Stream group used by whole-file scans ([`HeapFile::for_each`] and the
 /// VA-file approximation scan). Point fetches ([`HeapFile::point`]) carry
@@ -98,33 +99,50 @@ impl HeapFile {
         self.base_page + pid as usize / self.rows_per_page
     }
 
-    /// Reads point `pid` into `out` through `pool`.
+    /// Reads point `pid` into `out` through `pool` (a point lookup, so a
+    /// miss books a random read in `session`).
+    ///
+    /// # Errors
+    ///
+    /// A page read that fails after the pool's retries.
     ///
     /// # Panics
     ///
     /// Panics when `pid` is out of range or `out.len() != dims`.
-    pub fn point<S: PageStore>(&self, pool: &mut BufferPool<S>, pid: PointId, out: &mut [f64]) {
+    pub fn point<S: SharedPageStore>(
+        &self,
+        pool: &SharedBufferPool<S>,
+        session: &mut ReadSession,
+        pid: PointId,
+        out: &mut [f64],
+    ) -> StorageResult<()> {
         assert!((pid as usize) < self.len, "pid {pid} out of range");
         assert_eq!(out.len(), self.dims, "output buffer dimensionality");
-        let page = pool.get(self.page_of(pid));
-        read_row(page, pid as usize % self.rows_per_page, out);
+        let mut page = empty_page();
+        pool.read_in(self.page_of(pid), POINT_LOOKUP, session, &mut page)?;
+        read_row(&page, pid as usize % self.rows_per_page, out);
+        Ok(())
     }
 
-    /// Streams every `(pid, row)` in pid order (sequential page reads),
-    /// invoking `f` per point.
-    pub fn for_each<S: PageStore>(
+    /// Streams every `(pid, row)` in pid order (sequential page reads in
+    /// [`SCAN_GROUP`]), invoking `f` per point.
+    ///
+    /// # Errors
+    ///
+    /// A page read that fails after the pool's retries; `f` has then
+    /// seen the rows of the pages before it.
+    pub fn for_each<S: SharedPageStore>(
         &self,
-        pool: &mut BufferPool<S>,
+        pool: &SharedBufferPool<S>,
+        session: &mut ReadSession,
         mut f: impl FnMut(PointId, &[f64]),
-    ) {
+    ) -> StorageResult<()> {
         let mut row = vec![0.0f64; self.dims];
-        let total_pages = self.total_pages();
+        let mut page = empty_page();
         let mut pid = 0usize;
-        for p in 0..total_pages {
+        for p in 0..self.total_pages() {
             let rows_here = self.rows_per_page.min(self.len - pid);
-            // Copy the page out so the borrow on the pool ends before `f`
-            // (which may want to use other structures).
-            let page = *pool.get_in(self.base_page + p, SCAN_GROUP);
+            pool.read_in(self.base_page + p, SCAN_GROUP, session, &mut page)?;
             for slot in 0..rows_here {
                 read_row(&page, slot, &mut row);
                 f(pid as PointId, &row);
@@ -132,16 +150,25 @@ impl HeapFile {
             }
         }
         debug_assert_eq!(pid, self.len);
+        Ok(())
     }
 
     /// Streams the heap pages back into a [`Dataset`], one sequential
     /// pass — how the in-memory backends load a database file.
-    pub fn to_dataset<S: PageStore>(&self, pool: &mut BufferPool<S>) -> Dataset {
+    ///
+    /// # Errors
+    ///
+    /// A page read that fails after the pool's retries.
+    pub fn to_dataset<S: SharedPageStore>(
+        &self,
+        pool: &SharedBufferPool<S>,
+        session: &mut ReadSession,
+    ) -> StorageResult<Dataset> {
         let mut ds = Dataset::with_capacity(self.dims, self.len).expect("dims >= 1");
-        self.for_each(pool, |_, row| {
+        self.for_each(pool, session, |_, row| {
             ds.push(row).expect("stored rows are valid");
-        });
-        ds
+        })?;
+        Ok(ds)
     }
 }
 
@@ -157,25 +184,36 @@ mod tests {
         Dataset::from_rows(&rows).unwrap()
     }
 
+    /// `ds` laid out as a heap file behind a pool of `pool_pages` frames,
+    /// with a session of the same capacity.
+    fn heap_of(
+        ds: &Dataset,
+        pool_pages: usize,
+    ) -> (HeapFile, SharedBufferPool<MemStore>, ReadSession) {
+        let mut store = MemStore::new();
+        let hf = HeapFile::build(&mut store, ds);
+        (
+            hf,
+            SharedBufferPool::new(store, pool_pages),
+            ReadSession::new(pool_pages),
+        )
+    }
+
     #[test]
     fn roundtrip_small() {
         let ds = sample(7, 3);
-        let mut store = MemStore::new();
-        let hf = HeapFile::build(&mut store, &ds);
-        let mut pool = BufferPool::new(store, 4);
-        assert_eq!(hf.to_dataset(&mut pool), ds);
+        let (hf, pool, mut session) = heap_of(&ds, 4);
+        assert_eq!(hf.to_dataset(&pool, &mut session).unwrap(), ds);
     }
 
     #[test]
     fn point_fetch_matches() {
         let ds = sample(1000, 5);
-        let mut store = MemStore::new();
-        let hf = HeapFile::build(&mut store, &ds);
+        let (hf, pool, mut session) = heap_of(&ds, 8);
         assert_eq!(hf.total_pages(), pages_needed(1000, rows_per_page(5)));
-        let mut pool = BufferPool::new(store, 8);
         let mut out = vec![0.0; 5];
         for pid in [0u32, 101, 499, 999] {
-            hf.point(&mut pool, pid, &mut out);
+            hf.point(&pool, &mut session, pid, &mut out).unwrap();
             assert_eq!(out.as_slice(), ds.point(pid));
         }
     }
@@ -183,16 +221,15 @@ mod tests {
     #[test]
     fn scan_is_sequential() {
         let ds = sample(1000, 4);
-        let mut store = MemStore::new();
-        let hf = HeapFile::build(&mut store, &ds);
-        let mut pool = BufferPool::new(store, 2);
+        let (hf, pool, mut session) = heap_of(&ds, 2);
         let mut count = 0usize;
-        hf.for_each(&mut pool, |pid, row| {
+        hf.for_each(&pool, &mut session, |pid, row| {
             assert_eq!(row, ds.point(pid));
             count += 1;
-        });
+        })
+        .unwrap();
         assert_eq!(count, 1000);
-        let stats = pool.stats();
+        let stats = session.stats();
         assert_eq!(stats.page_accesses() as usize, hf.total_pages());
         // All but the first page read continue the run.
         assert_eq!(stats.random_reads, 1);
@@ -202,12 +239,11 @@ mod tests {
     #[test]
     fn partial_last_page() {
         let ds = sample(rows_per_page(2) + 1, 2);
-        let mut store = MemStore::new();
-        let hf = HeapFile::build(&mut store, &ds);
+        let (hf, pool, mut session) = heap_of(&ds, 2);
         assert_eq!(hf.total_pages(), 2);
-        let mut pool = BufferPool::new(store, 2);
         let mut out = vec![0.0; 2];
-        hf.point(&mut pool, (rows_per_page(2)) as u32, &mut out);
+        hf.point(&pool, &mut session, rows_per_page(2) as u32, &mut out)
+            .unwrap();
         assert_eq!(out.as_slice(), ds.point(rows_per_page(2) as u32));
     }
 

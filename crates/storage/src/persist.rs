@@ -25,9 +25,10 @@ use knmatch_core::Dataset;
 
 use crate::column_file::SortedColumnFile;
 use crate::db::{DiskDatabase, DiskLayout};
+use crate::disk_engine::check_pool_pages;
 use crate::heap_file::HeapFile;
 use crate::page::{empty_page, rows_per_page, PageBuf};
-use crate::store::{FileStore, PageStore};
+use crate::store::{FileStore, PageStore, VerifyMode};
 
 /// Magic bytes identifying a knmatch database file.
 pub const MAGIC: &[u8; 8] = b"KNMATCH\x01";
@@ -89,13 +90,14 @@ impl DiskDatabase<FileStore> {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
+    /// Propagates filesystem errors; rejects `pool_pages == 0` as
+    /// `InvalidInput` before the file is created or truncated.
     pub fn create_file<P: AsRef<Path>>(
         path: P,
         ds: &Dataset,
         pool_pages: usize,
     ) -> io::Result<Self> {
-        validate_pool_pages(pool_pages)?;
+        check_pool_pages(pool_pages)?;
         let mut store = FileStore::create(path)?;
         let mut header = empty_page();
         write_header(&mut header, ds.dims(), ds.len());
@@ -108,7 +110,8 @@ impl DiskDatabase<FileStore> {
     }
 
     /// Opens an existing database file created by
-    /// [`DiskDatabase::create_file`].
+    /// [`DiskDatabase::create_file`], verifying page reads under the
+    /// default [`VerifyMode`].
     ///
     /// # Errors
     ///
@@ -116,7 +119,20 @@ impl DiskDatabase<FileStore> {
     /// version, or truncated page ranges as `InvalidData`; rejects
     /// `pool_pages == 0` as `InvalidInput`.
     pub fn open_file<P: AsRef<Path>>(path: P, pool_pages: usize) -> io::Result<Self> {
-        validate_pool_pages(pool_pages)?;
+        Self::open_file_with(path, pool_pages, VerifyMode::default())
+    }
+
+    /// [`DiskDatabase::open_file`] with the page read-verification policy
+    /// every query's reads run under.
+    ///
+    /// # Errors
+    ///
+    /// As [`DiskDatabase::open_file`].
+    pub fn open_file_with<P: AsRef<Path>>(
+        path: P,
+        pool_pages: usize,
+        verify: VerifyMode,
+    ) -> io::Result<Self> {
         let mut store = FileStore::open(path)?;
         if store.page_count() == 0 {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "empty file"));
@@ -142,20 +158,9 @@ impl DiskDatabase<FileStore> {
         }
         let columns = SortedColumnFile::try_open(&mut store, dims, cardinality, columns_base)
             .map_err(io::Error::from)?;
+        store.set_verify_mode(verify);
         DiskLayout { columns, heap }.attach(store, pool_pages)
     }
-}
-
-/// Fails fast on a zero-frame pool request, before any file is created,
-/// truncated, or parsed.
-fn validate_pool_pages(pool_pages: usize) -> io::Result<()> {
-    if pool_pages == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "buffer pool needs at least one frame (pool_pages == 0)",
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -175,10 +180,10 @@ mod tests {
         let path = tmp("roundtrip.knm");
         let q = ds.point(17).to_vec();
 
-        let mut created = DiskDatabase::create_file(&path, &ds, 64).unwrap();
+        let created = DiskDatabase::create_file(&path, &ds, 64).unwrap();
         let fresh = created.frequent_k_n_match(&q, 10, 2, 5).unwrap();
 
-        let mut reopened = DiskDatabase::open_file(&path, 64).unwrap();
+        let reopened = DiskDatabase::open_file(&path, 64).unwrap();
         assert_eq!(reopened.dims(), 6);
         assert_eq!(reopened.len(), 1500);
         let replayed = reopened.frequent_k_n_match(&q, 10, 2, 5).unwrap();
@@ -303,7 +308,7 @@ mod tests {
         let ds = uniform(800, 5, 9);
         let path = tmp("oracle.knm");
         DiskDatabase::create_file(&path, &ds, 32).unwrap();
-        let mut db = DiskDatabase::open_file(&path, 32).unwrap();
+        let db = DiskDatabase::open_file(&path, 32).unwrap();
         let q = ds.point(3).to_vec();
         for n in [1usize, 3, 5] {
             let disk = db.k_n_match(&q, 7, n).unwrap();

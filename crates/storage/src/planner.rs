@@ -16,7 +16,8 @@ use knmatch_core::{sorted_differences_with_buf, FrequentResult, Result};
 use crate::buffer::CostModel;
 use crate::db::{DiskDatabase, DiskQueryOutcome};
 use crate::page::COLUMN_ENTRIES_PER_PAGE;
-use crate::store::PageStore;
+use crate::shared_pool::ReadSession;
+use crate::store::SharedPageStore;
 
 /// Which access path the planner chose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,19 +44,35 @@ pub struct PlanChoice {
 }
 
 /// How many points the estimator samples (evenly spaced by pid; reading
-/// them costs a handful of heap pages, charged to the query like any
-/// other I/O).
+/// them costs a handful of heap pages, which
+/// [`DiskDatabase::frequent_k_n_match_auto`] charges to the query on top
+/// of the chosen plan's I/O).
 pub const PLANNER_SAMPLE: usize = 64;
 
-impl<S: PageStore> DiskDatabase<S> {
+impl<S: SharedPageStore> DiskDatabase<S> {
     /// Estimates both plans for a frequent k-n-match query and returns the
     /// choice without running it.
     ///
     /// # Errors
     ///
-    /// Validates parameters like the query itself.
+    /// Validates parameters like the query itself;
+    /// [`knmatch_core::KnMatchError::Storage`] when a sample read fails.
     pub fn plan_frequent_k_n_match(
-        &mut self,
+        &self,
+        query: &[f64],
+        k: usize,
+        n0: usize,
+        n1: usize,
+        model: CostModel,
+    ) -> Result<PlanChoice> {
+        self.plan_sampled(&mut self.session(), query, k, n0, n1, model)
+    }
+
+    /// [`plan_frequent_k_n_match`](Self::plan_frequent_k_n_match) with the
+    /// sample's heap reads booked in `session`.
+    fn plan_sampled(
+        &self,
+        session: &mut ReadSession,
         query: &[f64],
         k: usize,
         n0: usize,
@@ -75,7 +92,7 @@ impl<S: PageStore> DiskDatabase<S> {
         let mut row = vec![0.0f64; d];
         for i in 0..sample_n {
             let pid = ((i * step) % c) as u32;
-            heap.point(self.pool_mut(), pid, &mut row);
+            heap.point(self.pool(), session, pid, &mut row)?;
             sorted_differences_with_buf(&row, query, &mut buf);
             diffs.push(buf[n1 - 1]);
         }
@@ -119,24 +136,28 @@ impl<S: PageStore> DiskDatabase<S> {
 
     /// Plans and runs a frequent k-n-match query on the cheaper path.
     /// Returns the answer (identical either way), the I/O it cost, and the
-    /// plan taken.
+    /// plan taken. The I/O is the planner's sample reads plus the chosen
+    /// plan's own cold-pool I/O: the sample neither hides from the bill
+    /// nor warms the plan's pages.
     ///
     /// # Errors
     ///
-    /// Validates parameters like the query itself.
+    /// As [`plan_frequent_k_n_match`](Self::plan_frequent_k_n_match).
     pub fn frequent_k_n_match_auto(
-        &mut self,
+        &self,
         query: &[f64],
         k: usize,
         n0: usize,
         n1: usize,
         model: CostModel,
     ) -> Result<(DiskQueryOutcome<FrequentResult>, PlanChoice)> {
-        let choice = self.plan_frequent_k_n_match(query, k, n0, n1, model)?;
-        let out = match choice.plan {
+        let mut sample = self.session();
+        let choice = self.plan_sampled(&mut sample, query, k, n0, n1, model)?;
+        let mut out = match choice.plan {
             Plan::Ad => self.frequent_k_n_match(query, k, n0, n1)?,
             Plan::Scan => self.scan_frequent_k_n_match(query, k, n0, n1)?,
         };
+        out.io.merge(sample.stats());
         Ok((out, choice))
     }
 }
@@ -282,7 +303,7 @@ mod tests {
         // lattice-like `uniformish` data is full of near-duplicates and AD
         // legitimately wins at every n1 on it.)
         let ds = knmatch_data::uniform(20_000, 16, 7);
-        let mut db = DiskDatabase::<MemStore>::build_in_memory(&ds, 256);
+        let db = DiskDatabase::<MemStore>::build_in_memory(&ds, 256);
         let q = ds.point(5).to_vec();
         let model = CostModel::default();
         let small = db.plan_frequent_k_n_match(&q, 20, 4, 6, model).unwrap();
@@ -295,7 +316,7 @@ mod tests {
     #[test]
     fn auto_runs_the_chosen_plan_and_answers_exactly() {
         let ds = uniformish(5_000, 8);
-        let mut db = DiskDatabase::<MemStore>::build_in_memory(&ds, 256);
+        let db = DiskDatabase::<MemStore>::build_in_memory(&ds, 256);
         let q = ds.point(77).to_vec();
         let model = CostModel::default();
         for (n0, n1) in [(2usize, 4usize), (4, 8)] {
@@ -306,9 +327,43 @@ mod tests {
     }
 
     #[test]
+    fn auto_charges_its_sample_on_top_of_the_cold_plan() {
+        // The sample's heap reads are part of an `auto` query's bill, and
+        // they must not warm the plan's pages.
+        let ds = knmatch_data::uniform(20_000, 16, 7);
+        let db = DiskDatabase::<MemStore>::build_in_memory(&ds, 256);
+        let q = ds.point(5).to_vec();
+        let model = CostModel::default();
+        for (n0, n1, plan) in [(4usize, 6usize, Plan::Ad), (4, 16, Plan::Scan)] {
+            let (auto, choice) = db.frequent_k_n_match_auto(&q, 20, n0, n1, model).unwrap();
+            assert_eq!(choice.plan, plan, "{choice:?}");
+            let forced = match plan {
+                Plan::Ad => db.frequent_k_n_match(&q, 20, n0, n1).unwrap(),
+                Plan::Scan => db.scan_frequent_k_n_match(&q, 20, n0, n1).unwrap(),
+            };
+            assert_eq!(auto.result, forced.result, "{plan:?}");
+            assert!(
+                auto.io.page_accesses() > forced.io.page_accesses(),
+                "{plan:?}: auto {:?} must cost more than forced {:?}",
+                auto.io,
+                forced.io
+            );
+            // The plan's reads are unchanged (the sample neither warmed
+            // nor broke its sequential run); the sample adds only seeks.
+            assert_eq!(auto.io.sequential_reads, forced.io.sequential_reads);
+            let sample = auto.io.random_reads - forced.io.random_reads;
+            assert_eq!(auto.io.page_accesses(), forced.io.page_accesses() + sample);
+            assert!(
+                sample as usize <= PLANNER_SAMPLE,
+                "{plan:?}: {sample} sample pages"
+            );
+        }
+    }
+
+    #[test]
     fn estimates_are_positive_and_ordered_sanely() {
         let ds = uniformish(3_000, 6);
-        let mut db = DiskDatabase::<MemStore>::build_in_memory(&ds, 64);
+        let db = DiskDatabase::<MemStore>::build_in_memory(&ds, 64);
         let q = ds.point(1).to_vec();
         let choice = db
             .plan_frequent_k_n_match(&q, 5, 2, 4, CostModel::default())
@@ -389,7 +444,7 @@ mod tests {
     #[test]
     fn validates_parameters() {
         let ds = uniformish(100, 4);
-        let mut db = DiskDatabase::<MemStore>::build_in_memory(&ds, 16);
+        let db = DiskDatabase::<MemStore>::build_in_memory(&ds, 16);
         let model = CostModel::default();
         assert!(db
             .plan_frequent_k_n_match(&[0.0; 3], 5, 1, 4, model)

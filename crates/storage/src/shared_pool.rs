@@ -1,10 +1,9 @@
-//! A shard-locked buffer pool shared by concurrent readers.
+//! The buffer pool: one shard-locked page cache shared by every reader.
 //!
-//! [`crate::BufferPool`] demands `&mut` exclusive access, which is exactly
-//! right for the paper's single-query cost model but serialises a batch of
-//! queries behind one lock. [`SharedBufferPool`] is the concurrent
-//! counterpart: the page cache is split into `page_no`-hashed shards, each
-//! an independently locked LRU, over a [`SharedPageStore`] whose read path
+//! Every page read of the disk structures — the sorted-column file, the
+//! heap file, the VA-file and IGrid — goes through a [`SharedBufferPool`].
+//! The page cache is split into `page_no`-hashed shards, each an
+//! independently locked LRU, over a [`SharedPageStore`] whose read path
 //! takes `&self` (positioned `read_at` reads for [`crate::FileStore`]), so
 //! concurrent misses on different shards proceed fully in parallel and
 //! even misses on one shard never contend on a file cursor.
@@ -16,29 +15,27 @@
 //! means the shard lock is held only for the duration of the copy — no
 //! reader can block eviction while it parses a page.
 //!
-//! **Accounting.** Two layers, with different jobs:
+//! **Accounting.** One pool, two views of what it cost:
 //!
+//! * A [`ReadSession`] gives each query its *modelled* stats, the paper's
+//!   cost currency: per-group stream tails classify misses as sequential
+//!   or random, and a simulated private LRU of the configured capacity
+//!   decides hit vs miss exactly as a dedicated cold pool would. Session
+//!   stats are therefore a pure function of the query's page-request
+//!   sequence — bit-identical at any worker count, any interleaving, and
+//!   any state of the shared cache.
 //! * Each shard counts the traffic it actually served ([`IoStats`]:
 //!   hits, and misses split sequential/random); [`SharedBufferPool::stats`]
-//!   merges them on demand. This measures *real* I/O saved by sharing the
-//!   cache across queries — the hit-ratio column of the disk benches.
-//! * A [`ReadSession`] gives each worker the *per-query modelled* stats of
-//!   `buffer.rs`: the same per-group stream tails classify misses as
-//!   sequential or random, and a simulated private LRU of the configured
-//!   capacity decides hit vs miss exactly as a dedicated [`BufferPool`]
-//!   would on a cold pool. Session stats are therefore bit-identical to
-//!   the sequential disk path at any worker count and any interleaving —
-//!   the determinism the cross-check suite asserts.
+//!   merges them on demand. This measures the *real* I/O saved by sharing
+//!   the cache across queries — the hit-ratio column of the disk benches.
 //!
 //! **Stream classification under sharding.** The sequential-vs-random
 //! verdict never lives in a shard: consecutive pages of one scan hash to
 //! *different* shards, so shard-local tails could not see a run. Instead
 //! the caller's [`ReadSession`] owns the per-group tails (mirroring
-//! per-open-file readahead state, as in `buffer.rs`) and the shard is
-//! simply told the verdict when it has to fetch. Merged pool stats
-//! therefore preserve the group semantics even though pages scatter.
-//!
-//! [`BufferPool`]: crate::BufferPool
+//! per-open-file readahead state) and the shard is simply told the
+//! verdict when it has to fetch. Merged pool stats therefore preserve the
+//! group semantics even though pages scatter.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
@@ -52,10 +49,13 @@ use crate::store::SharedPageStore;
 /// Doubly-linked-list node indices for the LRU chains.
 const NIL: usize = usize::MAX;
 
-/// Streams remembered per group, as in `buffer.rs`: one group is one
-/// "open file", and the AD algorithm runs an up and a down cursor against
-/// each dimension file.
+/// Streams remembered per group: one group is one "open file", and the AD
+/// algorithm runs an up and a down cursor against each dimension file.
 const TAILS_PER_GROUP: usize = 2;
+
+/// The stream group of a point lookup: a miss in it is always a seek
+/// (the VA-file's refinement fetches, IGrid's block hops).
+pub const POINT_LOOKUP: u32 = u32::MAX;
 
 /// Default shard count: enough that 8 workers rarely collide on a shard
 /// lock, small enough that a tiny pool still has ≥ 1 frame per shard.
@@ -151,6 +151,13 @@ impl Shard {
         self.attach_front(idx);
     }
 
+    /// Drops every cached frame, keeping the served counters.
+    fn clear(&mut self) {
+        let stats = self.stats;
+        *self = Shard::new(self.capacity);
+        self.stats = stats;
+    }
+
     /// Frame to read page `no` into: a fresh one while below capacity,
     /// otherwise the recycled LRU tail. The frame is already at the front
     /// of the chain and in the map when this returns.
@@ -213,7 +220,8 @@ impl<S: SharedPageStore> SharedBufferPool<S> {
     ///
     /// # Panics
     ///
-    /// Panics when `capacity == 0`, matching [`crate::BufferPool::new`].
+    /// Panics when `capacity == 0`; [`crate::DiskQueryEngine::with_workers`]
+    /// is the fallible front door.
     pub fn new(store: S, capacity: usize) -> Self {
         Self::with_shards(store, capacity, DEFAULT_SHARDS)
     }
@@ -272,10 +280,7 @@ impl<S: SharedPageStore> SharedBufferPool<S> {
             Ok(guard) => guard,
             Err(poisoned) => {
                 let mut guard = poisoned.into_inner();
-                let capacity = guard.capacity;
-                let stats = guard.stats;
-                *guard = Shard::new(capacity);
-                guard.stats = stats;
+                guard.clear();
                 shard.clear_poison();
                 guard
             }
@@ -371,9 +376,10 @@ impl<S: SharedPageStore> SharedBufferPool<S> {
         self.read_classified(no, false, out)
     }
 
-    /// Reads page `no` on behalf of `session`'s stream group `group`:
-    /// the session records its modelled per-query stats (hit/sequential/
-    /// random exactly as a private cold [`crate::BufferPool`] would) and
+    /// Reads page `no` on behalf of `session`'s stream group `group`
+    /// ([`POINT_LOOKUP`] for a point lookup): the session records its
+    /// modelled per-query stats (hit/sequential/random exactly as a
+    /// private cold pool would) and
     /// classifies the shard-level miss, then the shared cache serves the
     /// bytes. Returns `Ok(true)` when the shared cache had the page.
     ///
@@ -413,12 +419,10 @@ impl<S: SharedPageStore> SharedBufferPool<S> {
     }
 
     /// Drops every cached page (required after mutating the store
-    /// directly).
+    /// directly), keeping the served counters.
     pub fn invalidate_all(&self) {
         for shard in self.shards.iter() {
-            let mut s = self.lock_shard(shard);
-            let cap = s.capacity;
-            *s = Shard::new(cap);
+            self.lock_shard(shard).clear();
         }
     }
 
@@ -475,14 +479,14 @@ impl Access {
 /// Slot-table sentinel: page currently not in the modelled cache.
 const NO_FRAME: u32 = u32::MAX;
 
-/// A capacity-bounded LRU over page *numbers* only: the eviction logic of
-/// [`crate::BufferPool`] with the data removed, used by [`ReadSession`] to
-/// model per-query hits and misses deterministically.
+/// A capacity-bounded LRU over page *numbers* only, used by
+/// [`ReadSession`] to model per-query hits and misses deterministically:
+/// a shard's eviction logic with the data removed.
 ///
-/// This runs once per *attribute* access, so instead of `BufferPool`'s
-/// `HashMap` it keeps a direct-indexed slot table (page numbers are dense
-/// and bounded by the store size) with per-slot epochs for O(1) clearing —
-/// the lookup is one array load, no hashing.
+/// This runs once per *attribute* access, so instead of a `HashMap` it
+/// keeps a direct-indexed slot table (page numbers are dense and bounded
+/// by the store size) with per-slot epochs for O(1) clearing — the lookup
+/// is one array load, no hashing.
 #[derive(Debug)]
 struct SimLru {
     capacity: usize,
@@ -490,7 +494,7 @@ struct SimLru {
     /// the stamp matches the current epoch; grown on demand.
     slot: Vec<(u32, u32)>,
     epoch: u32,
-    // Parallel arrays forming the same doubly-linked chain as BufferPool's
+    // Parallel arrays forming the same doubly-linked chain as a shard's
     // frames, so eviction order matches it exactly.
     page_no: Vec<usize>,
     prev: Vec<usize>,
@@ -562,8 +566,7 @@ impl SimLru {
     }
 
     /// Accesses page `no`: returns `true` on a (modelled) hit, promoting
-    /// it; on a miss, inserts it, evicting the LRU page when full —
-    /// exactly [`crate::BufferPool::get_in`]'s cache behaviour.
+    /// it; on a miss, inserts it, evicting the LRU page when full.
     fn access(&mut self, no: usize) -> bool {
         if no >= self.slot.len() {
             self.slot.resize(no + 1, (NO_FRAME, 0));
@@ -593,20 +596,18 @@ impl SimLru {
     }
 }
 
-/// Per-reader modelled I/O accounting over a [`SharedBufferPool`].
+/// Per-query modelled I/O accounting over a [`SharedBufferPool`].
 ///
-/// One session belongs to one worker and models what *this query alone*
-/// would have cost on a cold, private [`crate::BufferPool`] of the given
-/// capacity: the same per-group stream tails classify misses, and a
-/// page-number-only LRU of identical eviction behaviour decides hit vs
-/// miss. Because the model never looks at the shared cache, its
-/// [`IoStats`] are a pure function of the query's page-request sequence —
-/// deterministic at any worker count, and bit-identical to running the
-/// query sequentially through [`crate::DiskDatabase`] on an invalidated
-/// pool.
+/// One session belongs to one reader at a time and models what *this
+/// query alone* would have cost on a cold, private LRU pool of the given
+/// capacity: per-group stream tails classify misses, and a
+/// page-number-only LRU decides hit vs miss. Because the model never
+/// looks at the shared cache, its [`IoStats`] are a pure function of the
+/// query's page-request sequence — deterministic at any worker count,
+/// whatever other queries left in the shared cache.
 ///
-/// Call [`begin_query`](ReadSession::begin_query) before each query, as
-/// the sequential path's `reset_stats` + `invalidate_all` would.
+/// Call [`begin_query`](ReadSession::begin_query) before each query to
+/// start it cold.
 #[derive(Debug)]
 pub struct ReadSession {
     streams: HashMap<u32, Vec<usize>>,
@@ -619,7 +620,7 @@ impl ReadSession {
     ///
     /// # Panics
     ///
-    /// Panics when `capacity == 0`, matching [`crate::BufferPool::new`].
+    /// Panics when `capacity == 0`, matching [`SharedBufferPool::new`].
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "buffer pool needs at least one frame");
         ReadSession {
@@ -644,14 +645,15 @@ impl ReadSession {
     }
 
     /// Books one page request: modelled hit/miss from the private LRU,
-    /// misses classified by the group's stream tails exactly as
-    /// `BufferPool::get_in` does.
+    /// misses classified by the group's stream tails — a miss adjacent
+    /// (±1) to one of them streams, any other miss (and every
+    /// [`POINT_LOOKUP`] miss) seeks.
     pub(crate) fn account(&mut self, no: usize, group: u32) -> Access {
         if self.sim.access(no) {
             self.stats.hits += 1;
             return Access::Hit;
         }
-        if group == u32::MAX {
+        if group == POINT_LOOKUP {
             self.stats.random_reads += 1;
             return Access::Miss { sequential: false };
         }
@@ -678,7 +680,7 @@ impl ReadSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::BufferPool;
+    use crate::reference::ReferencePool;
     use crate::store::{MemStore, PageStore};
 
     fn store_with(n: usize) -> MemStore {
@@ -735,9 +737,9 @@ mod tests {
 
     #[test]
     fn session_stats_match_private_buffer_pool() {
-        // The modelled session accounting must replicate BufferPool
-        // bit-for-bit on an arbitrary access pattern, including evictions
-        // and the stream-tails rules.
+        // The modelled session accounting must replicate the reference
+        // HashMap LRU pool bit-for-bit on an arbitrary access pattern,
+        // including evictions and the stream-tails rules.
         let accesses: Vec<(usize, u32)> = vec![
             (0, 0),
             (1, 0),
@@ -755,7 +757,7 @@ mod tests {
             (1, 0),
         ];
         for capacity in [1, 2, 3, 8] {
-            let mut reference = BufferPool::new(store_with(10), capacity);
+            let mut reference = ReferencePool::new(store_with(10), capacity);
             let shared = SharedBufferPool::new(store_with(10), capacity);
             let mut session = ReadSession::new(capacity);
             let mut out = empty_page();
@@ -767,7 +769,7 @@ mod tests {
             assert_eq!(
                 session.stats(),
                 reference.stats(),
-                "capacity {capacity}: modelled session diverged from BufferPool"
+                "capacity {capacity}: modelled session diverged from the reference pool"
             );
         }
     }
@@ -798,6 +800,7 @@ mod tests {
         assert_eq!(pool.cached_pages(), 2);
         pool.invalidate_all();
         assert_eq!(pool.cached_pages(), 0);
+        assert_eq!(pool.stats().page_accesses(), 2, "counters survive");
         pool.reset_stats();
         assert!(!pool.read(0, &mut out).unwrap());
     }

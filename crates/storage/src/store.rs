@@ -23,8 +23,8 @@
 //! where the table holds one little-endian `u32` per data page and the
 //! footer records the magic, the data-page count, and a CRC32 of the
 //! table itself. [`FileStore::open`] detects the trailer (magic plus the
-//! page-count consistency equation), hides it from [`page_count`]
-//! (`PageStore::page_count`), verifies the table CRC, and then scrubs
+//! page-count consistency equation), hides it from
+//! [`PageStore::page_count`], verifies the table CRC, and then scrubs
 //! every data page against its checksum — so a corrupted file fails at
 //! open time with [`StorageError::CorruptPage`] instead of mid-query.
 //! Files without a trailer (pre-checksum layout, or mid-build files)
@@ -51,34 +51,22 @@ pub trait PageStore {
 
     /// Reads page `no` into `buf`.
     ///
-    /// # Panics
-    ///
-    /// Implementations may panic when `no >= page_count()` or on I/O
-    /// errors, including checksum mismatches (the exclusive path is an
-    /// experiment substrate; the fallible path is
-    /// [`PageStore::try_read_page`]).
-    fn read_page(&mut self, no: usize, buf: &mut PageBuf);
-
-    /// Reads page `no` into `buf`, surfacing failures as values.
-    ///
-    /// The default implementation delegates to the panicking
-    /// [`PageStore::read_page`]; stores with real failure modes
-    /// ([`FileStore`]) override it so open-time validation can report
-    /// corruption instead of aborting.
-    ///
     /// # Errors
     ///
-    /// Implementation-specific I/O or checksum failures.
-    fn try_read_page(&mut self, no: usize, buf: &mut PageBuf) -> StorageResult<()> {
-        self.read_page(no, buf);
-        Ok(())
-    }
+    /// Implementation-specific I/O or checksum failures, as values, so
+    /// open-time validation can report corruption instead of aborting.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic when `no >= page_count()`.
+    fn try_read_page(&mut self, no: usize, buf: &mut PageBuf) -> StorageResult<()>;
 
     /// Overwrites page `no`.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`PageStore::read_page`].
+    /// Implementations may panic when `no >= page_count()` or the write
+    /// fails.
     fn write_page(&mut self, no: usize, buf: &PageBuf);
 
     /// Appends a page, returning its page number.
@@ -87,7 +75,7 @@ pub trait PageStore {
 
 /// A page store readable from many threads at once.
 ///
-/// [`PageStore::read_page`] takes `&mut self` because [`FileStore`]
+/// [`PageStore::try_read_page`] takes `&mut self` because [`FileStore`]
 /// historically read through the file cursor (`seek` + `read_exact`).
 /// Concurrent readers must never share a cursor, so this trait exposes a
 /// *positioned* read path instead: `read_page_at` takes `&self` and
@@ -132,8 +120,9 @@ impl PageStore for MemStore {
         self.pages.len()
     }
 
-    fn read_page(&mut self, no: usize, buf: &mut PageBuf) {
+    fn try_read_page(&mut self, no: usize, buf: &mut PageBuf) -> StorageResult<()> {
         buf.copy_from_slice(&self.pages[no][..]);
+        Ok(())
     }
 
     fn write_page(&mut self, no: usize, buf: &PageBuf) {
@@ -519,11 +508,6 @@ impl PageStore for FileStore {
         self.pages
     }
 
-    fn read_page(&mut self, no: usize, buf: &mut PageBuf) {
-        self.try_read_page(no, buf)
-            .unwrap_or_else(|e| panic!("page read: {e}"));
-    }
-
     fn try_read_page(&mut self, no: usize, buf: &mut PageBuf) -> StorageResult<()> {
         self.bounds_check(no);
         self.read_raw(no, buf)?;
@@ -604,16 +588,16 @@ mod tests {
         assert_eq!(store.page_count(), 2);
 
         let mut buf = empty_page();
-        store.read_page(0, &mut buf);
+        store.try_read_page(0, &mut buf).unwrap();
         assert_eq!(buf[0], 0xAA);
         assert_eq!(buf[PAGE_SIZE - 1], 0x55);
-        store.read_page(1, &mut buf);
+        store.try_read_page(1, &mut buf).unwrap();
         assert_eq!(buf[7], 7);
 
         buf[7] = 70;
         store.write_page(1, &buf);
         let mut check = empty_page();
-        store.read_page(1, &mut check);
+        store.try_read_page(1, &mut check).unwrap();
         assert_eq!(check[7], 70);
     }
 
@@ -638,7 +622,7 @@ mod tests {
         assert!(!re.is_sealed());
         assert_eq!(PageStore::page_count(&re), 2);
         let mut buf = empty_page();
-        re.read_page(0, &mut buf);
+        re.try_read_page(0, &mut buf).unwrap();
         assert_eq!(buf[0], 0xAA);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -685,14 +669,14 @@ mod tests {
         assert!(re.is_sealed());
         assert_eq!(PageStore::page_count(&re), 5);
         let mut buf = empty_page();
-        re.read_page(3, &mut buf);
+        re.try_read_page(3, &mut buf).unwrap();
         assert_eq!(buf[0], 3);
         // Overwrites keep the trailer in step across reopen.
         buf[0] = 0xEE;
         re.write_page(3, &buf);
         drop(re);
         let mut re = FileStore::open(&path).unwrap();
-        re.read_page(3, &mut buf);
+        re.try_read_page(3, &mut buf).unwrap();
         assert_eq!(buf[0], 0xEE);
         drop(re);
         // Flip one data byte behind the store's back: open-time scrub
@@ -816,7 +800,7 @@ mod tests {
             assert_eq!(a[0] as usize, no);
         }
         // The positioned path leaves the cursor-based path working.
-        fs.read_page(1, &mut a);
+        fs.try_read_page(1, &mut a).unwrap();
         assert_eq!(a[0], 1);
         assert_eq!(SharedPageStore::page_count(&fs), 5);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -828,7 +812,7 @@ mod tests {
         reserve_pages(&mut s, 3);
         assert_eq!(PageStore::page_count(&s), 3);
         let mut buf = [1u8; PAGE_SIZE];
-        s.read_page(2, &mut buf);
+        s.try_read_page(2, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0));
     }
 }

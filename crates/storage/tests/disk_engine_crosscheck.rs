@@ -1,16 +1,25 @@
-//! Randomized cross-check of the parallel [`DiskQueryEngine`] against the
-//! sequential [`DiskDatabase`] path.
+//! Randomized cross-check of the disk read path against a reference
+//! exclusive LRU pool.
 //!
-//! The engine's contract is bit-identical results at any worker count:
-//! answers, `AdStats`, and the *modelled* per-query `IoStats` must all
-//! equal what the sequential path produces on a cold pool of the same
-//! capacity (`invalidate_all` before each query, which also makes the
-//! sequential run order-independent). Capacities sweep down to a single
-//! frame, where the modelled LRU churns on every access — the harshest
-//! test of the session's pool simulation.
+//! The contract is bit-identical results at any worker count: answers,
+//! `AdStats`, and the *modelled* per-query `IoStats` of both the parallel
+//! [`DiskQueryEngine`] and the single-query [`DiskDatabase`] methods must
+//! all equal what the generic AD engine books when it reads the same
+//! column file through a cold [`common::ReferencePool`] of the same
+//! capacity — a `HashMap` LRU written independently of the product's
+//! `ReadSession`. The database is queried without invalidating its
+//! shared pool, so the modelled stats must also ignore whatever earlier
+//! queries left cached. Capacities sweep down to a single frame, where
+//! the modelled LRU churns on every access — the harshest test of the
+//! session's pool simulation.
+//!
+//! [`DiskQueryEngine`]: knmatch_storage::DiskQueryEngine
 
-use knmatch_core::{AdStats, BatchAnswer, BatchEngine, BatchQuery};
-use knmatch_storage::{DiskDatabase, IoStats, MemStore};
+mod common;
+
+use common::{ReferenceColumns, ReferencePool};
+use knmatch_core::{execute_batch_query, AdStats, BatchAnswer, BatchEngine, BatchQuery, Scratch};
+use knmatch_storage::{DiskDatabase, IoStats, MemStore, SortedColumnFile};
 
 /// Mixed workload over `ds`: every query type, parameters varied by a
 /// seeded xoshiro stream.
@@ -44,13 +53,21 @@ fn mixed_batch(ds: &knmatch_core::Dataset, count: usize, seed: u64) -> Vec<Batch
         .collect()
 }
 
-/// Runs `q` through the sequential path on a cold pool and returns the
-/// (answer, ad, io) triple in the engine's shape.
-fn sequential_oracle(
-    db: &mut DiskDatabase<MemStore>,
+/// Runs `q` through the generic AD engine over a cold reference pool.
+fn reference(
+    store: &MemStore,
+    columns: &SortedColumnFile,
+    pool_pages: usize,
     q: &BatchQuery,
 ) -> (BatchAnswer, AdStats, IoStats) {
-    db.pool_mut().invalidate_all();
+    let mut pool = ReferencePool::new(store.clone(), pool_pages);
+    let mut src = ReferenceColumns::new(columns, &mut pool);
+    let (answer, ad) = execute_batch_query(&mut src, q, &mut Scratch::new()).unwrap();
+    (answer, ad, pool.stats())
+}
+
+/// Runs `q` through the database's single-query methods.
+fn sequential(db: &DiskDatabase<MemStore>, q: &BatchQuery) -> (BatchAnswer, AdStats, IoStats) {
     match q {
         BatchQuery::KnMatch { query, k, n } => {
             let out = db.k_n_match(query, *k, *n).unwrap();
@@ -71,12 +88,22 @@ fn crosscheck(cardinality: usize, dims: usize, pool_pages: usize, seed: u64) {
     let ds = knmatch_data::uniform(cardinality, dims, seed);
     let batch = mixed_batch(&ds, 24, seed ^ 0x9E3779B97F4A7C15);
 
-    // Sequential oracle: one query at a time, cold pool per query.
-    let mut db = DiskDatabase::build_in_memory(&ds, pool_pages);
+    let mut store = MemStore::new();
+    let layout = DiskDatabase::<MemStore>::build(&ds, &mut store);
     let oracle: Vec<_> = batch
         .iter()
-        .map(|q| sequential_oracle(&mut db, q))
+        .map(|q| reference(&store, &layout.columns, pool_pages, q))
         .collect();
+
+    // Single queries on the calling thread, shared pool left warm.
+    let db = layout.attach(store, pool_pages).unwrap();
+    for (i, (q, want)) in batch.iter().zip(&oracle).enumerate() {
+        assert_eq!(
+            &sequential(&db, q),
+            want,
+            "database diverged: query {i}, pool {pool_pages}"
+        );
+    }
 
     for workers in [1usize, 2, 4, 8] {
         let engine = DiskDatabase::build_in_memory(&ds, pool_pages).into_engine(workers);

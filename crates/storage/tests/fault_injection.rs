@@ -107,8 +107,7 @@ fn certain_faults_on_every_read_are_fully_absorbed_by_retries() {
         let engine = engine_with_faults(&ds, FaultConfig::transient(7, 1.0), 8, workers);
         let got = engine.run(&batch);
         assert_eq!(got, baseline, "workers={workers}");
-        let (store, _) = engine.into_parts();
-        assert!(store.injected() > 0, "rate 1.0 must inject");
+        assert!(engine.pool().store().injected() > 0, "rate 1.0 must inject");
     }
     let engine = engine_with_faults(&ds, FaultConfig::transient(7, 1.0), 8, 1);
     let _ = engine.run(&batch);

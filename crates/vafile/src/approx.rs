@@ -9,7 +9,11 @@
 //! without touching the point.
 
 use knmatch_core::{Dataset, PointId};
-use knmatch_storage::{BufferPool, PageStore, PAGE_SIZE};
+use knmatch_storage::heap_file::SCAN_GROUP;
+use knmatch_storage::page::empty_page;
+use knmatch_storage::{
+    PageStore, ReadSession, SharedBufferPool, SharedPageStore, StorageResult, PAGE_SIZE,
+};
 
 /// A built VA-file: quantisation boundaries plus the page range holding the
 /// approximation rows (one byte per dimension per point, `b ≤ 8`).
@@ -178,19 +182,25 @@ impl VaFile {
     }
 
     /// Streams every approximation row in pid order (sequential page
-    /// reads), invoking `f(pid, cells)` per point with the unpacked cell
-    /// indices.
-    pub fn for_each_approx<S: PageStore>(
+    /// reads in [`SCAN_GROUP`], booked in `session`), invoking
+    /// `f(pid, cells)` per point with the unpacked cell indices.
+    ///
+    /// # Errors
+    ///
+    /// A page read that fails after the pool's retries.
+    pub fn for_each_approx<S: SharedPageStore>(
         &self,
-        pool: &mut BufferPool<S>,
+        pool: &SharedBufferPool<S>,
+        session: &mut ReadSession,
         mut f: impl FnMut(PointId, &[u8]),
-    ) {
+    ) -> StorageResult<()> {
         let row_bytes = self.row_bytes();
         let mut cells = vec![0u8; self.dims];
+        let mut page = empty_page();
         let mut pid = 0usize;
         for p in 0..self.total_pages() {
             let rows_here = self.rows_per_page.min(self.len - pid);
-            let page = *pool.get_in(self.base_page + p, knmatch_storage::heap_file::SCAN_GROUP);
+            pool.read_in(self.base_page + p, SCAN_GROUP, session, &mut page)?;
             for slot in 0..rows_here {
                 let off = slot * row_bytes;
                 let row = &page[off..off + row_bytes];
@@ -202,6 +212,7 @@ impl VaFile {
             }
         }
         debug_assert_eq!(pid, self.len);
+        Ok(())
     }
 }
 
@@ -250,14 +261,14 @@ mod tests {
     use super::*;
     use knmatch_storage::MemStore;
 
-    fn sample() -> (Dataset, VaFile, BufferPool<MemStore>) {
+    fn sample() -> (Dataset, VaFile, SharedBufferPool<MemStore>) {
         let rows: Vec<Vec<f64>> = (0..100)
             .map(|i| vec![i as f64 / 99.0, (99 - i) as f64 / 99.0])
             .collect();
         let ds = Dataset::from_rows(&rows).unwrap();
         let mut store = MemStore::new();
         let va = VaFile::build(&mut store, &ds, 4);
-        (ds, va, BufferPool::new(store, 8))
+        (ds, va, SharedBufferPool::new(store, 8))
     }
 
     #[test]
@@ -298,15 +309,17 @@ mod tests {
 
     #[test]
     fn approx_scan_visits_all_points_sequentially() {
-        let (ds, va, mut pool) = sample();
+        let (ds, va, pool) = sample();
+        let mut session = ReadSession::new(8);
         let mut seen = 0usize;
-        va.for_each_approx(&mut pool, |pid, cells| {
+        va.for_each_approx(&pool, &mut session, |pid, cells| {
             assert_eq!(cells.len(), 2);
             assert_eq!(cells[0], va.cell_of(0, ds.coord(pid, 0)));
             seen += 1;
-        });
+        })
+        .unwrap();
         assert_eq!(seen, 100);
-        assert_eq!(pool.stats().page_accesses() as usize, va.total_pages());
+        assert_eq!(session.stats().page_accesses() as usize, va.total_pages());
     }
 
     #[test]
@@ -335,9 +348,10 @@ mod tests {
         let mut store = MemStore::new();
         let va = VaFile::build(&mut store, &ds, 8);
         assert_eq!(va.total_pages(), 2); // 3000 rows × 2 B = 6000 B
-        let mut pool = BufferPool::new(store, 4);
+        let pool = SharedBufferPool::new(store, 4);
         let mut count = 0;
-        va.for_each_approx(&mut pool, |_, _| count += 1);
+        va.for_each_approx(&pool, &mut ReadSession::new(4), |_, _| count += 1)
+            .unwrap();
         assert_eq!(count, 3000);
     }
 
@@ -374,11 +388,12 @@ mod tests {
             pages.push(va.total_pages());
             assert_eq!(va.row_bytes(), (16 * bits as usize).div_ceil(8));
             // Cells still decode correctly through the scan.
-            let mut pool = BufferPool::new(store, 8);
-            va.for_each_approx(&mut pool, |pid, cells| {
+            let pool = SharedBufferPool::new(store, 8);
+            va.for_each_approx(&pool, &mut ReadSession::new(8), |pid, cells| {
                 assert_eq!(cells.len(), 16);
                 assert_eq!(cells[0], va.cell_of(0, ds.coord(pid, 0)));
-            });
+            })
+            .unwrap();
         }
         assert!(pages[0] < pages[1] && pages[1] < pages[2], "{pages:?}");
     }

@@ -6,32 +6,37 @@
 use knmatch_core::ad::validate_params;
 use knmatch_core::topk::TopK;
 use knmatch_core::{Neighbour, PointId, Result};
-use knmatch_storage::{BufferPool, HeapFile, IoStats, PageStore};
+use knmatch_storage::{HeapFile, ReadSession, SharedBufferPool, SharedPageStore};
 
 use crate::approx::VaFile;
 use crate::match_query::VaOutcome;
 
 /// Answers a Euclidean kNN query with the two-phase VA-file algorithm.
+/// `session` starts cold on entry, so [`VaOutcome::io`] covers exactly
+/// this query.
 ///
 /// # Errors
 ///
-/// Validates parameters like the core algorithms.
-pub fn k_nearest_va<S: PageStore>(
+/// Validates parameters like the core algorithms;
+/// [`KnMatchError::Storage`](knmatch_core::KnMatchError::Storage) when a
+/// page read fails.
+pub fn k_nearest_va<S: SharedPageStore>(
     va: &VaFile,
     heap: &HeapFile,
-    pool: &mut BufferPool<S>,
+    pool: &SharedBufferPool<S>,
+    session: &mut ReadSession,
     query: &[f64],
     k: usize,
 ) -> Result<VaOutcome<Vec<Neighbour>>> {
     let d = va.dims();
     let c = va.len();
     validate_params(query, d, c, k, 1, d)?;
-    pool.reset_stats();
+    session.begin_query();
 
     // Phase 1: bound each point's squared Euclidean distance.
     let mut lower: Vec<f64> = Vec::with_capacity(c);
     let mut upper_top = TopK::new(k);
-    va.for_each_approx(pool, |pid, cells| {
+    va.for_each_approx(pool, session, |pid, cells| {
         let mut lb2 = 0.0f64;
         let mut ub2 = 0.0f64;
         for (j, &cell) in cells.iter().enumerate() {
@@ -41,7 +46,7 @@ pub fn k_nearest_va<S: PageStore>(
         }
         lower.push(lb2);
         upper_top.offer(pid, ub2);
-    });
+    })?;
     let tau2 = upper_top
         .threshold()
         .expect("k ≤ c guarantees k candidates");
@@ -55,7 +60,7 @@ pub fn k_nearest_va<S: PageStore>(
             continue;
         }
         refined += 1;
-        heap.point(pool, pid as PointId, &mut row);
+        heap.point(pool, session, pid as PointId, &mut row)?;
         let dist2: f64 = row.iter().zip(query).map(|(a, b)| (a - b) * (a - b)).sum();
         top.offer(pid as PointId, dist2);
     }
@@ -71,12 +76,8 @@ pub fn k_nearest_va<S: PageStore>(
     Ok(VaOutcome {
         result,
         refined,
-        io: merge_io(pool),
+        io: session.stats(),
     })
-}
-
-fn merge_io<S: PageStore>(pool: &BufferPool<S>) -> IoStats {
-    pool.stats()
 }
 
 #[cfg(test)]
@@ -85,11 +86,19 @@ mod tests {
     use knmatch_core::{k_nearest, Dataset, Euclidean};
     use knmatch_storage::MemStore;
 
-    fn build(ds: &Dataset, bits: u8) -> (VaFile, HeapFile, BufferPool<MemStore>) {
+    fn build(
+        ds: &Dataset,
+        bits: u8,
+    ) -> (VaFile, HeapFile, SharedBufferPool<MemStore>, ReadSession) {
         let mut store = MemStore::new();
         let heap = HeapFile::build(&mut store, ds);
         let va = VaFile::build(&mut store, ds, bits);
-        (va, heap, BufferPool::new(store, 64))
+        (
+            va,
+            heap,
+            SharedBufferPool::new(store, 64),
+            ReadSession::new(64),
+        )
     }
 
     #[test]
@@ -102,9 +111,9 @@ mod tests {
             })
             .collect();
         let ds = Dataset::from_rows(&rows).unwrap();
-        let (va, heap, mut pool) = build(&ds, 6);
+        let (va, heap, pool, mut session) = build(&ds, 6);
         let q = [0.25, 0.5, 0.75];
-        let out = k_nearest_va(&va, &heap, &mut pool, &q, 7).unwrap();
+        let out = k_nearest_va(&va, &heap, &pool, &mut session, &q, 7).unwrap();
         let exact = k_nearest(&ds, &q, 7, &Euclidean).unwrap();
         let got: Vec<u32> = out.result.iter().map(|n| n.pid).collect();
         let want: Vec<u32> = exact.iter().map(|n| n.pid).collect();
@@ -121,8 +130,8 @@ mod tests {
             .map(|i| vec![(i as f64 * 0.618) % 1.0, (i as f64 * 0.149) % 1.0])
             .collect();
         let ds = Dataset::from_rows(&rows).unwrap();
-        let (va, heap, mut pool) = build(&ds, 8);
-        let out = k_nearest_va(&va, &heap, &mut pool, &[0.5, 0.5], 10).unwrap();
+        let (va, heap, pool, mut session) = build(&ds, 8);
+        let out = k_nearest_va(&va, &heap, &pool, &mut session, &[0.5, 0.5], 10).unwrap();
         assert!(
             out.refined < ds.len() / 4,
             "8-bit VA-file should prune aggressively for kNN: refined {}",
@@ -133,8 +142,8 @@ mod tests {
     #[test]
     fn validates() {
         let ds = knmatch_core::paper::fig3_dataset();
-        let (va, heap, mut pool) = build(&ds, 8);
-        assert!(k_nearest_va(&va, &heap, &mut pool, &[0.0], 1).is_err());
-        assert!(k_nearest_va(&va, &heap, &mut pool, &[0.0, 0.0, 0.0], 99).is_err());
+        let (va, heap, pool, mut session) = build(&ds, 8);
+        assert!(k_nearest_va(&va, &heap, &pool, &mut session, &[0.0], 1).is_err());
+        assert!(k_nearest_va(&va, &heap, &pool, &mut session, &[0.0, 0.0, 0.0], 99).is_err());
     }
 }

@@ -14,7 +14,7 @@
 use knmatch_core::ad::validate_params;
 use knmatch_core::topk::TopK;
 use knmatch_core::{FrequentResult, KnMatchResult, PointId, Result};
-use knmatch_storage::{BufferPool, HeapFile, IoStats, PageStore};
+use knmatch_storage::{HeapFile, IoStats, ReadSession, SharedBufferPool, SharedPageStore};
 
 use crate::approx::VaFile;
 
@@ -32,16 +32,20 @@ pub struct VaOutcome<R> {
 
 /// Answers a frequent k-n-match query with the two-phase VA-file algorithm.
 ///
-/// Pool statistics are reset on entry, so [`VaOutcome::io`] covers exactly
+/// `session` starts cold on entry, so [`VaOutcome::io`] covers exactly
 /// this query.
 ///
 /// # Errors
 ///
-/// Validates parameters like the core algorithms.
-pub fn frequent_k_n_match_va<S: PageStore>(
+/// Validates parameters like the core algorithms;
+/// [`KnMatchError::Storage`](knmatch_core::KnMatchError::Storage) when a
+/// page read fails.
+#[allow(clippy::too_many_arguments)] // the query's four plus its three structures and session
+pub fn frequent_k_n_match_va<S: SharedPageStore>(
     va: &VaFile,
     heap: &HeapFile,
-    pool: &mut BufferPool<S>,
+    pool: &SharedBufferPool<S>,
+    session: &mut ReadSession,
     query: &[f64],
     k: usize,
     n0: usize,
@@ -50,7 +54,7 @@ pub fn frequent_k_n_match_va<S: PageStore>(
     let d = va.dims();
     let c = va.len();
     validate_params(query, d, c, k, n0, n1)?;
-    pool.reset_stats();
+    session.begin_query();
 
     let n_count = n1 - n0 + 1;
     // Phase 1: one sequential scan of the approximations. Per point, keep
@@ -60,7 +64,7 @@ pub fn frequent_k_n_match_va<S: PageStore>(
     let mut upper_topk: Vec<TopK> = (0..n_count).map(|_| TopK::new(k)).collect();
     let mut lbuf = vec![0.0f64; d];
     let mut ubuf = vec![0.0f64; d];
-    va.for_each_approx(pool, |pid, cells| {
+    va.for_each_approx(pool, session, |pid, cells| {
         for (j, &cell) in cells.iter().enumerate() {
             let (lb, ub) = va.diff_bounds(j, cell, query[j]);
             lbuf[j] = lb;
@@ -72,7 +76,7 @@ pub fn frequent_k_n_match_va<S: PageStore>(
             lower_bounds.push(lbuf[n0 + i - 1]);
             top.offer(pid, ubuf[n0 + i - 1]);
         }
-    });
+    })?;
     let taus: Vec<f64> = upper_topk
         .into_iter()
         .map(|t| t.threshold().expect("k ≤ c guarantees k candidates"))
@@ -95,7 +99,7 @@ pub fn frequent_k_n_match_va<S: PageStore>(
     let mut row = vec![0.0f64; d];
     let mut diffs = vec![0.0f64; d];
     for &pid in &candidates {
-        heap.point(pool, pid, &mut row);
+        heap.point(pool, session, pid, &mut row)?;
         for (j, (&a, &b)) in row.iter().zip(query).enumerate() {
             diffs[j] = (a - b).abs();
         }
@@ -113,7 +117,7 @@ pub fn frequent_k_n_match_va<S: PageStore>(
     Ok(VaOutcome {
         result: FrequentResult::from_levels((n0, n1), per_n, k),
         refined: candidates.len(),
-        io: pool.stats(),
+        io: session.stats(),
     })
 }
 
@@ -121,16 +125,17 @@ pub fn frequent_k_n_match_va<S: PageStore>(
 ///
 /// # Errors
 ///
-/// Validates parameters like the core algorithms.
-pub fn k_n_match_va<S: PageStore>(
+/// As [`frequent_k_n_match_va`].
+pub fn k_n_match_va<S: SharedPageStore>(
     va: &VaFile,
     heap: &HeapFile,
-    pool: &mut BufferPool<S>,
+    pool: &SharedBufferPool<S>,
+    session: &mut ReadSession,
     query: &[f64],
     k: usize,
     n: usize,
 ) -> Result<VaOutcome<KnMatchResult>> {
-    let out = frequent_k_n_match_va(va, heap, pool, query, k, n, n)?;
+    let out = frequent_k_n_match_va(va, heap, pool, session, query, k, n, n)?;
     Ok(VaOutcome {
         result: out.result.per_n.into_iter().next().expect("single n"),
         refined: out.refined,
@@ -144,19 +149,27 @@ mod tests {
     use knmatch_core::Dataset;
     use knmatch_storage::MemStore;
 
-    fn build(ds: &Dataset, bits: u8) -> (VaFile, HeapFile, BufferPool<MemStore>) {
+    fn build(
+        ds: &Dataset,
+        bits: u8,
+    ) -> (VaFile, HeapFile, SharedBufferPool<MemStore>, ReadSession) {
         let mut store = MemStore::new();
         let heap = HeapFile::build(&mut store, ds);
         let va = VaFile::build(&mut store, ds, bits);
-        (va, heap, BufferPool::new(store, 64))
+        (
+            va,
+            heap,
+            SharedBufferPool::new(store, 64),
+            ReadSession::new(64),
+        )
     }
 
     #[test]
     fn exact_answers_on_paper_example() {
         let ds = knmatch_core::paper::fig3_dataset();
-        let (va, heap, mut pool) = build(&ds, 8);
+        let (va, heap, pool, mut session) = build(&ds, 8);
         let q = [3.0, 7.0, 4.0];
-        let out = k_n_match_va(&va, &heap, &mut pool, &q, 2, 2).unwrap();
+        let out = k_n_match_va(&va, &heap, &pool, &mut session, &q, 2, 2).unwrap();
         assert_eq!(out.result.ids(), vec![2, 1]);
         assert_eq!(out.result.epsilon(), 1.5);
     }
@@ -172,14 +185,14 @@ mod tests {
         };
         let rows: Vec<Vec<f64>> = (0..300).map(|_| (0..6).map(|_| next()).collect()).collect();
         let ds = Dataset::from_rows(&rows).unwrap();
-        let (va, heap, mut pool) = build(&ds, 6);
+        let (va, heap, pool, mut session) = build(&ds, 6);
         let q: Vec<f64> = (0..6).map(|_| next()).collect();
         for n in [1usize, 3, 6] {
-            let va_out = k_n_match_va(&va, &heap, &mut pool, &q, 10, n).unwrap();
+            let va_out = k_n_match_va(&va, &heap, &pool, &mut session, &q, 10, n).unwrap();
             let exact = knmatch_core::k_n_match_scan(&ds, &q, 10, n).unwrap();
             assert_eq!(va_out.result.ids(), exact.ids(), "n={n}");
         }
-        let va_f = frequent_k_n_match_va(&va, &heap, &mut pool, &q, 10, 2, 5).unwrap();
+        let va_f = frequent_k_n_match_va(&va, &heap, &pool, &mut session, &q, 10, 2, 5).unwrap();
         let exact_f = knmatch_core::frequent_k_n_match_scan(&ds, &q, 10, 2, 5).unwrap();
         assert_eq!(va_f.result.ids(), exact_f.ids());
     }
@@ -191,10 +204,10 @@ mod tests {
             .collect();
         let ds = Dataset::from_rows(&rows).unwrap();
         let q = [0.4, 0.6];
-        let (va8, heap8, mut pool8) = build(&ds, 8);
-        let fine = k_n_match_va(&va8, &heap8, &mut pool8, &q, 5, 1).unwrap();
-        let (va2, heap2, mut pool2) = build(&ds, 2);
-        let coarse = k_n_match_va(&va2, &heap2, &mut pool2, &q, 5, 1).unwrap();
+        let (va8, heap8, pool8, mut session8) = build(&ds, 8);
+        let fine = k_n_match_va(&va8, &heap8, &pool8, &mut session8, &q, 5, 1).unwrap();
+        let (va2, heap2, pool2, mut session2) = build(&ds, 2);
+        let coarse = k_n_match_va(&va2, &heap2, &pool2, &mut session2, &q, 5, 1).unwrap();
         assert_eq!(fine.result.ids(), coarse.result.ids());
         assert!(
             fine.refined <= coarse.refined,
@@ -208,9 +221,9 @@ mod tests {
     #[test]
     fn refinement_counts_bound_candidates() {
         let ds = knmatch_core::paper::fig1_dataset();
-        let (va, heap, mut pool) = build(&ds, 8);
+        let (va, heap, pool, mut session) = build(&ds, 8);
         let q = knmatch_core::paper::fig1_query();
-        let out = frequent_k_n_match_va(&va, &heap, &mut pool, &q, 2, 1, 10).unwrap();
+        let out = frequent_k_n_match_va(&va, &heap, &pool, &mut session, &q, 2, 1, 10).unwrap();
         assert!(out.refined >= 2 && out.refined <= 4);
         let exact = knmatch_core::frequent_k_n_match_scan(&ds, &q, 2, 1, 10).unwrap();
         assert_eq!(out.result.ids(), exact.ids());
@@ -219,8 +232,8 @@ mod tests {
     #[test]
     fn io_covers_both_phases() {
         let ds = knmatch_core::paper::fig3_dataset();
-        let (va, heap, mut pool) = build(&ds, 8);
-        let out = k_n_match_va(&va, &heap, &mut pool, &[3.0, 7.0, 4.0], 1, 1).unwrap();
+        let (va, heap, pool, mut session) = build(&ds, 8);
+        let out = k_n_match_va(&va, &heap, &pool, &mut session, &[3.0, 7.0, 4.0], 1, 1).unwrap();
         // At least the VA pages were read, plus one heap page per refined
         // point at worst.
         assert!(out.io.page_accesses() as usize >= va.total_pages());
@@ -230,9 +243,9 @@ mod tests {
     #[test]
     fn validates_parameters() {
         let ds = knmatch_core::paper::fig3_dataset();
-        let (va, heap, mut pool) = build(&ds, 8);
-        assert!(k_n_match_va(&va, &heap, &mut pool, &[0.0], 1, 1).is_err());
-        assert!(k_n_match_va(&va, &heap, &mut pool, &[0.0, 0.0, 0.0], 0, 1).is_err());
-        assert!(k_n_match_va(&va, &heap, &mut pool, &[0.0, 0.0, 0.0], 1, 4).is_err());
+        let (va, heap, pool, mut session) = build(&ds, 8);
+        assert!(k_n_match_va(&va, &heap, &pool, &mut session, &[0.0], 1, 1).is_err());
+        assert!(k_n_match_va(&va, &heap, &pool, &mut session, &[0.0, 0.0, 0.0], 0, 1).is_err());
+        assert!(k_n_match_va(&va, &heap, &pool, &mut session, &[0.0, 0.0, 0.0], 1, 4).is_err());
     }
 }

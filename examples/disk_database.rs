@@ -6,7 +6,7 @@
 use knmatch::data::uniform;
 use knmatch::igrid::DiskIGrid;
 use knmatch::prelude::*;
-use knmatch::storage::{BufferPool, CostModel, HeapFile};
+use knmatch::storage::{CostModel, HeapFile, ReadSession, SharedBufferPool};
 
 fn main() {
     let (c, d) = (50_000, 16);
@@ -16,15 +16,15 @@ fn main() {
     let model = CostModel::default();
     println!("{c} points × {d} dims on 4 KiB pages; frequent {k}-n-match, n ∈ [{n0}, {n1}]\n");
 
-    // Sequential scan of the heap file.
-    let mut db = DiskDatabase::build_in_memory(&ds, 256);
+    // Sequential scan of the heap file. Every query's I/O is modelled on
+    // a cold 256-page pool, whatever the previous query left cached.
+    let db = DiskDatabase::build_in_memory(&ds, 256);
     let scan = db
         .scan_frequent_k_n_match(&query, k, n0, n1)
         .expect("valid query");
     report("sequential scan", scan.io, model);
 
     // Disk-based AD over the sorted-column file.
-    db.pool_mut().invalidate_all();
     let ad = db
         .frequent_k_n_match(&query, k, n0, n1)
         .expect("valid query");
@@ -40,17 +40,20 @@ fn main() {
     let mut store = MemStore::new();
     let heap = HeapFile::build(&mut store, &ds);
     let va = VaFile::build(&mut store, &ds, 8);
-    let mut pool = BufferPool::new(store, 256);
-    let vout =
-        frequent_k_n_match_va(&va, &heap, &mut pool, &query, k, n0, n1).expect("valid query");
+    let pool = SharedBufferPool::new(store, 256);
+    let mut session = ReadSession::new(256);
+    let vout = frequent_k_n_match_va(&va, &heap, &pool, &mut session, &query, k, n0, n1)
+        .expect("valid query");
     report("VA-file", vout.io, model);
     println!("    ({} of {c} points survived the filter)", vout.refined);
 
     // IGrid's fragmented inverted lists.
     let mut store = MemStore::new();
     let ig = DiskIGrid::build_default(&mut store, &ds);
-    let mut pool = BufferPool::new(store, 256);
-    let (_, ig_io) = ig.query(&mut pool, &query, k).expect("valid query");
+    let pool = SharedBufferPool::new(store, 256);
+    let (_, ig_io) = ig
+        .query(&pool, &mut session, &query, k)
+        .expect("valid query");
     report("IGrid", ig_io, model);
 
     // All exact methods agree on the answer.

@@ -5,6 +5,8 @@
 #   1. tier-1:  cargo build --release && cargo test -q
 #   2. style:   cargo fmt --all -- --check
 #   3. lints:   cargo clippy --workspace --all-targets -- -D warnings
+#               + RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+#               (no broken or private intra-doc links)
 #   3b. paper:  `repro --quick --no-timing all` diffed against the
 #               committed results/repro_quick.txt (the paper's attribute
 #               and page counts, deterministic), and the frontier held to
@@ -12,8 +14,10 @@
 #               (frontier_pops_in_reference_order)
 #   3c. examples: every examples/*.rs built and run in release; their
 #               assert!s hold or the step fails on the non-zero exit
-#   4. smoke:   disk_throughput --smoke (cross-checks the disk engine
-#               against the sequential path on a real file, seconds-long)
+#   4. smoke:   disk_throughput --smoke (the parallel disk engine
+#               against the single-query DiskDatabase loop, both on the
+#               one shared buffer pool over a real file, answers
+#               digest-checked; seconds-long)
 #               + planner_crossover --smoke (every planner mode over the
 #               d x n x kind grid, each answer against the naive oracle)
 #   5. faults:  release-mode fault-injection stress (retry/panic paths
@@ -69,6 +73,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> repro --quick --no-timing all vs results/repro_quick.txt"
 ./target/release/repro --quick --no-timing all | diff -u results/repro_quick.txt - \

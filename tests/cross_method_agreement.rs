@@ -4,13 +4,18 @@
 
 use knmatch::data::{coil_like, labelled_clusters, skewed, uniform, ClusterSpec};
 use knmatch::prelude::*;
-use knmatch::storage::{BufferPool, HeapFile};
+use knmatch::storage::{HeapFile, ReadSession, SharedBufferPool};
 
-fn va_setup(ds: &Dataset, bits: u8) -> (VaFile, HeapFile, BufferPool<MemStore>) {
+fn va_setup(ds: &Dataset, bits: u8) -> (VaFile, HeapFile, SharedBufferPool<MemStore>, ReadSession) {
     let mut store = MemStore::new();
     let heap = HeapFile::build(&mut store, ds);
     let va = VaFile::build(&mut store, ds, bits);
-    (va, heap, BufferPool::new(store, 128))
+    (
+        va,
+        heap,
+        SharedBufferPool::new(store, 128),
+        ReadSession::new(128),
+    )
 }
 
 fn check_all_agree(ds: &Dataset, query: &[f64], k: usize, n0: usize, n1: usize) {
@@ -20,7 +25,7 @@ fn check_all_agree(ds: &Dataset, query: &[f64], k: usize, n0: usize, n1: usize) 
     let (mem_ad, _) = frequent_k_n_match_ad(&mut cols, query, k, n0, n1).expect("mem AD");
     assert_eq!(mem_ad.ids(), oracle.ids(), "in-memory AD vs oracle");
 
-    let mut db = DiskDatabase::build_in_memory(ds, 64);
+    let db = DiskDatabase::build_in_memory(ds, 64);
     let disk_ad = db.frequent_k_n_match(query, k, n0, n1).expect("disk AD");
     assert_eq!(disk_ad.result.ids(), oracle.ids(), "disk AD vs oracle");
     let disk_scan = db
@@ -28,8 +33,9 @@ fn check_all_agree(ds: &Dataset, query: &[f64], k: usize, n0: usize, n1: usize) 
         .expect("disk scan");
     assert_eq!(disk_scan.result.ids(), oracle.ids(), "disk scan vs oracle");
 
-    let (va, heap, mut pool) = va_setup(ds, 8);
-    let va_out = frequent_k_n_match_va(&va, &heap, &mut pool, query, k, n0, n1).expect("VA-file");
+    let (va, heap, pool, mut session) = va_setup(ds, 8);
+    let va_out =
+        frequent_k_n_match_va(&va, &heap, &pool, &mut session, query, k, n0, n1).expect("VA-file");
     assert_eq!(va_out.result.ids(), oracle.ids(), "VA-file vs oracle");
 
     // Per-n answer sets agree too.
@@ -93,7 +99,7 @@ fn paper_figures_end_to_end() {
         }
     }
 
-    let mut db = DiskDatabase::build_in_memory(&ds, 16);
+    let db = DiskDatabase::build_in_memory(&ds, 16);
     let m6 = db.k_n_match(&q, 1, 6).expect("6-match");
     assert_eq!(m6.result.ids(), vec![2]);
     assert_eq!(m6.result.epsilon(), 0.0);
@@ -101,12 +107,12 @@ fn paper_figures_end_to_end() {
     // Figure 3's running example on every backend.
     let ds = knmatch::core::paper::fig3_dataset();
     let q = knmatch::core::paper::fig3_query();
-    let mut db = DiskDatabase::build_in_memory(&ds, 16);
+    let db = DiskDatabase::build_in_memory(&ds, 16);
     let r = db.k_n_match(&q, 2, 2).expect("2-2-match");
     assert_eq!(r.result.ids(), vec![2, 1]);
     assert_eq!(r.result.epsilon(), 1.5);
-    let (va, heap, mut pool) = va_setup(&ds, 8);
-    let v = k_n_match_va(&va, &heap, &mut pool, &q, 2, 2).expect("VA 2-2-match");
+    let (va, heap, pool, mut session) = va_setup(&ds, 8);
+    let v = k_n_match_va(&va, &heap, &pool, &mut session, &q, 2, 2).expect("VA 2-2-match");
     assert_eq!(v.result.ids(), vec![2, 1]);
 }
 
