@@ -5,6 +5,14 @@
 //! each holding [`COLUMN_ENTRIES_PER_PAGE`] `(pid, value)` entries in
 //! ascending value order, so the AD algorithm's forward walks read pages
 //! sequentially.
+//!
+//! [`SharedDiskColumns`] is the AD engine's view of such a file: per
+//! attribute it books the page in its [`ReadSession`] and decodes the
+//! entry from one of two per-dimension copy-out slots. A repeat access to
+//! a slot's page is an O(1) booked hit; only a page in neither slot
+//! takes the cold path through the shared pool. The view's state borrows
+//! nothing, so [`crate::DiskQueryEngine`] keeps it between batches; the
+//! copy-out slots are emptied per batch.
 
 use knmatch_core::{Dataset, SortedColumns, SortedEntry};
 
@@ -271,6 +279,49 @@ fn search_page(buf: &PageBuf, len: usize, q: f64) -> usize {
 /// copy-out slots (page numbers never reach `usize::MAX`).
 const NO_PAGE: usize = usize::MAX;
 
+/// One dimension's two copy-out slots.
+#[derive(Debug)]
+struct LocalPages {
+    /// Page number held by each slot.
+    no: [usize; 2],
+    /// `(generation, frame)` at which each slot's page was last booked in
+    /// the session: while the session's generation still matches, a
+    /// repeat access is a modelled hit on that frame.
+    booked: [(u64, u32); 2],
+    /// Most recently used slot; its sibling is the victim.
+    mru: u8,
+    buf: [Box<PageBuf>; 2],
+}
+
+impl LocalPages {
+    fn new() -> Self {
+        LocalPages {
+            no: [NO_PAGE; 2],
+            booked: [(u64::MAX, 0); 2],
+            mru: 0,
+            buf: [Box::new(empty_page()), Box::new(empty_page())],
+        }
+    }
+}
+
+/// What a [`SharedDiskColumns`] view reads with: its [`ReadSession`] and
+/// the 2·d copy-out slots. It borrows nothing, so a
+/// [`crate::DiskQueryEngine`] keeps it between batches.
+#[derive(Debug)]
+pub(crate) struct ReadState {
+    session: ReadSession,
+    local: Vec<LocalPages>,
+}
+
+impl ReadState {
+    pub(crate) fn new(dims: usize, modelled_capacity: usize) -> Self {
+        ReadState {
+            session: ReadSession::new(modelled_capacity),
+            local: (0..dims).map(|_| LocalPages::new()).collect(),
+        }
+    }
+}
+
 /// A [`SortedColumnFile`] viewed through the buffer pool as a
 /// [`knmatch_core::SortedAccessSource`], so the generic AD engine runs
 /// unchanged on disk (Section 4.1's disk-based AD). Many workers can read
@@ -278,22 +329,23 @@ const NO_PAGE: usize = usize::MAX;
 ///
 /// Every page request is booked in the view's [`ReadSession`] first —
 /// the modelled per-query [`crate::IoStats`] — and then served from one
-/// of two per-dimension
-/// copy-out slots, falling back to the shared pool on a local miss. Two
-/// slots, not one, because the AD walk runs an ascending and a descending
-/// cursor per dimension: once they straddle a page boundary a single slot
-/// would refetch on every alternation. The local slots only short-circuit
-/// the copy; they never change what is counted.
+/// of two per-dimension copy-out slots, falling back to the shared pool
+/// on a local miss. Two slots, not one, because the AD walk runs an
+/// ascending and a descending cursor per dimension: once they straddle a
+/// page boundary a single slot would refetch on every alternation. The
+/// local slots only short-circuit the copy; they never change what is
+/// counted.
+///
+/// A repeat access to a slot's page costs O(1) bookkeeping: each slot
+/// remembers the session frame its page was booked in, and while the
+/// session's generation is unchanged (no modelled eviction, no new
+/// query) that frame still holds the page, so the access is booked as a
+/// hit there without a table lookup.
 #[derive(Debug)]
 pub struct SharedDiskColumns<'a, S> {
     file: &'a SortedColumnFile,
     pool: &'a SharedBufferPool<S>,
-    session: ReadSession,
-    /// `cached_no[dim][s]` is the page number held in `cache[dim][s]`.
-    cached_no: Vec<[usize; 2]>,
-    cache: Vec<[Box<PageBuf>; 2]>,
-    /// Most recently used slot per dimension; its sibling is the victim.
-    mru: Vec<u8>,
+    state: ReadState,
 }
 
 impl<'a, S: SharedPageStore> SharedDiskColumns<'a, S> {
@@ -313,25 +365,36 @@ impl<'a, S: SharedPageStore> SharedDiskColumns<'a, S> {
         SharedDiskColumns {
             file,
             pool,
-            session: ReadSession::new(modelled_capacity),
-            cached_no: vec![[NO_PAGE; 2]; file.dims()],
-            cache: (0..file.dims())
-                .map(|_| [Box::new(empty_page()), Box::new(empty_page())])
-                .collect(),
-            mru: vec![0; file.dims()],
+            state: ReadState::new(file.dims(), modelled_capacity),
         }
     }
 
+    /// A view reading with `state`, kept from an earlier view of the
+    /// same file and capacity. Its copy-out slots start empty, so each
+    /// batch reads its pages through the shared pool at least once,
+    /// whatever an earlier batch left behind.
+    pub(crate) fn with_state(
+        file: &'a SortedColumnFile,
+        pool: &'a SharedBufferPool<S>,
+        mut state: ReadState,
+    ) -> Self {
+        debug_assert_eq!(state.local.len(), file.dims());
+        for local in &mut state.local {
+            local.no = [NO_PAGE; 2];
+        }
+        SharedDiskColumns { file, pool, state }
+    }
+
     /// Starts a fresh query: resets the modelled session (counters,
-    /// streams, simulated cache). The local copy-out slots stay warm —
-    /// they are data plumbing, not accounting.
+    /// streams, simulated cache). The local copy-out slots stay warm for
+    /// the rest of the batch — they are data plumbing, not accounting.
     pub fn begin_query(&mut self) {
-        self.session.begin_query();
+        self.state.session.begin_query();
     }
 
     /// Modelled I/O of the current query (see [`ReadSession::stats`]).
     pub fn session_stats(&self) -> crate::IoStats {
-        self.session.stats()
+        self.state.session.stats()
     }
 
     /// The shared pool this view reads through.
@@ -340,35 +403,69 @@ impl<'a, S: SharedPageStore> SharedDiskColumns<'a, S> {
     }
 
     /// Returns `dim`'s copy of `page_no`, booking the access in the
-    /// session and fetching through the shared pool when neither local
-    /// slot holds it.
+    /// session. This is the per-attribute fast path: a page already in
+    /// one of `dim`'s slots is booked (in O(1) when its booking is still
+    /// current) and served from the slot; anything else goes to
+    /// [`page_slow`](Self::page_slow).
+    #[inline]
+    fn page(&mut self, dim: usize, page_no: usize) -> &PageBuf {
+        let no = self.state.local[dim].no;
+        let which = if no[0] == page_no {
+            0
+        } else if no[1] == page_no {
+            1
+        } else {
+            return self.page_slow(dim, page_no);
+        };
+        let ReadState { session, local } = &mut self.state;
+        let local = &mut local[dim];
+        let (generation, frame) = local.booked[which];
+        if generation == session.generation() {
+            session.book_hit(frame);
+        } else {
+            let (_, frame) = session.account(page_no, dim as u32);
+            local.booked[which] = (session.generation(), frame);
+        }
+        local.mru = which as u8;
+        &local.buf[which]
+    }
+
+    /// A page in neither local slot: books the access, then fetches it
+    /// through the shared pool into the less recently used slot.
     ///
     /// A pool read that still fails after the retry budget unwinds as a
     /// panic carrying the [`StorageError`] payload: the
     /// `SortedAccessSource` trait is infallible by design (the hot AD
     /// loop stays branch-free on the healthy path), and
     /// [`crate::DiskQueryEngine`] catches the unwind at the query
-    /// boundary and turns it into that query's `Err` slot. The local
-    /// slot is only updated after a successful read, so no torn page is
-    /// ever served.
-    fn page(&mut self, dim: usize, page_no: usize) -> &PageBuf {
-        let verdict = self.session.account(page_no, dim as u32);
-        let slots = self.cached_no[dim];
-        let which = if slots[0] == page_no {
-            0
-        } else if slots[1] == page_no {
-            1
-        } else {
-            let victim = 1 - usize::from(self.mru[dim]);
-            let sequential = verdict.is_sequential();
-            self.pool
-                .read_classified(page_no, sequential, &mut self.cache[dim][victim])
-                .unwrap_or_else(|e| std::panic::panic_any(e));
-            self.cached_no[dim][victim] = page_no;
-            victim
-        };
-        self.mru[dim] = which as u8;
-        &self.cache[dim][which]
+    /// boundary and turns it into that query's `Err` slot. The victim
+    /// slot holds no page from before the read until it succeeds, so a
+    /// failed read's torn bytes are never served, in this query or a
+    /// later one on the same view.
+    #[cold]
+    #[inline(never)]
+    fn page_slow(&mut self, dim: usize, page_no: usize) -> &PageBuf {
+        let ReadState { session, local } = &mut self.state;
+        let (verdict, frame) = session.account(page_no, dim as u32);
+        let local = &mut local[dim];
+        let victim = 1 - usize::from(local.mru);
+        // A failed read may leave torn bytes in the buffer: the slot
+        // holds no page until the read succeeds.
+        local.no[victim] = NO_PAGE;
+        self.pool
+            .read_classified(page_no, verdict.is_sequential(), &mut local.buf[victim])
+            .unwrap_or_else(|e| std::panic::panic_any(e));
+        local.no[victim] = page_no;
+        local.booked[victim] = (session.generation(), frame);
+        local.mru = victim as u8;
+        &local.buf[victim]
+    }
+}
+
+impl<S> SharedDiskColumns<'_, S> {
+    /// Ends the view, keeping its state for a later one.
+    pub(crate) fn into_state(self) -> ReadState {
+        self.state
     }
 }
 
@@ -465,6 +562,43 @@ mod tests {
         assert_eq!(file.entry(&pool, &mut s, 0, 999).unwrap().value, 999.0);
         assert_eq!(file.locate(&pool, &mut s, 0, 341.0).unwrap(), 341);
         assert_eq!(file.locate(&pool, &mut s, 0, 999.5).unwrap(), 1000);
+    }
+
+    #[test]
+    fn failed_read_never_leaves_torn_bytes_in_a_slot() {
+        use crate::fault::{FaultConfig, FaultStore};
+        use crate::shared_pool::RetryPolicy;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // One dimension of three pages (341 entries each). Every first
+        // read of a page comes back corrupted and one try is all a read
+        // gets, so each page fails once and then reads clean.
+        let rows: Vec<Vec<f64>> = (0..1000).map(|i| vec![i as f64]).collect();
+        let ds = Dataset::from_rows(&rows).unwrap();
+        let mut store = MemStore::new();
+        let file = SortedColumnFile::build(&mut store, &ds);
+        let config = FaultConfig {
+            corrupt_rate: 1.0,
+            ..FaultConfig::default()
+        };
+        let mut pool = SharedBufferPool::new(FaultStore::new(store, config), 4);
+        pool.set_retry_policy(RetryPolicy {
+            attempts: 1,
+            backoff: std::time::Duration::ZERO,
+        });
+        let mut src = SharedDiskColumns::new(&file, &pool, 4);
+        let mut entry = |rank: usize| catch_unwind(AssertUnwindSafe(|| src.entry(0, rank).value));
+        for rank in [0, 341] {
+            assert!(
+                entry(rank).is_err(),
+                "first read of rank {rank}'s page fails"
+            );
+            assert_eq!(entry(rank).unwrap(), rank as f64);
+        }
+        // Both slots hold a page; page 2's failed read lands in the
+        // older one (page 0's), which must not be served from afterwards.
+        assert!(entry(682).is_err());
+        assert_eq!(entry(0).unwrap(), 0.0);
+        assert_eq!(entry(682).unwrap(), 682.0);
     }
 
     #[test]

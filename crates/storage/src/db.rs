@@ -4,20 +4,21 @@
 //! baseline — exposed with per-query I/O statistics.
 //!
 //! A [`DiskDatabase`] is a [`DiskQueryEngine`] plus its [`HeapFile`]: the
-//! AD queries are the engine's [`execute`](DiskQueryEngine::execute) on
-//! the calling thread, and the scan, the point fetches and
+//! AD queries are a one-query [`run`](BatchEngine::run) of the engine on
+//! the calling thread (on the engine's kept read state and this thread's
+//! pooled scratch), and the scan, the point fetches and
 //! [`verify`](DiskDatabase::verify) read the heap through the same
-//! [`SharedBufferPool`]. Every query books its I/O in a fresh
-//! [`ReadSession`], so its [`IoStats`] are the cold private-pool model
-//! whatever earlier queries left cached; what the pool actually served
-//! is [`DiskDatabase::pool_stats`].
+//! [`SharedBufferPool`]. Every query books its I/O in a
+//! [`ReadSession`] started cold, so its [`IoStats`] are the cold
+//! private-pool model whatever earlier queries left cached; what the pool
+//! actually served is [`DiskDatabase::pool_stats`].
 
 use knmatch_core::{
-    AdStats, BatchAnswer, BatchQuery, Dataset, FrequentResult, KnMatchResult, Result, Scratch,
+    AdStats, BatchAnswer, BatchEngine, BatchQuery, Dataset, FrequentResult, KnMatchResult, Result,
 };
 
 use crate::buffer::IoStats;
-use crate::column_file::{SharedDiskColumns, SortedColumnFile};
+use crate::column_file::SortedColumnFile;
 use crate::disk_engine::DiskQueryEngine;
 use crate::error::StorageResult;
 use crate::heap_file::HeapFile;
@@ -154,8 +155,11 @@ impl<S: SharedPageStore> DiskDatabase<S> {
         query: BatchQuery,
         answer: impl FnOnce(BatchAnswer) -> Option<R>,
     ) -> Result<DiskQueryOutcome<R>> {
-        let mut src = SharedDiskColumns::new(self.columns(), self.pool(), self.pool_pages());
-        let out = self.engine.execute(&query, &mut src, &mut Scratch::new())?;
+        let out = self
+            .engine
+            .run(std::slice::from_ref(&query))
+            .pop()
+            .expect("one outcome per query")?;
         Ok(DiskQueryOutcome {
             result: answer(out.answer).expect("an answer mirrors its query's kind"),
             io: out.io,

@@ -9,8 +9,17 @@
 //! [`SharedBufferPool`], so hot fence and column pages are fetched once
 //! for the whole batch instead of once per worker. A
 //! [`crate::DiskDatabase`] is this engine plus its heap file; its
-//! single-query methods are [`DiskQueryEngine::execute`] on the calling
-//! thread.
+//! single-query methods are a one-query [`run`](BatchEngine::run) on
+//! the calling thread.
+//!
+//! **Resident read state.** The server runs one batch per query, so the
+//! engine keeps each worker's read state — the session's tables and the
+//! 2·d copy-out pages — between batches instead of building it per
+//! batch: a warm engine books and copies pages without allocating. The
+//! copy-out slots are emptied per batch, so each batch reads its pages
+//! through the shared pool at least once (an
+//! [`invalidate_all`](SharedBufferPool::invalidate_all) between batches
+//! is seen, and the pool's counters keep counting every batch).
 //!
 //! **Determinism contract.** Answers and `AdStats` come out of the exact
 //! same `execute_batch_query` loop as every other entry point, and the
@@ -23,6 +32,7 @@
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError};
 
 use knmatch_core::{
     execute_batch_query, note_outcome, panic_message, run_batch, AdStats, BatchAnswer, BatchEngine,
@@ -30,7 +40,7 @@ use knmatch_core::{
 };
 
 use crate::buffer::IoStats;
-use crate::column_file::{SharedDiskColumns, SortedColumnFile};
+use crate::column_file::{ReadState, SharedDiskColumns, SortedColumnFile};
 use crate::error::StorageError;
 use crate::shared_pool::SharedBufferPool;
 use crate::store::SharedPageStore;
@@ -100,6 +110,30 @@ pub struct DiskQueryEngine<S> {
     columns: SortedColumnFile,
     pool_pages: usize,
     workers: usize,
+    /// Read states kept between batches, one per worker that has run
+    /// (so at most the peak number of workers reading at once).
+    resident: Mutex<Vec<ReadState>>,
+}
+
+/// One worker's view for the length of a batch. Its read state goes back
+/// to the engine when the batch ends, so the next batch books and copies
+/// pages without allocating.
+struct Resident<'a, S> {
+    view: Option<SharedDiskColumns<'a, S>>,
+    home: &'a Mutex<Vec<ReadState>>,
+}
+
+impl<S> Drop for Resident<'_, S> {
+    fn drop(&mut self) {
+        if let Some(view) = self.view.take() {
+            // Nothing panics while this lock is held, so a poisoned one
+            // still guards a sound list.
+            self.home
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(view.into_state());
+        }
+    }
 }
 
 impl<S: SharedPageStore> DiskQueryEngine<S> {
@@ -134,6 +168,7 @@ impl<S: SharedPageStore> DiskQueryEngine<S> {
             columns,
             pool_pages,
             workers: workers.max(1),
+            resident: Mutex::new(Vec::new()),
         })
     }
 
@@ -162,6 +197,25 @@ impl<S: SharedPageStore> DiskQueryEngine<S> {
     /// Modelled per-query pool capacity.
     pub fn pool_pages(&self) -> usize {
         self.pool_pages
+    }
+
+    /// A view for one worker of one batch, on a kept read state when
+    /// there is one.
+    fn resident(&self) -> Resident<'_, S> {
+        let kept = self
+            .resident
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        let state = kept.unwrap_or_else(|| ReadState::new(self.columns.dims(), self.pool_pages));
+        Resident {
+            view: Some(SharedDiskColumns::with_state(
+                &self.columns,
+                &self.pool,
+                state,
+            )),
+            home: &self.resident,
+        }
     }
 
     /// Executes one query on the calling thread against caller-provided
@@ -234,13 +288,9 @@ impl<S: SharedPageStore> BatchEngine for DiskQueryEngine<S> {
         run_batch(
             self.workers,
             queries.len(),
-            || {
-                (
-                    SharedDiskColumns::new(&self.columns, &self.pool, self.pool_pages),
-                    control.scratch(),
-                )
-            },
-            |(src, scratch), i| {
+            || (self.resident(), control.scratch()),
+            |(worker, scratch), i| {
+                let src = worker.view.as_mut().expect("a worker holds its view");
                 let out = self.execute(&queries[i], src, scratch);
                 note_outcome(&control, &out);
                 out

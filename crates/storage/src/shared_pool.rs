@@ -23,7 +23,11 @@
 //!   decides hit vs miss exactly as a dedicated cold pool would. Session
 //!   stats are therefore a pure function of the query's page-request
 //!   sequence — bit-identical at any worker count, any interleaving, and
-//!   any state of the shared cache.
+//!   any state of the shared cache. The simulated LRU is a timestamp LRU
+//!   (a hit writes one tick; eviction pops the oldest tick from a lazy
+//!   heap), and a session keeps its tables across
+//!   [`begin_query`](ReadSession::begin_query), so a reused session books
+//!   a page in O(1) without allocating.
 //! * Each shard counts the traffic it actually served ([`IoStats`]:
 //!   hits, and misses split sequential/random); [`SharedBufferPool::stats`]
 //!   merges them on demand. This measures the *real* I/O saved by sharing
@@ -37,7 +41,8 @@
 //! verdict when it has to fetch. Merged pool stats therefore preserve the
 //! group semantics even though pages scatter.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -98,19 +103,26 @@ struct Frame {
 #[derive(Debug)]
 struct Shard {
     capacity: usize,
+    /// The pool's shard count: this shard holds the pages `no` with the
+    /// same `no % stride`, and indexes them by `no / stride`.
+    stride: usize,
     frames: Vec<Frame>,
-    map: HashMap<usize, usize>,
+    /// `slot[no / stride]` = frame holding page `no`, or [`NO_FRAME`];
+    /// direct-indexed because page numbers are dense and bounded by the
+    /// store size, and grown when a page is first cached.
+    slot: Vec<u32>,
     head: usize,
     tail: usize,
     stats: IoStats,
 }
 
 impl Shard {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, stride: usize) -> Self {
         Shard {
             capacity,
+            stride,
             frames: Vec::with_capacity(capacity),
-            map: HashMap::with_capacity(capacity),
+            slot: Vec::new(),
             head: NIL,
             tail: NIL,
             stats: IoStats::default(),
@@ -154,13 +166,21 @@ impl Shard {
     /// Drops every cached frame, keeping the served counters.
     fn clear(&mut self) {
         let stats = self.stats;
-        *self = Shard::new(self.capacity);
+        *self = Shard::new(self.capacity, self.stride);
         self.stats = stats;
+    }
+
+    /// The frame holding page `no`, if cached.
+    fn lookup(&self, no: usize) -> Option<usize> {
+        match self.slot.get(no / self.stride) {
+            Some(&frame) if frame != NO_FRAME => Some(frame as usize),
+            _ => None,
+        }
     }
 
     /// Frame to read page `no` into: a fresh one while below capacity,
     /// otherwise the recycled LRU tail. The frame is already at the front
-    /// of the chain and in the map when this returns.
+    /// of the chain and in the slot table when this returns.
     fn frame_for(&mut self, no: usize) -> usize {
         let idx = if self.frames.len() < self.capacity {
             let idx = self.frames.len();
@@ -175,12 +195,16 @@ impl Shard {
         } else {
             let idx = self.tail;
             let old = self.frames[idx].page_no;
-            self.map.remove(&old);
+            self.slot[old / self.stride] = NO_FRAME;
             self.frames[idx].page_no = no;
             self.touch(idx);
             idx
         };
-        self.map.insert(no, idx);
+        let key = no / self.stride;
+        if key >= self.slot.len() {
+            self.slot.resize(key + 1, NO_FRAME);
+        }
+        self.slot[key] = idx as u32;
         idx
     }
 }
@@ -238,7 +262,7 @@ impl<S: SharedPageStore> SharedBufferPool<S> {
         // Split the frame budget as evenly as the shard count allows; the
         // first `capacity % n` shards carry the remainder.
         let shards: Vec<Mutex<Shard>> = (0..n)
-            .map(|i| Mutex::new(Shard::new(capacity / n + usize::from(i < capacity % n))))
+            .map(|i| Mutex::new(Shard::new(capacity / n + usize::from(i < capacity % n), n)))
             .collect();
         SharedBufferPool {
             store,
@@ -298,7 +322,7 @@ impl<S: SharedPageStore> SharedBufferPool<S> {
     /// # Errors
     ///
     /// A store read that still fails after the [`RetryPolicy`]'s budget
-    /// of transient retries. A failed fetch leaves the shard's map and
+    /// of transient retries. A failed fetch leaves the shard's table and
     /// LRU chain exactly as they were — no frame ever holds bytes that
     /// did not verify.
     pub fn read_classified(
@@ -308,7 +332,7 @@ impl<S: SharedPageStore> SharedBufferPool<S> {
         out: &mut PageBuf,
     ) -> StorageResult<bool> {
         let mut shard = self.lock_shard(self.shard_of(no));
-        if let Some(&idx) = shard.map.get(&no) {
+        if let Some(idx) = shard.lookup(no) {
             shard.stats.hits += 1;
             shard.touch(idx);
             out.copy_from_slice(&shard.frames[idx].buf[..]);
@@ -397,7 +421,7 @@ impl<S: SharedPageStore> SharedBufferPool<S> {
         session: &mut ReadSession,
         out: &mut PageBuf,
     ) -> StorageResult<bool> {
-        let sequential = session.account(no, group).is_sequential();
+        let sequential = session.account(no, group).0.is_sequential();
         self.read_classified(no, sequential, out)
     }
 
@@ -479,14 +503,27 @@ impl Access {
 /// Slot-table sentinel: page currently not in the modelled cache.
 const NO_FRAME: u32 = u32::MAX;
 
+/// Stream-tail sentinel: an empty tail. No page number is adjacent to it
+/// (page numbers stay far below `usize::MAX - 1`).
+const NO_TAIL: usize = usize::MAX;
+
+/// One group's stream tails, most recent first; [`NO_TAIL`] pads the
+/// unused entries.
+type Tails = [usize; TAILS_PER_GROUP + 1];
+
 /// A capacity-bounded LRU over page *numbers* only, used by
 /// [`ReadSession`] to model per-query hits and misses deterministically:
 /// a shard's eviction logic with the data removed.
 ///
-/// This runs once per *attribute* access, so instead of a `HashMap` it
-/// keeps a direct-indexed slot table (page numbers are dense and bounded
-/// by the store size) with per-slot epochs for O(1) clearing — the lookup
-/// is one array load, no hashing.
+/// This runs once per *attribute* access, so it is a timestamp LRU over
+/// a direct-indexed slot table (page numbers are dense and bounded by the
+/// store size, and per-slot epochs clear it in O(1)): a hit is one array
+/// load and one tick written to its frame. Eviction pops the smallest
+/// tick from a lazy min-heap holding one entry per frame; an entry whose
+/// frame was touched since it was pushed is re-pushed with the frame's
+/// current tick. Ticks are unique and increase with every access, so the
+/// victim is exactly the least recently used frame, the tail of a
+/// shard's linked chain.
 #[derive(Debug)]
 struct SimLru {
     capacity: usize,
@@ -494,13 +531,17 @@ struct SimLru {
     /// the stamp matches the current epoch; grown on demand.
     slot: Vec<(u32, u32)>,
     epoch: u32,
-    // Parallel arrays forming the same doubly-linked chain as a shard's
-    // frames, so eviction order matches it exactly.
+    /// Page held by each frame.
     page_no: Vec<usize>,
-    prev: Vec<usize>,
-    next: Vec<usize>,
-    head: usize,
-    tail: usize,
+    /// Tick of each frame's last access.
+    tick: Vec<u64>,
+    clock: u64,
+    /// `(tick, frame)`, one per frame, with `tick <=` the frame's current
+    /// tick.
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Bumped on every eviction and every clear: while it is unchanged, a
+    /// page once found in a frame is still there.
+    generation: u64,
 }
 
 impl SimLru {
@@ -510,10 +551,10 @@ impl SimLru {
             slot: Vec::new(),
             epoch: 1,
             page_no: Vec::with_capacity(capacity),
-            prev: Vec::with_capacity(capacity),
-            next: Vec::with_capacity(capacity),
-            head: NIL,
-            tail: NIL,
+            tick: Vec::with_capacity(capacity),
+            clock: 0,
+            heap: BinaryHeap::with_capacity(capacity),
+            generation: 0,
         }
     }
 
@@ -525,74 +566,59 @@ impl SimLru {
             self.epoch = 1;
         }
         self.page_no.clear();
-        self.prev.clear();
-        self.next.clear();
-        self.head = NIL;
-        self.tail = NIL;
+        self.tick.clear();
+        self.heap.clear();
+        self.generation += 1;
     }
 
-    fn detach(&mut self, idx: usize) {
-        let (p, n) = (self.prev[idx], self.next[idx]);
-        if p != NIL {
-            self.next[p] = n;
-        } else {
-            self.head = n;
-        }
-        if n != NIL {
-            self.prev[n] = p;
-        } else {
-            self.tail = p;
-        }
+    /// Marks `frame` most recently used.
+    #[inline]
+    fn touch(&mut self, frame: u32) {
+        self.clock += 1;
+        self.tick[frame as usize] = self.clock;
     }
 
-    fn attach_front(&mut self, idx: usize) {
-        self.prev[idx] = NIL;
-        self.next[idx] = self.head;
-        if self.head != NIL {
-            self.prev[self.head] = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
+    /// The least recently used frame, leaving the heap without an entry
+    /// for it.
+    fn pop_lru(&mut self) -> u32 {
+        loop {
+            let Reverse((tick, frame)) = self.heap.pop().expect("a full cache has frames");
+            let now = self.tick[frame as usize];
+            if now == tick {
+                return frame;
+            }
+            self.heap.push(Reverse((now, frame)));
         }
     }
 
-    fn touch(&mut self, idx: usize) {
-        if self.head == idx {
-            return;
-        }
-        self.detach(idx);
-        self.attach_front(idx);
-    }
-
-    /// Accesses page `no`: returns `true` on a (modelled) hit, promoting
-    /// it; on a miss, inserts it, evicting the LRU page when full.
-    fn access(&mut self, no: usize) -> bool {
+    /// Accesses page `no`: returns whether it was a (modelled) hit and
+    /// the frame that now holds it. A hit promotes the page; a miss
+    /// inserts it, evicting the LRU page when full.
+    fn access(&mut self, no: usize) -> (bool, u32) {
         if no >= self.slot.len() {
             self.slot.resize(no + 1, (NO_FRAME, 0));
         }
         let (frame, stamp) = self.slot[no];
         if stamp == self.epoch && frame != NO_FRAME {
-            self.touch(frame as usize);
-            return true;
+            self.touch(frame);
+            return (true, frame);
         }
-        let idx = if self.page_no.len() < self.capacity {
-            let idx = self.page_no.len();
+        let frame = if self.page_no.len() < self.capacity {
             self.page_no.push(no);
-            self.prev.push(NIL);
-            self.next.push(NIL);
-            self.attach_front(idx);
-            idx
+            self.tick.push(0);
+            (self.page_no.len() - 1) as u32
         } else {
-            let idx = self.tail;
-            let old = self.page_no[idx];
+            let frame = self.pop_lru();
+            let old = self.page_no[frame as usize];
             self.slot[old] = (NO_FRAME, self.epoch);
-            self.page_no[idx] = no;
-            self.touch(idx);
-            idx
+            self.page_no[frame as usize] = no;
+            self.generation += 1;
+            frame
         };
-        self.slot[no] = (idx as u32, self.epoch);
-        false
+        self.touch(frame);
+        self.heap.push(Reverse((self.clock, frame)));
+        self.slot[no] = (frame, self.epoch);
+        (false, frame)
     }
 }
 
@@ -607,10 +633,12 @@ impl SimLru {
 /// whatever other queries left in the shared cache.
 ///
 /// Call [`begin_query`](ReadSession::begin_query) before each query to
-/// start it cold.
+/// start it cold. A session keeps its tables between queries, so a
+/// reused one books pages without allocating.
 #[derive(Debug)]
 pub struct ReadSession {
-    streams: HashMap<u32, Vec<usize>>,
+    /// Stream tails per group; cleared per query, keeping its capacity.
+    streams: HashMap<u32, Tails>,
     sim: SimLru,
     stats: IoStats,
 }
@@ -644,36 +672,61 @@ impl ReadSession {
         self.stats
     }
 
+    /// Changes whenever a page booked earlier may have left the modelled
+    /// cache: on every modelled eviction and every
+    /// [`begin_query`](ReadSession::begin_query). While it is unchanged,
+    /// [`book_hit`](ReadSession::book_hit) on a frame returned by
+    /// [`account`](ReadSession::account) books exactly what re-accounting
+    /// that page would.
+    #[inline]
+    pub(crate) fn generation(&self) -> u64 {
+        self.sim.generation
+    }
+
+    /// Books a hit on `frame`, known to still hold its page (see
+    /// [`generation`](ReadSession::generation)): the O(1) repeat access.
+    #[inline]
+    pub(crate) fn book_hit(&mut self, frame: u32) {
+        self.sim.touch(frame);
+        self.stats.hits += 1;
+    }
+
     /// Books one page request: modelled hit/miss from the private LRU,
     /// misses classified by the group's stream tails — a miss adjacent
     /// (±1) to one of them streams, any other miss (and every
-    /// [`POINT_LOOKUP`] miss) seeks.
-    pub(crate) fn account(&mut self, no: usize, group: u32) -> Access {
-        if self.sim.access(no) {
+    /// [`POINT_LOOKUP`] miss) seeks. Also returns the modelled frame that
+    /// now holds page `no`.
+    pub(crate) fn account(&mut self, no: usize, group: u32) -> (Access, u32) {
+        let (hit, frame) = self.sim.access(no);
+        if hit {
             self.stats.hits += 1;
-            return Access::Hit;
+            return (Access::Hit, frame);
         }
         if group == POINT_LOOKUP {
             self.stats.random_reads += 1;
-            return Access::Miss { sequential: false };
+            return (Access::Miss { sequential: false }, frame);
         }
-        let tails = self.streams.entry(group).or_default();
-        let adjacent = tails
-            .iter()
-            .any(|&t| t == no.wrapping_sub(1) || t == no.wrapping_add(1));
+        let tails = self
+            .streams
+            .entry(group)
+            .or_insert([NO_TAIL; TAILS_PER_GROUP + 1]);
+        let adjacent = tails.iter().any(|&t| t.abs_diff(no) == 1);
+        // The matched tail is kept: two cursors launched from adjacent
+        // seed pages (AD's up/down pair) must each keep their stream.
+        // Shifting the oldest out ages stale tails.
+        tails.rotate_right(1);
+        tails[0] = no;
         if adjacent {
             self.stats.sequential_reads += 1;
         } else {
             self.stats.random_reads += 1;
         }
-        // The matched tail is kept: two cursors launched from adjacent
-        // seed pages (AD's up/down pair) must each keep their stream.
-        // Truncation ages stale tails out.
-        tails.insert(0, no);
-        tails.truncate(TAILS_PER_GROUP + 1);
-        Access::Miss {
-            sequential: adjacent,
-        }
+        (
+            Access::Miss {
+                sequential: adjacent,
+            },
+            frame,
+        )
     }
 }
 
@@ -771,6 +824,70 @@ mod tests {
                 reference.stats(),
                 "capacity {capacity}: modelled session diverged from the reference pool"
             );
+        }
+    }
+
+    /// A seeded request stream over `pages` pages: mostly ±1 steps of a
+    /// few cursors (streams, and re-reads that hit), with jumps, point
+    /// lookups and a heap-scan group mixed in.
+    fn request_stream(seed: u64, pages: usize, len: usize) -> Vec<(usize, u32)> {
+        use crate::heap_file::SCAN_GROUP;
+        let mut rng = knmatch_data::rng::seeded(seed);
+        let mut cursors = [0usize, pages / 3, pages / 2, pages - 1];
+        (0..len)
+            .map(|_| {
+                let c = rng.range_usize(0..cursors.len());
+                let roll = rng.range_usize(0..16);
+                let no = match roll {
+                    0 => rng.range_usize(0..pages),
+                    1..=5 => cursors[c],
+                    6..=10 => (cursors[c] + 1).min(pages - 1),
+                    _ => cursors[c].saturating_sub(1),
+                };
+                if roll != 0 {
+                    cursors[c] = no;
+                }
+                let group = match rng.range_usize(0..10) {
+                    0 => POINT_LOOKUP,
+                    1 => SCAN_GROUP,
+                    _ => c as u32,
+                };
+                (no, group)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn timestamp_lru_is_the_reference_lru() {
+        // Eviction-heavy at small capacities (the page range is several
+        // times the pool), and one pool large enough to rarely evict.
+        for (capacity, pages, len) in [
+            (1, 8, 2_000),
+            (2, 8, 2_000),
+            (3, 12, 2_000),
+            (16, 64, 4_000),
+            (1024, 3_000, 20_000),
+        ] {
+            for seed in 0..4u64 {
+                let requests = request_stream(seed * 31 + capacity as u64, pages, len);
+                let mut session = ReadSession::new(capacity);
+                let mut reference = ReferencePool::new(store_with(pages), capacity);
+                for (i, &(no, group)) in requests.iter().enumerate() {
+                    // Every 500 requests a new query starts, on the same
+                    // (reused) session and a fresh reference pool.
+                    if i % 500 == 0 && i > 0 {
+                        session.begin_query();
+                        reference = ReferencePool::new(store_with(pages), capacity);
+                    }
+                    session.account(no, group);
+                    reference.get_in(no, group);
+                    assert_eq!(
+                        session.stats(),
+                        reference.stats(),
+                        "capacity {capacity} seed {seed}: diverged at request {i} ({no}, {group})"
+                    );
+                }
+            }
         }
     }
 

@@ -1,0 +1,130 @@
+//! Allocation gate for the served disk path: a warm
+//! [`DiskQueryEngine`](knmatch_storage::DiskQueryEngine) answers a
+//! one-query `run` — the shape every served disk query takes — with no
+//! more heap allocations than the in-memory engine needs for the same
+//! answer, and a k-n-match query with at most a dozen.
+//!
+//! The engine keeps each worker's read state (the modelled session's
+//! tables and the 2·d copy-out pages) between batches, so what is left is
+//! the batch's result vector and the answer itself. A counting
+//! `#[global_allocator]` counts process-wide allocation events while the
+//! measured call runs; this file holds one test so no other test's thread
+//! allocates meanwhile.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+
+use knmatch_core::{BatchEngine, BatchQuery, QueryEngine, SortedColumns};
+use knmatch_storage::DiskDatabase;
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// `System` plus an event counter (`alloc`, `alloc_zeroed`, `realloc`).
+struct Counting;
+
+fn note() {
+    if COUNTING.load(Ordering::Relaxed) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter touches no
+// allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's `layout` obligations pass through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's `layout` obligations pass through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` came from `System` with this `layout`; the caller
+        // guarantees `new_size` is valid for it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Most allocations a warm one-query `run` may make.
+const MAX_ALLOCS: u64 = 12;
+
+/// Allocation events of one `engine.run(&[q])`, the answer included.
+fn allocs_of<E: BatchEngine>(engine: &E, q: &BatchQuery) -> u64 {
+    let batch = std::slice::from_ref(q);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    let out = engine.run(batch);
+    COUNTING.store(false, Ordering::Relaxed);
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert!(out[0].is_ok(), "query failed");
+    after - before
+}
+
+#[test]
+fn warm_one_query_run_allocates_no_more_than_memory() {
+    let ds = knmatch_data::uniform(20_000, 16, 42);
+    let queries: Vec<BatchQuery> = (0..48u32)
+        .map(|i| {
+            let query = ds.point(i * 97).iter().map(|v| v + 0.003).collect();
+            match i % 4 {
+                // The served disk workload's shape.
+                0 => BatchQuery::KnMatch { query, k: 10, n: 2 },
+                1 => BatchQuery::KnMatch { query, k: 5, n: 12 },
+                2 => BatchQuery::Frequent {
+                    query,
+                    k: 10,
+                    n0: 4,
+                    n1: 8,
+                },
+                _ => BatchQuery::EpsMatch {
+                    query,
+                    eps: 0.01,
+                    n: 8,
+                },
+            }
+        })
+        .collect();
+    // A pool of ~6 % of the file, as the served small-pool workload.
+    let disk = DiskDatabase::build_in_memory(&ds, 64).into_engine(1);
+    let memory = QueryEngine::with_workers(Arc::new(SortedColumns::build(&ds)), 1);
+    // Warm-up: the first batches grow the kept read state and this
+    // thread's scratch to their working size.
+    for q in &queries {
+        allocs_of(&disk, q);
+        allocs_of(&memory, q);
+    }
+    for (i, q) in queries.iter().enumerate() {
+        let (on_disk, in_memory) = (allocs_of(&disk, q), allocs_of(&memory, q));
+        // Reading from disk adds nothing to what the answer costs.
+        assert!(
+            on_disk <= in_memory,
+            "query {i}: {on_disk} allocations on disk, {in_memory} in memory: {q:?}"
+        );
+        // A k-n-match answer costs a handful; a frequent one holds a
+        // result per n and is held to the memory engine alone.
+        if !matches!(q, BatchQuery::Frequent { .. }) {
+            assert!(
+                on_disk <= MAX_ALLOCS,
+                "query {i}: a warm one-query run allocated {on_disk} times \
+                 (gate {MAX_ALLOCS}): {q:?}"
+            );
+        }
+    }
+}

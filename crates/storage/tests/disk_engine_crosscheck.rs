@@ -18,8 +18,14 @@
 mod common;
 
 use common::{ReferenceColumns, ReferencePool};
-use knmatch_core::{execute_batch_query, AdStats, BatchAnswer, BatchEngine, BatchQuery, Scratch};
-use knmatch_storage::{DiskDatabase, IoStats, MemStore, SortedColumnFile};
+use knmatch_core::{
+    execute_batch_query, AdStats, BatchAnswer, BatchEngine, BatchQuery, KnMatchError, Scratch,
+    SortedColumns,
+};
+use knmatch_storage::{
+    DiskDatabase, DiskQueryEngine, FaultConfig, FaultStore, IoStats, MemStore, SharedBufferPool,
+    SharedDiskColumns, SortedColumnFile, COLUMN_ENTRIES_PER_PAGE,
+};
 
 /// Mixed workload over `ds`: every query type, parameters varied by a
 /// seeded xoshiro stream.
@@ -151,4 +157,120 @@ fn crosscheck_single_frame_pool() {
 #[test]
 fn crosscheck_high_dims() {
     crosscheck(500, 12, 32, 99);
+}
+
+/// A query on the data point at `rank` of `dim`'s sorted column: its
+/// `locate` in `dim` reads the page holding that rank.
+fn aimed_at(ds: &knmatch_core::Dataset, dim: usize, rank: usize) -> BatchQuery {
+    let pid = SortedColumns::build(ds).column(dim).get(rank).pid;
+    BatchQuery::KnMatch {
+        query: ds.point(pid).to_vec(),
+        k: 3,
+        n: 2,
+    }
+}
+
+/// One engine keeps its workers' read states across many batches; no
+/// query may see what an earlier one left in them. Seeded batches of all
+/// three kinds run on one engine, some after an `invalidate_all`, some
+/// with a query that reads a page whose every read fails, and one batch
+/// reads a page whose first read panics. Every query must come out
+/// exactly as on a fresh view of its own — answers, `AdStats`, modelled
+/// `IoStats`, and the same error where the fresh view fails — and every
+/// answer must be the reference pool's.
+fn kept_views_are_fresh_views(workers: usize, seed: u64) {
+    let ds = knmatch_data::uniform(1500, 6, seed);
+    let pool_pages = 12;
+    let mut store = MemStore::new();
+    let layout = DiskDatabase::<MemStore>::build(&ds, &mut store);
+    let columns = layout.columns;
+    let page_of = |dim: usize, rank: usize| {
+        columns.base_page() + dim * columns.pages_per_dim() + rank / COLUMN_ENTRIES_PER_PAGE
+    };
+    let (fail_rank, panic_rank) = (
+        2 * COLUMN_ENTRIES_PER_PAGE + 100,
+        COLUMN_ENTRIES_PER_PAGE + 50,
+    );
+    let failing = FaultConfig {
+        fail_pages: [page_of(2, fail_rank)].into_iter().collect(),
+        ..FaultConfig::default()
+    };
+    let engine = DiskQueryEngine::with_workers(
+        FaultStore::new(
+            store.clone(),
+            FaultConfig {
+                panic_on_page: Some(page_of(0, panic_rank)),
+                ..failing.clone()
+            },
+        ),
+        columns.clone(),
+        pool_pages,
+        workers,
+    )
+    .unwrap();
+    let fresh_pool = SharedBufferPool::new(FaultStore::new(store.clone(), failing), pool_pages);
+
+    let mut rng = knmatch_data::rng::seeded(seed);
+    let (mut panics, mut failures) = (0, 0);
+    for b in 0..12u64 {
+        let size = 1 + rng.range_usize(0..10);
+        let mut batch = mixed_batch(&ds, size, seed ^ (b << 32));
+        if b % 4 == 1 {
+            batch.insert(size / 2, aimed_at(&ds, 2, fail_rank));
+        }
+        if b == 6 {
+            batch.insert(size / 2, aimed_at(&ds, 0, panic_rank));
+        }
+        if b % 3 == 2 {
+            engine.pool().invalidate_all();
+        }
+        let results = engine.run(&batch);
+        for (i, (q, got)) in batch.iter().zip(results).enumerate() {
+            let mut src = SharedDiskColumns::new(&columns, &fresh_pool, pool_pages);
+            let fresh = engine.execute(q, &mut src, &mut Scratch::new());
+            let at = format!("workers {workers}, batch {b}, query {i}");
+            match &got {
+                Err(KnMatchError::Panicked { message }) => {
+                    assert!(message.contains("injected fault: panic"), "{at}: {message}");
+                    assert!(fresh.is_ok(), "{at}: {fresh:?}");
+                    panics += 1;
+                    continue;
+                }
+                Err(KnMatchError::Storage { .. }) => failures += 1,
+                Ok(out) => {
+                    let want = reference(&store, &columns, pool_pages, q);
+                    assert_eq!(
+                        (&out.answer, &out.ad, &out.io),
+                        (&want.0, &want.1, &want.2),
+                        "{at}: diverged from the reference pool"
+                    );
+                }
+                Err(e) => panic!("{at}: {e}"),
+            }
+            assert_eq!(got, fresh, "{at}: a kept view and a fresh one disagree");
+        }
+    }
+    assert_eq!(
+        panics, 1,
+        "workers {workers}: the one-shot panic fires once"
+    );
+    assert!(
+        failures > 0,
+        "workers {workers}: some query read the failing page"
+    );
+}
+
+#[test]
+fn kept_views_are_fresh_views_one_worker() {
+    kept_views_are_fresh_views(1, 5);
+}
+
+#[test]
+fn kept_views_are_fresh_views_two_workers() {
+    kept_views_are_fresh_views(2, 6);
+}
+
+#[test]
+fn kept_views_are_fresh_views_four_workers() {
+    kept_views_are_fresh_views(4, 7);
 }
