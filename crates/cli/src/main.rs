@@ -61,7 +61,7 @@ fn usage() -> &'static str {
      knmatch bench <db.knm> -k <K> --frequent <N0> <N1> [--queries Q] [--seed S]\n  \
      knmatch batch <data.csv|db.knm> --queries <queries.csv> \
      (-k <K> -n <N> | -k <K> --frequent <N0> <N1> | --eps <E> -n <N>) [--workers W] \
-     [--planner auto|ad|vafile|scan|igrid | --shards <S|auto> | \
+     [--planner auto|ad|vafile|scan | --shards <S|auto> | \
      --disk [--pool-pages P] [--verify never|first-read|always]] \
      [--deadline-ms MS] [--fail-fast]\n  \
      knmatch serve <data.csv|db.knm> [--addr IP:PORT] [--workers W] \
@@ -348,8 +348,8 @@ fn batch(args: &[String]) -> Result<(String, bool), String> {
     if let Some(plans) = engine.plan_counts() {
         writeln!(
             out,
-            "plans: {} ad, {} vafile, {} scan, {} igrid",
-            plans.ad, plans.vafile, plans.scan, plans.igrid,
+            "plans: {} ad, {} vafile, {} scan",
+            plans.ad, plans.vafile, plans.scan,
         )
         .expect("write to String");
     }
@@ -409,8 +409,8 @@ fn serve_summary(
 ) -> String {
     let plans = match plans {
         Some(p) => format!(
-            ", plans: {} ad / {} vafile / {} scan / {} igrid",
-            p.ad, p.vafile, p.scan, p.igrid
+            ", plans: {} ad / {} vafile / {} scan",
+            p.ad, p.vafile, p.scan
         ),
         None => String::new(),
     };
@@ -613,8 +613,8 @@ fn client(args: &[String]) -> Result<(String, bool), String> {
         if let Some(p) = report.plans {
             writeln!(
                 out,
-                "plans: {} ad, {} vafile, {} scan, {} igrid",
-                p.ad, p.vafile, p.scan, p.igrid
+                "plans: {} ad, {} vafile, {} scan",
+                p.ad, p.vafile, p.scan
             )
             .expect("write to String");
         }
@@ -1407,7 +1407,7 @@ mod batch_tests {
             .filter(|l| l.trim_start().starts_with('#'))
             .collect();
 
-        for mode in ["auto", "ad", "vafile", "scan", "igrid"] {
+        for mode in ["auto", "ad", "vafile", "scan"] {
             let mut args = base.clone();
             args.extend(s(&["--planner", mode, "--workers", "2"]));
             let (out, all_ok) = run(&args).unwrap();
@@ -1424,10 +1424,7 @@ mod batch_tests {
         let mut args = base.clone();
         args.extend(s(&["--planner", "scan"]));
         let (out, _) = run(&args).unwrap();
-        assert!(
-            out.contains("plans: 0 ad, 0 vafile, 6 scan, 0 igrid"),
-            "{out}"
-        );
+        assert!(out.contains("plans: 0 ad, 0 vafile, 6 scan"), "{out}");
 
         // The planner is in-memory only, and modes must parse.
         let mut args = base.clone();

@@ -183,13 +183,18 @@ pub(crate) fn frequent_lists<L: SortedLists>(
     marks.begin(src.slots());
     walker.reseed(src, query);
     // S_{n0} … S_{n1}, filled in order of appearance (= ascending n-match
-    // difference, Theorem 3.1).
-    let mut sets: Vec<Vec<MatchEntry>> = vec![Vec::new(); n1 - n0 + 1];
+    // difference, Theorem 3.1). Once S_n holds k entries, a later one can
+    // still rank only by tying its k-th, so the rest are never kept and
+    // each set ends with k entries plus the boundary ties.
+    let mut sets: Vec<Vec<MatchEntry>> = (n0..=n1).map(|_| Vec::with_capacity(k)).collect();
     let mut visit = |src: &L, sets: &mut [Vec<MatchEntry>], (slot, diff): (PointId, f64)| {
         let a = marks.bump_appear(slot) as usize;
         if a >= n0 && a <= n1 {
-            if let Some(pid) = src.resolve(slot) {
-                sets[a - n0].push(MatchEntry { pid, diff });
+            let set = &mut sets[a - n0];
+            if set.len() < k || diff <= set[k - 1].diff {
+                if let Some(pid) = src.resolve(slot) {
+                    set.push(MatchEntry { pid, diff });
+                }
             }
         }
     };

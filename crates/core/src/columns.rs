@@ -295,8 +295,8 @@ impl SortedAccessSource for SortedColumns {
 /// Sorted access never mutates the columns, so a shared reference is a
 /// source too. This is what lets many worker threads walk one
 /// `Arc<SortedColumns>` concurrently (each holds its own `&SortedColumns`
-/// value and passes `&mut` *to that reference*); see
-/// [`QueryEngine`](crate::QueryEngine).
+/// value and passes `&mut` *to that reference*), as the planner's AD
+/// route does.
 impl SortedAccessSource for &SortedColumns {
     fn dims(&self) -> usize {
         self.dims

@@ -1,19 +1,18 @@
-//! Parallel batch execution of matching queries over one shared
-//! sorted-column organisation.
+//! The batch query API every served engine speaks: [`BatchQuery`] in,
+//! [`BatchAnswer`] out, [`BatchOptions`] for deadlines and fail-fast, and
+//! the [`BatchEngine`] trait the front-ends serve through.
 //!
-//! The AD algorithm is read-only over [`SortedColumns`], so a batch of
-//! queries parallelises trivially: `W` worker threads claim queries from a
-//! shared atomic counter and each walks the same `Arc<SortedColumns>`
-//! through its own [`Scratch`]. Because every query runs the exact same
-//! `frequent_lists` loop as the sequential entry points — same frontier,
-//! same tie-breaking, same counters — the engine's answers and
-//! [`AdStats`] are bit-for-bit identical to a sequential loop, in the
-//! same order as the input batch, regardless of worker count or
-//! scheduling.
-//!
-//! Workers use `std::thread::scope` (no extra dependencies, no `unsafe`)
-//! and keep one reusable `Scratch` each, so a batch of `q` queries costs
-//! `W` scratch allocations, not `q`.
+//! Every AD-backed query funnels through one dispatch
+//! ([`execute_batch_query`]), so the sequential entry points, the run-list
+//! engine, the planner's AD route and the disk engine run the same
+//! `frequent_lists` loop — same frontier, same tie-breaking, same counters
+//! — and their answers and [`AdStats`] are bit-for-bit identical to a
+//! sequential loop, in input order, regardless of worker count or
+//! scheduling. [`run_batch`] is the one parallel loop they share:
+//! `std::thread::scope` workers (no extra dependencies, no `unsafe`)
+//! claiming queries off an atomic counter, each with one reusable
+//! per-thread context, so a batch of `q` queries costs `W` scratch
+//! allocations, not `q`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -22,14 +21,13 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::ad::{eps_lists, frequent_lists, validate_eps, validate_params, AdStats};
-use crate::columns::SortedColumns;
 use crate::error::{panic_message, KnMatchError, Result};
 use crate::frontier::SortedLists;
 use crate::result::{FrequentResult, KnMatchResult};
 use crate::scratch::{QueryControl, Scratch};
 use crate::source::SortedAccessSource;
 
-/// Queries claimed per worker fetch-add (see [`QueryEngine::run`]).
+/// Items claimed per worker fetch-add (see [`run_batch`]).
 const CLAIM_CHUNK: usize = 4;
 
 /// One query of a batch: the three AD-backed query kinds.
@@ -102,8 +100,9 @@ pub enum BatchAnswer {
 }
 
 /// Batch-wide fault-handling options (DESIGN.md §10), accepted by the
-/// `run_with` methods of every batch engine: [`QueryEngine`], the
-/// versioned run-list engine, and the disk engine in `knmatch-storage`.
+/// `run_with` methods of every batch engine: the versioned run-list
+/// engine, the planner in `knmatch-server`, and the disk engine in
+/// `knmatch-storage`.
 ///
 /// The default imposes nothing and `run(batch)` is exactly
 /// `run_with(batch, &BatchOptions::default())` — healthy-path answers and
@@ -151,20 +150,16 @@ pub enum PlannerMode {
     VaFile,
     /// Always the kernel-loop naive full scan.
     Scan,
-    /// Always the IGrid (equi-depth) filter-and-refine backend. Never
-    /// chosen by `Auto` — an explicit override for experiments.
-    IGrid,
 }
 
 impl PlannerMode {
-    /// The CLI/protocol spelling (`auto`, `ad`, `vafile`, `scan`, `igrid`).
+    /// The CLI/protocol spelling (`auto`, `ad`, `vafile`, `scan`).
     pub fn as_str(self) -> &'static str {
         match self {
             PlannerMode::Auto => "auto",
             PlannerMode::Ad => "ad",
             PlannerMode::VaFile => "vafile",
             PlannerMode::Scan => "scan",
-            PlannerMode::IGrid => "igrid",
         }
     }
 }
@@ -184,9 +179,8 @@ impl std::str::FromStr for PlannerMode {
             "ad" => Ok(PlannerMode::Ad),
             "vafile" => Ok(PlannerMode::VaFile),
             "scan" => Ok(PlannerMode::Scan),
-            "igrid" => Ok(PlannerMode::IGrid),
             other => Err(format!(
-                "unknown planner mode {other:?} (expected auto|ad|vafile|scan|igrid)"
+                "unknown planner mode {other:?} (expected auto|ad|vafile|scan)"
             )),
         }
     }
@@ -203,14 +197,12 @@ pub struct PlanTally {
     pub vafile: u64,
     /// Queries routed to the kernel scan backend.
     pub scan: u64,
-    /// Queries routed to the IGrid backend (explicit override only).
-    pub igrid: u64,
 }
 
 impl PlanTally {
     /// Total planned queries.
     pub fn total(&self) -> u64 {
-        self.ad + self.vafile + self.scan + self.igrid
+        self.ad + self.vafile + self.scan
     }
 }
 
@@ -241,7 +233,7 @@ impl BatchOptions {
 /// abstraction.
 ///
 /// Every engine returns its own outcome type — the in-memory engines
-/// ([`QueryEngine`], the versioned run list, the planner) a plain
+/// (the versioned run list, the planner) a plain
 /// `(BatchAnswer, AdStats)` pair, the disk engine a `DiskBatchOutcome`
 /// carrying modelled page I/O. This trait is the common projection: the
 /// answer itself plus the attribute-level AD counters, which every
@@ -272,14 +264,15 @@ impl BatchOutcome for (BatchAnswer, AdStats) {
 }
 
 /// A batch executor for [`BatchQuery`] workloads: the one API every
-/// backend implements and every front-end consumes.
+/// served engine implements and every front-end consumes.
 ///
-/// Three AD engines implement it — [`QueryEngine`] (shared in-memory
-/// columns, inter-query parallelism; the reference),
-/// [`VersionedIndex`](crate::VersionedIndex) (a snapshot of runs walked
-/// by one AD frontier, the same inter-query parallelism, live writes;
-/// what the front-ends serve from memory), and the disk engine in
-/// `knmatch-storage` (shared buffer pool over a database file). All three
+/// Only what the front-ends serve implements it:
+/// [`VersionedIndex`](crate::VersionedIndex) and its pinned
+/// [`EpochSnapshot`](crate::EpochSnapshot) (runs walked by one AD
+/// frontier, inter-query parallelism, live writes; every in-memory
+/// engine without a planner), the per-query planner in `knmatch-server`,
+/// the disk engine in `knmatch-storage` (shared buffer pool over a
+/// database file), and the server's `AnyEngine` wrapper over them. All
 /// promise the same contract:
 ///
 /// - one result per query, **in input order**, regardless of worker count
@@ -329,8 +322,8 @@ pub trait BatchEngine {
 }
 
 /// Records `result` against an armed control: a failed query trips the
-/// batch's fail-fast cancel flag (a no-op without one). Shared by all
-/// three batch engines so fail-fast semantics cannot drift.
+/// batch's fail-fast cancel flag (a no-op without one). Shared by every
+/// batch engine so fail-fast semantics cannot drift.
 pub fn note_outcome<T>(control: &QueryControl, result: &Result<T>) {
     if result.is_err() {
         if let Some(flag) = &control.cancel {
@@ -356,10 +349,10 @@ pub fn isolate_panic<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
 /// caller-provided working memory.
 ///
 /// This is the single dispatch point every batch executor funnels through:
-/// the in-memory [`QueryEngine`], the planner's AD route, the disk-backed
-/// engine in `knmatch-storage`, and sequential cross-check loops all call
-/// it — and a versioned snapshot calls the same dispatch over its run
-/// list — so answers and [`AdStats`] cannot drift between them.
+/// the planner's AD route, the disk-backed engine in `knmatch-storage`,
+/// and the sequential cross-check references all call it — and a
+/// versioned snapshot calls the same dispatch over its run list — so
+/// answers and [`AdStats`] cannot drift between them.
 ///
 /// # Errors
 ///
@@ -395,37 +388,12 @@ pub(crate) fn execute_lists<L: SortedLists>(
     }
 }
 
-/// The batch loop of the in-memory AD engines: one query per
-/// [`run_batch`] work item against `lists` (a shared, `Copy` view — plain
-/// columns for [`QueryEngine`], the run list for a versioned snapshot),
-/// per-worker [`Scratch`], panics isolated and failures noted for
-/// fail-fast per query.
-pub(crate) fn run_queries<L: SortedLists + Copy + Sync>(
-    workers: usize,
-    queries: &[BatchQuery],
-    opts: &BatchOptions,
-    lists: L,
-) -> Vec<Result<(BatchAnswer, AdStats)>> {
-    let control = opts.arm();
-    run_batch(
-        workers,
-        queries.len(),
-        || control.scratch(),
-        |scratch, i| {
-            let mut view = lists;
-            let out = isolate_panic(|| execute_lists(&mut view, &queries[i], scratch));
-            note_outcome(&control, &out);
-            out
-        },
-    )
-}
-
 /// Runs `count` independent work items over a pool of `workers` threads,
 /// returning the per-item outputs in item order.
 ///
-/// This is the PR-1 claim-chunk executor factored out of [`QueryEngine`]
-/// so any source — in-memory columns, a disk-backed shared buffer pool, a
-/// remote stub — can reuse the exact scheduling behaviour: workers claim
+/// Every batch engine schedules through it — the run list, the planner,
+/// the disk engine over its shared buffer pool — so they share the exact
+/// scheduling behaviour: workers claim
 /// item indices in chunks of 4 off one atomic counter, each builds its
 /// own per-thread context once (`init`), and results travel back in one
 /// message per worker. With `workers <= 1` everything runs on the calling
@@ -490,103 +458,19 @@ where
         .collect()
 }
 
-/// Executes batches of matching queries in parallel over one shared
-/// [`SortedColumns`].
-///
-/// This is the reference batch engine: the front-ends serve a static
-/// dataset as a one-run [`VersionedIndex`](crate::VersionedIndex), whose
-/// answers and [`AdStats`] the cross-checks hold equal to this engine's.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use knmatch_core::{BatchAnswer, BatchEngine, BatchQuery, Dataset, QueryEngine, SortedColumns};
-///
-/// let ds = knmatch_core::paper::fig3_dataset();
-/// let engine = QueryEngine::new(Arc::new(SortedColumns::build(&ds)));
-/// let batch = vec![
-///     BatchQuery::KnMatch { query: vec![3.0, 7.0, 4.0], k: 2, n: 2 },
-///     BatchQuery::Frequent { query: vec![3.0, 7.0, 4.0], k: 2, n0: 1, n1: 3 },
-/// ];
-/// let results = engine.run(&batch);
-/// let (BatchAnswer::KnMatch(first), _) = results[0].as_ref().unwrap() else {
-///     unreachable!()
-/// };
-/// assert_eq!(first.ids(), vec![2, 1]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct QueryEngine {
-    cols: Arc<SortedColumns>,
-    workers: usize,
-}
-
-impl QueryEngine {
-    /// An engine over `cols` with one worker per available CPU.
-    pub fn new(cols: Arc<SortedColumns>) -> Self {
-        let workers = thread::available_parallelism().map_or(1, |n| n.get());
-        Self::with_workers(cols, workers)
-    }
-
-    /// An engine with an explicit worker count (clamped to ≥ 1). One
-    /// worker means [`run`](Self::run) executes on the calling thread.
-    pub fn with_workers(cols: Arc<SortedColumns>, workers: usize) -> Self {
-        QueryEngine {
-            cols,
-            workers: workers.max(1),
-        }
-    }
-
-    /// The shared column organisation.
-    pub fn columns(&self) -> &Arc<SortedColumns> {
-        &self.cols
-    }
-
-    /// Executes one query against caller-provided scratch, on the calling
-    /// thread. [`run`](Self::run) is a parallel loop over exactly this, so
-    /// cross-checking the two paths needs no test-only hooks.
-    ///
-    /// # Errors
-    ///
-    /// Per-query parameter validation; see [`crate::KnMatchError`].
-    pub fn execute(
-        &self,
-        query: &BatchQuery,
-        scratch: &mut Scratch,
-    ) -> Result<(BatchAnswer, AdStats)> {
-        // `&SortedColumns` implements `SortedAccessSource`; taking `&mut`
-        // of the local reference (not the columns) keeps the shared data
-        // immutable.
-        let mut view: &SortedColumns = &self.cols;
-        execute_batch_query(&mut view, query, scratch)
-    }
-}
-
-impl BatchEngine for QueryEngine {
-    type Outcome = (BatchAnswer, AdStats);
-
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn run_with(
-        &self,
-        queries: &[BatchQuery],
-        opts: &BatchOptions,
-    ) -> Vec<Result<(BatchAnswer, AdStats)>> {
-        run_queries(self.workers, queries, opts, &*self.cols)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ad::{frequent_k_n_match_ad, k_n_match_ad};
+    use crate::columns::SortedColumns;
     use crate::error::KnMatchError;
+    use crate::versioned::{VersionedIndex, DEFAULT_MERGE_THRESHOLD};
 
-    fn engine(workers: usize) -> QueryEngine {
+    /// Figure 3 as a one-run index: the in-memory engine the front-ends
+    /// serve, whose batch loop is [`run_batch`] over [`execute_lists`].
+    fn engine(workers: usize) -> VersionedIndex {
         let ds = crate::paper::fig3_dataset();
-        QueryEngine::with_workers(Arc::new(SortedColumns::build(&ds)), workers)
+        VersionedIndex::from_dataset(&ds, 1, workers, DEFAULT_MERGE_THRESHOLD).unwrap()
     }
 
     fn batch() -> Vec<BatchQuery> {
@@ -739,11 +623,7 @@ mod tests {
         let e = engine(3);
         assert!(e.run(&[]).is_empty());
         assert_eq!(e.workers(), 3);
-        assert_eq!(e.columns().cardinality(), 5);
-        assert!(QueryEngine::new(e.columns().clone()).workers() >= 1);
-        assert_eq!(
-            QueryEngine::with_workers(e.columns().clone(), 0).workers(),
-            1
-        );
+        assert_eq!(e.live(), 5);
+        assert_eq!(engine(0).workers(), 1);
     }
 }

@@ -1,7 +1,11 @@
-//! In-memory filter-and-refine batch backends over the kernel loops.
+//! In-memory filter-and-refine backends over the kernel loops.
 //!
-//! Two [`BatchEngine`] backends live here, both answering the exact query
-//! kinds bit-identically to the sequential oracle:
+//! Two per-query backends live here, both answering the exact query kinds
+//! bit-identically to the sequential oracle. Each runs one query on the
+//! calling thread against a caller's [`FilterScratch`]; batching,
+//! deadlines, fail-fast and panic isolation are the planner's batch loop
+//! (`PlannedEngine` in `knmatch-server`), which routes a query to one of
+//! them or to AD:
 //!
 //! - [`ScanEngine`] — the naive full scan as a serving backend: every
 //!   point's differences through the [`crate::kernels::abs_diffs`]
@@ -10,11 +14,11 @@
 //!   first-class backend (it wins near `n1 = d`, Figure 12).
 //! - [`BandEngine`] — the rewritten two-phase approximation filter. Each
 //!   dimension is quantised against caller-supplied cell boundaries
-//!   (equi-width for the VA-file in `knmatch-vafile`, equi-depth for the
-//!   IGrid adapter in `knmatch-igrid`); phase one counts, per point, the
-//!   dimensions whose cell intersects the query band `[q_j − τ, q_j + τ]`
-//!   with the branchless [`crate::kernels::accumulate_band_hits`] byte kernel;
-//!   phase two refines the survivors exactly. Because a point's
+//!   (equi-width for the VA-file in `knmatch-vafile`); phase one counts,
+//!   per point, the dimensions whose cell intersects the query band
+//!   `[q_j − τ, q_j + τ]` with the branchless
+//!   [`crate::kernels::accumulate_band_hits`] byte kernel; phase two
+//!   refines the survivors exactly. Because a point's
 //!   per-dimension lower bound is within `τ` **iff** its cell intersects
 //!   the band, "at least `n` band hits" is exactly "n-th smallest lower
 //!   bound ≤ τ" — the classic VA-file filter condition — so the candidate
@@ -41,9 +45,7 @@
 use std::sync::Arc;
 
 use crate::ad::AdStats;
-use crate::engine::{
-    isolate_panic, note_outcome, run_batch, BatchAnswer, BatchEngine, BatchOptions, BatchQuery,
-};
+use crate::engine::{BatchAnswer, BatchQuery};
 use crate::error::Result;
 use crate::kernels::{abs_diffs, accumulate_band_hits, count_within, nth_smallest, sort_canonical};
 use crate::point::{Dataset, PointId};
@@ -68,8 +70,8 @@ const TAIL_RANK: usize = 4;
 pub struct FilterScratch {
     counts: Vec<u16>,
     diffs: Vec<f64>,
-    /// Deadline/cancellation the next query must honour (engines stamp it
-    /// per batch, like [`Scratch`](crate::Scratch)).
+    /// Deadline/cancellation the next query must honour (the batch loop
+    /// stamps it per batch, like [`Scratch`](crate::Scratch)).
     pub control: QueryControl,
 }
 
@@ -306,33 +308,18 @@ fn refine_stats(refined: usize, d: usize, sampled: usize) -> AdStats {
     }
 }
 
-/// The naive full scan as a [`BatchEngine`]: kernel differences,
+/// The naive full scan as a per-query backend: kernel differences,
 /// O(d) selection, canonical top-k. Bit-identical to the sequential scan
 /// oracle (and therefore to the AD algorithm) on every query kind.
 #[derive(Debug, Clone)]
 pub struct ScanEngine {
     data: Arc<Dataset>,
-    workers: usize,
 }
 
 impl ScanEngine {
-    /// An engine over `data` with one worker per available CPU.
+    /// A scan over `data`.
     pub fn new(data: Arc<Dataset>) -> Self {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::with_workers(data, workers)
-    }
-
-    /// An engine with an explicit worker count (clamped to ≥ 1).
-    pub fn with_workers(data: Arc<Dataset>, workers: usize) -> Self {
-        ScanEngine {
-            data,
-            workers: workers.max(1),
-        }
-    }
-
-    /// The scanned dataset.
-    pub fn dataset(&self) -> &Arc<Dataset> {
-        &self.data
+        ScanEngine { data }
     }
 
     /// Executes one query on the calling thread against caller scratch.
@@ -393,37 +380,10 @@ impl ScanEngine {
     }
 }
 
-impl BatchEngine for ScanEngine {
-    type Outcome = (BatchAnswer, AdStats);
-
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn run_with(
-        &self,
-        queries: &[BatchQuery],
-        opts: &BatchOptions,
-    ) -> Vec<Result<(BatchAnswer, AdStats)>> {
-        let control = opts.arm();
-        run_batch(
-            self.workers,
-            queries.len(),
-            || FilterScratch::with_control(control.clone()),
-            |scratch, i| {
-                let out = isolate_panic(|| self.execute(&queries[i], scratch));
-                note_outcome(&control, &out);
-                out
-            },
-        )
-    }
-}
-
-/// A quantised filter-and-refine [`BatchEngine`] over caller-supplied
+/// A quantised filter-and-refine per-query backend over caller-supplied
 /// per-dimension cell boundaries (see the module docs). `knmatch-vafile`
-/// builds it with equi-width cells (the VA-file), `knmatch-igrid` with
-/// equi-depth ranges (the IGrid partitioning) — the filter, kernels, and
-/// exactness argument are shared.
+/// builds it with equi-width cells (the VA-file); the filter is exact for
+/// any ascending marks that cover the data, repeated ones included.
 #[derive(Debug, Clone)]
 pub struct BandEngine {
     data: Arc<Dataset>,
@@ -432,7 +392,6 @@ pub struct BandEngine {
     boundaries: Vec<Vec<f64>>,
     /// Dim-major quantised cell indices: `cells[dim * len + pid]`.
     cells: Vec<u8>,
-    workers: usize,
 }
 
 impl BandEngine {
@@ -445,7 +404,7 @@ impl BandEngine {
     /// Panics when a dimension has fewer than 2 marks, more than 257, or
     /// marks that fail to cover its observed values (the cover is what
     /// makes the filter's lower bounds sound).
-    pub fn from_boundaries(data: Arc<Dataset>, boundaries: Vec<Vec<f64>>, workers: usize) -> Self {
+    pub fn from_boundaries(data: Arc<Dataset>, boundaries: Vec<Vec<f64>>) -> Self {
         let (d, c) = (data.dims(), data.len());
         assert_eq!(boundaries.len(), d, "one boundary vector per dimension");
         let mut cells = vec![0u8; d * c];
@@ -473,23 +432,7 @@ impl BandEngine {
             data,
             boundaries,
             cells,
-            workers: workers.max(1),
         }
-    }
-
-    /// The indexed dataset.
-    pub fn dataset(&self) -> &Arc<Dataset> {
-        &self.data
-    }
-
-    /// Worker count used by [`BatchEngine::run_with`].
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Cells dimension `dim` is quantised into.
-    pub fn cells(&self, dim: usize) -> usize {
-        self.boundaries[dim].len() - 1
     }
 
     /// The inclusive cell band of `dim` intersecting the value interval
@@ -624,32 +567,6 @@ impl BandEngine {
     }
 }
 
-impl BatchEngine for BandEngine {
-    type Outcome = (BatchAnswer, AdStats);
-
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn run_with(
-        &self,
-        queries: &[BatchQuery],
-        opts: &BatchOptions,
-    ) -> Vec<Result<(BatchAnswer, AdStats)>> {
-        let control = opts.arm();
-        run_batch(
-            self.workers,
-            queries.len(),
-            || FilterScratch::with_control(control.clone()),
-            |scratch, i| {
-                let out = isolate_panic(|| self.execute(&queries[i], scratch));
-                note_outcome(&control, &out);
-                out
-            },
-        )
-    }
-}
-
 /// Equi-width cell boundaries over the observed per-dimension ranges —
 /// the VA-file quantisation (`cells` cells per dimension). Degenerate
 /// (constant) dimensions get a unit-width cell so quantisation never
@@ -704,9 +621,21 @@ mod tests {
         Dataset::from_rows(&rows).unwrap()
     }
 
-    fn band_engine(ds: &Dataset, workers: usize) -> BandEngine {
+    fn band_engine(ds: &Dataset) -> BandEngine {
         let boundaries = equi_width_boundaries(ds, 64);
-        BandEngine::from_boundaries(Arc::new(ds.clone()), boundaries, workers)
+        BandEngine::from_boundaries(Arc::new(ds.clone()), boundaries)
+    }
+
+    /// Each query of `batch` through `execute`, one scratch reused.
+    fn run_each(
+        execute: impl Fn(&BatchQuery, &mut FilterScratch) -> Result<(BatchAnswer, AdStats)>,
+        batch: &[BatchQuery],
+    ) -> Vec<(BatchAnswer, AdStats)> {
+        let mut scratch = FilterScratch::new();
+        batch
+            .iter()
+            .map(|q| execute(q, &mut scratch).unwrap())
+            .collect()
     }
 
     fn mixed_batch(d: usize) -> Vec<BatchQuery> {
@@ -763,13 +692,10 @@ mod tests {
     fn scan_engine_matches_oracle_bitwise() {
         let ds = pseudo_dataset(400, 6, 11);
         let batch = mixed_batch(6);
-        for workers in [1usize, 3] {
-            let e = ScanEngine::with_workers(Arc::new(ds.clone()), workers);
-            for (q, r) in batch.iter().zip(e.run(&batch)) {
-                let (answer, stats) = r.unwrap();
-                assert_eq!(answer, oracle(&ds, q), "workers={workers}");
-                assert_eq!(stats.attributes_retrieved, 400 * 6);
-            }
+        let e = ScanEngine::new(Arc::new(ds.clone()));
+        for (q, (answer, stats)) in batch.iter().zip(run_each(|q, s| e.execute(q, s), &batch)) {
+            assert_eq!(answer, oracle(&ds, q));
+            assert_eq!(stats.attributes_retrieved, 400 * 6);
         }
     }
 
@@ -777,12 +703,9 @@ mod tests {
     fn band_engine_matches_oracle_bitwise() {
         let ds = pseudo_dataset(500, 8, 23);
         let batch = mixed_batch(8);
-        for workers in [1usize, 4] {
-            let e = band_engine(&ds, workers);
-            for (q, r) in batch.iter().zip(e.run(&batch)) {
-                let (answer, _) = r.unwrap();
-                assert_eq!(answer, oracle(&ds, q), "workers={workers}");
-            }
+        let e = band_engine(&ds);
+        for (q, (answer, _)) in batch.iter().zip(run_each(|q, s| e.execute(q, s), &batch)) {
+            assert_eq!(answer, oracle(&ds, q));
         }
     }
 
@@ -798,8 +721,8 @@ mod tests {
             })
             .collect();
         let ds = Dataset::from_rows(&rows).unwrap();
-        let e = band_engine(&ds, 2);
-        let s = ScanEngine::with_workers(Arc::new(ds.clone()), 2);
+        let e = band_engine(&ds);
+        let s = ScanEngine::new(Arc::new(ds.clone()));
         let batch = vec![
             BatchQuery::KnMatch {
                 query: vec![0.2; 5],
@@ -818,17 +741,66 @@ mod tests {
                 n: 2,
             },
         ];
-        for ((q, band), scan) in batch.iter().zip(e.run(&batch)).zip(s.run(&batch)) {
+        let band = run_each(|q, sc| e.execute(q, sc), &batch);
+        let scan = run_each(|q, sc| s.execute(q, sc), &batch);
+        for ((q, band), scan) in batch.iter().zip(band).zip(scan) {
             let want = oracle(&ds, q);
-            assert_eq!(band.unwrap().0, want);
-            assert_eq!(scan.unwrap().0, want);
+            assert_eq!(band.0, want);
+            assert_eq!(scan.0, want);
+        }
+    }
+
+    #[test]
+    fn duplicate_heavy_dimensions_stay_exact() {
+        // 90% of the mass in one value per dimension, cut into equi-depth
+        // cells: the marks collapse onto that value, leaving repeated
+        // edges and zero-width cells the filter must handle. A constant
+        // fifth dimension gives the VA-file's equi-width cells the
+        // degenerate range too.
+        let (c, d) = (200usize, 5usize);
+        let rows: Vec<Vec<f64>> = (0..c)
+            .map(|i| {
+                (0..d)
+                    .map(|j| match j {
+                        4 => 2.5,
+                        _ if (i + j) % 10 < 9 => 1.0,
+                        _ => i as f64,
+                    })
+                    .collect()
+            })
+            .collect();
+        let ds = Dataset::from_rows(&rows).unwrap();
+        let equi_depth: Vec<Vec<f64>> = (0..d)
+            .map(|j| {
+                let mut col: Vec<f64> = rows.iter().map(|r| r[j]).collect();
+                col.sort_unstable_by(f64::total_cmp);
+                (0..=8).map(|b| col[b * (c - 1) / 8]).collect()
+            })
+            .collect();
+        assert!(equi_depth[0].windows(2).any(|w| w[0] == w[1]));
+        let engines = [
+            BandEngine::from_boundaries(Arc::new(ds.clone()), equi_depth),
+            band_engine(&ds),
+        ];
+        let q = vec![1.0, 5.0, 50.0, 150.0, 2.5];
+        let batch: Vec<BatchQuery> = (1..=d)
+            .map(|n| BatchQuery::KnMatch {
+                query: q.clone(),
+                k: 10,
+                n,
+            })
+            .collect();
+        for e in &engines {
+            for (q, (answer, _)) in batch.iter().zip(run_each(|q, s| e.execute(q, s), &batch)) {
+                assert_eq!(answer, oracle(&ds, q), "{q:?}");
+            }
         }
     }
 
     #[test]
     fn band_filter_prunes_on_selective_queries() {
         let ds = pseudo_dataset(2000, 8, 5);
-        let e = band_engine(&ds, 1);
+        let e = band_engine(&ds);
         let q = ds.point(123).to_vec();
         let mut scratch = FilterScratch::new();
         let (_, stats) = e
@@ -850,7 +822,7 @@ mod tests {
     #[test]
     fn candidate_fraction_estimate_is_a_fraction() {
         let ds = pseudo_dataset(1000, 4, 9);
-        let e = band_engine(&ds, 1);
+        let e = band_engine(&ds);
         let q = vec![0.5; 4];
         let f = e.estimate_candidate_fraction(&q, 0.01, 4, 128);
         assert!((0.0..=1.0).contains(&f));
@@ -867,10 +839,10 @@ mod tests {
             n: 1,
         };
         let mut scratch = FilterScratch::new();
-        assert!(ScanEngine::with_workers(Arc::new(ds.clone()), 1)
+        assert!(ScanEngine::new(Arc::new(ds.clone()))
             .execute(&bad, &mut scratch)
             .is_err());
-        assert!(band_engine(&ds, 1).execute(&bad, &mut scratch).is_err());
+        assert!(band_engine(&ds).execute(&bad, &mut scratch).is_err());
     }
 
     #[test]

@@ -57,15 +57,14 @@
 //! - [`ad`] — the AD algorithm (`KNMatchAD` / `FKNMatchAD`, Theorems 3.1–3.3),
 //!   plus the ε-threshold variant and the paper-literal linear `g[]` oracle;
 //! - [`scratch`] / [`Scratch`] — reusable epoch-stamped query working memory;
-//! - [`engine`] / [`QueryEngine`] — parallel batch execution over shared
-//!   columns (the reference the run-list engine is cross-checked against;
-//!   front-ends serve a one-run [`VersionedIndex`] instead), and the
-//!   [`BatchEngine`] trait every batch backend implements;
+//! - [`engine`] / [`BatchEngine`] — the batch query API every served
+//!   engine implements, its one dispatch ([`execute_batch_query`]) and its
+//!   one parallel loop ([`run_batch`]);
 //! - [`kernels`] — autovectorization-friendly inner-loop kernels for the
 //!   filter and scan hot paths;
-//! - [`filter`] / [`ScanEngine`] / [`BandEngine`] — exact filter-and-refine
-//!   batch backends over quantised cells (VA-file / IGrid adapters build on
-//!   these);
+//! - [`filter`] / [`ScanEngine`] / [`BandEngine`] — exact per-query
+//!   filter-and-refine backends (the kernel scan, and quantised cells the
+//!   VA-file adapter builds on) the planner routes to;
 //! - [`stream`] — lazy ascending-difference answer iterator;
 //! - [`versioned`] / [`VersionedIndex`] — epoch-versioned MVCC index:
 //!   delta + sealed runs (keys + columns each) + pinned snapshots, writers
@@ -117,7 +116,7 @@ pub use ad::{
 pub use columns::{ColumnView, SortedColumns};
 pub use engine::{
     execute_batch_query, isolate_panic, note_outcome, run_batch, BatchAnswer, BatchEngine,
-    BatchOptions, BatchOutcome, BatchQuery, PlanTally, PlannerMode, QueryEngine,
+    BatchOptions, BatchOutcome, BatchQuery, PlanTally, PlannerMode,
 };
 pub use error::{panic_message, KnMatchError, Result};
 pub use fagin::{GradedLists, MiddlewareStats, MinAggregate, MonotoneAggregate, WeightedSum};

@@ -189,8 +189,8 @@ impl EpochMarks {
 /// fresh `Scratch` per query the per-query cost includes zeroing an
 /// array of length `c`; with a reused one it is an integer increment.
 ///
-/// Not `Sync`/shareable: use one per thread (see
-/// [`QueryEngine`](crate::QueryEngine), which keeps one per worker).
+/// Not `Sync`/shareable: use one per thread (every batch engine keeps
+/// one per worker, see [`run_batch`](crate::run_batch)).
 ///
 /// # Examples
 ///

@@ -5,12 +5,13 @@
 
 #[cfg(test)]
 mod tests {
+    use crate::ad::AdStats;
     use crate::columns::SortedColumns;
-    use crate::engine::{BatchAnswer, BatchEngine, BatchOptions, BatchQuery, QueryEngine};
+    use crate::engine::{execute_batch_query, BatchAnswer, BatchEngine, BatchOptions, BatchQuery};
     use crate::error::KnMatchError;
     use crate::point::{Dataset, PointId};
+    use crate::scratch::Scratch;
     use crate::versioned::{VersionedIndex, DEFAULT_MERGE_THRESHOLD};
-    use std::sync::Arc;
 
     /// Figure 3's five points laid out as `shards` runs, two workers.
     fn fig3_sharded(shards: usize) -> VersionedIndex {
@@ -37,6 +38,17 @@ mod tests {
                 n: 2,
             },
         ]
+    }
+
+    /// Figure 3's batch through the sequential AD dispatch on plain
+    /// `&SortedColumns`: the reference every run layout answers like.
+    fn fig3_sequential() -> Vec<(BatchAnswer, AdStats)> {
+        let cols = SortedColumns::build(&crate::paper::fig3_dataset());
+        let mut scratch = Scratch::new();
+        fig3_batch()
+            .iter()
+            .map(|q| execute_batch_query(&mut &cols, q, &mut scratch).unwrap())
+            .collect()
     }
 
     #[test]
@@ -85,13 +97,7 @@ mod tests {
 
     #[test]
     fn fig3_answers_match_unsharded_engine() {
-        let ds = crate::paper::fig3_dataset();
-        let plain = QueryEngine::with_workers(Arc::new(SortedColumns::build(&ds)), 1);
-        let want: Vec<_> = plain
-            .run(&fig3_batch())
-            .into_iter()
-            .map(|r| r.unwrap().0)
-            .collect();
+        let want: Vec<_> = fig3_sequential().into_iter().map(|(a, _)| a).collect();
         for shards in 1..=5 {
             let engine = fig3_sharded(shards);
             assert_eq!(engine.snapshot().run_count(), shards);
@@ -103,15 +109,9 @@ mod tests {
 
     #[test]
     fn single_shard_stats_match_unsharded_engine() {
-        let ds = crate::paper::fig3_dataset();
-        let plain = QueryEngine::with_workers(Arc::new(SortedColumns::build(&ds)), 1);
         let engine = fig3_sharded(1);
-        for (got, want) in engine
-            .run(&fig3_batch())
-            .iter()
-            .zip(plain.run(&fig3_batch()))
-        {
-            assert_eq!(got.as_ref().unwrap(), &want.unwrap());
+        for (got, want) in engine.run(&fig3_batch()).iter().zip(fig3_sequential()) {
+            assert_eq!(got.as_ref().unwrap(), &want);
         }
     }
 
@@ -204,8 +204,8 @@ mod tests {
     #[test]
     fn fail_fast_sees_an_invalid_query_like_any_other_failure() {
         // One worker runs tasks in input order, so everything after the
-        // invalid query is cancelled — at one run what `QueryEngine` does
-        // (`engine::tests::fail_fast_cancels_queries_after_a_failure`).
+        // invalid query is cancelled — at one run what the unit test
+        // `engine::tests::fail_fast_cancels_queries_after_a_failure` pins.
         let mut queries = fig3_batch();
         let query = vec![1.0];
         queries.insert(1, BatchQuery::KnMatch { query, k: 1, n: 1 });

@@ -49,11 +49,12 @@
 //! With no tombstones an `S`-run walk pops what the one-run walk pops
 //! (after the drain: every attribute within ε) and pays `S · d` locate
 //! probes plus up to two retrieved-but-unpopped attributes per list. With
-//! one run it *is* [`QueryEngine`](crate::QueryEngine)'s loop, answers
-//! and [`AdStats`] — which is why a static dataset is served as a one-run
-//! index and `QueryEngine` is the reference the cross-checks compare
-//! against. More initial runs ([`VersionedIndex::from_dataset`]) are a
-//! layout, not intra-query parallelism: queries run one per worker
+//! one run it *is* the sequential AD loop over one [`SortedColumns`],
+//! answers and [`AdStats`] — which is why a static dataset is served as a
+//! one-run index, and why the cross-checks hold it to
+//! [`execute_batch_query`](crate::execute_batch_query) on
+//! `&SortedColumns`. More initial runs ([`VersionedIndex::from_dataset`])
+//! are a layout, not intra-query parallelism: queries run one per worker
 //! whatever the run count (DESIGN.md §9).
 //!
 //! ## Lifecycle
@@ -79,7 +80,10 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use crate::ad::AdStats;
 use crate::columns::{locate_lockstep, SortedColumns};
-use crate::engine::{run_queries, BatchAnswer, BatchEngine, BatchOptions, BatchQuery};
+use crate::engine::{
+    execute_lists, isolate_panic, note_outcome, run_batch, BatchAnswer, BatchEngine, BatchOptions,
+    BatchQuery,
+};
 use crate::error::{KnMatchError, Result};
 use crate::frontier::SortedLists;
 use crate::point::{validate_finite, Dataset, PointId};
@@ -379,16 +383,27 @@ impl BatchEngine for EpochSnapshot {
 
     /// Runs the batch against this frozen view: each query a single AD
     /// walk over every run's sorted lists (see the module docs),
-    /// validated once against the snapshot's `(dims, live)` shape —
-    /// [`QueryEngine`](crate::QueryEngine)'s loop over a different set of
-    /// sorted lists, so deadlines, fail-fast and panic isolation are
-    /// per query, as there.
+    /// validated once against the snapshot's `(dims, live)` shape, one
+    /// query per [`run_batch`] work item with a per-worker scratch;
+    /// deadlines, fail-fast and panic isolation are per query.
     fn run_with(
         &self,
         queries: &[BatchQuery],
         opts: &BatchOptions,
     ) -> Vec<Result<(BatchAnswer, AdStats)>> {
-        run_queries(self.workers, queries, opts, &*self.inner)
+        let control = opts.arm();
+        let lists = &*self.inner;
+        run_batch(
+            self.workers,
+            queries.len(),
+            || control.scratch(),
+            |scratch, i| {
+                let mut view = lists;
+                let out = isolate_panic(|| execute_lists(&mut view, &queries[i], scratch));
+                note_outcome(&control, &out);
+                out
+            },
+        )
     }
 }
 

@@ -1,15 +1,14 @@
-//! Cross-check: the parallel batch engine must return entry-for-entry
-//! identical answers AND identical `AdStats` to the sequential
-//! single-query functions, across a grid of dataset shapes, query
-//! parameters, and worker counts — including when one `Scratch` is
-//! reused across many queries. This is the determinism contract of the
-//! batch engine.
-
-use std::sync::Arc;
+//! Cross-check: the served in-memory engine — a one-run
+//! `VersionedIndex` — must return entry-for-entry identical answers AND
+//! identical `AdStats` to the sequential single-query functions, across a
+//! grid of dataset shapes, query parameters, and worker counts — and so
+//! must the batch dispatch when one `Scratch` is reused across many
+//! queries. This is the determinism contract of the batch engine.
 
 use knmatch_core::{
-    eps_n_match_ad, frequent_k_n_match_ad, k_n_match_ad, AdStats, BatchAnswer, BatchEngine,
-    BatchQuery, KnMatchError, QueryEngine, Scratch, SortedColumns,
+    eps_n_match_ad, execute_batch_query, frequent_k_n_match_ad, k_n_match_ad, AdStats, BatchAnswer,
+    BatchEngine, BatchQuery, Dataset, KnMatchError, Scratch, SortedColumns, VersionedIndex,
+    DEFAULT_MERGE_THRESHOLD,
 };
 
 /// SplitMix64, kept local (knmatch-core has no dev-dependencies).
@@ -87,6 +86,12 @@ fn sequential(
         .collect()
 }
 
+/// The engine under test: `data` as a one-run index with `workers`.
+fn served(data: &[Vec<f64>], workers: usize) -> VersionedIndex {
+    let ds = Dataset::from_rows(data).unwrap();
+    VersionedIndex::from_dataset(&ds, 1, workers, DEFAULT_MERGE_THRESHOLD).unwrap()
+}
+
 fn worker_grid() -> Vec<usize> {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut ws = vec![1, 2, cpus, cpus + 3];
@@ -98,12 +103,12 @@ fn worker_grid() -> Vec<usize> {
 fn batch_engine_matches_sequential_everywhere() {
     let mut rng = TestRng(0xE46E_0001);
     for (c, d) in [(1, 1), (7, 2), (24, 4), (61, 3), (120, 6)] {
-        let cols = SortedColumns::from_rows(&rows(&mut rng, c, d)).unwrap();
+        let data = rows(&mut rng, c, d);
+        let cols = SortedColumns::from_rows(&data).unwrap();
         let queries = workload(&mut rng, c, d);
         let want = sequential(&cols, &queries);
-        let shared = Arc::new(cols);
         for workers in worker_grid() {
-            let got = QueryEngine::with_workers(shared.clone(), workers).run(&queries);
+            let got = served(&data, workers).run(&queries);
             assert_eq!(got.len(), want.len());
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(
@@ -127,9 +132,8 @@ fn one_scratch_survives_a_long_mixed_workload() {
         let cols = SortedColumns::from_rows(&rows(&mut rng, c, d)).unwrap();
         let queries = workload(&mut rng, c, d);
         let want = sequential(&cols, &queries);
-        let engine = QueryEngine::with_workers(Arc::new(cols), 1);
         for (q, w) in queries.iter().zip(&want) {
-            assert_eq!(&engine.execute(q, &mut scratch), w);
+            assert_eq!(&execute_batch_query(&mut &cols, q, &mut scratch), w);
         }
     }
 }
@@ -137,7 +141,8 @@ fn one_scratch_survives_a_long_mixed_workload() {
 #[test]
 fn errors_surface_identically_in_batch_and_sequential() {
     let mut rng = TestRng(0xE46E_0003);
-    let cols = SortedColumns::from_rows(&rows(&mut rng, 10, 3)).unwrap();
+    let data = rows(&mut rng, 10, 3);
+    let cols = SortedColumns::from_rows(&data).unwrap();
     let queries = vec![
         BatchQuery::KnMatch {
             query: vec![0.5; 3],
@@ -168,7 +173,7 @@ fn errors_surface_identically_in_batch_and_sequential() {
     ];
     let want = sequential(&cols, &queries);
     for workers in worker_grid() {
-        let got = QueryEngine::with_workers(Arc::new(cols.clone()), workers).run(&queries);
+        let got = served(&data, workers).run(&queries);
         assert_eq!(got, want);
     }
     assert!(matches!(want[0], Err(KnMatchError::InvalidK { .. })));
@@ -180,7 +185,7 @@ fn errors_surface_identically_in_batch_and_sequential() {
 
     // NaN thresholds also surface as InvalidEpsilon (they are not
     // comparable by eq, hence checked by pattern).
-    let nan = QueryEngine::with_workers(Arc::new(cols), 2).run(&[BatchQuery::EpsMatch {
+    let nan = served(&data, 2).run(&[BatchQuery::EpsMatch {
         query: vec![0.5; 3],
         eps: f64::NAN,
         n: 1,

@@ -1,5 +1,6 @@
 //! Cross-check: a `VersionedIndex` seeded with S runs must answer
-//! bit-identically to the one-run `QueryEngine` for every query kind, run
+//! bit-identically to sequential AD over one `SortedColumns` (the batch
+//! dispatch on `&SortedColumns`) for every query kind, run
 //! count, and worker count — including on datasets stuffed with duplicate
 //! values, where answer-set boundaries are decided purely by the
 //! canonical `(diff, pid)` tie-break. The walk is one AD frontier over
@@ -11,11 +12,9 @@
 //! through inserts and seals must be indistinguishable from one *built*
 //! with them.
 
-use std::sync::Arc;
-
 use knmatch_core::{
-    BatchAnswer, BatchEngine, BatchQuery, Dataset, KnMatchError, PointId, QueryEngine,
-    SortedColumns, VersionWriter, VersionedIndex, DEFAULT_MERGE_THRESHOLD,
+    execute_batch_query, AdStats, BatchAnswer, BatchEngine, BatchQuery, Dataset, KnMatchError,
+    PointId, Scratch, SortedColumns, VersionWriter, VersionedIndex, DEFAULT_MERGE_THRESHOLD,
 };
 
 /// SplitMix64, kept local (knmatch-core has no dev-dependencies).
@@ -99,6 +98,20 @@ fn workload(rng: &mut TestRng, c: usize, d: usize, duplicate_heavy: bool) -> Vec
     out
 }
 
+/// The reference: each query through the sequential AD dispatch on plain
+/// `&SortedColumns` over `data`, one scratch reused.
+fn sequential(
+    data: &[Vec<f64>],
+    queries: &[BatchQuery],
+) -> Vec<Result<(BatchAnswer, AdStats), KnMatchError>> {
+    let cols = SortedColumns::from_rows(data).unwrap();
+    let mut scratch = Scratch::new();
+    queries
+        .iter()
+        .map(|q| execute_batch_query(&mut &cols, q, &mut scratch))
+        .collect()
+}
+
 /// The engine under test: `ds` laid out as `shards` initial runs.
 fn sharded(ds: &Dataset, shards: usize, workers: usize) -> VersionedIndex {
     VersionedIndex::from_dataset(ds, shards, workers, DEFAULT_MERGE_THRESHOLD).unwrap()
@@ -124,10 +137,7 @@ fn sharded_answers_match_unsharded_for_all_shards_workers_and_kinds() {
         for (c, d) in [(1, 1), (9, 2), (26, 4), (40, 3)] {
             let data = rows(&mut rng, c, d, duplicate_heavy);
             let queries = workload(&mut rng, c, d, duplicate_heavy);
-            let plain =
-                QueryEngine::with_workers(Arc::new(SortedColumns::from_rows(&data).unwrap()), 1);
-            let want: Vec<_> = plain
-                .run(&queries)
+            let want: Vec<_> = sequential(&data, &queries)
                 .into_iter()
                 .map(|r| r.unwrap())
                 .collect();
@@ -147,7 +157,7 @@ fn sharded_answers_match_unsharded_for_all_shards_workers_and_kinds() {
                             queries[i]
                         );
                         if shards.min(c) == 1 {
-                            // One run is the reference engine, stats and all.
+                            // One run is sequential AD, stats and all.
                             assert_eq!(stats, want_stats);
                         }
                     }
@@ -170,9 +180,7 @@ fn tombstone_free_runs_pop_exactly_what_one_run_pops() {
         let data = rows(&mut rng, c, d, duplicate_heavy);
         let queries = workload(&mut rng, c, d, duplicate_heavy);
         let ds = Dataset::from_rows(&data).unwrap();
-        let plain =
-            QueryEngine::with_workers(Arc::new(SortedColumns::from_rows(&data).unwrap()), 1);
-        let want = plain.run(&queries);
+        let want = sequential(&data, &queries);
         for shards in [1, 2, 3, 5] {
             let got = sharded(&ds, shards, 4).run(&queries);
             for (qi, (g, w)) in got.iter().zip(&want).enumerate() {

@@ -16,11 +16,9 @@
 #![forbid(unsafe_code)]
 
 pub mod disk;
-pub mod engine;
 pub mod index;
 pub mod partition;
 
 pub use disk::{DiskIGrid, BLOCKS_PER_PAGE, BLOCK_BYTES, BLOCK_ENTRIES};
-pub use engine::{igrid_engine, MAX_BINS};
 pub use index::{IGridAnswer, IGridIndex};
 pub use partition::{default_bins, EquiDepthPartition};

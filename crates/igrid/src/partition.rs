@@ -165,6 +165,16 @@ mod tests {
     }
 
     #[test]
+    fn default_bins_follow_dimensionality() {
+        let rows: Vec<Vec<f64>> = (0..100)
+            .map(|i| (0..12).map(|j| ((i * 7 + j * 13) % 100) as f64).collect())
+            .collect();
+        let part = EquiDepthPartition::fit(&Dataset::from_rows(&rows).unwrap(), default_bins(12));
+        assert_eq!(part.bins(), 6);
+        assert!((0..12).all(|dim| part.edges(dim).len() == 7));
+    }
+
+    #[test]
     fn duplicate_values_stay_defined() {
         let rows: Vec<Vec<f64>> = (0..100)
             .map(|i| vec![if i < 90 { 1.0 } else { 2.0 }])

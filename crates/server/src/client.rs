@@ -330,7 +330,7 @@ impl Client {
     }
 
     /// Sets the planner route for this connection's later queries
-    /// (`PLANNER <auto|ad|vafile|scan|igrid>`). Engines without a planner
+    /// (`PLANNER <auto|ad|vafile|scan>`). Engines without a planner
     /// accept and ignore it.
     ///
     /// # Errors

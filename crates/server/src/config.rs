@@ -230,7 +230,7 @@ impl EngineConfig {
     /// Parses the shared backend flags out of a CLI argument list:
     /// `--workers W`, `--shards <S|auto>`, `--disk`, `--pool-pages P`,
     /// `--verify <never|first-read|always>`,
-    /// `--planner <auto|ad|vafile|scan|igrid>`, `--mutable`,
+    /// `--planner <auto|ad|vafile|scan>`, `--mutable`,
     /// `--merge-threshold N`. Unrelated flags are ignored (the caller
     /// owns the rest of its grammar). Flag parsing lands in an
     /// [`EngineConfigBuilder`], which owns the conflict rules.
@@ -559,8 +559,7 @@ impl BatchEngine for AnyEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use knmatch_core::{QueryEngine, SortedColumns};
-    use std::sync::Arc;
+    use knmatch_core::{execute_batch_query, Scratch, SortedColumns};
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -628,12 +627,13 @@ mod tests {
                 n: 2,
             },
         ];
-        let direct = QueryEngine::with_workers(Arc::new(SortedColumns::build(&ds)), 2);
-        let (want, want_stats): (Vec<_>, Vec<_>) = direct
-            .run(&batch)
-            .into_iter()
-            .map(|r| r.unwrap())
-            .map(|o| (Ok(o.answer().clone()), o.ad_stats()))
+        // The reference: sequential AD through the batch dispatch.
+        let cols = SortedColumns::build(&ds);
+        let mut scratch = Scratch::new();
+        let (want, want_stats): (Vec<_>, Vec<_>) = batch
+            .iter()
+            .map(|q| execute_batch_query(&mut &cols, q, &mut scratch).unwrap())
+            .map(|(answer, stats)| (Ok(answer), stats))
             .unzip();
 
         for cfg in [
@@ -732,6 +732,9 @@ mod tests {
         assert_eq!(c.planner, Some(PlannerMode::Scan));
 
         assert!(EngineConfig::from_args(&argv("--planner fastest")).is_err());
+        // The IGrid band filter is not a planner route.
+        let refused = EngineConfig::from_args(&argv("--planner igrid")).unwrap_err();
+        assert!(refused.contains("auto|ad|vafile|scan"), "{refused}");
         assert!(EngineConfig::from_args(&argv("--planner auto --disk")).is_err());
         assert!(EngineConfig::from_args(&argv("--planner auto --shards 2")).is_err());
     }

@@ -1,14 +1,16 @@
 //! The cost-based per-query planner backend (DESIGN.md §12).
 //!
-//! [`PlannedEngine`] holds every exact in-memory backend at once — the AD
-//! algorithm over sorted columns, the VA-file filter-and-refine engine,
-//! the kernel-loop scan, and the IGrid (equi-depth) filter — and
-//! routes **each query of a batch** to one of them. With
+//! [`PlannedEngine`] holds the paper's three exact in-memory methods at
+//! once — the AD algorithm over sorted columns, the VA-file
+//! filter-and-refine backend and the kernel-loop scan — and routes
+//! **each query of a batch** to one of them. With
 //! [`PlannerMode::Auto`] the route comes from the in-memory cost model
 //! ([`plan_in_memory`]), which reproduces the paper's Figure 12 crossover
 //! live per request: AD wins at small `n`, the filter backends in the
 //! middle, and the plain scan as `n1` approaches `d`. The forced modes
-//! (`ad`, `vafile`, `scan`, `igrid`) pin one backend for experiments.
+//! (`ad`, `vafile`, `scan`) pin one backend for experiments. The backends
+//! answer one query each; batching, deadlines, fail-fast and panic
+//! isolation are this engine's batch loop.
 //!
 //! Every backend answers the exact query kinds bit-identically to the
 //! sequential oracle, so planning changes cost, never answers — the
@@ -25,7 +27,6 @@ use knmatch_core::{
     BandEngine, BatchAnswer, BatchEngine, BatchOptions, BatchQuery, Dataset, FilterScratch,
     PlanTally, PlannerMode, Result as CoreResult, ScanEngine, Scratch, SortedColumns,
 };
-use knmatch_igrid::{default_bins, igrid_engine};
 use knmatch_storage::{plan_in_memory, BackendChoice, MemCostModel, MemPlanChoice, MemPlanInputs};
 use knmatch_vafile::va_engine;
 
@@ -44,8 +45,8 @@ struct PlanScratch {
 
 /// A [`BatchEngine`] that picks AD, VA-file, or scan per query at request
 /// time (see the module docs). Build it once per dataset; it shares one
-/// [`Dataset`] across all four backends and adds only the quantised cell
-/// arrays and sorted columns on top.
+/// [`Dataset`] across its three backends and adds only the VA-file's
+/// quantised cell array and the sorted columns on top.
 #[derive(Debug)]
 pub struct PlannedEngine {
     data: Arc<Dataset>,
@@ -53,15 +54,12 @@ pub struct PlannedEngine {
     /// The VA-file: equi-width byte cells.
     va: BandEngine,
     scan: ScanEngine,
-    /// The IGrid quantisation: equi-depth ranges.
-    igrid: BandEngine,
     workers: usize,
     default_mode: PlannerMode,
     model: MemCostModel,
     tally_ad: AtomicU64,
     tally_vafile: AtomicU64,
     tally_scan: AtomicU64,
-    tally_igrid: AtomicU64,
 }
 
 impl PlannedEngine {
@@ -73,15 +71,14 @@ impl PlannedEngine {
     }
 
     /// A planner with an explicit worker count (clamped to ≥ 1) and
-    /// default mode. The inner backends run single-threaded on the batch
+    /// default mode. The backends run one query at a time on the batch
     /// workers' threads — parallelism lives in the batch loop.
     pub fn with_workers(ds: &Dataset, workers: usize, default_mode: PlannerMode) -> Self {
         let data = Arc::new(ds.clone());
         PlannedEngine {
             cols: Arc::new(SortedColumns::build(ds)),
-            va: va_engine(Arc::clone(&data), 1),
-            scan: ScanEngine::with_workers(Arc::clone(&data), 1),
-            igrid: igrid_engine(Arc::clone(&data), default_bins(ds.dims()), 1),
+            va: va_engine(Arc::clone(&data)),
+            scan: ScanEngine::new(Arc::clone(&data)),
             data,
             workers: workers.max(1),
             default_mode,
@@ -89,7 +86,6 @@ impl PlannedEngine {
             tally_ad: AtomicU64::new(0),
             tally_vafile: AtomicU64::new(0),
             tally_scan: AtomicU64::new(0),
-            tally_igrid: AtomicU64::new(0),
         }
     }
 
@@ -217,10 +213,6 @@ impl PlannedEngine {
             PlannerMode::Ad => BackendChoice::Ad,
             PlannerMode::VaFile => BackendChoice::VaFile,
             PlannerMode::Scan => BackendChoice::Scan,
-            PlannerMode::IGrid => {
-                self.tally_igrid.fetch_add(1, Ordering::Relaxed);
-                return self.igrid.execute(query, &mut scratch.filter);
-            }
         };
         self.bump(choice);
         match choice {
@@ -266,7 +258,6 @@ impl BatchEngine for PlannedEngine {
             ad: self.tally_ad.load(Ordering::Relaxed),
             vafile: self.tally_vafile.load(Ordering::Relaxed),
             scan: self.tally_scan.load(Ordering::Relaxed),
-            igrid: self.tally_igrid.load(Ordering::Relaxed),
         })
     }
 }
@@ -347,7 +338,6 @@ mod tests {
             PlannerMode::Ad,
             PlannerMode::VaFile,
             PlannerMode::Scan,
-            PlannerMode::IGrid,
         ] {
             let opts = BatchOptions {
                 planner: Some(mode),
@@ -392,13 +382,13 @@ mod tests {
         for r in engine.run_with(&batch, &force(PlannerMode::Scan)) {
             r.unwrap();
         }
-        for r in engine.run_with(&batch, &force(PlannerMode::IGrid)) {
+        for r in engine.run_with(&batch, &force(PlannerMode::VaFile)) {
             r.unwrap();
         }
         let tally = engine.plan_counts().unwrap();
         assert_eq!(tally.scan, batch.len() as u64);
-        assert_eq!(tally.igrid, batch.len() as u64);
-        assert_eq!(tally.ad + tally.vafile, 0);
+        assert_eq!(tally.vafile, batch.len() as u64);
+        assert_eq!(tally.ad, 0);
     }
 
     #[test]

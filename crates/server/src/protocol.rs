@@ -19,7 +19,7 @@
 //! DEADLINE <ms>                  per-query budget for later queries (0 clears)
 //! FAILFAST <0|1>                 fail-fast for later BATCH runs
 //! PLANNER <mode>                 backend choice for later queries
-//!                                (auto|ad|vafile|scan|igrid; planner-capable
+//!                                (auto|ad|vafile|scan; planner-capable
 //!                                engines only — others ignore it)
 //! STATS                          connection + server counters
 //! PING                           liveness probe
@@ -56,7 +56,7 @@
 //! A `STATS` line is labelled counters in groups, each declared once in
 //! [`STATS_GROUPS`](self) and rendered/parsed/encoded from that table:
 //! the two mandatory six-counter scopes (connection, then server),
-//! then the optional groups — the four plan counters (`plans_ad= …`,
+//! then the optional groups — the three plan counters (`plans_ad= …`,
 //! cost-based planner routing), the reactor extras (`conns_peak= …`)
 //! and the version counters of a mutable engine (`epoch= live= delta=
 //! runs= tombstones= writes= merges=`). An optional group announces
@@ -262,12 +262,11 @@ impl std::str::FromStr for ReactorKind {
 
 /// The planner modes in binary-code order (a mode's code is its index);
 /// their text spelling is [`PlannerMode`]'s own `Display` / `FromStr`.
-const PLANNER_MODES: [PlannerMode; 5] = [
+const PLANNER_MODES: [PlannerMode; 4] = [
     PlannerMode::Auto,
     PlannerMode::Ad,
     PlannerMode::VaFile,
     PlannerMode::Scan,
-    PlannerMode::IGrid,
 ];
 
 fn planner_code(mode: PlannerMode) -> u8 {
@@ -510,7 +509,6 @@ const STATS_GROUPS: &[StatsGroup] = &[
             counter!("plans_ad", plans?.ad),
             counter!("plans_vafile", plans?.vafile),
             counter!("plans_scan", plans?.scan),
-            counter!("plans_igrid", plans?.igrid),
         ],
     },
     StatsGroup {
@@ -1830,9 +1828,12 @@ mod tests {
         ("SEAL", "a70d00000000"),
     ];
 
-    /// One response line of every variant, pinned the same way. The one
-    /// change since: the binary `STATS` flags byte folds the three extras
-    /// bits `0x0E` into `0x02` (`1f` → `13` in the second `STATS` frame).
+    /// One response line of every variant, pinned the same way. The
+    /// changes since: the binary `STATS` flags byte folds the three extras
+    /// bits `0x0E` into `0x02` (`1f` → `13` in the second `STATS` frame),
+    /// the plan group lost its fourth counter, the IGrid route's (the
+    /// second `STATS` frame is 8 bytes shorter), and `OK PLANNER` pins
+    /// `scan` (code 3): code 4, that route's, is refused.
     const RESPONSE_PINS: &[(&str, &str)] = &[
         (
             "OK KNM 2 3:0.5,7:0.3333333333333333",
@@ -1853,7 +1854,7 @@ mod tests {
         ("DONE 3 1", "a7831000000003000000000000000100000000000000"),
         ("OK DEADLINE 250", "a78408000000fa00000000000000"),
         ("OK FAILFAST 0", "a7850100000000"),
-        ("OK PLANNER igrid", "a7860100000004"),
+        ("OK PLANNER scan", "a7860100000003"),
         (
             "OK STATS queries=1 errors=2 timeouts=3 bytes_in=4 bytes_out=5 connections=1 \
              queries=6 errors=7 timeouts=8 bytes_in=9 bytes_out=10 connections=11",
@@ -1865,17 +1866,17 @@ mod tests {
         (
             "OK STATS queries=0 errors=0 timeouts=0 bytes_in=0 bytes_out=0 connections=0 \
              queries=0 errors=0 timeouts=0 bytes_in=0 bytes_out=0 connections=0 \
-             plans_ad=1 plans_vafile=2 plans_scan=3 plans_igrid=4 \
+             plans_ad=1 plans_vafile=2 plans_scan=3 \
              conns_peak=5 pipeline_depth_max=6 frames_binary=7 reactor_backend=epoll \
              poll_iterations=8 events_dispatched=9 writev_calls=10 \
              conns_evicted=11 queries_shed=12 retries_observed=13 deadline_cancels=14 \
              jobs_inline=15 epoch=16 live=17 delta=18 runs=19 tombstones=20 writes=21 merges=22",
-            "a7871201000013\
+            "a7870a01000013\
              000000000000000000000000000000000000000000000000\
              000000000000000000000000000000000000000000000000\
              000000000000000000000000000000000000000000000000\
              000000000000000000000000000000000000000000000000\
-             0100000000000000020000000000000003000000000000000400000000000000\
+             010000000000000002000000000000000300000000000000\
              05000000000000000600000000000000070000000000000002\
              08000000000000000900000000000000\
              0a000000000000000b000000000000000c000000000000000d00000000000000\
@@ -1919,7 +1920,6 @@ mod tests {
                     ad: 10,
                     vafile: 4,
                     scan: 2,
-                    igrid: 0,
                 }),
                 extras: None,
                 version: None,
@@ -1931,7 +1931,6 @@ mod tests {
                     ad: 1,
                     vafile: 2,
                     scan: 3,
-                    igrid: 4,
                 }),
                 extras: Some(ServerExtras {
                     conns_peak: 7,
@@ -1967,7 +1966,6 @@ mod tests {
                     ad: 1,
                     vafile: 0,
                     scan: 0,
-                    igrid: 0,
                 }),
                 extras: Some(ServerExtras::default()),
                 version: Some(VersionCounters {
@@ -2007,13 +2005,18 @@ mod tests {
             PlannerMode::Ad,
             PlannerMode::VaFile,
             PlannerMode::Scan,
-            PlannerMode::IGrid,
         ] {
             assert_eq!(
                 parse_request(&format!("PLANNER {mode}")).unwrap(),
                 Request::Planner(mode)
             );
         }
+        // The IGrid band filter is no planner route: its text spelling
+        // and its old binary code 4 are refused, naming what is served.
+        let refused = parse_request("PLANNER igrid").unwrap_err();
+        assert!(refused.0.contains("auto|ad|vafile|scan"), "{refused:?}");
+        assert!(decode_request_frame(0x05, &[3]).is_ok());
+        assert!(decode_request_frame(0x05, &[4]).is_err());
     }
 
     #[test]
@@ -2216,7 +2219,7 @@ mod tests {
         let line = format_response(&base);
         assert_eq!(parse_response(&line).unwrap(), base);
         // A group cut short is rejected rather than misread.
-        let bad = format!("{line} plans_ad=1 plans_vafile=2 plans_scan=3");
+        let bad = format!("{line} plans_ad=1 plans_vafile=2");
         assert!(parse_response(&bad).is_err());
         let extras = "conns_peak=4 pipeline_depth_max=2 frames_binary=1 \
              reactor_backend=epoll poll_iterations=5 events_dispatched=6 writev_calls=7 \
@@ -2236,7 +2239,7 @@ mod tests {
         // An unknown backend token is rejected, not defaulted.
         let unknown = format!("{line} {}", extras.replace("epoll", "kqueue"));
         assert!(parse_response(&unknown).is_err());
-        // The full 28-field shape must carry plans.
+        // The full 27-field shape must carry plans.
         let full = Response::Stats(StatsReport {
             conn: StatsSnapshot::default(),
             server: StatsSnapshot::default(),
@@ -2244,7 +2247,6 @@ mod tests {
                 ad: 1,
                 vafile: 2,
                 scan: 3,
-                igrid: 4,
             }),
             extras: Some(ServerExtras {
                 conns_evicted: 8,

@@ -1,22 +1,21 @@
 //! Randomized cross-check of the pruning backends and the cost-based
 //! planner against the sequential oracle.
 //!
-//! Every backend the planner can route to — VA-file, IGrid, kernel scan,
-//! AD — and the planner itself under every mode must answer the exact
-//! query kinds **bit-identically** to the naive sequential scan, across
-//! dimensionalities, cardinalities, n-ranges, and worker counts. The
-//! sweeps are seeded, so a failure reproduces deterministically.
-
-use std::sync::Arc;
+//! Every backend the planner can route to — VA-file, kernel scan, AD —
+//! forced through the planner's batch loop, and the planner itself under
+//! every mode, must answer the exact query kinds **bit-identically** to
+//! the naive sequential scan, across dimensionalities, cardinalities,
+//! n-ranges, and worker counts; the AD route's `AdStats` must equal
+//! sequential AD's. The sweeps are seeded, so a failure reproduces
+//! deterministically.
 
 use knmatch_core::{
-    frequent_k_n_match_scan, k_n_match_scan, nmatch_difference_with_buf, BatchAnswer, BatchEngine,
-    BatchOptions, BatchQuery, Dataset, KnMatchResult, MatchEntry, PlannerMode, ScanEngine,
+    execute_batch_query, frequent_k_n_match_scan, k_n_match_scan, nmatch_difference_with_buf,
+    BatchAnswer, BatchEngine, BatchOptions, BatchQuery, Dataset, KnMatchResult, MatchEntry,
+    PlannerMode, Scratch,
 };
 use knmatch_data::rng::Rng64;
-use knmatch_igrid::{default_bins, igrid_engine};
 use knmatch_server::PlannedEngine;
-use knmatch_vafile::va_engine;
 
 fn random_dataset(rng: &mut Rng64, c: usize, d: usize) -> Dataset {
     let rows: Vec<Vec<f64>> = (0..c)
@@ -103,6 +102,19 @@ fn oracle(ds: &Dataset, batch: &[BatchQuery]) -> Vec<BatchAnswer> {
         .collect()
 }
 
+/// `batch` through `engine` with `mode` forced for the batch.
+fn forced(
+    engine: &PlannedEngine,
+    mode: PlannerMode,
+    batch: &[BatchQuery],
+) -> Vec<knmatch_core::Result<(BatchAnswer, knmatch_core::AdStats)>> {
+    let opts = BatchOptions {
+        planner: Some(mode),
+        ..BatchOptions::default()
+    };
+    engine.run_with(batch, &opts)
+}
+
 #[test]
 fn backends_match_oracle_across_the_grid() {
     let mut rng = Rng64::new(0x5eed_cafe);
@@ -110,21 +122,15 @@ fn backends_match_oracle_across_the_grid() {
         let ds = random_dataset(&mut rng, c, d);
         let batch = random_batch(&mut rng, d, 24);
         let want = oracle(&ds, &batch);
-        let data = Arc::new(ds.clone());
         for workers in [1usize, 3] {
-            let va = va_engine(Arc::clone(&data), workers);
-            let ig = igrid_engine(Arc::clone(&data), default_bins(d), workers);
-            let scan = ScanEngine::with_workers(Arc::clone(&data), workers);
-            for (name, got) in [
-                ("vafile", va.run(&batch)),
-                ("igrid", ig.run(&batch)),
-                ("scan", scan.run(&batch)),
-            ] {
+            let engine = PlannedEngine::with_workers(&ds, workers, PlannerMode::Auto);
+            for mode in [PlannerMode::VaFile, PlannerMode::Scan] {
+                let got = forced(&engine, mode, &batch);
                 for (i, (r, w)) in got.into_iter().zip(&want).enumerate() {
                     assert_eq!(
                         &r.unwrap().0,
                         w,
-                        "{name} diverged: c={c} d={d} workers={workers} query #{i}"
+                        "{mode} diverged: c={c} d={d} workers={workers} query #{i}"
                     );
                 }
             }
@@ -141,28 +147,30 @@ fn planner_matches_oracle_in_every_mode() {
         let want = oracle(&ds, &batch);
         for workers in [1usize, 3] {
             let engine = PlannedEngine::with_workers(&ds, workers, PlannerMode::Auto);
+            // The AD route's answers *and* stats: sequential AD over the
+            // planner's own columns.
+            let mut scratch = Scratch::new();
+            let ad_want: Vec<_> = batch
+                .iter()
+                .map(|q| execute_batch_query(&mut &**engine.columns(), q, &mut scratch).unwrap())
+                .collect();
             for mode in [
                 PlannerMode::Auto,
                 PlannerMode::Ad,
                 PlannerMode::VaFile,
                 PlannerMode::Scan,
-                PlannerMode::IGrid,
             ] {
-                let opts = BatchOptions {
-                    planner: Some(mode),
-                    ..BatchOptions::default()
-                };
-                for (i, (r, w)) in engine
-                    .run_with(&batch, &opts)
+                for (i, (r, w)) in forced(&engine, mode, &batch)
                     .into_iter()
                     .zip(&want)
                     .enumerate()
                 {
-                    assert_eq!(
-                        &r.unwrap().0,
-                        w,
-                        "planner diverged: mode={mode} c={c} d={d} workers={workers} query #{i}"
-                    );
+                    let r = r.unwrap();
+                    let ctx = format!("mode={mode} c={c} d={d} workers={workers} query #{i}");
+                    assert_eq!(&r.0, w, "planner diverged: {ctx}");
+                    if mode == PlannerMode::Ad {
+                        assert_eq!(r, ad_want[i], "AD route's stats diverged: {ctx}");
+                    }
                 }
             }
         }
@@ -175,17 +183,10 @@ fn tie_heavy_data_resolves_canonically_everywhere() {
     let ds = quantised_dataset(&mut rng, 500, 6);
     let batch = random_batch(&mut rng, 6, 18);
     let want = oracle(&ds, &batch);
-    let data = Arc::new(ds.clone());
+    let engine = PlannedEngine::with_workers(&ds, 2, PlannerMode::Auto);
     let engines: Vec<(&str, Vec<_>)> = vec![
-        ("vafile", va_engine(Arc::clone(&data), 2).run(&batch)),
-        (
-            "igrid",
-            igrid_engine(Arc::clone(&data), default_bins(6), 2).run(&batch),
-        ),
-        (
-            "planner",
-            PlannedEngine::with_workers(&ds, 2, PlannerMode::Auto).run(&batch),
-        ),
+        ("vafile", forced(&engine, PlannerMode::VaFile, &batch)),
+        ("planner", engine.run(&batch)),
     ];
     for (name, got) in engines {
         for (i, (r, w)) in got.into_iter().zip(&want).enumerate() {
@@ -234,18 +235,8 @@ fn grid_ties_at_every_threshold_resolve_identically_everywhere() {
     let want = oracle(&ds, &batch);
     for workers in [1usize, 3] {
         let engine = PlannedEngine::with_workers(&ds, workers, PlannerMode::Auto);
-        for mode in [
-            PlannerMode::Scan,
-            PlannerMode::VaFile,
-            PlannerMode::IGrid,
-            PlannerMode::Auto,
-        ] {
-            let opts = BatchOptions {
-                planner: Some(mode),
-                ..BatchOptions::default()
-            };
-            for (i, (r, w)) in engine
-                .run_with(&batch, &opts)
+        for mode in [PlannerMode::Scan, PlannerMode::VaFile, PlannerMode::Auto] {
+            for (i, (r, w)) in forced(&engine, mode, &batch)
                 .into_iter()
                 .zip(&want)
                 .enumerate()

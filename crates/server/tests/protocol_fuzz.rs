@@ -191,6 +191,24 @@ fn recovers_in_protocol_on(cfg: ServerConfig) {
             other => panic!("expected ERR parse, got {other:?}"),
         }
 
+        // A planner mode that is not served → ERR parse naming the ones
+        // that are, spelled in text and as binary code 4; connection lives.
+        let igrid_text: &[u8] = b"PLANNER igrid\n";
+        let igrid_frame: &[u8] = &[0xA7, 0x05, 1, 0, 0, 0, 4];
+        for (bytes, names) in [
+            (igrid_text, "auto|ad|vafile|scan"),
+            (igrid_frame, "planner code 4"),
+        ] {
+            client.send_raw(bytes).expect("send");
+            match client.recv_response().expect("response") {
+                Response::Error { kind, message } => {
+                    assert_eq!(kind, ErrorKind::Parse);
+                    assert!(message.contains(names), "{message}");
+                }
+                other => panic!("expected ERR parse, got {other:?}"),
+            }
+        }
+
         // Oversized line → ERR oversized, connection lives.
         let mut big = vec![b'z'; MAX_LINE + 17];
         big.push(b'\n');

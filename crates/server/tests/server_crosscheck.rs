@@ -165,7 +165,6 @@ fn planned_backend_bit_identical_over_the_wire() {
                 knmatch_core::PlannerMode::Ad,
                 knmatch_core::PlannerMode::VaFile,
                 knmatch_core::PlannerMode::Scan,
-                knmatch_core::PlannerMode::IGrid,
             ] {
                 client.set_planner(mode).expect("set planner");
                 let reply = client.run_batch(&queries).expect("batch");
@@ -178,13 +177,13 @@ fn planned_backend_bit_identical_over_the_wire() {
                 }
             }
             // The tally travelled back through STATS: the direct baseline
-            // run plus five served modes, 12 valid queries each (invalid
+            // run plus four served modes, 12 valid queries each (invalid
             // slots never reach a backend).
             let report = client.stats_report().expect("stats");
             let plans = report.plans.expect("planned engine reports plans");
-            assert_eq!(plans.total(), 6 * 12, "workers={workers}");
+            assert_eq!(plans.total(), 5 * 12, "workers={workers}");
             assert!(plans.scan >= 12, "forced scan pass must be tallied");
-            assert!(plans.igrid >= 12, "forced igrid pass must be tallied");
+            assert!(plans.vafile >= 12, "forced vafile pass must be tallied");
             client.quit().expect("quit");
         });
     }

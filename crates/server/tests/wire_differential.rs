@@ -103,8 +103,7 @@ fn script(seed: u64, len: usize) -> Vec<Step> {
                     PlannerMode::Ad,
                     PlannerMode::VaFile,
                     PlannerMode::Scan,
-                    PlannerMode::IGrid,
-                ][rng.range_usize(0..5)],
+                ][rng.range_usize(0..4)],
             )),
             13 => Step::One(if rng.next_bool() {
                 Request::Ping

@@ -1,17 +1,17 @@
 //! The VA-file as a first-class serving backend.
 //!
 //! [`va_engine`] is the in-memory promotion of this crate's two-phase
-//! algorithm to the `BatchEngine` surface: the per-dimension equi-width
-//! quantisation of [`VaFile`](crate::VaFile) (256 cells, one byte per
-//! attribute), but with the approximation filter rewritten on the core
-//! band-count kernels ([`knmatch_core::kernels`]) over dim-major cell
-//! columns instead of the per-point float-bound sort of the disk path.
-//! Phase two refines the surviving candidates exactly through the shared
-//! canonical `(diff, pid)` collectors, so answers are bit-identical to the
-//! sequential oracle on every exact query kind — a pure function of the
-//! data, independent of worker count, batch order, and quantisation. This
-//! crate decides only the boundary vector; the filter is the core
-//! [`BandEngine`].
+//! algorithm to a per-query backend the planner routes to: the
+//! per-dimension equi-width quantisation of [`VaFile`](crate::VaFile)
+//! (256 cells, one byte per attribute), but with the approximation filter
+//! rewritten on the core band-count kernels ([`knmatch_core::kernels`])
+//! over dim-major cell columns instead of the per-point float-bound sort
+//! of the disk path. Phase two refines the surviving candidates exactly
+//! through the shared canonical `(diff, pid)` collectors, so answers are
+//! bit-identical to the sequential oracle on every exact query kind — a
+//! pure function of the data, independent of which worker runs it, batch
+//! order, and quantisation. This crate decides only the boundary vector;
+//! the filter is the core [`BandEngine`].
 
 use std::sync::Arc;
 
@@ -20,20 +20,33 @@ use knmatch_core::{equi_width_boundaries, BandEngine, Dataset};
 /// Cells per dimension: the full range of one approximation byte.
 pub const VA_CELLS: usize = 256;
 
-/// Builds the in-memory VA-file batch backend (see the module docs): the
-/// byte approximations of `data` over [`VA_CELLS`] equi-width cells per
-/// dimension, with `workers` batch workers (clamped to ≥ 1).
-pub fn va_engine(data: Arc<Dataset>, workers: usize) -> BandEngine {
+/// Builds the in-memory VA-file backend (see the module docs): the byte
+/// approximations of `data` over [`VA_CELLS`] equi-width cells per
+/// dimension.
+pub fn va_engine(data: Arc<Dataset>) -> BandEngine {
     let boundaries = equi_width_boundaries(&data, VA_CELLS);
-    BandEngine::from_boundaries(data, boundaries, workers)
+    BandEngine::from_boundaries(data, boundaries)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use knmatch_core::{
-        frequent_k_n_match_scan, k_n_match_scan, BatchAnswer, BatchEngine, BatchQuery, MatchEntry,
+        frequent_k_n_match_scan, k_n_match_scan, run_batch, AdStats, BatchAnswer, BatchQuery,
+        FilterScratch, MatchEntry, Result,
     };
+
+    /// `batch` through `e` on `workers` threads — the planner's batch
+    /// loop, one scratch per worker.
+    fn run(
+        e: &BandEngine,
+        batch: &[BatchQuery],
+        workers: usize,
+    ) -> Vec<Result<(BatchAnswer, AdStats)>> {
+        run_batch(workers, batch.len(), FilterScratch::new, |scratch, i| {
+            e.execute(&batch[i], scratch)
+        })
+    }
 
     fn pseudo_dataset(c: usize, d: usize, seed: u64) -> Dataset {
         let mut s = seed | 1;
@@ -69,11 +82,11 @@ mod tests {
                 n: 3,
             },
         ];
+        let e = va_engine(Arc::new(ds.clone()));
         let mut answers: Vec<Vec<BatchAnswer>> = Vec::new();
         for workers in [1usize, 4] {
-            let e = va_engine(Arc::new(ds.clone()), workers);
             answers.push(
-                e.run(&batch)
+                run(&e, &batch, workers)
                     .into_iter()
                     .map(|r| r.unwrap().0)
                     .collect::<Vec<_>>(),
@@ -100,32 +113,24 @@ mod tests {
             })
             .collect();
         let ds = Dataset::from_rows(&rows).unwrap();
-        let e = va_engine(Arc::new(ds.clone()), 3);
+        let e = va_engine(Arc::new(ds.clone()));
         let q = vec![0.25; 6];
         for (k, n) in [(1usize, 1usize), (13, 3), (25, 6)] {
-            let got = e
-                .run(&[BatchQuery::KnMatch {
-                    query: q.clone(),
-                    k,
-                    n,
-                }])
-                .pop()
-                .unwrap()
-                .unwrap()
-                .0;
+            let batch = [BatchQuery::KnMatch {
+                query: q.clone(),
+                k,
+                n,
+            }];
+            let got = run(&e, &batch, 3).pop().unwrap().unwrap().0;
             let want = k_n_match_scan(&ds, &q, k, n).unwrap();
             assert_eq!(got, BatchAnswer::KnMatch(want), "k={k} n={n}");
         }
-        let got = e
-            .run(&[BatchQuery::EpsMatch {
-                query: q.clone(),
-                eps: 0.25,
-                n: 4,
-            }])
-            .pop()
-            .unwrap()
-            .unwrap()
-            .0;
+        let batch = [BatchQuery::EpsMatch {
+            query: q.clone(),
+            eps: 0.25,
+            n: 4,
+        }];
+        let got = run(&e, &batch, 3).pop().unwrap().unwrap().0;
         let BatchAnswer::EpsMatch(res) = got else {
             panic!("wrong variant")
         };
@@ -144,16 +149,17 @@ mod tests {
     #[test]
     fn prunes_on_selective_queries() {
         let ds = pseudo_dataset(3000, 8, 3);
-        let e = va_engine(Arc::new(ds.clone()), 1);
+        let e = va_engine(Arc::new(ds.clone()));
         let q = ds.point(42).to_vec();
         let (_, stats) = e
-            .run(&[BatchQuery::KnMatch {
-                query: q,
-                k: 3,
-                n: 8,
-            }])
-            .pop()
-            .unwrap()
+            .execute(
+                &BatchQuery::KnMatch {
+                    query: q,
+                    k: 3,
+                    n: 8,
+                },
+                &mut FilterScratch::new(),
+            )
             .unwrap();
         assert!(
             stats.attributes_retrieved < 3000 * 8 / 2,

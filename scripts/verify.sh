@@ -37,9 +37,10 @@
 #               fault rates on both reactors, plus shedding, idle
 #               eviction and deadline-cancel coverage
 #   6c. mvcc:   run-list crosscheck (the path every default server
-#               runs: one AD walk over S runs × workers vs QueryEngine —
-#               answers bit-identical, heap_pops equal to the one-run
-#               walk, S·d locate probes) + versioned-index oracle
+#               runs: one AD walk over S runs × workers vs sequential AD
+#               on one SortedColumns — answers bit-identical, heap_pops
+#               equal to the one-run walk, S·d locate probes) +
+#               versioned-index oracle
 #               crosscheck + mutable-serve suite in release (randomized
 #               interleaved writes vs a rebuild-from-scratch oracle;
 #               readers never block) + shard_scaling --smoke +
@@ -130,8 +131,9 @@ cargo test --release -q -p knmatch-server --test chaos
 
 echo "==> run-list crosscheck (release)"
 # The engine every default server runs: at S runs x W workers, answers
-# bit-identical to QueryEngine and the walk's AdStats held to the
-# one-run walk's (equal heap_pops, S*d locate probes; S = 1 identical).
+# bit-identical to sequential AD on one SortedColumns and the walk's
+# AdStats held to the one-run walk's (equal heap_pops, S*d locate
+# probes; S = 1 identical).
 cargo test --release -q -p knmatch-core --test sharded_crosscheck
 
 echo "==> versioned-index oracle crosscheck (release)"

@@ -45,17 +45,18 @@
 //!
 //! ## Batch queries
 //!
-//! Many queries against one dataset go through the [`QueryEngine`](core::QueryEngine),
+//! Many queries against one dataset go through a one-run
+//! [`VersionedIndex`](core::VersionedIndex) — the engine the servers run —
 //! which shares the sorted columns across worker threads and reuses
 //! per-worker scratch instead of allocating per query — same answers,
-//! same stats, in input order:
+//! same stats as the sequential calls, in input order:
 //!
 //! ```
-//! use std::sync::Arc;
 //! use knmatch::prelude::*;
 //!
 //! let ds = knmatch::core::paper::fig1_dataset();
-//! let engine = QueryEngine::new(Arc::new(SortedColumns::build(&ds)));
+//! let workers = 4;
+//! let engine = VersionedIndex::from_dataset(&ds, 1, workers, DEFAULT_MERGE_THRESHOLD).unwrap();
 //! let batch: Vec<BatchQuery> = (1..=10)
 //!     .map(|n| BatchQuery::KnMatch { query: knmatch::core::paper::fig1_query(), k: 1, n })
 //!     .collect();
@@ -81,8 +82,8 @@ pub mod prelude {
         frequent_k_n_match_scan, k_n_match_ad, k_n_match_ad_with, k_n_match_scan, k_nearest,
         nmatch_difference, skyline_wrt, AdStats, BatchAnswer, BatchEngine, BatchQuery, Chebyshev,
         Dataset, Dpf, Euclidean, FrequentResult, KnMatchError, KnMatchResult, Lp, Manhattan,
-        Metric, Neighbour, PointId, QueryEngine, Scratch, SortedAccessSource, SortedColumns,
-        SortedEntry,
+        Metric, Neighbour, PointId, Scratch, SortedAccessSource, SortedColumns, SortedEntry,
+        VersionedIndex, DEFAULT_MERGE_THRESHOLD,
     };
     pub use knmatch_data::{coil_like, labelled_clusters, skewed, uniform, ClusterSpec};
     pub use knmatch_igrid::IGridIndex;
