@@ -1,5 +1,5 @@
 //! Std-only run-count scaling benchmark for the run-list engine
-//! (`--shards`) and the structure-of-arrays column layout. Emits
+//! ([`VersionedIndex`]) and the structure-of-arrays column layout. Emits
 //! `BENCH_shard_scaling.json`.
 //!
 //! ```text
@@ -17,9 +17,9 @@
 //!    source holding `Vec<SortedEntry>` per dimension. Answers and
 //!    `AdStats` are asserted bit-identical before any number is reported;
 //!    the SoA layout must not regress single-shard latency.
-//! 2. **Run-count scaling** — single-query latency through the engine
-//!    [`EngineConfig`] builds for [`Backend::Sharded`] at 1, 2, and 4
-//!    shards (a `VersionedIndex` with that many initial runs) over
+//! 2. **Run-count scaling** — single-query latency through the run-list
+//!    engine built by [`VersionedIndex::from_dataset`] with 1, 2, and 4
+//!    initial runs over
 //!    `PASSES` alternating passes: per row the min / median / max of the
 //!    per-pass mean beside the pruning work (`attributes_retrieved`,
 //!    `heap_pops` per query). Answers are asserted bit-identical to the
@@ -35,10 +35,9 @@ use std::time::Instant;
 use knmatch_bench::{git_rev, percentile};
 use knmatch_core::{
     execute_batch_query, AdStats, BatchAnswer, BatchEngine, BatchOutcome, BatchQuery, Scratch,
-    SortedAccessSource, SortedColumns, SortedEntry,
+    SortedAccessSource, SortedColumns, SortedEntry, VersionedIndex, DEFAULT_MERGE_THRESHOLD,
 };
 use knmatch_data::rng::seeded;
-use knmatch_server::{Backend, EngineConfig};
 
 struct Config {
     cardinality: usize,
@@ -206,13 +205,10 @@ fn main() {
     // --- Experiment 2: run-count scaling through the run-list engine. ---
     const SHARDS: [usize; 3] = [1, 2, 4];
     let engines = SHARDS.map(|shards| {
-        let engine = EngineConfig::builder()
-            .workers(cfg.workers)
-            .backend(Backend::Sharded(shards))
-            .build()
-            .expect("shards alone never conflict")
-            .build_in_memory(&ds);
-        assert_eq!(engine.run_count(), Some(shards));
+        let engine =
+            VersionedIndex::from_dataset(&ds, shards, cfg.workers, DEFAULT_MERGE_THRESHOLD)
+                .expect("the workload has at least one dimension");
+        assert_eq!(engine.snapshot().run_count(), shards);
         engine
     });
     // Per run count: the mean latency of each pass, and the per-query

@@ -7,9 +7,8 @@
 //! knmatch info db.knm
 //! knmatch query db.knm --point 0.1,0.5,… -k 10 -n 4
 //! knmatch query db.knm --point 0.1,0.5,… -k 10 --frequent 4 8
-//! knmatch query db.knm --point 0.1,0.5,… -k 10 -n 4 --shards 4
 //! knmatch batch data.csv --queries queries.csv -k 10 --frequent 4 8 --workers 4
-//! knmatch batch data.csv --queries queries.csv -k 10 -n 4 --shards 4 --workers 4
+//! knmatch batch data.csv --queries queries.csv -k 10 -n 4 --workers 4
 //! knmatch batch db.knm --queries queries.csv -k 10 -n 4 --disk --workers 4
 //! knmatch serve db.knm --addr 127.0.0.1:7878 --disk --workers 4
 //! knmatch serve data.csv --addr 127.0.0.1:7878 --mutable --merge-threshold 4096
@@ -25,7 +24,7 @@ use std::process::ExitCode;
 use knmatch_core::{BatchAnswer, BatchEngine, BatchOptions, BatchOutcome, BatchQuery};
 #[cfg(unix)]
 use knmatch_server::EventServer;
-use knmatch_server::{AnyEngine, Backend, Client, EngineConfig};
+use knmatch_server::{AnyEngine, Client, EngineConfig};
 use knmatch_storage::{CostModel, DiskDatabase};
 
 fn main() -> ExitCode {
@@ -56,17 +55,16 @@ fn usage() -> &'static str {
      knmatch build <data.csv> <db.knm>\n  \
      knmatch info <db.knm>\n  \
      knmatch verify <db.knm>\n  \
-     knmatch query <db.knm> --point <v1,v2,…> -k <K> (-n <N> | --frequent <N0> <N1> [--auto]) \
-     [--shards S [--workers W]]\n  \
+     knmatch query <db.knm> --point <v1,v2,…> -k <K> (-n <N> | --frequent <N0> <N1>)\n  \
      knmatch bench <db.knm> -k <K> --frequent <N0> <N1> [--queries Q] [--seed S]\n  \
      knmatch batch <data.csv|db.knm> --queries <queries.csv> \
      (-k <K> -n <N> | -k <K> --frequent <N0> <N1> | --eps <E> -n <N>) [--workers W] \
-     [--planner auto|ad|vafile|scan | --shards <S|auto> | \
+     [--planner auto|ad|vafile|scan | \
      --disk [--pool-pages P] [--verify never|first-read|always]] \
      [--deadline-ms MS] [--fail-fast]\n  \
      knmatch serve <data.csv|db.knm> [--addr IP:PORT] [--workers W] \
      [--planner MODE | --disk [--pool-pages P] [--verify MODE] | \
-     [--shards <S|auto>] [--mutable [--merge-threshold R]]] \
+     --mutable [--merge-threshold R]] \
      [--max-conns N] [--executors E] [--reactor poll|epoll|auto] \
      [--idle-timeout-ms MS] [--max-inflight N]\n  \
      knmatch client <host:port> (--queries <queries.csv> \
@@ -79,10 +77,8 @@ fn usage() -> &'static str {
      \n\
      the in-memory engine (no --disk, no --planner) is one engine, a snapshot \
      of sorted runs that every query walks with one AD frontier: one run \
-     by default, --shards S lays the data out as S initial runs (a layout, \
-     not a speed-up: queries run one per worker either way), --mutable makes \
-     it accept INSERT/DELETE/SEAL (compaction treats the initial runs like \
-     any others).\n\
+     when built, --mutable makes it accept INSERT/DELETE/SEAL (each seal \
+     adds a run, compaction merges them).\n\
      \n\
      exit codes: 0 success; 1 usage or I/O error; 2 command ran but some \
      queries failed"
@@ -236,7 +232,7 @@ fn build_queries(
 
 /// Executes a file of query points as one parallel batch against any of
 /// the three backends ([`EngineConfig`] owns the `--workers` /
-/// `--shards` / `--disk` grammar); all backends share this one printing
+/// `--disk` / `--planner` grammar); all backends share this one printing
 /// path, with the disk backend adding its per-query I/O detail.
 fn batch(args: &[String]) -> Result<(String, bool), String> {
     let data = args
@@ -266,18 +262,11 @@ fn batch(args: &[String]) -> Result<(String, bool), String> {
             opts.planner.unwrap_or_else(|| e.default_mode()),
         ),
         AnyEngine::Runs { mutable, .. } => format!(
-            "{} queries ({header}) over {} points x {} dims{}{}, {} worker(s)\n",
+            "{} queries ({header}) over {} points x {} dims{}, {} worker(s)\n",
             queries.len(),
             engine.cardinality(),
             engine.dims(),
             if *mutable { " (mutable versioned)" } else { "" },
-            // The default engine is one run; the count is shown when a
-            // flag made the run list visible.
-            if *mutable || cfg.backend != Backend::Memory {
-                format!(", {} shard(s)", engine.run_count().unwrap_or(1))
-            } else {
-                String::new()
-            },
             engine.workers()
         ),
         AnyEngine::Disk(_) => format!(
@@ -837,31 +826,15 @@ fn query(args: &[String]) -> Result<String, String> {
         .map(|v| parse_num::<f64>(v.trim(), "--point coordinate"))
         .collect::<Result<_, _>>()?;
 
-    if args.iter().any(|a| a == "--shards") {
-        return query_sharded(args, path, &point, k);
-    }
-
     let db = DiskDatabase::open_file(path, 256).map_err(|e| e.to_string())?;
     let mut out = String::new();
     let model = CostModel::default();
     if let Some(i) = args.iter().position(|a| a == "--frequent") {
         let n0: usize = parse_num(args.get(i + 1).ok_or("--frequent needs N0 N1")?, "N0")?;
         let n1: usize = parse_num(args.get(i + 2).ok_or("--frequent needs N0 N1")?, "N1")?;
-        let r = if args.iter().any(|a| a == "--auto") {
-            let (r, choice) = db
-                .frequent_k_n_match_auto(&point, k, n0, n1, model)
-                .map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "planner chose {:?} (estimated AD {:.1} ms vs scan {:.1} ms)",
-                choice.plan, choice.ad_estimate_ms, choice.scan_estimate_ms
-            )
-            .expect("write to String");
-            r
-        } else {
-            db.frequent_k_n_match(&point, k, n0, n1)
-                .map_err(|e| e.to_string())?
-        };
+        let r = db
+            .frequent_k_n_match(&point, k, n0, n1)
+            .map_err(|e| e.to_string())?;
         writeln!(out, "frequent {k}-n-match, n in [{n0}, {n1}]:").expect("write to String");
         for e in &r.result.entries {
             writeln!(out, "  point {:>8}  appears {} times", e.pid, e.count)
@@ -902,82 +875,6 @@ fn query(args: &[String]) -> Result<String, String> {
         )
         .expect("write to String");
     }
-    Ok(out)
-}
-
-/// The `--shards` arm of `query`: [`EngineConfig`] loads the database's
-/// points into memory as that many contiguous point-id runs, and the
-/// single query is one AD walk over all of them — reporting its AD cost
-/// (attributes retrieved, frontier pops) instead of the disk I/O model
-/// (the run-list engine is an in-memory path).
-fn query_sharded(args: &[String], path: &str, point: &[f64], k: usize) -> Result<String, String> {
-    if args.iter().any(|a| a == "--auto") {
-        return Err("--auto plans disk I/O; it cannot be combined with --shards".into());
-    }
-    let cfg = EngineConfig::from_args(args)?;
-    let engine = cfg.open(path)?;
-
-    let (query, header) = if let Some(i) = args.iter().position(|a| a == "--frequent") {
-        let n0: usize = parse_num(args.get(i + 1).ok_or("--frequent needs N0 N1")?, "N0")?;
-        let n1: usize = parse_num(args.get(i + 2).ok_or("--frequent needs N0 N1")?, "N1")?;
-        (
-            BatchQuery::Frequent {
-                query: point.to_vec(),
-                k,
-                n0,
-                n1,
-            },
-            format!("frequent {k}-n-match, n in [{n0}, {n1}]"),
-        )
-    } else {
-        let n: usize = parse_num(
-            flag_value(args, "-n").ok_or("query needs -n or --frequent")?,
-            "-n",
-        )?;
-        (
-            BatchQuery::KnMatch {
-                query: point.to_vec(),
-                k,
-                n,
-            },
-            format!("{k}-{n}-match"),
-        )
-    };
-
-    let outcome = engine
-        .run(std::slice::from_ref(&query))
-        .pop()
-        .expect("one result per query")
-        .map_err(|e| e.to_string())?;
-
-    let mut out = format!(
-        "{header} over {} shard(s), {} worker(s), in-memory:\n",
-        engine.run_count().unwrap_or(1),
-        engine.workers()
-    );
-    match outcome.answer() {
-        BatchAnswer::KnMatch(r) | BatchAnswer::EpsMatch(r) => {
-            for e in &r.entries {
-                writeln!(out, "  point {:>8}  n-match diff {:.6}", e.pid, e.diff)
-                    .expect("write to String");
-            }
-        }
-        BatchAnswer::Frequent(r) => {
-            for e in &r.entries {
-                writeln!(out, "  point {:>8}  appears {} times", e.pid, e.count)
-                    .expect("write to String");
-            }
-        }
-    }
-    let stats = outcome.ad_stats();
-    writeln!(
-        out,
-        "cost: {} attributes, {} pops over {} run(s)",
-        stats.attributes_retrieved,
-        stats.heap_pops,
-        engine.run_count().unwrap_or(1)
-    )
-    .expect("write to String");
     Ok(out)
 }
 
@@ -1513,13 +1410,7 @@ mod deadline_tests {
         assert_eq!(out.matches("query deadline exceeded").count(), 1, "{out}");
         assert_eq!(out.matches("query cancelled").count(), 5, "{out}");
 
-        // The sharded and disk arms honour the deadline too.
-        let mut args = base.clone();
-        args.extend(s(&["--shards", "2", "--deadline-ms", "0"]));
-        let (out, all_ok) = run(&args).unwrap();
-        assert!(!all_ok);
-        assert!(out.contains("query deadline exceeded"), "{out}");
-
+        // The disk arm honours the deadline too.
         let db = dir.join("data.knm");
         run(&s(&["build", data.to_str().unwrap(), db.to_str().unwrap()])).unwrap();
         let (out, all_ok) = run(&s(&[
@@ -1538,51 +1429,6 @@ mod deadline_tests {
         .unwrap();
         assert!(!all_ok);
         assert!(out.contains("query deadline exceeded"), "{out}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
-#[cfg(test)]
-mod auto_plan_tests {
-    use super::*;
-
-    #[test]
-    fn auto_flag_reports_the_plan() {
-        let dir = std::env::temp_dir().join(format!("knmatch-cli-auto-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let csv = dir.join("a.csv");
-        let db = dir.join("a.knm");
-        let s = |parts: &[&str]| parts.iter().map(|p| p.to_string()).collect::<Vec<_>>();
-        run(&s(&[
-            "generate",
-            "--kind",
-            "uniform",
-            "--cardinality",
-            "2000",
-            "--dims",
-            "8",
-            "--out",
-            csv.to_str().unwrap(),
-        ]))
-        .unwrap();
-        run(&s(&["build", csv.to_str().unwrap(), db.to_str().unwrap()])).unwrap();
-        let point = "0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5";
-        let out = run(&s(&[
-            "query",
-            db.to_str().unwrap(),
-            "--point",
-            point,
-            "-k",
-            "5",
-            "--frequent",
-            "2",
-            "4",
-            "--auto",
-        ]))
-        .unwrap()
-        .0;
-        assert!(out.contains("planner chose"), "{out}");
-        assert!(out.contains("appears"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -1714,225 +1560,6 @@ mod ingest_tests {
             serving.join().unwrap();
         });
 
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
-#[cfg(test)]
-mod sharded_cli_tests {
-    use super::*;
-
-    fn s(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|p| p.to_string()).collect()
-    }
-
-    /// What `--shards N` resolves to on this host (single-CPU hosts
-    /// collapse every shard request to 1).
-    fn effective_shards(requested: &str) -> String {
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cpus == 1 {
-            "1".to_string()
-        } else {
-            requested.to_string()
-        }
-    }
-
-    /// The per-query answer lines of a batch run, header/footer stripped.
-    fn answer_lines(out: &str) -> Vec<String> {
-        out.lines()
-            .filter(|l| l.trim_start().starts_with('#'))
-            .map(str::to_string)
-            .collect()
-    }
-
-    #[test]
-    fn batch_shards_match_unsharded_and_reject_disk() {
-        let dir = std::env::temp_dir().join(format!("knmatch-cli-shard-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let data = dir.join("data.csv");
-        let queries = dir.join("queries.csv");
-        run(&s(&[
-            "generate",
-            "--kind",
-            "uniform",
-            "--cardinality",
-            "400",
-            "--dims",
-            "5",
-            "--out",
-            data.to_str().unwrap(),
-        ]))
-        .unwrap();
-        run(&s(&[
-            "generate",
-            "--kind",
-            "uniform",
-            "--cardinality",
-            "6",
-            "--dims",
-            "5",
-            "--seed",
-            "11",
-            "--out",
-            queries.to_str().unwrap(),
-        ]))
-        .unwrap();
-
-        let base = s(&[
-            "batch",
-            data.to_str().unwrap(),
-            "--queries",
-            queries.to_str().unwrap(),
-            "-k",
-            "4",
-            "-n",
-            "3",
-        ]);
-        let plain = run(&base).unwrap().0;
-        for shards in ["1", "3"] {
-            let mut args = base.clone();
-            args.extend(s(&["--shards", shards, "--workers", "2"]));
-            let (out, all_ok) = run(&args).unwrap();
-            assert!(all_ok);
-            // A single-CPU host collapses any shard request to 1.
-            let shown = effective_shards(shards);
-            assert!(out.contains(&format!("{shown} shard(s)")), "{out}");
-            assert_eq!(
-                answer_lines(&out),
-                answer_lines(&plain),
-                "sharded ids diverged at --shards {shards}"
-            );
-        }
-
-        // Frequent queries shard too.
-        let mut args = s(&[
-            "batch",
-            data.to_str().unwrap(),
-            "--queries",
-            queries.to_str().unwrap(),
-            "-k",
-            "3",
-            "--frequent",
-            "1",
-            "5",
-        ]);
-        let plain = run(&args).unwrap().0;
-        args.extend(s(&["--shards", "4"]));
-        let sharded = run(&args).unwrap().0;
-        assert_eq!(answer_lines(&sharded), answer_lines(&plain));
-
-        // --shards is the in-memory engine; --disk must be rejected.
-        let mut args = base.clone();
-        args.extend(s(&["--shards", "2", "--disk"]));
-        let err = run(&args).unwrap_err();
-        assert!(err.contains("cannot be combined with --disk"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn query_shards_answer_and_cost_breakdown() {
-        let dir = std::env::temp_dir().join(format!("knmatch-cli-shardq-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let csv = dir.join("q.csv");
-        let db = dir.join("q.knm");
-        run(&s(&[
-            "generate",
-            "--kind",
-            "uniform",
-            "--cardinality",
-            "300",
-            "--dims",
-            "4",
-            "--out",
-            csv.to_str().unwrap(),
-        ]))
-        .unwrap();
-        run(&s(&["build", csv.to_str().unwrap(), db.to_str().unwrap()])).unwrap();
-
-        let point = "0.5,0.5,0.5,0.5";
-        let plain = run(&s(&[
-            "query",
-            db.to_str().unwrap(),
-            "--point",
-            point,
-            "-k",
-            "3",
-            "-n",
-            "2",
-        ]))
-        .unwrap()
-        .0;
-        let plain_ids: Vec<&str> = plain
-            .lines()
-            .filter(|l| l.contains("n-match diff"))
-            .collect();
-        assert_eq!(plain_ids.len(), 3);
-
-        let out = run(&s(&[
-            "query",
-            db.to_str().unwrap(),
-            "--point",
-            point,
-            "-k",
-            "3",
-            "-n",
-            "2",
-            "--shards",
-            "4",
-            "--workers",
-            "2",
-        ]))
-        .unwrap()
-        .0;
-        let shown = effective_shards("4");
-        assert!(out.contains(&format!("{shown} shard(s)")), "{out}");
-        // Same answer lines as the disk path, in the same order.
-        for line in &plain_ids {
-            assert!(out.contains(line.trim()), "missing {line:?} in {out}");
-        }
-        // One walk, one cost line: attributes, pops, and the run count.
-        let cost = out.lines().find(|l| l.starts_with("cost:")).unwrap();
-        assert!(cost.contains(" attributes, "), "{cost}");
-        assert!(
-            cost.ends_with(&format!(" pops over {shown} run(s)")),
-            "{cost}"
-        );
-
-        let out = run(&s(&[
-            "query",
-            db.to_str().unwrap(),
-            "--point",
-            point,
-            "-k",
-            "2",
-            "--frequent",
-            "1",
-            "4",
-            "--shards",
-            "3",
-        ]))
-        .unwrap()
-        .0;
-        assert!(out.contains("appears"), "{out}");
-        let shown = effective_shards("3");
-        assert!(out.contains(&format!("{shown} shard(s)")), "{out}");
-
-        let err = run(&s(&[
-            "query",
-            db.to_str().unwrap(),
-            "--point",
-            point,
-            "-k",
-            "2",
-            "--frequent",
-            "1",
-            "4",
-            "--shards",
-            "3",
-            "--auto",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("cannot be combined with --shards"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

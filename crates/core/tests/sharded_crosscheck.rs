@@ -10,7 +10,9 @@
 //! unpopped attributes per list); `S = 1` must reproduce the reference's
 //! `AdStats` exactly, and an index that *reached* the same key ranges
 //! through inserts and seals must be indistinguishable from one *built*
-//! with them.
+//! with them. Theorem 3.2 holds as a count from the data: `heap_pops` is
+//! the number of attributes within the answer's ε, tombstoned rows
+//! included.
 
 use knmatch_core::{
     execute_batch_query, AdStats, BatchAnswer, BatchEngine, BatchQuery, Dataset, KnMatchError,
@@ -197,6 +199,116 @@ fn tombstone_free_runs_pop_exactly_what_one_run_pops() {
                     stats.attributes_retrieved - stats.heap_pops <= (2 * d * shards) as u64,
                     "{ctx}: {stats:?}"
                 );
+            }
+        }
+    }
+}
+
+/// Theorem 3.2's count, taken from the data: the attributes within ε of
+/// `query` over every slot a walk meets, dead rows included, where ε is
+/// the k-th smallest n1-match difference among the live rows.
+fn attributes_within_kth(
+    slots: &[Vec<f64>],
+    live: impl Fn(usize) -> bool,
+    query: &[f64],
+    k: usize,
+    n1: usize,
+) -> u64 {
+    let mut nth: Vec<f64> = (0..slots.len())
+        .filter(|&slot| live(slot))
+        .map(|slot| {
+            let mut diffs: Vec<f64> = slots[slot]
+                .iter()
+                .zip(query)
+                .map(|(v, q)| (v - q).abs())
+                .collect();
+            diffs.sort_unstable_by(f64::total_cmp);
+            diffs[n1 - 1]
+        })
+        .collect();
+    nth.sort_unstable_by(f64::total_cmp);
+    let eps = nth[k - 1];
+    slots
+        .iter()
+        .flat_map(|row| row.iter().zip(query))
+        .filter(|(v, q)| (*v - *q).abs() <= eps)
+        .count() as u64
+}
+
+#[test]
+fn heap_pops_equal_the_attributes_within_the_kth_difference() {
+    // Theorem 3.2 as a count from the data: a k-n-match (and a frequent
+    // [n0, n1]) walk pops exactly the attributes within the answer's
+    // ε — one pop too many or too few fails — on plain columns and on
+    // S-run snapshots whose tombstoned rows the walk still meets. Each
+    // list retrieves at most two attributes it never pops.
+    let mut rng = TestRng(0x5AAD_0006);
+    for duplicate_heavy in [false, true] {
+        let (c, d) = (150, 5);
+        let data = rows(&mut rng, c, d, duplicate_heavy);
+        let ds = Dataset::from_rows(&data).unwrap();
+        let dead = |key: usize| key % 7 == 3;
+        let live = (0..c).filter(|&key| !dead(key)).count();
+        let points = rows(&mut rng, 4, d, duplicate_heavy);
+        let queries = |rows: usize| -> Vec<BatchQuery> {
+            let mut out = Vec::new();
+            for query in &points {
+                for k in [1, 10, rows] {
+                    for n1 in 1..=d {
+                        out.push(BatchQuery::KnMatch {
+                            query: query.clone(),
+                            k,
+                            n: n1,
+                        });
+                        out.push(BatchQuery::Frequent {
+                            query: query.clone(),
+                            k,
+                            n0: n1.div_ceil(2),
+                            n1,
+                        });
+                    }
+                }
+            }
+            out
+        };
+        let check = |(answer, stats): &(BatchAnswer, AdStats),
+                     q: &BatchQuery,
+                     runs: usize,
+                     live: &dyn Fn(usize) -> bool| {
+            let (query, k, n1) = match q {
+                BatchQuery::KnMatch { query, k, n } => (query, *k, *n),
+                BatchQuery::Frequent { query, k, n1, .. } => (query, *k, *n1),
+                BatchQuery::EpsMatch { .. } => unreachable!("no ε queries here"),
+            };
+            let ctx = format!("dup={duplicate_heavy} runs={runs} {q:?} -> {answer:?}");
+            assert_eq!(
+                stats.heap_pops,
+                attributes_within_kth(&data, live, query, k, n1),
+                "{ctx}"
+            );
+            assert!(
+                stats.attributes_retrieved - stats.heap_pops <= (2 * runs * d) as u64,
+                "{ctx}: {stats:?}"
+            );
+        };
+
+        // Plain sorted columns, every row live.
+        let all = queries(c);
+        for (q, got) in all.iter().zip(sequential(&data, &all)) {
+            check(&got.unwrap(), q, 1, &|_| true);
+        }
+        // 1-, 3- and 9-run snapshots with every seventh key removed.
+        let some = queries(live);
+        for runs in [1, 3, 9] {
+            let engine = sharded(&ds, runs, 2);
+            for key in (0..c).filter(|&key| dead(key)) {
+                engine.remove(key as PointId).unwrap();
+            }
+            let stats = engine.version_stats();
+            assert_eq!((stats.runs, stats.live), (runs, live));
+            assert_eq!(stats.tombstones, c - live);
+            for (q, got) in some.iter().zip(engine.run(&some)) {
+                check(&got.unwrap(), q, runs, &|slot| !dead(slot));
             }
         }
     }

@@ -1,15 +1,15 @@
 //! One engine configuration shared by every front-end.
 //!
-//! `knmatch batch`, `knmatch query` and `knmatch serve` all accept the
-//! same backend flags (`--workers`, `--shards`, `--disk`, `--pool-pages`,
-//! `--verify`, `--planner`); [`EngineConfig`] owns that grammar in one
+//! `knmatch batch` and `knmatch serve` accept the same backend flags
+//! (`--workers`, `--disk`, `--pool-pages`, `--verify`, `--planner`,
+//! `--mutable`); [`EngineConfig`] owns that grammar in one
 //! place and turns it into an [`AnyEngine`] — a [`BatchEngine`] enum over
 //! the backends, so the server loop and the CLI printing code are written
 //! once against the trait instead of once per concrete type.
 //!
 //! The in-memory engine is the run list ([`AnyEngine::Runs`]): one AD walk
-//! over however many runs the snapshot holds — `--shards` lays the
-//! dataset out as more initial runs, `--mutable` adds a writer.
+//! over however many runs the snapshot holds — one at build time,
+//! `--mutable` adds a writer whose seals add more.
 //! `knmatch-core`'s parallel batch engine is not served; it is the
 //! reference the cross-checks hold this engine against.
 
@@ -29,10 +29,6 @@ pub enum Backend {
     /// In-memory [`VersionedIndex`] holding the dataset as one run — plain
     /// AD over one sorted-column organisation, inter-query parallelism.
     Memory,
-    /// The same engine laid out as this many initial runs (contiguous
-    /// point-id shards). A layout choice only: every query is one AD
-    /// walk over all runs, on one worker.
-    Sharded(usize),
     /// Disk-backed [`DiskQueryEngine`] over a `.knm` database file.
     Disk {
         /// Shared buffer-pool capacity in pages.
@@ -57,9 +53,7 @@ pub struct EngineConfig {
     /// single-backend engines.
     pub planner: Option<PlannerMode>,
     /// Exposes the in-memory engine's writer, enabling the
-    /// `INSERT`/`DELETE`/`EPOCH`/`SEAL` verbs (in-memory only). With
-    /// [`Backend::Sharded`] the shard count is the *initial* run count —
-    /// compaction treats those runs like any others.
+    /// `INSERT`/`DELETE`/`EPOCH`/`SEAL` verbs (in-memory only).
     pub mutable: bool,
     /// Delta rows before the versioned index auto-seals (mutable only).
     pub merge_threshold: usize,
@@ -170,8 +164,7 @@ pub fn server_config_from_args(args: &[String]) -> Result<crate::ServerConfig, S
     })
 }
 
-/// The host's available parallelism (≥ 1) — the default for `--workers`
-/// and `--shards auto`.
+/// The host's available parallelism (≥ 1) — the default for `--workers`.
 fn available_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -203,12 +196,12 @@ impl EngineConfig {
     ///
     /// # Errors
     ///
-    /// Planner with a disk or sharded backend, mutable with disk or with
+    /// Planner with the disk backend, mutable with disk or with
     /// planner, or a non-default merge threshold without mutable.
     pub fn check(self) -> Result<EngineConfig, String> {
         if self.planner.is_some() && self.backend != Backend::Memory {
             return Err("--planner routes between the in-memory backends; \
-                        it cannot be combined with --disk or --shards"
+                        it cannot be combined with --disk"
                 .into());
         }
         if self.mutable && matches!(self.backend, Backend::Disk { .. }) {
@@ -228,45 +221,25 @@ impl EngineConfig {
     }
 
     /// Parses the shared backend flags out of a CLI argument list:
-    /// `--workers W`, `--shards <S|auto>`, `--disk`, `--pool-pages P`,
+    /// `--workers W`, `--disk`, `--pool-pages P`,
     /// `--verify <never|first-read|always>`,
     /// `--planner <auto|ad|vafile|scan>`, `--mutable`,
     /// `--merge-threshold N`. Unrelated flags are ignored (the caller
     /// owns the rest of its grammar). Flag parsing lands in an
     /// [`EngineConfigBuilder`], which owns the conflict rules.
     ///
-    /// `--shards auto` means one shard per available CPU, and any shard
-    /// count collapses to 1 on a single-CPU host (more runs only split
-    /// the build's sorts, which one CPU runs back to back anyway).
-    ///
     /// # Errors
     ///
-    /// Malformed numbers or modes, `--shards` combined with `--disk`,
-    /// `--pool-pages` / `--verify` without `--disk`,
-    /// `--merge-threshold` without `--mutable`, `--planner` combined with
-    /// `--disk` / `--shards` / `--mutable`, or `--mutable` combined with
-    /// `--disk` (see [`check`](Self::check)). `--mutable`
-    /// and `--shards` configure the same engine: `--shards` is its initial
-    /// run count, `--mutable` makes it accept writes.
+    /// Malformed numbers or modes, `--pool-pages` / `--verify` without
+    /// `--disk`, `--merge-threshold` without `--mutable`, `--planner`
+    /// combined with `--disk` / `--mutable`, or `--mutable` combined with
+    /// `--disk` (see [`check`](Self::check)).
     pub fn from_args(args: &[String]) -> Result<EngineConfig, String> {
         let mut builder = EngineConfig::builder();
         if let Some(w) = flag_value(args, "--workers") {
             builder = builder.workers(parse_num(w, "--workers")?);
         }
         let disk = args.iter().any(|a| a == "--disk");
-        let shards = flag_value(args, "--shards")
-            .map(|s| match s {
-                "auto" => Ok(available_cpus()),
-                _ => parse_num(s, "--shards"),
-            })
-            .transpose()?
-            // On one CPU a split layout buys nothing; collapse it.
-            .map(|s| if available_cpus() == 1 { 1 } else { s });
-        if disk && shards.is_some() {
-            return Err("--shards lays out the in-memory run list; \
-                        it cannot be combined with --disk"
-                .into());
-        }
         if let Some(mode) = flag_value(args, "--planner") {
             builder = builder.planner(mode.parse::<PlannerMode>()?);
         }
@@ -300,8 +273,6 @@ impl EngineConfig {
                 }
             };
             builder = builder.backend(Backend::Disk { pool_pages, verify });
-        } else if let Some(s) = shards {
-            builder = builder.backend(Backend::Sharded(s.max(1)));
         }
         builder.build()
     }
@@ -313,7 +284,6 @@ impl EngineConfig {
         let mut backend = match (self.backend, self.planner) {
             (Backend::Memory, Some(mode)) => format!("planned ({mode}), in-memory"),
             (Backend::Memory, None) => "in-memory".to_string(),
-            (Backend::Sharded(s), _) => format!("{s} shard(s), in-memory"),
             (Backend::Disk { pool_pages, .. }, _) => format!("disk ({pool_pages} pool pages)"),
         };
         if self.mutable {
@@ -355,7 +325,7 @@ impl EngineConfig {
                     .map(|db| AnyEngine::Disk(db.into_engine(self.workers)))
                     .map_err(|e| e.to_string())
             }
-            Backend::Memory | Backend::Sharded(_) => {
+            Backend::Memory => {
                 let ds = if is_db {
                     DiskDatabase::open_file(path, DEFAULT_POOL_PAGES)
                         .map_err(|e| e.to_string())?
@@ -384,12 +354,8 @@ impl EngineConfig {
         if let Some(mode) = self.planner {
             return AnyEngine::Planned(PlannedEngine::with_workers(ds, self.workers, mode));
         }
-        let runs = match self.backend {
-            Backend::Sharded(s) => s,
-            _ => 1,
-        };
         AnyEngine::Runs {
-            index: VersionedIndex::from_dataset(ds, runs, self.workers, self.merge_threshold)
+            index: VersionedIndex::from_dataset(ds, 1, self.workers, self.merge_threshold)
                 .expect("a dataset has at least one dimension"),
             mutable: self.mutable,
         }
@@ -407,8 +373,8 @@ pub enum AnyEngine {
     Planned(PlannedEngine),
     /// The disk engine over a database file.
     Disk(DiskQueryEngine<FileStore>),
-    /// The in-memory engine, a snapshot of sorted runs: one run unless
-    /// `--shards` asks for more, read-only unless `--mutable`.
+    /// The in-memory engine, a snapshot of sorted runs: one run at build
+    /// time, read-only unless `--mutable`.
     Runs {
         /// The epoch-versioned index queries pin snapshots of.
         index: VersionedIndex,
@@ -450,15 +416,6 @@ impl AnyEngine {
     pub fn pool_pages(&self) -> Option<usize> {
         match self {
             AnyEngine::Disk(e) => Some(e.pool_pages()),
-            _ => None,
-        }
-    }
-
-    /// Runs the current snapshot reads — 1 for the default engine, the
-    /// shard count of a `--shards` engine (run-list backend only).
-    pub fn run_count(&self) -> Option<usize> {
-        match self {
-            AnyEngine::Runs { index, .. } => Some(index.snapshot().run_count()),
             _ => None,
         }
     }
@@ -571,10 +528,6 @@ mod tests {
         assert_eq!(c.workers, 3);
         assert_eq!(c.backend, Backend::Memory);
 
-        let c = EngineConfig::from_args(&argv("--shards 4 --workers 2")).unwrap();
-        let want_shards = if available_cpus() == 1 { 1 } else { 4 };
-        assert_eq!(c.backend, Backend::Sharded(want_shards));
-
         let c = EngineConfig::from_args(&argv("--disk --pool-pages 64 --verify always")).unwrap();
         assert_eq!(
             c.backend,
@@ -593,18 +546,15 @@ mod tests {
             }
         );
 
-        // `--shards` and `--mutable` configure one engine: the initial run
-        // count, and whether it takes writes.
-        let c = EngineConfig::from_args(&argv("--mutable --shards 3")).unwrap();
-        let want_runs = if available_cpus() == 1 { 1 } else { 3 };
+        // `--mutable` makes the one-run engine take writes.
+        let c = EngineConfig::from_args(&argv("--mutable")).unwrap();
         assert!(c.mutable);
-        assert_eq!(c.backend, Backend::Sharded(want_runs));
+        assert_eq!(c.backend, Backend::Memory);
         let e = c.build_in_memory(&knmatch_core::paper::fig3_dataset());
         // What the `EPOCH` verb reports.
         let epoch = e.writer().expect("mutable").version_stats();
-        assert_eq!((epoch.runs, epoch.live), (want_runs, 5));
+        assert_eq!((epoch.runs, epoch.live), (1, 5));
 
-        assert!(EngineConfig::from_args(&argv("--disk --shards 2")).is_err());
         assert!(EngineConfig::from_args(&argv("--mutable --disk")).is_err());
         assert!(EngineConfig::from_args(&argv("--pool-pages 9")).is_err());
         assert!(EngineConfig::from_args(&argv("--verify always")).is_err());
@@ -636,52 +586,44 @@ mod tests {
             .map(|(answer, stats)| (Ok(answer), stats))
             .unzip();
 
-        for cfg in [
+        let configured = |planner, mutable| {
             EngineConfig {
                 workers: 2,
+                planner,
+                mutable,
                 ..EngineConfig::default()
-            },
-            EngineConfig {
-                workers: 2,
-                planner: Some(PlannerMode::Auto),
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                workers: 2,
-                backend: Backend::Sharded(2),
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                workers: 2,
-                mutable: true,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                workers: 2,
-                backend: Backend::Sharded(3),
-                mutable: true,
-                ..EngineConfig::default()
-            },
+            }
+            .build_in_memory(&ds)
+        };
+        // The same run-list engine over more than one run.
+        let runs = |s, mutable| AnyEngine::Runs {
+            index: VersionedIndex::from_dataset(&ds, s, 2, DEFAULT_MERGE_THRESHOLD).unwrap(),
+            mutable,
+        };
+        for (e, mutable, one_run) in [
+            (configured(None, false), false, true),
+            (configured(Some(PlannerMode::Auto), false), false, false),
+            (runs(2, false), false, false),
+            (configured(None, true), true, true),
+            (runs(3, true), true, false),
         ] {
-            let e = cfg.build_in_memory(&ds);
             // Read-only engines expose no writer, the default included.
-            assert_eq!(e.writer().is_some(), cfg.mutable, "{cfg:?}");
+            assert_eq!(e.writer().is_some(), mutable, "{e:?}");
             let outs = e.run(&batch);
             // The default engine (and its mutable twin) is one run, which
             // is plain AD: the reference's cost counters, not just answers.
-            if cfg.backend == Backend::Memory && cfg.planner.is_none() {
-                assert_eq!(e.run_count(), Some(1));
+            if one_run {
                 let stats: Vec<_> = outs
                     .iter()
                     .map(|r| r.as_ref().unwrap().ad_stats())
                     .collect();
-                assert_eq!(stats, want_stats, "mutable {}", cfg.mutable);
+                assert_eq!(stats, want_stats, "mutable {mutable}");
             }
             let got: Vec<_> = outs
                 .into_iter()
                 .map(|r| r.map(|o| o.into_answer()))
                 .collect();
-            assert_eq!(got, want, "backend {:?}", cfg.backend);
+            assert_eq!(got, want, "{e:?}");
             assert_eq!(e.workers(), 2);
         }
     }
@@ -699,12 +641,6 @@ mod tests {
         };
         assert!(c.describe().contains("disk"));
         let c = EngineConfig {
-            workers: 2,
-            backend: Backend::Sharded(3),
-            ..EngineConfig::default()
-        };
-        assert!(c.describe().contains("3 shard(s)"));
-        let c = EngineConfig {
             planner: Some(PlannerMode::VaFile),
             ..EngineConfig::default()
         };
@@ -715,11 +651,6 @@ mod tests {
             ..EngineConfig::default()
         };
         assert!(c.describe().contains("mutable") && c.describe().contains("77"));
-        let c = EngineConfig {
-            backend: Backend::Sharded(3),
-            ..c
-        };
-        assert!(c.describe().contains("mutable") && c.describe().contains("3 shard(s)"));
     }
 
     #[test]
@@ -736,7 +667,6 @@ mod tests {
         let refused = EngineConfig::from_args(&argv("--planner igrid")).unwrap_err();
         assert!(refused.contains("auto|ad|vafile|scan"), "{refused}");
         assert!(EngineConfig::from_args(&argv("--planner auto --disk")).is_err());
-        assert!(EngineConfig::from_args(&argv("--planner auto --shards 2")).is_err());
     }
 
     #[test]
@@ -777,15 +707,7 @@ mod tests {
         let c = EngineConfig::builder().build().unwrap();
         assert_eq!(c, EngineConfig::default());
 
-        // Shards are the mutable index's initial runs…
-        let c = EngineConfig::builder()
-            .mutable(true)
-            .backend(Backend::Sharded(2))
-            .build()
-            .unwrap();
-        assert!(c.mutable);
-        assert_eq!(c.backend, Backend::Sharded(2));
-        // …but it stays an in-memory organisation of its own.
+        // The mutable index is an in-memory organisation of its own.
         assert!(EngineConfig::builder()
             .mutable(true)
             .backend(Backend::Disk {
@@ -814,12 +736,11 @@ mod tests {
             pool_pages: 8,
             verify: VerifyMode::Never,
         };
-        let sharded = Backend::Sharded(2);
         let cases = [
             (
                 EngineConfig {
                     planner,
-                    backend: sharded,
+                    backend,
                     ..base
                 },
                 "--planner routes between the in-memory backends",
@@ -891,15 +812,6 @@ mod tests {
         let epoch = w.insert(100, &vec![1.0; ds.dims()]).unwrap();
         assert!(epoch > 0);
         assert_eq!(e.cardinality(), ds.len() + 1);
-    }
-
-    #[test]
-    fn shards_auto_and_single_cpu_clamp() {
-        let c = EngineConfig::from_args(&argv("--shards auto")).unwrap();
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let expect = if cpus == 1 { 1 } else { cpus };
-        assert_eq!(c.backend, Backend::Sharded(expect));
-        assert!(EngineConfig::from_args(&argv("--shards several")).is_err());
     }
 
     #[test]

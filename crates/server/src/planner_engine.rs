@@ -27,7 +27,7 @@ use knmatch_core::{
     BandEngine, BatchAnswer, BatchEngine, BatchOptions, BatchQuery, Dataset, FilterScratch,
     PlanTally, PlannerMode, Result as CoreResult, ScanEngine, Scratch, SortedColumns,
 };
-use knmatch_storage::{plan_in_memory, BackendChoice, MemCostModel, MemPlanChoice, MemPlanInputs};
+use knmatch_storage::{plan_in_memory, BackendChoice, MemCostModel, MemPlan, MemPlanInputs};
 use knmatch_vafile::va_engine;
 
 /// Points sampled by the planner's candidate-fraction probe (a strided
@@ -89,11 +89,6 @@ impl PlannedEngine {
         }
     }
 
-    /// The served dataset.
-    pub fn dataset(&self) -> &Arc<Dataset> {
-        &self.data
-    }
-
     /// The sorted-column organisation the AD backend (and the planner's
     /// selectivity probe) runs over.
     pub fn columns(&self) -> &Arc<SortedColumns> {
@@ -130,13 +125,13 @@ impl PlannedEngine {
     /// `k`/`n` out of range, invalid `eps`) — identical errors, identical
     /// precedence, so an invalid query fails the same way whether it is
     /// planned or dispatched directly.
-    pub fn plan_for(&self, query: &BatchQuery) -> CoreResult<MemPlanChoice> {
+    pub fn plan_for(&self, query: &BatchQuery) -> CoreResult<MemPlan> {
         query.validate(self.data.dims(), self.data.len())?;
         Ok(self.plan_valid(query))
     }
 
     /// [`Self::plan_for`] for a query that has passed validation.
-    fn plan_valid(&self, query: &BatchQuery) -> MemPlanChoice {
+    fn plan_valid(&self, query: &BatchQuery) -> MemPlan {
         plan_in_memory(&self.inputs_valid(query), &self.model)
     }
 

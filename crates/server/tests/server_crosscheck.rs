@@ -13,9 +13,13 @@ mod common;
 use std::thread;
 
 use common::{backends, on, with_server};
-use knmatch_core::{BatchEngine, BatchOutcome, BatchQuery, KnMatchError};
+use knmatch_core::{
+    BatchEngine, BatchOutcome, BatchQuery, KnMatchError, VersionedIndex, DEFAULT_MERGE_THRESHOLD,
+};
 use knmatch_data::uniform;
-use knmatch_server::{Backend, Client, EngineConfig, ErrorKind, ServerConfig, StatsReport};
+use knmatch_server::{
+    AnyEngine, Backend, Client, EngineConfig, ErrorKind, ServerConfig, StatsReport,
+};
 use knmatch_storage::DiskDatabase;
 
 /// A mixed workload: all three query kinds plus two invalid slots (a
@@ -67,11 +71,26 @@ fn expected_wire<O: BatchOutcome>(
         .collect()
 }
 
-/// Serves `path` on `backend` over the reactor × worker grid and returns
-/// what a direct run answers (the same in every cell of the grid).
+/// The engine `EngineConfig` opens over `path` for `backend` at `workers`.
+fn configured(backend: Backend, path: &str) -> impl Fn(usize) -> AnyEngine + '_ {
+    move |workers| {
+        EngineConfig {
+            workers,
+            backend,
+            planner: None,
+            ..EngineConfig::default()
+        }
+        .open(path)
+        .expect("open engine")
+    }
+}
+
+/// Serves the engine `open` builds for each worker count over the
+/// reactor × worker grid and returns what a direct run answers (the same
+/// in every cell of the grid).
 fn check_backend(
-    backend: Backend,
-    path: &str,
+    label: &str,
+    open: impl Fn(usize) -> AnyEngine,
 ) -> Vec<Result<knmatch_core::BatchAnswer, (ErrorKind, String)>> {
     let queries = workload(4);
     let mut direct = Vec::new();
@@ -79,13 +98,7 @@ fn check_backend(
         .into_iter()
         .flat_map(|r| [1, 2, 4].map(|w| (r, w)));
     for (reactor, workers) in grid {
-        let cfg = EngineConfig {
-            workers,
-            backend,
-            planner: None,
-            ..EngineConfig::default()
-        };
-        let engine = cfg.open(path).expect("open engine");
+        let engine = open(workers);
         let expected = expected_wire(engine.run(&queries));
 
         let (stats, _) = with_server(engine, on(reactor), |addr| {
@@ -101,7 +114,7 @@ fn check_backend(
                         for _ in 0..2 {
                             let reply = client.run_batch(queries).expect("batch");
                             assert_eq!(reply.answers.len(), expected.len());
-                            assert_eq!(reply.ok, 12, "{backend:?} x{workers} on {reactor}");
+                            assert_eq!(reply.ok, 12, "{label} x{workers} on {reactor}");
                             assert_eq!(reply.failed, 2);
                             for (got, want) in reply.answers.iter().zip(expected) {
                                 match (got, want) {
@@ -133,15 +146,21 @@ fn memory_backend_bit_identical_over_the_wire() {
     // The in-memory engine loads a CSV or the `.knm` built from the same
     // points (heap pages streamed into a dataset) to the same answers.
     assert_eq!(
-        check_backend(Backend::Memory, &csv),
-        check_backend(Backend::Memory, &db)
+        check_backend("memory", configured(Backend::Memory, &csv)),
+        check_backend("memory", configured(Backend::Memory, &db))
     );
 }
 
 #[test]
 fn sharded_backend_bit_identical_over_the_wire() {
+    // The run-list engine over three runs: one AD walk over all of them.
     let (_dir, csv, _db) = temp_files("shard");
-    check_backend(Backend::Sharded(3), &csv);
+    let ds = knmatch_data::load_dataset(&csv).expect("load csv");
+    check_backend("3 runs", |workers| AnyEngine::Runs {
+        index: VersionedIndex::from_dataset(&ds, 3, workers, DEFAULT_MERGE_THRESHOLD)
+            .expect("valid dataset"),
+        mutable: false,
+    });
 }
 
 #[test]
@@ -226,13 +245,11 @@ fn planless_on(cfg: ServerConfig, csv: &str) {
 #[test]
 fn disk_backend_bit_identical_over_the_wire() {
     let (_dir, _csv, db) = temp_files("disk");
-    check_backend(
-        Backend::Disk {
-            pool_pages: 64,
-            verify: knmatch_storage::VerifyMode::FirstRead,
-        },
-        &db,
-    );
+    let disk = Backend::Disk {
+        pool_pages: 64,
+        verify: knmatch_storage::VerifyMode::FirstRead,
+    };
+    check_backend("disk", configured(disk, &db));
 }
 
 /// Writes the shared 200 x 4 uniform dataset as both a CSV and a `.knm`

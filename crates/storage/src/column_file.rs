@@ -228,8 +228,8 @@ impl SortedColumnFile {
 
     /// Page-granular estimate of the rank of the first entry in `dim` with
     /// value `>= q`, from the in-memory fence keys alone — **no I/O**.
-    /// Accurate to within one page (the planner's selectivity estimates
-    /// only need page granularity).
+    /// Accurate to within one page; the tests' reference columns finish
+    /// the search on the page it names.
     pub fn locate_fences_only(&self, dim: usize, q: f64) -> usize {
         let j = self.fences[dim].partition_point(|&f| f < q);
         (j * COLUMN_ENTRIES_PER_PAGE).min(self.cardinality)

@@ -64,9 +64,6 @@ pub use fault::{FaultConfig, FaultStore};
 pub use heap_file::{HeapFile, SCAN_GROUP};
 pub use page::{PageBuf, COLUMN_ENTRIES_PER_PAGE, PAGE_SIZE};
 pub use persist::{FORMAT_VERSION, MAGIC};
-pub use planner::{
-    plan_in_memory, BackendChoice, MemCostModel, MemPlanChoice, MemPlanInputs, Plan, PlanChoice,
-    PLANNER_SAMPLE,
-};
+pub use planner::{plan_in_memory, BackendChoice, MemCostModel, MemPlan, MemPlanInputs};
 pub use shared_pool::{ReadSession, RetryPolicy, SharedBufferPool, DEFAULT_SHARDS, POINT_LOOKUP};
 pub use store::{FileStore, MemStore, PageStore, SharedPageStore, VerifyMode, TRAILER_MAGIC};

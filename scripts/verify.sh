@@ -39,7 +39,8 @@
 #   6c. mvcc:   run-list crosscheck (the path every default server
 #               runs: one AD walk over S runs × workers vs sequential AD
 #               on one SortedColumns — answers bit-identical, heap_pops
-#               equal to the one-run walk, S·d locate probes) +
+#               equal to the one-run walk and to the attributes within
+#               the answer's ε (Theorem 3.2), S·d locate probes) +
 #               versioned-index oracle
 #               crosscheck + mutable-serve suite in release (randomized
 #               interleaved writes vs a rebuild-from-scratch oracle;
