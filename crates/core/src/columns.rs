@@ -184,9 +184,13 @@ impl SortedColumns {
     pub(crate) fn build_rows(rows: &[f64], dims: usize, workers: usize) -> Self {
         debug_assert_eq!(rows.len() % dims, 0);
         let cardinality = rows.len() / dims;
-        let cols = run_batch(workers.max(1), dims, Vec::new, |pairs, dim| {
-            sort_dim(rows, dims, dim, pairs)
-        });
+        let cols = run_batch(
+            workers.max(1),
+            dims,
+            Vec::new,
+            |pairs, dim| sort_dim(rows, dims, dim, pairs),
+            drop,
+        );
         let mut values = Vec::with_capacity(dims * cardinality);
         let mut pids = Vec::with_capacity(dims * cardinality);
         for (v, p) in cols {

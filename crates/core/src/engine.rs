@@ -8,20 +8,22 @@
 //! `frequent_lists` loop — same frontier, same tie-breaking, same counters
 //! — and their answers and [`AdStats`] are bit-for-bit identical to a
 //! sequential loop, in input order, regardless of worker count or
-//! scheduling. [`run_batch`] is the one parallel loop they share:
-//! `std::thread::scope` workers (no extra dependencies, no `unsafe`)
-//! claiming queries off an atomic counter, each with one reusable
-//! per-thread context, so a batch of `q` queries costs `W` scratch
-//! allocations, not `q`.
+//! scheduling. [`Park::run`] is the one batch loop they share: it arms,
+//! isolates panics and notes fail-fast outcomes per query, and hands
+//! every worker its state from the engine's [`Park`], so a warm engine's
+//! workers — spawned per batch by [`run_batch`], `std::thread::scope`
+//! threads claiming queries off an atomic counter (no extra
+//! dependencies, no `unsafe`) — build no working memory of their own.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::ad::{eps_lists, frequent_lists, validate_eps, validate_params, AdStats};
 use crate::error::{panic_message, KnMatchError, Result};
+use crate::filter::FilterScratch;
 use crate::frontier::SortedLists;
 use crate::result::{FrequentResult, KnMatchResult};
 use crate::scratch::{QueryControl, Scratch};
@@ -321,23 +323,12 @@ pub trait BatchEngine {
     }
 }
 
-/// Records `result` against an armed control: a failed query trips the
-/// batch's fail-fast cancel flag (a no-op without one). Shared by every
-/// batch engine so fail-fast semantics cannot drift.
-pub fn note_outcome<T>(control: &QueryControl, result: &Result<T>) {
-    if result.is_err() {
-        if let Some(flag) = &control.cancel {
-            flag.store(true, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Runs `f`, converting a panic into [`KnMatchError::Panicked`] so one
 /// query's panic is isolated to its own result slot. The payload is
 /// rendered with [`panic_message`]; callers that smuggle richer errors
 /// through panics (the disk engine's storage errors) do their own
-/// downcast before falling back to this.
-pub fn isolate_panic<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
+/// downcast inside `f`.
+fn isolate_panic<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
     catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
         Err(KnMatchError::Panicked {
             message: panic_message(payload.as_ref()),
@@ -391,27 +382,40 @@ pub(crate) fn execute_lists<L: SortedLists>(
 /// Runs `count` independent work items over a pool of `workers` threads,
 /// returning the per-item outputs in item order.
 ///
-/// Every batch engine schedules through it — the run list, the planner,
-/// the disk engine over its shared buffer pool — so they share the exact
-/// scheduling behaviour: workers claim
-/// item indices in chunks of 4 off one atomic counter, each builds its
-/// own per-thread context once (`init`), and results travel back in one
-/// message per worker. With `workers <= 1` everything runs on the calling
-/// thread with a single context and no thread machinery, which keeps the
-/// sequential path trivially inspectable.
+/// [`Park::run`], every engine's batch loop, schedules through it, and so
+/// does the per-dimension sort of a column build. Workers claim item
+/// indices in chunks of 4 off one atomic counter, each builds its
+/// per-thread context (`init`) on its first claim — a worker left
+/// without items builds none — and hands it to `finish` once no item is
+/// left to claim; results travel back in one message per worker. With
+/// `workers <= 1` everything runs on the calling thread with a single
+/// context and no thread machinery, which keeps the sequential path
+/// trivially inspectable.
 ///
 /// Item outputs must not depend on scheduling: `exec` receives only its
 /// per-thread context and the item index, so for deterministic `exec` the
 /// returned vector is identical at any worker count.
-pub fn run_batch<T, Ctx, I, E>(workers: usize, count: usize, init: I, exec: E) -> Vec<T>
+pub fn run_batch<T, Ctx, I, E, F>(
+    workers: usize,
+    count: usize,
+    init: I,
+    exec: E,
+    finish: F,
+) -> Vec<T>
 where
     T: Send,
     I: Fn() -> Ctx + Sync,
     E: Fn(&mut Ctx, usize) -> T + Sync,
+    F: Fn(Ctx) + Sync,
 {
-    if workers <= 1 || count <= 1 {
+    if count == 0 {
+        return Vec::new();
+    }
+    if workers <= 1 || count == 1 {
         let mut ctx = init();
-        return (0..count).map(|i| exec(&mut ctx, i)).collect();
+        let out = (0..count).map(|i| exec(&mut ctx, i)).collect();
+        finish(ctx);
+        return out;
     }
     let workers = workers.min(count);
     let next = AtomicUsize::new(0);
@@ -422,8 +426,9 @@ where
             let next = &next;
             let init = &init;
             let exec = &exec;
+            let finish = &finish;
             s.spawn(move || {
-                let mut ctx = init();
+                let mut ctx = None;
                 let mut done: Vec<(usize, T)> = Vec::new();
                 loop {
                     // Claim a small chunk per atomic op; big enough to
@@ -433,10 +438,14 @@ where
                     if start >= count {
                         break;
                     }
+                    let ctx = ctx.get_or_insert_with(init);
                     let end = (start + CLAIM_CHUNK).min(count);
                     for i in start..end {
-                        done.push((i, exec(&mut ctx, i)));
+                        done.push((i, exec(ctx, i)));
                     }
+                }
+                if let Some(ctx) = ctx {
+                    finish(ctx);
                 }
                 // One send per worker: answers travel in bulk, not one
                 // channel node per item.
@@ -456,6 +465,112 @@ where
         .into_iter()
         .map(|s| s.expect("each claimed index sends exactly one result"))
         .collect()
+}
+
+/// Per-worker working memory that a [`Park`] keeps between batches.
+pub trait WorkerState: Send {
+    /// Readies this state for a batch run under `control`, replacing
+    /// whatever control an earlier batch left in it.
+    fn arm(&mut self, control: &QueryControl);
+}
+
+impl WorkerState for Scratch {
+    fn arm(&mut self, control: &QueryControl) {
+        self.control = control.clone();
+    }
+}
+
+impl WorkerState for FilterScratch {
+    fn arm(&mut self, control: &QueryControl) {
+        self.control = control.clone();
+    }
+}
+
+impl<A: WorkerState, B: WorkerState> WorkerState for (A, B) {
+    fn arm(&mut self, control: &QueryControl) {
+        self.0.arm(control);
+        self.1.arm(control);
+    }
+}
+
+/// The one home of an engine's per-worker state between batches.
+///
+/// Every served engine owns one (the run list's lives on its
+/// [`VersionedIndex`](crate::VersionedIndex) and is shared by the
+/// snapshots it pins) and runs every batch through [`Park::run`]. A
+/// worker takes a parked state, or builds a fresh one when none is
+/// parked, arms it with its batch's [`QueryControl`], and parks it again
+/// when it has no query left to claim. So a worker spawned for this
+/// batch starts as warm as one that served the last, and a park holds at
+/// most as many states as the engine has ever had workers running at
+/// once — there is no cap to configure.
+pub struct Park<C> {
+    kept: Mutex<Vec<C>>,
+}
+
+impl<C> Default for Park<C> {
+    fn default() -> Self {
+        Park {
+            kept: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl<C> std::fmt::Debug for Park<C> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Park")
+            .field("kept", &self.kept().len())
+            .finish()
+    }
+}
+
+impl<C> Park<C> {
+    /// The parked states. Nothing panics while the lock is held, so a
+    /// poisoned one still guards a sound list.
+    fn kept(&self) -> MutexGuard<'_, Vec<C>> {
+        self.kept.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<C: WorkerState> Park<C> {
+    /// Runs `queries` over up to `workers` threads under `opts` and
+    /// returns one result per query in input order: the batch loop every
+    /// served engine shares.
+    ///
+    /// Each worker draws its state from this park (or from `fresh`) and
+    /// arms it with the batch's control, so a parked state never carries
+    /// an earlier batch's deadline or cancel flag. `exec` answers one
+    /// query on it. A panic in `exec` fails only that query's slot
+    /// ([`KnMatchError::Panicked`]) and leaves the state in use, since
+    /// every query starts its walk afresh; under fail-fast, a failed
+    /// query trips the batch's cancel flag.
+    pub fn run<T: Send>(
+        &self,
+        workers: usize,
+        queries: &[BatchQuery],
+        opts: &BatchOptions,
+        fresh: impl Fn() -> C + Sync,
+        exec: impl Fn(&mut C, &BatchQuery) -> Result<T> + Sync,
+    ) -> Vec<Result<T>> {
+        let control = opts.arm();
+        run_batch(
+            workers,
+            queries.len(),
+            || {
+                let mut state = self.kept().pop().unwrap_or_else(&fresh);
+                state.arm(&control);
+                state
+            },
+            |state, i| {
+                let out = isolate_panic(|| exec(state, &queries[i]));
+                if let (Err(_), Some(flag)) = (&out, &control.cancel) {
+                    flag.store(true, Ordering::Relaxed);
+                }
+                out
+            },
+            |state| self.kept().push(state),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -616,6 +731,74 @@ mod tests {
                 message: "non-string panic payload".into()
             })
         );
+    }
+
+    /// Sorted access over `cols` that panics on its `left`-th entry read:
+    /// a query that dies mid-walk.
+    struct Tripwire<'a> {
+        cols: &'a SortedColumns,
+        left: usize,
+    }
+
+    impl SortedAccessSource for Tripwire<'_> {
+        fn dims(&self) -> usize {
+            self.cols.dims()
+        }
+
+        fn cardinality(&self) -> usize {
+            self.cols.cardinality()
+        }
+
+        fn locate(&mut self, dim: usize, q: f64) -> usize {
+            SortedAccessSource::locate(&mut self.cols, dim, q)
+        }
+
+        fn entry(&mut self, dim: usize, rank: usize) -> crate::source::SortedEntry {
+            self.left = self.left.checked_sub(1).expect("tripwire");
+            SortedAccessSource::entry(&mut self.cols, dim, rank)
+        }
+    }
+
+    #[test]
+    fn a_parked_state_is_armed_afresh_after_a_panic_mid_walk() {
+        let cols = SortedColumns::build(&crate::paper::fig3_dataset());
+        let mut scratch = Scratch::new();
+        let want: Vec<_> = batch()
+            .iter()
+            .map(|q| execute_batch_query(&mut &cols, q, &mut scratch))
+            .collect();
+        let armed = BatchOptions {
+            deadline: Some(Duration::from_secs(3600)),
+            fail_fast: true,
+            ..BatchOptions::default()
+        };
+        for workers in [1, 2] {
+            let park = Park::default();
+            let died = park.run(workers, &batch(), &armed, Scratch::new, |scratch, q| {
+                execute_batch_query(
+                    &mut Tripwire {
+                        cols: &cols,
+                        left: 3,
+                    },
+                    q,
+                    scratch,
+                )
+            });
+            // The first query dies mid-walk; fail-fast cancels the rest.
+            assert!(matches!(died[0], Err(KnMatchError::Panicked { .. })));
+            assert!(died[1..].iter().all(|r| *r == Err(KnMatchError::Cancelled)));
+            let got = park.run(
+                workers,
+                &batch(),
+                &BatchOptions::default(),
+                Scratch::new,
+                |scratch, q| {
+                    assert!(scratch.control.deadline.is_none() && scratch.control.cancel.is_none());
+                    execute_batch_query(&mut &cols, q, scratch)
+                },
+            );
+            assert_eq!(got, want, "workers {workers}");
+        }
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub struct FilterScratch {
     counts: Vec<u16>,
     diffs: Vec<f64>,
     /// Deadline/cancellation the next query must honour (the batch loop
-    /// stamps it per batch, like [`Scratch`](crate::Scratch)).
+    /// arms it per batch, like [`Scratch`](crate::Scratch)).
     pub control: QueryControl,
 }
 
@@ -79,14 +79,6 @@ impl FilterScratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         FilterScratch::default()
-    }
-
-    /// A fresh scratch armed with `control`.
-    pub fn with_control(control: QueryControl) -> Self {
-        FilterScratch {
-            control,
-            ..FilterScratch::default()
-        }
     }
 }
 

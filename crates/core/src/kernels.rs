@@ -27,8 +27,7 @@
 //! replaced; it stays as the correctness oracle for the unit tests and as
 //! the baseline the `planner_crossover` bench measures the speedup against.
 
-use crate::topk::TopK;
-use crate::{MatchEntry, PointId};
+use crate::MatchEntry;
 
 /// Unroll width (in `u8` cells) of the band-count kernel. One AVX2 vector
 /// holds 32 bytes; without AVX2 compiled in, 8 keeps the scalar pipeline
@@ -134,16 +133,6 @@ pub fn nth_smallest(buf: &mut [f64], n: usize) -> f64 {
 /// the PR-3 tie-break that makes answers a pure function of the data).
 pub fn sort_canonical(entries: &mut [MatchEntry]) {
     entries.sort_unstable_by(|a, b| a.diff.total_cmp(&b.diff).then(a.pid.cmp(&b.pid)));
-}
-
-/// Offers `(pid, diff)` pairs into a fresh canonical top-`k` collector —
-/// convenience for filter backends that rank a candidate list.
-pub fn top_k_of(pairs: impl IntoIterator<Item = (PointId, f64)>, k: usize) -> TopK {
-    let mut top = TopK::new(k);
-    for (pid, diff) in pairs {
-        top.offer(pid, diff);
-    }
-    top
 }
 
 #[cfg(test)]
@@ -297,12 +286,5 @@ mod tests {
         ];
         sort_canonical(&mut e);
         assert_eq!(e.iter().map(|x| x.pid).collect::<Vec<_>>(), vec![4, 2, 9]);
-    }
-
-    #[test]
-    fn top_k_of_is_canonical() {
-        let top = top_k_of([(3u32, 1.0), (1, 1.0), (2, 0.5)], 2);
-        let got: Vec<_> = top.into_sorted().into_iter().map(|(p, _)| p).collect();
-        assert_eq!(got, vec![2, 1]);
     }
 }

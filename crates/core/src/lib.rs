@@ -59,7 +59,8 @@
 //! - [`scratch`] / [`Scratch`] — reusable epoch-stamped query working memory;
 //! - [`engine`] / [`BatchEngine`] — the batch query API every served
 //!   engine implements, its one dispatch ([`execute_batch_query`]) and its
-//!   one parallel loop ([`run_batch`]);
+//!   one batch loop ([`Park::run`], over the parallel loop [`run_batch`]),
+//!   which keeps each engine's per-worker state between batches;
 //! - [`kernels`] — autovectorization-friendly inner-loop kernels for the
 //!   filter and scan hot paths;
 //! - [`filter`] / [`ScanEngine`] / [`BandEngine`] — exact per-query
@@ -115,8 +116,8 @@ pub use ad::{
 };
 pub use columns::{ColumnView, SortedColumns};
 pub use engine::{
-    execute_batch_query, isolate_panic, note_outcome, run_batch, BatchAnswer, BatchEngine,
-    BatchOptions, BatchOutcome, BatchQuery, PlanTally, PlannerMode,
+    execute_batch_query, run_batch, BatchAnswer, BatchEngine, BatchOptions, BatchOutcome,
+    BatchQuery, Park, PlanTally, PlannerMode, WorkerState,
 };
 pub use error::{panic_message, KnMatchError, Result};
 pub use fagin::{GradedLists, MiddlewareStats, MinAggregate, MonotoneAggregate, WeightedSum};

@@ -10,15 +10,12 @@
 //! current epoch reads as zero. Starting a query is a single integer
 //! increment.
 //!
-//! Reuse also works *across* engine calls: a dropped `Scratch` parks its
-//! buffers in a per-thread pool that [`QueryControl::scratch`] draws
-//! from, so a long-lived thread issuing many small
-//! [`run_with`](crate::BatchEngine::run_with) calls (the event-loop
-//! server's executors pipeline single-query jobs this way) pays the
-//! O(c) warm-up once instead of per call.
+//! Reuse also works *across* engine calls: every engine keeps its
+//! workers' scratches in its [`Park`](crate::Park) between batches, so a
+//! server issuing many small [`run_with`](crate::BatchEngine::run_with)
+//! calls (one per single-query job) pays the O(c) warm-up once per
+//! worker, not per call, whichever thread runs the batch.
 
-use std::cell::RefCell;
-use std::mem;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -40,9 +37,9 @@ const CONTROL_CHECK_INTERVAL: u32 = 64;
 /// A default `QueryControl` imposes nothing: the checks reduce to two
 /// `None` tests and the healthy path's answers and
 /// [`AdStats`](crate::AdStats) are bit-identical to a build without any
-/// control plumbing. Engines stamp a control into their workers'
-/// [`Scratch`] per batch (see
-/// [`BatchOptions`](crate::engine::BatchOptions)).
+/// control plumbing. Engines arm their workers' [`Scratch`] with a
+/// control per batch (see [`BatchOptions`](crate::engine::BatchOptions)
+/// and [`Park::run`](crate::Park::run)).
 #[derive(Debug, Clone, Default)]
 pub struct QueryControl {
     /// Absolute point in time after which the query gives up with
@@ -58,21 +55,6 @@ impl QueryControl {
     /// A control that never interrupts (the default).
     pub fn none() -> Self {
         QueryControl::default()
-    }
-
-    /// A [`Scratch`] already carrying a clone of this control — the
-    /// per-worker init every batch engine uses, factored here so the
-    /// engines cannot drift on how workers are armed. Buffers come from
-    /// this thread's pool of previously dropped scratches when one is
-    /// available, so repeated small batches skip the O(c) warm-up.
-    pub fn scratch(&self) -> Scratch {
-        let mut s = SCRATCH_POOL
-            .try_with(|p| p.borrow_mut().pop())
-            .ok()
-            .flatten()
-            .unwrap_or_default();
-        s.set_control(self.clone());
-        s
     }
 
     /// Whether any check could ever fire.
@@ -139,11 +121,6 @@ pub(crate) struct EpochMarks {
 }
 
 impl EpochMarks {
-    /// Whether the marks carry grown buffers worth recycling.
-    fn is_warm(&self) -> bool {
-        !self.marks.is_empty()
-    }
-
     /// Starts a query over a source of `c` slots: grows the array if
     /// this source is larger than any seen before, then invalidates every
     /// slot by bumping the epoch. On the (once per 2¹⁶ queries) epoch wrap
@@ -190,7 +167,7 @@ impl EpochMarks {
 /// array of length `c`; with a reused one it is an integer increment.
 ///
 /// Not `Sync`/shareable: use one per thread (every batch engine keeps
-/// one per worker, see [`run_batch`](crate::run_batch)).
+/// one per worker in its [`Park`](crate::Park)).
 ///
 /// # Examples
 ///
@@ -217,46 +194,6 @@ impl Scratch {
     /// An empty scratch; buffers are grown on first use.
     pub fn new() -> Self {
         Scratch::default()
-    }
-
-    /// Sets the [`QueryControl`] subsequent queries will honour.
-    pub fn set_control(&mut self, control: QueryControl) {
-        self.control = control;
-    }
-}
-
-/// Scratches a thread keeps warm at most; each holds roughly 4 bytes per
-/// point of the largest source it has served, so the pool is a bounded
-/// per-thread cache, not a leak.
-const SCRATCH_POOL_CAP: usize = 4;
-
-thread_local! {
-    /// Buffers of dropped scratches, recycled by [`QueryControl::scratch`].
-    static SCRATCH_POOL: RefCell<Vec<Scratch>> = const { RefCell::new(Vec::new()) };
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        if !self.marks.is_warm() {
-            return;
-        }
-        // Park the grown buffers (control is deliberately reset — a
-        // recycled scratch must not inherit a stale deadline or cancel
-        // flag). `try_with` fails during thread teardown, in which case
-        // the buffers are simply freed. A discarded entry drops plain
-        // `Vec`s inside the closure, so this cannot re-enter the pool.
-        let marks = mem::take(&mut self.marks);
-        let walker = mem::take(&mut self.walker);
-        let _ = SCRATCH_POOL.try_with(move |p| {
-            let mut p = p.borrow_mut();
-            if p.len() < SCRATCH_POOL_CAP {
-                p.push(Scratch {
-                    marks,
-                    walker,
-                    control: QueryControl::none(),
-                });
-            }
-        });
     }
 }
 

@@ -80,13 +80,11 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use crate::ad::AdStats;
 use crate::columns::{locate_lockstep, SortedColumns};
-use crate::engine::{
-    execute_lists, isolate_panic, note_outcome, run_batch, BatchAnswer, BatchEngine, BatchOptions,
-    BatchQuery,
-};
+use crate::engine::{execute_lists, BatchAnswer, BatchEngine, BatchOptions, BatchQuery, Park};
 use crate::error::{KnMatchError, Result};
 use crate::frontier::SortedLists;
 use crate::point::{validate_finite, Dataset, PointId};
+use crate::scratch::Scratch;
 use crate::source::{SortedAccessSource, SortedEntry};
 
 /// Default number of delta rows that triggers an automatic seal.
@@ -292,6 +290,8 @@ impl SortedLists for &ViewInner {
 pub struct EpochSnapshot {
     inner: Arc<ViewInner>,
     workers: usize,
+    /// The index's worker scratches, shared by every snapshot it pins.
+    park: Arc<Park<Scratch>>,
 }
 
 impl EpochSnapshot {
@@ -384,26 +384,19 @@ impl BatchEngine for EpochSnapshot {
     /// Runs the batch against this frozen view: each query a single AD
     /// walk over every run's sorted lists (see the module docs),
     /// validated once against the snapshot's `(dims, live)` shape, one
-    /// query per [`run_batch`] work item with a per-worker scratch;
-    /// deadlines, fail-fast and panic isolation are per query.
+    /// query per work item of [`Park::run`] on a scratch kept by the
+    /// index; deadlines, fail-fast and panic isolation are per query.
     fn run_with(
         &self,
         queries: &[BatchQuery],
         opts: &BatchOptions,
     ) -> Vec<Result<(BatchAnswer, AdStats)>> {
-        let control = opts.arm();
         let lists = &*self.inner;
-        run_batch(
-            self.workers,
-            queries.len(),
-            || control.scratch(),
-            |scratch, i| {
+        self.park
+            .run(self.workers, queries, opts, Scratch::new, |scratch, q| {
                 let mut view = lists;
-                let out = isolate_panic(|| execute_lists(&mut view, &queries[i], scratch));
-                note_outcome(&control, &out);
-                out
-            },
-        )
+                execute_lists(&mut view, q, scratch)
+            })
     }
 }
 
@@ -484,6 +477,8 @@ pub struct VersionedIndex {
     merge_threshold: usize,
     writer: Mutex<WriterState>,
     published: RwLock<Arc<ViewInner>>,
+    /// Worker scratches kept between batches, for every snapshot.
+    park: Arc<Park<Scratch>>,
 }
 
 impl VersionedIndex {
@@ -516,6 +511,7 @@ impl VersionedIndex {
             merge_threshold: merge_threshold.max(1),
             writer: Mutex::new(state),
             published: RwLock::new(view),
+            park: Arc::default(),
         })
     }
 
@@ -587,6 +583,7 @@ impl VersionedIndex {
         EpochSnapshot {
             inner,
             workers: self.workers,
+            park: Arc::clone(&self.park),
         }
     }
 

@@ -516,7 +516,7 @@ impl BatchEngine for AnyEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use knmatch_core::{execute_batch_query, Scratch, SortedColumns};
+    use knmatch_core::{execute_batch_query, KnMatchError, Scratch, SortedColumns};
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -626,6 +626,81 @@ mod tests {
             assert_eq!(got, want, "{e:?}");
             assert_eq!(e.workers(), 2);
         }
+    }
+
+    #[test]
+    fn a_parked_state_never_carries_one_batch_control_into_the_next() {
+        use std::time::Duration;
+
+        let ds = knmatch_core::paper::fig3_dataset();
+        let path = std::env::temp_dir().join(format!("knmatch-park-{}.knm", std::process::id()));
+        DiskDatabase::create_file(&path, &ds, 16).unwrap();
+        let query = vec![3.0, 7.0, 4.0];
+        let batch = vec![
+            BatchQuery::KnMatch {
+                query: query.clone(),
+                k: 2,
+                n: 2,
+            },
+            BatchQuery::Frequent {
+                query: query.clone(),
+                k: 2,
+                n0: 1,
+                n1: 3,
+            },
+            BatchQuery::EpsMatch {
+                query,
+                eps: 1.6,
+                n: 2,
+            },
+        ];
+        // Fail-fast behind an invalid first query.
+        let mut failing = batch.clone();
+        failing.insert(
+            0,
+            BatchQuery::KnMatch {
+                query: vec![1.0],
+                k: 1,
+                n: 1,
+            },
+        );
+        let expired = BatchOptions {
+            deadline: Some(Duration::ZERO),
+            ..BatchOptions::default()
+        };
+        let fail_fast = BatchOptions {
+            fail_fast: true,
+            ..BatchOptions::default()
+        };
+        let path_str = path.to_str().unwrap();
+        for workers in [1, 2] {
+            let runs = EngineConfig {
+                workers,
+                ..EngineConfig::default()
+            };
+            let planned = EngineConfig {
+                planner: Some(PlannerMode::Auto),
+                ..runs
+            };
+            let disk = EngineConfig {
+                backend: Backend::Disk {
+                    pool_pages: 16,
+                    verify: VerifyMode::FirstRead,
+                },
+                ..runs
+            };
+            // `open` loads the file's points for the in-memory variants.
+            for config in [runs, planned, disk] {
+                let e = config.open(path_str).unwrap();
+                for r in e.run_with(&batch, &expired) {
+                    assert_eq!(r, Err(KnMatchError::DeadlineExceeded), "{e:?}");
+                }
+                assert!(e.run_with(&failing, &fail_fast)[0].is_err(), "{e:?}");
+                let fresh = config.open(path_str).unwrap();
+                assert_eq!(e.run(&batch), fresh.run(&batch), "{e:?}");
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

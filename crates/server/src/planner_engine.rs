@@ -10,7 +10,8 @@
 //! middle, and the plain scan as `n1` approaches `d`. The forced modes
 //! (`ad`, `vafile`, `scan`) pin one backend for experiments. The backends
 //! answer one query each; batching, deadlines, fail-fast and panic
-//! isolation are this engine's batch loop.
+//! isolation are the shared batch loop ([`Park::run`]), which keeps each
+//! worker's AD and filter scratch between batches.
 //!
 //! Every backend answers the exact query kinds bit-identically to the
 //! sequential oracle, so planning changes cost, never answers — the
@@ -23,9 +24,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use knmatch_core::{
-    execute_batch_query, isolate_panic, note_outcome, run_batch, sample_thresholds, AdStats,
-    BandEngine, BatchAnswer, BatchEngine, BatchOptions, BatchQuery, Dataset, FilterScratch,
-    PlanTally, PlannerMode, Result as CoreResult, ScanEngine, Scratch, SortedColumns,
+    execute_batch_query, sample_thresholds, AdStats, BandEngine, BatchAnswer, BatchEngine,
+    BatchOptions, BatchQuery, Dataset, FilterScratch, Park, PlanTally, PlannerMode,
+    Result as CoreResult, ScanEngine, Scratch, SortedColumns,
 };
 use knmatch_storage::{plan_in_memory, BackendChoice, MemCostModel, MemPlan, MemPlanInputs};
 use knmatch_vafile::va_engine;
@@ -34,14 +35,9 @@ use knmatch_vafile::va_engine;
 /// dry-run of the VA filter; cheap relative to any backend's full pass).
 pub const PLAN_FRACTION_SAMPLE: usize = 256;
 
-/// Per-worker working memory for a planned batch: the AD scratch and the
-/// filter scratch side by side, both armed with the batch's deadline and
-/// cancellation control.
-#[derive(Debug, Default)]
-struct PlanScratch {
-    ad: Scratch,
-    filter: FilterScratch,
-}
+/// Per-worker working memory for planned queries: the AD scratch and the
+/// filter scratch side by side, kept together between batches.
+type PlanScratch = (Scratch, FilterScratch);
 
 /// A [`BatchEngine`] that picks AD, VA-file, or scan per query at request
 /// time (see the module docs). Build it once per dataset; it shares one
@@ -60,6 +56,7 @@ pub struct PlannedEngine {
     tally_ad: AtomicU64,
     tally_vafile: AtomicU64,
     tally_scan: AtomicU64,
+    park: Park<PlanScratch>,
 }
 
 impl PlannedEngine {
@@ -86,6 +83,7 @@ impl PlannedEngine {
             tally_ad: AtomicU64::new(0),
             tally_vafile: AtomicU64::new(0),
             tally_scan: AtomicU64::new(0),
+            park: Park::default(),
         }
     }
 
@@ -210,11 +208,12 @@ impl PlannedEngine {
             PlannerMode::Scan => BackendChoice::Scan,
         };
         self.bump(choice);
+        let (ad, filter) = scratch;
         match choice {
             // `&SortedColumns` is itself a sorted-access source.
-            BackendChoice::Ad => execute_batch_query(&mut &*self.cols, query, &mut scratch.ad),
-            BackendChoice::VaFile => self.va.execute(query, &mut scratch.filter),
-            BackendChoice::Scan => self.scan.execute(query, &mut scratch.filter),
+            BackendChoice::Ad => execute_batch_query(&mut &*self.cols, query, ad),
+            BackendChoice::VaFile => self.va.execute(query, filter),
+            BackendChoice::Scan => self.scan.execute(query, filter),
         }
     }
 }
@@ -231,20 +230,13 @@ impl BatchEngine for PlannedEngine {
         queries: &[BatchQuery],
         opts: &BatchOptions,
     ) -> Vec<CoreResult<(BatchAnswer, AdStats)>> {
-        let control = opts.arm();
         let mode = opts.planner.unwrap_or(self.default_mode);
-        run_batch(
+        self.park.run(
             self.workers,
-            queries.len(),
-            || PlanScratch {
-                ad: control.scratch(),
-                filter: FilterScratch::with_control(control.clone()),
-            },
-            |scratch, i| {
-                let out = isolate_panic(|| self.execute(&queries[i], mode, scratch));
-                note_outcome(&control, &out);
-                out
-            },
+            queries,
+            opts,
+            PlanScratch::default,
+            |scratch, q| self.execute(q, mode, scratch),
         )
     }
 

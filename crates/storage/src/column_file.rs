@@ -11,10 +11,13 @@
 //! entry from one of two per-dimension copy-out slots. A repeat access to
 //! a slot's page is an O(1) booked hit; only a page in neither slot
 //! takes the cold path through the shared pool. The view's state borrows
-//! nothing, so [`crate::DiskQueryEngine`] keeps it between batches; the
-//! copy-out slots are emptied per batch.
+//! nothing, so [`crate::DiskQueryEngine`] parks it between batches and
+//! lends it to one view per query; the copy-out slots are emptied per
+//! batch.
 
-use knmatch_core::{Dataset, SortedColumns, SortedEntry};
+use std::borrow::BorrowMut;
+
+use knmatch_core::{Dataset, QueryControl, SortedColumns, SortedEntry, WorkerState};
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{
@@ -308,7 +311,7 @@ impl LocalPages {
 /// the 2·d copy-out slots. It borrows nothing, so a
 /// [`crate::DiskQueryEngine`] keeps it between batches.
 #[derive(Debug)]
-pub(crate) struct ReadState {
+pub struct ReadState {
     session: ReadSession,
     local: Vec<LocalPages>,
 }
@@ -318,6 +321,17 @@ impl ReadState {
         ReadState {
             session: ReadSession::new(modelled_capacity),
             local: (0..dims).map(|_| LocalPages::new()).collect(),
+        }
+    }
+}
+
+impl WorkerState for ReadState {
+    /// Empties the copy-out slots, so each batch reads its pages through
+    /// the shared pool at least once, whatever an earlier batch left
+    /// behind. Disk reads take no control: the walk checks it.
+    fn arm(&mut self, _: &QueryControl) {
+        for local in &mut self.local {
+            local.no = [NO_PAGE; 2];
         }
     }
 }
@@ -341,11 +355,14 @@ impl ReadState {
 /// session's generation is unchanged (no modelled eviction, no new
 /// query) that frame still holds the page, so the access is booked as a
 /// hit there without a table lookup.
+///
+/// A view made by [`new`](Self::new) owns its read state; the engine's
+/// views borrow a state it keeps between batches (`R = &mut ReadState`).
 #[derive(Debug)]
-pub struct SharedDiskColumns<'a, S> {
+pub struct SharedDiskColumns<'a, S, R = ReadState> {
     file: &'a SortedColumnFile,
     pool: &'a SharedBufferPool<S>,
-    state: ReadState,
+    state: R,
 }
 
 impl<'a, S: SharedPageStore> SharedDiskColumns<'a, S> {
@@ -368,33 +385,33 @@ impl<'a, S: SharedPageStore> SharedDiskColumns<'a, S> {
             state: ReadState::new(file.dims(), modelled_capacity),
         }
     }
+}
 
+impl<'a, S> SharedDiskColumns<'a, S, &'a mut ReadState> {
     /// A view reading with `state`, kept from an earlier view of the
-    /// same file and capacity. Its copy-out slots start empty, so each
-    /// batch reads its pages through the shared pool at least once,
-    /// whatever an earlier batch left behind.
+    /// same file and capacity (see [`WorkerState::arm`] for when its
+    /// copy-out slots are emptied).
     pub(crate) fn with_state(
         file: &'a SortedColumnFile,
         pool: &'a SharedBufferPool<S>,
-        mut state: ReadState,
+        state: &'a mut ReadState,
     ) -> Self {
         debug_assert_eq!(state.local.len(), file.dims());
-        for local in &mut state.local {
-            local.no = [NO_PAGE; 2];
-        }
         SharedDiskColumns { file, pool, state }
     }
+}
 
+impl<S: SharedPageStore, R: BorrowMut<ReadState>> SharedDiskColumns<'_, S, R> {
     /// Starts a fresh query: resets the modelled session (counters,
     /// streams, simulated cache). The local copy-out slots stay warm for
     /// the rest of the batch — they are data plumbing, not accounting.
     pub fn begin_query(&mut self) {
-        self.state.session.begin_query();
+        self.state.borrow_mut().session.begin_query();
     }
 
     /// Modelled I/O of the current query (see [`ReadSession::stats`]).
     pub fn session_stats(&self) -> crate::IoStats {
-        self.state.session.stats()
+        self.state.borrow().session.stats()
     }
 
     /// The shared pool this view reads through.
@@ -409,7 +426,7 @@ impl<'a, S: SharedPageStore> SharedDiskColumns<'a, S> {
     /// [`page_slow`](Self::page_slow).
     #[inline]
     fn page(&mut self, dim: usize, page_no: usize) -> &PageBuf {
-        let no = self.state.local[dim].no;
+        let no = self.state.borrow().local[dim].no;
         let which = if no[0] == page_no {
             0
         } else if no[1] == page_no {
@@ -417,7 +434,7 @@ impl<'a, S: SharedPageStore> SharedDiskColumns<'a, S> {
         } else {
             return self.page_slow(dim, page_no);
         };
-        let ReadState { session, local } = &mut self.state;
+        let ReadState { session, local } = self.state.borrow_mut();
         let local = &mut local[dim];
         let (generation, frame) = local.booked[which];
         if generation == session.generation() {
@@ -445,7 +462,7 @@ impl<'a, S: SharedPageStore> SharedDiskColumns<'a, S> {
     #[cold]
     #[inline(never)]
     fn page_slow(&mut self, dim: usize, page_no: usize) -> &PageBuf {
-        let ReadState { session, local } = &mut self.state;
+        let ReadState { session, local } = self.state.borrow_mut();
         let (verdict, frame) = session.account(page_no, dim as u32);
         let local = &mut local[dim];
         let victim = 1 - usize::from(local.mru);
@@ -462,14 +479,9 @@ impl<'a, S: SharedPageStore> SharedDiskColumns<'a, S> {
     }
 }
 
-impl<S> SharedDiskColumns<'_, S> {
-    /// Ends the view, keeping its state for a later one.
-    pub(crate) fn into_state(self) -> ReadState {
-        self.state
-    }
-}
-
-impl<S: SharedPageStore> knmatch_core::SortedAccessSource for SharedDiskColumns<'_, S> {
+impl<S: SharedPageStore, R: BorrowMut<ReadState>> knmatch_core::SortedAccessSource
+    for SharedDiskColumns<'_, S, R>
+{
     fn dims(&self) -> usize {
         self.file.dims()
     }

@@ -2,8 +2,8 @@
 //! database.
 //!
 //! [`DiskQueryEngine`] runs the paper's disk-based AD (Section 4.1) over
-//! a batch: `W` workers claim queries from the shared claim-chunk
-//! executor ([`knmatch_core::run_batch`]) and every worker drives the
+//! a batch: `W` workers claim queries through the batch loop every engine
+//! shares ([`knmatch_core::Park::run`]) and every worker drives the
 //! generic AD engine over its own [`SharedDiskColumns`] view — a private
 //! [`crate::ReadSession`] plus per-dimension copy-out slots — into one
 //! [`SharedBufferPool`], so hot fence and column pages are fetched once
@@ -12,10 +12,11 @@
 //! single-query methods are a one-query [`run`](BatchEngine::run) on
 //! the calling thread.
 //!
-//! **Resident read state.** The server runs one batch per query, so the
-//! engine keeps each worker's read state — the session's tables and the
-//! 2·d copy-out pages — between batches instead of building it per
-//! batch: a warm engine books and copies pages without allocating. The
+//! **Kept worker state.** The server runs one batch per query, so the
+//! engine parks each worker's read state — the session's tables and the
+//! 2·d copy-out pages — together with its AD [`Scratch`] between
+//! batches instead of building them per batch: a warm engine books and
+//! copies pages without allocating, whichever thread runs the batch. The
 //! copy-out slots are emptied per batch, so each batch reads its pages
 //! through the shared pool at least once (an
 //! [`invalidate_all`](SharedBufferPool::invalidate_all) between batches
@@ -30,13 +31,13 @@
 //! really cost, with cross-query sharing) is reported separately via
 //! [`DiskQueryEngine::pool_stats`].
 
+use std::borrow::BorrowMut;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
 
 use knmatch_core::{
-    execute_batch_query, note_outcome, panic_message, run_batch, AdStats, BatchAnswer, BatchEngine,
-    BatchOptions, BatchOutcome, BatchQuery, KnMatchError, Result, Scratch,
+    execute_batch_query, panic_message, AdStats, BatchAnswer, BatchEngine, BatchOptions,
+    BatchOutcome, BatchQuery, KnMatchError, Park, Result, Scratch,
 };
 
 use crate::buffer::IoStats;
@@ -110,30 +111,8 @@ pub struct DiskQueryEngine<S> {
     columns: SortedColumnFile,
     pool_pages: usize,
     workers: usize,
-    /// Read states kept between batches, one per worker that has run
-    /// (so at most the peak number of workers reading at once).
-    resident: Mutex<Vec<ReadState>>,
-}
-
-/// One worker's view for the length of a batch. Its read state goes back
-/// to the engine when the batch ends, so the next batch books and copies
-/// pages without allocating.
-struct Resident<'a, S> {
-    view: Option<SharedDiskColumns<'a, S>>,
-    home: &'a Mutex<Vec<ReadState>>,
-}
-
-impl<S> Drop for Resident<'_, S> {
-    fn drop(&mut self) {
-        if let Some(view) = self.view.take() {
-            // Nothing panics while this lock is held, so a poisoned one
-            // still guards a sound list.
-            self.home
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(view.into_state());
-        }
-    }
+    /// Each worker's read state and AD scratch, kept between batches.
+    park: Park<(ReadState, Scratch)>,
 }
 
 impl<S: SharedPageStore> DiskQueryEngine<S> {
@@ -168,7 +147,7 @@ impl<S: SharedPageStore> DiskQueryEngine<S> {
             columns,
             pool_pages,
             workers: workers.max(1),
-            resident: Mutex::new(Vec::new()),
+            park: Park::default(),
         })
     }
 
@@ -199,25 +178,6 @@ impl<S: SharedPageStore> DiskQueryEngine<S> {
         self.pool_pages
     }
 
-    /// A view for one worker of one batch, on a kept read state when
-    /// there is one.
-    fn resident(&self) -> Resident<'_, S> {
-        let kept = self
-            .resident
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop();
-        let state = kept.unwrap_or_else(|| ReadState::new(self.columns.dims(), self.pool_pages));
-        Resident {
-            view: Some(SharedDiskColumns::with_state(
-                &self.columns,
-                &self.pool,
-                state,
-            )),
-            home: &self.resident,
-        }
-    }
-
     /// Executes one query on the calling thread against caller-provided
     /// state. [`run`](Self::run) is a parallel loop over exactly this, so
     /// cross-checking the two paths needs no test-only hooks.
@@ -233,10 +193,10 @@ impl<S: SharedPageStore> DiskQueryEngine<S> {
     ///
     /// Per-query parameter validation; see
     /// [`KnMatchError`].
-    pub fn execute(
+    pub fn execute<R: BorrowMut<ReadState>>(
         &self,
         query: &BatchQuery,
-        src: &mut SharedDiskColumns<'_, S>,
+        src: &mut SharedDiskColumns<'_, S, R>,
         scratch: &mut Scratch,
     ) -> Result<DiskBatchOutcome> {
         src.begin_query();
@@ -284,18 +244,15 @@ impl<S: SharedPageStore> BatchEngine for DiskQueryEngine<S> {
         queries: &[BatchQuery],
         opts: &BatchOptions,
     ) -> Vec<Result<DiskBatchOutcome>> {
-        let control = opts.arm();
-        run_batch(
-            self.workers,
-            queries.len(),
-            || (self.resident(), control.scratch()),
-            |(worker, scratch), i| {
-                let src = worker.view.as_mut().expect("a worker holds its view");
-                let out = self.execute(&queries[i], src, scratch);
-                note_outcome(&control, &out);
-                out
-            },
-        )
+        let fresh = || {
+            let state = ReadState::new(self.columns.dims(), self.pool_pages);
+            (state, Scratch::new())
+        };
+        self.park
+            .run(self.workers, queries, opts, fresh, |(state, scratch), q| {
+                let mut src = SharedDiskColumns::with_state(&self.columns, &self.pool, state);
+                self.execute(q, &mut src, scratch)
+            })
     }
 }
 

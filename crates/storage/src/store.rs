@@ -564,14 +564,6 @@ impl SharedPageStore for FileStore {
     }
 }
 
-/// Fills a store with `n` zeroed pages (builders then `write_page` slots).
-pub fn reserve_pages<S: PageStore>(store: &mut S, n: usize) {
-    let zero = empty_page();
-    for _ in 0..n {
-        store.append_page(&zero);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -804,15 +796,5 @@ mod tests {
         assert_eq!(a[0], 1);
         assert_eq!(SharedPageStore::page_count(&fs), 5);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn reserve_appends_zero_pages() {
-        let mut s = MemStore::new();
-        reserve_pages(&mut s, 3);
-        assert_eq!(PageStore::page_count(&s), 3);
-        let mut buf = [1u8; PAGE_SIZE];
-        s.try_read_page(2, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 0));
     }
 }

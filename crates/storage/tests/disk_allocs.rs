@@ -5,12 +5,15 @@
 //! `VersionedIndex`) needs for the same answer, a k-n-match query with at
 //! most a dozen and a frequent one (five levels) with at most 13.
 //!
-//! The engine keeps each worker's read state (the modelled session's
-//! tables and the 2·d copy-out pages) between batches, so what is left is
-//! the batch's result vector and the answer itself. A counting
-//! `#[global_allocator]` counts process-wide allocation events while the
-//! measured call runs; this file holds one test so no other test's thread
-//! allocates meanwhile.
+//! The engines keep each worker's state (the AD scratch and, on disk, the
+//! modelled session's tables and the 2·d copy-out pages) between batches,
+//! so what is left is the batch's result vector and the answer itself.
+//! That holds for the threads a multi-worker batch spawns too: a warm
+//! two-query `run` at two workers allocates less than one cold scratch's
+//! 4 B × c of appearance marks. A counting `#[global_allocator]` counts
+//! process-wide allocation events and bytes while the measured call runs;
+//! this file holds one test so no other test's thread allocates
+//! meanwhile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -20,13 +23,16 @@ use knmatch_storage::DiskDatabase;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// `System` plus an event counter (`alloc`, `alloc_zeroed`, `realloc`).
+/// `System` plus an event and a byte counter (`alloc`, `alloc_zeroed`,
+/// `realloc`; a `realloc` counts its new size).
 struct Counting;
 
-fn note() {
+fn note(bytes: usize) {
     if COUNTING.load(Ordering::Relaxed) {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 }
 
@@ -35,7 +41,7 @@ fn note() {
 // allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller's `layout` obligations pass through.
         unsafe { System.alloc(layout) }
     }
@@ -46,13 +52,13 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller's `layout` obligations pass through.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         // SAFETY: `ptr` came from `System` with this `layout`; the caller
         // guarantees `new_size` is valid for it.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -69,16 +75,27 @@ const MAX_ALLOCS: u64 = 12;
 /// make: what it measures, one answer set per level reserved at k.
 const MAX_FREQUENT_ALLOCS: u64 = 13;
 
-/// Allocation events of one `engine.run(&[q])`, the answer included.
-fn allocs_of<E: BatchEngine>(engine: &E, q: &BatchQuery) -> u64 {
-    let batch = std::slice::from_ref(q);
-    let before = ALLOCS.load(Ordering::Relaxed);
+/// Allocation events and bytes of one `engine.run(batch)`, the answers
+/// included.
+fn counts_of<E: BatchEngine>(engine: &E, batch: &[BatchQuery]) -> (u64, u64) {
+    let before = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
     COUNTING.store(true, Ordering::Relaxed);
     let out = engine.run(batch);
     COUNTING.store(false, Ordering::Relaxed);
-    let after = ALLOCS.load(Ordering::Relaxed);
-    assert!(out[0].is_ok(), "query failed");
-    after - before
+    let after = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
+    assert!(out.iter().all(Result::is_ok), "query failed");
+    (after.0 - before.0, after.1 - before.1)
+}
+
+/// Allocation events of one `engine.run(&[q])`, the answer included.
+fn allocs_of<E: BatchEngine>(engine: &E, q: &BatchQuery) -> u64 {
+    counts_of(engine, std::slice::from_ref(q)).0
 }
 
 #[test]
@@ -133,5 +150,28 @@ fn warm_one_query_run_allocates_no_more_than_memory() {
             "query {i}: a warm one-query run allocated {on_disk} times \
              (gate {gate}): {q:?}"
         );
+    }
+
+    // Two workers: the batch loop spawns threads for a two-query batch,
+    // and they must start as warm as the engine's last batch left it.
+    let c = ds.len() as u64;
+    let disk = DiskDatabase::build_in_memory(&ds, 64).into_engine(2);
+    let memory = VersionedIndex::from_dataset(&ds, 1, 2, DEFAULT_MERGE_THRESHOLD).unwrap();
+    for pair in queries.chunks_exact(2) {
+        counts_of(&disk, pair);
+        counts_of(&memory, pair);
+    }
+    for (i, pair) in queries.chunks_exact(2).enumerate() {
+        for (name, bytes) in [
+            ("disk", counts_of(&disk, pair).1),
+            ("memory", counts_of(&memory, pair).1),
+        ] {
+            assert!(
+                bytes < 4 * c,
+                "pair {i}: a warm two-worker run on {name} allocated {bytes} bytes, \
+                 not under one cold scratch's {}",
+                4 * c
+            );
+        }
     }
 }

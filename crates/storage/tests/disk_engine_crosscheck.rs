@@ -274,3 +274,77 @@ fn kept_views_are_fresh_views_two_workers() {
 fn kept_views_are_fresh_views_four_workers() {
     kept_views_are_fresh_views(4, 7);
 }
+
+/// Theorem 3.2's count, taken from the data: the attributes within ε of
+/// `query`, where ε is the k-th smallest n1-match difference.
+fn attributes_within_kth(rows: &[Vec<f64>], query: &[f64], k: usize, n1: usize) -> u64 {
+    let mut nth: Vec<f64> = rows
+        .iter()
+        .map(|row| {
+            let mut diffs: Vec<f64> = row.iter().zip(query).map(|(v, q)| (v - q).abs()).collect();
+            diffs.sort_unstable_by(f64::total_cmp);
+            diffs[n1 - 1]
+        })
+        .collect();
+    nth.sort_unstable_by(f64::total_cmp);
+    let eps = nth[k - 1];
+    rows.iter()
+        .flat_map(|row| row.iter().zip(query))
+        .filter(|(v, q)| (*v - *q).abs() <= eps)
+        .count() as u64
+}
+
+#[test]
+fn heap_pops_equal_the_attributes_within_the_kth_difference() {
+    // Theorem 3.2 on disk: a k-n-match walk over the column file pops
+    // exactly the attributes within the answer's ε — one pop too many or
+    // too few fails — on uniform data and on a 0.25 grid whose
+    // differences tie. Each batch runs twice on one engine, so the
+    // second pass walks on the read state and scratch the first one
+    // parked; neither may change a pop.
+    let (c, d) = (600, 4);
+    let mut rng = knmatch_data::rng::seeded(0x5AAD_0009);
+    for grid in [false, true] {
+        let mut value = || {
+            let v = rng.next_f64();
+            if grid {
+                (v * 4.0).floor() / 4.0
+            } else {
+                v
+            }
+        };
+        let rows: Vec<Vec<f64>> = (0..c).map(|_| (0..d).map(|_| value()).collect()).collect();
+        let points: Vec<Vec<f64>> = (0..6).map(|_| (0..d).map(|_| value()).collect()).collect();
+        let ds = knmatch_core::Dataset::from_rows(&rows).unwrap();
+        let mut queries = Vec::new();
+        for query in &points {
+            for k in [1, 10] {
+                for n in 1..=d {
+                    let query = query.clone();
+                    queries.push(BatchQuery::KnMatch { query, k, n });
+                }
+            }
+        }
+        for workers in [1, 2] {
+            let engine = DiskDatabase::build_in_memory(&ds, 8).into_engine(workers);
+            for pass in 0..2 {
+                for (q, got) in queries.iter().zip(engine.run(&queries)) {
+                    let BatchQuery::KnMatch { query, k, n } = q else {
+                        unreachable!("k-n-match queries only")
+                    };
+                    let ad = got.unwrap().ad;
+                    let at = format!("grid={grid} workers={workers} pass={pass} {q:?}");
+                    assert_eq!(
+                        ad.heap_pops,
+                        attributes_within_kth(&rows, query, *k, *n),
+                        "{at}"
+                    );
+                    assert!(
+                        ad.attributes_retrieved - ad.heap_pops <= (2 * d) as u64,
+                        "{at}: {ad:?}"
+                    );
+                }
+            }
+        }
+    }
+}

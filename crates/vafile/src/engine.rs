@@ -43,9 +43,13 @@ mod tests {
         batch: &[BatchQuery],
         workers: usize,
     ) -> Vec<Result<(BatchAnswer, AdStats)>> {
-        run_batch(workers, batch.len(), FilterScratch::new, |scratch, i| {
-            e.execute(&batch[i], scratch)
-        })
+        run_batch(
+            workers,
+            batch.len(),
+            FilterScratch::new,
+            |scratch, i| e.execute(&batch[i], scratch),
+            drop,
+        )
     }
 
     fn pseudo_dataset(c: usize, d: usize, seed: u64) -> Dataset {
