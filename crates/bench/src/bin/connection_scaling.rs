@@ -459,7 +459,7 @@ mod real {
                 allocs,
                 alloc_bytes,
             };
-            if best.as_ref().map_or(true, |b| row.wall_ms < b.wall_ms) {
+            if best.as_ref().is_none_or(|b| row.wall_ms < b.wall_ms) {
                 best = Some(row);
             }
         }

@@ -27,13 +27,16 @@
 //! 3. **Fitted model** — the [`MemCostModel`] constants, each a relative
 //!    least-squares fit of the per-query best-of-passes time against the
 //!    work that backend reported for the query (AD: attributes retrieved;
-//!    scan: `c·d`; VA-file: `c·d` cells plus the attributes refined), so
-//!    a constant is the price of a unit of work, not of an estimate.
+//!    VA-file: `c·d` cells plus the attributes refined; scan: the
+//!    attributes the VA-file refined for that query at the refine
+//!    constant, the rest of `c·d` at the scan's), so a constant is the
+//!    price of a unit of work, not of an estimate.
 //!    `MemCostModel::default()` carries these numbers (`auto` above runs
 //!    with the default); how well the planner *estimates* the work is
 //!    reported beside each cell as `ad_attrs_est_over_actual`, the median
 //!    of the AD attributes [`PlannedEngine::plan_for`] priced over the
-//!    real ones.
+//!    real ones, and the VA backend's points refined per query as
+//!    `va_refined_per_query` (a count, the same on every run).
 //!
 //! Gates: `auto` is never below the worst forced backend in any cell, and
 //! is ≥ 0.85× the best one in every n > 1 cell whose best takes at least
@@ -236,6 +239,9 @@ struct Cell {
     /// Median over the cell's queries of the planner's AD attribute
     /// estimate (at `ε_q`) over the attributes AD then retrieved.
     ad_est_over_actual: f64,
+    /// Mean points the VA backend refined per query (deterministic: its
+    /// filter and refine depend only on the data and the query).
+    va_refined: f64,
 }
 
 impl Cell {
@@ -337,7 +343,7 @@ fn bench_crossover(cfg: &Config, samples: &mut Vec<Sample>) -> Vec<Cell> {
                 eprintln!(
                     "d={dims:2} {:4} n={:2}..{:2}: ad {:9.1} vafile {:8.1} scan {:8.1} \
                      auto {:8.1} us/query (routes {} ad / {} vafile / {} scan) auto/best {:.2} \
-                     ad est/actual {:.2}",
+                     ad est/actual {:.2} va refined {:.0}",
                     kind.name(),
                     cell.n0,
                     cell.n1,
@@ -350,6 +356,7 @@ fn bench_crossover(cfg: &Config, samples: &mut Vec<Sample>) -> Vec<Cell> {
                     cell.auto_routes[2],
                     cell.auto_vs(cell.best_forced_us()),
                     cell.ad_est_over_actual,
+                    cell.va_refined,
                 );
                 cells.push(cell);
             }
@@ -412,6 +419,8 @@ fn time_cell(
     let mut auto_routes = [0usize; 3];
     let mut est_ratios = Vec::with_capacity(batch.len());
     let ad_ns_per_attr = engine.cost_model().ad_ns_per_attr;
+    let va_attrs: u64 = work.iter().map(|w| w[1]).sum();
+    let va_refined = va_attrs as f64 / (dims * batch.len()) as f64;
     for ((q, &best_us), work) in batch.iter().zip(&best_us).zip(work) {
         let plan = engine.plan_for(q).expect("valid workload");
         auto_routes[plan.backend as usize] += 1;
@@ -436,16 +445,18 @@ fn time_cell(
         pass_us,
         auto_routes,
         ad_est_over_actual: percentile(&est_ratios, 0.5),
+        va_refined,
     }
 }
 
-/// The `a ≥ 0` minimising `Σ ((a·x − t) / t)²` — relative error, so a
-/// 5 µs query weighs as much as a 5 ms one.
-fn fit1(rows: impl Iterator<Item = (f64, f64)>) -> f64 {
+/// The `a ≥ 0` minimising `Σ ((a·x + b − t) / t)²` over rows `(x, b, t)`
+/// with a known part `b` of each time — relative error, so a 5 µs query
+/// weighs as much as a 5 ms one.
+fn fit1(rows: impl Iterator<Item = (f64, f64, f64)>) -> f64 {
     let (mut sxy, mut sxx) = (0.0, 0.0);
-    for (x, t) in rows {
+    for (x, b, t) in rows {
         let x = x / t;
-        sxy += x;
+        sxy += x * (1.0 - b / t);
         sxx += x * x;
     }
     (sxy / sxx).max(0.0)
@@ -467,23 +478,32 @@ fn fit2(rows: &[(f64, f64, f64)]) -> (f64, f64) {
     if a >= 0.0 && b >= 0.0 && det.is_finite() && det > 0.0 {
         (a, b)
     } else if a < 0.0 {
-        (0.0, fit1(rows.iter().map(|&(_, x2, t)| (x2, t))))
+        (0.0, fit1(rows.iter().map(|&(_, x2, t)| (x2, 0.0, t))))
     } else {
-        (fit1(rows.iter().map(|&(x1, _, t)| (x1, t))), 0.0)
+        (fit1(rows.iter().map(|&(x1, _, t)| (x1, 0.0, t))), 0.0)
     }
 }
 
 /// Section 3: the four ns constants, each fitted against the work the
-/// backend itself reported for every timed query.
+/// backend itself reported for every timed query. The scan's time is
+/// split as the model prices it: the attributes the VA backend refined
+/// for the same query at the refine constant, the rest at the scan's.
 fn fit_model(samples: &[Sample]) -> MemCostModel {
     let ns = |us: f64| us * 1e3;
-    let ad_ns_per_attr = fit1(samples.iter().map(|s| (s.work[0] as f64, ns(s.best_us[0]))));
-    let scan_ns_per_attr = fit1(samples.iter().map(|s| (s.attrs, ns(s.best_us[2]))));
+    let ad_ns_per_attr = fit1(
+        samples
+            .iter()
+            .map(|s| (s.work[0] as f64, 0.0, ns(s.best_us[0]))),
+    );
     let va_rows: Vec<(f64, f64, f64)> = samples
         .iter()
         .map(|s| (s.attrs, s.work[1] as f64, ns(s.best_us[1])))
         .collect();
     let (filter_ns_per_cell, refine_ns_per_attr) = fit2(&va_rows);
+    let scan_ns_per_attr = fit1(samples.iter().map(|s| {
+        let kept = s.work[1] as f64;
+        (s.attrs - kept, kept * refine_ns_per_attr, ns(s.best_us[2]))
+    }));
     MemCostModel {
         ad_ns_per_attr,
         scan_ns_per_attr,
@@ -601,7 +621,8 @@ fn main() {
             "    {{\"dims\": {}, \"kind\": \"{}\", \"n0\": {}, \"n1\": {}, \
              \"us_per_query\": {{{us}}}, \
              \"auto_routes\": {{\"ad\": {}, \"vafile\": {}, \"scan\": {}}}, \
-             \"ad_attrs_est_over_actual\": {:.2}, \"auto_vs_best\": {:.3}, \
+             \"ad_attrs_est_over_actual\": {:.2}, \"va_refined_per_query\": {:.1}, \
+             \"auto_vs_best\": {:.3}, \
              \"auto_vs_worst\": {:.3}, \"gated\": {}}}{comma}",
             c.dims,
             c.kind.name(),
@@ -611,6 +632,7 @@ fn main() {
             c.auto_routes[BackendChoice::VaFile as usize],
             c.auto_routes[BackendChoice::Scan as usize],
             c.ad_est_over_actual,
+            c.va_refined,
             c.auto_vs(c.best_forced_us()),
             c.auto_vs(c.worst_forced_us()),
             c.gated(),

@@ -14,7 +14,10 @@
 //! than one `Vec<SortedEntry>` per dimension. The binary-search seed and
 //! the outward cursor walk only compare *values*; keeping values densely
 //! packed (8 bytes per entry instead of 16 with the pid and padding
-//! interleaved) halves the cache lines those hot loops touch. The
+//! interleaved) halves the cache lines those hot loops touch. A query's
+//! seeding searches run 16 dimensions in lock-step, each step a
+//! conditional move rather than a branch, so the searches' cache misses
+//! overlap and no step waits on a mispredicted comparison. The
 //! [`ColumnView`] adapter re-materialises `SortedEntry` pairs on demand
 //! for callers that want the AoS view (the storage crate's column files).
 
@@ -235,8 +238,12 @@ impl SortedColumns {
 
     /// [`SortedAccessSource::locate`] of `qs[i]` in dimension
     /// `first + i`, for up to [`LANES`] dimensions at once: the searches
-    /// run branch-free and level by level, so their cache misses overlap
-    /// instead of queueing one search behind the other.
+    /// run level by level, so their cache misses overlap instead of
+    /// queueing one search behind the other. Each step is a
+    /// [`std::hint::select_unpredictable`] (a conditional move on x86-64):
+    /// an `if`/`else`, a multiply or a mask by the comparison all compile
+    /// to a branch that mispredicts half the time, and a sign-bit test of
+    /// `v − q` differs from `v < q` at `v = −0.0, q = +0.0`.
     fn locate_lanes(&self, first: usize, qs: &[f64]) -> [usize; LANES] {
         let c = self.cardinality;
         let lists = &self.values[first * c..];
@@ -249,7 +256,7 @@ impl SortedColumns {
             let half = size / 2;
             for (i, (b, &q)) in base.iter_mut().zip(qs).enumerate() {
                 let mid = *b + half;
-                *b = if lists[i * c + mid] < q { mid } else { *b };
+                *b = std::hint::select_unpredictable(lists[i * c + mid] < q, mid, *b);
             }
             size -= half;
         }
@@ -404,6 +411,48 @@ mod tests {
                 let mut got = Vec::new();
                 cols.locate_each(&query, |_, dim, rank| got.push((dim, rank)));
                 assert_eq!(got, want, "c={c} q={q}");
+            }
+        }
+        // Edge values in data and query: both zeros (−0.0 < +0.0 is
+        // false, so they are one value to the search), subnormals, ±MAX,
+        // and in dimension 0 a column of one repeated value.
+        let tiny = f64::from_bits(1);
+        let edges = [
+            -f64::MAX,
+            -1.0,
+            -tiny,
+            -0.0,
+            0.0,
+            tiny,
+            2.0 * tiny,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+        ];
+        let d = LANES + 3;
+        for c in [1usize, 2, 5, 33] {
+            let rows: Vec<Vec<f64>> = (0..c)
+                .map(|i| {
+                    (0..d)
+                        .map(|j| match j {
+                            0 => -0.0,
+                            _ => edges[(i * 7 + j * 3) % edges.len()],
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut cols = SortedColumns::from_rows(&rows).unwrap();
+            for shift in 0..edges.len() {
+                let query: Vec<f64> = (0..d).map(|j| edges[(shift + j) % edges.len()]).collect();
+                let want: Vec<(usize, usize)> = (0..d)
+                    .map(|j| {
+                        let values = cols.column(j).values();
+                        (j, values.partition_point(|&v| v < query[j]))
+                    })
+                    .collect();
+                let mut got = Vec::new();
+                cols.locate_each(&query, |_, dim, rank| got.push((dim, rank)));
+                assert_eq!(got, want, "c={c} query={query:?}");
             }
         }
     }

@@ -148,7 +148,7 @@ pub enum PlannerMode {
     Auto,
     /// Always the AD algorithm over sorted columns.
     Ad,
-    /// Always the VA-file two-phase filter-and-refine backend.
+    /// Always the VA-file filter-and-refine backend.
     VaFile,
     /// Always the kernel-loop naive full scan.
     Scan,

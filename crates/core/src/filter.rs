@@ -12,23 +12,30 @@
 //!   kernel, selection of the n-th smallest, canonical top-k. This is the
 //!   paper's "scan" competitor promoted from a benchmark loop to a
 //!   first-class backend (it wins near `n1 = d`, Figure 12).
-//! - [`BandEngine`] — the rewritten two-phase approximation filter. Each
-//!   dimension is quantised against caller-supplied cell boundaries
-//!   (equi-width for the VA-file in `knmatch-vafile`); phase one counts,
-//!   per point, the dimensions whose cell intersects the query band
+//! - [`BandEngine`] — the VA-file's approximation filter interleaved with
+//!   the exact refine. Each dimension is quantised against caller-supplied
+//!   cell boundaries (equi-width for the VA-file in `knmatch-vafile`). The
+//!   pids are walked in blocks of [`FILTER_BLOCK`]: a block counts, per
+//!   point, the dimensions whose cell intersects the query band
 //!   `[q_j − τ, q_j + τ]` with the branchless
-//!   [`crate::kernels::accumulate_band_hits`] byte kernel; phase two
-//!   refines the survivors exactly. Because a point's
-//!   per-dimension lower bound is within `τ` **iff** its cell intersects
-//!   the band, "at least `n` band hits" is exactly "n-th smallest lower
-//!   bound ≤ τ" — the classic VA-file filter condition — so the candidate
-//!   set is a superset of the true answers at any quantisation and the
-//!   refined answers are a pure function of the data.
+//!   [`crate::kernels::accumulate_band_hits`] byte kernel, and the points
+//!   with enough hits are refined exactly before the next block is
+//!   counted. Because a point's per-dimension lower bound is within `τ`
+//!   **iff** its cell intersects the band, "at least `n` band hits" is
+//!   exactly "n-th smallest lower bound ≤ τ" — the classic VA-file filter
+//!   condition — so the candidates are a superset of the true answers at
+//!   any quantisation and the refined answers are a pure function of the
+//!   data.
 //!
-//! The pruning threshold `τ` is derived by refining a small evenly-spaced
-//! sample exactly ([`sample_thresholds`]): the k-th smallest sampled
-//! n-match difference (under the canonical `(diff, pid)` order) is a valid
-//! upper bound of the true k-th smallest, which is all the filter needs.
+//! `τ` is the tighter of two upper bounds of the answer's threshold: the
+//! k-th smallest n-match difference of a small evenly-spaced sample
+//! ([`sample_thresholds`], under the canonical `(diff, pid)` order), and
+//! the refine's running k-th difference, which tightens block by block
+//! (Weber, Schek & Blott's VA-file search prunes the same way). Neither
+//! drops below the final k-th difference and a band hit is inclusive, so
+//! every answer, ties included, is refined; a query refines at most the
+//! points a two-phase filter at the sampled bound would keep. ε-n-match
+//! runs through the same loop at its fixed `ε`.
 //!
 //! Both backends share one exact refine loop per query kind, and each
 //! **counts before it selects**: after a point's differences are taken,
@@ -61,6 +68,11 @@ pub const FILTER_SAMPLE: usize = 64;
 /// sample: 16 one-byte cells are one cache line of a dimension's column.
 const PROBE_RUN: usize = 16;
 
+/// Consecutive pids [`BandEngine`] filters before it refines them: the
+/// running bound can tighten every block, and one block's hit counts
+/// (`2 B × FILTER_BLOCK`) live on the stack.
+pub const FILTER_BLOCK: usize = 256;
+
 /// The sampled order statistic [`sample_thresholds`] extrapolates `ε_q`
 /// from when `k/c` is finer than the sample resolves.
 const TAIL_RANK: usize = 4;
@@ -68,7 +80,8 @@ const TAIL_RANK: usize = 4;
 /// Reusable per-worker working memory for the filter backends.
 #[derive(Debug, Default)]
 pub struct FilterScratch {
-    counts: Vec<u16>,
+    /// Each dimension's inclusive cell band at the current threshold.
+    bands: Vec<(u8, u8)>,
     diffs: Vec<f64>,
     /// Deadline/cancellation the next query must honour (the batch loop
     /// arms it per batch, like [`Scratch`](crate::Scratch)).
@@ -89,7 +102,8 @@ pub struct SampledThresholds {
     /// `ε̂` — the canonical k-th smallest sampled n-match difference: an
     /// upper bound of the true k-th smallest whenever the sample holds at
     /// least `k` points, `+∞` (no pruning) otherwise. The band filter's
-    /// `τ`, because its correctness needs a bound.
+    /// `τ` until its running bound is tighter, because its correctness
+    /// needs a bound.
     pub bound: f64,
     /// `ε_q` — the `k/c`-quantile of the sampled n-match differences: an
     /// *estimate* of the true k-th smallest (the disk planner's), never
@@ -161,33 +175,99 @@ pub fn sample_thresholds(ds: &Dataset, query: &[f64], k: usize, n: usize) -> Sam
     }
 }
 
-/// Exact k-n-match over an explicit candidate id list (ascending pids),
-/// canonical top-k. The shared phase-two loop of both backends.
-fn knmatch_over<I: Iterator<Item = PointId>>(
-    ds: &Dataset,
-    query: &[f64],
-    k: usize,
+/// The exact phase-two refine of one query kind, fed candidate points in
+/// ascending pid order, one list at a time — the loop both backends
+/// share. Each kind **counts before it selects**: [`count_within`] its
+/// current threshold decides whether a point can rank at all, and only the
+/// few that can pay for the selection or sort and the top-k offer.
+///
+/// Each kind's [`refine`](Self::refine) is its own loop, kept out of line:
+/// inlined into the engines' per-kind dispatch, the same loop measured
+/// 10–20 % slower on a full scan.
+trait Refine {
+    /// The fewest differences within [`bound`](Self::bound) an answer has:
+    /// the band filter's hit floor.
+    fn min_hits(&self) -> usize;
+
+    /// The loosest threshold a point's `min_hits`-th difference must meet
+    /// to enter the answer: the running k-th n-match difference, the
+    /// loosest frequent level's k-th (`+∞` until `k` are held), or `ε`.
+    /// It never drops below the final answer's threshold.
+    fn bound(&self) -> f64;
+
+    /// Differences every point of `pids` against `query` and offers it,
+    /// returning how many points were differenced. `tick` carries the
+    /// deadline check's stride from one call to the next.
+    fn refine(
+        &mut self,
+        ds: &Dataset,
+        query: &[f64],
+        pids: impl Iterator<Item = PointId>,
+        diffs: &mut Vec<f64>,
+        control: &QueryControl,
+        tick: &mut u32,
+    ) -> Result<usize>;
+
+    /// The canonical answer of every point offered.
+    fn finish(self) -> BatchAnswer;
+}
+
+/// k-n-match: one canonical top-k at `n`.
+struct KnRefine {
+    top: TopK,
     n: usize,
-    pids: I,
-    diffs: &mut Vec<f64>,
-    control: &QueryControl,
-) -> Result<(KnMatchResult, usize)> {
-    diffs.resize(ds.dims(), 0.0);
-    let mut top = TopK::new(k);
-    // The current k-th n-match difference, +∞ until k are held.
-    let mut bound = f64::INFINITY;
-    let mut refined = 0usize;
-    let mut tick = 0u32;
-    for pid in pids {
-        control.check(&mut tick)?;
-        abs_diffs(diffs, ds.point(pid), query);
-        refined += 1;
-        if count_within(diffs, bound) >= n {
-            top.offer(pid, nth_smallest(diffs, n));
-            bound = top.threshold().unwrap_or(f64::INFINITY);
+    /// The current k-th n-match difference, +∞ until k are held.
+    bound: f64,
+}
+
+impl KnRefine {
+    fn new(k: usize, n: usize) -> Self {
+        KnRefine {
+            top: TopK::new(k),
+            n,
+            bound: f64::INFINITY,
         }
     }
-    Ok((top.into_result(n), refined))
+}
+
+impl Refine for KnRefine {
+    fn min_hits(&self) -> usize {
+        self.n
+    }
+
+    fn bound(&self) -> f64 {
+        self.bound
+    }
+
+    #[inline(never)]
+    fn refine(
+        &mut self,
+        ds: &Dataset,
+        query: &[f64],
+        pids: impl Iterator<Item = PointId>,
+        diffs: &mut Vec<f64>,
+        control: &QueryControl,
+        tick: &mut u32,
+    ) -> Result<usize> {
+        diffs.resize(ds.dims(), 0.0);
+        let (n, mut bound) = (self.n, self.bound);
+        let mut refined = 0usize;
+        for pid in pids {
+            control.check(tick)?;
+            abs_diffs(diffs, ds.point(pid), query);
+            refined += 1;
+            if count_within(diffs, bound) >= n {
+                self.top.offer(pid, nth_smallest(diffs, n));
+                bound = self.top.threshold().unwrap_or(f64::INFINITY);
+            }
+        }
+        self.bound = bound;
+        Ok(refined)
+    }
+
+    fn finish(self) -> BatchAnswer {
+        BatchAnswer::KnMatch(self.top.into_result(self.n))
+    }
 }
 
 /// Whether a point with differences `diffs` can enter the answer set of
@@ -213,78 +293,144 @@ fn enters_some_level(diffs: &[f64], bounds: &[f64], n0: usize) -> bool {
     }
 }
 
-/// Exact frequent k-n-match over a candidate id list that is a superset of
-/// every per-n answer set: per-n canonical top-k collectors, fed one
+/// Frequent k-n-match: per-n canonical top-k collectors, fed one
 /// sorted-difference pass per point that can enter at least one of them,
 /// then the standard frequency ranking — the same aggregation as the
-/// naive oracle, so the answers are identical whenever the candidate list
-/// covers the true answers.
-#[allow(clippy::too_many_arguments)]
-fn frequent_over<I: Iterator<Item = PointId>>(
-    ds: &Dataset,
-    query: &[f64],
+/// naive oracle, so the answers are identical whenever the candidates
+/// cover every per-n answer set.
+struct FreqRefine {
+    tops: Vec<TopK>,
+    /// Level `n0 + i`'s current k-th difference, nondecreasing in `i`.
+    bounds: Vec<f64>,
     k: usize,
     n0: usize,
-    n1: usize,
-    pids: I,
-    diffs: &mut Vec<f64>,
-    control: &QueryControl,
-) -> Result<(FrequentResult, usize)> {
-    diffs.resize(ds.dims(), 0.0);
-    let mut tops: Vec<TopK> = (n0..=n1).map(|_| TopK::new(k)).collect();
-    let mut bounds = vec![f64::INFINITY; tops.len()];
-    let mut refined = 0usize;
-    let mut tick = 0u32;
-    for pid in pids {
-        control.check(&mut tick)?;
-        abs_diffs(diffs, ds.point(pid), query);
-        refined += 1;
-        if !enters_some_level(diffs, &bounds, n0) {
-            continue;
-        }
-        diffs.sort_unstable_by(f64::total_cmp);
-        for (i, (top, bound)) in tops.iter_mut().zip(&mut bounds).enumerate() {
-            top.offer(pid, diffs[n0 + i - 1]);
-            *bound = top.threshold().unwrap_or(f64::INFINITY);
-        }
-    }
-    let per_n: Vec<KnMatchResult> = tops
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| t.into_result(n0 + i))
-        .collect();
-    Ok((FrequentResult::from_levels((n0, n1), per_n, k), refined))
 }
 
-/// Exact ε-n-match over a candidate id list covering every true answer:
-/// keep candidates whose n-th smallest difference is within `eps`, in the
-/// canonical `(diff, pid)` order.
-fn eps_over<I: Iterator<Item = PointId>>(
-    ds: &Dataset,
-    query: &[f64],
-    eps: f64,
-    n: usize,
-    pids: I,
-    diffs: &mut Vec<f64>,
-    control: &QueryControl,
-) -> Result<(KnMatchResult, usize)> {
-    diffs.resize(ds.dims(), 0.0);
-    let mut entries = Vec::new();
-    let mut refined = 0usize;
-    let mut tick = 0u32;
-    for pid in pids {
-        control.check(&mut tick)?;
-        abs_diffs(diffs, ds.point(pid), query);
-        refined += 1;
-        if count_within(diffs, eps) >= n {
-            entries.push(MatchEntry {
-                pid,
-                diff: nth_smallest(diffs, n),
-            });
+impl FreqRefine {
+    fn new(k: usize, n0: usize, n1: usize) -> Self {
+        FreqRefine {
+            tops: (n0..=n1).map(|_| TopK::new(k)).collect(),
+            bounds: vec![f64::INFINITY; n1 - n0 + 1],
+            k,
+            n0,
         }
     }
-    sort_canonical(&mut entries);
-    Ok((KnMatchResult { n, entries }, refined))
+}
+
+impl Refine for FreqRefine {
+    fn min_hits(&self) -> usize {
+        self.n0
+    }
+
+    /// Level n1's k-th: an answer at any level `n ≥ n0` has `n`
+    /// differences within its level's k-th, which is at most this one.
+    fn bound(&self) -> f64 {
+        self.bounds[self.bounds.len() - 1]
+    }
+
+    #[inline(never)]
+    fn refine(
+        &mut self,
+        ds: &Dataset,
+        query: &[f64],
+        pids: impl Iterator<Item = PointId>,
+        diffs: &mut Vec<f64>,
+        control: &QueryControl,
+        tick: &mut u32,
+    ) -> Result<usize> {
+        diffs.resize(ds.dims(), 0.0);
+        let n0 = self.n0;
+        let mut refined = 0usize;
+        for pid in pids {
+            control.check(tick)?;
+            abs_diffs(diffs, ds.point(pid), query);
+            refined += 1;
+            if !enters_some_level(diffs, &self.bounds, n0) {
+                continue;
+            }
+            diffs.sort_unstable_by(f64::total_cmp);
+            for (i, (top, bound)) in self.tops.iter_mut().zip(&mut self.bounds).enumerate() {
+                top.offer(pid, diffs[n0 + i - 1]);
+                *bound = top.threshold().unwrap_or(f64::INFINITY);
+            }
+        }
+        Ok(refined)
+    }
+
+    fn finish(self) -> BatchAnswer {
+        let n0 = self.n0;
+        let n1 = n0 + self.tops.len() - 1;
+        let per_n: Vec<KnMatchResult> = self
+            .tops
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| t.into_result(n0 + i))
+            .collect();
+        BatchAnswer::Frequent(FrequentResult::from_levels((n0, n1), per_n, self.k))
+    }
+}
+
+/// ε-n-match: keep the points whose n-th smallest difference is within
+/// `eps`, in the canonical `(diff, pid)` order.
+struct EpsRefine {
+    eps: f64,
+    n: usize,
+    entries: Vec<MatchEntry>,
+}
+
+impl EpsRefine {
+    fn new(eps: f64, n: usize) -> Self {
+        EpsRefine {
+            eps,
+            n,
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl Refine for EpsRefine {
+    fn min_hits(&self) -> usize {
+        self.n
+    }
+
+    fn bound(&self) -> f64 {
+        self.eps
+    }
+
+    #[inline(never)]
+    fn refine(
+        &mut self,
+        ds: &Dataset,
+        query: &[f64],
+        pids: impl Iterator<Item = PointId>,
+        diffs: &mut Vec<f64>,
+        control: &QueryControl,
+        tick: &mut u32,
+    ) -> Result<usize> {
+        diffs.resize(ds.dims(), 0.0);
+        let (eps, n) = (self.eps, self.n);
+        let mut refined = 0usize;
+        for pid in pids {
+            control.check(tick)?;
+            abs_diffs(diffs, ds.point(pid), query);
+            refined += 1;
+            if count_within(diffs, eps) >= n {
+                self.entries.push(MatchEntry {
+                    pid,
+                    diff: nth_smallest(diffs, n),
+                });
+            }
+        }
+        Ok(refined)
+    }
+
+    fn finish(mut self) -> BatchAnswer {
+        sort_canonical(&mut self.entries);
+        BatchAnswer::EpsMatch(KnMatchResult {
+            n: self.n,
+            entries: self.entries,
+        })
+    }
 }
 
 /// Stats attributed to a refine pass that touched `refined` points of a
@@ -328,47 +474,36 @@ impl ScanEngine {
         let (d, c) = (ds.dims(), ds.len());
         query.validate(d, c)?;
         scratch.control.precheck()?;
-        let control = scratch.control.clone();
         let answer = match query {
-            BatchQuery::KnMatch { query, k, n } => {
-                let (r, _) = knmatch_over(
-                    ds,
-                    query,
-                    *k,
-                    *n,
-                    0..c as PointId,
-                    &mut scratch.diffs,
-                    &control,
-                )?;
-                BatchAnswer::KnMatch(r)
-            }
+            BatchQuery::KnMatch { query, k, n } => self.scan(query, KnRefine::new(*k, *n), scratch),
             BatchQuery::Frequent { query, k, n0, n1 } => {
-                let (r, _) = frequent_over(
-                    ds,
-                    query,
-                    *k,
-                    *n0,
-                    *n1,
-                    0..c as PointId,
-                    &mut scratch.diffs,
-                    &control,
-                )?;
-                BatchAnswer::Frequent(r)
+                self.scan(query, FreqRefine::new(*k, *n0, *n1), scratch)
             }
             BatchQuery::EpsMatch { query, eps, n } => {
-                let (r, _) = eps_over(
-                    ds,
-                    query,
-                    *eps,
-                    *n,
-                    0..c as PointId,
-                    &mut scratch.diffs,
-                    &control,
-                )?;
-                BatchAnswer::EpsMatch(r)
+                self.scan(query, EpsRefine::new(*eps, *n), scratch)
             }
-        };
+        }?;
         Ok((answer, refine_stats(c, d, 0)))
+    }
+
+    /// Offers every point to `refine`, in pid order.
+    fn scan<R: Refine>(
+        &self,
+        query: &[f64],
+        mut refine: R,
+        scratch: &mut FilterScratch,
+    ) -> Result<BatchAnswer> {
+        let ds = &*self.data;
+        let pids = 0..ds.len() as PointId;
+        refine.refine(
+            ds,
+            query,
+            pids,
+            &mut scratch.diffs,
+            &scratch.control,
+            &mut 0,
+        )?;
+        Ok(refine.finish())
     }
 }
 
@@ -444,24 +579,23 @@ impl BandEngine {
         Some((first as u8, (last - 1) as u8))
     }
 
-    /// Phase one: counts, per point, the dimensions whose cell intersects
-    /// `[q_j − tau, q_j + tau]`, into `counts` (reset here).
-    fn filter_counts(&self, query: &[f64], tau: f64, counts: &mut Vec<u16>) {
-        let c = self.data.len();
-        counts.clear();
-        counts.resize(c, 0);
-        for (j, &qv) in query.iter().enumerate() {
-            if let Some((lo, hi)) = self.band(j, qv - tau, qv + tau) {
-                accumulate_band_hits(counts, &self.cells[j * c..(j + 1) * c], lo, hi);
-            }
-        }
+    /// Every dimension's band ([`Self::band`]) at threshold `tau` into
+    /// `bands`, an empty band as `(1, 0)` (no cell matches it).
+    fn bands(&self, query: &[f64], tau: f64, bands: &mut Vec<(u8, u8)>) {
+        bands.clear();
+        bands.extend(
+            query
+                .iter()
+                .enumerate()
+                .map(|(j, &qv)| self.band(j, qv - tau, qv + tau).unwrap_or((1, 0))),
+        );
     }
 
-    /// Estimates the fraction of points phase one would keep for a filter
-    /// at threshold `tau` requiring `min_hits` band hits, by running the
-    /// filter over about `sample` points: evenly spaced runs of 16
-    /// consecutive pids. Used by the request-time planner to
-    /// price the refine phase without paying for a full filter pass.
+    /// Estimates the fraction of points the band filter keeps at threshold
+    /// `tau` requiring `min_hits` band hits, by running the filter over
+    /// about `sample` points: evenly spaced runs of 16 consecutive pids.
+    /// Used by the request-time planner to price the refine without paying
+    /// for a full filter pass.
     ///
     /// A run's cells share a cache line in every dimension's column, so
     /// the probe reads `d · sample / 16` lines through the
@@ -495,7 +629,8 @@ impl BandEngine {
     }
 
     /// Executes one query on the calling thread against caller scratch:
-    /// sample-derived threshold, kernel band filter, exact refine.
+    /// sample-derived threshold, then the band filter and the exact refine
+    /// interleaved block by block (see the module docs).
     ///
     /// # Errors
     ///
@@ -509,53 +644,80 @@ impl BandEngine {
         let (d, c) = (ds.dims(), ds.len());
         query.validate(d, c)?;
         scratch.control.precheck()?;
-        let control = scratch.control.clone();
-        // Threshold and hit floor per kind: k-n-match prunes at the n-level
-        // bound, frequent at the loosest level of its range (τ is
-        // nondecreasing in n, so τ(n1) covers every per-n answer set), and
-        // ε-n-match prunes at ε itself.
-        let (q, tau, min_hits, sampled) = match query {
-            BatchQuery::KnMatch { query, k, n } => (
-                query,
-                sample_thresholds(ds, query, *k, *n).bound,
-                *n,
-                FILTER_SAMPLE.min(c),
-            ),
-            BatchQuery::Frequent { query, k, n1, n0 } => (
-                query,
-                sample_thresholds(ds, query, *k, *n1).bound,
-                *n0,
-                FILTER_SAMPLE.min(c),
-            ),
-            BatchQuery::EpsMatch { query, eps, n } => (query, *eps, *n, 0),
+        // The first blocks prune at the sampled bound: k-n-match at its n,
+        // frequent at the loosest level of its range (the bound is
+        // nondecreasing in n, so n1's covers every per-n answer set), and
+        // ε-n-match at ε itself.
+        let sampled = match query {
+            BatchQuery::EpsMatch { .. } => 0,
+            _ => FILTER_SAMPLE.min(c),
         };
-        self.filter_counts(q, tau, &mut scratch.counts);
-        let min16 = min_hits.min(u16::MAX as usize) as u16;
-        let counts = std::mem::take(&mut scratch.counts);
-        let cands = counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &h)| h >= min16)
-            .map(|(pid, _)| pid as PointId);
         let (answer, refined) = match query {
             BatchQuery::KnMatch { query, k, n } => {
-                let (r, refined) =
-                    knmatch_over(ds, query, *k, *n, cands, &mut scratch.diffs, &control)?;
-                (BatchAnswer::KnMatch(r), refined)
+                let tau = sample_thresholds(ds, query, *k, *n).bound;
+                self.filter_refine(query, tau, KnRefine::new(*k, *n), scratch)
             }
             BatchQuery::Frequent { query, k, n0, n1 } => {
-                let (r, refined) =
-                    frequent_over(ds, query, *k, *n0, *n1, cands, &mut scratch.diffs, &control)?;
-                (BatchAnswer::Frequent(r), refined)
+                let tau = sample_thresholds(ds, query, *k, *n1).bound;
+                self.filter_refine(query, tau, FreqRefine::new(*k, *n0, *n1), scratch)
             }
             BatchQuery::EpsMatch { query, eps, n } => {
-                let (r, refined) =
-                    eps_over(ds, query, *eps, *n, cands, &mut scratch.diffs, &control)?;
-                (BatchAnswer::EpsMatch(r), refined)
+                self.filter_refine(query, *eps, EpsRefine::new(*eps, *n), scratch)
             }
-        };
-        scratch.counts = counts;
+        }?;
         Ok((answer, refine_stats(refined, d, sampled)))
+    }
+
+    /// Filters and refines [`FILTER_BLOCK`] consecutive pids at a time: each
+    /// block counts its band hits at `min(tau, refine.bound())` and
+    /// refines the points with at least `refine.min_hits()` of them before
+    /// the next block is counted, so the filter tightens as the running
+    /// bound does. The bands are recomputed at a block boundary only when
+    /// that threshold has tightened. Returns the answer and the number of
+    /// points refined.
+    ///
+    /// Exact: the running bound never drops below the final answer's
+    /// threshold and a band hit is inclusive, so every answer (ties
+    /// included) is refined.
+    fn filter_refine<R: Refine>(
+        &self,
+        query: &[f64],
+        tau: f64,
+        mut refine: R,
+        scratch: &mut FilterScratch,
+    ) -> Result<(BatchAnswer, usize)> {
+        let ds = &*self.data;
+        let c = ds.len();
+        let FilterScratch {
+            bands,
+            diffs,
+            control,
+        } = scratch;
+        let min16 = refine.min_hits().min(u16::MAX as usize) as u16;
+        let mut hits = [0u16; FILTER_BLOCK];
+        // The threshold `bands` were last computed at.
+        let mut band_tau: Option<f64> = None;
+        let (mut refined, mut tick) = (0usize, 0u32);
+        for start in (0..c).step_by(FILTER_BLOCK) {
+            let t = tau.min(refine.bound());
+            if band_tau.is_none_or(|b| t < b) {
+                self.bands(query, t, bands);
+                band_tau = Some(t);
+            }
+            let hits = &mut hits[..FILTER_BLOCK.min(c - start)];
+            hits.fill(0);
+            for (j, &(lo, hi)) in bands.iter().enumerate() {
+                let col = &self.cells[j * c + start..j * c + start + hits.len()];
+                accumulate_band_hits(hits, col, lo, hi);
+            }
+            let cands = hits
+                .iter()
+                .enumerate()
+                .filter(|&(_, &h)| h >= min16)
+                .map(|(i, _)| (start + i) as PointId);
+            refined += refine.refine(ds, query, cands, diffs, control, &mut tick)?;
+        }
+        Ok((refine.finish(), refined))
     }
 }
 
@@ -787,6 +949,152 @@ mod tests {
                 assert_eq!(answer, oracle(&ds, q), "{q:?}");
             }
         }
+    }
+
+    /// How many points the two-phase filter (every point counted at one
+    /// threshold, then refined) keeps at `tau` with `min_hits`.
+    fn two_phase_kept(e: &BandEngine, q: &[f64], tau: f64, min_hits: usize) -> u64 {
+        let c = e.data.len();
+        let mut bands = Vec::new();
+        e.bands(q, tau, &mut bands);
+        let hits = |pid: usize| {
+            let in_band =
+                |(j, &(lo, hi)): (usize, &(u8, u8))| (lo..=hi).contains(&e.cells[j * c + pid]);
+            bands.iter().enumerate().filter(|&b| in_band(b)).count()
+        };
+        (0..c).filter(|&pid| hits(pid) >= min_hits).count() as u64
+    }
+
+    /// The block loop against the oracle, and its refined points against
+    /// the two-phase filter's at the sampled bound (at ε for ε-n-match).
+    fn check_blocks(ds: &Dataset, batch: &[BatchQuery], ctx: &str) {
+        let e = band_engine(ds);
+        let d = ds.dims() as u64;
+        for (q, (answer, stats)) in batch.iter().zip(run_each(|q, s| e.execute(q, s), batch)) {
+            assert_eq!(answer, oracle(ds, q), "{ctx}: {q:?}");
+            let kept = match q {
+                BatchQuery::KnMatch { query, k, n } => {
+                    two_phase_kept(&e, query, sample_thresholds(ds, query, *k, *n).bound, *n)
+                }
+                BatchQuery::Frequent { query, k, n0, n1 } => {
+                    two_phase_kept(&e, query, sample_thresholds(ds, query, *k, *n1).bound, *n0)
+                }
+                BatchQuery::EpsMatch { query, eps, n } => two_phase_kept(&e, query, *eps, *n),
+            };
+            assert!(
+                stats.attributes_retrieved <= kept * d,
+                "{ctx}: refined {} points, the two-phase filter keeps {kept}: {q:?}",
+                stats.attributes_retrieved / d
+            );
+        }
+    }
+
+    #[test]
+    fn block_loop_matches_oracle_at_block_edges() {
+        let d = 5;
+        for c in [1, FILTER_BLOCK - 1, FILTER_BLOCK + 1, 3 * FILTER_BLOCK + 7] {
+            let ds = pseudo_dataset(c, d, c as u64);
+            let q = ds
+                .point((c / 2) as PointId)
+                .iter()
+                .map(|v| v * 0.98 + 0.01)
+                .collect::<Vec<_>>();
+            let mut batch = vec![
+                BatchQuery::KnMatch {
+                    query: q.clone(),
+                    k: c,
+                    n: d,
+                },
+                BatchQuery::Frequent {
+                    query: q.clone(),
+                    k: c.min(5),
+                    n0: 1,
+                    n1: d,
+                },
+                BatchQuery::Frequent {
+                    query: q.clone(),
+                    k: c,
+                    n0: 1,
+                    n1: d,
+                },
+                BatchQuery::EpsMatch {
+                    query: q.clone(),
+                    eps: 0.1,
+                    n: 2,
+                },
+            ];
+            for n in 1..=d {
+                batch.push(BatchQuery::KnMatch {
+                    query: q.clone(),
+                    k: c.min(7),
+                    n,
+                });
+            }
+            check_blocks(&ds, &batch, &format!("c={c}"));
+        }
+    }
+
+    #[test]
+    fn block_loop_keeps_duplicates_tied_across_a_block_edge() {
+        // Four copies of one row at pids B−2 … B+1 (B = FILTER_BLOCK), far
+        // from everything else: for k ≤ 4 the k-th difference is tied by
+        // all four, and the copies the answer keeps (the smallest pids)
+        // sit on both sides of the block edge.
+        let (c, d) = (2 * FILTER_BLOCK + 9, 6);
+        let far = pseudo_dataset(c, d, 17);
+        let near = vec![0.1; d];
+        let rows: Vec<Vec<f64>> = (0..c)
+            .map(|pid| {
+                if (FILTER_BLOCK - 2..=FILTER_BLOCK + 1).contains(&pid) {
+                    near.clone()
+                } else {
+                    far.point(pid as PointId)
+                        .iter()
+                        .map(|v| 0.5 + v / 2.0)
+                        .collect()
+                }
+            })
+            .collect();
+        let ds = Dataset::from_rows(&rows).unwrap();
+        let q: Vec<f64> = (0..d).map(|j| 0.1 + 0.01 * j as f64).collect();
+        let mut batch = Vec::new();
+        for k in 1..=5 {
+            for n in [1, 3, d] {
+                batch.push(BatchQuery::KnMatch {
+                    query: q.clone(),
+                    k,
+                    n,
+                });
+            }
+            batch.push(BatchQuery::Frequent {
+                query: q.clone(),
+                k,
+                n0: 1,
+                n1: d,
+            });
+        }
+        batch.push(BatchQuery::EpsMatch {
+            query: q.clone(),
+            eps: 0.05,
+            n: d,
+        });
+        check_blocks(&ds, &batch, "duplicates");
+        let e = band_engine(&ds);
+        let (answer, _) = e
+            .execute(
+                &BatchQuery::KnMatch {
+                    query: q,
+                    k: 3,
+                    n: d,
+                },
+                &mut FilterScratch::new(),
+            )
+            .unwrap();
+        let BatchAnswer::KnMatch(r) = answer else {
+            unreachable!("k-n-match answers a k-n-match")
+        };
+        let b = FILTER_BLOCK as PointId;
+        assert_eq!(r.ids(), vec![b - 2, b - 1, b]);
     }
 
     #[test]

@@ -123,7 +123,7 @@ pub use error::{panic_message, KnMatchError, Result};
 pub use fagin::{GradedLists, MiddlewareStats, MinAggregate, MonotoneAggregate, WeightedSum};
 pub use filter::{
     equi_width_boundaries, sample_thresholds, BandEngine, FilterScratch, SampledThresholds,
-    ScanEngine, FILTER_SAMPLE,
+    ScanEngine, FILTER_BLOCK, FILTER_SAMPLE,
 };
 pub use hybrid::{
     frequent_k_n_match_hybrid, k_n_match_hybrid, k_n_match_hybrid_scan, DimKind, HybridColumns,

@@ -100,7 +100,7 @@ impl QueryControl {
             return Ok(());
         }
         *tick += 1;
-        if *tick % CONTROL_CHECK_INTERVAL != 0 {
+        if !tick.is_multiple_of(CONTROL_CHECK_INTERVAL) {
             return Ok(());
         }
         self.precheck()

@@ -213,7 +213,7 @@ impl SsTree {
                     stats.internal_visited += 1;
                     for &child in children {
                         let d = self.nodes[child].sphere.min_dist(query);
-                        if top.threshold().map_or(true, |tau2| d * d <= tau2) {
+                        if top.threshold().is_none_or(|tau2| d * d <= tau2) {
                             frontier.push(Cand {
                                 dist: d,
                                 node: child,

@@ -222,7 +222,7 @@ impl RTree {
                     stats.internal_visited += 1;
                     for &child in children {
                         let d2 = self.nodes[child].mbr.min_dist2(query);
-                        if top.threshold().map_or(true, |tau| d2 <= tau) {
+                        if top.threshold().is_none_or(|tau| d2 <= tau) {
                             frontier.push(Candidate {
                                 dist2: d2,
                                 node: child,

@@ -106,12 +106,14 @@ impl PlannedEngine {
     /// Prices one query against the cost model without running it:
     /// validates the parameters, then plans it as [`PlannedEngine`]'s
     /// `auto` mode does. What is measured: from one pass over the
-    /// evenly-spaced sample ([`sample_thresholds`]) the VA filter's bound
-    /// `ε̂` and the answer-threshold estimate `ε_q` (both `ε` for an
-    /// ε-n-match query); the sorted-column entries within `±ε_q` of the
-    /// query per dimension (the AD frontier's work); and, unless AD has
-    /// already won regardless, the VA filter's candidate fraction at `ε̂`
-    /// on a sample of points.
+    /// evenly-spaced sample ([`sample_thresholds`]) the answer-threshold
+    /// estimate `ε_q` (`ε` for an ε-n-match query); the sorted-column
+    /// entries within `±ε_q` of the query per dimension (the AD frontier's
+    /// work); and, unless AD has already won regardless, the VA filter's
+    /// candidate fraction at `ε_q` on a sample of points. The VA filter
+    /// prunes at its running k-th bound, which closes in on the answer's
+    /// threshold, so `ε_q` prices its refine better than the sampled
+    /// bound `ε̂` its first blocks start from.
     ///
     /// Deterministic: every estimate is a pure function of the data and
     /// the query, so the same query always gets the same plan — which is
@@ -136,22 +138,25 @@ impl PlannedEngine {
     /// The quantities [`plan_in_memory`] prices for a query that has
     /// passed validation (see [`Self::plan_for`]). The candidate fraction
     /// is left at 0 — the VA filter's floor, its cell pass alone — whenever
-    /// AD already beats the scan and that floor: no fraction could change
-    /// the choice, and AD's cheapest queries (small n) then skip the
-    /// probe's cold cell reads.
+    /// AD already beats the scan and that floor: the scan and VA prices
+    /// only grow with the fraction (the model's refine price is at least
+    /// its scan price), so no fraction could change the choice, and AD's
+    /// cheapest queries (small n) then skip the probe's cold cell reads.
     fn inputs_valid(&self, query: &BatchQuery) -> MemPlanInputs {
-        let (q, eps_hat, eps_q, min_hits) = match query {
-            BatchQuery::KnMatch { query, k, n } => {
-                let s = sample_thresholds(&self.data, query, *k, *n);
-                (query, s.bound, s.quantile, *n)
-            }
-            BatchQuery::Frequent { query, k, n0, n1 } => {
-                // τ at the loosest level covers every per-n answer set and
-                // AD stops on it; the hit floor is the tightest level.
-                let s = sample_thresholds(&self.data, query, *k, *n1);
-                (query, s.bound, s.quantile, *n0)
-            }
-            BatchQuery::EpsMatch { query, eps, n } => (query, *eps, *eps, *n),
+        let (q, eps_q, min_hits) = match query {
+            BatchQuery::KnMatch { query, k, n } => (
+                query,
+                sample_thresholds(&self.data, query, *k, *n).quantile,
+                *n,
+            ),
+            // The loosest level's threshold covers every per-n answer set
+            // and AD stops on it; the hit floor is the tightest level.
+            BatchQuery::Frequent { query, k, n0, n1 } => (
+                query,
+                sample_thresholds(&self.data, query, *k, *n1).quantile,
+                *n0,
+            ),
+            BatchQuery::EpsMatch { query, eps, n } => (query, *eps, *n),
         };
         // AD's frontier pops, per dimension, the sorted entries within the
         // answer threshold of the query; two binary searches per column
@@ -175,7 +180,7 @@ impl PlannedEngine {
         if plan_in_memory(&inputs, &self.model).backend != BackendChoice::Ad {
             inputs.candidate_fraction =
                 self.va
-                    .estimate_candidate_fraction(q, eps_hat, min_hits, PLAN_FRACTION_SAMPLE);
+                    .estimate_candidate_fraction(q, eps_q, min_hits, PLAN_FRACTION_SAMPLE);
         }
         inputs
     }

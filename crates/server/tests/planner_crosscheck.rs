@@ -6,13 +6,13 @@
 //! every mode, must answer the exact query kinds **bit-identically** to
 //! the naive sequential scan, across dimensionalities, cardinalities,
 //! n-ranges, and worker counts; the AD route's `AdStats` must equal
-//! sequential AD's. The sweeps are seeded, so a failure reproduces
+//! sequential AD's, and its pops the count Theorem 3.2 gives. The sweeps are seeded, so a failure reproduces
 //! deterministically.
 
 use knmatch_core::{
     execute_batch_query, frequent_k_n_match_scan, k_n_match_scan, nmatch_difference_with_buf,
     BatchAnswer, BatchEngine, BatchOptions, BatchQuery, Dataset, KnMatchResult, MatchEntry,
-    PlannerMode, Scratch,
+    PlannerMode, Scratch, FILTER_BLOCK,
 };
 use knmatch_data::rng::Rng64;
 use knmatch_server::PlannedEngine;
@@ -273,4 +273,133 @@ fn planner_tally_is_consistent_with_its_own_cost_model() {
     }
     assert_eq!(engine.plan_counts(), Some(want));
     assert_eq!(want.total(), batch.len() as u64);
+}
+
+#[test]
+fn forced_vafile_matches_oracle_at_block_edges() {
+    // The VA filter counts and refines FILTER_BLOCK pids at a time: data
+    // ending just before, just after and well past a block edge, and
+    // copies of one row straddling the first edge whose difference ties
+    // the k-th, at k = c, n = d, frequent [1, d] and ε-n-match.
+    let mut rng = Rng64::new(0xb10c);
+    let b = FILTER_BLOCK;
+    let d = 5;
+    for c in [1, b - 1, b + 1, 3 * b + 7] {
+        let mut rows: Vec<Vec<f64>> = (0..c)
+            .map(|_| (0..d).map(|_| 0.3 + 0.7 * rng.next_f64()).collect())
+            .collect();
+        let near: Vec<f64> = (0..d).map(|_| 0.1 * rng.next_f64()).collect();
+        for row in rows.iter_mut().take(b + 2).skip(b.saturating_sub(2)) {
+            row.clone_from(&near);
+        }
+        let ds = Dataset::from_rows(&rows).unwrap();
+        let mut batch = Vec::new();
+        for query in [near.clone(), rows[c / 2].clone()] {
+            for k in [1, c.min(3), c.min(10), c] {
+                for n in [1, 3, d] {
+                    batch.push(BatchQuery::KnMatch {
+                        query: query.clone(),
+                        k,
+                        n,
+                    });
+                }
+                batch.push(BatchQuery::Frequent {
+                    query: query.clone(),
+                    k,
+                    n0: 1,
+                    n1: d,
+                });
+            }
+            batch.push(BatchQuery::EpsMatch {
+                query: query.clone(),
+                eps: 0.12,
+                n: 2,
+            });
+        }
+        let want = oracle(&ds, &batch);
+        for workers in [1usize, 3] {
+            let engine = PlannedEngine::with_workers(&ds, workers, PlannerMode::Auto);
+            for (i, (r, w)) in forced(&engine, PlannerMode::VaFile, &batch)
+                .into_iter()
+                .zip(&want)
+                .enumerate()
+            {
+                assert_eq!(
+                    &r.unwrap().0,
+                    w,
+                    "vafile diverged: c={c} workers={workers} query #{i}: {:?}",
+                    batch[i]
+                );
+            }
+        }
+    }
+}
+
+/// Theorem 3.2's count, taken from the data: the attributes within ε of
+/// `query`, where ε is the k-th smallest n1-match difference.
+fn attributes_within_kth(ds: &Dataset, query: &[f64], k: usize, n1: usize) -> u64 {
+    let mut nth: Vec<f64> = ds
+        .iter()
+        .map(|(_, p)| {
+            let mut diffs: Vec<f64> = p.iter().zip(query).map(|(v, q)| (v - q).abs()).collect();
+            diffs.sort_unstable_by(f64::total_cmp);
+            diffs[n1 - 1]
+        })
+        .collect();
+    nth.sort_unstable_by(f64::total_cmp);
+    let eps = nth[k - 1];
+    ds.iter()
+        .flat_map(|(_, row)| row.iter().zip(query))
+        .filter(|(v, q)| (*v - *q).abs() <= eps)
+        .count() as u64
+}
+
+#[test]
+fn forced_ad_pops_the_attributes_within_the_kth_difference() {
+    // Theorem 3.2 on the planner's `ad` route: a k-n-match (and a
+    // frequent [⌈n/2⌉, n]) walk pops exactly the attributes within the
+    // answer's ε, on continuous data and on the 0.25 grid, where the
+    // count takes in the whole tie plateau at ε.
+    let mut rng = Rng64::new(0x7e03);
+    let (c, d) = (300usize, 6usize);
+    for grid in [false, true] {
+        let ds = if grid {
+            quantised_dataset(&mut rng, c, d)
+        } else {
+            random_dataset(&mut rng, c, d)
+        };
+        let mut batch = Vec::new();
+        for pid in [0, c / 3, c - 1] {
+            let query = ds.point(pid as u32).to_vec();
+            for k in [1, 10] {
+                for n in 1..=4 {
+                    batch.push(BatchQuery::KnMatch {
+                        query: query.clone(),
+                        k,
+                        n,
+                    });
+                    batch.push(BatchQuery::Frequent {
+                        query: query.clone(),
+                        k,
+                        n0: n.div_ceil(2),
+                        n1: n,
+                    });
+                }
+            }
+        }
+        let engine = PlannedEngine::with_workers(&ds, 2, PlannerMode::Auto);
+        for (q, r) in batch.iter().zip(forced(&engine, PlannerMode::Ad, &batch)) {
+            let (_, stats) = r.unwrap();
+            let (query, k, n1) = match q {
+                BatchQuery::KnMatch { query, k, n } => (query, *k, *n),
+                BatchQuery::Frequent { query, k, n1, .. } => (query, *k, *n1),
+                BatchQuery::EpsMatch { .. } => unreachable!("no ε queries here"),
+            };
+            assert_eq!(
+                stats.heap_pops,
+                attributes_within_kth(&ds, query, k, n1),
+                "grid={grid} {q:?}"
+            );
+        }
+    }
 }

@@ -28,9 +28,12 @@ pub enum BackendChoice {
 /// [`MemPlan`] reads as predicted wall-clock per query.
 ///
 /// Every backend is priced linearly in the work it does: AD per attribute
-/// its frontier retrieves, the scan per attribute it differences, the
-/// VA-file per quantised cell its filter compares plus per attribute it
-/// refines. The defaults are the constants `planner_crossover` fits over
+/// its frontier retrieves, the VA-file per quantised cell its filter
+/// compares plus per attribute it refines, and the scan per attribute it
+/// differences. The scan and the VA refine run the same counting loop in
+/// the same pid order, so the points the filter keeps cost the scan what
+/// they cost the VA refine; the rest fail the scan's counting test at a
+/// fraction of that price. The defaults are the constants `planner_crossover` fits over
 /// its d × n × kind grid (it writes them into `BENCH_planner.json` under
 /// `fitted_model`), measured on a 2-vCPU x86-64 (Xeon) cloud VM at
 /// c = 20 000 — the host every committed `BENCH_*.json` comes from. Only
@@ -41,24 +44,28 @@ pub struct MemCostModel {
     /// ns per attribute the AD frontier retrieves (one tree replay, the
     /// cursor advance, the appearance bookkeeping).
     pub ad_ns_per_attr: f64,
-    /// ns per attribute the full scan differences (the counting refine
-    /// loop over every point, `c × d` attributes).
+    /// ns per attribute the full scan differences and rejects: a point
+    /// outside the VA filter's candidates fails the scan's counting test
+    /// before any selection.
     pub scan_ns_per_attr: f64,
     /// ns per (point, dimension) byte compare of the band filter, the
     /// candidate extraction pass included.
     pub filter_ns_per_cell: f64,
-    /// ns per attribute refined after the filter (a gather of candidate
-    /// rows into the same counting loop the scan runs).
+    /// ns per attribute of a point the VA filter keeps, in the VA refine
+    /// (a gather of candidate rows) and in the scan alike: the counting
+    /// loop, and the selection and top-k offer a near point pays. At
+    /// least `scan_ns_per_attr`, so no backend's price falls as the
+    /// candidate fraction grows.
     pub refine_ns_per_attr: f64,
 }
 
 impl Default for MemCostModel {
     fn default() -> Self {
         MemCostModel {
-            ad_ns_per_attr: 23.3,
-            scan_ns_per_attr: 0.70,
-            filter_ns_per_cell: 0.20,
-            refine_ns_per_attr: 1.9,
+            ad_ns_per_attr: 21.9,
+            scan_ns_per_attr: 0.65,
+            filter_ns_per_cell: 0.22,
+            refine_ns_per_attr: 2.3,
         }
     }
 }
@@ -66,13 +73,12 @@ impl Default for MemCostModel {
 /// Per-query quantities the in-memory model prices. The caller measures
 /// them cheaply at request time: `ad_attrs` from the sorted columns at
 /// `q ± ε_q` (two binary searches per dimension), `candidate_fraction`
-/// from the band filter at `τ = ε̂` over a small sample.
+/// from the band filter at `τ = ε_q` over a small sample.
 ///
-/// `ε̂` and `ε_q` are two order statistics of one sample of n-match
-/// differences (n1 for a frequent query): `ε̂`, the sample's k-th, bounds
-/// the true k-th from above and is what the VA filter must use; `ε_q`,
-/// the sample's `k/c`-quantile, *estimates* it, which is what AD's
-/// frontier actually reaches. For an ε-n-match query both are `ε`.
+/// `ε_q`, the `k/c`-quantile of one sample of n-match differences (n1 for
+/// a frequent query), *estimates* the true k-th difference: what AD's
+/// frontier reaches, and what the VA filter's running bound closes in on.
+/// For an ε-n-match query it is `ε`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemPlanInputs {
     /// Dataset cardinality.
@@ -82,8 +88,9 @@ pub struct MemPlanInputs {
     /// Estimated attributes the AD algorithm would retrieve before
     /// completing (all dimensions combined).
     pub ad_attrs: u64,
-    /// Estimated fraction of points surviving the band filter (phase-two
-    /// volume of the VA-file path), in `[0, 1]`.
+    /// Estimated fraction of points the band filter keeps, in `[0, 1]`:
+    /// the VA refine's volume, and the points that cost the scan the
+    /// refine price.
     pub candidate_fraction: f64,
 }
 
@@ -106,10 +113,11 @@ pub struct MemPlan {
 /// cheapest — the Figure 12 crossover, evaluated live per batch element.
 pub fn plan_in_memory(inputs: &MemPlanInputs, model: &MemCostModel) -> MemPlan {
     let attrs = inputs.cardinality as f64 * inputs.dims as f64;
+    let kept = inputs.candidate_fraction.clamp(0.0, 1.0);
+    let refine = kept * attrs * model.refine_ns_per_attr;
     let ad_cost = inputs.ad_attrs as f64 * model.ad_ns_per_attr;
-    let scan_cost = attrs * model.scan_ns_per_attr;
-    let vafile_cost = attrs * model.filter_ns_per_cell
-        + inputs.candidate_fraction.clamp(0.0, 1.0) * attrs * model.refine_ns_per_attr;
+    let scan_cost = (1.0 - kept) * attrs * model.scan_ns_per_attr + refine;
+    let vafile_cost = attrs * model.filter_ns_per_cell + refine;
     let backend = if ad_cost <= vafile_cost && ad_cost <= scan_cost {
         BackendChoice::Ad
     } else if vafile_cost <= scan_cost {
@@ -148,21 +156,25 @@ mod tests {
             ..base
         };
         assert_eq!(plan_in_memory(&va, &model).backend, BackendChoice::VaFile);
-        // Filter keeps everything too → the plain scan is cheapest.
+        // AD's frontier a hundred times wider and the filter keeping
+        // everything → the plain scan is cheapest.
         let scan = MemPlanInputs {
+            ad_attrs: 40_000,
             candidate_fraction: 1.0,
             ..va
         };
         assert_eq!(plan_in_memory(&scan, &model).backend, BackendChoice::Scan);
         // Every cost is its units times its ns constant: linear in its
-        // own units, blind to the others.
+        // own units, blind to the others. The filter's candidates cost the
+        // scan what they cost the VA refine.
         let c = plan_in_memory(&base, &model);
+        let refine = 0.05 * 80_000.0 * model.refine_ns_per_attr;
         assert_eq!(c.ad_cost, 400.0 * model.ad_ns_per_attr);
-        assert_eq!(c.scan_cost, 80_000.0 * model.scan_ns_per_attr);
         assert_eq!(
-            c.vafile_cost,
-            80_000.0 * model.filter_ns_per_cell + 0.05 * 80_000.0 * model.refine_ns_per_attr
+            c.scan_cost,
+            0.95 * 80_000.0 * model.scan_ns_per_attr + refine
         );
+        assert_eq!(c.vafile_cost, 80_000.0 * model.filter_ns_per_cell + refine);
         let c2 = plan_in_memory(&va, &model);
         assert_eq!(c2.ad_cost, 10.0 * c.ad_cost);
         assert_eq!((c2.scan_cost, c2.vafile_cost), (c.scan_cost, c.vafile_cost));
@@ -170,19 +182,19 @@ mod tests {
 
     #[test]
     fn in_memory_model_breaks_ties_toward_ad() {
-        // One ns per unit everywhere, and inputs that make all three
-        // estimates 1 µs.
+        // One ns per unit everywhere but the filter, and inputs that make
+        // all three estimates 1 µs.
         let model = MemCostModel {
             ad_ns_per_attr: 1.0,
             scan_ns_per_attr: 1.0,
             filter_ns_per_cell: 0.5,
-            refine_ns_per_attr: 0.5,
+            refine_ns_per_attr: 1.0,
         };
         let inputs = MemPlanInputs {
             cardinality: 100,
             dims: 10,
             ad_attrs: 1_000,
-            candidate_fraction: 1.0,
+            candidate_fraction: 0.5,
         };
         let choice = plan_in_memory(&inputs, &model);
         assert_eq!(choice.ad_cost, 1_000.0);

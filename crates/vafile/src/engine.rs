@@ -6,11 +6,12 @@
 //! (256 cells, one byte per attribute), but with the approximation filter
 //! rewritten on the core band-count kernels ([`knmatch_core::kernels`])
 //! over dim-major cell columns instead of the per-point float-bound sort
-//! of the disk path. Phase two refines the surviving candidates exactly
-//! through the shared canonical `(diff, pid)` collectors, so answers are
-//! bit-identical to the sequential oracle on every exact query kind — a
-//! pure function of the data, independent of which worker runs it, batch
-//! order, and quantisation. This crate decides only the boundary vector;
+//! of the disk path, and interleaved with the refine in blocks of points
+//! so it prunes at the running k-th difference. The candidates are
+//! refined exactly through the shared canonical `(diff, pid)` collectors,
+//! so answers are bit-identical to the sequential oracle on every exact
+//! query kind — a pure function of the data, independent of which worker
+//! runs it, batch order, and quantisation. This crate decides only the boundary vector;
 //! the filter is the core [`BandEngine`].
 
 use std::sync::Arc;
