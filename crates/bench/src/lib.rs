@@ -35,6 +35,36 @@ pub fn git_rev() -> String {
     }
 }
 
+/// The n-levels of `planner_crossover`'s grid at dimensionality `d`: 1,
+/// `d/2` and `d`.
+pub fn crossover_levels(d: usize) -> [usize; 3] {
+    [1, d / 2, d]
+}
+
+/// `planner_crossover`'s query points over `ds`: for each of
+/// [`crossover_levels`] in order, `queries` data points drawn by pid and
+/// moved by up to ±0.01 per coordinate (clamped to `[0, 1]`). A pure
+/// function of the data, `seed` and `queries`, so a test can ask the
+/// bench's own queries.
+pub fn crossover_points(
+    ds: &knmatch_core::Dataset,
+    seed: u64,
+    queries: usize,
+) -> [Vec<Vec<f64>>; 3] {
+    let mut rng = knmatch_data::rng::seeded(seed ^ (ds.dims() as u64) << 8);
+    crossover_levels(ds.dims()).map(|_| {
+        (0..queries)
+            .map(|_| {
+                let pid = rng.range_usize(0..ds.len()) as u32;
+                ds.point(pid)
+                    .iter()
+                    .map(|&v| (v + rng.range_f64(-0.01, 0.01)).clamp(0.0, 1.0))
+                    .collect()
+            })
+            .collect()
+    })
+}
+
 /// Scale of a reproduction run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {

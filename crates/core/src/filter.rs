@@ -18,24 +18,43 @@
 //!   pids are walked in blocks of [`FILTER_BLOCK`]: a block counts, per
 //!   point, the dimensions whose cell intersects the query band
 //!   `[q_j − τ, q_j + τ]` with the branchless
-//!   [`crate::kernels::accumulate_band_hits`] byte kernel, and the points
-//!   with enough hits are refined exactly before the next block is
-//!   counted. Because a point's per-dimension lower bound is within `τ`
-//!   **iff** its cell intersects the band, "at least `n` band hits" is
-//!   exactly "n-th smallest lower bound ≤ τ" — the classic VA-file filter
-//!   condition — so the candidates are a superset of the true answers at
-//!   any quantisation and the refined answers are a pure function of the
-//!   data.
+//!   [`crate::kernels::accumulate_band_hits`] kernel into byte counts
+//!   (saturating at 255; the hit floor is clamped to 255 too, so past 255
+//!   dimensions the test keeps a superset), and the points with enough
+//!   hits are refined exactly before the next block is counted. The
+//!   counts are read 16 points at a time: a run whose 16 counts all miss
+//!   the floor costs one vector compare. Because a point's per-dimension
+//!   lower bound is within `τ` **iff** its cell intersects the band, "at
+//!   least `n` band hits" is exactly "n-th smallest lower bound ≤ τ" —
+//!   the classic VA-file filter condition — so the candidates are a
+//!   superset of the true answers at any quantisation and the refined
+//!   answers are a pure function of the data.
 //!
 //! `τ` is the tighter of two upper bounds of the answer's threshold: the
 //! k-th smallest n-match difference of a small evenly-spaced sample
-//! ([`sample_thresholds`], under the canonical `(diff, pid)` order), and
+//! ([`sample_thresholds`]), and
 //! the refine's running k-th difference, which tightens block by block
 //! (Weber, Schek & Blott's VA-file search prunes the same way). Neither
 //! drops below the final k-th difference and a band hit is inclusive, so
 //! every answer, ties included, is refined; a query refines at most the
 //! points a two-phase filter at the sampled bound would keep. ε-n-match
 //! runs through the same loop at its fixed `ε`.
+//!
+//! A frequent `[n0, n1]` query counts at level n1's `τ` with hit floor
+//! n0, which alone keeps most points of a wide range. Each 16-point run
+//! that passes that test then meets a **per-level test**: a point stays a
+//! candidate only if, for some level `n`, its n-th smallest per-dimension
+//! cell distance is within level n's own `τ_n` (the sampled and the
+//! running k-th of that level, whichever is tighter). The distance of a
+//! point's cell `a` from the query's cell `b` is counted in cells of the
+//! narrowest width `w` of any dimension, minus one: `(|a − b| − 1)·w` is
+//! a lower bound of the difference, so a point that fails every level
+//! cannot enter any level's answer. The 16 points' distances are sorted
+//! per lane by a byte sorting network ([`crate::kernels::sort_lanes`]).
+//! The test stands down where it cannot help or cannot be cheap: one
+//! level, repeated marks (`w = 0`), or more than [`NETWORK_MAX_DIMS`]
+//! dimensions. It is AND-ed with the count test, so a query refines a
+//! subset of what the count test alone keeps.
 //!
 //! Both backends share one exact refine loop per query kind, and each
 //! **counts before it selects**: after a point's differences are taken,
@@ -54,7 +73,10 @@ use std::sync::Arc;
 use crate::ad::AdStats;
 use crate::engine::{BatchAnswer, BatchQuery};
 use crate::error::Result;
-use crate::kernels::{abs_diffs, accumulate_band_hits, count_within, nth_smallest, sort_canonical};
+use crate::kernels::{
+    abs_diffs, accumulate_band_hits, at_least_mask, count_within, nth_smallest, pack_lanes,
+    sort_canonical, sort_lanes, sorting_network, RUN,
+};
 use crate::point::{Dataset, PointId};
 use crate::result::{FrequentResult, KnMatchResult, MatchEntry};
 use crate::scratch::QueryControl;
@@ -64,14 +86,20 @@ use crate::topk::TopK;
 /// the same budget the disk planner uses.
 pub const FILTER_SAMPLE: usize = 64;
 
-/// Consecutive pids per run of [`BandEngine::estimate_candidate_fraction`]'s
-/// sample: 16 one-byte cells are one cache line of a dimension's column.
-const PROBE_RUN: usize = 16;
-
 /// Consecutive pids [`BandEngine`] filters before it refines them: the
-/// running bound can tighten every block, and one block's hit counts
-/// (`2 B × FILTER_BLOCK`) live on the stack.
+/// running bound can tighten every block, and one block's byte hit counts
+/// live on the stack.
 pub const FILTER_BLOCK: usize = 256;
+
+/// The most dimensions the frequent filter's per-level test sorts with its
+/// byte network (see the module docs); past it the test stands down.
+pub const NETWORK_MAX_DIMS: usize = 32;
+
+/// The relative margin the per-level test's cell unit is shrunk by, so
+/// that rounding in the marks' widths, in the bound's division by the unit
+/// and in the refine's differences can never prune a point the exact
+/// arithmetic would keep (any margin well above 2⁻⁵⁰ does).
+const UNIT_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
 
 /// The sampled order statistic [`sample_thresholds`] extrapolates `ε_q`
 /// from when `k/c` is finer than the sample resolves.
@@ -83,6 +111,11 @@ pub struct FilterScratch {
     /// Each dimension's inclusive cell band at the current threshold.
     bands: Vec<(u8, u8)>,
     diffs: Vec<f64>,
+    /// One block's candidates, in pid order.
+    cands: Vec<PointId>,
+    /// The per-level test's query cells, its per-level cell limits and
+    /// one run's per-dimension cell distances.
+    levels: LevelScratch,
     /// Deadline/cancellation the next query must honour (the batch loop
     /// arms it per batch, like [`Scratch`](crate::Scratch)).
     pub control: QueryControl,
@@ -95,83 +128,148 @@ impl FilterScratch {
     }
 }
 
-/// The two answer-threshold estimates one evenly-spaced sample yields
-/// ([`sample_thresholds`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Every level's answer-threshold estimates from one pass over an
+/// evenly-spaced sample ([`sample_thresholds`]); level `n0 + i` at index
+/// `i`, both nondecreasing in the level.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampledThresholds {
-    /// `ε̂` — the canonical k-th smallest sampled n-match difference: an
+    /// `ε̂_n` — the k-th smallest sampled n-match difference: an
     /// upper bound of the true k-th smallest whenever the sample holds at
     /// least `k` points, `+∞` (no pruning) otherwise. The band filter's
-    /// `τ` until its running bound is tighter, because its correctness
+    /// `τ_n` until its running bound is tighter, because its correctness
     /// needs a bound.
-    pub bound: f64,
+    pub bounds: Vec<f64>,
     /// `ε_q` — the `k/c`-quantile of the sampled n-match differences: an
     /// *estimate* of the true k-th smallest (the disk planner's), never
-    /// above `bound`. Where `k/c` is finer than the sample resolves, one of
-    /// the sample's smallest values is scaled down the lower tail
-    /// `F(x) ∝ xⁿ` rather than clamped to (the disk planner clamps: on the
-    /// `planner_crossover` grid that overstated AD's work 2–20× at n ≤ 4,
-    /// where this reads 0.99–1.25× of it at n ≥ 2). At `k = 10` of
-    /// `c = 50 000` the answer lives at the 0.02 % quantile while `ε̂` sits
-    /// near the 16th percentile of the sample, so pricing AD's frontier at
-    /// `ε̂` would overstate it by orders of magnitude.
-    pub quantile: f64,
+    /// above the level's bound. Where `k/c` is finer than the sample
+    /// resolves, one of the sample's smallest values is scaled down the
+    /// lower tail `F(x) ∝ xⁿ` rather than clamped to (the disk planner
+    /// clamps: on the `planner_crossover` grid that overstated AD's work
+    /// 2–20× at n ≤ 4, where this reads 0.99–1.25× of it at n ≥ 2). At
+    /// `k = 10` of `c = 50 000` the answer lives at the 0.02 % quantile
+    /// while `ε̂` sits near the 16th percentile of the sample, so pricing
+    /// AD's frontier at `ε̂` would overstate it by orders of magnitude.
+    pub quantiles: Vec<f64>,
+    /// Points the sample read (0 for ε-n-match, whose threshold is given).
+    pub sampled: usize,
 }
 
-/// `ε̂` and `ε_q` ([`SampledThresholds`]) of a k-n-match query, from one
-/// pass over an evenly-spaced sample of at most [`FILTER_SAMPLE`] points.
+impl SampledThresholds {
+    /// The thresholds of any query kind: [`sample_thresholds`] over its
+    /// levels, and for ε-n-match its `ε` as both estimates, unsampled.
+    pub fn of(ds: &Dataset, query: &BatchQuery) -> Self {
+        match query {
+            BatchQuery::KnMatch { query, k, n } => sample_thresholds(ds, query, *k, *n, *n),
+            BatchQuery::Frequent { query, k, n0, n1 } => sample_thresholds(ds, query, *k, *n0, *n1),
+            BatchQuery::EpsMatch { eps, .. } => SampledThresholds {
+                bounds: vec![*eps],
+                quantiles: vec![*eps],
+                sampled: 0,
+            },
+        }
+    }
+
+    /// The loosest level's `ε̂`: it covers every level's answer set.
+    pub fn bound(&self) -> f64 {
+        self.bounds[self.bounds.len() - 1]
+    }
+
+    /// The loosest level's `ε_q`: what AD's frontier reaches.
+    pub fn quantile(&self) -> f64 {
+        self.quantiles[self.quantiles.len() - 1]
+    }
+}
+
+/// `ε̂_n` and `ε_q` ([`SampledThresholds`]) of every level `n ∈ [n0, n1]`
+/// of a query, from one pass over an evenly-spaced sample of at most
+/// [`FILTER_SAMPLE`] points (`n0 = n1 = n` for a k-n-match query).
 ///
-/// Deterministic: the sample pids depend only on the cardinality, and the
-/// order statistics are taken under the canonical `(diff, pid)` order. An
+/// Deterministic: the sample pids depend only on the cardinality, and an
+/// order statistic of values does not depend on how ties are broken. An
 /// empty dataset yields `+∞` for both (nothing to sample, nothing to prune).
-pub fn sample_thresholds(ds: &Dataset, query: &[f64], k: usize, n: usize) -> SampledThresholds {
+///
+/// # Panics
+///
+/// Panics when `n0 > n1`.
+pub fn sample_thresholds(
+    ds: &Dataset,
+    query: &[f64],
+    k: usize,
+    n0: usize,
+    n1: usize,
+) -> SampledThresholds {
+    assert!(n0 <= n1, "level range [{n0}, {n1}] is empty");
+    let levels = n1 - n0 + 1;
     let c = ds.len();
     let sample_n = FILTER_SAMPLE.min(c);
     if sample_n == 0 {
         return SampledThresholds {
-            bound: f64::INFINITY,
-            quantile: f64::INFINITY,
+            bounds: vec![f64::INFINITY; levels],
+            quantiles: vec![f64::INFINITY; levels],
+            sampled: 0,
         };
     }
     let step = (c / sample_n).max(1);
     // ε_q's rank in the sorted sample (the disk planner's rule). It is
-    // below k whenever the sample holds k points, so one collector of the
-    // smallest few holds every order statistic used below.
+    // below k whenever the sample holds k points, so the smallest `keep`
+    // differences of each level hold every order statistic used below.
     let rank = k as f64 / c as f64 * sample_n as f64;
     let q_idx = (rank.ceil() as usize).clamp(1, sample_n) - 1;
     let tail = TAIL_RANK.min(sample_n);
-    let has_bound = sample_n >= k;
-    let mut top = TopK::new(tail.max(if has_bound { k } else { q_idx + 1 }));
+    let keep = tail.max(if sample_n >= k { k } else { q_idx + 1 });
+    // The kept points' n-match differences, `levels` per point. A point
+    // with fewer than n0 differences within the loosest level's keep-th
+    // smallest so far is not among any level's smallest `keep` (each
+    // level's keep-th is at most the loosest one's), so it is skipped.
+    let mut loosest = TopK::new(keep);
+    let mut nth = Vec::with_capacity(levels * sample_n);
     let mut buf = vec![0.0f64; ds.dims()];
-    let mut kept_bound = f64::INFINITY;
-    for i in 0..sample_n {
-        let pid = ((i * step) % c) as PointId;
+    for s in 0..sample_n {
+        let pid = ((s * step) % c) as PointId;
         abs_diffs(&mut buf, ds.point(pid), query);
-        if count_within(&buf, kept_bound) >= n {
-            top.offer(pid, nth_smallest(&mut buf, n));
-            kept_bound = top.threshold().unwrap_or(f64::INFINITY);
+        if count_within(&buf, loosest.threshold().unwrap_or(f64::INFINITY)) < n0 {
+            continue;
         }
+        if levels == 1 {
+            nth.push(nth_smallest(&mut buf, n0));
+        } else {
+            buf.sort_unstable_by(f64::total_cmp);
+            nth.extend_from_slice(&buf[n0 - 1..n1]);
+        }
+        loosest.offer(pid, nth[nth.len() - 1]);
     }
-    let kept = top.into_sorted();
-    // Below the sample's resolution the k/c-quantile lies under its
-    // smallest few values. The n-match difference's lower tail is
-    // F(x) ∝ xⁿ — n of the d per-dimension differences must each fall
-    // within x — so scale the tail-th smallest down by (rank/tail)^(1/n).
-    // Not the smallest itself: a query drawn near one sampled point (a
-    // duplicate, or the row it was perturbed from) would collapse it.
-    let quantile = if rank >= tail as f64 {
-        kept[q_idx].1
-    } else {
-        kept[tail - 1].1 * (rank / tail as f64).powf(1.0 / n as f64)
-    };
-    let bound = if has_bound {
-        kept[k - 1].1
-    } else {
-        f64::INFINITY
-    };
+    let mut bounds = Vec::with_capacity(levels);
+    let mut quantiles = Vec::with_capacity(levels);
+    let mut diffs = Vec::with_capacity(nth.len() / levels);
+    for i in 0..levels {
+        let n = n0 + i;
+        diffs.clear();
+        diffs.extend(nth.iter().skip(i).step_by(levels));
+        let diffs = &mut diffs[..];
+        // Below the sample's resolution the k/c-quantile lies under its
+        // smallest few values. The n-match difference's lower tail is
+        // F(x) ∝ xⁿ — n of the d per-dimension differences must each fall
+        // within x — so scale the tail-th smallest down by
+        // (rank/tail)^(1/n). Not the smallest itself: a query drawn near
+        // one sampled point (a duplicate, or the row it was perturbed
+        // from) would collapse it.
+        let quantile = if rank >= tail as f64 {
+            nth_smallest(diffs, q_idx + 1)
+        } else {
+            nth_smallest(diffs, tail) * (rank / tail as f64).powf(1.0 / n as f64)
+        };
+        let bound = if sample_n >= k {
+            nth_smallest(diffs, k)
+        } else {
+            f64::INFINITY
+        };
+        bounds.push(bound);
+        quantiles.push(quantile.min(bound));
+    }
     SampledThresholds {
-        bound,
-        quantile: quantile.min(bound),
+        bounds,
+        quantiles,
+        sampled: sample_n,
     }
 }
 
@@ -194,6 +292,13 @@ trait Refine {
     /// loosest frequent level's k-th (`+∞` until `k` are held), or `ε`.
     /// It never drops below the final answer's threshold.
     fn bound(&self) -> f64;
+
+    /// Each level's running k-th, level [`min_hits`](Self::min_hits)
+    /// first, for the per-level test of a query over more than one level;
+    /// `None` for a single level, where the count test already is it.
+    fn level_bounds(&self) -> Option<&[f64]> {
+        None
+    }
 
     /// Differences every point of `pids` against `query` and offers it,
     /// returning how many points were differenced. `tick` carries the
@@ -326,6 +431,10 @@ impl Refine for FreqRefine {
     /// differences within its level's k-th, which is at most this one.
     fn bound(&self) -> f64 {
         self.bounds[self.bounds.len() - 1]
+    }
+
+    fn level_bounds(&self) -> Option<&[f64]> {
+        (self.bounds.len() > 1).then_some(&self.bounds[..])
     }
 
     #[inline(never)]
@@ -507,6 +616,65 @@ impl ScanEngine {
     }
 }
 
+/// The per-level test's fixed parts (see the module docs).
+#[derive(Debug, Clone)]
+struct LevelTest {
+    /// The narrowest cell width of any dimension, shrunk by
+    /// [`UNIT_SLACK`]: cells `m + 1` apart hold values more than `m` units
+    /// apart.
+    unit: f64,
+    /// Batcher's network over the `d` per-dimension distances.
+    network: Vec<(u8, u8)>,
+}
+
+impl LevelTest {
+    /// The largest cell distance a point may have at threshold `bound`,
+    /// `⌊bound / unit⌋`, clamped to 255 (distances stop at 254, so 255
+    /// prunes nothing).
+    fn limit(&self, bound: f64) -> u8 {
+        let m = (bound / self.unit).floor();
+        if m < 255.0 {
+            m as u8
+        } else {
+            u8::MAX
+        }
+    }
+
+    /// Fills `limits` with every level's [`limit`](Self::limit) at the
+    /// tighter of its two bounds, and says whether the loosest level (the
+    /// last: the bounds are nondecreasing) can prune anything.
+    fn set_limits(&self, running: &[f64], sampled: &[f64], limits: &mut Vec<u8>) -> bool {
+        limits.clear();
+        limits.extend(
+            running
+                .iter()
+                .zip(sampled)
+                .map(|(&r, &s)| self.limit(r.min(s))),
+        );
+        limits.last().is_some_and(|&m| m < u8::MAX - 1)
+    }
+}
+
+/// The per-level test's per-query working memory.
+#[derive(Debug, Default)]
+struct LevelScratch {
+    /// The query's cell in every dimension.
+    qcells: Vec<u8>,
+    /// Level `n0 + i`'s largest admissible n-th smallest cell distance.
+    limits: Vec<u8>,
+    /// One run's per-dimension cell distances, one vector of 16 lanes per
+    /// dimension, sorted per lane.
+    rows: Vec<[u8; RUN]>,
+}
+
+/// The cell `marks` assign to `v`: the first mark above `v`, minus one,
+/// with the final mark in the last cell, so `marks[cell] ≤ v ≤
+/// marks[cell + 1]` for any `v` the marks span.
+fn cell_of(marks: &[f64], v: f64) -> u8 {
+    let ncells = marks.len() - 1;
+    (marks.partition_point(|&m| m <= v).min(ncells) - 1) as u8
+}
+
 /// A quantised filter-and-refine per-query backend over caller-supplied
 /// per-dimension cell boundaries (see the module docs). `knmatch-vafile`
 /// builds it with equi-width cells (the VA-file); the filter is exact for
@@ -519,6 +687,9 @@ pub struct BandEngine {
     boundaries: Vec<Vec<f64>>,
     /// Dim-major quantised cell indices: `cells[dim * len + pid]`.
     cells: Vec<u8>,
+    /// The frequent filter's per-level test; `None` where it stands down
+    /// (repeated marks, or more than [`NETWORK_MAX_DIMS`] dimensions).
+    levels: Option<LevelTest>,
 }
 
 impl BandEngine {
@@ -549,16 +720,23 @@ impl BandEngine {
                     v >= marks[0] && v <= marks[ncells],
                     "dimension {j}: value {v} outside boundary range"
                 );
-                // First mark above v, minus one; the final mark maps into
-                // the last cell so each cell interval contains its values.
-                let cell = marks.partition_point(|&m| m <= v).min(ncells) - 1;
-                *slot = cell as u8;
+                *slot = cell_of(marks, v);
             }
         }
+        let narrowest = boundaries
+            .iter()
+            .flat_map(|marks| marks.windows(2).map(|w| w[1] - w[0]))
+            .fold(f64::INFINITY, f64::min);
+        let unit = narrowest * (1.0 - UNIT_SLACK);
+        let levels = (d <= NETWORK_MAX_DIMS && unit > 0.0 && unit.is_finite()).then(|| LevelTest {
+            unit,
+            network: sorting_network(d),
+        });
         BandEngine {
             data,
             boundaries,
             cells,
+            levels,
         }
     }
 
@@ -591,11 +769,74 @@ impl BandEngine {
         );
     }
 
-    /// Estimates the fraction of points the band filter keeps at threshold
-    /// `tau` requiring `min_hits` band hits, by running the filter over
-    /// about `sample` points: evenly spaced runs of 16 consecutive pids.
-    /// Used by the request-time planner to price the refine without paying
-    /// for a full filter pass.
+    /// Arms `levels` for `query`: its cell in every dimension, each value
+    /// first clamped into the marks (which moves it no farther from any
+    /// point, as every point lies within them), and one run's rows.
+    fn start_levels(&self, query: &[f64], levels: &mut LevelScratch) {
+        levels.qcells.clear();
+        levels.qcells.extend(
+            self.boundaries
+                .iter()
+                .zip(query)
+                .map(|(marks, &qv)| cell_of(marks, qv.clamp(marks[0], marks[marks.len() - 1]))),
+        );
+        levels.rows.resize(query.len(), [0; RUN]);
+    }
+
+    /// Bit `i` set for each point `start + i` (`i < lanes ≤ 16`) that
+    /// passes the per-level test at `levels.limits` (level `n0` first):
+    /// for some level `n`, its n-th smallest cell distance from the query,
+    /// `|a − b| − 1` cells, is at most level n's limit.
+    fn level_mask(
+        &self,
+        test: &LevelTest,
+        start: usize,
+        lanes: usize,
+        n0: usize,
+        levels: &mut LevelScratch,
+    ) -> u16 {
+        let c = self.data.len();
+        let LevelScratch {
+            qcells,
+            limits,
+            rows,
+        } = levels;
+        for (j, (row, &qc)) in rows.iter_mut().zip(qcells.iter()).enumerate() {
+            let col = &self.cells[j * c + start..j * c + start + lanes];
+            let mut cell = [qc; RUN];
+            if let Ok(full) = <[u8; RUN]>::try_from(col) {
+                cell = full;
+            } else {
+                cell[..lanes].copy_from_slice(col);
+            }
+            for (dist, &a) in row.iter_mut().zip(&cell) {
+                *dist = (a.saturating_sub(qc) | qc.saturating_sub(a)).saturating_sub(1);
+            }
+        }
+        sort_lanes(rows, &test.network);
+        // The loop stops once every lane is kept; that exit also keeps
+        // the compiler from vectorising across levels instead of lanes.
+        let mut keep = [0u8; RUN];
+        for (row, &limit) in rows[n0 - 1..].iter().zip(limits.iter()) {
+            for (k, &dist) in keep.iter_mut().zip(row) {
+                *k |= u8::from(dist <= limit);
+            }
+            if keep.iter().fold(1, |all, &k| all & k) == 1 {
+                break;
+            }
+        }
+        pack_lanes(&keep)
+    }
+
+    /// Estimates the fraction of points the band filter keeps for a query
+    /// over the levels `n0 ..` with thresholds `taus` (one per level,
+    /// nondecreasing; one for k-n-match and ε-n-match), by running the
+    /// filter over about `sample` points: evenly spaced runs of 16
+    /// consecutive pids. The count test runs at the loosest threshold with
+    /// hit floor `n0`, and over more than one level the per-level test
+    /// too, each level at its own threshold — the rule
+    /// [`Self::execute`] prunes by. Used by the request-time planner to
+    /// price the refine without paying for a full filter pass.
     ///
     /// A run's cells share a cache line in every dimension's column, so
     /// the probe reads `d · sample / 16` lines through the
@@ -603,34 +844,53 @@ impl BandEngine {
     pub fn estimate_candidate_fraction(
         &self,
         query: &[f64],
-        tau: f64,
-        min_hits: usize,
+        taus: &[f64],
+        n0: usize,
         sample: usize,
     ) -> f64 {
         let c = self.data.len();
         let sample_n = sample.clamp(1, c);
-        let runs = (sample_n / PROBE_RUN).max(1);
+        let runs = (sample_n / RUN).max(1);
         // run_len ≤ stride, so the runs are disjoint and in bounds.
-        let (run_len, stride) = (sample_n / runs, c / runs);
-        let mut counts = vec![0u16; runs * run_len];
+        let (run_len, stride) = (RUN.min(c), c / runs);
+        let tau = taus[taus.len() - 1];
+        let mut counts = vec![[0u8; RUN]; runs];
         for (j, &qv) in query.iter().enumerate() {
             let Some((lo, hi)) = self.band(j, qv - tau, qv + tau) else {
                 continue;
             };
             let col = &self.cells[j * c..(j + 1) * c];
-            for (r, hits) in counts.chunks_exact_mut(run_len).enumerate() {
+            for (r, hits) in counts.iter_mut().enumerate() {
                 let start = r * stride;
-                accumulate_band_hits(hits, &col[start..start + run_len], lo, hi);
+                accumulate_band_hits(&mut hits[..run_len], &col[start..start + run_len], lo, hi);
             }
         }
-        let min16 = min_hits.min(u16::MAX as usize) as u16;
-        let kept = counts.iter().filter(|&&h| h >= min16).count();
-        kept as f64 / counts.len() as f64
+        let mut levels = LevelScratch::default();
+        let test = self
+            .levels
+            .as_ref()
+            .filter(|t| taus.len() > 1 && t.set_limits(taus, taus, &mut levels.limits));
+        if test.is_some() {
+            self.start_levels(query, &mut levels);
+        }
+        let floor = n0.clamp(1, u8::MAX as usize) as u8;
+        let kept: u32 = counts
+            .iter()
+            .enumerate()
+            .map(|(r, hits)| {
+                let mut mask = at_least_mask(hits, floor);
+                if let Some(t) = test.filter(|_| mask != 0) {
+                    mask &= self.level_mask(t, r * stride, run_len, n0, &mut levels);
+                }
+                mask.count_ones()
+            })
+            .sum();
+        f64::from(kept) / (runs * run_len) as f64
     }
 
     /// Executes one query on the calling thread against caller scratch:
-    /// sample-derived threshold, then the band filter and the exact refine
-    /// interleaved block by block (see the module docs).
+    /// sample-derived thresholds, then the band filter and the exact
+    /// refine interleaved block by block (see the module docs).
     ///
     /// # Errors
     ///
@@ -640,49 +900,74 @@ impl BandEngine {
         query: &BatchQuery,
         scratch: &mut FilterScratch,
     ) -> Result<(BatchAnswer, AdStats)> {
+        query.validate(self.data.dims(), self.data.len())?;
+        self.execute_sampled(query, &SampledThresholds::of(&self.data, query), scratch)
+    }
+
+    /// [`Self::execute`] at thresholds the caller has drawn already —
+    /// they must be [`SampledThresholds::of`] this very query over this
+    /// engine's data (what the planner priced the query with): the
+    /// filter's correctness rests on their bounds.
+    ///
+    /// # Errors
+    ///
+    /// Per-query parameter validation, deadline, cancellation.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `sampled` holds a different number of levels than the
+    /// query has.
+    pub fn execute_sampled(
+        &self,
+        query: &BatchQuery,
+        sampled: &SampledThresholds,
+        scratch: &mut FilterScratch,
+    ) -> Result<(BatchAnswer, AdStats)> {
         let ds = &*self.data;
         let (d, c) = (ds.dims(), ds.len());
         query.validate(d, c)?;
-        scratch.control.precheck()?;
-        // The first blocks prune at the sampled bound: k-n-match at its n,
-        // frequent at the loosest level of its range (the bound is
-        // nondecreasing in n, so n1's covers every per-n answer set), and
-        // ε-n-match at ε itself.
-        let sampled = match query {
-            BatchQuery::EpsMatch { .. } => 0,
-            _ => FILTER_SAMPLE.min(c),
+        let levels = match query {
+            BatchQuery::Frequent { n0, n1, .. } => n1 - n0 + 1,
+            _ => 1,
         };
+        assert_eq!(sampled.bounds.len(), levels, "one sampled bound per level");
+        scratch.control.precheck()?;
+        // The first blocks prune at the sampled bounds: k-n-match at its
+        // n, frequent at the loosest level of its range (the bound is
+        // nondecreasing in n, so n1's covers every per-n answer set) and
+        // each level at its own in the per-level test, and ε-n-match at ε
+        // itself.
         let (answer, refined) = match query {
             BatchQuery::KnMatch { query, k, n } => {
-                let tau = sample_thresholds(ds, query, *k, *n).bound;
-                self.filter_refine(query, tau, KnRefine::new(*k, *n), scratch)
+                self.filter_refine(query, sampled, KnRefine::new(*k, *n), scratch)
             }
             BatchQuery::Frequent { query, k, n0, n1 } => {
-                let tau = sample_thresholds(ds, query, *k, *n1).bound;
-                self.filter_refine(query, tau, FreqRefine::new(*k, *n0, *n1), scratch)
+                self.filter_refine(query, sampled, FreqRefine::new(*k, *n0, *n1), scratch)
             }
             BatchQuery::EpsMatch { query, eps, n } => {
-                self.filter_refine(query, *eps, EpsRefine::new(*eps, *n), scratch)
+                self.filter_refine(query, sampled, EpsRefine::new(*eps, *n), scratch)
             }
         }?;
-        Ok((answer, refine_stats(refined, d, sampled)))
+        Ok((answer, refine_stats(refined, d, sampled.sampled)))
     }
 
     /// Filters and refines [`FILTER_BLOCK`] consecutive pids at a time: each
-    /// block counts its band hits at `min(tau, refine.bound())` and
+    /// block counts its band hits at `min(ε̂, refine.bound())` and
     /// refines the points with at least `refine.min_hits()` of them before
     /// the next block is counted, so the filter tightens as the running
     /// bound does. The bands are recomputed at a block boundary only when
-    /// that threshold has tightened. Returns the answer and the number of
-    /// points refined.
+    /// that threshold has tightened. Over more than one level, each run of
+    /// 16 points with a candidate also meets the per-level test at every
+    /// level's tighter bound as of the block's start. Returns the answer
+    /// and the number of points refined.
     ///
-    /// Exact: the running bound never drops below the final answer's
-    /// threshold and a band hit is inclusive, so every answer (ties
+    /// Exact: no bound ever drops below the final answer's threshold of
+    /// its level and both tests are inclusive, so every answer (ties
     /// included) is refined.
     fn filter_refine<R: Refine>(
         &self,
         query: &[f64],
-        tau: f64,
+        sampled: &SampledThresholds,
         mut refine: R,
         scratch: &mut FilterScratch,
     ) -> Result<(BatchAnswer, usize)> {
@@ -691,10 +976,21 @@ impl BandEngine {
         let FilterScratch {
             bands,
             diffs,
+            cands,
+            levels,
             control,
         } = scratch;
-        let min16 = refine.min_hits().min(u16::MAX as usize) as u16;
-        let mut hits = [0u16; FILTER_BLOCK];
+        let n0 = refine.min_hits();
+        let floor = n0.min(u8::MAX as usize) as u8;
+        let test = self
+            .levels
+            .as_ref()
+            .filter(|_| refine.level_bounds().is_some());
+        if test.is_some() {
+            self.start_levels(query, levels);
+        }
+        let tau = sampled.bound();
+        let mut hits = [0u8; FILTER_BLOCK];
         // The threshold `bands` were last computed at.
         let mut band_tau: Option<f64> = None;
         let (mut refined, mut tick) = (0usize, 0u32);
@@ -704,18 +1000,36 @@ impl BandEngine {
                 self.bands(query, t, bands);
                 band_tau = Some(t);
             }
-            let hits = &mut hits[..FILTER_BLOCK.min(c - start)];
+            let len = FILTER_BLOCK.min(c - start);
+            // Past `len` the counts stay 0: a short last run reads no
+            // candidate there.
             hits.fill(0);
             for (j, &(lo, hi)) in bands.iter().enumerate() {
-                let col = &self.cells[j * c + start..j * c + start + hits.len()];
-                accumulate_band_hits(hits, col, lo, hi);
+                let col = &self.cells[j * c + start..j * c + start + len];
+                accumulate_band_hits(&mut hits[..len], col, lo, hi);
             }
-            let cands = hits
-                .iter()
-                .enumerate()
-                .filter(|&(_, &h)| h >= min16)
-                .map(|(i, _)| (start + i) as PointId);
-            refined += refine.refine(ds, query, cands, diffs, control, &mut tick)?;
+            let block_test = test.filter(|t| {
+                let running = refine.level_bounds().unwrap_or_default();
+                t.set_limits(running, &sampled.bounds, &mut levels.limits)
+            });
+            cands.clear();
+            let (runs, _) = hits.as_chunks::<RUN>();
+            for (r, run) in runs.iter().enumerate().take(len.div_ceil(RUN)) {
+                let mut mask = at_least_mask(run, floor);
+                if mask == 0 {
+                    continue;
+                }
+                let first = start + r * RUN;
+                if let Some(t) = block_test {
+                    mask &= self.level_mask(t, first, RUN.min(c - first), n0, levels);
+                }
+                while mask != 0 {
+                    cands.push((first + mask.trailing_zeros() as usize) as PointId);
+                    mask &= mask - 1;
+                }
+            }
+            refined +=
+                refine.refine(ds, query, cands.iter().copied(), diffs, control, &mut tick)?;
         }
         Ok((refine.finish(), refined))
     }
@@ -936,23 +1250,27 @@ mod tests {
             BandEngine::from_boundaries(Arc::new(ds.clone()), equi_depth),
             band_engine(&ds),
         ];
+        // A zero-width cell leaves the per-level test no unit: it stands
+        // down, and the count test alone filters frequent queries.
+        assert!(engines[0].levels.is_none());
+        assert!(engines[1].levels.is_some());
         let q = vec![1.0, 5.0, 50.0, 150.0, 2.5];
-        let batch: Vec<BatchQuery> = (1..=d)
+        let mut batch: Vec<BatchQuery> = (1..=d)
             .map(|n| BatchQuery::KnMatch {
                 query: q.clone(),
                 k: 10,
                 n,
             })
             .collect();
-        for e in &engines {
-            for (q, (answer, _)) in batch.iter().zip(run_each(|q, s| e.execute(q, s), &batch)) {
-                assert_eq!(answer, oracle(&ds, q), "{q:?}");
-            }
+        batch.extend(frequent_batch(&q, &[1, 10]));
+        for (i, e) in engines.iter().enumerate() {
+            check_engine(e, &ds, &batch, &format!("engine {i}"));
         }
     }
 
     /// How many points the two-phase filter (every point counted at one
-    /// threshold, then refined) keeps at `tau` with `min_hits`.
+    /// threshold, then refined) keeps at `tau` with `min_hits`. Its counts
+    /// and floor stop at 255, like the engine's byte counts.
     fn two_phase_kept(e: &BandEngine, q: &[f64], tau: f64, min_hits: usize) -> u64 {
         let c = e.data.len();
         let mut bands = Vec::new();
@@ -962,30 +1280,239 @@ mod tests {
                 |(j, &(lo, hi)): (usize, &(u8, u8))| (lo..=hi).contains(&e.cells[j * c + pid]);
             bands.iter().enumerate().filter(|&b| in_band(b)).count()
         };
-        (0..c).filter(|&pid| hits(pid) >= min_hits).count() as u64
+        let floor = min_hits.min(255);
+        (0..c).filter(|&pid| hits(pid).min(255) >= floor).count() as u64
     }
 
     /// The block loop against the oracle, and its refined points against
     /// the two-phase filter's at the sampled bound (at ε for ε-n-match).
     fn check_blocks(ds: &Dataset, batch: &[BatchQuery], ctx: &str) {
-        let e = band_engine(ds);
+        check_engine(&band_engine(ds), ds, batch, ctx);
+    }
+
+    /// [`check_blocks`] on engine `e` over `ds`; returns each query's
+    /// refined points and the two-phase filter's.
+    fn check_engine(
+        e: &BandEngine,
+        ds: &Dataset,
+        batch: &[BatchQuery],
+        ctx: &str,
+    ) -> Vec<(u64, u64)> {
         let d = ds.dims() as u64;
+        let mut counts = Vec::new();
         for (q, (answer, stats)) in batch.iter().zip(run_each(|q, s| e.execute(q, s), batch)) {
             assert_eq!(answer, oracle(ds, q), "{ctx}: {q:?}");
+            let bound = SampledThresholds::of(ds, q).bound();
             let kept = match q {
-                BatchQuery::KnMatch { query, k, n } => {
-                    two_phase_kept(&e, query, sample_thresholds(ds, query, *k, *n).bound, *n)
+                BatchQuery::KnMatch { query, n, .. } | BatchQuery::EpsMatch { query, n, .. } => {
+                    two_phase_kept(e, query, bound, *n)
                 }
-                BatchQuery::Frequent { query, k, n0, n1 } => {
-                    two_phase_kept(&e, query, sample_thresholds(ds, query, *k, *n1).bound, *n0)
-                }
-                BatchQuery::EpsMatch { query, eps, n } => two_phase_kept(&e, query, *eps, *n),
+                BatchQuery::Frequent { query, n0, .. } => two_phase_kept(e, query, bound, *n0),
             };
+            let refined = stats.attributes_retrieved / d;
             assert!(
-                stats.attributes_retrieved <= kept * d,
-                "{ctx}: refined {} points, the two-phase filter keeps {kept}: {q:?}",
-                stats.attributes_retrieved / d
+                refined <= kept,
+                "{ctx}: refined {refined} points, the two-phase filter keeps {kept}: {q:?}"
             );
+            counts.push((refined, kept));
+        }
+        counts
+    }
+
+    /// Frequent queries over `[2, d]`, `[⌈d/2⌉, d]` and `[2, 3]`, and a
+    /// k-n-match at `⌈d/2⌉`, at each of `ks`.
+    fn frequent_batch(query: &[f64], ks: &[usize]) -> Vec<BatchQuery> {
+        let d = query.len();
+        let mut batch = Vec::new();
+        for &k in ks {
+            for (n0, n1) in [(2, d), (d.div_ceil(2), d), (2, 3.min(d))] {
+                batch.push(BatchQuery::Frequent {
+                    query: query.to_vec(),
+                    k,
+                    n0,
+                    n1,
+                });
+            }
+            batch.push(BatchQuery::KnMatch {
+                query: query.to_vec(),
+                k,
+                n: d.div_ceil(2),
+            });
+        }
+        batch
+    }
+
+    #[test]
+    fn per_level_test_keeps_an_answer_only_a_middle_level_admits() {
+        // Query 0.5 everywhere, d = 6, frequent [2, 5] at k = 1. Point A
+        // (pid 0) leads level 2 (differences 0,0,.3,.3,.3,.3), C (pid 1)
+        // levels 4 and 5 (.2 ×5, .45), and B (pid 300, a later block)
+        // only level 3 (.1,.1,.1,.4,.4,.4). Once block 0 has set the
+        // running bounds, level 2 (0) and levels 4–5 (.2) each reject B;
+        // only level 3's bound (.2) admits it. The background passes the
+        // count test (two differences within .2) and fails every level.
+        let (c, d) = (600usize, 6usize);
+        let mut s = 0x2545_f491_4f6c_dd1du64;
+        let rows: Vec<Vec<f64>> = (0..c)
+            .map(|pid| match pid {
+                0 => vec![0.5, 0.5, 0.8, 0.8, 0.8, 0.8],
+                1 => vec![0.7, 0.7, 0.7, 0.7, 0.7, 0.95],
+                300 => vec![0.6, 0.6, 0.6, 0.9, 0.9, 0.9],
+                _ => (0..d)
+                    .map(|j| {
+                        s ^= s << 13;
+                        s ^= s >> 7;
+                        s ^= s << 17;
+                        let near = (j + pid) % d < 2;
+                        let off = if near { 0.15 } else { 0.45 } + (s % 40) as f64 / 1000.0;
+                        if s >> 63 == 0 {
+                            0.5 + off
+                        } else {
+                            0.5 - off
+                        }
+                    })
+                    .collect(),
+            })
+            .collect();
+        let ds = Dataset::from_rows(&rows).unwrap();
+        let q = vec![0.5; d];
+        let query = BatchQuery::Frequent {
+            query: q.clone(),
+            k: 1,
+            n0: 2,
+            n1: 5,
+        };
+        let BatchAnswer::Frequent(want) = oracle(&ds, &query) else {
+            unreachable!("a frequent query answers a frequent result")
+        };
+        let levels: Vec<Vec<PointId>> = want.per_n.iter().map(KnMatchResult::ids).collect();
+        assert_eq!(levels, vec![vec![0], vec![300], vec![1], vec![1]]);
+        let e = band_engine(&ds);
+        let counts = check_engine(&e, &ds, &[query], "middle level");
+        // The per-level test ran: it refined a fraction of what the count
+        // test alone keeps.
+        assert!(counts[0].0 * 4 < counts[0].1, "{counts:?}");
+        let mut batch = frequent_batch(&q, &[1, 2, 5]);
+        batch.push(BatchQuery::Frequent {
+            query: q,
+            k: 2,
+            n0: 1,
+            n1: d,
+        });
+        check_engine(&e, &ds, &batch, "middle level, other shapes");
+    }
+
+    #[test]
+    fn level_bound_ties_straddle_run_and_block_edges() {
+        // A 0.25-step grid (every difference ties many others), with one
+        // row copied across the run edge at 16 (pids 14–17) and the block
+        // edge (B − 2 … B + 1): for k up to 8 some level's k-th difference
+        // is tied by copies on both sides of an edge.
+        let (c, d) = (2 * FILTER_BLOCK + 9, 6usize);
+        let b = FILTER_BLOCK;
+        let mut s = 0x9e37_79b9u64;
+        let mut grid = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % 5) as f64 * 0.25
+        };
+        let copy: Vec<f64> = (0..d).map(|_| grid()).collect();
+        let rows: Vec<Vec<f64>> = (0..c)
+            .map(|pid| {
+                if (14..18).contains(&pid) || (b - 2..b + 2).contains(&pid) {
+                    copy.clone()
+                } else {
+                    (0..d).map(|_| grid()).collect()
+                }
+            })
+            .collect();
+        let ds = Dataset::from_rows(&rows).unwrap();
+        let shifted: Vec<f64> = copy.iter().map(|v| (v + 0.1f64).min(1.0)).collect();
+        let other = rows[c / 2].clone();
+        for q in [copy, shifted, other] {
+            check_blocks(&ds, &frequent_batch(&q, &[1, 3, 4, 6, 8, 9]), "edge ties");
+        }
+    }
+
+    #[test]
+    fn per_level_network_edges_stay_exact() {
+        // Up to NETWORK_MAX_DIMS the per-level test sorts with the byte
+        // network (16 and 17 elements, 32 and 33 on either side of the
+        // cap); past it the test stands down.
+        for d in [16usize, 17, NETWORK_MAX_DIMS, NETWORK_MAX_DIMS + 1] {
+            let ds = pseudo_dataset(700, d, d as u64);
+            assert_eq!(band_engine(&ds).levels.is_some(), d <= NETWORK_MAX_DIMS);
+            let q: Vec<f64> = ds.point(350).iter().map(|v| v * 0.97 + 0.015).collect();
+            let mut batch = frequent_batch(&q, &[1, 10]);
+            batch.push(BatchQuery::Frequent {
+                query: q,
+                k: 10,
+                n0: d - 2,
+                n1: d - 1,
+            });
+            check_blocks(&ds, &batch, &format!("d={d}"));
+        }
+    }
+
+    #[test]
+    fn counts_saturate_past_255_dimensions() {
+        // d = 300: a point can hit more than 255 bands, the byte counts
+        // stop at 255 and the hit floor of every n > 255 is clamped to 255,
+        // so the filter keeps a superset and the refine decides.
+        let (c, d) = (200usize, 300usize);
+        let ds = pseudo_dataset(c, d, 300);
+        let q: Vec<f64> = ds.point(77).iter().map(|v| v * 0.99 + 0.005).collect();
+        let mut batch = Vec::new();
+        for n in [250, 256, 280, d] {
+            batch.push(BatchQuery::KnMatch {
+                query: q.clone(),
+                k: 5,
+                n,
+            });
+        }
+        for (n0, n1) in [(256, 260), (250, d), (2, d)] {
+            batch.push(BatchQuery::Frequent {
+                query: q.clone(),
+                k: 4,
+                n0,
+                n1,
+            });
+        }
+        let eps = k_n_match_scan(&ds, &q, 10, 270).unwrap().epsilon();
+        batch.push(BatchQuery::EpsMatch {
+            query: q,
+            eps,
+            n: 270,
+        });
+        check_blocks(&ds, &batch, "d=300");
+    }
+
+    #[test]
+    fn queries_outside_the_marks_stay_exact() {
+        // The per-level test clamps the query into the marks before it
+        // takes its cell; the refine uses the query as given.
+        let d = 8;
+        let ds = pseudo_dataset(900, d, 41);
+        let inside = ds.point(5).to_vec();
+        let below: Vec<f64> = inside.iter().map(|v| v - 1.5).collect();
+        let mixed: Vec<f64> = inside
+            .iter()
+            .enumerate()
+            .map(|(j, v)| match j % 3 {
+                0 => -0.4,
+                1 => 1.3,
+                _ => *v,
+            })
+            .collect();
+        for q in [below, mixed] {
+            let mut batch = frequent_batch(&q, &[1, 7]);
+            batch.push(BatchQuery::EpsMatch {
+                query: q.clone(),
+                eps: 0.5,
+                n: 3,
+            });
+            check_blocks(&ds, &batch, &format!("{q:?}"));
         }
     }
 
@@ -1124,9 +1651,9 @@ mod tests {
         let ds = pseudo_dataset(1000, 4, 9);
         let e = band_engine(&ds);
         let q = vec![0.5; 4];
-        let f = e.estimate_candidate_fraction(&q, 0.01, 4, 128);
+        let f = e.estimate_candidate_fraction(&q, &[0.01], 4, 128);
         assert!((0.0..=1.0).contains(&f));
-        let g = e.estimate_candidate_fraction(&q, 10.0, 1, 128);
+        let g = e.estimate_candidate_fraction(&q, &[10.0], 1, 128);
         assert_eq!(g, 1.0, "an unbounded band keeps everything");
     }
 
@@ -1150,18 +1677,18 @@ mod tests {
         let ds = pseudo_dataset(800, 6, 31);
         let q = vec![0.3; 6];
         for (k, n) in [(1usize, 1usize), (10, 3), (25, 6)] {
-            let est = sample_thresholds(&ds, &q, k, n);
+            let est = sample_thresholds(&ds, &q, k, n, n);
             let exact = k_n_match_scan(&ds, &q, k, n).unwrap();
             assert!(
-                exact.epsilon() <= est.bound,
+                exact.epsilon() <= est.bound(),
                 "sampled bound below true threshold: k={k} n={n}"
             );
-            assert!(est.quantile <= est.bound, "k={k} n={n}: {est:?}");
+            assert!(est.quantile() <= est.bound(), "k={k} n={n}: {est:?}");
         }
         // Past the sample size there is no bound, but still a quantile:
         // the ⌈k/c · 64⌉-th smallest sampled difference.
-        let est = sample_thresholds(&ds, &q, 100, 3);
-        assert_eq!(est.bound, f64::INFINITY);
+        let est = sample_thresholds(&ds, &q, 100, 3, 3);
+        assert_eq!(est.bound(), f64::INFINITY);
         let mut sampled: Vec<f64> = (0..FILTER_SAMPLE)
             .map(|i| {
                 let p = ds.point((i * (800 / FILTER_SAMPLE)) as PointId);
@@ -1169,19 +1696,19 @@ mod tests {
             })
             .collect();
         sampled.sort_unstable_by(f64::total_cmp);
-        assert_eq!(est.quantile, sampled[8 - 1]);
+        assert_eq!(est.quantile(), sampled[8 - 1]);
         // Finer than the sample resolves (k/c · 64 = 0.08 of a rank): the
         // 4th smallest sampled difference, scaled down the xⁿ tail.
-        let est = sample_thresholds(&ds, &q, 1, 3);
+        let est = sample_thresholds(&ds, &q, 1, 3, 3);
         let rank = 1.0 / 800.0 * 64.0f64;
-        assert_eq!(est.quantile, sampled[3] * (rank / 4.0).powf(1.0 / 3.0));
+        assert_eq!(est.quantile(), sampled[3] * (rank / 4.0).powf(1.0 / 3.0));
     }
 
     #[test]
     fn sample_thresholds_of_an_empty_dataset_prune_nothing() {
         let ds = Dataset::new(3).unwrap();
-        let est = sample_thresholds(&ds, &[0.5; 3], 5, 2);
-        assert_eq!(est.bound, f64::INFINITY);
-        assert_eq!(est.quantile, f64::INFINITY);
+        let est = sample_thresholds(&ds, &[0.5; 3], 5, 2, 4);
+        assert_eq!(est.bounds, vec![f64::INFINITY; 3]);
+        assert_eq!(est.quantiles, vec![f64::INFINITY; 3]);
     }
 }

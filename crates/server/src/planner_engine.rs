@@ -24,9 +24,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use knmatch_core::{
-    execute_batch_query, sample_thresholds, AdStats, BandEngine, BatchAnswer, BatchEngine,
-    BatchOptions, BatchQuery, Dataset, FilterScratch, Park, PlanTally, PlannerMode,
-    Result as CoreResult, ScanEngine, Scratch, SortedColumns,
+    execute_batch_query, AdStats, BandEngine, BatchAnswer, BatchEngine, BatchOptions, BatchQuery,
+    Dataset, FilterScratch, Park, PlanTally, PlannerMode, Result as CoreResult, SampledThresholds,
+    ScanEngine, Scratch, SortedAccessSource, SortedColumns,
 };
 use knmatch_storage::{plan_in_memory, BackendChoice, MemCostModel, MemPlan, MemPlanInputs};
 use knmatch_vafile::va_engine;
@@ -106,14 +106,15 @@ impl PlannedEngine {
     /// Prices one query against the cost model without running it:
     /// validates the parameters, then plans it as [`PlannedEngine`]'s
     /// `auto` mode does. What is measured: from one pass over the
-    /// evenly-spaced sample ([`sample_thresholds`]) the answer-threshold
-    /// estimate `ε_q` (`ε` for an ε-n-match query); the sorted-column
-    /// entries within `±ε_q` of the query per dimension (the AD frontier's
-    /// work); and, unless AD has already won regardless, the VA filter's
-    /// candidate fraction at `ε_q` on a sample of points. The VA filter
-    /// prunes at its running k-th bound, which closes in on the answer's
-    /// threshold, so `ε_q` prices its refine better than the sampled
-    /// bound `ε̂` its first blocks start from.
+    /// evenly-spaced sample ([`SampledThresholds::of`]) every level's
+    /// answer-threshold estimate `ε_q` (`ε` for an ε-n-match query); the
+    /// sorted-column entries within `±ε_q` of the loosest level of the
+    /// query per dimension (the AD frontier's work); and, unless AD has
+    /// already won regardless, the VA filter's candidate fraction on a
+    /// sample of points, each level at its own `ε_q`. The VA filter prunes
+    /// at its running k-th bounds, which close in on the answer's
+    /// thresholds, so `ε_q` prices its refine better than the sampled
+    /// bounds `ε̂` its first blocks start from.
     ///
     /// Deterministic: every estimate is a pure function of the data and
     /// the query, so the same query always gets the same plan — which is
@@ -127,50 +128,43 @@ impl PlannedEngine {
     /// planned or dispatched directly.
     pub fn plan_for(&self, query: &BatchQuery) -> CoreResult<MemPlan> {
         query.validate(self.data.dims(), self.data.len())?;
-        Ok(self.plan_valid(query))
-    }
-
-    /// [`Self::plan_for`] for a query that has passed validation.
-    fn plan_valid(&self, query: &BatchQuery) -> MemPlan {
-        plan_in_memory(&self.inputs_valid(query), &self.model)
+        let sampled = SampledThresholds::of(&self.data, query);
+        Ok(plan_in_memory(
+            &self.inputs_valid(query, &sampled),
+            &self.model,
+        ))
     }
 
     /// The quantities [`plan_in_memory`] prices for a query that has
-    /// passed validation (see [`Self::plan_for`]). The candidate fraction
-    /// is left at 0 — the VA filter's floor, its cell pass alone — whenever
-    /// AD already beats the scan and that floor: the scan and VA prices
-    /// only grow with the fraction (the model's refine price is at least
-    /// its scan price), so no fraction could change the choice, and AD's
-    /// cheapest queries (small n) then skip the probe's cold cell reads.
-    fn inputs_valid(&self, query: &BatchQuery) -> MemPlanInputs {
-        let (q, eps_q, min_hits) = match query {
-            BatchQuery::KnMatch { query, k, n } => (
-                query,
-                sample_thresholds(&self.data, query, *k, *n).quantile,
-                *n,
-            ),
-            // The loosest level's threshold covers every per-n answer set
-            // and AD stops on it; the hit floor is the tightest level.
-            BatchQuery::Frequent { query, k, n0, n1 } => (
-                query,
-                sample_thresholds(&self.data, query, *k, *n1).quantile,
-                *n0,
-            ),
-            BatchQuery::EpsMatch { query, eps, n } => (query, *eps, *n),
+    /// passed validation, from its thresholds `sampled` (see
+    /// [`Self::plan_for`]). The candidate fraction is left at 0 — the VA
+    /// filter's floor, its cell pass alone — whenever AD already beats the
+    /// scan and that floor: the scan and VA prices only grow with the
+    /// fraction (the model's refine price is at least its scan price), so
+    /// no fraction could change the choice, and AD's cheapest queries
+    /// (small n) then skip the probe's cold cell reads.
+    fn inputs_valid(&self, query: &BatchQuery, sampled: &SampledThresholds) -> MemPlanInputs {
+        // The loosest level's threshold covers every per-n answer set and
+        // AD stops on it; the hit floor is the tightest level.
+        let (q, n0) = match query {
+            BatchQuery::KnMatch { query, n, .. } | BatchQuery::EpsMatch { query, n, .. } => {
+                (query, *n)
+            }
+            BatchQuery::Frequent { query, n0, .. } => (query, *n0),
         };
+        let eps_q = sampled.quantile();
         // AD's frontier pops, per dimension, the sorted entries within the
-        // answer threshold of the query; two binary searches per column
-        // count them at the estimate ε_q.
-        let ad_attrs = q
-            .iter()
-            .enumerate()
-            .map(|(j, &qv)| {
-                let vals = self.cols.column(j).values();
-                let lo = vals.partition_point(|&v| v < qv - eps_q);
-                let hi = vals.partition_point(|&v| v <= qv + eps_q);
-                (hi - lo) as u64
-            })
-            .sum();
+        // answer threshold of the query. Two lock-step passes of binary
+        // searches count them at the estimate ε_q: the first entry at or
+        // above q − ε_q, and the first above q + ε_q (the band is
+        // inclusive, and no value lies between a float and its successor).
+        let lo: Vec<f64> = q.iter().map(|&v| v - eps_q).collect();
+        let hi: Vec<f64> = q.iter().map(|&v| (v + eps_q).next_up()).collect();
+        let mut ranks = vec![0usize; q.len()];
+        let mut cols = &*self.cols;
+        cols.locate_each(&lo, |_, dim, rank| ranks[dim] = rank);
+        let mut ad_attrs = 0u64;
+        cols.locate_each(&hi, |_, dim, rank| ad_attrs += (rank - ranks[dim]) as u64);
         let mut inputs = MemPlanInputs {
             cardinality: self.data.len(),
             dims: self.data.dims(),
@@ -178,9 +172,12 @@ impl PlannedEngine {
             candidate_fraction: 0.0,
         };
         if plan_in_memory(&inputs, &self.model).backend != BackendChoice::Ad {
-            inputs.candidate_fraction =
-                self.va
-                    .estimate_candidate_fraction(q, eps_q, min_hits, PLAN_FRACTION_SAMPLE);
+            inputs.candidate_fraction = self.va.estimate_candidate_fraction(
+                q,
+                &sampled.quantiles,
+                n0,
+                PLAN_FRACTION_SAMPLE,
+            );
         }
         inputs
     }
@@ -206,19 +203,28 @@ impl PlannedEngine {
         // Before a routing decision is tallied: invalid queries fail
         // their slot without ever counting as a plan, in every mode.
         query.validate(self.data.dims(), self.data.len())?;
-        let choice = match mode {
-            PlannerMode::Auto => self.plan_valid(query).backend,
-            PlannerMode::Ad => BackendChoice::Ad,
-            PlannerMode::VaFile => BackendChoice::VaFile,
-            PlannerMode::Scan => BackendChoice::Scan,
+        // `auto` draws the sample once: the plan prices the query with it
+        // and the VA backend, if chosen, prunes with it.
+        let (choice, sampled) = match mode {
+            PlannerMode::Auto => {
+                let sampled = SampledThresholds::of(&self.data, query);
+                let inputs = self.inputs_valid(query, &sampled);
+                (plan_in_memory(&inputs, &self.model).backend, Some(sampled))
+            }
+            PlannerMode::Ad => (BackendChoice::Ad, None),
+            PlannerMode::VaFile => (BackendChoice::VaFile, None),
+            PlannerMode::Scan => (BackendChoice::Scan, None),
         };
         self.bump(choice);
         let (ad, filter) = scratch;
-        match choice {
+        match (choice, sampled) {
             // `&SortedColumns` is itself a sorted-access source.
-            BackendChoice::Ad => execute_batch_query(&mut &*self.cols, query, ad),
-            BackendChoice::VaFile => self.va.execute(query, filter),
-            BackendChoice::Scan => self.scan.execute(query, filter),
+            (BackendChoice::Ad, _) => execute_batch_query(&mut &*self.cols, query, ad),
+            (BackendChoice::VaFile, Some(sampled)) => {
+                self.va.execute_sampled(query, &sampled, filter)
+            }
+            (BackendChoice::VaFile, None) => self.va.execute(query, filter),
+            (BackendChoice::Scan, _) => self.scan.execute(query, filter),
         }
     }
 }

@@ -403,3 +403,140 @@ fn forced_ad_pops_the_attributes_within_the_kth_difference() {
         }
     }
 }
+
+/// `batch` through the forced `vafile` route at workers 1 and 3 against
+/// the oracle.
+fn vafile_matches_oracle(ds: &Dataset, batch: &[BatchQuery], ctx: &str) {
+    let want = oracle(ds, batch);
+    for workers in [1usize, 3] {
+        let engine = PlannedEngine::with_workers(ds, workers, PlannerMode::Auto);
+        for (i, (r, w)) in forced(&engine, PlannerMode::VaFile, batch)
+            .into_iter()
+            .zip(&want)
+            .enumerate()
+        {
+            assert_eq!(
+                &r.unwrap().0,
+                w,
+                "vafile diverged: {ctx} workers={workers} query #{i}: {:?}",
+                batch[i]
+            );
+        }
+    }
+}
+
+/// Frequent queries over `[2, d]`, `[⌈d/2⌉, d]` and `[2, 3]`, and a
+/// k-n-match at `⌈d/2⌉`, at each of `ks`.
+fn frequent_batch(query: &[f64], ks: &[usize]) -> Vec<BatchQuery> {
+    let d = query.len();
+    let mut batch = Vec::new();
+    for &k in ks {
+        for (n0, n1) in [(2, d), (d.div_ceil(2), d), (2, 3.min(d))] {
+            batch.push(BatchQuery::Frequent {
+                query: query.to_vec(),
+                k,
+                n0,
+                n1,
+            });
+        }
+        batch.push(BatchQuery::KnMatch {
+            query: query.to_vec(),
+            k,
+            n: d.div_ceil(2),
+        });
+    }
+    batch
+}
+
+#[test]
+fn forced_vafile_matches_oracle_at_the_per_level_edges() {
+    // The frequent filter's per-level test keeps a point only when some
+    // level's bound admits it. Middle level: query 0.5 everywhere, d = 6,
+    // frequent [2, 5] at k = 1, where pid 300 (differences
+    // .1,.1,.1,.4,.4,.4) is level 3's answer and no other level's, after
+    // pid 0 (0,0,.3,.3,.3,.3) and pid 1 (.2 ×5, .45) have set the bounds.
+    let mut rng = Rng64::new(0x1e7e);
+    let d = 6;
+    let rows: Vec<Vec<f64>> = (0..600)
+        .map(|pid| match pid {
+            0 => vec![0.5, 0.5, 0.8, 0.8, 0.8, 0.8],
+            1 => vec![0.7, 0.7, 0.7, 0.7, 0.7, 0.95],
+            300 => vec![0.6, 0.6, 0.6, 0.9, 0.9, 0.9],
+            _ => (0..d)
+                .map(|j| {
+                    let off = if (j + pid) % d < 2 { 0.15 } else { 0.45 };
+                    let off = off + rng.range_f64(0.0, 0.04);
+                    if rng.next_f64() < 0.5 {
+                        0.5 + off
+                    } else {
+                        0.5 - off
+                    }
+                })
+                .collect(),
+        })
+        .collect();
+    let ds = Dataset::from_rows(&rows).unwrap();
+    let mut batch = frequent_batch(&[0.5; 6], &[1, 2, 5]);
+    batch.push(BatchQuery::Frequent {
+        query: vec![0.5; 6],
+        k: 1,
+        n0: 2,
+        n1: 5,
+    });
+    vafile_matches_oracle(&ds, &batch, "middle level");
+
+    // Ties at a level's bound: the 0.25 grid, with one row copied across
+    // the run edge at 16 and the FILTER_BLOCK edge.
+    let b = FILTER_BLOCK;
+    let mut rows: Vec<Vec<f64>> = (0..2 * b + 9)
+        .map(|_| {
+            (0..d)
+                .map(|_| rng.range_usize(0..5) as f64 * 0.25)
+                .collect()
+        })
+        .collect();
+    let copy = rows[0].clone();
+    for pid in (14..18).chain(b - 2..b + 2) {
+        rows[pid].clone_from(&copy);
+    }
+    let ds = Dataset::from_rows(&rows).unwrap();
+    let shifted: Vec<f64> = copy.iter().map(|v| (v + 0.1f64).min(1.0)).collect();
+    for q in [copy, shifted] {
+        vafile_matches_oracle(&ds, &frequent_batch(&q, &[1, 3, 6, 9]), "edge ties");
+    }
+
+    // Either side of the byte network's width, and past 255 dimensions
+    // (saturated counts, a clamped hit floor).
+    for (c, d) in [(700usize, 17usize), (700, 33), (200, 300)] {
+        let ds = random_dataset(&mut rng, c, d);
+        let q: Vec<f64> = ds.point(7).iter().map(|v| v * 0.98 + 0.01).collect();
+        let mut batch = frequent_batch(&q, &[1, 10]);
+        if d > 255 {
+            for (n0, n1) in [(256, 260), (250, d)] {
+                batch.push(BatchQuery::Frequent {
+                    query: q.clone(),
+                    k: 4,
+                    n0,
+                    n1,
+                });
+            }
+            batch.push(BatchQuery::KnMatch {
+                query: q.clone(),
+                k: 5,
+                n: 280,
+            });
+        }
+        vafile_matches_oracle(&ds, &batch, &format!("d={d}"));
+    }
+
+    // A query outside the data's range in some dimensions.
+    let ds = random_dataset(&mut rng, 900, 8);
+    let q: Vec<f64> = (0..8)
+        .map(|j| match j % 3 {
+            0 => -0.4,
+            1 => 1.3,
+            _ => ds.coord(5, j),
+        })
+        .collect();
+    vafile_matches_oracle(&ds, &frequent_batch(&q, &[1, 7]), "outside the marks");
+}

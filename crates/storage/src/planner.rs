@@ -62,23 +62,25 @@ pub struct MemCostModel {
 impl Default for MemCostModel {
     fn default() -> Self {
         MemCostModel {
-            ad_ns_per_attr: 21.9,
-            scan_ns_per_attr: 0.65,
-            filter_ns_per_cell: 0.22,
-            refine_ns_per_attr: 2.3,
+            ad_ns_per_attr: 23.5,
+            scan_ns_per_attr: 0.76,
+            filter_ns_per_cell: 0.17,
+            refine_ns_per_attr: 2.9,
         }
     }
 }
 
 /// Per-query quantities the in-memory model prices. The caller measures
 /// them cheaply at request time: `ad_attrs` from the sorted columns at
-/// `q ± ε_q` (two binary searches per dimension), `candidate_fraction`
-/// from the band filter at `τ = ε_q` over a small sample.
+/// `q ± ε_q` (two lock-step binary searches over the dimensions),
+/// `candidate_fraction` from the band filter at `τ = ε_q` over a small
+/// sample (each level of a frequent query at its own `ε_q`).
 ///
-/// `ε_q`, the `k/c`-quantile of one sample of n-match differences (n1 for
-/// a frequent query), *estimates* the true k-th difference: what AD's
-/// frontier reaches, and what the VA filter's running bound closes in on.
-/// For an ε-n-match query it is `ε`.
+/// `ε_q`, the `k/c`-quantile of one sample of n-match differences (at
+/// every level of a frequent query; AD's frontier reaches the loosest),
+/// *estimates* the true k-th difference: what AD's frontier reaches, and
+/// what the VA filter's running bounds close in on. For an ε-n-match
+/// query it is `ε`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemPlanInputs {
     /// Dataset cardinality.
